@@ -3,6 +3,7 @@ driver: per-trial stream independence, config parsing and validation,
 order-independent aggregation, and byte-reproducible artifacts."""
 
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -494,3 +495,126 @@ class TestMontecarlo:
         stats, _records = montecarlo(config)
         assert stats.accepted >= 58
         assert stats.t_mean == pytest.approx(50 * 50, abs=2 * 50)
+
+
+# Digests of the artifacts of small runs, recorded before the interrogation
+# kernel was shared across strategies.  A change here means the per-trial RNG
+# consumption (and with it every record) changed; if that is deliberate, the
+# reproducibility contract in README.md must be restated along with the pins.
+_PINNED_CELLS = [
+    (strategy, subject, distribution)
+    for strategy in ("bayes", "serial", "naive", "pattern")
+    for subject in ("alice", "eve:uniformp", "eve:echo")
+    for distribution in ("point_pair", "uniform_bands")
+]
+_PINNED_TRIALS = {"bayes": 30, "serial": 20, "naive": 10, "pattern": 2}
+_PINNED_DIGESTS = {
+    ("bayes", "alice", "point_pair"): (
+        "a879198a4dfcc2cb16acf75fc3136bc102e33146b22a757587402b596568a329"
+    ),
+    ("bayes", "alice", "uniform_bands"): (
+        "2065c7cac420a889807ced1fa5f5e55bb994485143d2797f458bcd30e5e0e774"
+    ),
+    ("bayes", "eve:uniformp", "point_pair"): (
+        "eece9a7f553a07490718d8d18a18a31ae3e559cf79b6685c1b783494d4b7eb59"
+    ),
+    ("bayes", "eve:uniformp", "uniform_bands"): (
+        "986e79b374b9cf27332b17f8938dec3c2094fbd90344489b66a15343073d91d4"
+    ),
+    ("bayes", "eve:echo", "point_pair"): (
+        "f884b4681d01c488f91cbd70e2db3c10d48e38bc00a8b4c542fd412cc37ba0c2"
+    ),
+    ("bayes", "eve:echo", "uniform_bands"): (
+        "82c3f47b5ce361d1c87fd56b274abd68e00091509dd41619f25f1669eb2c0918"
+    ),
+    ("serial", "alice", "point_pair"): (
+        "3d45f361316da1346ef934f3c79c96500cc43028171fa9552e6643e0121bdeea"
+    ),
+    ("serial", "alice", "uniform_bands"): (
+        "3d45f361316da1346ef934f3c79c96500cc43028171fa9552e6643e0121bdeea"
+    ),
+    ("serial", "eve:uniformp", "point_pair"): (
+        "c46de7b09456df1d375cb2663906183c00593d5750a13fb1bf477af4eab5eedf"
+    ),
+    ("serial", "eve:uniformp", "uniform_bands"): (
+        "c46de7b09456df1d375cb2663906183c00593d5750a13fb1bf477af4eab5eedf"
+    ),
+    ("serial", "eve:echo", "point_pair"): (
+        "c46de7b09456df1d375cb2663906183c00593d5750a13fb1bf477af4eab5eedf"
+    ),
+    ("serial", "eve:echo", "uniform_bands"): (
+        "c46de7b09456df1d375cb2663906183c00593d5750a13fb1bf477af4eab5eedf"
+    ),
+    ("naive", "alice", "point_pair"): (
+        "6635d2c6d0df5361069dda05ef91695650827f4f02afeec2083ea9687dbe1111"
+    ),
+    ("naive", "alice", "uniform_bands"): (
+        "6635d2c6d0df5361069dda05ef91695650827f4f02afeec2083ea9687dbe1111"
+    ),
+    ("naive", "eve:uniformp", "point_pair"): (
+        "b83e3a3584e9f4018f586bb64401c5e09dabb5465654569e98f422f926e7cb80"
+    ),
+    ("naive", "eve:uniformp", "uniform_bands"): (
+        "b83e3a3584e9f4018f586bb64401c5e09dabb5465654569e98f422f926e7cb80"
+    ),
+    ("naive", "eve:echo", "point_pair"): (
+        "ff4c3f68e3c7dd49fd2b1e32e3beea301ac281f83161716bc1294b0102eaec9a"
+    ),
+    ("naive", "eve:echo", "uniform_bands"): (
+        "ff4c3f68e3c7dd49fd2b1e32e3beea301ac281f83161716bc1294b0102eaec9a"
+    ),
+    ("pattern", "alice", "point_pair"): (
+        "37e69b2d93a8b7e2347e25249ae59b1ff6adcf6214a147aaa22eb004951c41cb"
+    ),
+    ("pattern", "alice", "uniform_bands"): (
+        "37e69b2d93a8b7e2347e25249ae59b1ff6adcf6214a147aaa22eb004951c41cb"
+    ),
+    ("pattern", "eve:uniformp", "point_pair"): (
+        "37e69b2d93a8b7e2347e25249ae59b1ff6adcf6214a147aaa22eb004951c41cb"
+    ),
+    ("pattern", "eve:uniformp", "uniform_bands"): (
+        "37e69b2d93a8b7e2347e25249ae59b1ff6adcf6214a147aaa22eb004951c41cb"
+    ),
+    ("pattern", "eve:echo", "point_pair"): (
+        "37e69b2d93a8b7e2347e25249ae59b1ff6adcf6214a147aaa22eb004951c41cb"
+    ),
+    ("pattern", "eve:echo", "uniform_bands"): (
+        "37e69b2d93a8b7e2347e25249ae59b1ff6adcf6214a147aaa22eb004951c41cb"
+    ),
+}
+
+
+def _artifact_digest(out) -> str:
+    """SHA-256 over the stats block of summary.json, t_histogram.csv and
+    walks.csv (when written).  The config block is left out: it records the
+    temporary output directory."""
+    summary = json.loads((out / "summary.json").read_text())
+    digest = hashlib.sha256()
+    digest.update(json.dumps(summary["stats"], sort_keys=True).encode())
+    for name in ("t_histogram.csv", "walks.csv"):
+        path = out / name
+        digest.update(name.encode())
+        digest.update(path.read_bytes() if path.exists() else b"-")
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "strategy,subject,distribution",
+    _PINNED_CELLS,
+    ids=["-".join(cell) for cell in _PINNED_CELLS],
+)
+def test_artifacts_match_pinned_digests(strategy, subject, distribution, tmp_path):
+    config = RunConfig(
+        strategy=strategy,
+        subject=subject,
+        distribution=distribution,
+        trials=_PINNED_TRIALS[strategy],
+        master_seed=4519,
+        map_width=40,
+        map_height=40,
+        out_dir=str(tmp_path),
+    )
+    montecarlo(config)
+    assert _artifact_digest(tmp_path) == _PINNED_DIGESTS[
+        (strategy, subject, distribution)
+    ]
