@@ -10,6 +10,12 @@ small JSON document.
 Spatial correlations are deliberately ignored — spots are i.i.d. — and maps
 are immutable after creation so they can be shared freely across concurrent
 trials.
+
+The module also defines the interrogation distribution, the law of the
+transmission value flashed in one round.  There is one type,
+:class:`UniformBands`: a fair coin picks the low or the high band and the
+value is uniform on it.  A two-point distribution is the special case of
+zero-width bands, which :func:`PointPair` builds.
 """
 
 from __future__ import annotations
@@ -30,6 +36,9 @@ __all__ = [
     "UniformBands",
     "AlphaDistribution",
     "distribution_support",
+    "inner_edges",
+    "require_support",
+    "draw_class_alpha",
     "generate_synthetic",
     "classify",
     "draw_interrogation_spot",
@@ -90,27 +99,12 @@ class AlphaMap:
 
 
 @dataclass(frozen=True)
-class PointPair:
-    """Interrogation distribution concentrated on two transmission values."""
-
-    alpha_low: float
-    alpha_high: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha_low", float(self.alpha_low))
-        object.__setattr__(self, "alpha_high", float(self.alpha_high))
-        if not (0.0 < self.alpha_low < self.alpha_high <= 1.0):
-            raise DomainError(
-                "need 0 < alpha_low < alpha_high <= 1 (two distinct points), got "
-                f"({self.alpha_low!r}, {self.alpha_high!r})"
-            )
-
-
-@dataclass(frozen=True)
 class UniformBands:
     """Interrogation distribution uniform over a low and a high band.
 
-    Degenerate (zero-width) bands are allowed and behave like point masses.
+    This is the only distribution type.  Degenerate (zero-width) bands are
+    allowed and behave like point masses; :func:`PointPair` builds the
+    two-point distribution that way.
     """
 
     low_band: tuple[float, float]
@@ -132,35 +126,51 @@ class UniformBands:
             )
 
 
-AlphaDistribution = PointPair | UniformBands
+AlphaDistribution = UniformBands
 
 
-def distribution_support(distribution: AlphaDistribution) -> tuple[float, float]:
+def PointPair(alpha_low: float, alpha_high: float) -> UniformBands:
+    """Interrogation distribution concentrated on two transmission values:
+    a pair of zero-width bands."""
+    return UniformBands((alpha_low, alpha_low), (alpha_high, alpha_high))
+
+
+def distribution_support(distribution: UniformBands) -> tuple[float, float]:
     """Smallest and largest transmission value the distribution can produce."""
-    if isinstance(distribution, PointPair):
-        return distribution.alpha_low, distribution.alpha_high
-    if isinstance(distribution, UniformBands):
-        return distribution.low_band[0], distribution.high_band[1]
-    raise DomainError(f"unknown interrogation distribution {distribution!r}")
+    return distribution.low_band[0], distribution.high_band[1]
 
 
-def _sample_class_alpha(
-    distribution: AlphaDistribution, spot_class: SpotClass, rng: np.random.Generator
-) -> float:
-    if isinstance(distribution, PointPair):
-        return (
-            distribution.alpha_high
-            if spot_class is SpotClass.HIGH
-            else distribution.alpha_low
+def inner_edges(distribution: UniformBands) -> tuple[float, float]:
+    """Top of the low band and bottom of the high band: the two values the
+    honest user confuses most often, from which the symmetric pulse
+    intensity is solved."""
+    return distribution.low_band[1], distribution.high_band[0]
+
+
+def require_support(alpha_map: AlphaMap, distribution: UniformBands) -> None:
+    """Raise :class:`ConfigError` unless the map's global transmission band
+    covers the distribution's support."""
+    lo, hi = distribution_support(distribution)
+    if lo < alpha_map.alpha_min or hi > alpha_map.alpha_max:
+        raise ConfigError(
+            f"interrogation distribution spans [{lo!r}, {hi!r}] but the map only "
+            f"provides [{alpha_map.alpha_min!r}, {alpha_map.alpha_max!r}]"
         )
-    band = (
+
+
+def draw_class_alpha(
+    distribution: UniformBands, rng: np.random.Generator
+) -> tuple[float, SpotClass]:
+    """A fair coin picks the hidden class, then the transmission value is
+    drawn uniformly from that class's band (a zero-width band draws
+    nothing)."""
+    spot_class = SpotClass.HIGH if rng.random() < 0.5 else SpotClass.LOW
+    a, b = (
         distribution.high_band
         if spot_class is SpotClass.HIGH
         else distribution.low_band
     )
-    if band[0] == band[1]:
-        return band[0]
-    return float(rng.uniform(band[0], band[1]))
+    return (a if a == b else float(rng.uniform(a, b))), spot_class
 
 
 def generate_synthetic(
@@ -211,7 +221,7 @@ def classify(alpha_map: AlphaMap, low_max: float, high_min: float) -> list[SpotC
 
 def draw_interrogation_spot(
     alpha_map: AlphaMap,
-    distribution: AlphaDistribution,
+    distribution: UniformBands,
     rng: np.random.Generator,
 ) -> tuple[float, SpotClass]:
     """Pick the next interrogation target: a fair coin chooses the hidden
@@ -223,15 +233,8 @@ def draw_interrogation_spot(
     consistency check: the distribution must be realizable within the map's
     global transmission band.
     """
-    lo, hi = distribution_support(distribution)
-    if lo < alpha_map.alpha_min or hi > alpha_map.alpha_max:
-        raise ConfigError(
-            f"interrogation distribution spans [{lo!r}, {hi!r}] but the map only "
-            f"provides [{alpha_map.alpha_min!r}, {alpha_map.alpha_max!r}]"
-        )
-    spot_class = SpotClass.HIGH if rng.random() < 0.5 else SpotClass.LOW
-    alpha = _sample_class_alpha(distribution, spot_class, rng)
-    return alpha, spot_class
+    require_support(alpha_map, distribution)
+    return draw_class_alpha(distribution, rng)
 
 
 # ---------------------------------------------------------------------------

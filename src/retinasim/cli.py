@@ -29,7 +29,7 @@ from .harness import (
     prepare,
     trial_rng,
 )
-from .photon_stats import gk, solve_q_intensity
+from .photon_stats import gk
 from .strategy_bayes import (
     Outcome,
     drift_bounds,
@@ -276,11 +276,14 @@ def cmd_montecarlo(config: RunConfig) -> int:
 
 
 def _operating_lines(config: RunConfig) -> list[str]:
-    q, i_tilde = solve_q_intensity(config.alpha_low, config.alpha_high, config.k)
+    q, i_tilde = config.operating_point()
+    if config.distribution == "point_pair":
+        classes = f"alpha_low={config.alpha_low}  alpha_high={config.alpha_high}"
+    else:
+        classes = f"low_band={config.low_band}  high_band={config.high_band}"
     lines = [
         "operating point",
-        f"  classes: alpha_low={config.alpha_low}  alpha_high={config.alpha_high}  "
-        f"K={config.k}",
+        f"  classes: {classes}  K={config.k}",
         f"  wrong-answer probability q = {q:.6f}",
         f"  pulse intensity i_tilde    = {i_tilde:.4f}",
     ]
@@ -288,7 +291,7 @@ def _operating_lines(config: RunConfig) -> list[str]:
 
 
 def _bounds_lines(config: RunConfig) -> list[str]:
-    q, i_tilde = solve_q_intensity(config.alpha_low, config.alpha_high, config.k)
+    q, i_tilde = config.operating_point()
     q_min = gk(config.k, config.map_alpha_min * i_tilde)
     bound_alice, bound_eve = stopping_time_bounds(q, q_min, config.p_fp, config.p_fn)
     mu_alice, mu_eve = drift_bounds(q)
@@ -353,7 +356,7 @@ def _pattern_lines(config: RunConfig) -> list[str]:
 
 
 def _serial_naive_lines(config: RunConfig) -> list[str]:
-    q, _i_tilde = solve_q_intensity(config.alpha_low, config.alpha_high, config.k)
+    q, _i_tilde = config.operating_point()
     w, n_rounds = solve_w_N(q, config.p_fp, config.p_fn)
     lines = [
         "fixed-length test",

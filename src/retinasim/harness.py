@@ -29,6 +29,7 @@ from .alpha_map import (
     PointPair,
     UniformBands,
     generate_synthetic,
+    inner_edges,
     load,
 )
 from .errors import ConfigError, DomainError
@@ -174,6 +175,18 @@ class RunConfig:
             return PointPair(self.alpha_low, self.alpha_high)
         return UniformBands(self.low_band, self.high_band)
 
+    def operating_point(self) -> tuple[float, float]:
+        """``(q, i_tilde)`` the configured distribution runs at: the pulse
+        intensity (``i_tilde`` when set, else solved symmetrically from the
+        distribution's inner edges) and the honest user's worst-case
+        wrong-answer probability at that intensity."""
+        distribution = self.distribution_object()
+        if self.i_tilde is not None:
+            i_tilde = float(self.i_tilde)
+        else:
+            _q, i_tilde = solve_q_intensity(*inner_edges(distribution), self.k)
+        return design_wrong_probability(distribution, i_tilde, self.k), i_tilde
+
     def to_dict(self) -> dict:
         doc = dataclasses.asdict(self)
         doc["low_band"] = list(self.low_band)
@@ -307,12 +320,6 @@ def _resolve_map(config: RunConfig) -> AlphaMap:
     )
 
 
-def _inner_edges(distribution: AlphaDistribution) -> tuple[float, float]:
-    if isinstance(distribution, PointPair):
-        return distribution.alpha_low, distribution.alpha_high
-    return distribution.low_band[1], distribution.high_band[0]
-
-
 def prepare(config: RunConfig) -> RunContext:
     """Resolve the map, solve the strategy's plan once, and freeze the
     shared inputs.  All per-trial randomness comes later, from
@@ -320,12 +327,7 @@ def prepare(config: RunConfig) -> RunContext:
     alpha_map = _resolve_map(config)
     distribution = config.distribution_object()
     subject = build_subject(config.subject, alpha_map, config.k)
-
-    low_edge, high_edge = _inner_edges(distribution)
-    if config.i_tilde is not None:
-        i_tilde = float(config.i_tilde)
-    else:
-        _q, i_tilde = solve_q_intensity(low_edge, high_edge, config.k)
+    q, i_tilde = config.operating_point()
 
     sequential_plan = None
     serial_plan = None
@@ -337,7 +339,6 @@ def prepare(config: RunConfig) -> RunContext:
             distribution, config.p_fp, config.p_fn, i_tilde=i_tilde, k=config.k
         )
     elif config.strategy == "serial":
-        q = design_wrong_probability(distribution, i_tilde, config.k)
         w, n_rounds = solve_w_N(q, config.p_fp, config.p_fn)
         serial_plan = SerialPlan(q=q, w=w, n_rounds=n_rounds)
     elif config.strategy == "naive":

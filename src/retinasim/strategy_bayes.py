@@ -31,29 +31,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from .alpha_map import (
-    AlphaDistribution,
-    PointPair,
-    SpotClass,
-    UniformBands,
-    _sample_class_alpha,
-)
+from .alpha_map import AlphaDistribution, UniformBands, inner_edges
 from .errors import ConfigError, DomainError
 from .photon_stats import DEFAULT_THRESHOLD, gk, solve_q_intensity
 from .strategy_serial import relative_entropy
-from .subjects import (
-    AliceSubject,
-    EveContext,
-    EveSubject,
-    SubjectModel,
-    alice_response,
-)
+from .subjects import EveSubject, SubjectModel, interrogate
 
 __all__ = [
     "Outcome",
@@ -111,31 +100,26 @@ def prior_p(
     """The designer's impostor answer probability: the exact expectation of
     the seeing probability over the interrogation distribution.
 
-    Closed-form average for a two-point distribution; adaptive quadrature on
-    each band for the uniform-bands distribution (the integrand is smooth and
-    monotone, so quad resolves it to near machine precision).
+    The seeing probability itself on a zero-width band (so a two-point
+    distribution has a closed form); adaptive quadrature on a band of
+    positive width (the integrand is smooth and monotone, so quad resolves it
+    to near machine precision).
     """
     i_tilde = float(i_tilde)
     if not math.isfinite(i_tilde) or i_tilde < 0.0:
         raise DomainError(f"pulse intensity must be finite and >= 0, got {i_tilde!r}")
-    if isinstance(distribution, PointPair):
-        return 0.5 * (
-            gk(k, distribution.alpha_low * i_tilde)
-            + gk(k, distribution.alpha_high * i_tilde)
+    if not isinstance(distribution, UniformBands):
+        raise DomainError(f"unknown interrogation distribution {distribution!r}")
+    means = []
+    for a, b in (distribution.low_band, distribution.high_band):
+        if a == b:
+            means.append(gk(k, a * i_tilde))
+            continue
+        integral, _err = quad(
+            lambda alpha: gk(k, alpha * i_tilde), a, b, epsabs=1e-13, epsrel=1e-12
         )
-    if isinstance(distribution, UniformBands):
-        means = []
-        for band in (distribution.low_band, distribution.high_band):
-            a, b = band
-            if a == b:
-                means.append(gk(k, a * i_tilde))
-                continue
-            integral, _err = quad(
-                lambda alpha: gk(k, alpha * i_tilde), a, b, epsabs=1e-13, epsrel=1e-12
-            )
-            means.append(integral / (b - a))
-        return 0.5 * (means[0] + means[1])
-    raise DomainError(f"unknown interrogation distribution {distribution!r}")
+        means.append(integral / (b - a))
+    return 0.5 * (means[0] + means[1])
 
 
 def design_wrong_probability(
@@ -148,12 +132,7 @@ def design_wrong_probability(
     low range and the bottom of the high range.  For a symmetric operating
     design the two coincide.
     """
-    if isinstance(distribution, PointPair):
-        low_edge, high_edge = distribution.alpha_low, distribution.alpha_high
-    elif isinstance(distribution, UniformBands):
-        low_edge, high_edge = distribution.low_band[1], distribution.high_band[0]
-    else:
-        raise DomainError(f"unknown interrogation distribution {distribution!r}")
+    low_edge, high_edge = inner_edges(distribution)
     return max(gk(k, low_edge * i_tilde), 1.0 - gk(k, high_edge * i_tilde))
 
 
@@ -208,18 +187,7 @@ class SequentialPlan:
             if not (0.0 < float(value) < 1.0):
                 raise DomainError(f"{name} must lie in (0, 1), got {value!r}")
         if i_tilde is None:
-            if isinstance(distribution, PointPair):
-                low_edge, high_edge = distribution.alpha_low, distribution.alpha_high
-            elif isinstance(distribution, UniformBands):
-                low_edge, high_edge = (
-                    distribution.low_band[1],
-                    distribution.high_band[0],
-                )
-            else:
-                raise DomainError(
-                    f"unknown interrogation distribution {distribution!r}"
-                )
-            _q, i_tilde = solve_q_intensity(low_edge, high_edge, k)
+            _q, i_tilde = solve_q_intensity(*inner_edges(distribution), k)
         p = prior_p(distribution, i_tilde, k)
         return cls(
             p=p,
@@ -239,6 +207,13 @@ def _log_increment(p_see: float, saw: bool, p: float) -> float:
     if z_a <= 0.0:
         return -math.inf
     return math.log(z_a / z_e)
+
+
+def _see_cache(plan: SequentialPlan) -> dict[float, float]:
+    """Seeing probabilities at the distribution's inner edges.  A zero-width
+    band draws only its edge, so two-point runs — the bulk of Monte Carlo
+    work — never recompute the gamma CDF."""
+    return {a: gk(plan.k, a * plan.i_tilde) for a in inner_edges(plan.distribution)}
 
 
 def update_odds(
@@ -293,42 +268,18 @@ def run_sequential(
         raise DomainError(f"round cap must be >= 1, got {max_rounds}")
     ln_x = math.log(plan.x)
     ln_y = math.log(plan.y)
-    is_eve = isinstance(subject, EveSubject)
-    if not is_eve and not isinstance(subject, AliceSubject):
-        raise DomainError(f"unknown subject model {subject!r}")
-    session = subject.strategy.session(rng) if is_eve else None
-    history: list[bool] = []
-
-    # Two-point distributions dominate bulk runs; memoise their seeing
-    # probabilities instead of recomputing the gamma CDF every round.
-    see_cache: dict[float, float] = {}
-    if isinstance(plan.distribution, PointPair):
-        for a in (plan.distribution.alpha_low, plan.distribution.alpha_high):
-            see_cache[a] = gk(plan.k, a * plan.i_tilde)
-
+    see_cache = _see_cache(plan)
     log_odds = 0.0
     rounds = 0
     outcome = Outcome.TIMEOUT
     transcript: list[Round] = []
-    for i in range(max_rounds):
-        spot_class = SpotClass.HIGH if rng.random() < 0.5 else SpotClass.LOW
-        alpha = _sample_class_alpha(plan.distribution, spot_class, rng)
-        if is_eve:
-            context = EveContext(
-                round_index=i,
-                photon_count=int(rng.poisson(plan.i_tilde)),
-                history=tuple(history),
-            )
-            saw = session.respond(context, rng)
-            history.append(saw)
-        else:
-            saw = alice_response(alpha, plan.i_tilde, subject.k, rng)
+    interrogation = interrogate(subject, plan.distribution, plan.i_tilde, rng)
+    for rounds, (_cls, alpha, saw) in enumerate(islice(interrogation, max_rounds), 1):
         p_see = see_cache.get(alpha)
         if p_see is None:
             p_see = gk(plan.k, alpha * plan.i_tilde)
         increment = _log_increment(p_see, saw, plan.p)
         log_odds += increment
-        rounds = i + 1
         if record_transcript:
             transcript.append(Round(alpha, saw, increment))
         if log_odds >= ln_y:
@@ -467,40 +418,19 @@ def martingale_diagnostics(
         raise DomainError(f"need at least 2 trials, got {n_trials}")
     checkpoints = sorted({1, max(1, horizon // 2), horizon})
     is_eve = isinstance(subject, EveSubject)
-    if not is_eve and not isinstance(subject, AliceSubject):
-        raise DomainError(f"unknown subject model {subject!r}")
-
-    see_cache: dict[float, float] = {}
-    if isinstance(plan.distribution, PointPair):
-        for a in (plan.distribution.alpha_low, plan.distribution.alpha_high):
-            see_cache[a] = gk(plan.k, a * plan.i_tilde)
-
+    see_cache = _see_cache(plan)
     sums = {n: 0.0 for n in checkpoints}
     sumsq = {n: 0.0 for n in checkpoints}
     for _trial in range(n_trials):
-        session = subject.strategy.session(rng) if is_eve else None
-        history: list[bool] = []
         ratio = 1.0
-        for i in range(horizon):
-            spot_class = SpotClass.HIGH if rng.random() < 0.5 else SpotClass.LOW
-            alpha = _sample_class_alpha(plan.distribution, spot_class, rng)
-            if is_eve:
-                context = EveContext(
-                    round_index=i,
-                    photon_count=int(rng.poisson(plan.i_tilde)),
-                    history=tuple(history),
-                )
-                saw = session.respond(context, rng)
-                history.append(saw)
-            else:
-                saw = alice_response(alpha, plan.i_tilde, subject.k, rng)
+        interrogation = interrogate(subject, plan.distribution, plan.i_tilde, rng)
+        for n, (_cls, alpha, saw) in enumerate(islice(interrogation, horizon), 1):
             p_see = see_cache.get(alpha)
             if p_see is None:
                 p_see = gk(plan.k, alpha * plan.i_tilde)
             z_a = p_see if saw else 1.0 - p_see
             z_e = plan.p if saw else 1.0 - plan.p
             ratio *= z_a / z_e
-            n = i + 1
             if n in sums:
                 stat = ratio if is_eve else 1.0 / ratio
                 sums[n] += stat

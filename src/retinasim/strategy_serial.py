@@ -20,19 +20,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .alpha_map import AlphaDistribution, AlphaMap, SpotClass, draw_interrogation_spot
+from .alpha_map import AlphaDistribution, AlphaMap, SpotClass, require_support
 from .errors import DomainError, InfeasibleError
-from .subjects import (
-    AliceSubject,
-    EveContext,
-    EveSubject,
-    SubjectModel,
-    alice_response,
-)
+from .subjects import SubjectModel, interrogate
 
 __all__ = [
     "SerialPlan",
@@ -142,7 +137,9 @@ def run_serial(
 
     Each round draws a hidden spot class (fair coin) and a transmission value
     from ``distribution``, pulses at the common intensity ``i_tilde``, and
-    records whether the subject's answer contradicts the hidden class.
+    records whether the subject's answer contradicts the hidden class.  The
+    map's transmission band must cover the distribution's support; that is
+    checked once, before the first round.
 
     ``k`` is the perception threshold the *design* assumed when solving for
     ``i_tilde``; it is carried for the session report.  The honest subject
@@ -150,28 +147,11 @@ def run_serial(
     the device is simply operating off its design point, which is exactly
     the situation worth simulating.
     """
+    require_support(alpha_map, distribution)
     wrong = 0
-    if isinstance(subject, EveSubject):
-        session = subject.strategy.session(rng)
-        history: list[bool] = []
-        for i in range(plan.n_rounds):
-            _alpha, spot_class = draw_interrogation_spot(alpha_map, distribution, rng)
-            context = EveContext(
-                round_index=i,
-                photon_count=int(rng.poisson(i_tilde)),
-                history=tuple(history),
-            )
-            saw = session.respond(context, rng)
-            history.append(saw)
-            if saw != (spot_class is SpotClass.HIGH):
-                wrong += 1
-    elif isinstance(subject, AliceSubject):
-        for _ in range(plan.n_rounds):
-            alpha, spot_class = draw_interrogation_spot(alpha_map, distribution, rng)
-            saw = alice_response(alpha, i_tilde, subject.k, rng)
-            if saw != (spot_class is SpotClass.HIGH):
-                wrong += 1
-    else:
-        raise DomainError(f"unknown subject model {subject!r}")
+    interrogation = interrogate(subject, distribution, i_tilde, rng)
+    for spot_class, _alpha, saw in islice(interrogation, plan.n_rounds):
+        if saw != (spot_class is SpotClass.HIGH):
+            wrong += 1
     accepted = wrong < plan.n_rounds * plan.w
     return SerialResult(accepted=accepted, wrong_answers=wrong, rounds=plan.n_rounds)

@@ -18,6 +18,12 @@ Eve may also carry an ideal photodetector.  :func:`eve_photon_view` models
 what it records: i.i.d. Poisson counts at the session's common pulse
 intensity, identical in law whatever the hidden class of each pulse — which
 is exactly why the detector is useless to her.
+
+This module also holds the interrogation kernel every class-based protocol
+shares: :func:`responder` is the only place a subject's "seen / not seen"
+answer is produced, and :func:`interrogate` runs the round primitive — a
+fair coin picks the hidden class, the transmission value is drawn from that
+class's part of the distribution, and the subject answers.
 """
 
 from __future__ import annotations
@@ -25,11 +31,11 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Iterator, Union
 
 import numpy as np
 
-from .alpha_map import AlphaMap
+from .alpha_map import AlphaMap, SpotClass, UniformBands, draw_class_alpha
 from .errors import DomainError
 from .photon_stats import DEFAULT_THRESHOLD
 
@@ -47,6 +53,8 @@ __all__ = [
     "alice_response",
     "eve_response",
     "eve_photon_view",
+    "responder",
+    "interrogate",
 ]
 
 
@@ -211,6 +219,65 @@ def eve_response(
         strategy.session(rng) if isinstance(strategy, EveStrategy) else strategy
     )
     return session.respond(round_context, rng)
+
+
+def responder(
+    subject: SubjectModel, rng: np.random.Generator, spot_ordinal: int = 0
+) -> Callable[[float, float], bool]:
+    """Answering function ``answer(alpha, i_tilde) -> saw`` for one scope
+    (one identification session, or one spot test of the per-spot protocol).
+
+    Alice answers through :func:`alice_response`.  Eve gets one fresh
+    strategy session per scope and never receives ``alpha``: her context
+    holds the round index within the scope, her own detector's
+    Poisson(``i_tilde``) count, her past answers in the scope and
+    ``spot_ordinal``.
+    """
+    if isinstance(subject, AliceSubject):
+        k = subject.k
+
+        def answer_alice(alpha: float, i_tilde: float) -> bool:
+            return alice_response(alpha, i_tilde, k, rng)
+
+        return answer_alice
+    if isinstance(subject, EveSubject):
+        session = subject.strategy.session(rng)
+        history: list[bool] = []
+
+        def answer_eve(_alpha: float, i_tilde: float) -> bool:
+            context = EveContext(
+                round_index=len(history),
+                photon_count=int(rng.poisson(i_tilde)),
+                history=tuple(history),
+                spot_ordinal=spot_ordinal,
+            )
+            saw = session.respond(context, rng)
+            history.append(saw)
+            return saw
+
+        return answer_eve
+    raise DomainError(f"unknown subject model {subject!r}")
+
+
+def interrogate(
+    subject: SubjectModel,
+    distribution: UniformBands,
+    i_tilde: float,
+    rng: np.random.Generator,
+) -> Iterator[tuple[SpotClass, float, bool]]:
+    """Endless class interrogation of one session, yielding
+    ``(spot_class, alpha, saw)`` per round.
+
+    Each round a fair coin picks the hidden class, ``alpha`` is drawn from
+    that class's band of ``distribution``, and the subject answers a pulse
+    at the common intensity ``i_tilde``.  The caller decides when to stop.
+    The subject's answering scope (for Eve, her strategy session) opens on
+    the first round.
+    """
+    answer = responder(subject, rng)
+    while True:
+        alpha, spot_class = draw_class_alpha(distribution, rng)
+        yield spot_class, alpha, answer(alpha, i_tilde)
 
 
 def eve_photon_view(

@@ -15,6 +15,7 @@ from retinasim import (
     DomainError,
     MapFormatError,
     PointPair,
+    RunConfig,
     SpotClass,
     UniformBands,
     classify,
@@ -22,6 +23,7 @@ from retinasim import (
     draw_interrogation_spot,
     generate_synthetic,
     load,
+    montecarlo,
     save,
 )
 
@@ -130,6 +132,23 @@ class TestDistributions:
             0.02,
             0.18,
         )
+
+    def test_point_pair_is_zero_width_bands(self):
+        assert PointPair(0.05, 0.15) == UniformBands((0.05, 0.05), (0.15, 0.15))
+
+    @pytest.mark.parametrize("strategy", ["bayes", "serial"])
+    def test_point_pair_runs_match_zero_width_band_runs(self, strategy):
+        common = dict(strategy=strategy, trials=40, master_seed=4520)
+        _stats, pair_records = montecarlo(RunConfig(distribution="point_pair", **common))
+        _stats, band_records = montecarlo(
+            RunConfig(
+                distribution="uniform_bands",
+                low_band=(0.05, 0.05),
+                high_band=(0.15, 0.15),
+                **common,
+            )
+        )
+        assert pair_records == band_records
 
 
 def test_draw_interrogation_point_pair(default_map):

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from retinasim import RunConfig, prepare
 from retinasim.cli import main
 
 # exit codes: 0 accept/success, 1 reject, 2 usage, 3 infeasible/config
@@ -208,6 +209,28 @@ class TestSolveCommand:
         out = capsys.readouterr().out
         assert "alpha_low=0.04" in out
         assert "q = 0.096091" not in out
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {},
+            {
+                "distribution": "uniform_bands",
+                "low_band": [0.02, 0.07],
+                "high_band": [0.13, 0.18],
+            },
+            {"i_tilde": 70.0},
+        ],
+        ids=["default", "uniform_bands", "explicit_i_tilde"],
+    )
+    def test_rounds_match_the_run_that_config_makes(self, doc, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc))
+        plan = prepare(RunConfig(strategy="serial", **doc)).serial_plan
+        assert main(["solve", "--config", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert f"rounds N = {plan.n_rounds}" in out
+        assert f"q = {plan.q:.6f}" in out
 
 
 class TestPatternCommand:

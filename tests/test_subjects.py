@@ -15,12 +15,16 @@ from retinasim import (
     EveSubject,
     FairCoin,
     FixedP,
+    SpotClass,
+    UniformBands,
     UniformP,
     alice_response,
     eve_photon_view,
     eve_response,
     prob_see,
 )
+
+from retinasim.subjects import interrogate, responder
 
 from conftest import make_rng
 
@@ -171,3 +175,43 @@ def test_subject_dataclasses(default_map):
     assert alice.k == 6
     eve = EveSubject(strategy=FairCoin())
     assert isinstance(eve.strategy, FairCoin)
+
+
+def test_interrogate_draws_class_then_alpha_then_answer():
+    rng = make_rng(12)
+    bands = UniformBands((0.02, 0.05), (0.15, 0.15))
+    contexts = []
+
+    def rule(ctx):
+        contexts.append(ctx)
+        return 0.0 if ctx.history and ctx.history[-1] else 1.0
+
+    rounds = list(
+        zip(range(40), interrogate(EveSubject(Adaptive(rule)), bands, 62.4, rng))
+    )
+    for _i, (spot_class, alpha, _saw) in rounds:
+        if spot_class is SpotClass.HIGH:
+            assert alpha == 0.15
+        else:
+            assert 0.02 <= alpha <= 0.05
+    answers = [saw for _i, (_c, _a, saw) in rounds]
+    assert answers == [True, False] * 20
+    assert [c.round_index for c in contexts] == list(range(40))
+    assert all(c.history == tuple(answers[: c.round_index]) for c in contexts)
+    assert all(c.photon_count is not None and c.spot_ordinal == 0 for c in contexts)
+
+
+def test_responder_scopes_and_rejects_unknown_subjects(default_map):
+    rng = make_rng(13)
+    seen = []
+    eve = EveSubject(Adaptive(lambda ctx: seen.append(ctx) or 1.0))
+    answer = responder(eve, rng, spot_ordinal=3)
+    assert answer(0.05, 60.0) is True and answer(0.15, 60.0) is True
+    assert [(c.round_index, c.spot_ordinal) for c in seen] == [(0, 3), (1, 3)]
+    # a new scope starts a new history
+    responder(eve, rng)(0.05, 60.0)
+    assert seen[-1].round_index == 0 and seen[-1].history == ()
+    with pytest.raises(DomainError):
+        responder(AliceSubject(default_map, k=6), rng)(1.5, 60.0)
+    with pytest.raises(DomainError, match="unknown subject"):
+        responder(object(), rng)
