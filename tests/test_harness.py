@@ -497,8 +497,7 @@ class TestMontecarlo:
         assert stats.t_mean == pytest.approx(50 * 50, abs=2 * 50)
 
 
-# Digests of the artifacts of small runs, recorded before the interrogation
-# kernel was shared across strategies.  A change here means the per-trial RNG
+# Digests of the artifacts of small runs.  A mismatch means the per-trial RNG
 # consumption (and with it every record) changed; if that is deliberate, the
 # reproducibility contract in README.md must be restated along with the pins.
 _PINNED_CELLS = [
