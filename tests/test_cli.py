@@ -2,11 +2,12 @@
 snippets, artifact emission, and config/flag precedence.  Everything runs
 through ``main(argv)`` in-process."""
 
+import hashlib
 import json
 
 import pytest
 
-from retinasim import RunConfig, prepare
+from retinasim import RunConfig, prepare, run_trial
 from retinasim.cli import main
 
 # exit codes: 0 accept/success, 1 reject, 2 usage, 3 infeasible/config
@@ -139,6 +140,107 @@ class TestIdentify:
         code = main(["identify", "--seed", "4605", "--subject", "interactive"])
         assert code == 3
         assert "stdin closed" in capsys.readouterr().err
+
+
+# SHA-256 of the stdout and the exit code of `identify --seed 4601` per
+# (strategy, subject).  A mismatch means the session's RNG consumption or its
+# printout changed.
+_IDENTIFY_PINS = {
+    ("bayes", "alice"): (
+        "a2b08e2b743595c04172261bf265cd7ac0402f1d24a86192d32e63a3e1718dd4", 0
+    ),
+    ("bayes", "eve:faircoin"): (
+        "9893cf3b3ae596b77170d91454722dca83d83a48c871262c7cb8cf4412f0108b", 1
+    ),
+    ("bayes", "eve:uniformp"): (
+        "1a672734db6fd78a82ec411a0daecc62cdf94f0dd92dd821080d6721057ff87a", 1
+    ),
+    ("bayes", "eve:echo"): (
+        "d8ce2678bb2a0fe7ea4f75f6c37f8b407118556da54b2548a8ac438f5f44c61c", 1
+    ),
+    ("serial", "alice"): (
+        "a810a628033749e8d62366efc901f06b4753b58685b2b376e98814d212e0c151", 0
+    ),
+    ("serial", "eve:faircoin"): (
+        "450e4ac77a2e884011b4cc42b375f6594d8d1677c933d0c98c3bd602fde6ce2d", 1
+    ),
+    ("serial", "eve:uniformp"): (
+        "cb0b89a6c4b5988ea925713f2f0c988d53689697cc8ad84216f0c517ee44c5aa", 1
+    ),
+    ("serial", "eve:echo"): (
+        "e739977c7d6f636f3d0e1303f84438889f24ed69f6fea94cbf9ad7a62b3e830d", 1
+    ),
+    ("naive", "alice"): (
+        "922df54f8491d2e0175b6a871ded5555bd9816d88041506c5b451a7b1064a713", 0
+    ),
+    ("naive", "eve:faircoin"): (
+        "4924e205163e5fe5913f656ebc459630f053b83b5bc583bd23c5c85661e84dc9", 0
+    ),
+    ("naive", "eve:uniformp"): (
+        "72e57fc266ccb145a46b32b8abfe37c4eb0a7ebadb07fb90fd2af4641199b26c", 1
+    ),
+    ("naive", "eve:echo"): (
+        "cf710f33bc4161a60f786bef2c2bc2977ca529508dae8819b195c2b43a78c0a6", 1
+    ),
+    ("pattern", "alice"): (
+        "2f577a2046985c16a9e6049a483af03c71f2558c79b2669b85278fe4650e251c", 1
+    ),
+    ("pattern", "eve:faircoin"): (
+        "11c5c0bd94b3c22f4bcbda12674018e443cb66a07d43e9245749f6ed6e4c20cd", 1
+    ),
+    ("pattern", "eve:uniformp"): (
+        "1de1e9eab7745c951d009f8614e11be3b20c9183e6d4f9124c0f07f4b9ef9c5b", 1
+    ),
+    ("pattern", "eve:echo"): (
+        "903b47e4c7ecd13501069c5d12fb52c8a744bf18e6b583d096f2a1ff93a2afef", 1
+    ),
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestIdentifyPinned:
+    @pytest.mark.parametrize(
+        "strategy,subject",
+        list(_IDENTIFY_PINS),
+        ids=["-".join(cell) for cell in _IDENTIFY_PINS],
+    )
+    def test_stdout_and_exit_code(self, strategy, subject, capsys):
+        code = main([
+            "identify", "--seed", "4601", "--strategy", strategy,
+            "--subject", subject,
+        ])
+        assert (_sha256(capsys.readouterr().out), code) == _IDENTIFY_PINS[
+            (strategy, subject)
+        ]
+
+    def test_interactive_session_always_seen(self, capsys, monkeypatch):
+        class AlwaysSeen:
+            def readline(self):
+                return "y\n"
+
+        monkeypatch.setattr("sys.stdin", AlwaysSeen())
+        code = main(["identify", "--seed", "4601", "--subject", "interactive"])
+        assert (_sha256(capsys.readouterr().out), code) == (
+            "3ac8bfcd69bfe82e0c4adcf8f98cdc877250497063a2104e40ad8c9fe2807bde", 1
+        )
+
+    @pytest.mark.parametrize("seed", [1, 9])
+    @pytest.mark.parametrize("subject", ["alice", "eve:uniformp"])
+    @pytest.mark.parametrize("strategy", ["bayes", "serial", "naive", "pattern"])
+    def test_identify_is_trial_zero_of_montecarlo(
+        self, strategy, subject, seed, capsys
+    ):
+        config = RunConfig(strategy=strategy, subject=subject, master_seed=seed)
+        expected = 0 if run_trial(prepare(config), 0).accepted else 1
+        code = main([
+            "identify", "--seed", str(seed), "--strategy", strategy,
+            "--subject", subject,
+        ])
+        capsys.readouterr()
+        assert code == expected
 
 
 class TestMontecarloCommand:
