@@ -45,6 +45,7 @@ from .harness import (
     montecarlo,
     parse_eve_strategy,
     prepare,
+    run_session,
     run_trial,
     trial_rng,
     write_artifacts,

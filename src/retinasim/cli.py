@@ -18,15 +18,18 @@ import math
 import sys
 from pathlib import Path
 
-from . import physics_bounds, strategy_pattern
-from .alpha_map import save
+from . import physics_bounds
+from .alpha_map import AlphaMap, save
 from .errors import ConfigError, DomainError, InfeasibleError, MapFormatError
 from .harness import (
+    STRATEGIES,
     RunConfig,
+    RunContext,
     _resolve_map,
     load_config,
     montecarlo,
     prepare,
+    run_session,
     trial_rng,
 )
 from .photon_stats import gk
@@ -34,12 +37,11 @@ from .strategy_bayes import (
     Outcome,
     drift_bounds,
     optimality_lower_bound,
-    run_sequential,
     stopping_time_bounds,
 )
-from .strategy_naive import acceptance_counts, required_nu, run_naive
+from .strategy_naive import acceptance_counts, required_nu
 from .strategy_pattern import false_positive_rate, optimize_intensity
-from .strategy_serial import run_serial, solve_w_N
+from .strategy_serial import solve_w_N
 from .subjects import Adaptive, EveContext, EveSubject
 
 __all__ = [
@@ -74,9 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=_u64, metavar="U64", help="master seed")
         p.add_argument("--trials", type=int, metavar="N", help="number of trials")
         p.add_argument(
-            "--strategy",
-            choices=("naive", "serial", "bayes", "pattern"),
-            help="identification strategy",
+            "--strategy", choices=STRATEGIES, help="identification strategy"
         )
         if subject:
             p.add_argument(
@@ -161,29 +161,30 @@ def _interactive_rule(context: EveContext) -> float:
     return 1.0 if line.strip().lower() in ("y", "yes", "1") else 0.0
 
 
-def cmd_identify(config: RunConfig, subject_kind: str | None = None) -> int:
-    """Run one session; print the transcript and the decision."""
-    kind = subject_kind if subject_kind is not None else config.subject
-    interactive = kind == "interactive"
-    context = prepare(
-        dataclasses.replace(config, subject="eve:faircoin" if interactive else kind)
-    )
-    if interactive:
-        context = dataclasses.replace(
-            context, subject=EveSubject(strategy=Adaptive(_interactive_rule))
-        )
-    rng = trial_rng(config.master_seed, 0)
-    print(f"strategy: {config.strategy}   subject: {kind}   "
-          f"seed: {config.master_seed}")
-
+def _plan_line(context: RunContext) -> str:
+    """The plan ``identify`` prints before its session starts."""
+    config = context.config
     if config.strategy == "bayes":
         plan = context.sequential_plan
-        assert plan is not None
-        print(f"plan: i_tilde={plan.i_tilde:.6g}  K={plan.k}  p={plan.p:.6g}  "
-              f"thresholds=({plan.x:.3g}, {plan.y:.3g})")
-        result = run_sequential(
-            context.subject, plan, rng, max_rounds=config.max_rounds
-        )
+        return (f"plan: i_tilde={plan.i_tilde:.6g}  K={plan.k}  p={plan.p:.6g}  "
+                f"thresholds=({plan.x:.3g}, {plan.y:.3g})")
+    if config.strategy == "serial":
+        plan = context.serial_plan
+        return (f"plan: i_tilde={context.i_tilde:.6g}  K={config.k}  "
+                f"q={plan.q:.6g}  w={plan.w:.6g}  N={plan.n_rounds}")
+    if config.strategy == "naive":
+        plan = context.naive_plan
+        return (f"plan: mu={plan.mu} spots, nu={plan.nu} pulses each, "
+                f"window ({plan.n_l}, {plan.n_r}) around p_c={plan.p_c}")
+    return (f"plan: {config.pattern_questions} questions, menu of "
+            f"{config.pattern_menu}, i_tilde={config.pattern_i_tilde}")
+
+
+def _print_session(context: RunContext, result) -> bool:
+    """Print a finished session's transcript and decision; return whether
+    it accepted."""
+    config = context.config
+    if config.strategy == "bayes":
         print(f"{'n':>5} {'alpha':>10} {'S':>2} {'increment':>10} {'log_odds':>10}")
         log_odds = 0.0
         for n, step in enumerate(result.state.transcript, start=1):
@@ -195,64 +196,44 @@ def cmd_identify(config: RunConfig, subject_kind: str | None = None) -> int:
             print(f"... ({result.rounds - _TRANSCRIPT_CAP} more rounds)")
         print(f"outcome: {result.outcome.value} after {result.rounds} rounds "
               f"(final log odds {result.state.log_odds:+.4f})")
-        return 0 if result.outcome is Outcome.ACCEPT else 1
-
+        return result.outcome is Outcome.ACCEPT
+    decision = "accept" if result.accepted else "reject"
     if config.strategy == "serial":
         plan = context.serial_plan
-        assert plan is not None
-        print(f"plan: i_tilde={context.i_tilde:.6g}  K={config.k}  "
-              f"q={plan.q:.6g}  w={plan.w:.6g}  N={plan.n_rounds}")
-        result = run_serial(
-            context.subject,
-            context.alpha_map,
-            plan,
-            context.i_tilde,
-            config.k,
-            rng,
-            distribution=context.distribution,
-        )
         allowed = plan.w * plan.n_rounds
         print(f"wrong answers: {result.wrong_answers} of {result.rounds} "
               f"(acceptance needs < {allowed:.2f})")
-        print(f"outcome: {'accept' if result.accepted else 'reject'}")
-        return 0 if result.accepted else 1
-
-    if config.strategy == "naive":
+        print(f"outcome: {decision}")
+    elif config.strategy == "naive":
         plan = context.naive_plan
-        assert plan is not None
-        print(f"plan: mu={plan.mu} spots, nu={plan.nu} pulses each, "
-              f"window ({plan.n_l}, {plan.n_r}) around p_c={plan.p_c}")
-        result = run_naive(
-            context.subject, context.alpha_map, plan, rng, k=config.k
-        )
         for ordinal, count in enumerate(result.see_counts):
             ok = plan.n_l < count < plan.n_r
             print(f"spot {ordinal + 1:>3}: {count:>5} seen  "
                   f"{'pass' if ok else 'FAIL'}")
-        print(f"outcome: {'accept' if result.accepted else 'reject'} "
+        print(f"outcome: {decision} "
               f"({result.spots_tested} of {plan.mu} spots tested)")
-        return 0 if result.accepted else 1
+    else:
+        print(f"correct answers: {result.correct} of {result.questions}")
+        print(f"outcome: {decision}")
+    return result.accepted
 
-    rule = context.pattern_rule
-    assert rule is not None
-    result = strategy_pattern.run_pattern_test(
-        context.subject,
-        context.alpha_map,
-        config.pattern_questions,
-        config.pattern_menu,
-        rule,
-        rng,
-        n_noise=config.pattern_noise,
-        i_tilde=config.pattern_i_tilde,
-        low_max=config.pattern_low_max,
-        high_min=config.pattern_high_min,
-        _index=context.pattern_index,
+
+def cmd_identify(config: RunConfig) -> int:
+    """Run one session, trial 0 of the ``montecarlo`` run with the same
+    seed; print the plan, the transcript and the decision."""
+    interactive = config.subject == "interactive"
+    context = prepare(
+        dataclasses.replace(config, subject="eve:faircoin") if interactive else config
     )
-    print(f"plan: {config.pattern_questions} questions, menu of "
-          f"{config.pattern_menu}, i_tilde={config.pattern_i_tilde}")
-    print(f"correct answers: {result.correct} of {result.questions}")
-    print(f"outcome: {'accept' if result.accepted else 'reject'}")
-    return 0 if result.accepted else 1
+    if interactive:
+        context = dataclasses.replace(
+            context, subject=EveSubject(strategy=Adaptive(_interactive_rule))
+        )
+    print(f"strategy: {config.strategy}   subject: {config.subject}   "
+          f"seed: {config.master_seed}")
+    print(_plan_line(context))
+    result = run_session(context, trial_rng(config.master_seed, 0))
+    return 0 if _print_session(context, result) else 1
 
 
 def cmd_montecarlo(config: RunConfig) -> int:
@@ -290,9 +271,9 @@ def _operating_lines(config: RunConfig) -> list[str]:
     return lines
 
 
-def _bounds_lines(config: RunConfig) -> list[str]:
+def _bounds_lines(config: RunConfig, alpha_map: AlphaMap) -> list[str]:
     q, i_tilde = config.operating_point()
-    q_min = gk(config.k, config.map_alpha_min * i_tilde)
+    q_min = gk(config.k, alpha_map.alpha_min * i_tilde)
     bound_alice, bound_eve = stopping_time_bounds(q, q_min, config.p_fp, config.p_fn)
     mu_alice, mu_eve = drift_bounds(q)
     n_min = optimality_lower_bound(q, config.p_fp)
@@ -322,7 +303,7 @@ def _physics_lines() -> list[str]:
     ]
 
 
-def _pattern_lines(config: RunConfig) -> list[str]:
+def _pattern_lines(config: RunConfig, alpha_map: AlphaMap) -> list[str]:
     lines = ["pattern strategy"]
     menus = [(40, 6), (18, 8)]
     configured = (config.pattern_menu, config.pattern_questions)
@@ -337,9 +318,9 @@ def _pattern_lines(config: RunConfig) -> list[str]:
     lines.append("  honest-failure optimum over class-edge pairs "
                  "(25 pattern + 75 noise spots, limits 5/5, 6 questions):")
     pairs = sorted({
-        (config.map_alpha_min, config.map_alpha_max),
-        (config.map_alpha_min, config.pattern_high_min),
-        (config.pattern_low_max, config.map_alpha_max),
+        (alpha_map.alpha_min, alpha_map.alpha_max),
+        (alpha_map.alpha_min, config.pattern_high_min),
+        (config.pattern_low_max, alpha_map.alpha_max),
         (config.pattern_low_max, config.pattern_high_min),
     })
     for alpha_low, alpha_high in pairs:
@@ -379,11 +360,12 @@ def _serial_naive_lines(config: RunConfig) -> list[str]:
 
 def cmd_solve(config: RunConfig) -> int:
     """Print every protocol constant for the configuration."""
+    alpha_map = _resolve_map(config)
     lines: list[str] = []
     lines += _operating_lines(config)
     lines += _serial_naive_lines(config)
-    lines += _bounds_lines(config)
-    lines += _pattern_lines(config)
+    lines += _bounds_lines(config, alpha_map)
+    lines += _pattern_lines(config, alpha_map)
     lines += _physics_lines()
     print("\n".join(lines))
     return 0
@@ -391,13 +373,13 @@ def cmd_solve(config: RunConfig) -> int:
 
 def cmd_pattern(config: RunConfig) -> int:
     """Print the pattern-strategy report."""
-    print("\n".join(_pattern_lines(config)))
+    print("\n".join(_pattern_lines(config, _resolve_map(config))))
     return 0
 
 
 def cmd_bounds(config: RunConfig) -> int:
     """Print the sequential bounds and the physics report."""
-    print("\n".join(_bounds_lines(config) + _physics_lines()))
+    print("\n".join(_bounds_lines(config, _resolve_map(config)) + _physics_lines()))
     return 0
 
 

@@ -38,12 +38,19 @@ from .strategy_bayes import (
     Outcome,
     Round,
     SequentialPlan,
+    SequentialResult,
     design_wrong_probability,
     run_sequential,
 )
-from .strategy_naive import NaiveTestPlan, acceptance_counts, required_nu, run_naive
-from .strategy_pattern import RecognitionRule, run_pattern_test
-from .strategy_serial import SerialPlan, run_serial, solve_w_N
+from .strategy_naive import (
+    NaiveResult,
+    NaiveTestPlan,
+    acceptance_counts,
+    required_nu,
+    run_naive,
+)
+from .strategy_pattern import PatternResult, RecognitionRule, run_pattern_test
+from .strategy_serial import SerialPlan, SerialResult, run_serial, solve_w_N
 from .subjects import (
     Adaptive,
     AliceSubject,
@@ -67,6 +74,7 @@ __all__ = [
     "parse_eve_strategy",
     "build_subject",
     "prepare",
+    "run_session",
     "run_trial",
     "merge_records",
     "write_artifacts",
@@ -369,23 +377,67 @@ def prepare(config: RunConfig) -> RunContext:
     )
 
 
+def run_session(
+    context: RunContext, rng: np.random.Generator, *, record_transcript: bool = True
+) -> SequentialResult | SerialResult | NaiveResult | PatternResult:
+    """Run one identification session of ``context.config.strategy`` on
+    ``rng`` and return that strategy's own result.
+
+    This is the one place a strategy name picks its runner; ``run_trial``
+    and the ``identify`` command both come through here.
+    ``record_transcript`` matters to bayes only and never changes the draws.
+    """
+    config = context.config
+    if config.strategy == "bayes":
+        return run_sequential(
+            context.subject,
+            context.sequential_plan,
+            rng,
+            max_rounds=config.max_rounds,
+            record_transcript=record_transcript,
+        )
+    if config.strategy == "serial":
+        return run_serial(
+            context.subject,
+            context.alpha_map,
+            context.serial_plan,
+            context.i_tilde,
+            config.k,
+            rng,
+            distribution=context.distribution,
+        )
+    if config.strategy == "naive":
+        return run_naive(
+            context.subject, context.alpha_map, context.naive_plan, rng, k=config.k
+        )
+    return run_pattern_test(
+        context.subject,
+        context.alpha_map,
+        config.pattern_questions,
+        config.pattern_menu,
+        context.pattern_rule,
+        rng,
+        n_noise=config.pattern_noise,
+        i_tilde=config.pattern_i_tilde,
+        low_max=config.pattern_low_max,
+        high_min=config.pattern_high_min,
+        _index=context.pattern_index,
+    )
+
+
 def run_trial(context: RunContext, trial_index: int) -> TrialRecord:
     """Execute one trial on its own RNG stream.  Pure in the shared context:
     calling it for any subset of indices, in any order, yields the same
     records as a full serial sweep."""
     config = context.config
-    rng = trial_rng(config.master_seed, trial_index)
+    want_walk = trial_index < config.walk_trace_limit
+    result = run_session(
+        context,
+        trial_rng(config.master_seed, trial_index),
+        record_transcript=want_walk,
+    )
     if config.strategy == "bayes":
         plan = context.sequential_plan
-        assert plan is not None
-        want_walk = trial_index < config.walk_trace_limit
-        result = run_sequential(
-            context.subject,
-            plan,
-            rng,
-            max_rounds=config.max_rounds,
-            record_transcript=want_walk,
-        )
         log_odds = result.state.log_odds
         ln_x, ln_y = math.log(plan.x), math.log(plan.y)
         if result.outcome is Outcome.ACCEPT:
@@ -404,58 +456,15 @@ def run_trial(context: RunContext, trial_index: int) -> TrialRecord:
             walk=result.state.transcript if want_walk else None,
         )
     if config.strategy == "serial":
-        plan = context.serial_plan
-        assert plan is not None
-        result = run_serial(
-            context.subject,
-            context.alpha_map,
-            plan,
-            context.i_tilde,
-            config.k,
-            rng,
-            distribution=context.distribution,
-        )
-        return TrialRecord(
-            trial=trial_index,
-            accepted=result.accepted,
-            timed_out=False,
-            rounds=result.rounds,
-        )
-    if config.strategy == "naive":
-        plan = context.naive_plan
-        assert plan is not None
-        result = run_naive(
-            context.subject, context.alpha_map, plan, rng, k=config.k
-        )
+        rounds = result.rounds
+    elif config.strategy == "naive":
         # The unit of work is one pulse; a session that stops at the first
         # failing spot has still spent nu pulses on each tested spot.
-        return TrialRecord(
-            trial=trial_index,
-            accepted=result.accepted,
-            timed_out=False,
-            rounds=result.spots_tested * plan.nu,
-        )
-    rule = context.pattern_rule
-    assert rule is not None
-    result = run_pattern_test(
-        context.subject,
-        context.alpha_map,
-        config.pattern_questions,
-        config.pattern_menu,
-        rule,
-        rng,
-        n_noise=config.pattern_noise,
-        i_tilde=config.pattern_i_tilde,
-        low_max=config.pattern_low_max,
-        high_min=config.pattern_high_min,
-        _index=context.pattern_index,
-    )
-    asked = result.questions if result.accepted else result.correct + 1
+        rounds = result.spots_tested * context.naive_plan.nu
+    else:
+        rounds = result.questions if result.accepted else result.correct + 1
     return TrialRecord(
-        trial=trial_index,
-        accepted=result.accepted,
-        timed_out=False,
-        rounds=asked,
+        trial=trial_index, accepted=result.accepted, timed_out=False, rounds=rounds
     )
 
 

@@ -353,3 +353,37 @@ class TestBoundsCommand:
         assert "drift: honest >= +0.37674/round, impostor <= -0.52859/round" in out
         assert "eavesdropping physics" in out
         assert "dipole falloff 1 cm -> 10 cm:  1000x" in out
+
+
+class TestReportsFollowMapFile:
+    """A stored map's band, not the synthetic-map fields, sets the reports'
+    q_min and pattern class-edge pairs."""
+
+    @pytest.fixture
+    def map_config(self, tmp_path, capsys):
+        enroll = tmp_path / "enroll.json"
+        enroll.write_text(json.dumps({"map_alpha_min": 0.03, "map_alpha_max": 0.18}))
+        store = tmp_path / "store"
+        assert main(["enroll", "--config", str(enroll), "--out", str(store)]) == 0
+        config = tmp_path / "use.json"
+        config.write_text(json.dumps({"map_file": str(store / "map.json")}))
+        capsys.readouterr()
+        return str(config)
+
+    def test_bounds_q_min_from_map_band(self, map_config, capsys):
+        assert main(["bounds", "--config", map_config]) == 0
+        out = capsys.readouterr().out
+        # G6(0.03 * 62.3254); the synthetic-map default 0.02 gives 0.00181278
+        assert "q_min=0.0123088)" in out
+        assert "E[T | impostor] <= 24.6056" in out
+
+    def test_solve_q_min_from_map_band(self, map_config, capsys):
+        assert main(["solve", "--config", map_config]) == 0
+        assert "q_min=0.0123088)" in capsys.readouterr().out
+
+    def test_pattern_pairs_from_map_band(self, map_config, capsys):
+        assert main(["pattern", "--config", map_config]) == 0
+        out = capsys.readouterr().out
+        assert "alpha=(0.03, 0.18):" in out
+        assert "alpha=(0.03, 0.16):" in out
+        assert "alpha=(0.02," not in out
