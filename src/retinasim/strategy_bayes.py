@@ -28,6 +28,7 @@ false-positive target, and empirical martingale diagnostics.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -198,22 +199,34 @@ class SequentialPlan:
             distribution=distribution,
         )
 
+    @functools.cached_property
+    def _edge_see(self) -> dict[float, float]:
+        return {a: gk(self.k, a * self.i_tilde) for a in inner_edges(self.distribution)}
+
+    def see_probability(self, alpha: float) -> float:
+        """The honest user's seeing probability for a pulse at ``alpha``.
+
+        Values at the distribution's inner edges are computed once per plan;
+        a zero-width band draws only its edge, so two-point runs — the bulk
+        of Monte Carlo work — never recompute the gamma CDF.
+        """
+        p_see = self._edge_see.get(alpha)
+        return gk(self.k, alpha * self.i_tilde) if p_see is None else p_see
+
+
+def _likelihood_ratio(p_see: float, saw: bool, p: float) -> float:
+    """Z_A / Z_E for one answer: honest-user likelihood over the designer's
+    impostor likelihood."""
+    z_a = p_see if saw else 1.0 - p_see
+    z_e = p if saw else 1.0 - p
+    return z_a / z_e
+
 
 def _log_increment(p_see: float, saw: bool, p: float) -> float:
     """ln(Z_A / Z_E) for one answer; -inf when the answer is impossible
     under the honest-user model."""
-    z_a = p_see if saw else 1.0 - p_see
-    z_e = p if saw else 1.0 - p
-    if z_a <= 0.0:
-        return -math.inf
-    return math.log(z_a / z_e)
-
-
-def _see_cache(plan: SequentialPlan) -> dict[float, float]:
-    """Seeing probabilities at the distribution's inner edges.  A zero-width
-    band draws only its edge, so two-point runs — the bulk of Monte Carlo
-    work — never recompute the gamma CDF."""
-    return {a: gk(plan.k, a * plan.i_tilde) for a in inner_edges(plan.distribution)}
+    ratio = _likelihood_ratio(p_see, saw, p)
+    return math.log(ratio) if ratio > 0.0 else -math.inf
 
 
 def update_odds(
@@ -229,8 +242,7 @@ def update_odds(
     alpha_i = float(alpha_i)
     if not (0.0 <= alpha_i <= 1.0):
         raise DomainError(f"transmission coefficient must lie in [0, 1], got {alpha_i!r}")
-    p_see = gk(plan.k, alpha_i * plan.i_tilde)
-    increment = _log_increment(p_see, bool(saw), plan.p)
+    increment = _log_increment(plan.see_probability(alpha_i), bool(saw), plan.p)
     return OddsState(
         log_odds=state.log_odds + increment,
         n=state.n + 1,
@@ -268,17 +280,14 @@ def run_sequential(
         raise DomainError(f"round cap must be >= 1, got {max_rounds}")
     ln_x = math.log(plan.x)
     ln_y = math.log(plan.y)
-    see_cache = _see_cache(plan)
+    see = plan.see_probability
     log_odds = 0.0
     rounds = 0
     outcome = Outcome.TIMEOUT
     transcript: list[Round] = []
     interrogation = interrogate(subject, plan.distribution, plan.i_tilde, rng)
     for rounds, (_cls, alpha, saw) in enumerate(islice(interrogation, max_rounds), 1):
-        p_see = see_cache.get(alpha)
-        if p_see is None:
-            p_see = gk(plan.k, alpha * plan.i_tilde)
-        increment = _log_increment(p_see, saw, plan.p)
+        increment = _log_increment(see(alpha), saw, plan.p)
         log_odds += increment
         if record_transcript:
             transcript.append(Round(alpha, saw, increment))
@@ -418,19 +427,14 @@ def martingale_diagnostics(
         raise DomainError(f"need at least 2 trials, got {n_trials}")
     checkpoints = sorted({1, max(1, horizon // 2), horizon})
     is_eve = isinstance(subject, EveSubject)
-    see_cache = _see_cache(plan)
+    see = plan.see_probability
     sums = {n: 0.0 for n in checkpoints}
     sumsq = {n: 0.0 for n in checkpoints}
     for _trial in range(n_trials):
         ratio = 1.0
         interrogation = interrogate(subject, plan.distribution, plan.i_tilde, rng)
         for n, (_cls, alpha, saw) in enumerate(islice(interrogation, horizon), 1):
-            p_see = see_cache.get(alpha)
-            if p_see is None:
-                p_see = gk(plan.k, alpha * plan.i_tilde)
-            z_a = p_see if saw else 1.0 - p_see
-            z_e = plan.p if saw else 1.0 - plan.p
-            ratio *= z_a / z_e
+            ratio *= _likelihood_ratio(see(alpha), saw, plan.p)
             if n in sums:
                 stat = ratio if is_eve else 1.0 / ratio
                 sums[n] += stat
