@@ -266,14 +266,14 @@ def parse_eve_strategy(spec: str, k: int) -> EveStrategy:
     )
 
 
-def build_subject(kind: str, alpha_map: AlphaMap, k: int) -> SubjectModel:
+def build_subject(kind: str, k: int) -> SubjectModel:
     """Build the subject model named by ``kind`` (``alice`` or ``eve:<strategy>``).
 
     The interactive subject is a front-end concern and deliberately not
     constructible here: bulk runs must be non-interactive.
     """
     if kind == "alice":
-        return AliceSubject(alpha_map=alpha_map, k=k)
+        return AliceSubject(k=k)
     if kind.startswith("eve:"):
         return EveSubject(strategy=parse_eve_strategy(kind[4:], k))
     raise ConfigError(
@@ -334,7 +334,7 @@ def prepare(config: RunConfig) -> RunContext:
     :func:`trial_rng`."""
     alpha_map = _resolve_map(config)
     distribution = config.distribution_object()
-    subject = build_subject(config.subject, alpha_map, config.k)
+    subject = build_subject(config.subject, config.k)
     q, i_tilde = config.operating_point()
 
     sequential_plan = None

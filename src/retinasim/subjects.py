@@ -35,7 +35,7 @@ from typing import Callable, Iterator, Union
 
 import numpy as np
 
-from .alpha_map import AlphaMap, SpotClass, UniformBands, draw_class_alpha
+from .alpha_map import SpotClass, UniformBands, draw_class_alpha
 from .errors import DomainError
 from .photon_stats import DEFAULT_THRESHOLD
 
@@ -167,9 +167,10 @@ class Adaptive(EveStrategy):
 
 @dataclass(frozen=True)
 class AliceSubject:
-    """The enrolled user: her map and her perception threshold."""
+    """The enrolled user, given by her perception threshold.  Her map reaches
+    a session through the runner's own arguments: the map itself, or the
+    interrogation distribution drawn from it."""
 
-    alpha_map: AlphaMap
     k: int = DEFAULT_THRESHOLD
 
 

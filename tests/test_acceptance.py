@@ -151,13 +151,13 @@ def test_impostor_stopping_bound_ceiling():
     )
 
 
-def test_stopped_walk_means_respect_bounds(default_map):
+def test_stopped_walk_means_respect_bounds():
     q, i_tilde, q_min = _operating_point()
     start = time.perf_counter()
     plan = SequentialPlan.design(PAIR, 1e-10, 1e-4, i_tilde=i_tilde, k=6)
     bound_alice, bound_eve = stopping_time_bounds(q, q_min, 1e-10, 1e-4)
 
-    alice = AliceSubject(default_map, k=6)
+    alice = AliceSubject(k=6)
     mean_a, se_a, accepted_a = _run_walks(plan, alice, 5000, make_rng(4701))
     eve = EveSubject(FairCoin())
     mean_e, se_e, accepted_e = _run_walks(plan, eve, 5000, make_rng(4702))
@@ -180,10 +180,10 @@ def test_stopped_walk_means_respect_bounds(default_map):
     assert elapsed < 60.0
 
 
-def test_band_distribution_speeds_up_honest_sessions(default_map):
+def test_band_distribution_speeds_up_honest_sessions():
     pair_plan = SequentialPlan.design(PAIR, 1e-10, 1e-4, k=6)
     band_plan = SequentialPlan.design(BANDS, 1e-10, 1e-4, k=6)
-    alice = AliceSubject(default_map, k=6)
+    alice = AliceSubject(k=6)
     mean_pair, se_pair, _ = _run_walks(pair_plan, alice, 3000, make_rng(4703))
     mean_band, se_band, _ = _run_walks(band_plan, alice, 3000, make_rng(4704))
     gap_se = math.hypot(se_pair, se_band)
@@ -242,7 +242,7 @@ def test_pattern_rates_and_optimum():
     assert 5e-5 <= p_fn_star <= 5e-3
 
 
-def test_odds_martingale_under_all_subjects(default_map):
+def test_odds_martingale_under_all_subjects():
     plan = SequentialPlan.design(PAIR, 1e-10, 1e-4, k=6)
     # Horizon 8 keeps the reciprocal statistic's sample standard error
     # trustworthy at this trial count: its per-round second moment under the
@@ -257,7 +257,7 @@ def test_odds_martingale_under_all_subjects(default_map):
         plan, EveSubject(parse_eve_strategy("echo", 6)), trials, horizon, make_rng(4731)
     )
     alice = martingale_diagnostics(
-        plan, AliceSubject(default_map, k=6), trials, horizon, make_rng(4732)
+        plan, AliceSubject(k=6), trials, horizon, make_rng(4732)
     )
     worst = {
         "coin R_n": coin.max_sigma_deviation(),

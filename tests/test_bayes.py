@@ -214,11 +214,11 @@ class TestSequentialPlan:
 
 
 class TestRunSequential:
-    def test_honest_user_accepts_quickly(self, default_map):
+    def test_honest_user_accepts_quickly(self):
         plan = make_plan()
         rng = make_rng(4303)
         results = [
-            run_sequential(AliceSubject(default_map), plan, rng, record_transcript=False)
+            run_sequential(AliceSubject(), plan, rng, record_transcript=False)
             for _ in range(3000)
         ]
         rejects = sum(r.outcome is Outcome.REJECT for r in results)
@@ -229,7 +229,7 @@ class TestRunSequential:
         bound_alice, _ = stopping_time_bounds(Q_STAR, Q_STAR, 1e-10, 1e-4)
         assert mean_t <= bound_alice + 2 * se_t
 
-    def test_coin_flip_impostor_rejected_quickly(self, default_map):
+    def test_coin_flip_impostor_rejected_quickly(self):
         plan = make_plan()
         rng = make_rng(4304)
         results = [
@@ -243,7 +243,7 @@ class TestRunSequential:
         se_t = np.std([r.rounds for r in results], ddof=1) / math.sqrt(3000)
         assert mean_t <= bound_eve + 2 * se_t
 
-    def test_band_interrogation_is_faster_for_honest_user(self, default_map):
+    def test_band_interrogation_is_faster_for_honest_user(self):
         # Spreading the interrogation values over full bands gives many
         # rounds more evidence than the inner-edge pair, so sessions close
         # sooner on average.
@@ -253,7 +253,7 @@ class TestRunSequential:
             plan = make_plan(distribution)
             rounds = [
                 run_sequential(
-                    AliceSubject(default_map), plan, rng, record_transcript=False
+                    AliceSubject(), plan, rng, record_transcript=False
                 ).rounds
                 for _ in range(3000)
             ]
@@ -265,12 +265,12 @@ class TestRunSequential:
         band_mean, band_se = mean_rounds(BANDS)
         assert band_mean < pair_mean - 2 * math.hypot(pair_se, band_se)
 
-    def test_exit_thresholds_respected(self, default_map):
+    def test_exit_thresholds_respected(self):
         plan = make_plan()
         rng = make_rng(4306)
         ln_x, ln_y = math.log(plan.x), math.log(plan.y)
         for _ in range(40):
-            result = run_sequential(AliceSubject(default_map), plan, rng)
+            result = run_sequential(AliceSubject(), plan, rng)
             if result.outcome is Outcome.ACCEPT:
                 assert result.state.log_odds >= ln_y
             elif result.outcome is Outcome.REJECT:
@@ -281,13 +281,13 @@ class TestRunSequential:
                 running += entry.increment
                 assert ln_x < running < ln_y
 
-    def test_transcript_toggle_does_not_disturb_the_walk(self, default_map):
+    def test_transcript_toggle_does_not_disturb_the_walk(self):
         plan = make_plan()
         with_transcript = run_sequential(
-            AliceSubject(default_map), plan, make_rng(4307)
+            AliceSubject(), plan, make_rng(4307)
         )
         without = run_sequential(
-            AliceSubject(default_map), plan, make_rng(4307), record_transcript=False
+            AliceSubject(), plan, make_rng(4307), record_transcript=False
         )
         assert with_transcript.outcome == without.outcome
         assert with_transcript.rounds == without.rounds
@@ -295,18 +295,18 @@ class TestRunSequential:
         assert without.state.transcript == ()
         assert len(with_transcript.state.transcript) == with_transcript.rounds
 
-    def test_round_cap_reports_timeout(self, default_map):
+    def test_round_cap_reports_timeout(self):
         plan = make_plan()
         result = run_sequential(
-            AliceSubject(default_map), plan, make_rng(4308), max_rounds=1
+            AliceSubject(), plan, make_rng(4308), max_rounds=1
         )
         assert result.outcome is Outcome.TIMEOUT
         assert result.rounds == 1
 
-    def test_rejects_bad_cap_and_subject(self, default_map):
+    def test_rejects_bad_cap_and_subject(self):
         plan = make_plan()
         with pytest.raises(DomainError):
-            run_sequential(AliceSubject(default_map), plan, make_rng(4309), max_rounds=0)
+            run_sequential(AliceSubject(), plan, make_rng(4309), max_rounds=0)
         with pytest.raises(DomainError, match="unknown subject"):
             run_sequential(object(), plan, make_rng(4310))
 
@@ -373,7 +373,7 @@ class TestDriftBounds:
         with pytest.raises(DomainError):
             drift_bounds(q)
 
-    def test_symmetric_design_attains_both_with_equality(self, default_map):
+    def test_symmetric_design_attains_both_with_equality(self):
         # For the two-point symmetric design the drift guarantees are exact;
         # estimate per-round drift as total movement over total rounds
         # (consistent for stopped walks).
@@ -393,7 +393,7 @@ class TestDriftBounds:
             spread = math.sqrt(np.sum((finals - drift * lengths) ** 2))
             return drift, spread / lengths.sum()
 
-        drift, se = measured_drift(AliceSubject(default_map), 4311)
+        drift, se = measured_drift(AliceSubject(), 4311)
         assert drift == pytest.approx(mu_alice_min, abs=3.5 * se)
         assert drift >= mu_alice_min - 3 * se
         drift, se = measured_drift(EveSubject(FairCoin()), 4312)
@@ -441,7 +441,7 @@ class TestOptimalityLowerBound:
 
 
 class TestMartingaleDiagnostics:
-    def test_coin_flip_impostor_odds_are_a_martingale(self, default_map):
+    def test_coin_flip_impostor_odds_are_a_martingale(self):
         plan = make_plan()
         report = martingale_diagnostics(
             plan, EveSubject(FairCoin()), 10_000, 10, make_rng(4313)
@@ -450,7 +450,7 @@ class TestMartingaleDiagnostics:
         assert report.checkpoints == (1, 5, 10)
         assert report.max_sigma_deviation() <= 3.0
 
-    def test_adaptive_impostor_cannot_beat_it(self, default_map):
+    def test_adaptive_impostor_cannot_beat_it(self):
         # Echo rule: claim to see whenever the detector count is at least the
         # pulse mean — adaptivity does not move the martingale mean.
         plan = make_plan(BANDS)
@@ -462,23 +462,23 @@ class TestMartingaleDiagnostics:
         )
         assert report.max_sigma_deviation() <= 3.0
 
-    def test_honest_user_reciprocal_odds_are_a_martingale(self, default_map):
+    def test_honest_user_reciprocal_odds_are_a_martingale(self):
         plan = make_plan()
         report = martingale_diagnostics(
-            plan, AliceSubject(default_map), 10_000, 10, make_rng(4315)
+            plan, AliceSubject(), 10_000, 10, make_rng(4315)
         )
         assert report.statistic == "1/R_n"
         assert report.max_sigma_deviation() <= 3.0
 
-    def test_rejects_bad_arguments(self, default_map):
+    def test_rejects_bad_arguments(self):
         plan = make_plan()
         with pytest.raises(DomainError):
             martingale_diagnostics(
-                plan, AliceSubject(default_map), 10_000, 0, make_rng(4316)
+                plan, AliceSubject(), 10_000, 0, make_rng(4316)
             )
         with pytest.raises(DomainError):
             martingale_diagnostics(
-                plan, AliceSubject(default_map), 1, 10, make_rng(4317)
+                plan, AliceSubject(), 1, 10, make_rng(4317)
             )
         with pytest.raises(DomainError, match="unknown subject"):
             martingale_diagnostics(plan, object(), 100, 10, make_rng(4318))

@@ -181,21 +181,20 @@ class TestParseEveStrategy:
 
 
 class TestBuildSubject:
-    def test_alice(self, default_map):
-        subject = build_subject("alice", default_map, 6)
+    def test_alice(self):
+        subject = build_subject("alice", 6)
         assert isinstance(subject, AliceSubject)
         assert subject.k == 6
-        assert subject.alpha_map is default_map
 
-    def test_eve(self, default_map):
-        subject = build_subject("eve:faircoin", default_map, 6)
+    def test_eve(self):
+        subject = build_subject("eve:faircoin", 6)
         assert isinstance(subject, EveSubject)
         assert isinstance(subject.strategy, FairCoin)
 
     @pytest.mark.parametrize("kind", ["interactive", "bob", "eve", "eve:"])
-    def test_other_kinds_rejected(self, kind, default_map):
+    def test_other_kinds_rejected(self, kind):
         with pytest.raises(ConfigError):
-            build_subject(kind, default_map, 6)
+            build_subject(kind, 6)
 
 
 class TestPrepare:

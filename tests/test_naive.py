@@ -208,7 +208,7 @@ class TestRunNaive:
         plan = _published_plan()
         rng = make_rng(4101)
         results = [
-            run_naive(AliceSubject(default_map), default_map, plan, rng)
+            run_naive(AliceSubject(), default_map, plan, rng)
             for _ in range(2000)
         ]
         rejects = sum(not r.accepted for r in results)
@@ -313,7 +313,7 @@ class TestRunNaive:
     def test_result_records_all_spot_counts_on_accept(self, default_map):
         plan = _published_plan()
         rng = make_rng(4107)
-        result = run_naive(AliceSubject(default_map), default_map, plan, rng)
+        result = run_naive(AliceSubject(), default_map, plan, rng)
         assert isinstance(result, NaiveResult)
         assert result.accepted
         assert result.spots_tested == plan.mu
@@ -324,4 +324,4 @@ class TestRunNaive:
         tiny = AlphaMap(2, 2, np.full(4, 0.1), 0.02, 0.18)
         plan = _published_plan()
         with pytest.raises(ConfigError, match="4 spots"):
-            run_naive(AliceSubject(tiny), tiny, plan, make_rng(4108))
+            run_naive(AliceSubject(), tiny, plan, make_rng(4108))

@@ -613,7 +613,7 @@ class TestRunPatternTest:
         # classes tightened to 0.03 / 0.17 so the Chernoff bound is sharp
         # at the published intensity
         rng = make_rng(4430)
-        alice = AliceSubject(default_map, k=6)
+        alice = AliceSubject(k=6)
         rule = RecognitionRule(5, 5)
         m, trials = 6, 400
         p_h = 1.0 - prob_see(0.17, 72.0, 6)
@@ -678,7 +678,7 @@ class TestRunPatternTest:
         assert accepted == 10
 
     def test_session_determinism(self, default_map):
-        alice = AliceSubject(default_map, k=6)
+        alice = AliceSubject(k=6)
         rule = RecognitionRule(5, 5)
         a = run_pattern_test(alice, default_map, 5, 18, rule, make_rng(4432))
         b = run_pattern_test(alice, default_map, 5, 18, rule, make_rng(4432))

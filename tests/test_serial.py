@@ -192,7 +192,7 @@ class TestRunSerial:
         rng = make_rng(4201)
         results = [
             run_serial(
-                AliceSubject(default_map),
+                AliceSubject(),
                 default_map,
                 PUBLISHED_PLAN,
                 I_STAR,
@@ -250,7 +250,7 @@ class TestRunSerial:
     def test_honest_per_round_wrong_rate_within_design_bound(self, default_map):
         plan = SerialPlan(q=0.1, w=0.22, n_rounds=100_000)
         result = run_serial(
-            AliceSubject(default_map),
+            AliceSubject(),
             default_map,
             plan,
             I_STAR,
@@ -269,7 +269,7 @@ class TestRunSerial:
         # answer wrongly more often.
         plan = SerialPlan(q=0.1, w=0.22, n_rounds=20_000)
         result = run_serial(
-            AliceSubject(default_map, k=7),
+            AliceSubject(k=7),
             default_map,
             plan,
             I_STAR,

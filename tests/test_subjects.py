@@ -170,8 +170,8 @@ def test_photon_view_is_poissonian():
     assert abs(var - i_tilde) < 4 * se_var
 
 
-def test_subject_dataclasses(default_map):
-    alice = AliceSubject(alpha_map=default_map, k=6)
+def test_subject_dataclasses():
+    alice = AliceSubject(k=6)
     assert alice.k == 6
     eve = EveSubject(strategy=FairCoin())
     assert isinstance(eve.strategy, FairCoin)
@@ -201,7 +201,7 @@ def test_interrogate_draws_class_then_alpha_then_answer():
     assert all(c.photon_count is not None and c.spot_ordinal == 0 for c in contexts)
 
 
-def test_responder_scopes_and_rejects_unknown_subjects(default_map):
+def test_responder_scopes_and_rejects_unknown_subjects():
     rng = make_rng(13)
     seen = []
     eve = EveSubject(Adaptive(lambda ctx: seen.append(ctx) or 1.0))
@@ -212,6 +212,6 @@ def test_responder_scopes_and_rejects_unknown_subjects(default_map):
     responder(eve, rng)(0.05, 60.0)
     assert seen[-1].round_index == 0 and seen[-1].history == ()
     with pytest.raises(DomainError):
-        responder(AliceSubject(default_map, k=6), rng)(1.5, 60.0)
+        responder(AliceSubject(k=6), rng)(1.5, 60.0)
     with pytest.raises(DomainError, match="unknown subject"):
         responder(object(), rng)
