@@ -229,7 +229,7 @@ class TestRunSequential:
         bound_alice, _ = stopping_time_bounds(Q_STAR, Q_STAR, 1e-10, 1e-4)
         assert mean_t <= bound_alice + 2 * se_t
 
-    def test_coin_flip_impostor_rejected_quickly(self):
+    def test_coin_flip_impostor_rejected_quickly(self, default_map):
         plan = make_plan()
         rng = make_rng(4304)
         results = [
@@ -441,7 +441,7 @@ class TestOptimalityLowerBound:
 
 
 class TestMartingaleDiagnostics:
-    def test_coin_flip_impostor_odds_are_a_martingale(self):
+    def test_coin_flip_impostor_odds_are_a_martingale(self, default_map):
         plan = make_plan()
         report = martingale_diagnostics(
             plan, EveSubject(FairCoin()), 10_000, 10, make_rng(4313)
@@ -450,7 +450,7 @@ class TestMartingaleDiagnostics:
         assert report.checkpoints == (1, 5, 10)
         assert report.max_sigma_deviation() <= 3.0
 
-    def test_adaptive_impostor_cannot_beat_it(self):
+    def test_adaptive_impostor_cannot_beat_it(self, default_map):
         # Echo rule: claim to see whenever the detector count is at least the
         # pulse mean — adaptivity does not move the martingale mean.
         plan = make_plan(BANDS)

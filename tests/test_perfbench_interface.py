@@ -14,21 +14,20 @@ import pytest
 
 import retinasim
 import retinasim.cli
+import retinasim.harness
+import retinasim.strategy_pattern
 from retinasim import RunConfig, RunContext
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SOURCES = sorted(PERFBENCH.glob("*.py"))
 PACKAGES = {"retinasim": retinasim, "retinasim.cli": retinasim.cli}
-
-
-def _trees():
-    return [(path.name, ast.parse(path.read_text())) for path in SOURCES]
+TREES = [(path.name, ast.parse(path.read_text())) for path in SOURCES]
 
 
 def _imported_names() -> list[tuple[str, str, str, str]]:
     """``(file, module, name, local name)`` per ``from retinasim... import``."""
     found = []
-    for file, tree in _trees():
+    for file, tree in TREES:
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module in PACKAGES:
                 for alias in node.names:
@@ -40,7 +39,7 @@ def _imported_names() -> list[tuple[str, str, str, str]]:
 def _attribute_reads(owner: str) -> list[tuple[str, str]]:
     """``(file, attribute)`` for every ``<owner>.<attribute>`` expression."""
     found = []
-    for file, tree in _trees():
+    for file, tree in TREES:
         for node in ast.walk(tree):
             if (
                 isinstance(node, ast.Attribute)
@@ -94,7 +93,7 @@ def test_calls_bind_to_current_signatures():
         for file, module, name, local in _imported_names()
     }
     checked = 0
-    for file, tree in _trees():
+    for file, tree in TREES:
         for node in ast.walk(tree):
             if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
                 continue
@@ -118,17 +117,13 @@ def test_calls_bind_to_current_signatures():
 def test_traced_calls_resolve():
     """The tracer wraps these module globals; a missing one would silently
     drop its spans from the per-layer report."""
-    import retinasim.harness
-    import retinasim.strategy_pattern
-
     modules = {
         "harness": retinasim.harness,
         "strategy_pattern": retinasim.strategy_pattern,
     }
-    tree = ast.parse((PERFBENCH / "tracing.py").read_text())
     traced = next(
         ast.literal_eval(node.value)
-        for node in tree.body
+        for node in dict(TREES)["tracing.py"].body
         if isinstance(node, ast.Assign)
         and any(getattr(t, "id", None) == "TRACED_CALLS" for t in node.targets)
     )
