@@ -616,3 +616,34 @@ def test_artifacts_match_pinned_digests(strategy, subject, distribution, tmp_pat
     assert _artifact_digest(tmp_path) == _PINNED_DIGESTS[
         (strategy, subject, distribution)
     ]
+
+
+# Pattern runs on the default 100x100 map.  The pinned cells above run two
+# trials each, and an impostor session usually ends at its first question;
+# these run enough sessions that most honest ones reach their last question
+# and some impostor ones a second.
+_PINNED_PATTERN_RUNS = {
+    ("alice", 40): (
+        "0e4ecf28ebd760faab41aea97d4d47545a8f44caa5a698c1f1f39d5e7d6c1382"
+    ),
+    ("eve:faircoin", 200): (
+        "445884d808f00870f88522ba7d046d980d096ab1e2ac2c618c004d49a54faebf"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "subject,trials",
+    list(_PINNED_PATTERN_RUNS),
+    ids=[f"{subject}-{trials}" for subject, trials in _PINNED_PATTERN_RUNS],
+)
+def test_pattern_run_matches_pinned_digest(subject, trials, tmp_path):
+    config = RunConfig(
+        strategy="pattern",
+        subject=subject,
+        trials=trials,
+        master_seed=4520,
+        out_dir=str(tmp_path),
+    )
+    montecarlo(config)
+    assert _artifact_digest(tmp_path) == _PINNED_PATTERN_RUNS[(subject, trials)]

@@ -6,6 +6,8 @@ Chernoff bound with its intensity optimizer, and full session runs.
 """
 
 import dataclasses
+import hashlib
+import json
 import math
 import re
 import warnings
@@ -717,3 +719,73 @@ class TestRunPatternTest:
                 EveSubject(FairCoin()), default_map, 4, 1,
                 RecognitionRule(5, 5), make_rng(4437),
             )
+
+
+# ---------------------------------------------------------------------------
+# pinned question records
+# ---------------------------------------------------------------------------
+
+
+def _question_log_digest(alpha_map, n_entries, seed, questions=300):
+    """SHA-256 over ``questions`` honest pattern questions, each recorded as
+    hidden glyph, sorted pattern and noise spots, the menu (ids and sorted
+    spots, in menu order), the percept and the chosen answer.  The question
+    is asked the way ``run_pattern_test`` asks it, but every question is
+    logged: a session would stop at the first wrong answer."""
+    lib = glyph_library()
+    pool = sorted(lib)
+    rule = RecognitionRule(5, 5)
+    rng = make_rng(seed)
+    digest = hashlib.sha256()
+    for _ in range(questions):
+        gid = pool[int(rng.integers(len(pool)))]
+        ch = build_challenge(alpha_map, lib, gid, 75, rng)
+        menu = candidate_menu(ch, lib, n_entries, rng)
+        perceived = simulate_perception(ch, alpha_map, 6, rng)
+        if recognize(perceived, ch, rule):
+            answer = max(menu, key=lambda entry: len(entry.spots & perceived))
+        else:
+            answer = menu[int(rng.integers(len(menu)))]
+        record = [
+            ch.hidden_glyph,
+            sorted(ch.pattern_spots),
+            sorted(ch.noise_spots),
+            [[entry.glyph_id, sorted(entry.spots)] for entry in menu],
+            sorted(perceived),
+            answer.glyph_id,
+        ]
+        digest.update(json.dumps(record).encode())
+    return digest.hexdigest()
+
+
+# Digests of the question records above.  A mismatch means the generator
+# consumption of challenge construction, menu assembly or perception changed,
+# and with it every pattern record.
+_PINNED_QUESTION_LOGS = {
+    "default-menu40": (
+        "95265dc10f0308d17fbaae8622effa3002407ee9672b1f0536d86bd972d4fbd4"
+    ),
+    "default-menu18": (
+        "279261b6dee2d0a50385cf29424dbe0d1187af3bcf13fe6daa737b355fe4cdee"
+    ),
+    "103x97-menu40": (
+        "c5edc8e8b2fc29a93c4c0261293712f7d71148d9e74f9ec1c4f0f664b64063c1"
+    ),
+}
+
+
+class TestPinnedQuestionRecords:
+    @pytest.mark.parametrize(
+        "case,n_entries",
+        [("default-menu40", 40), ("default-menu18", 18), ("103x97-menu40", 40)],
+    )
+    def test_question_records_match_pinned_digest(self, default_map, case, n_entries):
+        # the 103x97 map leaves 3 columns and 6 rows outside the 20x13 blocks
+        alpha_map = (
+            generate_synthetic(103, 97, 0.02, 0.18, seed=11)
+            if case.startswith("103x97")
+            else default_map
+        )
+        assert _question_log_digest(alpha_map, n_entries, 4438) == (
+            _PINNED_QUESTION_LOGS[case]
+        )
