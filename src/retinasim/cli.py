@@ -303,6 +303,12 @@ def _physics_lines() -> list[str]:
     ]
 
 
+#: Pattern spots per question in the pattern report: the size of the
+#: reference glyph "2".  Library glyphs span 20-28 cells, so the report sizes
+#: the honest-failure bound for a nominal glyph, not the one a question draws.
+NOMINAL_GLYPH_SPOTS = 25
+
+
 def _pattern_lines(config: RunConfig, alpha_map: AlphaMap) -> list[str]:
     lines = ["pattern strategy"]
     menus = [(40, 6), (18, 8)]
@@ -315,8 +321,12 @@ def _pattern_lines(config: RunConfig, alpha_map: AlphaMap) -> list[str]:
             f"  menu {m_entries:>3}, {m_questions} questions: "
             f"p_fp = (1/{m_entries})^{m_questions} = {float(rate):.4e}"
         )
-    lines.append("  honest-failure optimum over class-edge pairs "
-                 "(25 pattern + 75 noise spots, limits 5/5, 6 questions):")
+    lines.append(
+        "  honest-failure optimum over class-edge pairs "
+        f"({NOMINAL_GLYPH_SPOTS} pattern + {config.pattern_noise} noise spots, "
+        f"limits {config.pattern_miss_limit}/{config.pattern_noise_limit}, "
+        f"{config.pattern_questions} questions):"
+    )
     pairs = sorted({
         (alpha_map.alpha_min, alpha_map.alpha_max),
         (alpha_map.alpha_min, config.pattern_high_min),
@@ -326,7 +336,14 @@ def _pattern_lines(config: RunConfig, alpha_map: AlphaMap) -> list[str]:
     for alpha_low, alpha_high in pairs:
         try:
             i_star, p_fn_star = optimize_intensity(
-                25, 75, 5, 5, alpha_low, alpha_high, config.k, 6
+                NOMINAL_GLYPH_SPOTS,
+                config.pattern_noise,
+                config.pattern_miss_limit,
+                config.pattern_noise_limit,
+                alpha_low,
+                alpha_high,
+                config.k,
+                config.pattern_questions,
             )
             lines.append(f"    alpha=({alpha_low}, {alpha_high}): "
                          f"i_tilde* = {i_star:.1f}, p_fn* = {p_fn_star:.6e}")

@@ -7,7 +7,13 @@ import json
 
 import pytest
 
-from retinasim import RunConfig, prepare, run_trial
+from retinasim import (
+    InfeasibleError,
+    RunConfig,
+    optimize_intensity,
+    prepare,
+    run_trial,
+)
 from retinasim.cli import main
 
 # exit codes: 0 accept/success, 1 reject, 2 usage, 3 infeasible/config
@@ -343,6 +349,25 @@ class TestPatternCommand:
         assert "alpha=(0.02, 0.18): i_tilde* = 72.3" in out
         # narrow class pairs are reported too, with their much worse optimum
         assert "alpha=(0.04, 0.16)" in out
+
+    def test_optimum_follows_pattern_config(self, tmp_path, capsys):
+        path = tmp_path / "pattern.json"
+        path.write_text(json.dumps(
+            {"pattern_questions": 8, "pattern_noise": 40, "pattern_miss_limit": 3}
+        ))
+        assert main(["pattern", "--config", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "(25 pattern + 40 noise spots, limits 3/5, 8 questions):" in out
+        for alpha_low, alpha_high in [(0.02, 0.16), (0.02, 0.18), (0.04, 0.16), (0.04, 0.18)]:
+            try:
+                i_star, p_star = optimize_intensity(
+                    25, 40, 3, 5, alpha_low, alpha_high, 6, 8
+                )
+            except InfeasibleError:
+                line = "bound vacuous over the whole intensity range"
+            else:
+                line = f"i_tilde* = {i_star:.1f}, p_fn* = {p_star:.6e}"
+            assert f"alpha=({alpha_low}, {alpha_high}): {line}" in out
 
 
 class TestBoundsCommand:
