@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
+from itertools import islice
 
 import numpy as np
 
@@ -65,6 +66,10 @@ __all__ = [
 ]
 
 GLYPH_GRID = (5, 7)
+_N_CELLS = GLYPH_GRID[0] * GLYPH_GRID[1]
+#: Cell keys (see ``_cell_keys``) in row-major block order, the order noise
+#: is dealt in.
+_DEAL_ORDER = np.arange(_N_CELLS).reshape(GLYPH_GRID).T.ravel()
 
 #: Default operating point for challenge construction.
 DEFAULT_CHALLENGE_INTENSITY = 72.0
@@ -84,6 +89,13 @@ class Glyph:
     @property
     def size(self) -> int:
         return len(self.pixels)
+
+
+def _cell_keys(glyph: Glyph) -> np.ndarray:
+    """Flat keys ``cx * rows + cy`` of a glyph's cells, ascending.  Ascending
+    keys are the cells in sorted ``(cx, cy)`` order."""
+    rows = GLYPH_GRID[1]
+    return np.array(sorted(cx * rows + cy for cx, cy in glyph.pixels), dtype=np.intp)
 
 
 @lru_cache(maxsize=1)
@@ -145,9 +157,47 @@ class BlockGrid:
             return None
         return cx, cy
 
+    def cell_keys(self, spots: np.ndarray) -> np.ndarray:
+        """Flat glyph-cell key of each spot (see ``_cell_keys``), or -1 for
+        spots outside the used region."""
+        cols, rows = GLYPH_GRID
+        cx = spots % self.map_width // self.cell_w
+        cy = spots // self.map_width // self.cell_h
+        return np.where((spots >= 0) & (cx < cols) & (cy < rows), cx * rows + cy, -1)
+
+
+class _CellGroups:
+    """Spots grouped by glyph cell: cell ``c`` holds
+    ``spots[starts[c]:starts[c] + counts[c]]``, in the order given."""
+
+    def __init__(self, spots: np.ndarray, keys: np.ndarray):
+        inside = keys >= 0
+        keys = keys[inside]
+        self.spots = spots[inside][np.argsort(keys, kind="stable")]
+        self.counts = np.bincount(keys, minlength=_N_CELLS)
+        self.starts = np.cumsum(self.counts) - self.counts
+
+    def draw(self, cells: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """One spot uniformly from each of the (non-empty) ``cells``.  The
+        single array call draws exactly what one scalar ``rng.integers``
+        per cell, in order, would."""
+        return self.spots[self.starts[cells] + rng.integers(self.counts[cells])]
+
+
+@lru_cache(maxsize=4)
+def _incidence(items: tuple[tuple[str, Glyph], ...]) -> tuple[list[str], np.ndarray]:
+    """Sorted glyph ids and their glyph x cell incidence matrix."""
+    glyphs = dict(items)
+    ids = sorted(glyphs)
+    matrix = np.zeros((len(ids), _N_CELLS), dtype=bool)
+    for row, gid in enumerate(ids):
+        matrix[row, _cell_keys(glyphs[gid])] = True
+    matrix.setflags(write=False)
+    return ids, matrix
+
 
 class _ClassBlockIndex:
-    """Per-block lists of low- and high-transmission spot indices."""
+    """Low- and high-transmission spot indices grouped by glyph cell."""
 
     def __init__(
         self, alpha_map: AlphaMap, grid: BlockGrid, low_max: float, high_min: float
@@ -158,25 +208,15 @@ class _ClassBlockIndex:
                 f"({low_max!r}, {high_min!r})"
             )
         self.grid = grid
-        self.low: dict[tuple[int, int], np.ndarray] = {}
-        self.high: dict[tuple[int, int], np.ndarray] = {}
-        alpha = alpha_map.alpha
         spots = np.arange(alpha_map.n_spots)
-        x = spots % alpha_map.width
-        y = spots // alpha_map.width
-        cx = x // grid.cell_w
-        cy = y // grid.cell_h
-        cols, rows = GLYPH_GRID
-        inside = (cx < cols) & (cy < rows)
-        low_mask = inside & (alpha <= low_max)
-        high_mask = inside & (alpha >= high_min)
-        key = cx * rows + cy
-        for cxi in range(cols):
-            for cyi in range(rows):
-                cell_key = cxi * rows + cyi
-                in_cell = key == cell_key
-                self.low[(cxi, cyi)] = spots[in_cell & low_mask]
-                self.high[(cxi, cyi)] = spots[in_cell & high_mask]
+        keys = grid.cell_keys(spots)
+        low = alpha_map.alpha <= low_max
+        high = alpha_map.alpha >= high_min
+        self.high = _CellGroups(spots[high], keys[high])
+        lows = _CellGroups(spots[low], keys[low])
+        by_cell = np.split(lows.spots, lows.starts[1:])
+        self.low_blocks = [by_cell[cell] for cell in _DEAL_ORDER]
+        self.low_counts = lows.counts[_DEAL_ORDER]
 
 
 @dataclass(frozen=True)
@@ -238,47 +278,37 @@ def _build_with_index(
     i_tilde: float,
     rng: np.random.Generator,
 ) -> PatternChallenge:
-    pattern: list[int] = []
-    for cell in sorted(glyph.pixels):
-        highs = index.high[cell]
-        if highs.size == 0:
-            raise PlacementError(
-                f"no high-transmission spots available in glyph cell {cell} "
-                f"for {glyph.glyph_id!r}"
-            )
-        pattern.append(int(highs[rng.integers(highs.size)]))
+    cells = _cell_keys(glyph)
+    empty = cells[index.high.counts[cells] == 0]
+    if empty.size:
+        raise PlacementError(
+            f"no high-transmission spots available in glyph cell "
+            f"{divmod(int(empty[0]), GLYPH_GRID[1])} for {glyph.glyph_id!r}"
+        )
+    pattern = index.high.draw(cells, rng)
 
     # Spread noise round-robin over every block so the combined illuminated
-    # set can embed many glyphs, not just the hidden one.
-    cols, rows = GLYPH_GRID
-    cells = [(cx, cy) for cy in range(rows) for cx in range(cols)]
-    shuffled: list[list[int]] = []
-    total_low = 0
-    for cell in cells:
-        lows = index.low[cell]
-        total_low += lows.size
-        shuffled.append([int(s) for s in rng.permutation(lows)])
-    if total_low < n_noise:
+    # set can embed many glyphs, not just the hidden one.  Every block's low
+    # spots are permuted, and the first ``depth`` of each suffice.
+    low_counts = index.low_counts
+    if low_counts.sum() < n_noise:
         raise PlacementError(
-            f"map provides only {total_low} low-transmission spots inside the "
-            f"block grid; {n_noise} noise spots requested"
+            f"map provides only {low_counts.sum()} low-transmission spots inside "
+            f"the block grid; {n_noise} noise spots requested"
         )
-    noise: list[int] = []
-    depth = 0
-    while len(noise) < n_noise:
-        progressed = False
-        for stack in shuffled:
-            if depth < len(stack):
-                noise.append(stack[depth])
-                progressed = True
-                if len(noise) == n_noise:
-                    break
-        if not progressed:  # pragma: no cover - guarded by total_low check
-            raise PlacementError("ran out of low-transmission spots")
+    depth = n_dealt = 0
+    while n_dealt < n_noise:
+        n_dealt += int(np.count_nonzero(low_counts > depth))
         depth += 1
+    heads = np.full((_N_CELLS, depth), -1)
+    for row, lows in enumerate(index.low_blocks):
+        head = rng.permutation(lows)[:depth]
+        heads[row, : head.size] = head
+    dealt = heads.T.ravel()  # round by round, blocks in order within a round
+    noise = dealt[dealt >= 0][:n_noise]
     return PatternChallenge(
-        pattern_spots=frozenset(pattern),
-        noise_spots=frozenset(noise),
+        pattern_spots=frozenset(pattern.tolist()),
+        noise_spots=frozenset(noise.tolist()),
         i_tilde=float(i_tilde),
         hidden_glyph=glyph.glyph_id,
         block_grid=index.grid,
@@ -312,10 +342,6 @@ def build_challenge(
     return _build_with_index(index, library[glyph_id], n_noise, i_tilde, rng)
 
 
-def _embeddable(glyph: Glyph, by_block: dict[tuple[int, int], list[int]]) -> bool:
-    return all(cell in by_block for cell in glyph.pixels)
-
-
 def candidate_menu(
     challenge: PatternChallenge,
     library: dict[str, Glyph],
@@ -330,36 +356,30 @@ def candidate_menu(
     """
     if n_entries < 2:
         raise DomainError(f"a menu needs at least 2 entries, got {n_entries}")
-    by_block: dict[tuple[int, int], list[int]] = {}
-    for spot in sorted(challenge.illuminated_spots):
-        cell = challenge.block_grid.cell_of(spot)
-        if cell is not None:
-            by_block.setdefault(cell, []).append(spot)
-    candidates = [
-        gid
-        for gid in sorted(library)
-        if gid != challenge.hidden_glyph and _embeddable(library[gid], by_block)
-    ]
-    hidden = library.get(challenge.hidden_glyph)
-    if hidden is None:
-        raise DomainError(
-            f"hidden glyph {challenge.hidden_glyph!r} is not in the library"
-        )
-    achievable = len(candidates) + 1
+    hidden = challenge.hidden_glyph
+    if hidden not in library:
+        raise DomainError(f"hidden glyph {hidden!r} is not in the library")
+    ids, incidence = _incidence(tuple(library.items()))
+    spots = np.sort(np.fromiter(challenge.illuminated_spots, dtype=np.int64))
+    illuminated = _CellGroups(spots, challenge.block_grid.cell_keys(spots))
+    # a glyph embeds iff none of its cells is empty
+    embeddable = ~incidence[:, illuminated.counts == 0].any(axis=1)
+    embeddable[ids.index(hidden)] = False
+    candidates = np.flatnonzero(embeddable)
+    achievable = candidates.size + 1
     if achievable < n_entries:
         raise MenuError(
             f"only {achievable} glyphs embeddable in the illuminated set; "
             f"{n_entries} requested"
         )
-    picked = rng.choice(len(candidates), size=n_entries - 1, replace=False)
-    entries = [MenuEntry(challenge.hidden_glyph, challenge.pattern_spots)]
-    for idx in picked:
-        glyph = library[candidates[int(idx)]]
-        spots = frozenset(
-            by_block[cell][rng.integers(len(by_block[cell]))]
-            for cell in sorted(glyph.pixels)
-        )
-        entries.append(MenuEntry(glyph.glyph_id, spots))
+    rows = candidates[rng.choice(candidates.size, size=n_entries - 1, replace=False)]
+    picked = incidence[rows]
+    chosen = iter(illuminated.draw(np.nonzero(picked)[1], rng).tolist())
+    entries = [MenuEntry(hidden, challenge.pattern_spots)]
+    entries += [
+        MenuEntry(ids[row], frozenset(islice(chosen, size)))
+        for row, size in zip(rows.tolist(), picked.sum(axis=1).tolist())
+    ]
     order = rng.permutation(len(entries))
     return [entries[int(i)] for i in order]
 
@@ -376,7 +396,7 @@ def simulate_perception(
     if spots.size and (spots[0] < 0 or spots[-1] >= alpha_map.n_spots):
         raise DomainError("challenge references spots outside the map")
     counts = rng.poisson(alpha_map.alpha[spots] * challenge.i_tilde)
-    return frozenset(int(s) for s, c in zip(spots, counts) if c >= k)
+    return frozenset(spots[counts >= k].tolist())
 
 
 def recognize(
