@@ -303,9 +303,8 @@ def _physics_lines() -> list[str]:
     ]
 
 
-#: Pattern spots per question in the pattern report: the size of the
-#: reference glyph "2".  Library glyphs span 20-28 cells, so the report sizes
-#: the honest-failure bound for a nominal glyph, not the one a question draws.
+#: Nominal glyph size for the pattern report's bound: the reference glyph
+#: "2" has 25 cells (library glyphs have 20-28; each question draws one).
 NOMINAL_GLYPH_SPOTS = 25
 
 
@@ -336,13 +335,8 @@ def _pattern_lines(config: RunConfig, alpha_map: AlphaMap) -> list[str]:
     for alpha_low, alpha_high in pairs:
         try:
             i_star, p_fn_star = optimize_intensity(
-                NOMINAL_GLYPH_SPOTS,
-                config.pattern_noise,
-                config.pattern_miss_limit,
-                config.pattern_noise_limit,
-                alpha_low,
-                alpha_high,
-                config.k,
+                NOMINAL_GLYPH_SPOTS, config.pattern_noise, config.pattern_miss_limit,
+                config.pattern_noise_limit, alpha_low, alpha_high, config.k,
                 config.pattern_questions,
             )
             lines.append(f"    alpha=({alpha_low}, {alpha_high}): "

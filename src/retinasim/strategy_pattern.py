@@ -185,10 +185,11 @@ class _CellGroups:
 
 
 @lru_cache(maxsize=4)
-def _incidence(items: tuple[tuple[str, Glyph], ...]) -> tuple[list[str], np.ndarray]:
-    """Sorted glyph ids and their glyph x cell incidence matrix."""
+def _incidence(items: tuple) -> tuple[tuple[str, ...], np.ndarray]:
+    """Sorted glyph ids and their glyph x cell incidence matrix, for a
+    library given as ``tuple(library.items())``."""
     glyphs = dict(items)
-    ids = sorted(glyphs)
+    ids = tuple(sorted(glyphs))
     matrix = np.zeros((len(ids), _N_CELLS), dtype=bool)
     for row, gid in enumerate(ids):
         matrix[row, _cell_keys(glyphs[gid])] = True

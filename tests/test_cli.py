@@ -358,7 +358,8 @@ class TestPatternCommand:
         assert main(["pattern", "--config", str(path)]) == 0
         out = capsys.readouterr().out
         assert "(25 pattern + 40 noise spots, limits 3/5, 8 questions):" in out
-        for alpha_low, alpha_high in [(0.02, 0.16), (0.02, 0.18), (0.04, 0.16), (0.04, 0.18)]:
+        pairs = [(0.02, 0.16), (0.02, 0.18), (0.04, 0.16), (0.04, 0.18)]
+        for alpha_low, alpha_high in pairs:
             try:
                 i_star, p_star = optimize_intensity(
                     25, 40, 3, 5, alpha_low, alpha_high, 6, 8

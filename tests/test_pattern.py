@@ -29,6 +29,7 @@ from retinasim import (
     EveSubject,
     FairCoin,
     InfeasibleError,
+    MenuEntry,
     MenuError,
     PatternChallenge,
     PlacementError,
@@ -170,6 +171,17 @@ class TestBuildChallenge:
         b = build_challenge(default_map, lib, "7", 60, make_rng(4411))
         assert a.pattern_spots != b.pattern_spots
 
+    def test_first_empty_cell_in_sorted_order_named(self):
+        # 2x2 blocks; blocks (3, 3) and (0, 6) of glyph "2" hold no high
+        # spot.  Row-major order would meet (3, 3) first, sorted order (0, 6).
+        alpha = np.full(140, 0.17)
+        spots = np.arange(140)
+        for cx, cy in [(3, 3), (0, 6)]:
+            alpha[(spots % 10 // 2 == cx) & (spots // 10 // 2 == cy)] = 0.03
+        holed = AlphaMap(10, 14, alpha, 0.02, 0.18)
+        with pytest.raises(PlacementError, match=r"glyph cell \(0, 6\) for '2'"):
+            build_challenge(holed, glyph_library(), "2", 4, make_rng(4439))
+
     def test_map_without_high_spots_rejected(self):
         flat = AlphaMap(10, 14, np.full(140, 0.03), 0.02, 0.18)
         with pytest.raises(PlacementError, match="no high-transmission spots"):
@@ -263,6 +275,62 @@ class TestCandidateMenu:
         with pytest.raises(MenuError, match=r"only 45 glyphs embeddable.*46 requested"):
             candidate_menu(ch, lib, 46, rng)
 
+    def test_glyph_with_one_empty_cell_not_offered(self, default_map):
+        lib = glyph_library()
+        rng = make_rng(4440)
+        ch = build_challenge(default_map, lib, "2", 75, rng)
+        cell = (0, 3)  # not a cell of "2"
+        grid = ch.block_grid
+        holed = dataclasses.replace(ch, noise_spots=frozenset(
+            s for s in ch.noise_spots if grid.cell_of(s) != cell
+        ))
+        offered = sorted(gid for gid in lib if cell not in lib[gid].pixels)
+        assert "2" in offered and len(offered) < len(lib)
+        menu = candidate_menu(holed, lib, len(offered), rng)
+        assert sorted(entry.glyph_id for entry in menu) == offered
+        with pytest.raises(MenuError, match=rf"only {len(offered)} glyphs embeddable"):
+            candidate_menu(holed, lib, len(offered) + 1, rng)
+
+    def test_block_with_one_illuminated_spot(self, default_map):
+        lib = glyph_library()
+        rng = make_rng(4441)
+        ch = build_challenge(default_map, lib, "2", 75, rng)
+        cell = (0, 3)
+        grid = ch.block_grid
+        in_cell = sorted(s for s in ch.noise_spots if grid.cell_of(s) == cell)
+        assert len(in_cell) >= 2
+        single = dataclasses.replace(ch, noise_spots=ch.noise_spots - set(in_cell[1:]))
+        menu = candidate_menu(single, lib, 45, rng)
+        for entry in menu:
+            if cell in lib[entry.glyph_id].pixels:
+                assert in_cell[0] in entry.spots
+        twin = make_rng(4441)
+        build_challenge(default_map, lib, "2", 75, twin)
+        assert menu == _loop_menu(single, lib, 45, twin)
+
+    @pytest.mark.parametrize("n_noise", [0, 12, 35, 50, 75])
+    @pytest.mark.parametrize("wide", [False, True], ids=["100x100", "103x97"])
+    def test_matches_per_spot_loop(self, default_map, n_noise, wide):
+        # sparse noise leaves blocks empty or with a single spot
+        lib = glyph_library()
+        alpha_map = default_map
+        if wide:
+            alpha_map = generate_synthetic(103, 97, 0.02, 0.18, seed=11)
+        for seed in range(4442, 4452):
+            rng = make_rng(seed)
+            ch = build_challenge(alpha_map, lib, sorted(lib)[seed % 45], n_noise, rng)
+            loop_rng = make_rng(seed)
+            build_challenge(alpha_map, lib, ch.hidden_glyph, n_noise, loop_rng)
+            for n_entries in (2, 18, 40):
+                try:
+                    expected = _loop_menu(ch, lib, n_entries, loop_rng)
+                except MenuError as exc:
+                    with pytest.raises(MenuError, match=re.escape(str(exc))):
+                        candidate_menu(ch, lib, n_entries, rng)
+                    continue
+                assert candidate_menu(ch, lib, n_entries, rng) == expected
+            assert rng.integers(2**62) == loop_rng.integers(2**62)
+
     def test_single_entry_menu_rejected(self, default_map):
         lib = glyph_library()
         rng = make_rng(4421)
@@ -277,6 +345,38 @@ class TestCandidateMenu:
         orphan = dataclasses.replace(ch, hidden_glyph="zz")
         with pytest.raises(DomainError, match="not in the library"):
             candidate_menu(orphan, lib, 5, rng)
+
+
+def _loop_menu(challenge, library, n_entries, rng):
+    """``candidate_menu`` as a loop over spots, one generator call per glyph
+    cell: the reference the array version must match draw for draw."""
+    by_block: dict = {}
+    for spot in sorted(challenge.illuminated_spots):
+        cell = challenge.block_grid.cell_of(spot)
+        if cell is not None:
+            by_block.setdefault(cell, []).append(spot)
+    candidates = [
+        gid
+        for gid in sorted(library)
+        if gid != challenge.hidden_glyph
+        and all(cell in by_block for cell in library[gid].pixels)
+    ]
+    if len(candidates) + 1 < n_entries:
+        raise MenuError(
+            f"only {len(candidates) + 1} glyphs embeddable in the illuminated "
+            f"set; {n_entries} requested"
+        )
+    picked = rng.choice(len(candidates), size=n_entries - 1, replace=False)
+    entries = [MenuEntry(challenge.hidden_glyph, challenge.pattern_spots)]
+    for idx in picked:
+        glyph = library[candidates[int(idx)]]
+        spots = frozenset(
+            by_block[cell][rng.integers(len(by_block[cell]))]
+            for cell in sorted(glyph.pixels)
+        )
+        entries.append(MenuEntry(glyph.glyph_id, spots))
+    order = rng.permutation(len(entries))
+    return [entries[int(i)] for i in order]
 
 
 # ---------------------------------------------------------------------------
@@ -678,6 +778,28 @@ class TestRunPatternTest:
                 f"rule=({k_rule},{l_rule})"
             )
         assert accepted == 10
+
+    @pytest.mark.parametrize("hidden_first", [True, False])
+    def test_honest_pick_takes_first_of_tied_entries(
+        self, default_map, monkeypatch, hidden_first
+    ):
+        # the hidden entry and a decoy overlap the percept equally; the pick
+        # is the earlier of the two in menu order, as max() gives it
+        import retinasim.strategy_pattern as sp
+
+        percept = frozenset({1, 2, 3})
+        hidden = MenuEntry("2", frozenset({1, 2, 10}))
+        decoy = MenuEntry("7", frozenset({2, 3, 11}))
+        menu = [hidden, decoy] if hidden_first else [decoy, hidden]
+        monkeypatch.setattr(sp, "candidate_menu", lambda *args: menu)
+        monkeypatch.setattr(sp, "simulate_perception", lambda *args: percept)
+        monkeypatch.setattr(sp, "recognize", lambda *args: True)
+        result = run_pattern_test(
+            AliceSubject(k=6), default_map, 1, 2, RecognitionRule(5, 5),
+            make_rng(4452), glyph_ids=["2"],
+        )
+        assert result.accepted is hidden_first
+        assert max(menu, key=lambda entry: len(entry.spots & percept)) is menu[0]
 
     def test_session_determinism(self, default_map):
         alice = AliceSubject(k=6)

@@ -130,3 +130,27 @@ def test_traced_calls_resolve():
     assert traced
     for module, attr, _layer in traced:
         assert callable(getattr(modules[module], attr, None)), f"{module}.{attr}"
+
+
+def test_pattern_session_reaches_traced_calls_once_per_question(monkeypatch):
+    """The tracer's per-question spans (``candidate_menu``,
+    ``simulate_perception``, ``recognize``) count every question only while
+    ``run_pattern_test`` calls them through the module's globals, once per
+    question asked."""
+    calls = dict.fromkeys(("candidate_menu", "simulate_perception", "recognize"), 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        fn = getattr(retinasim.strategy_pattern, name)
+        monkeypatch.setattr(retinasim.strategy_pattern, name, counting(name, fn))
+    context = retinasim.prepare(RunConfig(strategy="pattern", subject="alice"))
+    result = retinasim.harness.run_session(context, retinasim.trial_rng(4453, 0))
+    asked = result.correct + (not result.accepted)
+    assert asked == context.config.pattern_questions
+    assert calls == dict.fromkeys(calls, asked)
