@@ -12,12 +12,10 @@ physics appendix, and a reproducible Monte Carlo harness with a CLI.
 """
 
 from .alpha_map import (
-    AlphaDistribution,
     AlphaMap,
     PointPair,
     SpotClass,
     UniformBands,
-    classify,
     distribution_support,
     draw_interrogation_spot,
     generate_synthetic,
@@ -67,19 +65,16 @@ from .physics_bounds import (
 from .strategy_bayes import (
     MartingaleReport,
     Outcome,
-    OddsState,
     Round,
     SequentialPlan,
     SequentialResult,
     design_wrong_probability,
     drift_bounds,
-    initial_state,
     martingale_diagnostics,
     optimality_lower_bound,
     prior_p,
     run_sequential,
     stopping_time_bounds,
-    update_odds,
 )
 from .strategy_naive import (
     NaiveResult,
@@ -123,8 +118,6 @@ from .subjects import (
     SubjectModel,
     UniformP,
     alice_response,
-    eve_photon_view,
-    eve_response,
 )
 
 __version__ = "0.1.0"

@@ -4,8 +4,7 @@ Each eye is modelled as a rectangular grid of interrogable spots, every spot
 carrying an effective transmission coefficient ``alpha`` in a global band
 ``[alpha_min, alpha_max]``.  The map is the stored biometric template: it is
 generated once (here, synthetically, with independent uniform draws per
-spot), classified into low/mid/high transmission bands, and persisted as a
-small JSON document.
+spot) and persisted as a small JSON document.
 
 Spatial correlations are deliberately ignored — spots are i.i.d. — and maps
 are immutable after creation so they can be shared freely across concurrent
@@ -34,13 +33,11 @@ __all__ = [
     "SpotClass",
     "PointPair",
     "UniformBands",
-    "AlphaDistribution",
     "distribution_support",
     "inner_edges",
     "require_support",
     "draw_class_alpha",
     "generate_synthetic",
-    "classify",
     "draw_interrogation_spot",
     "save",
     "load",
@@ -51,7 +48,6 @@ class SpotClass(Enum):
     """Transmission band of a retinal spot."""
 
     LOW = "low"
-    MID = "mid"
     HIGH = "high"
 
 
@@ -126,9 +122,6 @@ class UniformBands:
             )
 
 
-AlphaDistribution = UniformBands
-
-
 def PointPair(alpha_low: float, alpha_high: float) -> UniformBands:
     """Interrogation distribution concentrated on two transmission values:
     a pair of zero-width bands."""
@@ -190,33 +183,6 @@ def generate_synthetic(
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     alpha = rng.uniform(alpha_min, alpha_max, size=width * height)
     return AlphaMap(width, height, alpha, alpha_min, alpha_max)
-
-
-def classify(alpha_map: AlphaMap, low_max: float, high_min: float) -> list[SpotClass]:
-    """Partition every spot into LOW (alpha <= low_max), HIGH (alpha >=
-    high_min) or MID.  Both class boundaries are inclusive on the class side.
-    """
-    low_max = float(low_max)
-    high_min = float(high_min)
-    if low_max >= high_min:
-        raise DomainError(
-            f"class thresholds must satisfy low_max < high_min, got "
-            f"({low_max!r}, {high_min!r})"
-        )
-    if low_max < alpha_map.alpha_min or high_min > alpha_map.alpha_max:
-        raise DomainError(
-            f"class thresholds ({low_max!r}, {high_min!r}) fall outside the map band "
-            f"[{alpha_map.alpha_min!r}, {alpha_map.alpha_max!r}]"
-        )
-    out: list[SpotClass] = []
-    for a in alpha_map.alpha:
-        if a <= low_max:
-            out.append(SpotClass.LOW)
-        elif a >= high_min:
-            out.append(SpotClass.HIGH)
-        else:
-            out.append(SpotClass.MID)
-    return out
 
 
 def draw_interrogation_spot(

@@ -187,7 +187,7 @@ def _print_session(context: RunContext, result) -> bool:
     if config.strategy == "bayes":
         print(f"{'n':>5} {'alpha':>10} {'S':>2} {'increment':>10} {'log_odds':>10}")
         log_odds = 0.0
-        for n, step in enumerate(result.state.transcript, start=1):
+        for n, step in enumerate(result.transcript, start=1):
             log_odds += step.increment
             if n <= _TRANSCRIPT_CAP:
                 print(f"{n:>5} {step.alpha:>10.6f} {int(step.saw):>2} "
@@ -195,7 +195,7 @@ def _print_session(context: RunContext, result) -> bool:
         if result.rounds > _TRANSCRIPT_CAP:
             print(f"... ({result.rounds - _TRANSCRIPT_CAP} more rounds)")
         print(f"outcome: {result.outcome.value} after {result.rounds} rounds "
-              f"(final log odds {result.state.log_odds:+.4f})")
+              f"(final log odds {result.log_odds:+.4f})")
         return result.outcome is Outcome.ACCEPT
     decision = "accept" if result.accepted else "reject"
     if config.strategy == "serial":

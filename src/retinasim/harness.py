@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -24,7 +25,6 @@ import numpy as np
 
 from . import strategy_pattern
 from .alpha_map import (
-    AlphaDistribution,
     AlphaMap,
     PointPair,
     UniformBands,
@@ -101,6 +101,36 @@ def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
     )
 
 
+# Declared kind of a config field -> (accepted type, normaliser, noun).
+_KINDS = {
+    "str": (str, str, "a string"),
+    "int": (numbers.Integral, int, "an integer"),
+    "float": (numbers.Real, float, "a number"),
+}
+
+
+def _checked_kind(name: str, kind: str, value):
+    """A config field's value checked against its declared kind and
+    normalised.  Bools are refused where a number is declared; a float pair
+    may arrive as a JSON list and becomes a tuple; ``| None`` admits None."""
+    optional = kind.endswith(" | None")
+    kind = kind.removesuffix(" | None")
+    if value is None and optional:
+        return None
+    if kind == "tuple[float, float]":
+        if isinstance(value, (tuple, list)) and len(value) == 2 and all(
+            not isinstance(v, bool) and isinstance(v, numbers.Real) for v in value
+        ):
+            return float(value[0]), float(value[1])
+        raise ConfigError(f"field {name!r} must be a pair of numbers, got {value!r}")
+    expected, normalise, noun = _KINDS[kind]
+    if isinstance(value, bool) or not isinstance(value, expected):
+        raise ConfigError(
+            f"bad config value: field {name!r} must be {noun}, got {value!r}"
+        )
+    return normalise(value)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything needed to reproduce a run.
@@ -110,7 +140,9 @@ class RunConfig:
     a two-point distribution at (``alpha_low``, ``alpha_high``) or uniform
     bands.  ``i_tilde=None`` means "solve the symmetric pulse intensity from
     the distribution's inner edges".  Strategy-specific knobs carry a
-    strategy prefix and are ignored by the other strategies.
+    strategy prefix and are ignored by the other strategies.  Every field is
+    checked against its declared kind, then its range; a violation raises
+    :class:`ConfigError` naming the field.
     """
 
     strategy: str = "bayes"
@@ -147,6 +179,9 @@ class RunConfig:
     walk_trace_limit: int = 100
 
     def __post_init__(self) -> None:
+        for field in dataclasses.fields(self):
+            value = _checked_kind(field.name, field.type, getattr(self, field.name))
+            object.__setattr__(self, field.name, value)
         if self.strategy not in STRATEGIES:
             raise ConfigError(
                 f"field 'strategy' must be one of {STRATEGIES}, got {self.strategy!r}"
@@ -158,27 +193,18 @@ class RunConfig:
             )
         for name in ("p_fp", "p_fn"):
             value = getattr(self, name)
-            if not (0.0 < float(value) < 1.0):
+            if not (0.0 < value < 1.0):
                 raise ConfigError(f"field {name!r} must lie in (0, 1), got {value!r}")
-        for name in ("trials", "k", "max_rounds", "naive_mu", "pattern_questions"):
+        for name, least in (
+            ("trials", 1), ("k", 1), ("max_rounds", 1), ("naive_mu", 1),
+            ("pattern_questions", 1), ("pattern_menu", 2), ("pattern_noise", 0),
+            ("master_seed", 0), ("map_seed", 0), ("walk_trace_limit", 0),
+        ):
             value = getattr(self, name)
-            if value < 1:
-                raise ConfigError(f"field {name!r} must be >= 1, got {value!r}")
-        for name in ("master_seed", "map_seed", "walk_trace_limit"):
-            value = getattr(self, name)
-            if value < 0:
-                raise ConfigError(f"field {name!r} must be >= 0, got {value!r}")
-        # Tuples may arrive as lists from JSON; normalize so equality and
-        # hashing behave.
-        for name in ("low_band", "high_band"):
-            value = getattr(self, name)
-            if not (isinstance(value, (tuple, list)) and len(value) == 2):
-                raise ConfigError(
-                    f"field {name!r} must be a pair of numbers, got {value!r}"
-                )
-            object.__setattr__(self, name, (float(value[0]), float(value[1])))
+            if value < least:
+                raise ConfigError(f"field {name!r} must be >= {least}, got {value!r}")
 
-    def distribution_object(self) -> AlphaDistribution:
+    def distribution_object(self) -> UniformBands:
         if self.distribution == "point_pair":
             return PointPair(self.alpha_low, self.alpha_high)
         return UniformBands(self.low_band, self.high_band)
@@ -190,7 +216,7 @@ class RunConfig:
         wrong-answer probability at that intensity."""
         distribution = self.distribution_object()
         if self.i_tilde is not None:
-            i_tilde = float(self.i_tilde)
+            i_tilde = self.i_tilde
         else:
             _q, i_tilde = solve_q_intensity(*inner_edges(distribution), self.k)
         return design_wrong_probability(distribution, i_tilde, self.k), i_tilde
@@ -207,10 +233,7 @@ class RunConfig:
         unknown = sorted(set(doc) - known)
         if unknown:
             raise ConfigError(f"unknown config field(s): {', '.join(unknown)}")
-        try:
-            return cls(**doc)
-        except TypeError as exc:
-            raise ConfigError(f"bad config value: {exc}") from exc
+        return cls(**doc)
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -306,7 +329,7 @@ class RunContext:
 
     config: RunConfig
     alpha_map: AlphaMap
-    distribution: AlphaDistribution
+    distribution: UniformBands
     subject: SubjectModel
     i_tilde: float
     sequential_plan: SequentialPlan | None = None
@@ -438,7 +461,7 @@ def run_trial(context: RunContext, trial_index: int) -> TrialRecord:
     )
     if config.strategy == "bayes":
         plan = context.sequential_plan
-        log_odds = result.state.log_odds
+        log_odds = result.log_odds
         ln_x, ln_y = math.log(plan.x), math.log(plan.y)
         if result.outcome is Outcome.ACCEPT:
             violation = not log_odds >= ln_y
@@ -453,7 +476,7 @@ def run_trial(context: RunContext, trial_index: int) -> TrialRecord:
             rounds=result.rounds,
             final_log_odds=log_odds,
             boundary_violation=violation,
-            walk=result.state.transcript if want_walk else None,
+            walk=result.transcript if want_walk else None,
         )
     if config.strategy == "serial":
         rounds = result.rounds
@@ -501,9 +524,6 @@ class TrialStats:
         mass = sum(count for _t, count in self.t_histogram)
         if mass != self.accepted + self.rejected:
             raise DomainError("histogram mass must equal the terminated-trial count")
-
-    def histogram_dict(self) -> dict[int, int]:
-        return dict(self.t_histogram)
 
 
 def merge_records(records: Iterable[TrialRecord]) -> TrialStats:

@@ -20,10 +20,10 @@ Stopping at the first exit from ``(x, y)`` with ``x = p_fn`` and
 supermartingale under *every* admissible impostor strategy — adaptive ones
 included — so neither side can improve their exit probabilities by cleverness.
 
-This module provides the designer's ``p``, the per-round update, the session
-runner, closed-form bounds on expected stopping times and per-round drift, a
-universal lower bound on the mean length of *any* test achieving a given
-false-positive target, and empirical martingale diagnostics.
+This module provides the designer's ``p``, the session runner, closed-form
+bounds on expected stopping times and per-round drift, a universal lower
+bound on the mean length of *any* test achieving a given false-positive
+target, and empirical martingale diagnostics.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from .alpha_map import AlphaDistribution, UniformBands, inner_edges
+from .alpha_map import UniformBands, inner_edges
 from .errors import ConfigError, DomainError
 from .photon_stats import DEFAULT_THRESHOLD, gk, solve_q_intensity
 from .strategy_serial import relative_entropy
@@ -48,14 +48,11 @@ from .subjects import EveSubject, SubjectModel, interrogate
 __all__ = [
     "Outcome",
     "Round",
-    "OddsState",
     "SequentialPlan",
     "SequentialResult",
     "MartingaleReport",
-    "initial_state",
     "prior_p",
     "design_wrong_probability",
-    "update_odds",
     "run_sequential",
     "stopping_time_bounds",
     "drift_bounds",
@@ -81,22 +78,8 @@ class Round(NamedTuple):
     increment: float
 
 
-@dataclass(frozen=True)
-class OddsState:
-    """Running state of one session: current log odds ratio ln(R_n/R_0),
-    rounds elapsed, and the per-round transcript."""
-
-    log_odds: float
-    n: int
-    transcript: tuple[Round, ...] = ()
-
-
-def initial_state() -> OddsState:
-    return OddsState(log_odds=0.0, n=0, transcript=())
-
-
 def prior_p(
-    distribution: AlphaDistribution, i_tilde: float, k: int = DEFAULT_THRESHOLD
+    distribution: UniformBands, i_tilde: float, k: int = DEFAULT_THRESHOLD
 ) -> float:
     """The designer's impostor answer probability: the exact expectation of
     the seeing probability over the interrogation distribution.
@@ -124,7 +107,7 @@ def prior_p(
 
 
 def design_wrong_probability(
-    distribution: AlphaDistribution, i_tilde: float, k: int = DEFAULT_THRESHOLD
+    distribution: UniformBands, i_tilde: float, k: int = DEFAULT_THRESHOLD
 ) -> float:
     """Worst-case per-round wrong-answer probability of the honest user.
 
@@ -152,7 +135,7 @@ class SequentialPlan:
     y: float
     i_tilde: float
     k: int
-    distribution: AlphaDistribution
+    distribution: UniformBands
 
     def __post_init__(self) -> None:
         if not (0.0 < self.x < 1.0 < self.y):
@@ -172,7 +155,7 @@ class SequentialPlan:
     @classmethod
     def design(
         cls,
-        distribution: AlphaDistribution,
+        distribution: UniformBands,
         p_fp: float,
         p_fn: float,
         i_tilde: float | None = None,
@@ -229,32 +212,16 @@ def _log_increment(p_see: float, saw: bool, p: float) -> float:
     return math.log(ratio) if ratio > 0.0 else -math.inf
 
 
-def update_odds(
-    state: OddsState, alpha_i: float, saw: bool, plan: SequentialPlan
-) -> OddsState:
-    """Fold one answered round into the odds state.
-
-    The increment is ln(Z_A/Z_E) as in the module preamble.  An answer that
-    is impossible for the honest user (seeing a pulse that cannot reach the
-    perception threshold) produces a -inf increment, after which the state is
-    terminally rejecting — no later evidence can rescue it.
-    """
-    alpha_i = float(alpha_i)
-    if not (0.0 <= alpha_i <= 1.0):
-        raise DomainError(f"transmission coefficient must lie in [0, 1], got {alpha_i!r}")
-    increment = _log_increment(plan.see_probability(alpha_i), bool(saw), plan.p)
-    return OddsState(
-        log_odds=state.log_odds + increment,
-        n=state.n + 1,
-        transcript=state.transcript + (Round(alpha_i, bool(saw), increment),),
-    )
-
-
 @dataclass(frozen=True)
 class SequentialResult:
+    """How one session ended: the outcome, the rounds it took, the final log
+    odds ratio ln(R_n/R_0), and the per-round transcript (empty when not
+    recorded)."""
+
     outcome: Outcome
     rounds: int
-    state: OddsState
+    log_odds: float
+    transcript: tuple[Round, ...] = ()
 
 
 def run_sequential(
@@ -273,8 +240,7 @@ def run_sequential(
     plumbing guard, not part of the statistical design.
 
     ``record_transcript=False`` skips transcript assembly for bulk Monte
-    Carlo runs; the returned state is identical apart from the empty
-    transcript.
+    Carlo runs; the result is identical apart from the empty transcript.
     """
     if max_rounds < 1:
         raise DomainError(f"round cap must be >= 1, got {max_rounds}")
@@ -297,8 +263,9 @@ def run_sequential(
         if log_odds <= ln_x:
             outcome = Outcome.REJECT
             break
-    state = OddsState(log_odds=log_odds, n=rounds, transcript=tuple(transcript))
-    return SequentialResult(outcome=outcome, rounds=rounds, state=state)
+    return SequentialResult(
+        outcome=outcome, rounds=rounds, log_odds=log_odds, transcript=tuple(transcript)
+    )
 
 
 def stopping_time_bounds(

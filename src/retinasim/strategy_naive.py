@@ -6,12 +6,16 @@ honest user sees each pulse with a common probability ``p_C``, and accept the
 subject only if the per-spot "seen" count lands strictly inside an acceptance
 window ``(n_L, n_R)`` for every spot.
 
-An impostor who cannot sense the spot's transmission does best by picking an
-answering bias p uniformly at random for each spot test, which makes her
-count uniform on {0..nu}; the window width then fixes her per-spot pass
-probability exactly at ``(n_R - n_L - 1) / (nu + 1)``.  The honest user's
-failure probability is controlled through Chernoff bounds on the binomial
-tails outside the window.
+The window is sized against an impostor who draws an answering bias p
+uniformly at random for each spot test: her count is then uniform on
+{0..nu}, so her per-spot pass probability is exactly
+``(n_R - n_L - 1) / (nu + 1)``.  That is not her best play.  The honest
+user's count is Binomial(nu, p_C), so an impostor answering with a fixed
+bias p_C has exactly the honest law and passes as often as the honest user.
+At the default plan (nu = mu = 50, p_C = 1/2, window (9, 42)) a fair coin is
+accepted with probability P(9 < Bin(50, 1/2) < 42)^50 = 0.99983, the uniform
+bias with (32/51)^50 = 7.57e-11.  The honest user's failure probability is
+controlled through Chernoff bounds on the binomial tails outside the window.
 
 Because the tuned intensity differs from spot to spot, a photodetector-armed
 impostor could in principle estimate it and reconstruct the spot's

@@ -145,18 +145,6 @@ class BlockGrid:
             )
         return cls(alpha_map.width, alpha_map.height, cell_w, cell_h)
 
-    def cell_of(self, spot: int) -> tuple[int, int] | None:
-        """Glyph cell containing a flat spot index, or None outside the used
-        region (maps need not divide evenly into blocks)."""
-        cols, rows = GLYPH_GRID
-        x = spot % self.map_width
-        y = spot // self.map_width
-        cx = x // self.cell_w
-        cy = y // self.cell_h
-        if cx >= cols or cy >= rows:
-            return None
-        return cx, cy
-
     def cell_keys(self, spots: np.ndarray) -> np.ndarray:
         """Flat glyph-cell key of each spot (see ``_cell_keys``), or -1 for
         spots outside the used region."""

@@ -25,7 +25,7 @@ from itertools import islice
 import numpy as np
 from scipy.optimize import brentq
 
-from .alpha_map import AlphaDistribution, AlphaMap, SpotClass, require_support
+from .alpha_map import AlphaMap, SpotClass, UniformBands, require_support
 from .errors import DomainError, InfeasibleError
 from .subjects import SubjectModel, interrogate
 
@@ -131,7 +131,7 @@ def run_serial(
     k: int,
     rng: np.random.Generator,
     *,
-    distribution: AlphaDistribution,
+    distribution: UniformBands,
 ) -> SerialResult:
     """Run one fixed-length session and apply the wrong-answer threshold.
 

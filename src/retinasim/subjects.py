@@ -14,11 +14,6 @@ Two kinds of subject can sit in front of the device:
   map could reach her — the information barrier is structural, and the test
   suite asserts it by introspecting :class:`EveContext`.
 
-Eve may also carry an ideal photodetector.  :func:`eve_photon_view` models
-what it records: i.i.d. Poisson counts at the session's common pulse
-intensity, identical in law whatever the hidden class of each pulse — which
-is exactly why the detector is useless to her.
-
 This module also holds the interrogation kernel every class-based protocol
 shares: :func:`responder` is the only place a subject's "seen / not seen"
 answer is produced, and :func:`interrogate` runs the round primitive — a
@@ -51,8 +46,6 @@ __all__ = [
     "EveSubject",
     "SubjectModel",
     "alice_response",
-    "eve_response",
-    "eve_photon_view",
     "responder",
     "interrogate",
 ]
@@ -116,22 +109,17 @@ class FairCoin(EveStrategy):
 
 @dataclass(frozen=True)
 class FixedP(EveStrategy):
-    """Answer "seen" with a fixed probability, or a per-round schedule.
+    """Answer "seen" with a fixed probability ``p``, independently every
+    round.  A per-round schedule is an :class:`Adaptive` rule on
+    ``ctx.round_index``."""
 
-    ``p`` may be a float or a callable mapping the round index to a
-    probability.
-    """
-
-    p: float | Callable[[int], float] = 0.5
+    p: float = 0.5
 
     def session(self, rng: np.random.Generator) -> EveSession:
-        p = self.p
-        if callable(p):
-            return _BernoulliSession(lambda ctx: p(ctx.round_index))
-        p_value = float(p)
-        if not (0.0 <= p_value <= 1.0):
-            raise DomainError(f"fixed answer probability must lie in [0, 1], got {p!r}")
-        return _BernoulliSession(lambda _ctx: p_value)
+        p = float(self.p)
+        if not (0.0 <= p <= 1.0):
+            raise DomainError(f"fixed answer probability must lie in [0, 1], got {self.p!r}")
+        return _BernoulliSession(lambda _ctx: p)
 
 
 @dataclass(frozen=True)
@@ -140,8 +128,10 @@ class UniformP(EveStrategy):
     Bernoulli(p).
 
     Over ``n`` rounds the total number of "seen" answers is uniform on
-    ``{0, ..., n}`` — the classical exchangeable-coin construction, and the
-    impostor's best memoryless play against a count-window acceptance test.
+    ``{0, ..., n}`` — the classical exchangeable-coin construction, against
+    which the per-spot protocol's count window is sized.  It is not the
+    impostor's best play there: a fixed bias equal to the honest user's
+    seeing probability is (see :mod:`retinasim.strategy_naive`).
     """
 
     def session(self, rng: np.random.Generator) -> EveSession:
@@ -205,23 +195,6 @@ def alice_response(
     return int(rng.poisson(alpha * i_tilde)) >= k
 
 
-def eve_response(
-    strategy: EveStrategy | EveSession,
-    round_context: EveContext,
-    rng: np.random.Generator,
-) -> bool:
-    """One impostor answer.
-
-    Accepts either a live :class:`EveSession` (the normal case inside a
-    runner, which keeps one session per scope) or a bare strategy, for which
-    a throwaway single-round session is created.
-    """
-    session = (
-        strategy.session(rng) if isinstance(strategy, EveStrategy) else strategy
-    )
-    return session.respond(round_context, rng)
-
-
 def responder(
     subject: SubjectModel, rng: np.random.Generator, spot_ordinal: int = 0
 ) -> Callable[[float, float], bool]:
@@ -280,20 +253,3 @@ def interrogate(
         alpha, spot_class = draw_class_alpha(distribution, rng)
         yield spot_class, alpha, answer(alpha, i_tilde)
 
-
-def eve_photon_view(
-    i_tilde: float, n_pulses: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Counts an ideal photodetector records over ``n_pulses`` pulses.
-
-    Every pulse in a session carries the same mean photon number, so the
-    counts are i.i.d. Poisson(``i_tilde``) — independent of which retinal
-    spot each pulse was aimed at.  The marginal law carries no trace of the
-    hidden spot classes.
-    """
-    i_tilde = float(i_tilde)
-    if not math.isfinite(i_tilde) or i_tilde < 0.0:
-        raise DomainError(f"pulse intensity must be finite and >= 0, got {i_tilde!r}")
-    if n_pulses < 0:
-        raise DomainError(f"pulse count must be >= 0, got {n_pulses}")
-    return rng.poisson(i_tilde, size=int(n_pulses))

@@ -1,4 +1,4 @@
-"""Map model, synthesis, classification, and the persistence format."""
+"""Map model, synthesis, spot classes, and the persistence format."""
 
 import hashlib
 import json
@@ -18,7 +18,6 @@ from retinasim import (
     RunConfig,
     SpotClass,
     UniformBands,
-    classify,
     distribution_support,
     draw_interrogation_spot,
     generate_synthetic,
@@ -26,6 +25,8 @@ from retinasim import (
     montecarlo,
     save,
 )
+
+from retinasim.strategy_pattern import BlockGrid, _ClassBlockIndex
 
 from conftest import make_rng
 
@@ -72,38 +73,33 @@ def test_uniform_class_fractions(default_map):
     """For a uniform band [0.02, 0.18] and thresholds (0.04, 0.16), both
     outer classes hold 1/8 of the probability mass; check the realized
     fractions at 3 sigma (n = 10^4)."""
-    labels = classify(default_map, 0.04, 0.16)
-    n = default_map.n_spots
-    f_low = labels.count(SpotClass.LOW) / n
-    f_high = labels.count(SpotClass.HIGH) / n
-    sigma = math.sqrt(0.125 * 0.875 / n)
+    alpha = default_map.alpha
+    f_low = np.mean(alpha <= 0.04)
+    f_high = np.mean(alpha >= 0.16)
+    sigma = math.sqrt(0.125 * 0.875 / default_map.n_spots)
     assert abs(f_low - 0.125) < 3 * sigma
     assert abs(f_high - 0.125) < 3 * sigma
-    assert labels.count(SpotClass.MID) == n - labels.count(SpotClass.LOW) - labels.count(
-        SpotClass.HIGH
-    )
+
+
+def _class_index(alpha_map, low_max=0.04, high_min=0.16):
+    return _ClassBlockIndex(alpha_map, BlockGrid.for_map(alpha_map), low_max, high_min)
 
 
 def test_classify_boundaries_are_inclusive():
-    values = np.array([0.04, 0.16, 0.1, 0.02, 0.18])
-    amap = AlphaMap(5, 1, values, 0.02, 0.18)
-    labels = classify(amap, 0.04, 0.16)
-    assert labels == [
-        SpotClass.LOW,   # exactly at low_max -> LOW
-        SpotClass.HIGH,  # exactly at high_min -> HIGH
-        SpotClass.MID,
-        SpotClass.LOW,
-        SpotClass.HIGH,
-    ]
+    """The pattern protocol's spot classes, on a 5x7 map (one spot per
+    glyph cell): both class boundaries are inclusive on the class side."""
+    values = np.full(35, 0.1)
+    values[:6] = [0.04, 0.16, 0.02, 0.18, np.nextafter(0.04, 1), np.nextafter(0.16, 0)]
+    index = _class_index(AlphaMap(5, 7, values, 0.02, 0.18))
+    assert sorted(np.concatenate(index.low_blocks).tolist()) == [0, 2]
+    assert sorted(index.high.spots.tolist()) == [1, 3]
 
 
 def test_classify_threshold_validation(default_map):
-    with pytest.raises(DomainError):
-        classify(default_map, 0.16, 0.04)
-    with pytest.raises(DomainError):
-        classify(default_map, 0.01, 0.16)  # below the map band
-    with pytest.raises(DomainError):
-        classify(default_map, 0.04, 0.19)  # above the map band
+    with pytest.raises(DomainError, match="low_max < high_min"):
+        _class_index(default_map, 0.16, 0.04)
+    with pytest.raises(DomainError, match="low_max < high_min"):
+        _class_index(default_map, 0.1, 0.1)
 
 
 class TestDistributions:

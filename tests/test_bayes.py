@@ -1,4 +1,4 @@
-"""Tests for the sequential odds-ratio test: updates, bounds, martingales."""
+"""Tests for the sequential odds-ratio test: increments, bounds, martingales."""
 
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ from retinasim import (
     DomainError,
     EveSubject,
     FairCoin,
+    FixedP,
     Outcome,
     PointPair,
     SequentialPlan,
@@ -23,7 +24,6 @@ from retinasim import (
     drift_bounds,
     gk,
     gk_inverse,
-    initial_state,
     martingale_diagnostics,
     optimality_lower_bound,
     prior_p,
@@ -31,8 +31,9 @@ from retinasim import (
     run_sequential,
     solve_q_intensity,
     stopping_time_bounds,
-    update_odds,
 )
+
+from retinasim.strategy_bayes import _log_increment
 
 from conftest import make_rng
 
@@ -121,54 +122,65 @@ class TestDesignWrongProbability:
 
 
 class TestUpdateOdds:
+    """The per-round odds update as ``run_sequential`` applies it: one
+    ``_log_increment`` per answered round, summed into the log odds."""
+
     def test_uninformative_round_has_zero_increment(self):
         plan = make_plan(i_tilde=62.4)
         alpha = gk_inverse(6, plan.p) / 62.4
-        state = update_odds(initial_state(), alpha, True, plan)
-        assert state.log_odds == pytest.approx(0.0, abs=1e-12)
-        assert state.n == 1
-        assert len(state.transcript) == 1
+        increment = _log_increment(plan.see_probability(alpha), True, plan.p)
+        assert increment == pytest.approx(0.0, abs=1e-12)
 
     def test_published_increments(self):
         plan = SequentialPlan(
             p=0.5, x=1e-4, y=1e10, i_tilde=62.4, k=6, distribution=POINT_PAIR
         )
-        seen = update_odds(initial_state(), 0.15, True, plan)
-        missed = update_odds(initial_state(), 0.15, False, plan)
-        assert seen.log_odds == pytest.approx(0.592, abs=1e-3)
-        assert missed.log_odds == pytest.approx(-1.650, abs=6e-3)
+        rng = make_rng(4301)
+        steps = set()
+        for _ in range(5):
+            result = run_sequential(EveSubject(FairCoin()), plan, rng)
+            steps.update((r.alpha, r.saw, r.increment) for r in result.transcript)
+        increments = {(alpha, saw): inc for alpha, saw, inc in steps}
+        assert len(increments) == len(steps) == 4
+        seen, missed = increments[(0.15, True)], increments[(0.15, False)]
+        assert seen == pytest.approx(0.592, abs=1e-3)
+        assert missed == pytest.approx(-1.650, abs=6e-3)
         # And against the closed form at full precision.
         p_see = prob_see(0.15, 62.4)
-        assert seen.log_odds == pytest.approx(math.log(p_see / 0.5), rel=1e-12)
-        assert missed.log_odds == pytest.approx(
-            math.log((1 - p_see) / 0.5), rel=1e-12
-        )
+        assert seen == pytest.approx(math.log(p_see / 0.5), rel=1e-12)
+        assert missed == pytest.approx(math.log((1 - p_see) / 0.5), rel=1e-12)
 
     def test_impossible_observation_is_terminal(self):
         plan = make_plan()
-        state = update_odds(initial_state(), 0.0, True, plan)
-        assert state.log_odds == -math.inf
-        later = update_odds(state, 0.15, True, plan)
-        assert later.log_odds == -math.inf
-        assert later.n == 2
+        increment = _log_increment(plan.see_probability(0.0), True, plan.p)
+        assert increment == -math.inf
+        assert _log_increment(1.0, False, plan.p) == -math.inf
+        # At this intensity the high spot is seen with probability exactly 1,
+        # so "not seen" there is impossible and the session rejects at -inf.
+        bright = SequentialPlan(
+            p=0.5, x=1e-4, y=1e10, i_tilde=600.0, k=6, distribution=POINT_PAIR
+        )
+        assert bright.see_probability(0.15) == 1.0
+        rng = make_rng(4303)
+        endings = set()
+        for _ in range(20):
+            result = run_sequential(EveSubject(FixedP(0.0)), bright, rng)
+            assert result.outcome is Outcome.REJECT
+            if result.transcript[-1].alpha == 0.15:
+                assert result.log_odds == -math.inf
+                endings.add(result.transcript[-1].increment)
+        assert endings == {-math.inf}
 
     def test_walk_reconstruction(self):
-        plan = make_plan()
+        plan = make_plan(BANDS)
         rng = make_rng(4302)
-        state = initial_state()
-        for _ in range(200):
-            alpha = float(rng.uniform(0.02, 0.2))
-            state = update_odds(state, alpha, bool(rng.random() < 0.5), plan)
-        assert state.n == 200
-        assert state.log_odds == pytest.approx(
-            sum(r.increment for r in state.transcript), abs=1e-12
-        )
-
-    @pytest.mark.parametrize("alpha", [-0.1, 1.5, math.nan])
-    def test_rejects_bad_transmission(self, alpha):
-        plan = make_plan()
-        with pytest.raises(DomainError):
-            update_odds(initial_state(), alpha, True, plan)
+        for subject in (AliceSubject(), EveSubject(FairCoin())):
+            for _ in range(20):
+                result = run_sequential(subject, plan, rng)
+                assert len(result.transcript) == result.rounds
+                assert result.log_odds == pytest.approx(
+                    sum(r.increment for r in result.transcript), abs=1e-12
+                )
 
 
 class TestSequentialPlan:
@@ -272,12 +284,12 @@ class TestRunSequential:
         for _ in range(40):
             result = run_sequential(AliceSubject(), plan, rng)
             if result.outcome is Outcome.ACCEPT:
-                assert result.state.log_odds >= ln_y
+                assert result.log_odds >= ln_y
             elif result.outcome is Outcome.REJECT:
-                assert result.state.log_odds <= ln_x
+                assert result.log_odds <= ln_x
             # Every partial sum before the exit stays inside the interval.
             running = 0.0
-            for entry in result.state.transcript[:-1]:
+            for entry in result.transcript[:-1]:
                 running += entry.increment
                 assert ln_x < running < ln_y
 
@@ -291,9 +303,9 @@ class TestRunSequential:
         )
         assert with_transcript.outcome == without.outcome
         assert with_transcript.rounds == without.rounds
-        assert with_transcript.state.log_odds == without.state.log_odds
-        assert without.state.transcript == ()
-        assert len(with_transcript.state.transcript) == with_transcript.rounds
+        assert with_transcript.log_odds == without.log_odds
+        assert without.transcript == ()
+        assert len(with_transcript.transcript) == with_transcript.rounds
 
     def test_round_cap_reports_timeout(self):
         plan = make_plan()
@@ -385,7 +397,7 @@ class TestDriftBounds:
             finals, lengths = [], []
             for _ in range(2000):
                 r = run_sequential(subject, plan, rng, record_transcript=False)
-                finals.append(r.state.log_odds)
+                finals.append(r.log_odds)
                 lengths.append(r.rounds)
             finals = np.array(finals)
             lengths = np.array(lengths, dtype=float)

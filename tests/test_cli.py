@@ -52,6 +52,25 @@ class TestUsageErrors:
         assert main(["montecarlo", "--config", str(path)]) == 3
         assert "warp_factor" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, doc, field",
+        [
+            ("identify", {"master_seed": 1.5}, "master_seed"),
+            ("identify", {"map_width": 100.0}, "map_width"),
+            ("identify", {"pattern_noise": 2.5, "strategy": "pattern"}, "pattern_noise"),
+            ("identify", {"p_fp": "1e-10", "strategy": "serial"}, "p_fp"),
+            ("montecarlo", {"trials": 2.5}, "trials"),
+            ("identify", {"alpha_low": "0.05"}, "alpha_low"),
+            ("identify", {"trials": True}, "trials"),
+        ],
+    )
+    def test_config_value_of_wrong_kind(self, command, doc, field, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(field) in err
+
     def test_bad_trial_count(self, tmp_path, capsys):
         assert main(["montecarlo", "--trials", "0"]) == 3
         assert "trials" in capsys.readouterr().err

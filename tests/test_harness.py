@@ -116,6 +116,12 @@ class TestRunConfig:
             (dict(walk_trace_limit=-1), "walk_trace_limit"),
             (dict(low_band=(0.02,)), "low_band"),
             (dict(high_band="wide"), "high_band"),
+            (dict(pattern_noise=-5), "pattern_noise"),
+            (dict(pattern_menu=1), "pattern_menu"),
+            (dict(low_band=("0.02", 0.05)), "low_band"),
+            (dict(k=6.0), "k"),
+            (dict(i_tilde="62"), "i_tilde"),
+            (dict(subject=None), "subject"),
         ],
     )
     def test_field_validation(self, kwargs, fragment):
@@ -323,7 +329,6 @@ class TestMergeRecords:
         # sample variance of {3, 5} is 2 -> stderr sqrt(2 / 2) = 1
         assert stats.t_stderr == pytest.approx(1.0)
         assert stats.boundary_violations == 0
-        assert stats.histogram_dict() == {3: 1, 5: 1}
 
     def test_drift_is_a_ratio_estimator(self):
         records = [
@@ -487,7 +492,7 @@ class TestMontecarlo:
         )
         stats, _records = montecarlo(config)
         assert stats.accepted == 0
-        assert set(stats.histogram_dict()) <= set(range(1, 7))
+        assert set(dict(stats.t_histogram)) <= set(range(1, 7))
 
     def test_honest_naive_run(self):
         config = RunConfig(strategy="naive", trials=60, master_seed=4518)

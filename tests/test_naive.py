@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,8 +22,10 @@ from retinasim import (
     InfeasibleError,
     NaiveResult,
     NaiveTestPlan,
+    RunConfig,
     UniformP,
     acceptance_counts,
+    prepare,
     relative_entropy,
     required_nu,
     run_naive,
@@ -249,6 +252,18 @@ class TestRunNaive:
         )
         se = math.sqrt(per_spot * (1 - per_spot) / total_spots)
         assert spot_passes / total_spots == pytest.approx(per_spot, abs=3.5 * se)
+
+    def test_fair_coin_beats_uniform_bias_at_default_plan(self):
+        """The window is sized against the uniform bias, but a fair coin
+        answers with the honest law Bin(nu, p_C = 1/2) and passes almost
+        always: exact acceptance probabilities at the default plan."""
+        plan = prepare(RunConfig(strategy="naive")).naive_plan
+        assert (plan.nu, plan.mu, plan.p_c, plan.n_l, plan.n_r) == (50, 50, 0.5, 9, 42)
+        inside = range(plan.n_l + 1, plan.n_r)
+        coin_spot = Fraction(sum(math.comb(plan.nu, j) for j in inside), 2**plan.nu)
+        uniform_spot = Fraction(len(inside), plan.nu + 1)
+        assert float(coin_spot**plan.mu) == pytest.approx(0.99983057, rel=1e-8)
+        assert float(uniform_spot**plan.mu) == pytest.approx(7.5681566e-11, rel=1e-7)
 
     def test_uniform_count_law_single_spot(self, default_map):
         # With one spot the session is exactly one windowed count test; the

@@ -54,8 +54,17 @@ from retinasim.strategy_pattern import GLYPH_GRID, BlockGrid
 MENU_18 = ["2", "4", "6", "S", "v", "7", "x", "b", "f", "3", "h", "t", "q", "d", "Z", "L", "%", "U"]
 
 
+def cell_of(grid, spot):
+    """Glyph cell ``(cx, cy)`` of a flat spot index, or None outside the
+    used region: the per-spot reference ``BlockGrid.cell_keys`` must match."""
+    cols, rows = GLYPH_GRID
+    cx = spot % grid.map_width // grid.cell_w
+    cy = spot // grid.map_width // grid.cell_h
+    return (cx, cy) if cx < cols and cy < rows else None
+
+
 def blocks_of(spots, grid):
-    return {grid.cell_of(s) for s in spots}
+    return {cell_of(grid, s) for s in spots}
 
 
 def entropy(x, y):
@@ -110,11 +119,28 @@ class TestBlockGrid:
     def test_for_default_map(self, default_map):
         grid = BlockGrid.for_map(default_map)
         assert (grid.cell_w, grid.cell_h) == (20, 14)
-        assert grid.cell_of(0) == (0, 0)
-        assert grid.cell_of(99) == (4, 0)
+        assert cell_of(grid, 0) == (0, 0)
+        assert cell_of(grid, 99) == (4, 0)
         # rows 98 and 99 fall outside the 7 * 14 = 98 used rows
-        assert grid.cell_of(98 * 100) is None
-        assert grid.cell_of(default_map.n_spots - 1) is None
+        assert cell_of(grid, 98 * 100) is None
+        assert cell_of(grid, default_map.n_spots - 1) is None
+
+    @pytest.mark.parametrize("size", [(100, 100), (103, 97)], ids=["100x100", "103x97"])
+    def test_cell_keys_match_cell_of(self, size, default_map):
+        alpha_map = default_map if size == (100, 100) else generate_synthetic(
+            *size, 0.02, 0.18, seed=11)
+        grid = BlockGrid.for_map(alpha_map)
+        rows = GLYPH_GRID[1]
+        spots = np.arange(alpha_map.n_spots)
+        expected = [
+            -1 if cell is None else cell[0] * rows + cell[1]
+            for cell in (cell_of(grid, int(s)) for s in spots)
+        ]
+        keys = grid.cell_keys(spots)
+        assert keys.tolist() == expected
+        # rows (and, on 103x97, columns) outside the blocks are covered
+        outside = alpha_map.n_spots - 35 * grid.cell_w * grid.cell_h
+        assert outside > 0 and (keys == -1).sum() == outside
 
     def test_map_smaller_than_glyph_grid_rejected(self):
         tiny = AlphaMap(4, 7, np.full(28, 0.1), 0.02, 0.18)
@@ -154,7 +180,8 @@ class TestBuildChallenge:
         ch = build_challenge(default_map, glyph_library(), "2", 75, make_rng(4408))
         per_block: dict = {}
         for s in ch.noise_spots:
-            per_block[ch.block_grid.cell_of(s)] = per_block.get(ch.block_grid.cell_of(s), 0) + 1
+            cell = cell_of(ch.block_grid, s)
+            per_block[cell] = per_block.get(cell, 0) + 1
         assert len(per_block) == 35
         assert set(per_block.values()) <= {2, 3}
         assert sum(per_block.values()) == 75
@@ -282,7 +309,7 @@ class TestCandidateMenu:
         cell = (0, 3)  # not a cell of "2"
         grid = ch.block_grid
         holed = dataclasses.replace(ch, noise_spots=frozenset(
-            s for s in ch.noise_spots if grid.cell_of(s) != cell
+            s for s in ch.noise_spots if cell_of(grid, s) != cell
         ))
         offered = sorted(gid for gid in lib if cell not in lib[gid].pixels)
         assert "2" in offered and len(offered) < len(lib)
@@ -297,7 +324,7 @@ class TestCandidateMenu:
         ch = build_challenge(default_map, lib, "2", 75, rng)
         cell = (0, 3)
         grid = ch.block_grid
-        in_cell = sorted(s for s in ch.noise_spots if grid.cell_of(s) == cell)
+        in_cell = sorted(s for s in ch.noise_spots if cell_of(grid, s) == cell)
         assert len(in_cell) >= 2
         single = dataclasses.replace(ch, noise_spots=ch.noise_spots - set(in_cell[1:]))
         menu = candidate_menu(single, lib, 45, rng)
@@ -352,7 +379,7 @@ def _loop_menu(challenge, library, n_entries, rng):
     cell: the reference the array version must match draw for draw."""
     by_block: dict = {}
     for spot in sorted(challenge.illuminated_spots):
-        cell = challenge.block_grid.cell_of(spot)
+        cell = cell_of(challenge.block_grid, spot)
         if cell is not None:
             by_block.setdefault(cell, []).append(spot)
     candidates = [

@@ -1,0 +1,42 @@
+"""The declared public API: every module's ``__all__`` resolves, and every
+public name of the package is declared where it is defined."""
+
+import importlib
+import inspect
+import pkgutil
+
+import pytest
+
+import retinasim
+
+MODULES = [
+    importlib.import_module(f"retinasim.{info.name}")
+    for info in pkgutil.iter_modules(retinasim.__path__)
+]
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_all_names_resolve(module):
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert missing == []
+    assert len(set(module.__all__)) == len(module.__all__)
+    namespace: dict = {}
+    exec(f"from {module.__name__} import *", namespace)
+    assert set(module.__all__) <= set(namespace)
+
+
+def test_package_names_are_declared_where_defined():
+    names = [
+        name
+        for name in dir(retinasim)
+        if not name.startswith("_") and not inspect.ismodule(getattr(retinasim, name))
+    ]
+    assert names
+    for name in names:
+        obj = getattr(retinasim, name)
+        declaring = [m for m in MODULES if name in m.__all__]
+        assert declaring, f"retinasim.{name} is in no module's __all__"
+        assert all(getattr(m, name) is obj for m in declaring), name
+        home = getattr(obj, "__module__", None)
+        if home in {m.__name__ for m in MODULES}:
+            assert home in {m.__name__ for m in declaring}, (name, home)

@@ -3,6 +3,7 @@ structural information barrier impostors answer through."""
 
 import dataclasses
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -19,8 +20,6 @@ from retinasim import (
     UniformBands,
     UniformP,
     alice_response,
-    eve_photon_view,
-    eve_response,
     prob_see,
 )
 
@@ -57,8 +56,9 @@ def test_fixed_p_rate_and_schedule():
     seen = sum(session.respond(EveContext(round_index=i), rng) for i in range(n))
     assert abs(seen / n - 0.8) < 3 * math.sqrt(0.8 * 0.2 / n)
 
-    # A per-round schedule: always-yes on even rounds, always-no on odd.
-    schedule = FixedP(lambda i: 1.0 if i % 2 == 0 else 0.0).session(rng)
+    # A per-round schedule is an adaptive rule on the round index:
+    # always-yes on even rounds, always-no on odd.
+    schedule = Adaptive(lambda ctx: 1.0 if ctx.round_index % 2 == 0 else 0.0).session(rng)
     answers = [schedule.respond(EveContext(round_index=i), rng) for i in range(10)]
     assert answers == [True, False] * 5
 
@@ -67,7 +67,7 @@ def test_fixed_p_validation():
     rng = make_rng(3)
     with pytest.raises(DomainError):
         FixedP(1.4).session(rng)
-    bad_schedule = FixedP(lambda i: 2.0).session(rng)
+    bad_schedule = Adaptive(lambda ctx: 2.0).session(rng)
     with pytest.raises(DomainError):
         bad_schedule.respond(EveContext(round_index=0), rng)
 
@@ -123,12 +123,6 @@ def test_adaptive_strategy_sees_only_the_context():
     assert session.respond(EveContext(1, history=(True,)), rng) is True
 
 
-def test_eve_response_accepts_bare_strategy():
-    rng = make_rng(7)
-    assert eve_response(FixedP(1.0), EveContext(round_index=0), rng) is True
-    assert eve_response(FixedP(0.0), EveContext(round_index=0), rng) is False
-
-
 def test_alice_marginal_matches_prob_see():
     """The two-stage honest answer (Poisson count, then threshold) must have
     the analytic Bernoulli marginal, across a spread of configurations."""
@@ -156,18 +150,34 @@ def test_alice_response_validation():
 
 
 def test_photon_view_is_poissonian():
+    """The counts Eve's own detector hands her through the running
+    interrogation kernel are Poisson(i_tilde) on low and high rounds alike:
+    the pulse she measures carries no trace of the hidden class."""
     rng = make_rng(11)
     i_tilde = 62.4
-    counts = eve_photon_view(i_tilde, 20_000, rng)
-    assert counts.shape == (20_000,)
-    mean = float(counts.mean())
-    var = float(counts.var())
-    se_mean = math.sqrt(i_tilde / counts.size)
-    assert abs(mean - i_tilde) < 4 * se_mean
-    # Poisson: variance equals the mean; SE of the sample variance is
-    # roughly sqrt((mu + 2 mu^2) / n).
-    se_var = math.sqrt((i_tilde + 2 * i_tilde**2) / counts.size)
-    assert abs(var - i_tilde) < 4 * se_var
+    counts = []
+
+    def record(ctx):
+        counts.append(ctx.photon_count)
+        return 0.5
+
+    eve = EveSubject(Adaptive(record))
+    distribution = UniformBands((0.02, 0.05), (0.15, 0.18))
+    high = []
+    for _ in range(20):
+        session = interrogate(eve, distribution, i_tilde, rng)
+        high += [cls is SpotClass.HIGH for cls, _alpha, _saw in islice(session, 1000)]
+    counts = np.array(counts)
+    high = np.array(high)
+    assert counts.shape == high.shape == (20_000,)
+    for sample in (counts[high], counts[~high]):
+        assert sample.size > 9_000
+        se_mean = math.sqrt(i_tilde / sample.size)
+        assert abs(sample.mean() - i_tilde) < 4 * se_mean
+        # Poisson: variance equals the mean; SE of the sample variance is
+        # roughly sqrt((mu + 2 mu^2) / n).
+        se_var = math.sqrt((i_tilde + 2 * i_tilde**2) / sample.size)
+        assert abs(sample.var() - i_tilde) < 4 * se_var
 
 
 def test_subject_dataclasses():
