@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 import numbers
 
-from scipy.optimize import brentq
 from scipy.special import gammainc, gammaincinv
 
 from .errors import DomainError, InfeasibleError
@@ -94,6 +93,67 @@ def prob_see(alpha: float, i_tilde: float, k: int = DEFAULT_THRESHOLD) -> float:
     return gk(k, alpha * i_tilde)
 
 
+def _brentq(
+    f, a: float, b: float, *, xtol: float, maxiter: int, rtol: float = 4 * math.ulp(1.0)
+) -> float:
+    """Root of ``f`` in the sign-changing bracket ``[a, b]`` by Brent's zeroin.
+
+    A line-for-line port of SciPy's C ``brentq`` (Brent 1973, ch. 4): the
+    same float operations in the same order, so it returns the same root to
+    the last bit without importing ``scipy.optimize``.  Converged when the
+    bracket half-width is below ``(xtol + rtol * |x|) / 2``; ``rtol``
+    defaults to SciPy's ``4 * DBL_EPSILON``.  Raises
+    :class:`InfeasibleError` for a same-sign bracket, a NaN value or no
+    convergence within ``maxiter`` iterations.
+    """
+
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise InfeasibleError(f"root search met NaN at x={x!r}")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise InfeasibleError(f"root search bracket [{a!r}, {b!r}] has no sign change")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (
+                    dblk * dpre * (fblk - fpre)
+                )
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise InfeasibleError(f"root search did not converge in {maxiter} iterations")
+
+
 def solve_q_intensity(
     alpha_low: float, alpha_high: float, k: int = DEFAULT_THRESHOLD
 ) -> tuple[float, float]:
@@ -131,7 +191,7 @@ def solve_q_intensity(
         raise InfeasibleError(
             f"no symmetric operating point for transmission ratio {ratio!r}"
         )
-    q = float(brentq(mismatch, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200))
+    q = _brentq(mismatch, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
     i_tilde = gk_inverse(k, q) / alpha_low
 
     # Defensive residual check on both branches of the design equations.

@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import constants
-
 from .errors import DomainError
 
 __all__ = [
@@ -23,12 +21,14 @@ __all__ = [
     "dipole_attenuation",
 ]
 
-#: 2019 SI exact values / CODATA 2018.
-PLANCK = constants.h
-LIGHT_SPEED = constants.c
-BOLTZMANN = constants.k
-HBAR = constants.hbar
-BOHR_MAGNETON = constants.physical_constants["Bohr magneton"][0]
+#: SI units: h, c and k are exact since the 2019 SI redefinition and hbar is
+#: h / (2 pi) rounded to double; the Bohr magneton is the CODATA 2022 value.
+#: Each equals the float ``scipy.constants`` 1.17 gives.
+PLANCK = 6.62607015e-34
+LIGHT_SPEED = 299792458.0
+BOLTZMANN = 1.380649e-23
+HBAR = 1.0545718176461565e-34
+BOHR_MAGNETON = 9.2740100657e-24
 
 
 @dataclass(frozen=True)

@@ -36,12 +36,10 @@ from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .alpha_map import UniformBands, inner_edges
 from .errors import ConfigError, DomainError
-from .photon_stats import DEFAULT_THRESHOLD, gk, solve_q_intensity
+from .photon_stats import DEFAULT_THRESHOLD, _brentq, gk, solve_q_intensity
 from .strategy_serial import relative_entropy
 from .subjects import EveSubject, SubjectModel, interrogate
 
@@ -99,6 +97,8 @@ def prior_p(
         if a == b:
             means.append(gk(k, a * i_tilde))
             continue
+        from scipy.integrate import quad  # only bands of positive width need it
+
         integral, _err = quad(
             lambda alpha: gk(k, alpha * i_tilde), a, b, epsabs=1e-13, epsrel=1e-12
         )
@@ -343,7 +343,7 @@ def optimality_lower_bound(q: float, p_fp: float) -> int:
         return n * h + 0.5 * math.log(8.0 * n * q * (1.0 - q)) - target
 
     hi = max(target / h + 10.0, 10.0)
-    root = float(brentq(excess, 1e-12, hi, xtol=1e-12, maxiter=200))
+    root = _brentq(excess, 1e-12, hi, xtol=1e-12, maxiter=200)
     return max(1, int(math.floor(root)))
 
 

@@ -1,12 +1,19 @@
 """End-to-end tests of the command-line interface: exit codes, output
 snippets, artifact emission, and config/flag precedence.  Everything runs
-through ``main(argv)`` in-process."""
+through ``main(argv)`` in-process, except the import-path checks, which need
+a fresh interpreter."""
 
+import ast
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import retinasim
 from retinasim import (
     InfeasibleError,
     RunConfig,
@@ -432,3 +439,80 @@ class TestReportsFollowMapFile:
         assert "alpha=(0.03, 0.18):" in out
         assert "alpha=(0.03, 0.16):" in out
         assert "alpha=(0.02," not in out
+
+
+# SciPy subpackages no run may import: the root search is a port in
+# ``photon_stats``, the physics constants are literals, and quadrature is
+# imported only inside ``prior_p``'s branch for bands of positive width.
+_OFF_PATH = ("scipy.optimize", "scipy.integrate", "scipy.constants")
+
+
+def _modules_loaded_after(script: str) -> set[str]:
+    """Run ``script`` in a fresh interpreter and return which of the
+    off-path SciPy subpackages it left in ``sys.modules``."""
+    src = str(Path(retinasim.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = (
+        "import sys\n"
+        + script
+        + f"\nprint(sorted(m for m in {_OFF_PATH!r} if m in sys.modules))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return set(ast.literal_eval(done.stdout.strip().splitlines()[-1]))
+
+
+class TestImportPath:
+    def test_commands_load_no_off_path_scipy(self):
+        script = (
+            "from retinasim.cli import main\n"
+            "for argv in (['solve'], ['bounds'], ['pattern'],"
+            " ['identify', '--seed', '4601']):\n"
+            "    main(argv)\n"
+        )
+        assert _modules_loaded_after(script) == set()
+
+    def test_only_positive_width_bands_load_quadrature(self):
+        """The lazy import is live: sizing over bands of positive width
+        loads ``scipy.integrate`` (which pulls in the rest itself)."""
+        script = (
+            "from retinasim import RunConfig, prepare\n"
+            "prepare(RunConfig(distribution='uniform_bands'))\n"
+        )
+        assert "scipy.integrate" in _modules_loaded_after(script)
+
+    def test_no_module_level_import_of_off_path_scipy(self):
+        """Module-level code (class bodies included, function bodies not)
+        imports none of the off-path subpackages."""
+
+        def imported(node):
+            if isinstance(node, ast.Import):
+                return [alias.name for alias in node.names]
+            if isinstance(node, ast.ImportFrom) and node.module:
+                return [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+            return []
+
+        def module_level(nodes):
+            for node in nodes:
+                function = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+                if isinstance(node, function):
+                    continue
+                yield node
+                yield from module_level(ast.iter_child_nodes(node))
+
+        package = Path(retinasim.__file__).parent
+        offenders = [
+            f"{path.name}:{node.lineno} {name}"
+            for path in sorted(package.glob("*.py"))
+            for node in module_level(ast.parse(path.read_text()).body)
+            for name in imported(node)
+            if any(name == m or name.startswith(m + ".") for m in _OFF_PATH)
+        ]
+        assert offenders == []

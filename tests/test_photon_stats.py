@@ -8,19 +8,24 @@ routes must meet.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from retinasim import (
     DEFAULT_THRESHOLD,
     DomainError,
+    InfeasibleError,
     gk,
     gk_inverse,
     prob_see,
     solve_q_intensity,
 )
+from retinasim import photon_stats, strategy_bayes, strategy_serial
+from retinasim.photon_stats import _brentq
 
 K_GRID = [1, 2, 3, 6, 10, 20]
 X_GRID = [0.0, 1e-9, 1e-3, 0.31, 1.0, 3.12, 6.0, 9.36, 12.96, 30.0, 100.0, 400.0]
@@ -192,3 +197,132 @@ class TestOperatingPoint:
             solve_q_intensity(0.0, 0.5, 6)
         with pytest.raises(DomainError):
             solve_q_intensity(0.2, 1.2, 6)
+
+
+class TestBrentqPort:
+    """``photon_stats._brentq`` against ``scipy.optimize.brentq``: the port
+    must return the same float, bit for bit, on every bracket."""
+
+    @staticmethod
+    def record(monkeypatch, module):
+        """Route ``module``'s root searches through the port and keep each
+        call's function, bracket, tolerances and root."""
+        calls = []
+
+        def spy(f, a, b, **tolerances):
+            root = _brentq(f, a, b, **tolerances)
+            calls.append((f, a, b, tolerances, root))
+            return root
+
+        monkeypatch.setattr(module, "_brentq", spy)
+        return calls
+
+    @staticmethod
+    def assert_same_roots(calls, expected_count):
+        assert len(calls) == expected_count
+        for f, a, b, tolerances, root in calls:
+            assert root.hex() == brentq(f, a, b, **tolerances).hex(), (a, b, tolerances)
+
+    def test_quantile_ratio_brackets(self, monkeypatch):
+        calls = self.record(monkeypatch, photon_stats)
+        rng = np.random.default_rng(20261018)
+        for _ in range(2000):
+            k = int(rng.integers(1, 13))
+            alpha_low = float(rng.uniform(0.01, 0.3))
+            ratio = float(np.exp(rng.uniform(math.log(1.2), math.log(20.0))))
+            solve_q_intensity(alpha_low, min(1.0, alpha_low * ratio), k)
+        self.assert_same_roots(calls, 2000)
+
+    def test_serial_balance_brackets(self, monkeypatch):
+        calls = self.record(monkeypatch, strategy_serial)
+        rng = np.random.default_rng(20261019)
+        for _ in range(1500):
+            q = float(rng.uniform(0.005, 0.45))
+            p_fp = float(10.0 ** rng.uniform(-14.0, -1.0))
+            p_fn = float(10.0 ** rng.uniform(-8.0, -1.0))
+            strategy_serial.solve_w_N(q, p_fp, p_fn)
+        self.assert_same_roots(calls, 1500)
+
+    def test_optimality_excess_brackets(self, monkeypatch):
+        calls = self.record(monkeypatch, strategy_bayes)
+        rng = np.random.default_rng(20261020)
+        for _ in range(1500):
+            q = float(rng.uniform(0.005, 0.45))
+            p_fp = float(10.0 ** rng.uniform(-14.0, -1.0))
+            strategy_bayes.optimality_lower_bound(q, p_fp)
+        self.assert_same_roots(calls, 1500)
+
+    def test_generic_brackets(self):
+        rng = np.random.default_rng(20261021)
+        for i in range(1000):
+            c = float(rng.uniform(-5.0, 5.0))
+            a = c - float(rng.uniform(1e-3, 10.0))
+            b = c + float(rng.uniform(1e-3, 10.0))
+            if i % 2:
+                power = int(rng.choice([1, 3, 5, 7]))
+                scale = float(rng.uniform(-3.0, 3.0)) or 1.0
+
+                def f(x, c=c, power=power, scale=scale):
+                    return scale * (x - c) ** power
+            else:
+                steep = float(rng.uniform(0.1, 50.0))
+
+                def f(x, c=c, steep=steep):
+                    return math.tanh(steep * (x - c))
+
+            tolerances = {"xtol": 10.0 ** rng.uniform(-15.0, -4.0), "maxiter": 200}
+            if i % 3:
+                tolerances["rtol"] = float(rng.uniform(8.9e-16, 1e-6))
+            root = brentq(f, a, b, **tolerances)
+            assert _brentq(f, a, b, **tolerances).hex() == root.hex()
+
+    @pytest.mark.parametrize(
+        "c, d, a, b, xtol",
+        [
+            (-0.13427841319420253, -0.2077230529083458, -1.7833135013514718,
+             0.8322223764919126, 0.9772176780605094),
+            (-0.23488630255597642, -0.19499095750679007, -1.9873868028606525,
+             1.0759352691753352, 0.7981532265879057),
+        ],
+    )
+    def test_loose_tolerance_step_limit(self, c, d, a, b, xtol):
+        """Two of 200,000 random loose-tolerance brackets whose root depends
+        on the ``- delta`` margin of the short-step limit; the random draws
+        above never reach that window."""
+
+        def f(x):
+            return (x - c) * (1.0 + d * (x - c) ** 2)
+
+        root = brentq(f, a, b, xtol=xtol, maxiter=200)
+        assert _brentq(f, a, b, xtol=xtol, maxiter=200).hex() == root.hex()
+
+    @pytest.mark.parametrize("a, b", [(1.0, 3.0), (-2.0, 1.0)])
+    def test_root_at_an_endpoint_is_returned_as_is(self, a, b):
+        def f(x):
+            return x - 1.0
+
+        assert _brentq(f, a, b, xtol=1e-12, maxiter=200) == 1.0
+        assert brentq(f, a, b, xtol=1e-12, maxiter=200) == 1.0
+
+    def test_same_sign_bracket_raises(self):
+        with pytest.raises(InfeasibleError):
+            _brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12, maxiter=200)
+
+    def test_nan_value_raises(self):
+        def f(x):
+            return -1.0 if x < 0.5 else math.nan
+
+        with pytest.raises(InfeasibleError):
+            _brentq(f, 0.0, 1.0, xtol=1e-9, maxiter=9)
+
+    def test_out_of_iterations_raises_infeasible(self):
+        """SciPy raised ``RuntimeError`` here, which the CLI does not map to
+        an exit code; the port raises the package's ``InfeasibleError``."""
+
+        def f(x):
+            return x**3 - 2.0
+
+        with pytest.raises(RuntimeError):
+            brentq(f, 0.0, 4.0, xtol=1e-12, maxiter=1)
+        with pytest.raises(InfeasibleError):
+            _brentq(f, 0.0, 4.0, xtol=1e-12, maxiter=1)

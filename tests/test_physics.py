@@ -17,9 +17,22 @@ from retinasim import (
     EyeThermalModel,
     dipole_attenuation,
     magnetic_energy_resolution,
+    physics_bounds,
     temperature_resolution,
     thermal_energy_resolution,
 )
+
+
+def test_constants_match_scipy():
+    """The literals equal ``scipy.constants``: exactly for the defined SI
+    values and hbar, within CODATA revisions for the Bohr magneton (2018 and
+    2022 differ by ~1.5e-10 relative)."""
+    assert physics_bounds.PLANCK == constants.h
+    assert physics_bounds.LIGHT_SPEED == constants.c
+    assert physics_bounds.BOLTZMANN == constants.k
+    assert physics_bounds.HBAR == constants.hbar
+    mu_b = constants.physical_constants["Bohr magneton"][0]
+    assert physics_bounds.BOHR_MAGNETON == pytest.approx(mu_b, rel=2e-9, abs=0.0)
 
 
 class TestTemperatureResolution:
