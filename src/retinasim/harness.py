@@ -23,7 +23,6 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from . import strategy_pattern
 from .alpha_map import (
     AlphaMap,
     PointPair,
@@ -33,8 +32,9 @@ from .alpha_map import (
     load,
 )
 from .errors import ConfigError, DomainError
-from .photon_stats import solve_q_intensity
+from .photon_stats import DEFAULT_THRESHOLD, solve_q_intensity
 from .strategy_bayes import (
+    DEFAULT_MAX_ROUNDS,
     Outcome,
     Round,
     SequentialPlan,
@@ -49,7 +49,15 @@ from .strategy_naive import (
     required_nu,
     run_naive,
 )
-from .strategy_pattern import PatternResult, RecognitionRule, run_pattern_test
+from .strategy_pattern import (
+    DEFAULT_CHALLENGE_INTENSITY,
+    DEFAULT_HIGH_MIN,
+    DEFAULT_LOW_MAX,
+    DEFAULT_NOISE_SPOTS,
+    PatternResult,
+    RecognitionRule,
+    run_pattern_test,
+)
 from .strategy_serial import SerialPlan, SerialResult, run_serial, solve_w_N
 from .subjects import (
     Adaptive,
@@ -160,22 +168,22 @@ class RunConfig:
     alpha_high: float = 0.15
     low_band: tuple[float, float] = (0.02, 0.05)
     high_band: tuple[float, float] = (0.15, 0.18)
-    k: int = 6
+    k: int = DEFAULT_THRESHOLD
     trials: int = 5000
     master_seed: int = 20260816
     out_dir: str | None = None
     i_tilde: float | None = None
-    max_rounds: int = 10_000
+    max_rounds: int = DEFAULT_MAX_ROUNDS
     naive_mu: int = 50
     naive_p_c: float = 0.5
     pattern_questions: int = 6
     pattern_menu: int = 40
-    pattern_noise: int = 75
+    pattern_noise: int = DEFAULT_NOISE_SPOTS
     pattern_miss_limit: int = 5
     pattern_noise_limit: int = 5
-    pattern_i_tilde: float = 72.0
-    pattern_low_max: float = 0.04
-    pattern_high_min: float = 0.16
+    pattern_i_tilde: float = DEFAULT_CHALLENGE_INTENSITY
+    pattern_low_max: float = DEFAULT_LOW_MAX
+    pattern_high_min: float = DEFAULT_HIGH_MIN
     walk_trace_limit: int = 100
 
     def __post_init__(self) -> None:
@@ -191,18 +199,31 @@ class RunConfig:
                 f"field 'distribution' must be one of {_DISTRIBUTIONS}, "
                 f"got {self.distribution!r}"
             )
-        for name in ("p_fp", "p_fn"):
+        for name in ("p_fp", "p_fn", "naive_p_c"):
             value = getattr(self, name)
             if not (0.0 < value < 1.0):
                 raise ConfigError(f"field {name!r} must lie in (0, 1), got {value!r}")
         for name, least in (
             ("trials", 1), ("k", 1), ("max_rounds", 1), ("naive_mu", 1),
             ("pattern_questions", 1), ("pattern_menu", 2), ("pattern_noise", 0),
+            ("pattern_miss_limit", 1), ("pattern_noise_limit", 1),
+            ("map_width", 1), ("map_height", 1),
             ("master_seed", 0), ("map_seed", 0), ("walk_trace_limit", 0),
         ):
             value = getattr(self, name)
             if value < least:
                 raise ConfigError(f"field {name!r} must be >= {least}, got {value!r}")
+        if not 0.0 <= self.pattern_i_tilde < math.inf:
+            raise ConfigError(f"field 'pattern_i_tilde' must be finite and >= 0, "
+                              f"got {self.pattern_i_tilde!r}")
+        low, high = self.pattern_low_max, self.pattern_high_min
+        if not low < high:
+            raise ConfigError(f"field 'pattern_low_max' must be below "
+                              f"'pattern_high_min', got ({low!r}, {high!r})")
+        low, high = self.map_alpha_min, self.map_alpha_max
+        if not 0.0 < low < high <= 1.0:
+            raise ConfigError(f"fields 'map_alpha_min' and 'map_alpha_max' must "
+                              f"satisfy 0 < min < max <= 1, got ({low!r}, {high!r})")
 
     def distribution_object(self) -> UniformBands:
         if self.distribution == "point_pair":
@@ -335,8 +356,6 @@ class RunContext:
     sequential_plan: SequentialPlan | None = None
     serial_plan: SerialPlan | None = None
     naive_plan: NaiveTestPlan | None = None
-    pattern_rule: RecognitionRule | None = None
-    pattern_index: object | None = None
 
 
 def _resolve_map(config: RunConfig) -> AlphaMap:
@@ -360,31 +379,19 @@ def prepare(config: RunConfig) -> RunContext:
     subject = build_subject(config.subject, config.k)
     q, i_tilde = config.operating_point()
 
-    sequential_plan = None
-    serial_plan = None
-    naive_plan = None
-    pattern_rule = None
-    pattern_index = None
+    plans = {}
     if config.strategy == "bayes":
-        sequential_plan = SequentialPlan.design(
+        plans["sequential_plan"] = SequentialPlan.design(
             distribution, config.p_fp, config.p_fn, i_tilde=i_tilde, k=config.k
         )
     elif config.strategy == "serial":
         w, n_rounds = solve_w_N(q, config.p_fp, config.p_fn)
-        serial_plan = SerialPlan(q=q, w=w, n_rounds=n_rounds)
+        plans["serial_plan"] = SerialPlan(q=q, w=w, n_rounds=n_rounds)
     elif config.strategy == "naive":
         nu = required_nu(config.p_fp, config.p_fn, config.naive_mu, config.naive_p_c)
         n_l, n_r = acceptance_counts(config.naive_p_c, nu, config.p_fp, config.naive_mu)
-        naive_plan = NaiveTestPlan(
+        plans["naive_plan"] = NaiveTestPlan(
             nu=nu, mu=config.naive_mu, p_c=config.naive_p_c, n_l=n_l, n_r=n_r
-        )
-    else:
-        pattern_rule = RecognitionRule(
-            k=config.pattern_miss_limit, l=config.pattern_noise_limit
-        )
-        grid = strategy_pattern.BlockGrid.for_map(alpha_map)
-        pattern_index = strategy_pattern._ClassBlockIndex(
-            alpha_map, grid, config.pattern_low_max, config.pattern_high_min
         )
     return RunContext(
         config=config,
@@ -392,11 +399,7 @@ def prepare(config: RunConfig) -> RunContext:
         distribution=distribution,
         subject=subject,
         i_tilde=i_tilde,
-        sequential_plan=sequential_plan,
-        serial_plan=serial_plan,
-        naive_plan=naive_plan,
-        pattern_rule=pattern_rule,
-        pattern_index=pattern_index,
+        **plans,
     )
 
 
@@ -438,13 +441,12 @@ def run_session(
         context.alpha_map,
         config.pattern_questions,
         config.pattern_menu,
-        context.pattern_rule,
+        RecognitionRule(k=config.pattern_miss_limit, l=config.pattern_noise_limit),
         rng,
         n_noise=config.pattern_noise,
         i_tilde=config.pattern_i_tilde,
         low_max=config.pattern_low_max,
         high_min=config.pattern_high_min,
-        _index=context.pattern_index,
     )
 
 

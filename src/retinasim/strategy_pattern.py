@@ -208,6 +208,15 @@ class _ClassBlockIndex:
         self.low_counts = lows.counts[_DEAL_ORDER]
 
 
+@lru_cache(maxsize=4)
+def _class_index(
+    alpha_map: AlphaMap, low_max: float, high_min: float
+) -> _ClassBlockIndex:
+    """The map's class index, built once per map object: ``AlphaMap`` is
+    immutable and hashes by identity, so an entry cannot go stale."""
+    return _ClassBlockIndex(alpha_map, BlockGrid.for_map(alpha_map), low_max, high_min)
+
+
 @dataclass(frozen=True)
 class PatternChallenge:
     """One pattern question: the hidden glyph's spots, the noise spots, the
@@ -260,13 +269,31 @@ class PatternResult:
     correct: int
 
 
-def _build_with_index(
-    index: _ClassBlockIndex,
-    glyph: Glyph,
+def build_challenge(
+    alpha_map: AlphaMap,
+    library: dict[str, Glyph],
+    glyph_id: str,
     n_noise: int,
-    i_tilde: float,
     rng: np.random.Generator,
+    *,
+    i_tilde: float = DEFAULT_CHALLENGE_INTENSITY,
+    low_max: float = DEFAULT_LOW_MAX,
+    high_min: float = DEFAULT_HIGH_MIN,
 ) -> PatternChallenge:
+    """Place one glyph on the map and surround it with noise spots.
+
+    Each glyph cell receives exactly one high-transmission spot chosen
+    uniformly inside that cell's block; ``n_noise`` low-transmission spots
+    are then dealt round-robin across all blocks.  Construction is
+    deterministic given the generator state; the map's class index is built
+    on the first call for a map and reused, and building it draws nothing.
+    """
+    if glyph_id not in library:
+        raise DomainError(f"unknown glyph {glyph_id!r}")
+    if n_noise < 0:
+        raise DomainError(f"noise spot count must be >= 0, got {n_noise}")
+    glyph = library[glyph_id]
+    index = _class_index(alpha_map, low_max, high_min)
     cells = _cell_keys(glyph)
     empty = cells[index.high.counts[cells] == 0]
     if empty.size:
@@ -302,33 +329,6 @@ def _build_with_index(
         hidden_glyph=glyph.glyph_id,
         block_grid=index.grid,
     )
-
-
-def build_challenge(
-    alpha_map: AlphaMap,
-    library: dict[str, Glyph],
-    glyph_id: str,
-    n_noise: int,
-    rng: np.random.Generator,
-    *,
-    i_tilde: float = DEFAULT_CHALLENGE_INTENSITY,
-    low_max: float = DEFAULT_LOW_MAX,
-    high_min: float = DEFAULT_HIGH_MIN,
-) -> PatternChallenge:
-    """Place one glyph on the map and surround it with noise spots.
-
-    Each glyph cell receives exactly one high-transmission spot chosen
-    uniformly inside that cell's block; ``n_noise`` low-transmission spots
-    are then dealt round-robin across all blocks.  Construction is
-    deterministic given the generator state.
-    """
-    if glyph_id not in library:
-        raise DomainError(f"unknown glyph {glyph_id!r}")
-    if n_noise < 0:
-        raise DomainError(f"noise spot count must be >= 0, got {n_noise}")
-    grid = BlockGrid.for_map(alpha_map)
-    index = _ClassBlockIndex(alpha_map, grid, low_max, high_min)
-    return _build_with_index(index, library[glyph_id], n_noise, i_tilde, rng)
 
 
 def candidate_menu(
@@ -524,7 +524,6 @@ def run_pattern_test(
     high_min: float = DEFAULT_HIGH_MIN,
     library: dict[str, Glyph] | None = None,
     glyph_ids: list[str] | None = None,
-    _index: _ClassBlockIndex | None = None,
 ) -> PatternResult:
     """Run one identification session of m pattern questions.
 
@@ -544,9 +543,6 @@ def run_pattern_test(
     unknown = [gid for gid in pool if gid not in library]
     if unknown:
         raise ConfigError(f"glyph ids not in the library: {unknown!r}")
-    if _index is None:
-        grid = BlockGrid.for_map(alpha_map)
-        _index = _ClassBlockIndex(alpha_map, grid, low_max, high_min)
     is_eve = isinstance(subject, EveSubject)
     if not is_eve and not isinstance(subject, AliceSubject):
         raise DomainError(f"unknown subject model {subject!r}")
@@ -554,7 +550,8 @@ def run_pattern_test(
     correct = 0
     for _question in range(m):
         gid = pool[int(rng.integers(len(pool)))]
-        challenge = _build_with_index(_index, library[gid], n_noise, i_tilde, rng)
+        challenge = build_challenge(alpha_map, library, gid, n_noise, rng,
+                                    i_tilde=i_tilde, low_max=low_max, high_min=high_min)
         menu = candidate_menu(challenge, library, n_entries, rng)
         if is_eve:
             answer = menu[int(rng.integers(len(menu)))]

@@ -141,11 +141,10 @@ def run_serial(
     map's transmission band must cover the distribution's support; that is
     checked once, before the first round.
 
-    ``k`` is the perception threshold the *design* assumed when solving for
-    ``i_tilde``; it is carried for the session report.  The honest subject
-    perceives with her own threshold (``subject.k``) — when the two disagree
-    the device is simply operating off its design point, which is exactly
-    the situation worth simulating.
+    ``k`` is unused: it is kept only for the positional signature external
+    callers (``perfbench`` among them) pass it in.  The honest subject
+    perceives with her own threshold (``subject.k``), so a session can run
+    off the design point ``i_tilde`` was solved for.
     """
     require_support(alpha_map, distribution)
     wrong = 0

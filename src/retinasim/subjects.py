@@ -66,12 +66,20 @@ class EveContext:
     spot_ordinal: int = 0
 
 
-class EveSession(abc.ABC):
-    """Per-scope answering state produced by :meth:`EveStrategy.session`."""
+class EveSession:
+    """Per-scope answering state produced by :meth:`EveStrategy.session`:
+    each round answers "seen" with the probability ``p_of_round`` gives for
+    the round's context."""
 
-    @abc.abstractmethod
+    def __init__(self, p_of_round: Callable[[EveContext], float]):
+        self._p_of_round = p_of_round
+
     def respond(self, context: EveContext, rng: np.random.Generator) -> bool:
         """Answer one round: ``True`` for "seen", ``False`` for "not seen"."""
+        p = float(self._p_of_round(context))
+        if not (0.0 <= p <= 1.0) or not math.isfinite(p):
+            raise DomainError(f"strategy produced invalid answer probability {p!r}")
+        return bool(rng.random() < p)
 
 
 class EveStrategy(abc.ABC):
@@ -88,23 +96,12 @@ class EveStrategy(abc.ABC):
         """Create fresh answering state for one session."""
 
 
-class _BernoulliSession(EveSession):
-    def __init__(self, p_of_round: Callable[[EveContext], float]):
-        self._p_of_round = p_of_round
-
-    def respond(self, context: EveContext, rng: np.random.Generator) -> bool:
-        p = float(self._p_of_round(context))
-        if not (0.0 <= p <= 1.0) or not math.isfinite(p):
-            raise DomainError(f"strategy produced invalid answer probability {p!r}")
-        return bool(rng.random() < p)
-
-
 @dataclass(frozen=True)
 class FairCoin(EveStrategy):
     """Answer "seen" with probability 1/2, independently every round."""
 
     def session(self, rng: np.random.Generator) -> EveSession:
-        return _BernoulliSession(lambda _ctx: 0.5)
+        return EveSession(lambda _ctx: 0.5)
 
 
 @dataclass(frozen=True)
@@ -119,7 +116,7 @@ class FixedP(EveStrategy):
         p = float(self.p)
         if not (0.0 <= p <= 1.0):
             raise DomainError(f"fixed answer probability must lie in [0, 1], got {self.p!r}")
-        return _BernoulliSession(lambda _ctx: p)
+        return EveSession(lambda _ctx: p)
 
 
 @dataclass(frozen=True)
@@ -136,7 +133,7 @@ class UniformP(EveStrategy):
 
     def session(self, rng: np.random.Generator) -> EveSession:
         p = float(rng.random())
-        return _BernoulliSession(lambda _ctx: p)
+        return EveSession(lambda _ctx: p)
 
 
 @dataclass(frozen=True)
@@ -152,7 +149,7 @@ class Adaptive(EveStrategy):
     rule: Callable[[EveContext], float]
 
     def session(self, rng: np.random.Generator) -> EveSession:
-        return _BernoulliSession(self.rule)
+        return EveSession(self.rule)
 
 
 @dataclass(frozen=True)

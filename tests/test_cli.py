@@ -82,6 +82,39 @@ class TestUsageErrors:
         assert main(["montecarlo", "--trials", "0"]) == 3
         assert "trials" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, doc, field",
+        [
+            ("identify", {"strategy": "pattern", "pattern_miss_limit": 0},
+             "pattern_miss_limit"),
+            ("montecarlo", {"strategy": "pattern", "pattern_noise_limit": 0},
+             "pattern_noise_limit"),
+            ("identify", {"strategy": "pattern", "pattern_low_max": 0.2},
+             "pattern_low_max"),
+            ("identify", {"strategy": "pattern", "pattern_i_tilde": -1},
+             "pattern_i_tilde"),
+            ("identify", {"strategy": "naive", "naive_p_c": 1.5}, "naive_p_c"),
+            ("identify", {"map_width": 0}, "map_width"),
+            ("montecarlo", {"map_height": 0}, "map_height"),
+            ("solve", {"map_alpha_min": 0.5}, "map_alpha_min"),
+        ],
+    )
+    def test_config_value_out_of_range(self, command, doc, field, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, "--config", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and repr(field) in captured.err
+
+    def test_pattern_map_below_glyph_grid(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"map_width": 4, "map_height": 4}))
+        code = main(["montecarlo", "--config", str(path), "--strategy", "pattern",
+                     "--trials", "3"])
+        assert code == 3
+        assert "smaller than the 5x7 glyph grid" in capsys.readouterr().err
+
 
 class TestEnroll:
     def test_writes_map(self, tmp_path, capsys):

@@ -20,6 +20,7 @@ from retinasim import (
     EveSubject,
     FairCoin,
     FixedP,
+    PlacementError,
     PointPair,
     RunConfig,
     TrialRecord,
@@ -122,6 +123,21 @@ class TestRunConfig:
             (dict(k=6.0), "k"),
             (dict(i_tilde="62"), "i_tilde"),
             (dict(subject=None), "subject"),
+            (dict(pattern_miss_limit=0), "pattern_miss_limit"),
+            (dict(pattern_noise_limit=0), "pattern_noise_limit"),
+            (dict(map_width=0), "map_width"),
+            (dict(map_height=0), "map_height"),
+            (dict(naive_p_c=0.0), "naive_p_c"),
+            (dict(naive_p_c=1.5), "naive_p_c"),
+            (dict(pattern_i_tilde=-1.0), "pattern_i_tilde"),
+            (dict(pattern_i_tilde=math.inf), "pattern_i_tilde"),
+            (dict(pattern_i_tilde=math.nan), "pattern_i_tilde"),
+            (dict(pattern_low_max=0.2), "pattern_low_max"),
+            (dict(pattern_low_max=0.16), "pattern_low_max"),
+            (dict(pattern_high_min=0.01), "pattern_high_min"),
+            (dict(map_alpha_min=0.0), "map_alpha_min"),
+            (dict(map_alpha_min=0.5), "map_alpha_min"),
+            (dict(map_alpha_max=1.5), "map_alpha_max"),
         ],
     )
     def test_field_validation(self, kwargs, fragment):
@@ -210,7 +226,6 @@ class TestPrepare:
         assert plan is not None
         assert context.serial_plan is None
         assert context.naive_plan is None
-        assert context.pattern_rule is None
         assert plan.x == pytest.approx(1e-4)
         assert plan.y == pytest.approx(1e10)
         _q, i_star = solve_q_intensity(0.05, 0.15, 6)
@@ -241,10 +256,22 @@ class TestPrepare:
         assert (plan.n_l, plan.n_r) == (9, 42)
 
     def test_pattern_context(self):
+        # a pattern run needs no plan: its questions come from the map and
+        # the config alone
         context = prepare(RunConfig(strategy="pattern"))
-        assert context.pattern_rule is not None
-        assert (context.pattern_rule.k, context.pattern_rule.l) == (5, 5)
-        assert context.pattern_index is not None
+        assert context.sequential_plan is None
+        assert context.serial_plan is None
+        assert context.naive_plan is None
+        assert context.alpha_map.width == 100
+        assert [f.name for f in dataclasses.fields(context)] == [
+            "config", "alpha_map", "distribution", "subject", "i_tilde",
+            "sequential_plan", "serial_plan", "naive_plan",
+        ]
+
+    def test_pattern_run_on_map_below_glyph_grid(self):
+        config = RunConfig(strategy="pattern", map_width=4, map_height=4, trials=3)
+        with pytest.raises(PlacementError, match="smaller than the 5x7 glyph grid"):
+            montecarlo(config)
 
     def test_uniform_bands_solves_from_inner_edges(self):
         context = prepare(RunConfig(distribution="uniform_bands"))

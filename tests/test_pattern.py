@@ -34,6 +34,7 @@ from retinasim import (
     PatternChallenge,
     PlacementError,
     RecognitionRule,
+    RunConfig,
     UniformP,
     alice_failure_bound,
     build_challenge,
@@ -42,12 +43,14 @@ from retinasim import (
     generate_synthetic,
     glyph_library,
     gk,
+    montecarlo,
     optimize_intensity,
     prob_see,
     recognize,
     run_pattern_test,
     simulate_perception,
 )
+from retinasim import strategy_pattern
 from retinasim.strategy_pattern import GLYPH_GRID, BlockGrid
 
 #: The published menu of 18 symbols used in the worked examples.
@@ -249,6 +252,41 @@ class TestBuildChallenge:
             PatternChallenge(frozenset({1}), frozenset({3}), -1.0, "2", grid)
         with pytest.raises(DomainError, match=">= 0"):
             PatternChallenge(frozenset({1}), frozenset({3}), math.inf, "2", grid)
+
+
+class TestClassIndexBuiltOncePerMap:
+    """The class index depends only on the map and the class edges, so it
+    is built once per map object, however many questions draw from it."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The maps of every ``_ClassBlockIndex`` built during the test."""
+        maps = []
+        original = strategy_pattern._ClassBlockIndex
+
+        class Counting(original):
+            def __init__(self, alpha_map, *args):
+                maps.append(alpha_map)
+                super().__init__(alpha_map, *args)
+
+        monkeypatch.setattr(strategy_pattern, "_ClassBlockIndex", Counting)
+        return maps
+
+    def test_montecarlo_run_builds_one(self, built):
+        stats, _records = montecarlo(RunConfig(strategy="pattern", trials=20))
+        assert stats.n_trials == 20
+        assert len(built) == 1
+
+    def test_repeated_challenges_on_one_map_build_one(self, built):
+        lib = glyph_library()
+        first = generate_synthetic(100, 100, 0.02, 0.18, seed=7)
+        for seed in range(50):
+            build_challenge(first, lib, sorted(lib)[seed % 45], 75, make_rng(seed))
+        assert built == [first]
+        second = generate_synthetic(100, 100, 0.02, 0.18, seed=7)
+        build_challenge(second, lib, "2", 75, make_rng(50))
+        build_challenge(first, lib, "2", 75, make_rng(51))
+        assert built == [first, second]
 
 
 # ---------------------------------------------------------------------------
