@@ -64,70 +64,54 @@ def _u64(text: str) -> int:
     return value
 
 
+#: Each override flag: the ``RunConfig`` field it sets and its argparse options.
+_OVERRIDES = {
+    "--seed": ("master_seed", dict(type=_u64, metavar="U64", help="master seed")),
+    "--trials": ("trials", dict(type=int, metavar="N", help="number of trials")),
+    "--strategy": (
+        "strategy", dict(choices=STRATEGIES, help="identification strategy")
+    ),
+    "--subject": (
+        "subject", dict(metavar="KIND", help="alice | eve:<strategy> | interactive")
+    ),
+    "--out": ("out_dir", dict(metavar="DIR", help="output directory")),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="retinasim",
         description="Photon-counting retinal identification: solvers and simulators.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, *, subject: bool = True) -> None:
+    # Each subcommand takes ``--config`` and the override flags its handler reads.
+    for name, handler, help_text, flags in (
+        ("enroll", cmd_enroll, "generate or import a stored map", ("--seed", "--out")),
+        ("identify", cmd_identify, "run one identification session",
+         ("--seed", "--strategy", "--subject")),
+        ("montecarlo", cmd_montecarlo, "run bulk trials and emit artifacts",
+         tuple(_OVERRIDES)),
+        ("solve", cmd_solve, "print all protocol constants", ()),
+        ("pattern", cmd_pattern, "pattern-strategy rates and optimum", ()),
+        ("bounds", cmd_bounds, "protocol bounds and physics report", ()),
+    ):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", metavar="FILE", help="JSON run configuration")
-        p.add_argument("--seed", type=_u64, metavar="U64", help="master seed")
-        p.add_argument("--trials", type=int, metavar="N", help="number of trials")
-        p.add_argument(
-            "--strategy", choices=STRATEGIES, help="identification strategy"
-        )
-        if subject:
-            p.add_argument(
-                "--subject",
-                metavar="KIND",
-                help="alice | eve:<strategy> | interactive",
-            )
-        p.add_argument("--out", metavar="DIR", help="output directory")
-
-    p_enroll = sub.add_parser("enroll", help="generate or import a stored map")
-    common(p_enroll, subject=False)
-    p_enroll.set_defaults(handler=cmd_enroll)
-
-    p_identify = sub.add_parser("identify", help="run one identification session")
-    common(p_identify)
-    p_identify.set_defaults(handler=cmd_identify)
-
-    p_mc = sub.add_parser("montecarlo", help="run bulk trials and emit artifacts")
-    common(p_mc)
-    p_mc.set_defaults(handler=cmd_montecarlo)
-
-    p_solve = sub.add_parser("solve", help="print all protocol constants")
-    common(p_solve, subject=False)
-    p_solve.set_defaults(handler=cmd_solve)
-
-    p_pattern = sub.add_parser("pattern", help="pattern-strategy rates and optimum")
-    common(p_pattern, subject=False)
-    p_pattern.set_defaults(handler=cmd_pattern)
-
-    p_bounds = sub.add_parser("bounds", help="protocol bounds and physics report")
-    common(p_bounds, subject=False)
-    p_bounds.set_defaults(handler=cmd_bounds)
+        for flag in flags:
+            field, options = _OVERRIDES[flag]
+            p.add_argument(flag, dest=field, **options)
+        p.set_defaults(handler=handler)
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     config = load_config(args.config) if args.config else RunConfig()
-    overrides: dict = {}
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.strategy is not None:
-        overrides["strategy"] = args.strategy
-    if getattr(args, "subject", None) is not None:
-        overrides["subject"] = args.subject
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
-    return config
+    overrides = {
+        field: value
+        for field, _options in _OVERRIDES.values()
+        if (value := getattr(args, field, None)) is not None
+    }
+    return dataclasses.replace(config, **overrides)
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,7 @@ from .strategy_pattern import (
     DEFAULT_NOISE_SPOTS,
     PatternResult,
     RecognitionRule,
+    require_placeable,
     run_pattern_test,
 )
 from .strategy_serial import SerialPlan, SerialResult, run_serial, solve_w_N
@@ -199,6 +200,12 @@ class RunConfig:
                 f"field 'distribution' must be one of {_DISTRIBUTIONS}, "
                 f"got {self.distribution!r}"
             )
+        try:
+            self.distribution_object()
+        except DomainError as exc:
+            names = ("'alpha_low' and 'alpha_high'" if self.distribution == "point_pair"
+                     else "'low_band' and 'high_band'")
+            raise ConfigError(f"fields {names}: {exc}") from exc
         for name in ("p_fp", "p_fn", "naive_p_c"):
             value = getattr(self, name)
             if not (0.0 < value < 1.0):
@@ -213,9 +220,11 @@ class RunConfig:
             value = getattr(self, name)
             if value < least:
                 raise ConfigError(f"field {name!r} must be >= {least}, got {value!r}")
-        if not 0.0 <= self.pattern_i_tilde < math.inf:
-            raise ConfigError(f"field 'pattern_i_tilde' must be finite and >= 0, "
-                              f"got {self.pattern_i_tilde!r}")
+        for name in ("i_tilde", "pattern_i_tilde"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 <= value < math.inf:
+                raise ConfigError(f"field {name!r} must be finite and >= 0, "
+                                  f"got {value!r}")
         low, high = self.pattern_low_max, self.pattern_high_min
         if not low < high:
             raise ConfigError(f"field 'pattern_low_max' must be below "
@@ -393,6 +402,10 @@ def prepare(config: RunConfig) -> RunContext:
         plans["naive_plan"] = NaiveTestPlan(
             nu=nu, mu=config.naive_mu, p_c=config.naive_p_c, n_l=n_l, n_r=n_r
         )
+    else:
+        require_placeable(alpha_map, config.pattern_noise,
+                          low_max=config.pattern_low_max,
+                          high_min=config.pattern_high_min)
     return RunContext(
         config=config,
         alpha_map=alpha_map,

@@ -82,14 +82,6 @@ class NaiveTestPlan:
                 f"nu * p_c = {center!r}"
             )
 
-    @property
-    def p_l(self) -> float:
-        return self.n_l / self.nu
-
-    @property
-    def p_r(self) -> float:
-        return self.n_r / self.nu
-
 
 def acceptance_counts(
     p_c: float, nu: int, p_fp: float, mu: int

@@ -59,6 +59,7 @@ __all__ = [
     "false_positive_rate",
     "alice_failure_bound",
     "optimize_intensity",
+    "require_placeable",
     "run_pattern_test",
     "DEFAULT_CHALLENGE_INTENSITY",
     "DEFAULT_LOW_MAX",
@@ -76,6 +77,9 @@ DEFAULT_CHALLENGE_INTENSITY = 72.0
 DEFAULT_LOW_MAX = 0.04
 DEFAULT_HIGH_MIN = 0.16
 DEFAULT_NOISE_SPOTS = 75
+#: Pulse intensities ``optimize_intensity`` scans, and its grid step.
+INTENSITY_SCAN = (40.0, 120.0)
+INTENSITY_STEP = 0.1
 
 
 @dataclass(frozen=True)
@@ -129,7 +133,6 @@ class BlockGrid:
     """Partition of a map into one rectangular block per glyph cell."""
 
     map_width: int
-    map_height: int
     cell_w: int
     cell_h: int
 
@@ -143,7 +146,7 @@ class BlockGrid:
                 f"map {alpha_map.width}x{alpha_map.height} is smaller than the "
                 f"{cols}x{rows} glyph grid"
             )
-        return cls(alpha_map.width, alpha_map.height, cell_w, cell_h)
+        return cls(alpha_map.width, cell_w, cell_h)
 
     def cell_keys(self, spots: np.ndarray) -> np.ndarray:
         """Flat glyph-cell key of each spot (see ``_cell_keys``), or -1 for
@@ -269,6 +272,33 @@ class PatternResult:
     correct: int
 
 
+def _require_noise(index: _ClassBlockIndex, n_noise: int) -> None:
+    available = index.low_counts.sum()
+    if available < n_noise:
+        raise PlacementError(
+            f"map provides only {available} low-transmission spots inside "
+            f"the block grid; {n_noise} noise spots requested"
+        )
+
+
+def require_placeable(
+    alpha_map: AlphaMap, n_noise: int, *, low_max: float, high_min: float
+) -> None:
+    """Raise :class:`PlacementError` when no pattern question can be placed
+    on the map: it is smaller than the glyph grid, no library glyph has a
+    high-transmission spot in the block of each of its cells, or the block
+    grid holds fewer than ``n_noise`` low-transmission spots.  Builds the
+    map's class index, which later questions reuse; draws nothing."""
+    index = _class_index(alpha_map, low_max, high_min)
+    _ids, incidence = _incidence(tuple(glyph_library().items()))
+    if incidence[:, index.high.counts == 0].any(axis=1).all():
+        raise PlacementError(
+            f"no library glyph has a high-transmission spot (alpha >= "
+            f"{high_min!r}) in the block of each of its cells"
+        )
+    _require_noise(index, n_noise)
+
+
 def build_challenge(
     alpha_map: AlphaMap,
     library: dict[str, Glyph],
@@ -306,12 +336,8 @@ def build_challenge(
     # Spread noise round-robin over every block so the combined illuminated
     # set can embed many glyphs, not just the hidden one.  Every block's low
     # spots are permuted, and the first ``depth`` of each suffice.
+    _require_noise(index, n_noise)
     low_counts = index.low_counts
-    if low_counts.sum() < n_noise:
-        raise PlacementError(
-            f"map provides only {low_counts.sum()} low-transmission spots inside "
-            f"the block grid; {n_noise} noise spots requested"
-        )
     depth = n_dealt = 0
     while n_dealt < n_noise:
         n_dealt += int(np.count_nonzero(low_counts > depth))
@@ -473,19 +499,17 @@ def optimize_intensity(
     alpha_high: float,
     threshold: int,
     m: int,
-    i_range: tuple[float, float] = (40.0, 120.0),
-    step: float = 0.1,
 ) -> tuple[float, float]:
     """Scan pulse intensities and minimize the honest-failure bound.
 
     At intensity I the per-spot rates are p_h = 1 - G(alpha_high * I)
     (missing a pattern spot) and p_l = G(alpha_low * I) (perceiving a noise
     spot); raising I trades missed pattern spots against perceived noise, so
-    the bound has an interior minimum.  Grid resolution is ``step``.
+    the bound has an interior minimum.  The scan covers :data:`INTENSITY_SCAN`
+    in steps of :data:`INTENSITY_STEP`.
     """
-    lo, hi = float(i_range[0]), float(i_range[1])
-    if not (0.0 <= lo < hi) or step <= 0.0:
-        raise DomainError(f"invalid search range {i_range!r} with step {step!r}")
+    lo, hi = INTENSITY_SCAN
+    step = INTENSITY_STEP
     best: tuple[float, float] | None = None
     n_points = int(round((hi - lo) / step)) + 1
     for j in range(n_points):
@@ -505,7 +529,7 @@ def optimize_intensity(
             best = (i_tilde, bound)
     if best is None:
         raise InfeasibleError(
-            f"failure bound is invalid or vacuous over the whole range {i_range!r}"
+            f"failure bound is invalid or vacuous over the whole range {(lo, hi)!r}"
         )
     return best
 
@@ -522,7 +546,6 @@ def run_pattern_test(
     i_tilde: float = DEFAULT_CHALLENGE_INTENSITY,
     low_max: float = DEFAULT_LOW_MAX,
     high_min: float = DEFAULT_HIGH_MIN,
-    library: dict[str, Glyph] | None = None,
     glyph_ids: list[str] | None = None,
 ) -> PatternResult:
     """Run one identification session of m pattern questions.
@@ -535,8 +558,7 @@ def run_pattern_test(
     """
     if m < 1:
         raise ConfigError(f"a session needs at least one question, got m={m}")
-    if library is None:
-        library = glyph_library()
+    library = glyph_library()
     pool = sorted(library) if glyph_ids is None else list(glyph_ids)
     if not pool:
         raise ConfigError("empty glyph pool")

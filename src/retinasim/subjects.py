@@ -110,7 +110,7 @@ class FixedP(EveStrategy):
     round.  A per-round schedule is an :class:`Adaptive` rule on
     ``ctx.round_index``."""
 
-    p: float = 0.5
+    p: float
 
     def session(self, rng: np.random.Generator) -> EveSession:
         p = float(self.p)

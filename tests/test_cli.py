@@ -21,9 +21,29 @@ from retinasim import (
     prepare,
     run_trial,
 )
-from retinasim.cli import main
+from retinasim.cli import _build_parser, _config_from_args, main
 
 # exit codes: 0 accept/success, 1 reject, 2 usage, 3 infeasible/config
+
+# Each flag, a value for it, and the config field and value that sets.
+# ``--config`` reads a file holding ``{"k": 7}``.
+_FLAGS = {
+    "--config": (None, "k", 7),
+    "--seed": ("3", "master_seed", 3),
+    "--trials": ("5", "trials", 5),
+    "--strategy": ("naive", "strategy", "naive"),
+    "--subject": ("eve:echo", "subject", "eve:echo"),
+    "--out": ("X", "out_dir", "X"),
+}
+# The flags each subcommand's handler reads; any other flag is a usage error.
+_COMMAND_FLAGS = {
+    "enroll": ("--config", "--seed", "--out"),
+    "identify": ("--config", "--seed", "--strategy", "--subject"),
+    "montecarlo": tuple(_FLAGS),
+    "solve": ("--config",),
+    "pattern": ("--config",),
+    "bounds": ("--config",),
+}
 
 
 class TestUsageErrors:
@@ -97,6 +117,11 @@ class TestUsageErrors:
             ("identify", {"map_width": 0}, "map_width"),
             ("montecarlo", {"map_height": 0}, "map_height"),
             ("solve", {"map_alpha_min": 0.5}, "map_alpha_min"),
+            ("identify", {"i_tilde": -1}, "i_tilde"),
+            ("identify", {"i_tilde": 1e400}, "i_tilde"),
+            ("identify", {"alpha_low": 0.5}, "alpha_low"),
+            ("identify", {"distribution": "uniform_bands", "low_band": [0.05, 0.02]},
+             "low_band"),
         ],
     )
     def test_config_value_out_of_range(self, command, doc, field, tmp_path, capsys):
@@ -106,6 +131,43 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and repr(field) in captured.err
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [(c, f) for c, kept in _COMMAND_FLAGS.items() for f in _FLAGS if f not in kept],
+    )
+    def test_flag_the_command_does_not_read(self, command, flag, capsys):
+        assert main([command, flag, _FLAGS[flag][0]]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, flag", [(c, f) for c, kept in _COMMAND_FLAGS.items() for f in kept]
+    )
+    def test_flag_the_command_reads(self, command, flag, tmp_path):
+        value, field, expected = _FLAGS[flag]
+        if value is None:
+            value = str(tmp_path / "run.json")
+            Path(value).write_text(json.dumps({field: expected}))
+        args = _build_parser().parse_args([command, flag, value])
+        assert getattr(_config_from_args(args), field) == expected
+
+    @pytest.mark.parametrize(
+        "doc, fragment",
+        [
+            ({"pattern_high_min": 0.5}, "no library glyph"),
+            ({"map_width": 4}, "smaller than the 5x7 glyph grid"),
+            ({"map_height": 4}, "smaller than the 5x7 glyph grid"),
+            ({"pattern_noise": 5000}, "5000 noise spots requested"),
+        ],
+    )
+    def test_unplaceable_pattern_fails_before_output(self, doc, fragment, tmp_path,
+                                                     capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"strategy": "pattern", **doc}))
+        assert main(["identify", "--config", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and fragment in captured.err
 
     def test_pattern_map_below_glyph_grid(self, tmp_path, capsys):
         path = tmp_path / "run.json"

@@ -138,6 +138,15 @@ class TestRunConfig:
             (dict(map_alpha_min=0.0), "map_alpha_min"),
             (dict(map_alpha_min=0.5), "map_alpha_min"),
             (dict(map_alpha_max=1.5), "map_alpha_max"),
+            (dict(i_tilde=-1.0), "i_tilde"),
+            (dict(i_tilde=math.inf), "i_tilde"),
+            (dict(i_tilde=math.nan), "i_tilde"),
+            (dict(alpha_low=0.5), "'alpha_low' and 'alpha_high'"),
+            (dict(alpha_high=1.5), "'alpha_low' and 'alpha_high'"),
+            (dict(distribution="uniform_bands", low_band=(0.05, 0.02)),
+             "'low_band' and 'high_band'"),
+            (dict(distribution="uniform_bands", high_band=(0.15, 0.04)),
+             "'low_band' and 'high_band'"),
         ],
     )
     def test_field_validation(self, kwargs, fragment):

@@ -176,11 +176,6 @@ class TestRequiredNu:
 
 
 class TestPlanValidation:
-    def test_probability_accessors(self):
-        plan = NaiveTestPlan(nu=50, mu=50, p_c=0.5, n_l=9, n_r=42)
-        assert plan.p_l == 9 / 50
-        assert plan.p_r == 42 / 50
-
     @pytest.mark.parametrize(
         ("kwargs", "exc"),
         [

@@ -712,28 +712,11 @@ class TestOptimizeIntensity:
         assert wide < lower_high < narrow
         assert wide < higher_low < narrow
 
-    def test_step_controls_the_grid(self):
-        i_star, _ = optimize_intensity(25, 75, 5, 5, 0.02, 0.18, 6, 6, step=0.05)
-        offset = (i_star - 40.0) / 0.05
-        assert offset == pytest.approx(round(offset), abs=1e-9)
-        assert abs(i_star - 72.3) <= 0.1
-
     def test_infeasible_range_rejected(self):
+        # classes 0.10 / 0.11 are too close: no scanned intensity keeps both
+        # per-spot rates below the tolerated fractions
         with pytest.raises(InfeasibleError, match="invalid or vacuous"):
-            optimize_intensity(25, 75, 5, 5, 0.02, 0.18, 6, 6, i_range=(0.5, 1.5))
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(i_range=(120.0, 40.0)),
-            dict(i_range=(-1.0, 40.0)),
-            dict(step=0.0),
-            dict(step=-0.1),
-        ],
-    )
-    def test_domain_errors(self, kwargs):
-        with pytest.raises(DomainError):
-            optimize_intensity(25, 75, 5, 5, 0.02, 0.18, 6, 6, **kwargs)
+            optimize_intensity(25, 75, 5, 5, 0.10, 0.11, 6, 6)
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,12 @@ package to the next, and the tier-1 suite never runs it.  These tests read
 its sources with ``ast`` and check that everything it takes from the package
 still exists: the names it imports from ``retinasim`` and ``retinasim.cli``,
 the ``RunContext`` and ``RunConfig`` attributes it reads, the arguments of
-each call it makes to an imported name, and the functions its tracer wraps."""
+each call it makes to an imported name, the functions its tracer wraps, and
+the ``retinasim`` command lines it runs."""
 
 import ast
 import dataclasses
+import importlib
 import inspect
 from pathlib import Path
 
@@ -154,3 +156,47 @@ def test_pattern_session_reaches_traced_calls_once_per_question(monkeypatch):
     asked = result.correct + (not result.accepted)
     assert asked == context.config.pattern_questions
     assert calls == dict.fromkeys(calls, asked)
+
+
+def _probe_argvs() -> list[list[str]]:
+    """The ``argvs`` table of ``probes._cli``, each element that is not a
+    literal (a seed, an output path) replaced by ``"1"``."""
+    probe = next(
+        node for node in dict(TREES)["probes.py"].body
+        if isinstance(node, ast.FunctionDef) and node.name == "_cli"
+    )
+    table = next(
+        node.value for node in ast.walk(probe)
+        if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) == "argvs" for t in node.targets)
+    )
+
+    def element(node):
+        return node.value if isinstance(node, ast.Constant) else "1"
+
+    return [[element(node) for node in argv.elts] for argv in table.values]
+
+
+def _parse(argv) -> None:
+    """Parse ``argv`` as ``retinasim`` would, without running the command;
+    only ``--help`` may exit, and with status 0."""
+    try:
+        retinasim.cli._build_parser().parse_args(list(argv))
+    except SystemExit as exc:
+        assert list(argv) == ["--help"] and exc.code == 0, f"{argv}: exit {exc.code}"
+
+
+@pytest.mark.parametrize("argv", _probe_argvs(), ids=lambda argv: " ".join(argv))
+def test_probe_command_lines_parse(argv, capsys):
+    _parse(argv)
+    capsys.readouterr()
+
+
+def test_cli_cycle_command_lines_parse(tmp_path, monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    ops = workloads.build_cycle("cli", 1, 0, 1.0, tmp_path)
+    assert ops
+    for op in ops:
+        _parse(op.argv)
+    capsys.readouterr()
