@@ -78,12 +78,15 @@ class AlphaMap:
         arr = np.asarray(self.alpha, dtype=np.float64).reshape(-1).copy()
         if arr.size != self.width * self.height:
             raise DomainError(
-                f"expected {self.width * self.height} transmission values, got {arr.size}"
+                f"field 'alpha' has {arr.size} entries, "
+                f"expected width*height = {self.width * self.height}"
             )
-        if arr.min() < self.alpha_min or arr.max() > self.alpha_max:
-            bad = int(np.argmax((arr < self.alpha_min) | (arr > self.alpha_max)))
+        # Written as "not inside" so that NaN counts as outside.
+        outside = ~((arr >= self.alpha_min) & (arr <= self.alpha_max))
+        if outside.any():
+            bad = int(np.argmax(outside))
             raise DomainError(
-                f"alpha[{bad}] = {arr[bad]!r} outside "
+                f"alpha[{bad}] = {float(arr[bad])!r} outside "
                 f"[{self.alpha_min!r}, {self.alpha_max!r}]"
             )
         arr.setflags(write=False)
@@ -288,24 +291,10 @@ def load(path: str | Path) -> AlphaMap:
     if not isinstance(raw_alpha, list):
         raise MapFormatError(f"{path}: field 'alpha' must be an array")
 
-    if width < 1 or height < 1:
-        raise MapFormatError(f"{path}: invalid dimensions {width}x{height}")
-    if not (0.0 < alpha_min < alpha_max <= 1.0):
-        raise MapFormatError(
-            f"{path}: invalid transmission band [{alpha_min!r}, {alpha_max!r}]"
-        )
-    if len(raw_alpha) != width * height:
-        raise MapFormatError(
-            f"{path}: field 'alpha' has {len(raw_alpha)} entries, "
-            f"expected width*height = {width * height}"
-        )
-    values = np.empty(len(raw_alpha), dtype=np.float64)
     for i, v in enumerate(raw_alpha):
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise MapFormatError(f"{path}: alpha[{i}] is not a number: {v!r}")
-        if not (alpha_min <= float(v) <= alpha_max):
-            raise MapFormatError(
-                f"{path}: alpha[{i}] = {v!r} outside [{alpha_min!r}, {alpha_max!r}]"
-            )
-        values[i] = float(v)
-    return AlphaMap(width, height, values, alpha_min, alpha_max)
+    try:
+        return AlphaMap(width, height, raw_alpha, alpha_min, alpha_max)
+    except DomainError as exc:
+        raise MapFormatError(f"{path}: {exc}") from exc

@@ -25,6 +25,7 @@ from .harness import (
     STRATEGIES,
     RunConfig,
     RunContext,
+    _require_coverage,
     _resolve_map,
     load_config,
     montecarlo,
@@ -310,6 +311,9 @@ def _pattern_lines(config: RunConfig, alpha_map: AlphaMap) -> list[str]:
         f"limits {config.pattern_miss_limit}/{config.pattern_noise_limit}, "
         f"{config.pattern_questions} questions):"
     )
+    if config.pattern_noise == 0:
+        lines.append("    no optimum: the bound needs at least one noise spot")
+        return lines
     pairs = sorted({
         (alpha_map.alpha_min, alpha_map.alpha_max),
         (alpha_map.alpha_min, config.pattern_high_min),
@@ -356,6 +360,7 @@ def _serial_naive_lines(config: RunConfig) -> list[str]:
 def cmd_solve(config: RunConfig) -> int:
     """Print every protocol constant for the configuration."""
     alpha_map = _resolve_map(config)
+    _require_coverage(config, alpha_map)
     lines: list[str] = []
     lines += _operating_lines(config)
     lines += _serial_naive_lines(config)
@@ -374,7 +379,9 @@ def cmd_pattern(config: RunConfig) -> int:
 
 def cmd_bounds(config: RunConfig) -> int:
     """Print the sequential bounds and the physics report."""
-    print("\n".join(_bounds_lines(config, _resolve_map(config)) + _physics_lines()))
+    alpha_map = _resolve_map(config)
+    _require_coverage(config, alpha_map)
+    print("\n".join(_bounds_lines(config, alpha_map) + _physics_lines()))
     return 0
 
 

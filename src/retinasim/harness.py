@@ -30,6 +30,7 @@ from .alpha_map import (
     generate_synthetic,
     inner_edges,
     load,
+    require_support,
 )
 from .errors import ConfigError, DomainError
 from .photon_stats import DEFAULT_THRESHOLD, solve_q_intensity
@@ -91,7 +92,11 @@ __all__ = [
 ]
 
 STRATEGIES = ("naive", "serial", "bayes", "pattern")
-_DISTRIBUTIONS = ("point_pair", "uniform_bands")
+#: Each distribution name and the config fields that set its classes.
+_DISTRIBUTION_FIELDS = {
+    "point_pair": "'alpha_low' and 'alpha_high'",
+    "uniform_bands": "'low_band' and 'high_band'",
+}
 
 
 def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
@@ -195,16 +200,15 @@ class RunConfig:
             raise ConfigError(
                 f"field 'strategy' must be one of {STRATEGIES}, got {self.strategy!r}"
             )
-        if self.distribution not in _DISTRIBUTIONS:
+        if self.distribution not in _DISTRIBUTION_FIELDS:
             raise ConfigError(
-                f"field 'distribution' must be one of {_DISTRIBUTIONS}, "
+                f"field 'distribution' must be one of {tuple(_DISTRIBUTION_FIELDS)}, "
                 f"got {self.distribution!r}"
             )
         try:
-            self.distribution_object()
+            distribution = self.distribution_object()
         except DomainError as exc:
-            names = ("'alpha_low' and 'alpha_high'" if self.distribution == "point_pair"
-                     else "'low_band' and 'high_band'")
+            names = _DISTRIBUTION_FIELDS[self.distribution]
             raise ConfigError(f"fields {names}: {exc}") from exc
         for name in ("p_fp", "p_fn", "naive_p_c"):
             value = getattr(self, name)
@@ -225,6 +229,13 @@ class RunConfig:
             if value is not None and not 0.0 <= value < math.inf:
                 raise ConfigError(f"field {name!r} must be finite and >= 0, "
                                   f"got {value!r}")
+        if self.i_tilde is not None:
+            q = design_wrong_probability(distribution, self.i_tilde, self.k)
+            if not q < 0.5:
+                raise ConfigError(
+                    f"field 'i_tilde' = {self.i_tilde!r} gives the honest user "
+                    f"wrong-answer probability {q:.6g}, not below 1/2"
+                )
         low, high = self.pattern_low_max, self.pattern_high_min
         if not low < high:
             raise ConfigError(f"field 'pattern_low_max' must be below "
@@ -379,11 +390,30 @@ def _resolve_map(config: RunConfig) -> AlphaMap:
     )
 
 
+def _require_coverage(config: RunConfig, alpha_map: AlphaMap) -> None:
+    """:func:`require_support` for the configured distribution, naming the
+    config fields that would fix a miss."""
+    try:
+        require_support(alpha_map, config.distribution_object())
+    except ConfigError as exc:
+        source = ("'map_file'" if config.map_file is not None
+                  else "'map_alpha_min' and 'map_alpha_max'")
+        raise ConfigError(
+            f"{exc}; change fields {_DISTRIBUTION_FIELDS[config.distribution]}, "
+            f"or {source}"
+        ) from exc
+
+
 def prepare(config: RunConfig) -> RunContext:
     """Resolve the map, solve the strategy's plan once, and freeze the
     shared inputs.  All per-trial randomness comes later, from
     :func:`trial_rng`."""
     alpha_map = _resolve_map(config)
+    if config.strategy in ("bayes", "serial"):
+        _require_coverage(config, alpha_map)
+    elif config.strategy == "naive" and alpha_map.n_spots < config.naive_mu:
+        raise ConfigError(f"field 'naive_mu' is {config.naive_mu} but the map has "
+                          f"only {alpha_map.n_spots} spots")
     distribution = config.distribution_object()
     subject = build_subject(config.subject, config.k)
     q, i_tilde = config.operating_point()

@@ -40,7 +40,7 @@ from .errors import (
     MenuError,
     PlacementError,
 )
-from .photon_stats import DEFAULT_THRESHOLD, gk
+from .photon_stats import gk
 from .strategy_serial import relative_entropy
 from .subjects import AliceSubject, EveSubject, SubjectModel
 
@@ -435,6 +435,12 @@ def false_positive_rate(n_entries: int, n_questions: int) -> Fraction:
     return Fraction(1, n_entries) ** n_questions
 
 
+def _require_counts(**counts: int) -> None:
+    for name, value in counts.items():
+        if value < 1:
+            raise DomainError(f"{name} must be >= 1, got {value}")
+
+
 def alice_failure_bound(
     n_h: int,
     n_l: int,
@@ -459,9 +465,7 @@ def alice_failure_bound(
     exact equality the exponent vanishes and the returned bound is a
     vacuous 1.0 (flagged with a warning).
     """
-    for name, value in (("n_h", n_h), ("n_l", n_l), ("k", k), ("l", l)):
-        if value < 1:
-            raise DomainError(f"{name} must be >= 1, got {value}")
+    _require_counts(n_h=n_h, n_l=n_l, k=k, l=l)
     if m < 0:
         raise DomainError(f"question count must be >= 0, got {m}")
     for name, value in (("p_h", p_h), ("p_l", p_l)):
@@ -508,6 +512,7 @@ def optimize_intensity(
     the bound has an interior minimum.  The scan covers :data:`INTENSITY_SCAN`
     in steps of :data:`INTENSITY_STEP`.
     """
+    _require_counts(n_h=n_h, n_l=n_l)
     lo, hi = INTENSITY_SCAN
     step = INTENSITY_STEP
     best: tuple[float, float] | None = None

@@ -69,6 +69,11 @@ def test_map_validation_errors():
     assert "4" in str(err.value)  # names the offending spot
 
 
+def test_nan_value_is_outside_the_band():
+    with pytest.raises(DomainError, match=r"alpha\[0\] = nan outside"):
+        AlphaMap(2, 1, [math.nan, 0.1], 0.02, 0.18)
+
+
 def test_uniform_class_fractions(default_map):
     """For a uniform band [0.02, 0.18] and thresholds (0.04, 0.16), both
     outer classes hold 1/8 of the probability mass; check the realized
@@ -285,4 +290,13 @@ class TestLoadErrors:
         doc["alpha"][3] = "high"
         path.write_text(json.dumps(doc))
         with pytest.raises(MapFormatError, match=r"alpha\[3\]"):
+            load(path)
+
+    def test_nan_entry_reports_index(self, tmp_path, default_map):
+        path = tmp_path / "map.json"
+        save(default_map, path)
+        doc = json.loads(path.read_text())
+        doc["alpha"][5] = math.nan
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MapFormatError, match=r"map\.json: alpha\[5\] = nan"):
             load(path)

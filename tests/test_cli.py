@@ -122,6 +122,10 @@ class TestUsageErrors:
             ("identify", {"alpha_low": 0.5}, "alpha_low"),
             ("identify", {"distribution": "uniform_bands", "low_band": [0.05, 0.02]},
              "low_band"),
+            ("identify", {"i_tilde": 0}, "i_tilde"),
+            ("identify", {"i_tilde": 1000}, "i_tilde"),
+            ("solve", {"i_tilde": 0}, "i_tilde"),
+            ("solve", {"i_tilde": 1000}, "i_tilde"),
         ],
     )
     def test_config_value_out_of_range(self, command, doc, field, tmp_path, capsys):
@@ -168,6 +172,52 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and fragment in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["identify"], ["identify", "--strategy", "serial"], ["montecarlo"],
+         ["solve"], ["bounds"]],
+    )
+    def test_map_band_below_distribution_fails_before_output(self, argv, tmp_path,
+                                                             capsys):
+        """Every spot lies in [0.1, 0.12]; the default distribution flashes
+        0.05 and 0.15."""
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"map_alpha_min": 0.1, "map_alpha_max": 0.12}))
+        assert main([*argv, "--config", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "the map only provides [0.1, 0.12]" in captured.err
+        assert "'alpha_low' and 'alpha_high'" in captured.err
+        assert "'map_alpha_min' and 'map_alpha_max'" in captured.err
+
+    def test_stored_map_band_below_distribution_names_map_file(self, tmp_path,
+                                                               capsys):
+        enroll = tmp_path / "enroll.json"
+        enroll.write_text(json.dumps({"map_alpha_min": 0.1, "map_alpha_max": 0.12}))
+        store = tmp_path / "store"
+        assert main(["enroll", "--config", str(enroll), "--out", str(store)]) == 0
+        capsys.readouterr()
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"map_file": str(store / "map.json")}))
+        assert main(["identify", "--config", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'map_file'" in captured.err
+
+    def test_pattern_report_ignores_distribution_coverage(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"map_alpha_min": 0.1, "map_alpha_max": 0.12}))
+        assert main(["pattern", "--config", str(path)]) == 0
+        assert "alpha=(0.1, 0.12):" in capsys.readouterr().out
+
+    def test_naive_mu_above_map_spots_fails_before_output(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"naive_mu": 20000}))
+        assert main(["identify", "--config", str(path), "--strategy", "naive"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "'naive_mu'" in captured.err
 
     def test_pattern_map_below_glyph_grid(self, tmp_path, capsys):
         path = tmp_path / "run.json"
@@ -490,6 +540,16 @@ class TestPatternCommand:
             else:
                 line = f"i_tilde* = {i_star:.1f}, p_fn* = {p_star:.6e}"
             assert f"alpha=({alpha_low}, {alpha_high}): {line}" in out
+
+
+    @pytest.mark.parametrize("command", ["pattern", "solve"])
+    def test_no_noise_spots_reports_no_optimum(self, command, tmp_path, capsys):
+        path = tmp_path / "pattern.json"
+        path.write_text(json.dumps({"pattern_noise": 0}))
+        assert main([command, "--config", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert "no optimum: the bound needs at least one noise spot" in captured.out
 
 
 class TestBoundsCommand:

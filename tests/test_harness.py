@@ -147,6 +147,8 @@ class TestRunConfig:
              "'low_band' and 'high_band'"),
             (dict(distribution="uniform_bands", high_band=(0.15, 0.04)),
              "'low_band' and 'high_band'"),
+            (dict(i_tilde=0.0), "'i_tilde'"),
+            (dict(i_tilde=1000.0), "'i_tilde'"),
         ],
     )
     def test_field_validation(self, kwargs, fragment):

@@ -718,6 +718,10 @@ class TestOptimizeIntensity:
         with pytest.raises(InfeasibleError, match="invalid or vacuous"):
             optimize_intensity(25, 75, 5, 5, 0.10, 0.11, 6, 6)
 
+    def test_no_noise_spots_rejected(self):
+        with pytest.raises(DomainError, match="n_l must be >= 1"):
+            optimize_intensity(25, 0, 5, 5, 0.04, 0.16, 6, 6)
+
 
 # ---------------------------------------------------------------------------
 # full sessions

@@ -1,9 +1,11 @@
 """The declared public API: every module's ``__all__`` resolves, and every
 public name of the package is declared where it is defined."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -40,3 +42,23 @@ def test_package_names_are_declared_where_defined():
         home = getattr(obj, "__module__", None)
         if home in {m.__name__ for m in MODULES}:
             assert home in {m.__name__ for m in declaring}, (name, home)
+
+
+def _module_imports(tree: ast.Module) -> list[str]:
+    """Names bound by the module-level imports, ``from __future__`` aside."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names += [(a.asname or a.name).split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names += [a.asname or a.name for a in node.names]
+    return names
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_no_unused_imports(module):
+    """Every name a module imports is read somewhere in it, by itself or as
+    the base of an attribute (``np.random``)."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert [name for name in _module_imports(tree) if name not in used] == []
