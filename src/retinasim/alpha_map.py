@@ -255,7 +255,12 @@ def _require_number(doc: dict, name: str, path: str) -> float:
     value = _require_field(doc, name, path)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise MapFormatError(f"{path}: field '{name}' must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise MapFormatError(
+            f"{path}: field '{name}' is too large for a float"
+        ) from None
 
 
 def load(path: str | Path) -> AlphaMap:
@@ -275,6 +280,8 @@ def load(path: str | Path) -> AlphaMap:
         raise MapFormatError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer past the int-from-string digit limit
+        raise MapFormatError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise MapFormatError(f"{path}: top-level JSON value must be an object")
 
@@ -291,10 +298,17 @@ def load(path: str | Path) -> AlphaMap:
     if not isinstance(raw_alpha, list):
         raise MapFormatError(f"{path}: field 'alpha' must be an array")
 
+    values = []
     for i, v in enumerate(raw_alpha):
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise MapFormatError(f"{path}: alpha[{i}] is not a number: {v!r}")
+        try:
+            values.append(float(v))
+        except OverflowError:
+            raise MapFormatError(
+                f"{path}: alpha[{i}] is too large for a float"
+            ) from None
     try:
-        return AlphaMap(width, height, raw_alpha, alpha_min, alpha_max)
+        return AlphaMap(width, height, values, alpha_min, alpha_max)
     except DomainError as exc:
         raise MapFormatError(f"{path}: {exc}") from exc

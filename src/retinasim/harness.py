@@ -366,13 +366,15 @@ class TrialRecord:
 @dataclass(frozen=True)
 class RunContext:
     """Immutable shared inputs for all trials of one run: the map, the
-    solved plan, and the subject template.  Safe to share across workers."""
+    solved plan, and the subject template.  Safe to share across workers.
+    ``i_tilde`` is the common pulse intensity of a bayes or serial run;
+    naive and pattern runs tune their own, and it is ``None`` for them."""
 
     config: RunConfig
     alpha_map: AlphaMap
     distribution: UniformBands
     subject: SubjectModel
-    i_tilde: float
+    i_tilde: float | None
     sequential_plan: SequentialPlan | None = None
     serial_plan: SerialPlan | None = None
     naive_plan: NaiveTestPlan | None = None
@@ -416,7 +418,9 @@ def prepare(config: RunConfig) -> RunContext:
                           f"only {alpha_map.n_spots} spots")
     distribution = config.distribution_object()
     subject = build_subject(config.subject, config.k)
-    q, i_tilde = config.operating_point()
+    q = i_tilde = None
+    if config.strategy in ("bayes", "serial"):
+        q, i_tilde = config.operating_point()
 
     plans = {}
     if config.strategy == "bayes":

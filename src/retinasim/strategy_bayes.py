@@ -41,7 +41,7 @@ from .alpha_map import UniformBands, inner_edges
 from .errors import ConfigError, DomainError
 from .photon_stats import DEFAULT_THRESHOLD, _brentq, gk, solve_q_intensity
 from .strategy_serial import relative_entropy
-from .subjects import EveSubject, SubjectModel, interrogate
+from .subjects import EveSubject, SubjectModel, class_seeing_means, interrogate
 
 __all__ = [
     "Outcome",
@@ -80,30 +80,11 @@ def prior_p(
     distribution: UniformBands, i_tilde: float, k: int = DEFAULT_THRESHOLD
 ) -> float:
     """The designer's impostor answer probability: the exact expectation of
-    the seeing probability over the interrogation distribution.
-
-    The seeing probability itself on a zero-width band (so a two-point
-    distribution has a closed form); adaptive quadrature on a band of
-    positive width (the integrand is smooth and monotone, so quad resolves it
-    to near machine precision).
+    the seeing probability over the interrogation distribution, the average
+    of the two :func:`~retinasim.subjects.class_seeing_means`.
     """
-    i_tilde = float(i_tilde)
-    if not math.isfinite(i_tilde) or i_tilde < 0.0:
-        raise DomainError(f"pulse intensity must be finite and >= 0, got {i_tilde!r}")
-    if not isinstance(distribution, UniformBands):
-        raise DomainError(f"unknown interrogation distribution {distribution!r}")
-    means = []
-    for a, b in (distribution.low_band, distribution.high_band):
-        if a == b:
-            means.append(gk(k, a * i_tilde))
-            continue
-        from scipy.integrate import quad  # only bands of positive width need it
-
-        integral, _err = quad(
-            lambda alpha: gk(k, alpha * i_tilde), a, b, epsabs=1e-13, epsrel=1e-12
-        )
-        means.append(integral / (b - a))
-    return 0.5 * (means[0] + means[1])
+    low, high = class_seeing_means(distribution, i_tilde, k)
+    return 0.5 * (low + high)
 
 
 def design_wrong_probability(

@@ -21,6 +21,15 @@ Because the tuned intensity differs from spot to spot, a photodetector-armed
 impostor could in principle estimate it and reconstruct the spot's
 transmission — this protocol predates the information-barrier designs and is
 kept as the baseline they improve on.
+
+A session's record is its per-spot "seen" counts, which the runner draws
+from their exact law where a spot's rounds are i.i.d.: after the spots are
+sampled (``rng.choice``), the honest user's counts are one vector of
+Binomial(nu, P(Poisson(x*) >= k)) draws, with x* the intensity that gives
+p_C at the design threshold and k her own (so p_C when the two agree), and
+an impostor whose sessions answer with a constant bias gets one session per
+spot and one vector of Binomial(nu, bias) draws.  An adaptive impostor, whose rule reads
+each round's context, is interrogated round by round, one spot at a time.
 """
 
 from __future__ import annotations
@@ -28,14 +37,15 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .alpha_map import AlphaMap
 from .errors import ConfigError, DomainError, InfeasibleError
-from .photon_stats import DEFAULT_THRESHOLD, gk_inverse
+from .photon_stats import DEFAULT_THRESHOLD, gk, gk_inverse
 from .strategy_serial import relative_entropy
-from .subjects import AliceSubject, SubjectModel, responder
+from .subjects import AliceSubject, EveSession, EveSubject, SubjectModel, responder
 
 __all__ = [
     "NaiveTestPlan",
@@ -227,20 +237,22 @@ def run_naive(
         )
     x_star = gk_inverse(k, plan.p_c)
     spot_indices = rng.choice(alpha_map.n_spots, size=plan.mu, replace=False)
+    if isinstance(subject, AliceSubject):
+        counts = rng.binomial(plan.nu, gk(subject.k, x_star), size=plan.mu)
+    elif isinstance(subject, EveSubject):
+        sessions = [subject.strategy.session(rng) for _ in range(plan.mu)]
+        biases = [session.bias for session in sessions]
+        if None in biases:
+            counts = _answer_rounds(subject, sessions, alpha_map, spot_indices,
+                                    plan.nu, x_star, rng)
+        else:
+            counts = rng.binomial(plan.nu, biases)
+    else:
+        raise DomainError(f"unknown subject model {subject!r}")
     see_counts: list[int] = []
     accepted = True
-    for spot_ordinal, spot in enumerate(spot_indices):
-        alpha = float(alpha_map.alpha[int(spot)])
-        i_tilde_spot = x_star / alpha
-        if isinstance(subject, AliceSubject):
-            # One vectorised draw of the nu honest photon counts; the
-            # per-round responder would give the same law ~10x slower.
-            photons = rng.poisson(alpha * i_tilde_spot, size=plan.nu)
-            count = int(np.count_nonzero(photons >= subject.k))
-        else:
-            answer = responder(subject, rng, spot_ordinal)
-            count = sum(answer(alpha, i_tilde_spot) for _ in range(plan.nu))
-        see_counts.append(count)
+    for count in counts:
+        see_counts.append(int(count))
         if not (plan.n_l < count < plan.n_r):
             accepted = False
             break
@@ -249,3 +261,22 @@ def run_naive(
         spots_tested=len(see_counts),
         see_counts=tuple(see_counts),
     )
+
+
+def _answer_rounds(
+    subject: EveSubject,
+    sessions: list[EveSession],
+    alpha_map: AlphaMap,
+    spot_indices: np.ndarray,
+    nu: int,
+    x_star: float,
+    rng: np.random.Generator,
+) -> Iterator[int]:
+    """Per-spot "seen" counts of an impostor interrogated round by round,
+    one spot's ``nu`` rounds on its own session at a time, so a caller that
+    stops at a failing spot answers no later round."""
+    for spot_ordinal, (spot, session) in enumerate(zip(spot_indices, sessions)):
+        alpha = float(alpha_map.alpha[int(spot)])
+        i_tilde_spot = x_star / alpha
+        answer = responder(subject, rng, spot_ordinal, session=session)
+        yield sum(answer(alpha, i_tilde_spot) for _ in range(nu))

@@ -14,6 +14,16 @@ Chernoff bounds give the two error exponents
 with ``H`` the Bernoulli relative entropy (natural log).  The sizing solver
 balances the two requirements — choose ``w`` so both targets are met by the
 same ``N`` — and rounds the resulting round count up.
+
+A session's record is its wrong-answer count, and the runner draws that
+count from its exact law where the rounds are i.i.d.  The honest user is
+wrong with probability q̄ = ½ (mean P(seen | low) + 1 − mean P(seen | high))
+in every round, the class means taken over the interrogation distribution
+at her own threshold, so her count is one Binomial(N, q̄) draw.  An
+impostor whose session answers with a constant bias never sees the fresh
+fair coin that picks the hidden class, so her count is one Binomial(N, ½)
+draw whatever the bias.  An adaptive impostor, whose rule reads each
+round's context, is interrogated round by round.
 """
 
 from __future__ import annotations
@@ -27,7 +37,13 @@ import numpy as np
 from .alpha_map import AlphaMap, SpotClass, UniformBands, require_support
 from .errors import DomainError, InfeasibleError
 from .photon_stats import _brentq
-from .subjects import SubjectModel, interrogate
+from .subjects import (
+    AliceSubject,
+    EveSubject,
+    SubjectModel,
+    class_seeing_means,
+    interrogate,
+)
 
 __all__ = [
     "SerialPlan",
@@ -141,16 +157,31 @@ def run_serial(
     map's transmission band must cover the distribution's support; that is
     checked once, before the first round.
 
+    The record is the wrong-answer count, and its rounds are i.i.d. for the
+    honest user and for a biased impostor session, so for them the count is
+    one binomial draw (see the module docstring).  An adaptive impostor
+    answers round by round through :func:`~retinasim.subjects.interrogate`.
+
     ``k`` is unused: it is kept only for the positional signature external
     callers (``perfbench`` among them) pass it in.  The honest subject
     perceives with her own threshold (``subject.k``), so a session can run
     off the design point ``i_tilde`` was solved for.
     """
     require_support(alpha_map, distribution)
-    wrong = 0
-    interrogation = interrogate(subject, distribution, i_tilde, rng)
-    for spot_class, _alpha, saw in islice(interrogation, plan.n_rounds):
-        if saw != (spot_class is SpotClass.HIGH):
-            wrong += 1
-    accepted = wrong < plan.n_rounds * plan.w
-    return SerialResult(accepted=accepted, wrong_answers=wrong, rounds=plan.n_rounds)
+    n_rounds = plan.n_rounds
+    session = None
+    if isinstance(subject, EveSubject):
+        session = subject.strategy.session(rng)
+    if isinstance(subject, AliceSubject):
+        low, high = class_seeing_means(distribution, i_tilde, subject.k)
+        wrong = int(rng.binomial(n_rounds, 0.5 * (low + 1.0 - high)))
+    elif session is not None and session.bias is not None:
+        wrong = int(rng.binomial(n_rounds, 0.5))
+    else:
+        interrogation = interrogate(subject, distribution, i_tilde, rng, session=session)
+        wrong = sum(
+            saw != (spot_class is SpotClass.HIGH)
+            for spot_class, _alpha, saw in islice(interrogation, n_rounds)
+        )
+    accepted = wrong < n_rounds * plan.w
+    return SerialResult(accepted=accepted, wrong_answers=wrong, rounds=n_rounds)

@@ -19,11 +19,15 @@ shares: :func:`responder` is the only place a subject's "seen / not seen"
 answer is produced, and :func:`interrogate` runs the round primitive — a
 fair coin picks the hidden class, the transmission value is drawn from that
 class's part of the distribution, and the subject answers.
+:func:`class_seeing_means` gives the honest user's mean seeing probability
+per class, from which a runner that needs only a count of answers draws
+that count at once.
 """
 
 from __future__ import annotations
 
 import abc
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Union
@@ -32,7 +36,7 @@ import numpy as np
 
 from .alpha_map import SpotClass, UniformBands, draw_class_alpha
 from .errors import DomainError
-from .photon_stats import DEFAULT_THRESHOLD
+from .photon_stats import DEFAULT_THRESHOLD, gk
 
 __all__ = [
     "EveContext",
@@ -48,6 +52,7 @@ __all__ = [
     "alice_response",
     "responder",
     "interrogate",
+    "class_seeing_means",
 ]
 
 
@@ -66,19 +71,37 @@ class EveContext:
     spot_ordinal: int = 0
 
 
+def _answer_probability(p: float) -> float:
+    p = float(p)
+    if not (0.0 <= p <= 1.0) or not math.isfinite(p):
+        raise DomainError(f"strategy produced invalid answer probability {p!r}")
+    return p
+
+
 class EveSession:
     """Per-scope answering state produced by :meth:`EveStrategy.session`:
-    each round answers "seen" with the probability ``p_of_round`` gives for
-    the round's context."""
+    each round answers "seen" with the probability ``p_of_round`` gives.
 
-    def __init__(self, p_of_round: Callable[[EveContext], float]):
-        self._p_of_round = p_of_round
+    ``p_of_round`` is either a number, the same for every round of the
+    scope, or a callable on the round's context.  ``bias`` holds the number
+    (``None`` for a callable): the rounds of a biased scope are i.i.d.
+    Bernoulli(``bias``) answers, so a runner that reads only how many rounds
+    were answered "seen" may draw that count from its binomial law without
+    building the rounds' contexts.
+    """
+
+    def __init__(self, p_of_round: Callable[[EveContext], float] | float):
+        if callable(p_of_round):
+            self.bias = None
+            self._p_of_round = p_of_round
+        else:
+            self.bias = _answer_probability(p_of_round)
 
     def respond(self, context: EveContext, rng: np.random.Generator) -> bool:
         """Answer one round: ``True`` for "seen", ``False`` for "not seen"."""
-        p = float(self._p_of_round(context))
-        if not (0.0 <= p <= 1.0) or not math.isfinite(p):
-            raise DomainError(f"strategy produced invalid answer probability {p!r}")
+        p = self.bias
+        if p is None:
+            p = _answer_probability(self._p_of_round(context))
         return bool(rng.random() < p)
 
 
@@ -101,7 +124,7 @@ class FairCoin(EveStrategy):
     """Answer "seen" with probability 1/2, independently every round."""
 
     def session(self, rng: np.random.Generator) -> EveSession:
-        return EveSession(lambda _ctx: 0.5)
+        return EveSession(0.5)
 
 
 @dataclass(frozen=True)
@@ -116,7 +139,7 @@ class FixedP(EveStrategy):
         p = float(self.p)
         if not (0.0 <= p <= 1.0):
             raise DomainError(f"fixed answer probability must lie in [0, 1], got {self.p!r}")
-        return EveSession(lambda _ctx: p)
+        return EveSession(p)
 
 
 @dataclass(frozen=True)
@@ -132,8 +155,7 @@ class UniformP(EveStrategy):
     """
 
     def session(self, rng: np.random.Generator) -> EveSession:
-        p = float(rng.random())
-        return EveSession(lambda _ctx: p)
+        return EveSession(float(rng.random()))
 
 
 @dataclass(frozen=True)
@@ -193,13 +215,18 @@ def alice_response(
 
 
 def responder(
-    subject: SubjectModel, rng: np.random.Generator, spot_ordinal: int = 0
+    subject: SubjectModel,
+    rng: np.random.Generator,
+    spot_ordinal: int = 0,
+    *,
+    session: EveSession | None = None,
 ) -> Callable[[float, float], bool]:
     """Answering function ``answer(alpha, i_tilde) -> saw`` for one scope
     (one identification session, or one spot test of the per-spot protocol).
 
-    Alice answers through :func:`alice_response`.  Eve gets one fresh
-    strategy session per scope and never receives ``alpha``: her context
+    Alice answers through :func:`alice_response`.  Eve answers through one
+    strategy session per scope — ``session`` when the caller has opened it
+    already, else a fresh one — and never receives ``alpha``: her context
     holds the round index within the scope, her own detector's
     Poisson(``i_tilde``) count, her past answers in the scope and
     ``spot_ordinal``.
@@ -212,7 +239,8 @@ def responder(
 
         return answer_alice
     if isinstance(subject, EveSubject):
-        session = subject.strategy.session(rng)
+        if session is None:
+            session = subject.strategy.session(rng)
         history: list[bool] = []
 
         def answer_eve(_alpha: float, i_tilde: float) -> bool:
@@ -235,6 +263,8 @@ def interrogate(
     distribution: UniformBands,
     i_tilde: float,
     rng: np.random.Generator,
+    *,
+    session: EveSession | None = None,
 ) -> Iterator[tuple[SpotClass, float, bool]]:
     """Endless class interrogation of one session, yielding
     ``(spot_class, alpha, saw)`` per round.
@@ -242,11 +272,43 @@ def interrogate(
     Each round a fair coin picks the hidden class, ``alpha`` is drawn from
     that class's band of ``distribution``, and the subject answers a pulse
     at the common intensity ``i_tilde``.  The caller decides when to stop.
-    The subject's answering scope (for Eve, her strategy session) opens on
-    the first round.
+    The subject's answering scope opens on the first round; for Eve it runs
+    on ``session`` when given (see :func:`responder`).
     """
-    answer = responder(subject, rng)
+    answer = responder(subject, rng, session=session)
     while True:
         alpha, spot_class = draw_class_alpha(distribution, rng)
         yield spot_class, alpha, answer(alpha, i_tilde)
 
+
+@functools.lru_cache(maxsize=64)
+def class_seeing_means(
+    distribution: UniformBands, i_tilde: float, k: int
+) -> tuple[float, float]:
+    """The honest user's mean seeing probability on each class, ``(low,
+    high)``: the mean of ``gk(k, alpha * i_tilde)`` over that class's band
+    of ``distribution``.
+
+    The seeing probability itself on a zero-width band; adaptive quadrature
+    on a band of positive width (the integrand is smooth and monotone, so
+    quad resolves it to near machine precision).  Cached per
+    ``(distribution, i_tilde, k)``: a run asks for the same means every
+    session.
+    """
+    i_tilde = float(i_tilde)
+    if not math.isfinite(i_tilde) or i_tilde < 0.0:
+        raise DomainError(f"pulse intensity must be finite and >= 0, got {i_tilde!r}")
+    if not isinstance(distribution, UniformBands):
+        raise DomainError(f"unknown interrogation distribution {distribution!r}")
+    means = []
+    for a, b in (distribution.low_band, distribution.high_band):
+        if a == b:
+            means.append(gk(k, a * i_tilde))
+            continue
+        from scipy.integrate import quad  # only bands of positive width need it
+
+        integral, _err = quad(
+            lambda alpha: gk(k, alpha * i_tilde), a, b, epsabs=1e-13, epsrel=1e-12
+        )
+        means.append(integral / (b - a))
+    return means[0], means[1]

@@ -300,3 +300,31 @@ class TestLoadErrors:
         path.write_text(json.dumps(doc))
         with pytest.raises(MapFormatError, match=r"map\.json: alpha\[5\] = nan"):
             load(path)
+
+    def test_entry_too_large_for_a_float_reports_index(self, tmp_path, default_map):
+        path = tmp_path / "map.json"
+        save(default_map, path)
+        doc = json.loads(path.read_text())
+        doc["alpha"][2] = 10**400
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MapFormatError, match=r"map\.json: alpha\[2\] is too large"):
+            load(path)
+
+    @pytest.mark.parametrize("field", ["alpha_min", "alpha_max"])
+    def test_band_edge_too_large_for_a_float_named(self, field, tmp_path, default_map):
+        path = tmp_path / "map.json"
+        save(default_map, path)
+        doc = json.loads(path.read_text())
+        doc[field] = 10**400
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MapFormatError, match=f"field '{field}' is too large"):
+            load(path)
+
+    def test_integer_past_the_digit_limit(self, tmp_path, default_map):
+        path = tmp_path / "map.json"
+        save(default_map, path)
+        doc = json.loads(path.read_text())
+        doc["alpha"][2] = 0.125
+        path.write_text(json.dumps(doc).replace("0.125", "1" * 5000, 1))
+        with pytest.raises(MapFormatError, match=r"map\.json: invalid JSON"):
+            load(path)

@@ -219,6 +219,30 @@ class TestUsageErrors:
         assert captured.out == ""
         assert captured.err.startswith("error:") and "'naive_mu'" in captured.err
 
+    @pytest.mark.parametrize("field", ["alpha", "alpha_max"])
+    def test_map_number_too_large_for_a_float(self, field, tmp_path, capsys):
+        store = tmp_path / "store"
+        assert main(["enroll", "--out", str(store)]) == 0
+        text = (store / "map.json").read_text()
+        doc = json.loads(text)
+        huge = "1" + "0" * 400
+        if field == "alpha":
+            doc["alpha"][2] = 0.125
+            text = json.dumps(doc).replace("0.125", huge, 1)
+            named = "alpha[2]"
+        else:
+            doc["alpha_max"] = 0.125
+            text = json.dumps(doc).replace('"alpha_max": 0.125', f'"alpha_max": {huge}')
+            named = "'alpha_max'"
+        (store / "map.json").write_text(text)
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"map_file": str(store / "map.json")}))
+        capsys.readouterr()
+        assert main(["identify", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and named in captured.err
+
     def test_pattern_map_below_glyph_grid(self, tmp_path, capsys):
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"map_width": 4, "map_height": 4}))
@@ -286,6 +310,25 @@ class TestIdentify:
         assert "window (9, 42)" in out
         assert "(50 of 50 spots tested)" in out
 
+    @pytest.mark.parametrize("strategy", ["naive", "pattern"])
+    def test_runs_that_tune_their_own_intensity_need_no_operating_point(
+        self, strategy, tmp_path, capsys
+    ):
+        # At k = 200 no symmetric operating point exists; only bayes, serial
+        # and the solve report pulse at it.
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"k": 200}))
+        code = main(["identify", "--config", str(path), "--strategy", strategy])
+        captured = capsys.readouterr()
+        assert code in (0, 1) and captured.err == ""
+        assert "outcome: " in captured.out
+        for argv in (["identify", "--strategy", "bayes"],
+                     ["identify", "--strategy", "serial"], ["solve"]):
+            assert main([*argv, "--config", str(path)]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "no symmetric operating point" in captured.err
+
     def test_pattern_impostor(self, capsys):
         code = main([
             "identify", "--seed", "4604", "--strategy", "pattern",
@@ -336,25 +379,25 @@ _IDENTIFY_PINS = {
         "d8ce2678bb2a0fe7ea4f75f6c37f8b407118556da54b2548a8ac438f5f44c61c", 1
     ),
     ("serial", "alice"): (
-        "a810a628033749e8d62366efc901f06b4753b58685b2b376e98814d212e0c151", 0
+        "b480650f0cbc88587d326bef553392eb6f0fcd463f3707be96c3b7f9ffdabd6e", 0
     ),
     ("serial", "eve:faircoin"): (
-        "450e4ac77a2e884011b4cc42b375f6594d8d1677c933d0c98c3bd602fde6ce2d", 1
+        "aeaea377401ab1665570022f8de2fd74bdfd8b8960c6eb72c52e505fb6456721", 1
     ),
     ("serial", "eve:uniformp"): (
-        "cb0b89a6c4b5988ea925713f2f0c988d53689697cc8ad84216f0c517ee44c5aa", 1
+        "734b394aa2dec977f79a984a0c93b2c785ac7c49f06ab549d445211645e2cdd1", 1
     ),
     ("serial", "eve:echo"): (
         "e739977c7d6f636f3d0e1303f84438889f24ed69f6fea94cbf9ad7a62b3e830d", 1
     ),
     ("naive", "alice"): (
-        "922df54f8491d2e0175b6a871ded5555bd9816d88041506c5b451a7b1064a713", 0
+        "2a8cb4a0034da25b14ef9517d5b771bf38133c67b8d10ce9db82e5618e7097f3", 0
     ),
     ("naive", "eve:faircoin"): (
-        "4924e205163e5fe5913f656ebc459630f053b83b5bc583bd23c5c85661e84dc9", 0
+        "31807f32edef02ab79724dd869e5066167f1a8e2b7eae4dc2e10b658395c816d", 0
     ),
     ("naive", "eve:uniformp"): (
-        "72e57fc266ccb145a46b32b8abfe37c4eb0a7ebadb07fb90fd2af4641199b26c", 1
+        "d81671e94b6cb821fc19c0570623e39fae5ed83b7a3b4f780f019f87d6a31444", 1
     ),
     ("naive", "eve:echo"): (
         "cf710f33bc4161a60f786bef2c2bc2977ca529508dae8819b195c2b43a78c0a6", 1

@@ -593,10 +593,10 @@ _PINNED_DIGESTS = {
         "6635d2c6d0df5361069dda05ef91695650827f4f02afeec2083ea9687dbe1111"
     ),
     ("naive", "eve:uniformp", "point_pair"): (
-        "b83e3a3584e9f4018f586bb64401c5e09dabb5465654569e98f422f926e7cb80"
+        "5edb19f91b70a694f95fdd68323c383d494354965637b7597a1dc89d8f0e46ab"
     ),
     ("naive", "eve:uniformp", "uniform_bands"): (
-        "b83e3a3584e9f4018f586bb64401c5e09dabb5465654569e98f422f926e7cb80"
+        "5edb19f91b70a694f95fdd68323c383d494354965637b7597a1dc89d8f0e46ab"
     ),
     ("naive", "eve:echo", "point_pair"): (
         "ff4c3f68e3c7dd49fd2b1e32e3beea301ac281f83161716bc1294b0102eaec9a"

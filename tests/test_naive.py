@@ -10,14 +10,18 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from retinasim import (
+    Adaptive,
     AlphaMap,
     AliceSubject,
     ConfigError,
     DomainError,
+    EveSession,
+    EveStrategy,
     EveSubject,
+    FairCoin,
     FixedP,
     InfeasibleError,
     NaiveResult,
@@ -25,13 +29,14 @@ from retinasim import (
     RunConfig,
     UniformP,
     acceptance_counts,
+    build_subject,
     prepare,
     relative_entropy,
     required_nu,
     run_naive,
 )
 
-from conftest import make_rng
+from conftest import g_test_pvalue, make_rng, two_sample_g_pvalue
 
 # Published working point: 50 spots at 50 pulses each, tuned to a coin-flip
 # seeing probability, with a 1e-10 impostor budget.
@@ -335,3 +340,89 @@ class TestRunNaive:
         plan = _published_plan()
         with pytest.raises(ConfigError, match="4 spots"):
             run_naive(AliceSubject(), tiny, plan, make_rng(4108))
+
+
+class _PerRoundUniformP(EveStrategy):
+    """The uniform-bias law answered round by round: the bias is drawn once
+    per spot test, as in UniformP, but handed over as a per-round callable,
+    so the session carries no bias."""
+
+    def session(self, rng):
+        p = float(rng.random())
+        return EveSession(lambda _ctx: p)
+
+
+class TestLawLevelDraws:
+    """The honest user's per-spot counts, and those of every biased impostor
+    session, are one vector of binomial draws; an adaptive impostor keeps
+    the per-round path.  The counts must follow the exact law, and match the
+    per-round path's counts where both can run.
+
+    Pooling every recorded count of a session is fair: whether spot j is
+    reached depends only on the spots before it, so each recorded count has
+    the per-spot law."""
+
+    def _counts(self, subject, alpha_map, seed, sessions):
+        plan = _published_plan()
+        rng = make_rng(seed)
+        return [run_naive(subject, alpha_map, plan, rng) for _ in range(sessions)]
+
+    @staticmethod
+    def _pooled(results):
+        return [c for r in results for c in r.see_counts]
+
+    @pytest.mark.parametrize("k", [6, 7])
+    def test_honest_counts_are_binomial(self, k, default_map):
+        # The intensity is tuned for p_C at the design threshold 6; a user
+        # who needs k photons sees each pulse with P(Poisson(x*) >= k).
+        x_star = special.gammaincinv(6, 0.5)
+        p_see = stats.poisson.sf(k - 1, x_star)
+        results = self._counts(AliceSubject(k=k), default_map, 4120, 300)
+        nu = _published_plan().nu
+        assert g_test_pvalue(self._pooled(results),
+                             stats.binom.pmf(range(nu + 1), nu, p_see)) > 1e-3
+
+    def test_fair_coin_exact_acceptance_and_counts(self, default_map):
+        plan = _published_plan()
+        inside = range(plan.n_l + 1, plan.n_r)
+        accept = float(
+            Fraction(sum(math.comb(plan.nu, j) for j in inside), 2**plan.nu) ** plan.mu
+        )
+        assert accept == pytest.approx(0.99983057, rel=1e-8)
+        results = self._counts(EveSubject(FairCoin()), default_map, 4121, 3000)
+        passes = sum(r.accepted for r in results)
+        assert stats.binomtest(passes, 3000, accept).pvalue > 1e-3
+        counts = self._pooled(results)
+        pmf = stats.binom.pmf(range(plan.nu + 1), plan.nu, 0.5)
+        assert g_test_pvalue(counts, pmf) > 1e-3
+
+        twin = self._counts(EveSubject(Adaptive(lambda _ctx: 0.5)), default_map,
+                            4122, 60)
+        assert g_test_pvalue(self._pooled(twin), pmf) > 1e-3
+        assert two_sample_g_pvalue(counts, self._pooled(twin), plan.nu + 1) > 1e-3
+
+    def test_uniform_bias_counts_are_uniform(self, default_map):
+        nu = _published_plan().nu
+        uniform = np.full(nu + 1, 1.0 / (nu + 1))
+        counts = self._pooled(self._counts(EveSubject(UniformP()), default_map,
+                                           4123, 3000))
+        assert g_test_pvalue(counts, uniform) > 1e-3
+        twin = self._pooled(self._counts(EveSubject(_PerRoundUniformP()), default_map,
+                                         4124, 1500))
+        assert g_test_pvalue(twin, uniform) > 1e-3
+        assert two_sample_g_pvalue(counts, twin, nu + 1) > 1e-3
+
+    def test_adaptive_rule_runs_once_per_round(self, default_map):
+        echo = build_subject("eve:echo", 6).strategy
+        calls = []
+
+        def counted(context):
+            calls.append((context.spot_ordinal, context.round_index))
+            return echo.rule(context)
+
+        plan = NaiveTestPlan(nu=20, mu=5, p_c=0.5, n_l=0, n_r=20)
+        result = run_naive(EveSubject(Adaptive(counted)), default_map, plan,
+                           make_rng(4125))
+        assert calls == [
+            (s, r) for s in range(result.spots_tested) for r in range(plan.nu)
+        ]

@@ -8,23 +8,29 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import integrate, stats
 
 from retinasim import (
+    Adaptive,
     AliceSubject,
     DomainError,
+    EveSession,
+    EveStrategy,
     EveSubject,
     FairCoin,
     PointPair,
     SerialPlan,
     SerialResult,
+    UniformBands,
+    UniformP,
+    build_subject,
     relative_entropy,
     run_serial,
     solve_q_intensity,
     solve_w_N,
 )
 
-from conftest import make_rng
+from conftest import g_test_pvalue, make_rng, two_sample_g_pvalue
 
 # Jointly solved symmetric operating point for the (0.05, 0.15) pair at the
 # default perception threshold; pinned in the photon-statistics tests.
@@ -319,3 +325,108 @@ class TestRunSerial:
                 make_rng(4206),
                 distribution=POINT_PAIR,
             )
+
+
+class _PerRoundUniformP(EveStrategy):
+    """The uniform-bias law answered round by round: the bias is drawn once
+    per session, as in UniformP, but handed over as a per-round callable, so
+    the session carries no bias."""
+
+    def session(self, rng):
+        p = float(rng.random())
+        return EveSession(lambda _ctx: p)
+
+
+def _philox_counter(rng) -> int:
+    words = rng.bit_generator.state["state"]["counter"]
+    return sum(int(word) << (64 * i) for i, word in enumerate(words))
+
+
+def _band_mean_seeing(band, i_tilde, k):
+    # Independent of the package: the Poisson survival function averaged
+    # over the band by scipy's quadrature.
+    a, b = band
+    if a == b:
+        return stats.poisson.sf(k - 1, a * i_tilde)
+    total, _err = integrate.quad(
+        lambda alpha: stats.poisson.sf(k - 1, alpha * i_tilde), a, b
+    )
+    return total / (b - a)
+
+
+class TestLawLevelDraws:
+    """The honest user and every biased impostor session draw their
+    wrong-answer count in one binomial step; an adaptive impostor keeps the
+    per-round path.  The counts must follow the exact law, and match the
+    per-round path's counts where both can run."""
+
+    PLAN = SerialPlan(q=0.1, w=0.3, n_rounds=60)
+
+    def _wrong_counts(self, subject, alpha_map, seed, sessions, distribution=POINT_PAIR):
+        rng = make_rng(seed)
+        return [
+            run_serial(subject, alpha_map, self.PLAN, I_STAR, 6, rng,
+                       distribution=distribution).wrong_answers
+            for _ in range(sessions)
+        ]
+
+    @pytest.mark.parametrize(
+        "distribution,k",
+        [(POINT_PAIR, 6), (POINT_PAIR, 7),
+         (UniformBands((0.02, 0.05), (0.15, 0.18)), 6)],
+        ids=["point-pair", "point-pair-k7", "bands"],
+    )
+    def test_honest_count_is_binomial(self, distribution, k, default_map):
+        low = _band_mean_seeing(distribution.low_band, I_STAR, k)
+        high = _band_mean_seeing(distribution.high_band, I_STAR, k)
+        q_bar = 0.5 * (low + 1.0 - high)
+        if (distribution, k) == (POINT_PAIR, 6):
+            assert q_bar == pytest.approx(Q_STAR, rel=1e-9)
+        counts = self._wrong_counts(AliceSubject(k=k), default_map, 4260, 4000,
+                                    distribution)
+        n = self.PLAN.n_rounds
+        assert g_test_pvalue(counts, stats.binom.pmf(range(n + 1), n, q_bar)) > 1e-3
+
+    @pytest.mark.parametrize(
+        "strategy,twin",
+        [(FairCoin(), Adaptive(lambda _ctx: 0.5)), (UniformP(), _PerRoundUniformP())],
+        ids=["faircoin", "uniformp"],
+    )
+    def test_biased_impostor_count_is_fair_binomial(self, strategy, twin, default_map):
+        n = self.PLAN.n_rounds
+        counts = self._wrong_counts(EveSubject(strategy), default_map, 4261, 4000)
+        assert g_test_pvalue(counts, stats.binom.pmf(range(n + 1), n, 0.5)) > 1e-3
+        per_round = self._wrong_counts(EveSubject(twin), default_map, 4262, 1500)
+        assert g_test_pvalue(per_round, stats.binom.pmf(range(n + 1), n, 0.5)) > 1e-3
+        assert two_sample_g_pvalue(counts, per_round, n + 1) > 1e-3
+
+    @pytest.mark.parametrize(
+        "subject", [AliceSubject(), EveSubject(FairCoin())],
+        ids=["alice", "eve-faircoin"],
+    )
+    def test_generator_draws_do_not_grow_with_session_length(self, subject, default_map):
+        # One binomial draw per session: the counter moves by one block of
+        # four outputs, or two when the sampler's rejection step repeats,
+        # whether the session has a thousand rounds or a hundred thousand.
+        for seed in range(4270, 4274):
+            for n_rounds in (1_000, 100_000):
+                rng = make_rng(seed)
+                start = _philox_counter(rng)
+                run_serial(subject, default_map,
+                           SerialPlan(q=0.1, w=0.3, n_rounds=n_rounds), I_STAR, 6, rng,
+                           distribution=POINT_PAIR)
+                assert _philox_counter(rng) - start <= 2, (seed, n_rounds)
+
+    def test_adaptive_rule_runs_once_per_round(self, default_map):
+        echo = build_subject("eve:echo", 6).strategy
+        rounds = []
+
+        def counted(context):
+            rounds.append(context.round_index)
+            return echo.rule(context)
+
+        plan = SerialPlan(q=0.1, w=0.3, n_rounds=500)
+        result = run_serial(EveSubject(Adaptive(counted)), default_map, plan, I_STAR, 6,
+                            make_rng(4263), distribution=POINT_PAIR)
+        assert rounds == list(range(plan.n_rounds))
+        assert result.rounds == plan.n_rounds

@@ -13,6 +13,7 @@ from retinasim import (
     AliceSubject,
     DomainError,
     EveContext,
+    EveSession,
     EveSubject,
     FairCoin,
     FixedP,
@@ -20,10 +21,11 @@ from retinasim import (
     UniformBands,
     UniformP,
     alice_response,
+    build_subject,
     prob_see,
 )
 
-from retinasim.subjects import interrogate, responder
+from retinasim.subjects import class_seeing_means, interrogate, responder
 
 from conftest import make_rng
 
@@ -225,3 +227,41 @@ def test_responder_scopes_and_rejects_unknown_subjects():
         responder(AliceSubject(k=6), rng)(1.5, 60.0)
     with pytest.raises(DomainError, match="unknown subject"):
         responder(object(), rng)
+
+
+def test_session_bias_marks_constant_answering():
+    rng = make_rng(14)
+    assert FairCoin().session(rng).bias == 0.5
+    assert FixedP(0.3).session(rng).bias == 0.3
+    biases = [UniformP().session(rng).bias for _ in range(3)]
+    assert all(b is not None and 0.0 <= b < 1.0 for b in biases)
+    assert len(set(biases)) == 3
+    assert Adaptive(lambda _ctx: 0.5).session(rng).bias is None
+    assert build_subject("eve:echo", 6).strategy.session(rng).bias is None
+
+
+def test_biased_session_answers_like_its_per_round_twin():
+    # ``respond`` draws one uniform per round whether the probability is a
+    # number or a callable, so the two answer identically on equal streams.
+    contexts = [EveContext(round_index=i) for i in range(200)]
+    answers = []
+    for session in (EveSession(0.3), EveSession(lambda _ctx: 0.3)):
+        rng = make_rng(15)
+        answers.append([session.respond(c, rng) for c in contexts])
+    assert answers[0] == answers[1]
+    for bad in (1.5, -0.1, math.nan):
+        with pytest.raises(DomainError, match="invalid answer probability"):
+            EveSession(bad)
+
+
+def test_class_seeing_means():
+    bands = UniformBands((0.02, 0.05), (0.15, 0.15))
+    low, high = class_seeing_means(bands, 62.4, 6)
+    assert high == prob_see(0.15, 62.4, 6)
+    # Midpoint rule over the low band as the oracle for quad's band mean.
+    edges = np.linspace(0.02, 0.05, 20_001)
+    grid = 0.5 * (edges[1:] + edges[:-1])
+    assert low == pytest.approx(np.mean([prob_see(a, 62.4, 6) for a in grid]), rel=1e-8)
+    assert class_seeing_means(bands, 62.4, 6) is class_seeing_means(bands, 62.4, 6)
+    with pytest.raises(DomainError, match="pulse intensity"):
+        class_seeing_means(bands, -1.0, 6)
