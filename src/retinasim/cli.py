@@ -24,7 +24,6 @@ from .errors import ConfigError, DomainError, InfeasibleError, MapFormatError
 from .harness import (
     STRATEGIES,
     RunConfig,
-    RunContext,
     _require_coverage,
     _resolve_map,
     load_config,
@@ -34,12 +33,7 @@ from .harness import (
     trial_rng,
 )
 from .photon_stats import gk
-from .strategy_bayes import (
-    Outcome,
-    drift_bounds,
-    optimality_lower_bound,
-    stopping_time_bounds,
-)
+from .strategy_bayes import drift_bounds, optimality_lower_bound, stopping_time_bounds
 from .strategy_naive import acceptance_counts, required_nu
 from .strategy_pattern import false_positive_rate, optimize_intensity
 from .strategy_serial import solve_w_N
@@ -54,8 +48,6 @@ __all__ = [
     "cmd_pattern",
     "cmd_bounds",
 ]
-
-_TRANSCRIPT_CAP = 2000
 
 
 def _u64(text: str) -> int:
@@ -146,63 +138,6 @@ def _interactive_rule(context: EveContext) -> float:
     return 1.0 if line.strip().lower() in ("y", "yes", "1") else 0.0
 
 
-def _plan_line(context: RunContext) -> str:
-    """The plan ``identify`` prints before its session starts."""
-    config = context.config
-    if config.strategy == "bayes":
-        plan = context.sequential_plan
-        return (f"plan: i_tilde={plan.i_tilde:.6g}  K={plan.k}  p={plan.p:.6g}  "
-                f"thresholds=({plan.x:.3g}, {plan.y:.3g})")
-    if config.strategy == "serial":
-        plan = context.serial_plan
-        return (f"plan: i_tilde={context.i_tilde:.6g}  K={config.k}  "
-                f"q={plan.q:.6g}  w={plan.w:.6g}  N={plan.n_rounds}")
-    if config.strategy == "naive":
-        plan = context.naive_plan
-        return (f"plan: mu={plan.mu} spots, nu={plan.nu} pulses each, "
-                f"window ({plan.n_l}, {plan.n_r}) around p_c={plan.p_c}")
-    return (f"plan: {config.pattern_questions} questions, menu of "
-            f"{config.pattern_menu}, i_tilde={config.pattern_i_tilde}")
-
-
-def _print_session(context: RunContext, result) -> bool:
-    """Print a finished session's transcript and decision; return whether
-    it accepted."""
-    config = context.config
-    if config.strategy == "bayes":
-        print(f"{'n':>5} {'alpha':>10} {'S':>2} {'increment':>10} {'log_odds':>10}")
-        log_odds = 0.0
-        for n, step in enumerate(result.transcript, start=1):
-            log_odds += step.increment
-            if n <= _TRANSCRIPT_CAP:
-                print(f"{n:>5} {step.alpha:>10.6f} {int(step.saw):>2} "
-                      f"{step.increment:>+10.4f} {log_odds:>+10.4f}")
-        if result.rounds > _TRANSCRIPT_CAP:
-            print(f"... ({result.rounds - _TRANSCRIPT_CAP} more rounds)")
-        print(f"outcome: {result.outcome.value} after {result.rounds} rounds "
-              f"(final log odds {result.log_odds:+.4f})")
-        return result.outcome is Outcome.ACCEPT
-    decision = "accept" if result.accepted else "reject"
-    if config.strategy == "serial":
-        plan = context.serial_plan
-        allowed = plan.w * plan.n_rounds
-        print(f"wrong answers: {result.wrong_answers} of {result.rounds} "
-              f"(acceptance needs < {allowed:.2f})")
-        print(f"outcome: {decision}")
-    elif config.strategy == "naive":
-        plan = context.naive_plan
-        for ordinal, count in enumerate(result.see_counts):
-            ok = plan.n_l < count < plan.n_r
-            print(f"spot {ordinal + 1:>3}: {count:>5} seen  "
-                  f"{'pass' if ok else 'FAIL'}")
-        print(f"outcome: {decision} "
-              f"({result.spots_tested} of {plan.mu} spots tested)")
-    else:
-        print(f"correct answers: {result.correct} of {result.questions}")
-        print(f"outcome: {decision}")
-    return result.accepted
-
-
 def cmd_identify(config: RunConfig) -> int:
     """Run one session, trial 0 of the ``montecarlo`` run with the same
     seed; print the plan, the transcript and the decision."""
@@ -216,9 +151,11 @@ def cmd_identify(config: RunConfig) -> int:
         )
     print(f"strategy: {config.strategy}   subject: {config.subject}   "
           f"seed: {config.master_seed}")
-    print(_plan_line(context))
+    entry = STRATEGIES[config.strategy]
+    print(entry.plan_line(context))
     result = run_session(context, trial_rng(config.master_seed, 0))
-    return 0 if _print_session(context, result) else 1
+    print("\n".join(entry.session_lines(context, result)))
+    return 0 if result.accepted else 1
 
 
 def cmd_montecarlo(config: RunConfig) -> int:

@@ -4,7 +4,9 @@ A run is fully determined by a :class:`RunConfig` (which embeds the master
 seed): every trial owns a counter-based generator derived from
 ``(master_seed, trial_index)``, so trials can execute in any order — or on
 any number of workers — and still produce bit-identical per-trial results.
-Aggregation is a sum of per-trial records and therefore order-independent.
+Aggregation folds the records in trial order: the counts and stopping-time
+moments are integer sums that any order reproduces, while the drift sums
+are floats that another order matches only to rounding.
 
 Artifacts are plain text, written with stable key ordering and no
 timestamps, so that re-running a configuration is byte-for-byte
@@ -91,7 +93,6 @@ __all__ = [
     "montecarlo",
 ]
 
-STRATEGIES = ("naive", "serial", "bayes", "pattern")
 #: Each distribution name and the config fields that set its classes.
 _DISTRIBUTION_FIELDS = {
     "point_pair": "'alpha_low' and 'alpha_high'",
@@ -132,17 +133,27 @@ def _checked_kind(name: str, kind: str, value):
     if value is None and optional:
         return None
     if kind == "tuple[float, float]":
-        if isinstance(value, (tuple, list)) and len(value) == 2 and all(
+        if not (isinstance(value, (tuple, list)) and len(value) == 2 and all(
             not isinstance(v, bool) and isinstance(v, numbers.Real) for v in value
-        ):
-            return float(value[0]), float(value[1])
-        raise ConfigError(f"field {name!r} must be a pair of numbers, got {value!r}")
-    expected, normalise, noun = _KINDS[kind]
-    if isinstance(value, bool) or not isinstance(value, expected):
-        raise ConfigError(
-            f"bad config value: field {name!r} must be {noun}, got {value!r}"
-        )
-    return normalise(value)
+        )):
+            raise ConfigError(
+                f"field {name!r} must be a pair of numbers, got {value!r}"
+            )
+        normalise = _float_pair
+    else:
+        expected, normalise, noun = _KINDS[kind]
+        if isinstance(value, bool) or not isinstance(value, expected):
+            raise ConfigError(
+                f"bad config value: field {name!r} must be {noun}, got {value!r}"
+            )
+    try:
+        return normalise(value)
+    except OverflowError:  # a JSON integer past the float range
+        raise ConfigError(f"field {name!r} is too large for a float") from None
+
+
+def _float_pair(pair) -> tuple[float, float]:
+    return float(pair[0]), float(pair[1])
 
 
 @dataclass(frozen=True)
@@ -198,7 +209,8 @@ class RunConfig:
             object.__setattr__(self, field.name, value)
         if self.strategy not in STRATEGIES:
             raise ConfigError(
-                f"field 'strategy' must be one of {STRATEGIES}, got {self.strategy!r}"
+                f"field 'strategy' must be one of {tuple(STRATEGIES)}, "
+                f"got {self.strategy!r}"
             )
         if self.distribution not in _DISTRIBUTION_FIELDS:
             raise ConfigError(
@@ -285,6 +297,8 @@ def load_config(path: str | Path) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path}: invalid JSON at line "
                           f"{exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer past the int-from-string digit limit
+        raise ConfigError(f"config file {path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"config file {path}: top level must be an object")
     return RunConfig.from_dict(doc)
@@ -374,7 +388,7 @@ class RunContext:
     alpha_map: AlphaMap
     distribution: UniformBands
     subject: SubjectModel
-    i_tilde: float | None
+    i_tilde: float | None = None
     sequential_plan: SequentialPlan | None = None
     serial_plan: SerialPlan | None = None
     naive_plan: NaiveTestPlan | None = None
@@ -406,109 +420,98 @@ def _require_coverage(config: RunConfig, alpha_map: AlphaMap) -> None:
         ) from exc
 
 
-def prepare(config: RunConfig) -> RunContext:
-    """Resolve the map, solve the strategy's plan once, and freeze the
-    shared inputs.  All per-trial randomness comes later, from
-    :func:`trial_rng`."""
-    alpha_map = _resolve_map(config)
-    if config.strategy in ("bayes", "serial"):
-        _require_coverage(config, alpha_map)
-    elif config.strategy == "naive" and alpha_map.n_spots < config.naive_mu:
-        raise ConfigError(f"field 'naive_mu' is {config.naive_mu} but the map has "
-                          f"only {alpha_map.n_spots} spots")
-    distribution = config.distribution_object()
-    subject = build_subject(config.subject, config.k)
-    q = i_tilde = None
-    if config.strategy in ("bayes", "serial"):
-        q, i_tilde = config.operating_point()
+#: Transcript rows ``identify`` prints for a bayes session; the rest are counted.
+_TRANSCRIPT_CAP = 2000
 
-    plans = {}
-    if config.strategy == "bayes":
-        plans["sequential_plan"] = SequentialPlan.design(
-            distribution, config.p_fp, config.p_fn, i_tilde=i_tilde, k=config.k
-        )
-    elif config.strategy == "serial":
-        w, n_rounds = solve_w_N(q, config.p_fp, config.p_fn)
-        plans["serial_plan"] = SerialPlan(q=q, w=w, n_rounds=n_rounds)
-    elif config.strategy == "naive":
+
+class _Entry:
+    """A strategy's entry in :data:`STRATEGIES`.  It owns ``plan(config,
+    alpha_map)``: the checks, operating point and plan, as :class:`RunContext`
+    fields; ``run(context, rng, record_transcript)``: one session;
+    ``record(context, result, trial, want_walk)``: the trial record; and
+    ``plan_line(context)`` and ``session_lines(context, result)``: the text
+    ``identify`` prints.  Entries call the runners as this module's globals,
+    so a wrapper set on ``harness.run_*`` sees every session."""
+
+    def record(self, context, result, trial, want_walk) -> TrialRecord:
+        # Every result has ``accepted`` and ``rounds``; only bayes adds more.
+        return TrialRecord(trial, result.accepted, timed_out=False,
+                           rounds=result.rounds)
+
+
+def _decision(result) -> str:
+    return "accept" if result.accepted else "reject"
+
+
+class _Naive(_Entry):
+    def plan(self, config, alpha_map):
+        if alpha_map.n_spots < config.naive_mu:
+            raise ConfigError(f"field 'naive_mu' is {config.naive_mu} but the map "
+                              f"has only {alpha_map.n_spots} spots")
         nu = required_nu(config.p_fp, config.p_fn, config.naive_mu, config.naive_p_c)
         n_l, n_r = acceptance_counts(config.naive_p_c, nu, config.p_fp, config.naive_mu)
-        plans["naive_plan"] = NaiveTestPlan(
-            nu=nu, mu=config.naive_mu, p_c=config.naive_p_c, n_l=n_l, n_r=n_r
-        )
-    else:
-        require_placeable(alpha_map, config.pattern_noise,
-                          low_max=config.pattern_low_max,
-                          high_min=config.pattern_high_min)
-    return RunContext(
-        config=config,
-        alpha_map=alpha_map,
-        distribution=distribution,
-        subject=subject,
-        i_tilde=i_tilde,
-        **plans,
-    )
+        return {"naive_plan": NaiveTestPlan(nu=nu, mu=config.naive_mu,
+                                            p_c=config.naive_p_c, n_l=n_l, n_r=n_r)}
+
+    def run(self, context, rng, record_transcript):
+        return run_naive(context.subject, context.alpha_map, context.naive_plan, rng,
+                         k=context.config.k)
+
+    def plan_line(self, context):
+        plan = context.naive_plan
+        return (f"plan: mu={plan.mu} spots, nu={plan.nu} pulses each, "
+                f"window ({plan.n_l}, {plan.n_r}) around p_c={plan.p_c}")
+
+    def session_lines(self, context, result):
+        plan = context.naive_plan
+        lines = [f"spot {n:>3}: {count:>5} seen  "
+                 f"{'pass' if plan.n_l < count < plan.n_r else 'FAIL'}"
+                 for n, count in enumerate(result.see_counts, start=1)]
+        return lines + [f"outcome: {_decision(result)} "
+                        f"({result.spots_tested} of {plan.mu} spots tested)"]
 
 
-def run_session(
-    context: RunContext, rng: np.random.Generator, *, record_transcript: bool = True
-) -> SequentialResult | SerialResult | NaiveResult | PatternResult:
-    """Run one identification session of ``context.config.strategy`` on
-    ``rng`` and return that strategy's own result.
+class _Serial(_Entry):
+    def plan(self, config, alpha_map):
+        _require_coverage(config, alpha_map)
+        q, i_tilde = config.operating_point()
+        w, n_rounds = solve_w_N(q, config.p_fp, config.p_fn)
+        return {"i_tilde": i_tilde,
+                "serial_plan": SerialPlan(q=q, w=w, n_rounds=n_rounds)}
 
-    This is the one place a strategy name picks its runner; ``run_trial``
-    and the ``identify`` command both come through here.
-    ``record_transcript`` matters to bayes only and never changes the draws.
-    """
-    config = context.config
-    if config.strategy == "bayes":
-        return run_sequential(
-            context.subject,
-            context.sequential_plan,
-            rng,
-            max_rounds=config.max_rounds,
-            record_transcript=record_transcript,
-        )
-    if config.strategy == "serial":
-        return run_serial(
-            context.subject,
-            context.alpha_map,
-            context.serial_plan,
-            context.i_tilde,
-            config.k,
-            rng,
-            distribution=context.distribution,
-        )
-    if config.strategy == "naive":
-        return run_naive(
-            context.subject, context.alpha_map, context.naive_plan, rng, k=config.k
-        )
-    return run_pattern_test(
-        context.subject,
-        context.alpha_map,
-        config.pattern_questions,
-        config.pattern_menu,
-        RecognitionRule(k=config.pattern_miss_limit, l=config.pattern_noise_limit),
-        rng,
-        n_noise=config.pattern_noise,
-        i_tilde=config.pattern_i_tilde,
-        low_max=config.pattern_low_max,
-        high_min=config.pattern_high_min,
-    )
+    def run(self, context, rng, record_transcript):
+        return run_serial(context.subject, context.alpha_map, context.serial_plan,
+                          context.i_tilde, context.config.k, rng,
+                          distribution=context.distribution)
+
+    def plan_line(self, context):
+        plan = context.serial_plan
+        return (f"plan: i_tilde={context.i_tilde:.6g}  K={context.config.k}  "
+                f"q={plan.q:.6g}  w={plan.w:.6g}  N={plan.n_rounds}")
+
+    def session_lines(self, context, result):
+        plan = context.serial_plan
+        return [f"wrong answers: {result.wrong_answers} of {result.rounds} "
+                f"(acceptance needs < {plan.w * plan.n_rounds:.2f})",
+                f"outcome: {_decision(result)}"]
 
 
-def run_trial(context: RunContext, trial_index: int) -> TrialRecord:
-    """Execute one trial on its own RNG stream.  Pure in the shared context:
-    calling it for any subset of indices, in any order, yields the same
-    records as a full serial sweep."""
-    config = context.config
-    want_walk = trial_index < config.walk_trace_limit
-    result = run_session(
-        context,
-        trial_rng(config.master_seed, trial_index),
-        record_transcript=want_walk,
-    )
-    if config.strategy == "bayes":
+class _Bayes(_Entry):
+    def plan(self, config, alpha_map):
+        _require_coverage(config, alpha_map)
+        _q, i_tilde = config.operating_point()
+        return {"i_tilde": i_tilde, "sequential_plan": SequentialPlan.design(
+            config.distribution_object(), config.p_fp, config.p_fn, i_tilde=i_tilde,
+            k=config.k)}
+
+    def run(self, context, rng, record_transcript):
+        return run_sequential(context.subject, context.sequential_plan, rng,
+                              max_rounds=context.config.max_rounds,
+                              record_transcript=record_transcript)
+
+    def record(self, context, result, trial, want_walk):
+        """Adds the timeout flag, the final log odds, the walk, and whether
+        the decision disagrees with the final log odds (a self-check)."""
         plan = context.sequential_plan
         log_odds = result.log_odds
         ln_x, ln_y = math.log(plan.x), math.log(plan.y)
@@ -518,26 +521,91 @@ def run_trial(context: RunContext, trial_index: int) -> TrialRecord:
             violation = not log_odds <= ln_x
         else:
             violation = not (ln_x < log_odds < ln_y)
-        return TrialRecord(
-            trial=trial_index,
-            accepted=result.outcome is Outcome.ACCEPT,
-            timed_out=result.outcome is Outcome.TIMEOUT,
-            rounds=result.rounds,
-            final_log_odds=log_odds,
-            boundary_violation=violation,
-            walk=result.transcript if want_walk else None,
-        )
-    if config.strategy == "serial":
-        rounds = result.rounds
-    elif config.strategy == "naive":
-        # The unit of work is one pulse; a session that stops at the first
-        # failing spot has still spent nu pulses on each tested spot.
-        rounds = result.spots_tested * context.naive_plan.nu
-    else:
-        rounds = result.questions if result.accepted else result.correct + 1
-    return TrialRecord(
-        trial=trial_index, accepted=result.accepted, timed_out=False, rounds=rounds
-    )
+        return TrialRecord(trial, result.accepted,
+                           timed_out=result.outcome is Outcome.TIMEOUT,
+                           rounds=result.rounds, final_log_odds=log_odds,
+                           boundary_violation=violation,
+                           walk=result.transcript if want_walk else None)
+
+    def plan_line(self, context):
+        plan = context.sequential_plan
+        return (f"plan: i_tilde={plan.i_tilde:.6g}  K={plan.k}  p={plan.p:.6g}  "
+                f"thresholds=({plan.x:.3g}, {plan.y:.3g})")
+
+    def session_lines(self, context, result):
+        lines = [f"{'n':>5} {'alpha':>10} {'S':>2} {'increment':>10} {'log_odds':>10}"]
+        log_odds = 0.0
+        for n, step in enumerate(result.transcript[:_TRANSCRIPT_CAP], start=1):
+            log_odds += step.increment
+            lines.append(f"{n:>5} {step.alpha:>10.6f} {int(step.saw):>2} "
+                         f"{step.increment:>+10.4f} {log_odds:>+10.4f}")
+        if result.rounds > _TRANSCRIPT_CAP:
+            lines.append(f"... ({result.rounds - _TRANSCRIPT_CAP} more rounds)")
+        return lines + [f"outcome: {result.outcome.value} after {result.rounds} "
+                        f"rounds (final log odds {result.log_odds:+.4f})"]
+
+
+class _Pattern(_Entry):
+    def plan(self, config, alpha_map):
+        require_placeable(alpha_map, config.pattern_noise,
+                          low_max=config.pattern_low_max,
+                          high_min=config.pattern_high_min)
+        return {}
+
+    def run(self, context, rng, record_transcript):
+        config = context.config
+        rule = RecognitionRule(config.pattern_miss_limit, config.pattern_noise_limit)
+        return run_pattern_test(
+            context.subject, context.alpha_map, config.pattern_questions,
+            config.pattern_menu, rule, rng, n_noise=config.pattern_noise,
+            i_tilde=config.pattern_i_tilde, low_max=config.pattern_low_max,
+            high_min=config.pattern_high_min)
+
+    def plan_line(self, context):
+        config = context.config
+        return (f"plan: {config.pattern_questions} questions, menu of "
+                f"{config.pattern_menu}, i_tilde={config.pattern_i_tilde}")
+
+    def session_lines(self, context, result):
+        return [f"correct answers: {result.correct} of {result.questions}",
+                f"outcome: {_decision(result)}"]
+
+
+#: Each strategy name and its entry, in the order the CLI lists them.
+STRATEGIES: dict[str, _Entry] = {
+    "naive": _Naive(), "serial": _Serial(), "bayes": _Bayes(), "pattern": _Pattern(),
+}
+
+
+def prepare(config: RunConfig) -> RunContext:
+    """Resolve the map, run the strategy's checks, solve its plan once, and
+    freeze the shared inputs.  All per-trial randomness comes later, from
+    :func:`trial_rng`."""
+    alpha_map = _resolve_map(config)
+    plan = STRATEGIES[config.strategy].plan(config, alpha_map)
+    return RunContext(config, alpha_map, config.distribution_object(),
+                      build_subject(config.subject, config.k), **plan)
+
+
+def run_session(
+    context: RunContext, rng: np.random.Generator, *, record_transcript: bool = True
+) -> SequentialResult | SerialResult | NaiveResult | PatternResult:
+    """Run one identification session of ``context.config.strategy`` on
+    ``rng`` and return that strategy's own result; ``run_trial`` and the
+    ``identify`` command both come through here.  ``record_transcript``
+    matters to bayes only and never changes the draws."""
+    return STRATEGIES[context.config.strategy].run(context, rng, record_transcript)
+
+
+def run_trial(context: RunContext, trial_index: int) -> TrialRecord:
+    """Execute one trial on its own RNG stream.  Pure in the shared context:
+    calling it for any subset of indices, in any order, yields the same
+    records as a full serial sweep."""
+    config = context.config
+    want_walk = trial_index < config.walk_trace_limit
+    rng = trial_rng(config.master_seed, trial_index)
+    result = run_session(context, rng, record_transcript=want_walk)
+    return STRATEGIES[config.strategy].record(context, result, trial_index, want_walk)
 
 
 # ---------------------------------------------------------------------------
@@ -576,8 +644,13 @@ class TrialStats:
 
 
 def merge_records(records: Iterable[TrialRecord]) -> TrialStats:
-    """Fold trial records into summary statistics.  Associative and
-    order-independent: any partition of the records gives the same result."""
+    """Fold trial records into summary statistics.  The counts, the
+    histogram, ``t_mean`` and ``t_stderr`` come from sums of integers (exact
+    below 2**53), so any order or partition of the records gives them bit
+    for bit.  The drift
+    sums are floats folded in the order given: :func:`montecarlo` passes
+    trial order, which keeps its artifacts byte-identical, and another order
+    agrees with it only to rounding."""
     n_trials = accepted = timed_out = violations = 0
     histogram: dict[int, int] = {}
     t_sum = 0.0

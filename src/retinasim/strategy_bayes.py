@@ -204,6 +204,10 @@ class SequentialResult:
     log_odds: float
     transcript: tuple[Round, ...] = ()
 
+    @property
+    def accepted(self) -> bool:
+        return self.outcome is Outcome.ACCEPT
+
 
 def run_sequential(
     subject: SubjectModel,

@@ -207,6 +207,8 @@ class NaiveResult:
     accepted: bool
     spots_tested: int
     see_counts: tuple[int, ...]
+    #: Pulses spent: ``nu`` on each tested spot, the failing one included.
+    rounds: int
 
 
 def run_naive(
@@ -260,6 +262,7 @@ def run_naive(
         accepted=accepted,
         spots_tested=len(see_counts),
         see_counts=tuple(see_counts),
+        rounds=len(see_counts) * plan.nu,
     )
 
 

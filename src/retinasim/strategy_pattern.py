@@ -271,6 +271,11 @@ class PatternResult:
     questions: int
     correct: int
 
+    @property
+    def rounds(self) -> int:
+        """Questions asked: all of them, or up to the first wrong answer."""
+        return self.questions if self.accepted else self.correct + 1
+
 
 def _require_noise(index: _ClassBlockIndex, n_noise: int) -> None:
     available = index.low_counts.sum()

@@ -126,6 +126,8 @@ class TestUsageErrors:
             ("identify", {"i_tilde": 1000}, "i_tilde"),
             ("solve", {"i_tilde": 0}, "i_tilde"),
             ("solve", {"i_tilde": 1000}, "i_tilde"),
+            ("identify", {"p_fp": 10**400}, "p_fp"),
+            ("identify", {"low_band": [10**400, 0.05]}, "low_band"),
         ],
     )
     def test_config_value_out_of_range(self, command, doc, field, tmp_path, capsys):
@@ -135,6 +137,16 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and repr(field) in captured.err
+
+    def test_config_integer_past_the_digit_limit(self, tmp_path, capsys):
+        """``json.loads`` refuses the integer before any field is known, so
+        the message names the file, not the field."""
+        path = tmp_path / "run.json"
+        path.write_text('{"trials": 1' + "0" * 5000 + "}")
+        assert main(["identify", "--config", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: config file {path}: invalid JSON")
 
     @pytest.mark.parametrize(
         "command, flag",

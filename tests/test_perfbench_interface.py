@@ -134,6 +134,38 @@ def test_traced_calls_resolve():
         assert callable(getattr(modules[module], attr, None)), f"{module}.{attr}"
 
 
+_RUNNERS = {
+    "bayes": "run_sequential",
+    "serial": "run_serial",
+    "naive": "run_naive",
+    "pattern": "run_pattern_test",
+}
+
+
+@pytest.mark.parametrize("strategy", sorted(_RUNNERS))
+def test_montecarlo_reaches_traced_runners_once_per_trial(strategy, monkeypatch):
+    """The tracer's per-layer spans wrap the runners as ``harness`` module
+    globals; they see every session only while the strategy table calls
+    them through those globals, the configured runner once per trial."""
+    calls = dict.fromkeys(_RUNNERS.values(), 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        fn = getattr(retinasim.harness, name)
+        monkeypatch.setattr(retinasim.harness, name, counting(name, fn))
+    config = RunConfig(strategy=strategy, subject="eve:faircoin", trials=3)
+    retinasim.montecarlo(config)
+    expected = dict.fromkeys(calls, 0)
+    expected[_RUNNERS[strategy]] = config.trials
+    assert calls == expected
+
+
 def test_pattern_session_reaches_traced_calls_once_per_question(monkeypatch):
     """The tracer's per-question spans (``candidate_menu``,
     ``simulate_perception``, ``recognize``) count every question only while

@@ -62,3 +62,27 @@ def test_no_unused_imports(module):
     tree = ast.parse(Path(module.__file__).read_text())
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert [name for name in _module_imports(tree) if name not in used] == []
+
+
+def _is_strings(node: ast.expr) -> bool:
+    """A string literal, or a tuple, list or set of string literals."""
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return bool(node.elts) and all(map(_is_strings, node.elts))
+    return isinstance(node, ast.Constant) and isinstance(node.value, str)
+
+
+def test_strategy_names_are_compared_in_no_module():
+    """Each per-strategy decision is an entry of ``harness.STRATEGIES``: no
+    module tests a ``.strategy`` attribute against a strategy name."""
+    found = []
+    for module in MODULES:
+        tree = ast.parse(Path(module.__file__).read_text())
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Compare):
+                continue
+            operands = [node.left, *node.comparators]
+            if any(
+                isinstance(o, ast.Attribute) and o.attr == "strategy" for o in operands
+            ) and any(map(_is_strings, operands)):
+                found.append(f"{module.__name__}:{node.lineno}")
+    assert found == []
