@@ -28,6 +28,7 @@ from retinasim import (
     UniformP,
     build_subject,
     load_config,
+    martingale_diagnostics,
     merge_records,
     montecarlo,
     parse_eve_strategy,
@@ -690,3 +691,148 @@ def test_pattern_run_matches_pinned_digest(subject, trials, tmp_path):
     )
     montecarlo(config)
     assert _artifact_digest(tmp_path) == _PINNED_PATTERN_RUNS[(subject, trials)]
+
+
+# Record-level pins of the per-round kernels.  Each cell runs ``run_trial``
+# for _KERNEL_TRIALS trials and digests every record together with the end
+# state of the trial's generator, so a change in a record, or in how many
+# draws a session takes, fails here even where the artifacts above cannot
+# tell (a rejected fixed-length session writes no walk, and all of them
+# give the same stats).
+_KERNEL_TRIALS = 50
+_KERNEL_CELLS = [
+    ("bayes", subject, distribution, transcript)
+    for subject in ("alice", "eve:faircoin", "eve:uniformp", "eve:fixedp:0.3",
+                    "eve:echo")
+    for distribution in ("point_pair", "uniform_bands")
+    for transcript in (False, True)
+] + [
+    ("serial", "eve:echo", "point_pair", False),
+    ("naive", "eve:echo", "point_pair", False),
+]
+_KERNEL_DIGESTS = {
+    ("bayes", "alice", "point_pair", False): (
+        "119381299335a32d351a8771d5e64acfbf18b89a5c3255ae7654acbbe2630a94"
+    ),
+    ("bayes", "alice", "point_pair", True): (
+        "869439e8f7a5a00446be125372749d080559956afdb4d4c09719417220a04e7d"
+    ),
+    ("bayes", "alice", "uniform_bands", False): (
+        "729275125bd6eb438eff64b75fa8e439913da052316ffa73d7bd321b7d546310"
+    ),
+    ("bayes", "alice", "uniform_bands", True): (
+        "21a5b502129a1b08824f4eabb1a781a02bf45f392ab642eb78c23e990e7b9938"
+    ),
+    ("bayes", "eve:faircoin", "point_pair", False): (
+        "1d5a47379f527e7354ddf710ce02b466955f3482528da0a52a65837a7e7b1298"
+    ),
+    ("bayes", "eve:faircoin", "point_pair", True): (
+        "75e79a8443f4145e4c46ace1c8c1793478dcdd4f5d0280a04fe2000f806ba327"
+    ),
+    ("bayes", "eve:faircoin", "uniform_bands", False): (
+        "dd2d1520da47c35dca1cc13876859e863294fcb5ed868887a08d4829b1de04da"
+    ),
+    ("bayes", "eve:faircoin", "uniform_bands", True): (
+        "b2ed4b8d6573455bdacf0d2c1d16e50e449ddcffbee4b686c9093f08d873b7d9"
+    ),
+    ("bayes", "eve:uniformp", "point_pair", False): (
+        "c8c9deb01a4a8fa9df054b448590e1e2d81ffce91d8edf00d314e3a376cf489f"
+    ),
+    ("bayes", "eve:uniformp", "point_pair", True): (
+        "7d3eec194403fdccffef0b8f8233114d15e757a5c8e3c15bb288ddaaad44aff0"
+    ),
+    ("bayes", "eve:uniformp", "uniform_bands", False): (
+        "1826d1ee09d17820d639bffcac0cedcd26d7fe1b6cc70723e5a301f1338f60b5"
+    ),
+    ("bayes", "eve:uniformp", "uniform_bands", True): (
+        "cb4cf25b25ca383514686840e65106e1ac7d407b3817c0567fc6fc9a9f2ee732"
+    ),
+    ("bayes", "eve:fixedp:0.3", "point_pair", False): (
+        "d52350ddae7d040f00e40d6debd8ee9f2b906503c6253f164e0098552349ae92"
+    ),
+    ("bayes", "eve:fixedp:0.3", "point_pair", True): (
+        "5d9570805394998976b596ff871b0bf8c28a24fdb5d9603892d7daac4964bd72"
+    ),
+    ("bayes", "eve:fixedp:0.3", "uniform_bands", False): (
+        "630cc4d5302126739641c73b161188a4a4431be25f45f28b295b10bd36012731"
+    ),
+    ("bayes", "eve:fixedp:0.3", "uniform_bands", True): (
+        "affb266e70e4fed583c082bbde132ca4db63397fe302c9564472fc11b0bc11ed"
+    ),
+    ("bayes", "eve:echo", "point_pair", False): (
+        "a81326d74ed29927f7d08274122d717898bbf8002e8a2cb9696d850c7b790178"
+    ),
+    ("bayes", "eve:echo", "point_pair", True): (
+        "1160b24c8c5c80b91b97ba4a194ded3f994a21bf73eb94d2a8a4e40b17f55a11"
+    ),
+    ("bayes", "eve:echo", "uniform_bands", False): (
+        "02af3528fc3f080607a9347e01d16e9abc79f6887e8298fb92f8a76cdfffded3"
+    ),
+    ("bayes", "eve:echo", "uniform_bands", True): (
+        "48ab05b6645c3a95d0915e10d006c5212d848692d047a08781afe903dc927046"
+    ),
+    ("serial", "eve:echo", "point_pair", False): (
+        "73c96e35dda68e0664cf3342fe59b620907d936d1a433fda6e490faf7556f3ab"
+    ),
+    ("naive", "eve:echo", "point_pair", False): (
+        "47306430e413d0aab7839defa3c156489eb1ec6ea8048a64bcf4a304b8a2bd48"
+    ),
+    "martingale": (
+        "d12fa994727cb4b857e22a4b5c445f7fcbd2a1e23f94efe8baab4933d12584c1"
+    ),
+}
+
+
+def _plain(value):
+    """``value`` with its NumPy arrays as lists, for a stable JSON dump."""
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return value
+
+
+def _kernel_digest(strategy, subject, distribution, transcript, monkeypatch):
+    import retinasim.harness
+
+    trials = _KERNEL_TRIALS
+    config = RunConfig(strategy=strategy, subject=subject, distribution=distribution,
+                       trials=trials, master_seed=4521, map_width=40, map_height=40,
+                       walk_trace_limit=trials if transcript else 0)
+    context = prepare(config)
+    streams = []
+
+    def kept_rng(master_seed, trial_index):
+        streams.append(trial_rng(master_seed, trial_index))
+        return streams[-1]
+
+    monkeypatch.setattr(retinasim.harness, "trial_rng", kept_rng)
+    digest = hashlib.sha256()
+    for i in range(trials):
+        record = run_trial(context, i)
+        digest.update(repr(record).encode())
+        state = _plain(streams[-1].bit_generator.state)
+        digest.update(json.dumps(state, sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "strategy,subject,distribution,transcript",
+    _KERNEL_CELLS,
+    ids=["-".join(map(str, cell)) for cell in _KERNEL_CELLS],
+)
+def test_kernel_records_match_pinned_digests(
+    strategy, subject, distribution, transcript, monkeypatch
+):
+    cell = (strategy, subject, distribution, transcript)
+    assert _kernel_digest(*cell, monkeypatch) == _KERNEL_DIGESTS[cell]
+
+
+def test_martingale_report_matches_pinned_digest():
+    context = prepare(RunConfig(subject="eve:echo", map_width=40, map_height=40))
+    rng = make_rng(4522)
+    report = martingale_diagnostics(context.sequential_plan, context.subject, 50, 40,
+                                    rng)
+    digest = hashlib.sha256(repr(report).encode())
+    digest.update(json.dumps(_plain(rng.bit_generator.state), sort_keys=True).encode())
+    assert digest.hexdigest() == _KERNEL_DIGESTS["martingale"]
