@@ -23,6 +23,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -36,6 +37,7 @@ __all__ = [
     "distribution_support",
     "inner_edges",
     "require_support",
+    "class_draws",
     "draw_class_alpha",
     "generate_synthetic",
     "draw_interrogation_spot",
@@ -154,19 +156,28 @@ def require_support(alpha_map: AlphaMap, distribution: UniformBands) -> None:
         )
 
 
+def class_draws(
+    distribution: UniformBands, rng: np.random.Generator
+) -> Iterator[tuple[float, SpotClass]]:
+    """Endless ``(alpha, spot_class)`` draws: each time a fair coin picks the
+    hidden class, then the transmission value is drawn uniformly from that
+    class's band (a zero-width band draws nothing).  The generator's methods
+    and the band edges are looked up once, not once per draw."""
+    random, uniform = rng.random, rng.uniform
+    classes = (
+        (*distribution.low_band, SpotClass.LOW),
+        (*distribution.high_band, SpotClass.HIGH),
+    )
+    while True:
+        a, b, spot_class = classes[random() < 0.5]
+        yield (a if a == b else float(uniform(a, b))), spot_class
+
+
 def draw_class_alpha(
     distribution: UniformBands, rng: np.random.Generator
 ) -> tuple[float, SpotClass]:
-    """A fair coin picks the hidden class, then the transmission value is
-    drawn uniformly from that class's band (a zero-width band draws
-    nothing)."""
-    spot_class = SpotClass.HIGH if rng.random() < 0.5 else SpotClass.LOW
-    a, b = (
-        distribution.high_band
-        if spot_class is SpotClass.HIGH
-        else distribution.low_band
-    )
-    return (a if a == b else float(rng.uniform(a, b))), spot_class
+    """One draw of :func:`class_draws`."""
+    return next(class_draws(distribution, rng))
 
 
 def generate_synthetic(

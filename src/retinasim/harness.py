@@ -737,18 +737,25 @@ def write_artifacts(
     written.append(hist_path)
 
     walk_rows = ["trial,n,alpha,S,increment,log_odds"]
+    append = walk_rows.append
+    # Each distinct round's "alpha,S,increment" cell, formatted once.  Keyed
+    # by identity, not value: 0.0 == -0.0 and the two hash alike.
+    cells: dict[int, str] = {}
     any_walk = False
     for record in sorted(records, key=lambda r: r.trial):
         if record.walk is None:
             continue
         any_walk = True
+        trial = record.trial
         log_odds = 0.0
         for n, step in enumerate(record.walk, start=1):
+            cell = cells.get(id(step))
+            if cell is None:
+                cell = cells[id(step)] = (
+                    f"{step.alpha!r},{int(step.saw)},{step.increment!r}"
+                )
             log_odds += step.increment
-            walk_rows.append(
-                f"{record.trial},{n},{step.alpha!r},{int(step.saw)},"
-                f"{step.increment!r},{log_odds!r}"
-            )
+            append(f"{trial},{n},{cell},{log_odds!r}")
     if any_walk:
         walks_path = out / "walks.csv"
         walks_path.write_text("\n".join(walk_rows) + "\n")

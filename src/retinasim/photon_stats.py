@@ -41,6 +41,8 @@ DEFAULT_THRESHOLD = 6
 
 
 def _validate_threshold(k: int) -> int:
+    if type(k) is int and k >= 1:  # the common case, checked first
+        return k
     if isinstance(k, bool) or not isinstance(k, numbers.Integral):
         raise DomainError(f"threshold K must be an integer, got {k!r}")
     k = int(k)

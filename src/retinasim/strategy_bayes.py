@@ -177,6 +177,19 @@ class SequentialPlan:
         p_see = self._edge_see.get(alpha)
         return gk(self.k, alpha * self.i_tilde) if p_see is None else p_see
 
+    @functools.cached_property
+    def _edge_rounds(self) -> dict[float, tuple[Round, Round]]:
+        """For each inner edge ``alpha``, its transcript entry on a miss and
+        on a hit, indexed by the answer: ``_edge_rounds[alpha][saw]``.  The
+        increment is a pure function of the plan, ``alpha`` and the answer,
+        so a point-pair session needs only these four entries and shares
+        them across its rounds and transcripts."""
+        return {
+            a: (Round(a, False, _log_increment(see, False, self.p)),
+                Round(a, True, _log_increment(see, True, self.p)))
+            for a, see in self._edge_see.items()
+        }
+
 
 def _likelihood_ratio(p_see: float, saw: bool, p: float) -> float:
     """Z_A / Z_E for one answer: honest-user likelihood over the designer's
@@ -231,17 +244,22 @@ def run_sequential(
         raise DomainError(f"round cap must be >= 1, got {max_rounds}")
     ln_x = math.log(plan.x)
     ln_y = math.log(plan.y)
-    see = plan.see_probability
+    edge_rounds = plan._edge_rounds
+    k, i_tilde, p = plan.k, plan.i_tilde, plan.p
     log_odds = 0.0
     rounds = 0
     outcome = Outcome.TIMEOUT
     transcript: list[Round] = []
-    interrogation = interrogate(subject, plan.distribution, plan.i_tilde, rng)
+    interrogation = interrogate(subject, plan.distribution, i_tilde, rng)
     for rounds, (_cls, alpha, saw) in enumerate(islice(interrogation, max_rounds), 1):
-        increment = _log_increment(see(alpha), saw, plan.p)
-        log_odds += increment
+        pair = edge_rounds.get(alpha)
+        if pair is None:  # a band value off the inner edges
+            step = Round(alpha, saw, _log_increment(gk(k, alpha * i_tilde), saw, p))
+        else:
+            step = pair[saw]
+        log_odds += step.increment
         if record_transcript:
-            transcript.append(Round(alpha, saw, increment))
+            transcript.append(step)
         if log_odds >= ln_y:
             outcome = Outcome.ACCEPT
             break

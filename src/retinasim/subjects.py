@@ -34,7 +34,7 @@ from typing import Callable, Iterator, Union
 
 import numpy as np
 
-from .alpha_map import SpotClass, UniformBands, draw_class_alpha
+from .alpha_map import SpotClass, UniformBands, class_draws
 from .errors import DomainError
 from .photon_stats import DEFAULT_THRESHOLD, gk
 
@@ -193,6 +193,27 @@ class EveSubject:
 SubjectModel = Union[AliceSubject, EveSubject]
 
 
+def _alice_answer(k: int, rng: np.random.Generator) -> Callable[[float, float], bool]:
+    """Alice's answer to a pulse ``(alpha, i_tilde)``, unchecked: her
+    retinal photon count is Poisson with mean ``alpha * i_tilde`` and she
+    sees the flash when it reaches ``k``."""
+    poisson = rng.poisson
+
+    def answer(alpha: float, i_tilde: float) -> bool:
+        return int(poisson(alpha * i_tilde)) >= k
+
+    return answer
+
+
+def _check_pulse(i_tilde: float, k: int) -> float:
+    i_tilde = float(i_tilde)
+    if not math.isfinite(i_tilde) or i_tilde < 0.0:
+        raise DomainError(f"pulse intensity must be finite and >= 0, got {i_tilde!r}")
+    if k < 1:
+        raise DomainError(f"perception threshold must be >= 1, got {k}")
+    return i_tilde
+
+
 def alice_response(
     alpha: float, i_tilde: float, k: int, rng: np.random.Generator
 ) -> bool:
@@ -206,12 +227,7 @@ def alice_response(
     alpha = float(alpha)
     if not (0.0 <= alpha <= 1.0):
         raise DomainError(f"transmission coefficient must lie in [0, 1], got {alpha!r}")
-    i_tilde = float(i_tilde)
-    if not math.isfinite(i_tilde) or i_tilde < 0.0:
-        raise DomainError(f"pulse intensity must be finite and >= 0, got {i_tilde!r}")
-    if k < 1:
-        raise DomainError(f"perception threshold must be >= 1, got {k}")
-    return int(rng.poisson(alpha * i_tilde)) >= k
+    return _alice_answer(k, rng)(alpha, _check_pulse(i_tilde, k))
 
 
 def responder(
@@ -226,9 +242,12 @@ def responder(
 
     Alice answers through :func:`alice_response`.  Eve answers through one
     strategy session per scope — ``session`` when the caller has opened it
-    already, else a fresh one — and never receives ``alpha``: her context
-    holds the round index within the scope, her own detector's
-    Poisson(``i_tilde``) count, her past answers in the scope and
+    already, else a fresh one — and never receives ``alpha``.  Each round
+    her detector registers a Poisson(``i_tilde``) count.  A biased session
+    (``session.bias`` set) answers Bernoulli(``bias``) without reading it,
+    so no context is built; the count is still drawn, in its place in the
+    stream.  Any other session reads an :class:`EveContext`: the round index
+    within the scope, the count, her past answers in the scope and
     ``spot_ordinal``.
     """
     if isinstance(subject, AliceSubject):
@@ -241,16 +260,25 @@ def responder(
     if isinstance(subject, EveSubject):
         if session is None:
             session = subject.strategy.session(rng)
+        poisson, random, bias = rng.poisson, rng.random, session.bias
+        if bias is not None:
+
+            def answer_biased(_alpha: float, i_tilde: float) -> bool:
+                poisson(i_tilde)  # her detector count, which no bias reads
+                return random() < bias
+
+            return answer_biased
+        respond = session.respond
         history: list[bool] = []
 
         def answer_eve(_alpha: float, i_tilde: float) -> bool:
             context = EveContext(
                 round_index=len(history),
-                photon_count=int(rng.poisson(i_tilde)),
+                photon_count=int(poisson(i_tilde)),
                 history=tuple(history),
                 spot_ordinal=spot_ordinal,
             )
-            saw = session.respond(context, rng)
+            saw = respond(context, rng)
             history.append(saw)
             return saw
 
@@ -270,14 +298,20 @@ def interrogate(
     ``(spot_class, alpha, saw)`` per round.
 
     Each round a fair coin picks the hidden class, ``alpha`` is drawn from
-    that class's band of ``distribution``, and the subject answers a pulse
-    at the common intensity ``i_tilde``.  The caller decides when to stop.
-    The subject's answering scope opens on the first round; for Eve it runs
-    on ``session`` when given (see :func:`responder`).
+    that class's band of ``distribution`` (:func:`class_draws`), and the
+    subject answers a pulse at the common intensity ``i_tilde``.  The caller
+    decides when to stop.  The subject's answering scope opens on the first
+    round; for Eve it runs on ``session`` when given (see
+    :func:`responder`).  Alice's answers are those of
+    :func:`alice_response`, with ``i_tilde`` and her threshold checked once
+    per session: every ``alpha`` the bands draw already lies in (0, 1].
     """
-    answer = responder(subject, rng, session=session)
-    while True:
-        alpha, spot_class = draw_class_alpha(distribution, rng)
+    if isinstance(subject, AliceSubject):
+        i_tilde = _check_pulse(i_tilde, subject.k)
+        answer = _alice_answer(subject.k, rng)
+    else:
+        answer = responder(subject, rng, session=session)
+    for alpha, spot_class in class_draws(distribution, rng):
         yield spot_class, alpha, answer(alpha, i_tilde)
 
 
