@@ -93,6 +93,10 @@ __all__ = [
     "montecarlo",
 ]
 
+#: Most spots a synthetic map may hold (``map_width * map_height``): 80 MB
+#: of transmission values, well inside what NumPy can allocate.
+_MAX_MAP_SPOTS = 10**7
+
 #: Each distribution name and the config fields that set its classes.
 _DISTRIBUTION_FIELDS = {
     "point_pair": "'alpha_low' and 'alpha_high'",
@@ -236,6 +240,12 @@ class RunConfig:
             value = getattr(self, name)
             if value < least:
                 raise ConfigError(f"field {name!r} must be >= {least}, got {value!r}")
+        if self.map_width * self.map_height > _MAX_MAP_SPOTS:
+            raise ConfigError(
+                f"fields 'map_width' and 'map_height' give "
+                f"{self.map_width * self.map_height} spots, more than the "
+                f"{_MAX_MAP_SPOTS} a synthetic map may hold"
+            )
         for name in ("i_tilde", "pattern_i_tilde"):
             value = getattr(self, name)
             if value is not None and not 0.0 <= value < math.inf:
@@ -741,6 +751,9 @@ def write_artifacts(
     # Each distinct round's "alpha,S,increment" cell, formatted once.  Keyed
     # by identity, not value: 0.0 == -0.0 and the two hash alike.
     cells: dict[int, str] = {}
+    # Each distinct log odds, formatted once.  Keyed by value: the walks of
+    # a run revisit the same sums, and a sum folded from +0.0 is never -0.0.
+    odds_text: dict[float, str] = {}
     any_walk = False
     for record in sorted(records, key=lambda r: r.trial):
         if record.walk is None:
@@ -755,7 +768,10 @@ def write_artifacts(
                     f"{step.alpha!r},{int(step.saw)},{step.increment!r}"
                 )
             log_odds += step.increment
-            append(f"{trial},{n},{cell},{log_odds!r}")
+            text = odds_text.get(log_odds)
+            if text is None:
+                text = odds_text[log_odds] = repr(log_odds)
+            append(f"{trial},{n},{cell},{text}")
     if any_walk:
         walks_path = out / "walks.csv"
         walks_path.write_text("\n".join(walk_rows) + "\n")

@@ -15,10 +15,12 @@ Two kinds of subject can sit in front of the device:
   suite asserts it by introspecting :class:`EveContext`.
 
 This module also holds the interrogation kernel every class-based protocol
-shares: :func:`responder` is the only place a subject's "seen / not seen"
-answer is produced, and :func:`interrogate` runs the round primitive — a
-fair coin picks the hidden class, the transmission value is drawn from that
-class's part of the distribution, and the subject answers.
+shares: :func:`responder` builds each scope's "seen / not seen" answers
+(the honest user's law is one private function, which
+:func:`alice_response` checks every call and :func:`interrogate` once per
+session), and :func:`interrogate` runs the round primitive — a fair coin
+picks the hidden class, the transmission value is drawn from that class's
+part of the distribution, and the subject answers.
 :func:`class_seeing_means` gives the honest user's mean seeing probability
 per class, from which a runner that needs only a count of answers draws
 that count at once.
@@ -272,11 +274,10 @@ def responder(
         history: list[bool] = []
 
         def answer_eve(_alpha: float, i_tilde: float) -> bool:
+            # round_index, photon_count, history, spot_ordinal: positional,
+            # as keywords cost more than the fields' own work.
             context = EveContext(
-                round_index=len(history),
-                photon_count=int(poisson(i_tilde)),
-                history=tuple(history),
-                spot_ordinal=spot_ordinal,
+                len(history), int(poisson(i_tilde)), tuple(history), spot_ordinal
             )
             saw = respond(context, rng)
             history.append(saw)

@@ -128,6 +128,8 @@ class TestUsageErrors:
             ("solve", {"i_tilde": 1000}, "i_tilde"),
             ("identify", {"p_fp": 10**400}, "p_fp"),
             ("identify", {"low_band": [10**400, 0.05]}, "low_band"),
+            ("solve", {"map_width": 10**20}, "map_width"),
+            ("pattern", {"map_width": 100_000, "map_height": 100_000}, "map_height"),
         ],
     )
     def test_config_value_out_of_range(self, command, doc, field, tmp_path, capsys):

@@ -22,6 +22,7 @@ from retinasim import (
     FixedP,
     PlacementError,
     PointPair,
+    Round,
     RunConfig,
     TrialRecord,
     TrialStats,
@@ -500,6 +501,54 @@ class TestArtifacts:
         stats = merge_records(records)
         written = write_artifacts(tmp_path, config, stats, records)
         assert [p.name for p in written] == ["summary.json", "t_histogram.csv", "walks.csv"]
+
+
+def _loop_walks(records) -> str:
+    """walks.csv as the writer built it row by row, before each distinct
+    round's cell was formatted once: the reference for the writer."""
+    walk_rows = ["trial,n,alpha,S,increment,log_odds"]
+    for record in sorted(records, key=lambda r: r.trial):
+        if record.walk is None:
+            continue
+        log_odds = 0.0
+        for n, step in enumerate(record.walk, start=1):
+            log_odds += step.increment
+            walk_rows.append(
+                f"{record.trial},{n},{step.alpha!r},{int(step.saw)},"
+                f"{step.increment!r},{log_odds!r}"
+            )
+    return "\n".join(walk_rows) + "\n"
+
+
+class TestWalksWriter:
+    @pytest.mark.parametrize("distribution", ["point_pair", "uniform_bands"])
+    def test_matches_per_row_reference(self, distribution, tmp_path):
+        config = RunConfig(distribution=distribution, trials=40, walk_trace_limit=30,
+                           max_rounds=60, master_seed=4523, map_width=40,
+                           map_height=40)
+        stats, records = montecarlo(config)
+        walked = records[:30]
+        assert any(r.timed_out for r in walked) and not all(r.timed_out for r in walked)
+        # An answer the honest-user model calls impossible ends its walk at -inf.
+        impossible = TrialRecord(40, False, timed_out=False, rounds=2,
+                                 final_log_odds=-math.inf,
+                                 walk=(records[0].walk[0], Round(0.15, False, -math.inf)))
+        records = [impossible, *reversed(records)]
+        write_artifacts(tmp_path, config, stats, records)
+        assert (tmp_path / "walks.csv").read_text() == _loop_walks(records)
+
+    def test_keeps_signed_zero_increments(self, tmp_path):
+        """0.0 == -0.0 and the two hash alike: a cell memo keyed by value
+        would print one as the other."""
+        zero, negative_zero = Round(0.05, True, 0.0), Round(0.05, True, -0.0)
+        assert zero == negative_zero and hash(zero) == hash(negative_zero)
+        record = TrialRecord(0, False, timed_out=True, rounds=4, final_log_odds=0.0,
+                             walk=(zero, negative_zero, negative_zero, zero))
+        write_artifacts(tmp_path, RunConfig(), merge_records([record]), [record])
+        text = (tmp_path / "walks.csv").read_text()
+        assert text == _loop_walks([record])
+        increments = [row.split(",")[4] for row in text.splitlines()[1:]]
+        assert increments == ["0.0", "-0.0", "-0.0", "0.0"]
 
 
 class TestMontecarlo:

@@ -17,12 +17,16 @@ from retinasim import (
     EveSubject,
     FairCoin,
     FixedP,
+    RunConfig,
     SpotClass,
     UniformBands,
     UniformP,
     alice_response,
     build_subject,
+    prepare,
     prob_see,
+    run_session,
+    trial_rng,
 )
 
 from retinasim.subjects import class_seeing_means, interrogate, responder
@@ -265,3 +269,24 @@ def test_class_seeing_means():
     assert class_seeing_means(bands, 62.4, 6) is class_seeing_means(bands, 62.4, 6)
     with pytest.raises(DomainError, match="pulse intensity"):
         class_seeing_means(bands, -1.0, 6)
+
+
+@pytest.mark.parametrize("strategy", ["faircoin", "fixedp:0.3", "uniformp", "echo"])
+def test_only_an_adaptive_session_builds_contexts(strategy, monkeypatch):
+    """A biased impostor's answers read no context, so her session builds
+    none; an adaptive one builds exactly one per round."""
+    import retinasim.subjects
+
+    built = []
+
+    def counting_context(*args, **kwargs):
+        built.append(EveContext(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(retinasim.subjects, "EveContext", counting_context)
+    context = prepare(RunConfig(subject=f"eve:{strategy}", map_width=40,
+                                map_height=40))
+    result = run_session(context, trial_rng(4524, 0))
+    assert result.rounds > 1
+    assert len(built) == (result.rounds if strategy == "echo" else 0)
+    assert [c.round_index for c in built] == list(range(len(built)))
