@@ -722,6 +722,12 @@ def _stats_dict(stats: TrialStats) -> dict:
     return doc
 
 
+#: Most log odds :func:`write_artifacts` keeps formatted: room for the sums
+#: that point-pair walks revisit, while band walks, whose sums seldom
+#: repeat, cost bounded memory.
+_MEMO_ENTRIES = 4096
+
+
 def write_artifacts(
     out_dir: str | Path,
     config: RunConfig,
@@ -748,11 +754,8 @@ def write_artifacts(
 
     walk_rows = ["trial,n,alpha,S,increment,log_odds"]
     append = walk_rows.append
-    # Each distinct round's "alpha,S,increment" cell, formatted once.  Keyed
-    # by identity, not value: 0.0 == -0.0 and the two hash alike.
-    cells: dict[int, str] = {}
-    # Each distinct log odds, formatted once.  Keyed by value: the walks of
-    # a run revisit the same sums, and a sum folded from +0.0 is never -0.0.
+    # Each distinct log odds, formatted once.  Keyed by value: point-pair
+    # walks revisit the same sums, and a sum folded from +0.0 is never -0.0.
     odds_text: dict[float, str] = {}
     any_walk = False
     for record in sorted(records, key=lambda r: r.trial):
@@ -760,6 +763,10 @@ def write_artifacts(
             continue
         any_walk = True
         trial = record.trial
+        # Each distinct round of the walk, its "alpha,S,increment" cell
+        # formatted once.  Keyed by identity, not value: 0.0 == -0.0 and the
+        # two hash alike.
+        cells: dict[int, str] = {}
         log_odds = 0.0
         for n, step in enumerate(record.walk, start=1):
             cell = cells.get(id(step))
@@ -770,7 +777,9 @@ def write_artifacts(
             log_odds += step.increment
             text = odds_text.get(log_odds)
             if text is None:
-                text = odds_text[log_odds] = repr(log_odds)
+                text = repr(log_odds)
+                if len(odds_text) < _MEMO_ENTRIES:
+                    odds_text[log_odds] = text
             append(f"{trial},{n},{cell},{text}")
     if any_walk:
         walks_path = out / "walks.csv"

@@ -522,7 +522,13 @@ def _loop_walks(records) -> str:
 
 class TestWalksWriter:
     @pytest.mark.parametrize("distribution", ["point_pair", "uniform_bands"])
-    def test_matches_per_row_reference(self, distribution, tmp_path):
+    @pytest.mark.parametrize("memo_entries", [None, 8], ids=["memo", "memo-full"])
+    def test_matches_per_row_reference(self, distribution, memo_entries, tmp_path,
+                                       monkeypatch):
+        import retinasim.harness
+
+        if memo_entries is not None:
+            monkeypatch.setattr(retinasim.harness, "_MEMO_ENTRIES", memo_entries)
         config = RunConfig(distribution=distribution, trials=40, walk_trace_limit=30,
                            max_rounds=60, master_seed=4523, map_width=40,
                            map_height=40)
