@@ -15,12 +15,13 @@ Two kinds of subject can sit in front of the device:
   suite asserts it by introspecting :class:`EveContext`.
 
 This module also holds the interrogation kernel every class-based protocol
-shares: :func:`responder` builds each scope's "seen / not seen" answers
-(the honest user's law is one private function, which
-:func:`alice_response` checks every call and :func:`interrogate` once per
-session), and :func:`interrogate` runs the round primitive — a fair coin
-picks the hidden class, the transmission value is drawn from that class's
-part of the distribution, and the subject answers.
+shares: :func:`responder` builds each scope's "seen / not seen" answers,
+and :func:`interrogate` runs the round primitive — a fair coin picks the
+hidden class, the transmission value is drawn from that class's part of
+the distribution, and the subject answers.  The honest user's answer is
+:func:`alice_response`, which checks its inputs every call;
+:func:`interrogate` checks them once per session and then draws without
+checks.
 :func:`class_seeing_means` gives the honest user's mean seeing probability
 per class, from which a runner that needs only a count of answers draws
 that count at once.
@@ -195,18 +196,6 @@ class EveSubject:
 SubjectModel = Union[AliceSubject, EveSubject]
 
 
-def _alice_answer(k: int, rng: np.random.Generator) -> Callable[[float, float], bool]:
-    """Alice's answer to a pulse ``(alpha, i_tilde)``, unchecked: her
-    retinal photon count is Poisson with mean ``alpha * i_tilde`` and she
-    sees the flash when it reaches ``k``."""
-    poisson = rng.poisson
-
-    def answer(alpha: float, i_tilde: float) -> bool:
-        return int(poisson(alpha * i_tilde)) >= k
-
-    return answer
-
-
 def _check_pulse(i_tilde: float, k: int) -> float:
     i_tilde = float(i_tilde)
     if not math.isfinite(i_tilde) or i_tilde < 0.0:
@@ -229,7 +218,18 @@ def alice_response(
     alpha = float(alpha)
     if not (0.0 <= alpha <= 1.0):
         raise DomainError(f"transmission coefficient must lie in [0, 1], got {alpha!r}")
-    return _alice_answer(k, rng)(alpha, _check_pulse(i_tilde, k))
+    return int(rng.poisson(alpha * _check_pulse(i_tilde, k))) >= k
+
+
+def _alice_answer(k: int, rng: np.random.Generator) -> Callable[[float, float], bool]:
+    """:func:`alice_response` on ``rng`` without its checks, for a caller
+    that has made them once."""
+    poisson = rng.poisson
+
+    def answer(alpha: float, i_tilde: float) -> bool:
+        return int(poisson(alpha * i_tilde)) >= k
+
+    return answer
 
 
 def responder(
