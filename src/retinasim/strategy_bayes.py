@@ -245,16 +245,16 @@ def run_sequential(
     ln_x = math.log(plan.x)
     ln_y = math.log(plan.y)
     edge_rounds = plan._edge_rounds
-    k, i_tilde, p = plan.k, plan.i_tilde, plan.p
+    see, p = plan.see_probability, plan.p
     log_odds = 0.0
     rounds = 0
     outcome = Outcome.TIMEOUT
     transcript: list[Round] = []
-    interrogation = interrogate(subject, plan.distribution, i_tilde, rng)
+    interrogation = interrogate(subject, plan.distribution, plan.i_tilde, rng)
     for rounds, (_cls, alpha, saw) in enumerate(islice(interrogation, max_rounds), 1):
         pair = edge_rounds.get(alpha)
         if pair is None:  # a band value off the inner edges
-            step = Round(alpha, saw, _log_increment(gk(k, alpha * i_tilde), saw, p))
+            step = Round(alpha, saw, _log_increment(see(alpha), saw, p))
         else:
             step = pair[saw]
         log_odds += step.increment
