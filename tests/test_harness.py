@@ -891,3 +891,227 @@ def test_martingale_report_matches_pinned_digest():
     digest = hashlib.sha256(repr(report).encode())
     digest.update(json.dumps(_plain(rng.bit_generator.state), sort_keys=True).encode())
     assert digest.hexdigest() == _KERNEL_DIGESTS["martingale"]
+
+
+# Float-free structural pins of the same cells: each record's integer fields,
+# each traced round's class and answer bit, and each trial generator's end
+# state, for every artifact cell, pattern run and kernel cell above, and the
+# martingale report's counts with its generator's end state.  A change that
+# moves only floats (a log-odds increment, a seeing probability in its last
+# bits) leaves these as they are; one that changes a draw, an answer, a
+# decision or how many draws a session takes does not.
+_STRUCTURAL_CELLS = (
+    [("artifacts", *cell) for cell in _PINNED_CELLS]
+    + [("pattern-run", subject, trials) for subject, trials in _PINNED_PATTERN_RUNS]
+    + [("kernel", *cell) for cell in _KERNEL_CELLS]
+    + [("martingale",)]
+)
+_STRUCTURAL_DIGESTS = {
+    ('artifacts', 'bayes', 'alice', 'point_pair'): (
+        "00d85c036aed0a372c90c189da01ec5e9778ac270016e98e7c9cf6b69c72c8e4"
+    ),
+    ('artifacts', 'bayes', 'alice', 'uniform_bands'): (
+        "f16269ad6a41e0681029c47a17795aa05677fae865e2d1bb92564beb4e55d448"
+    ),
+    ('artifacts', 'bayes', 'eve:uniformp', 'point_pair'): (
+        "66e3e7f90cccad44280d436b6661850aa2c6ae515f4a65e266795cfcc145af21"
+    ),
+    ('artifacts', 'bayes', 'eve:uniformp', 'uniform_bands'): (
+        "031e89f994769eb6669f3e101ae8b9133f304ef2e268afa75ac15b097b753d7b"
+    ),
+    ('artifacts', 'bayes', 'eve:echo', 'point_pair'): (
+        "3e14da2896fb5bbef942f2559b3a39f795180d157bfd4f61fa1fbbe344222e9e"
+    ),
+    ('artifacts', 'bayes', 'eve:echo', 'uniform_bands'): (
+        "b7bffa99518c72c922797bb368130bd7a5f0447f4cda68425ee9ce0a872af960"
+    ),
+    ('artifacts', 'serial', 'alice', 'point_pair'): (
+        "53ad3a366fb731762ccfa4e479008c518426d1099a0f559a0b11c5c6f4f54e01"
+    ),
+    ('artifacts', 'serial', 'alice', 'uniform_bands'): (
+        "53ad3a366fb731762ccfa4e479008c518426d1099a0f559a0b11c5c6f4f54e01"
+    ),
+    ('artifacts', 'serial', 'eve:uniformp', 'point_pair'): (
+        "932872ae9f9ba387d66e1027d0d372d7963e639b26370734fc8e61b257cbaa1b"
+    ),
+    ('artifacts', 'serial', 'eve:uniformp', 'uniform_bands'): (
+        "932872ae9f9ba387d66e1027d0d372d7963e639b26370734fc8e61b257cbaa1b"
+    ),
+    ('artifacts', 'serial', 'eve:echo', 'point_pair'): (
+        "32cad8404836214bc48e00249850bafc92d28a88de2409b02874d160e43b447e"
+    ),
+    ('artifacts', 'serial', 'eve:echo', 'uniform_bands'): (
+        "3794bc44be3c7878f615e6f915c326bbbd2805a8188714c837cd6621be9e2a63"
+    ),
+    ('artifacts', 'naive', 'alice', 'point_pair'): (
+        "37e3e21f9f5e800030e896c21e8d4c577245b567e479d5bbeca4009cfc8b8b58"
+    ),
+    ('artifacts', 'naive', 'alice', 'uniform_bands'): (
+        "37e3e21f9f5e800030e896c21e8d4c577245b567e479d5bbeca4009cfc8b8b58"
+    ),
+    ('artifacts', 'naive', 'eve:uniformp', 'point_pair'): (
+        "aebdb6ac42cbd93d25f8dc559cd5cae1d826ae150c82eac0ce3994680a5c25aa"
+    ),
+    ('artifacts', 'naive', 'eve:uniformp', 'uniform_bands'): (
+        "aebdb6ac42cbd93d25f8dc559cd5cae1d826ae150c82eac0ce3994680a5c25aa"
+    ),
+    ('artifacts', 'naive', 'eve:echo', 'point_pair'): (
+        "4e93d1d2c1e1203ab9e09fe624bcc04bb9bec3af0592b4aa9fa95c3a864ff15c"
+    ),
+    ('artifacts', 'naive', 'eve:echo', 'uniform_bands'): (
+        "4e93d1d2c1e1203ab9e09fe624bcc04bb9bec3af0592b4aa9fa95c3a864ff15c"
+    ),
+    ('artifacts', 'pattern', 'alice', 'point_pair'): (
+        "d99eda97e4975872773f05e61a8ce6cdf1a342bfa5ddec44ecbcdda024e71ae4"
+    ),
+    ('artifacts', 'pattern', 'alice', 'uniform_bands'): (
+        "d99eda97e4975872773f05e61a8ce6cdf1a342bfa5ddec44ecbcdda024e71ae4"
+    ),
+    ('artifacts', 'pattern', 'eve:uniformp', 'point_pair'): (
+        "af21a6611d96fa02ba83071782f30259a19b29d6a11cf8893f042691d8fa6fa1"
+    ),
+    ('artifacts', 'pattern', 'eve:uniformp', 'uniform_bands'): (
+        "af21a6611d96fa02ba83071782f30259a19b29d6a11cf8893f042691d8fa6fa1"
+    ),
+    ('artifacts', 'pattern', 'eve:echo', 'point_pair'): (
+        "af21a6611d96fa02ba83071782f30259a19b29d6a11cf8893f042691d8fa6fa1"
+    ),
+    ('artifacts', 'pattern', 'eve:echo', 'uniform_bands'): (
+        "af21a6611d96fa02ba83071782f30259a19b29d6a11cf8893f042691d8fa6fa1"
+    ),
+    ('pattern-run', 'alice', 40): (
+        "3e8868510c3a699fb7ff1dfa41bf39f9416ec51db1e1940edc76365388df2408"
+    ),
+    ('pattern-run', 'eve:faircoin', 200): (
+        "c07e40cbdb1ae3eb9c329a2303ba78d2f185ccdc9d81b7e53184c491b9ef5f00"
+    ),
+    ('kernel', 'bayes', 'alice', 'point_pair', False): (
+        "5aebdab9ef2131ec4796d038ede1b98df59e3118a652ee9e2157907c68c563ba"
+    ),
+    ('kernel', 'bayes', 'alice', 'point_pair', True): (
+        "02bd301d0eaf6702eb962079ca64ec6aaed089315bf067ea0eccf05adff375f9"
+    ),
+    ('kernel', 'bayes', 'alice', 'uniform_bands', False): (
+        "a4112b12996d7e7909416fc3f6c0ba6ad57845b9a25a0fed8a3dd1bd1a5ee7ab"
+    ),
+    ('kernel', 'bayes', 'alice', 'uniform_bands', True): (
+        "ff1ba618a7779adf9b27eef06e7a27bed875a79e8fb70aad40cedca60f7f2414"
+    ),
+    ('kernel', 'bayes', 'eve:faircoin', 'point_pair', False): (
+        "a7f5fa26e18d352e59d6c1a7ba25993e9d4bd2725a972778767dd59fe22eeabd"
+    ),
+    ('kernel', 'bayes', 'eve:faircoin', 'point_pair', True): (
+        "84a8aaea472e7be550099e41db4dd5ea4153d4d77e89e6745c9d79df140e19ac"
+    ),
+    ('kernel', 'bayes', 'eve:faircoin', 'uniform_bands', False): (
+        "fb76f049fc9b2a0cf7dc12fea6726c2f10cae0560053053f8ba9bd3e3b525cba"
+    ),
+    ('kernel', 'bayes', 'eve:faircoin', 'uniform_bands', True): (
+        "8e6d669ede066a89842daf7087393db6179ac2ee4bba01a7281de5312d4d99b9"
+    ),
+    ('kernel', 'bayes', 'eve:uniformp', 'point_pair', False): (
+        "fdb57a1c82cf2a98dc5b0210bffd5ffce8ddd1984dff070db3f91e627650864a"
+    ),
+    ('kernel', 'bayes', 'eve:uniformp', 'point_pair', True): (
+        "47881f4c0dc187eb0e1637db9888a5c8758152902827175db419fc49b171197e"
+    ),
+    ('kernel', 'bayes', 'eve:uniformp', 'uniform_bands', False): (
+        "44339bd3c761936c98dcc1fca4d20c04fa3e706056b72eebf68ad2398da8c998"
+    ),
+    ('kernel', 'bayes', 'eve:uniformp', 'uniform_bands', True): (
+        "f0c34415a056d3d4c372d30c20a4b1505358867ce8036c4393e1f3562f5eab17"
+    ),
+    ('kernel', 'bayes', 'eve:fixedp:0.3', 'point_pair', False): (
+        "dbaae7ee23dec715c0786ae5f8b8920956080ef8ad97080c31a2c538586a723e"
+    ),
+    ('kernel', 'bayes', 'eve:fixedp:0.3', 'point_pair', True): (
+        "569c6cfbdb5f2a4b3e09703e638ef31443025a69c6875896122f5fcbc958bb0a"
+    ),
+    ('kernel', 'bayes', 'eve:fixedp:0.3', 'uniform_bands', False): (
+        "89a05394750863a1ea19efa95515a20b84729a71cd6a41ec51c3d365813fc487"
+    ),
+    ('kernel', 'bayes', 'eve:fixedp:0.3', 'uniform_bands', True): (
+        "a64d5620578f890602e0ae231180e9fcd8ea7ca946d2c7e478ca9af4690e5168"
+    ),
+    ('kernel', 'bayes', 'eve:echo', 'point_pair', False): (
+        "45131e0f9776f93602a9d650aed42dc627741d327175a2c7a8184955d7f419cb"
+    ),
+    ('kernel', 'bayes', 'eve:echo', 'point_pair', True): (
+        "221b305dd300e9e19aff3645953cee49a7f5f98294e104b379e2eeaf58173624"
+    ),
+    ('kernel', 'bayes', 'eve:echo', 'uniform_bands', False): (
+        "421bf53d77093659c65a8d786802745442509f6d2c4acf96e007cbed39a21b0e"
+    ),
+    ('kernel', 'bayes', 'eve:echo', 'uniform_bands', True): (
+        "652b234bac7953f876573f310fb7eb02e71c98ca3d8ed1a7a8fdb8adb5eede97"
+    ),
+    ('kernel', 'serial', 'eve:echo', 'point_pair', False): (
+        "284622c0c713eb11d5ebd7c59795f0f18f9ea913f1b698c30dc4707bda8652b1"
+    ),
+    ('kernel', 'naive', 'eve:echo', 'point_pair', False): (
+        "12cf93b76ea697fcd4f1bfc0414f0e2630f6dc603f1b8bfca070df56318d1686"
+    ),
+    ('martingale',): (
+        "cf8a6dc005fd32dc9b3f103392c6e692b74a9ec97e0065626eb99ac98d83ee31"
+    ),
+}
+
+
+def _structural_config(cell) -> RunConfig:
+    kind, *rest = cell
+    if kind == "artifacts":
+        strategy, subject, distribution = rest
+        return RunConfig(strategy=strategy, subject=subject, distribution=distribution,
+                         trials=_PINNED_TRIALS[strategy], master_seed=4519,
+                         map_width=40, map_height=40)
+    if kind == "pattern-run":
+        subject, trials = rest
+        return RunConfig(strategy="pattern", subject=subject, trials=trials,
+                         master_seed=4520)
+    strategy, subject, distribution, transcript = rest
+    return RunConfig(strategy=strategy, subject=subject, distribution=distribution,
+                     trials=_KERNEL_TRIALS, master_seed=4521, map_width=40,
+                     map_height=40,
+                     walk_trace_limit=_KERNEL_TRIALS if transcript else 0)
+
+
+def _structural_digest(cell, monkeypatch) -> str:
+    import retinasim.harness
+
+    digest = hashlib.sha256()
+    if cell == ("martingale",):
+        context = prepare(RunConfig(subject="eve:echo", map_width=40, map_height=40))
+        rng = make_rng(4522)
+        report = martingale_diagnostics(context.sequential_plan, context.subject,
+                                        50, 40, rng)
+        digest.update(repr((report.statistic, report.n_trials,
+                            report.checkpoints)).encode())
+        digest.update(json.dumps(_plain(rng.bit_generator.state),
+                                 sort_keys=True).encode())
+        return digest.hexdigest()
+    config = _structural_config(cell)
+    streams = []
+
+    def kept_rng(master_seed, trial_index):
+        streams.append(trial_rng(master_seed, trial_index))
+        return streams[-1]
+
+    monkeypatch.setattr(retinasim.harness, "trial_rng", kept_rng)
+    _stats, records = montecarlo(config)
+    low_top = config.distribution_object().low_band[1]
+    for record, stream in zip(records, streams, strict=True):
+        digest.update(repr((record.trial, record.accepted, record.timed_out,
+                            record.rounds, record.boundary_violation)).encode())
+        if record.walk is not None:
+            digest.update(bytes(2 * (step.alpha > low_top) + step.saw
+                                for step in record.walk))
+        digest.update(json.dumps(_plain(stream.bit_generator.state),
+                                 sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "cell", _STRUCTURAL_CELLS, ids=["-".join(map(str, c)) for c in _STRUCTURAL_CELLS]
+)
+def test_structure_matches_pinned_digests(cell, monkeypatch):
+    assert _structural_digest(cell, monkeypatch) == _STRUCTURAL_DIGESTS[cell]
