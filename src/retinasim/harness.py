@@ -16,12 +16,13 @@ reproducible and regression baselines can be diffed.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -156,6 +157,13 @@ def _checked_kind(name: str, kind: str, value):
         raise ConfigError(f"field {name!r} is too large for a float") from None
 
 
+@functools.lru_cache(maxsize=64)
+def _symmetric_intensity(alpha_low: float, alpha_high: float, k: int) -> float:
+    """The pulse intensity of :func:`solve_q_intensity`, solved once per
+    (inner edges, ``k``): each ``prepare`` of a run asks for it again."""
+    return solve_q_intensity(alpha_low, alpha_high, k)[1]
+
+
 def _float_pair(pair) -> tuple[float, float]:
     return float(pair[0]), float(pair[1])
 
@@ -281,7 +289,7 @@ class RunConfig:
         if self.i_tilde is not None:
             i_tilde = self.i_tilde
         else:
-            _q, i_tilde = solve_q_intensity(*inner_edges(distribution), self.k)
+            i_tilde = _symmetric_intensity(*inner_edges(distribution), self.k)
         return design_wrong_probability(distribution, i_tilde, self.k), i_tilde
 
     def to_dict(self) -> dict:
@@ -752,21 +760,35 @@ def write_artifacts(
     hist_path.write_text("\n".join(lines) + "\n")
     written.append(hist_path)
 
-    walk_rows = ["trial,n,alpha,S,increment,log_odds"]
-    append = walk_rows.append
+    texts = _walk_texts(records)
+    first = next(texts, None)
+    if first is not None:
+        walks_path = out / "walks.csv"
+        with walks_path.open("w") as walks:
+            walks.write("trial,n,alpha,S,increment,log_odds\n")
+            walks.write(first)
+            walks.writelines(texts)
+        written.append(walks_path)
+    return written
+
+
+def _walk_texts(records: Sequence[TrialRecord]) -> Iterator[str]:
+    """The walks.csv rows of each traced walk, in trial order, one walk's
+    text at a time, so that :func:`write_artifacts` holds at most one walk's
+    rows."""
     # Each distinct log odds, formatted once.  Keyed by value: point-pair
     # walks revisit the same sums, and a sum folded from +0.0 is never -0.0.
     odds_text: dict[float, str] = {}
-    any_walk = False
     for record in sorted(records, key=lambda r: r.trial):
         if record.walk is None:
             continue
-        any_walk = True
         trial = record.trial
         # Each distinct round of the walk, its "alpha,S,increment" cell
         # formatted once.  Keyed by identity, not value: 0.0 == -0.0 and the
         # two hash alike.
         cells: dict[int, str] = {}
+        rows = []
+        append = rows.append
         log_odds = 0.0
         for n, step in enumerate(record.walk, start=1):
             cell = cells.get(id(step))
@@ -780,12 +802,8 @@ def write_artifacts(
                 text = repr(log_odds)
                 if len(odds_text) < _MEMO_ENTRIES:
                     odds_text[log_odds] = text
-            append(f"{trial},{n},{cell},{text}")
-    if any_walk:
-        walks_path = out / "walks.csv"
-        walks_path.write_text("\n".join(walk_rows) + "\n")
-        written.append(walks_path)
-    return written
+            append(f"{trial},{n},{cell},{text}\n")
+        yield "".join(rows)
 
 
 def montecarlo(config: RunConfig) -> tuple[TrialStats, list[TrialRecord]]:

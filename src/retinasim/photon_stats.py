@@ -24,8 +24,6 @@ from __future__ import annotations
 import math
 import numbers
 
-from scipy.special import gammainc, gammaincinv
-
 from .errors import DomainError, InfeasibleError
 
 __all__ = [
@@ -51,32 +49,199 @@ def _validate_threshold(k: int) -> int:
     return k
 
 
+#: ``j!`` for the ``j`` whose factorial a double holds exactly.
+_FACTORIALS = tuple(float(math.factorial(j)) for j in range(23))
+
+#: Largest mean whose ``exp(-x)`` is a normal double, with room to spare.
+_PRODUCT_X_MAX = 700.0
+
+#: Smallest positive normal double.
+_MIN_NORMAL = 2.2250738585072014e-308
+
+#: Widest band, in units of the scale on which ``gk`` changes, whose mean
+#: :func:`_gk_mean` takes from its Taylor series.
+_NARROW_BAND = 0.05
+
+#: Newton steps :func:`_inverse_tail` takes before it gives up.
+_NEWTON_STEPS = 100
+
+
+def _log_pmf_by_formula(j: int, x: float) -> float:
+    """``log P[Poisson(x) = j]`` for ``x > 0`` where the product of
+    :func:`_poisson_pmf` does not serve.  Past the exact factorials it is
+    Loader's saddle-point form, ``-stirlerr(j) - bd0(j, x) - log(2 pi j)/2``,
+    which keeps its relative precision for any ``j``; ``bd0 = j log(j/x) +
+    x - j`` comes from its series when ``j`` is near ``x``."""
+    if j < len(_FACTORIALS):
+        return j * math.log(x) - x - math.lgamma(j + 1.0)
+    jj = float(j) * j  # Stirling's series for lgamma(j+1) - log(sqrt(2 pi j) (j/e)**j)
+    stirlerr = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / jj) / jj)
+                          / jj) / jj) / j
+    d = j - x
+    if abs(d) < 0.1 * (j + x):
+        v = d / (j + x)
+        bd0, term, n = d * v, 2.0 * j * v, 1
+        while True:
+            term *= v * v
+            n += 2
+            if bd0 + term / n == bd0:
+                break
+            bd0 += term / n
+    else:
+        bd0 = j * math.log(j / x) - d
+    return -stirlerr - bd0 - 0.5 * math.log(2.0 * math.pi * j)
+
+
+def _poisson_pmf(j: int, x: float) -> float:
+    """``P[Poisson(x) = j]`` for ``j >= 0`` and ``x > 0``: the product
+    ``exp(-x) * x**j / j!`` while ``j!`` is exact and ``exp(-x)`` normal,
+    else :func:`_log_pmf_by_formula`."""
+    if j < len(_FACTORIALS) and x <= _PRODUCT_X_MAX:
+        return math.exp(-x) * x**j / _FACTORIALS[j]
+    return math.exp(_log_pmf_by_formula(j, x))
+
+
+def _tail(k: int, x: float) -> tuple[int, float, bool]:
+    """The tail of Poisson(``x``) about ``k`` on the far side of the mean,
+    as ``(j, s, upper)``: the tail is ``_poisson_pmf(j, x) * s``, and it is
+    ``P[N >= k]`` (``j = k``, ``upper``) when ``x < k``, else ``P[N < k]``
+    (``j = k - 1``).  ``s`` sums the terms over the first one, each term
+    smaller than the last, and stops at the first that no longer changes
+    it.  The tail summed is never much above 1/2, so its complement loses
+    nothing."""
+    term, total = 1.0, 0.0
+    if x < k:
+        n = k
+        while total + term != total:
+            total += term
+            n += 1
+            term *= x / n
+        return k, total, True
+    n = k - 1
+    while total + term != total:
+        total += term
+        term *= n / x
+        n -= 1
+    return k - 1, total, False
+
+
 def gk(k: int, x: float) -> float:
     """Probability that a Poisson count with mean ``x`` reaches ``k``.
 
-    Evaluated as the regularized lower incomplete gamma function ``P(k, x)``,
-    which is numerically stable for the large means this package routinely
-    feeds it.  The equivalent complement of a truncated Poisson sum is kept
-    in the test suite as an independent oracle rather than used here.
+    A Poisson sum over the tail on the far side of the mean:
+    ``P[N >= k]`` itself when ``x < k``, else ``1 - P[N < k]``.  A small
+    seeing probability therefore keeps its relative precision, which the
+    complement of the head sum would lose.  For integer ``k`` this is the
+    regularized lower incomplete gamma function ``P(k, x)``; the test suite
+    checks it against a 60-digit :mod:`decimal` sum.
     """
     k = _validate_threshold(k)
     x = float(x)
     if not math.isfinite(x) or x < 0.0:
         raise DomainError(f"mean photon number must be finite and >= 0, got {x!r}")
-    return float(gammainc(k, x))
+    if x == 0.0:
+        return 0.0
+    j, total, upper = _tail(k, x)
+    tail = _poisson_pmf(j, x) * total
+    return tail if upper else 1.0 - tail
+
+
+def _inverse_tail(k: int, p: float) -> float:
+    """The mean ``x`` at which ``gk(k, x) == p``, for ``0 < p < 1``.
+
+    Newton's method on the logarithm of the tail the root leaves small:
+    ``log P[N >= k]`` against ``log p``, in ``log x``, when ``p <= 1/2``;
+    ``log P[N < k]`` against ``log(1 - p)`` (``1 - p`` is exact there), in
+    ``x``, otherwise.  The derivative of ``P[N >= k]`` in ``x`` is the
+    Poisson probability of ``k - 1``.  Both logarithms are concave (the
+    gamma law is log-concave), so Newton never steps past the root from the
+    side it approaches and each step is shorter than the last: the first
+    iterate for ``p <= 1/2`` lies below the root, and every iterate after
+    the first for ``p > 1/2`` above it.  A tail too small for a double is
+    carried as its logarithm.  Stops when a step moves ``x`` by at most
+    4 ulp, or, where rounding noise in the tail outgrows that (large
+    ``k``), when a step turns back.
+    """
+    lower = p <= 0.5
+    if lower:
+        target = math.log(p)
+        # P[N >= k] <= x**k / k!, so this start lies at or below the root.
+        x = math.exp((target + math.lgamma(k + 1.0)) / k)
+    else:
+        target = math.log(1.0 - p)
+        x = float(k)
+    for step in range(_NEWTON_STEPS):
+        j, total, upper = _tail(k, x)
+        pmf = _poisson_pmf(j, x)
+        to_k_minus_1 = k / x if upper else 1.0  # pmf(k - 1) / pmf(j)
+        if upper == lower:  # the tail summed is the one solved for
+            log_pmf = (math.log(pmf) if pmf >= _MIN_NORMAL
+                       else _log_pmf_by_formula(j, x))
+            log_tail = log_pmf + math.log(total)
+            rate = to_k_minus_1 / total
+        else:
+            tail = 1.0 - pmf * total
+            log_tail = math.log(tail)
+            rate = pmf * to_k_minus_1 / tail
+        # ``rate`` is |d log(tail) / dx|.
+        if lower:
+            new_x = x * math.exp((target - log_tail) / (x * rate))
+        else:
+            new_x = x + (log_tail - target) / rate
+        if abs(new_x - x) <= 4 * math.ulp(x):
+            return new_x
+        if (new_x <= x) == lower and step > 0:  # rounding noise: Newton turned back
+            return x
+        x = new_x
+    raise InfeasibleError(
+        f"inverse seeing probability did not converge for k={k}, p={p!r}"
+    )
+
+
+def _gk_mean(k: int, lo: float, hi: float) -> float:
+    """Mean of ``gk(k, x)`` over ``x`` in ``[lo, hi]``, ``0 <= lo <= hi``.
+
+    In closed form ``(F(hi) - F(lo)) / (hi - lo)``, where
+    ``F(x) = x * gk(k, x) - k * gk(k + 1, x)`` is an antiderivative:
+    ``F' = gk(k, x) + x pmf(k - 1, x) - k pmf(k, x)`` and the last two
+    cancel.  On a band narrow against the scale on which ``gk`` changes
+    (``x / k`` below ``k``, 1 above) the difference cancels too, so there
+    the mean is its Taylor series about the midpoint ``m``,
+    ``gk(m) + sum over even n of h**n / (n + 1)! * gk^(n)(m)`` with ``h``
+    the half-width, through ``n = 6``: the next term is below 1e-16 of
+    the mean.  ``gk^(n)`` is the ``(n - 1)``-th difference of the Poisson
+    probabilities below ``k``, since ``d/dx pmf(j, x) = pmf(j - 1, x) -
+    pmf(j, x)``.
+    """
+    h = 0.5 * (hi - lo)
+    m = lo + h
+    if h == 0.0:
+        return gk(k, m)
+    if h * max(1.0, k / m) > _NARROW_BAND:
+        big = hi * gk(k, hi) - k * gk(k + 1, hi)
+        small = lo * gk(k, lo) - k * gk(k + 1, lo)
+        return (big - small) / (hi - lo)
+    pmf = [_poisson_pmf(k - 1 - i, m) if i < k else 0.0 for i in range(6)]
+    mean = gk(k, m)
+    for n in (2, 4, 6):
+        derivative = sum(math.comb(n - 1, i) * (-1) ** (n - 1 - i) * pmf[i]
+                         for i in range(n))
+        mean += h**n / math.factorial(n + 1) * derivative
+    return mean
 
 
 def gk_inverse(k: int, p: float) -> float:
     """Mean photon number at which the seeing probability equals ``p``.
 
     Inverse of :func:`gk` in its second argument; ``p`` must lie strictly
-    inside (0, 1).
+    inside (0, 1).  Solved by a safeguarded Newton iteration on the same
+    Poisson sum (see :func:`_inverse_tail`).
     """
     k = _validate_threshold(k)
     p = float(p)
     if not (0.0 < p < 1.0):
         raise DomainError(f"probability must lie strictly in (0, 1), got {p!r}")
-    return float(gammaincinv(k, p))
+    return _inverse_tail(k, p)
 
 
 def prob_see(alpha: float, i_tilde: float, k: int = DEFAULT_THRESHOLD) -> float:
@@ -186,7 +351,7 @@ def solve_q_intensity(
     ratio = alpha_high / alpha_low
 
     def mismatch(q: float) -> float:
-        return float(gammaincinv(k, 1.0 - q) / gammaincinv(k, q)) - ratio
+        return _inverse_tail(k, 1.0 - q) / _inverse_tail(k, q) - ratio
 
     lo, hi = 1e-12, 0.5 - 1e-12
     if mismatch(lo) < 0.0 or mismatch(hi) > 0.0:  # pragma: no cover - defensive

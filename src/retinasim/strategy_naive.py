@@ -34,6 +34,7 @@ each round's context, is interrogated round by round, one spot at a time.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -91,6 +92,13 @@ class NaiveTestPlan:
                 f"acceptance window ({self.n_l}, {self.n_r}) does not straddle "
                 f"nu * p_c = {center!r}"
             )
+
+    @functools.lru_cache(maxsize=64)
+    def tuned_mean(self, k: int) -> float:
+        """x*: the mean photon number at which an eye of threshold ``k``
+        sees a pulse with probability ``p_c``.  Solved once per plan and
+        threshold, not once per session."""
+        return gk_inverse(k, self.p_c)
 
 
 def acceptance_counts(
@@ -237,7 +245,7 @@ def run_naive(
         raise ConfigError(
             f"map has {alpha_map.n_spots} spots but the plan needs {plan.mu}"
         )
-    x_star = gk_inverse(k, plan.p_c)
+    x_star = plan.tuned_mean(k)
     spot_indices = rng.choice(alpha_map.n_spots, size=plan.mu, replace=False)
     if isinstance(subject, AliceSubject):
         counts = rng.binomial(plan.nu, gk(subject.k, x_star), size=plan.mu)

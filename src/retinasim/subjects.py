@@ -39,7 +39,7 @@ import numpy as np
 
 from .alpha_map import SpotClass, UniformBands, class_draws
 from .errors import DomainError
-from .photon_stats import DEFAULT_THRESHOLD, gk
+from .photon_stats import DEFAULT_THRESHOLD, _gk_mean
 
 __all__ = [
     "EveContext",
@@ -324,26 +324,17 @@ def class_seeing_means(
     high)``: the mean of ``gk(k, alpha * i_tilde)`` over that class's band
     of ``distribution``.
 
-    The seeing probability itself on a zero-width band; adaptive quadrature
-    on a band of positive width (the integrand is smooth and monotone, so
-    quad resolves it to near machine precision).  Cached per
-    ``(distribution, i_tilde, k)``: a run asks for the same means every
-    session.
+    The seeing probability itself on a zero-width band, and the closed-form
+    band mean of :func:`~retinasim.photon_stats.gk` on a band of positive
+    width (its Taylor series on a band too narrow for the closed form).
+    Cached per ``(distribution, i_tilde, k)``: a run asks for the same
+    means every session.
     """
     i_tilde = float(i_tilde)
     if not math.isfinite(i_tilde) or i_tilde < 0.0:
         raise DomainError(f"pulse intensity must be finite and >= 0, got {i_tilde!r}")
     if not isinstance(distribution, UniformBands):
         raise DomainError(f"unknown interrogation distribution {distribution!r}")
-    means = []
-    for a, b in (distribution.low_band, distribution.high_band):
-        if a == b:
-            means.append(gk(k, a * i_tilde))
-            continue
-        from scipy.integrate import quad  # only bands of positive width need it
-
-        integral, _err = quad(
-            lambda alpha: gk(k, alpha * i_tilde), a, b, epsabs=1e-13, epsrel=1e-12
-        )
-        means.append(integral / (b - a))
-    return means[0], means[1]
+    low, high = (_gk_mean(k, a * i_tilde, b * i_tilde)
+                 for a, b in (distribution.low_band, distribution.high_band))
+    return low, high

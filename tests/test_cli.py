@@ -653,56 +653,68 @@ class TestReportsFollowMapFile:
         assert "alpha=(0.02," not in out
 
 
-# SciPy subpackages no run may import: the root search is a port in
-# ``photon_stats``, the physics constants are literals, and quadrature is
-# imported only inside ``prior_p``'s branch for bands of positive width.
-_OFF_PATH = ("scipy.optimize", "scipy.integrate", "scipy.constants")
-
-
-def _modules_loaded_after(script: str) -> set[str]:
-    """Run ``script`` in a fresh interpreter and return which of the
-    off-path SciPy subpackages it left in ``sys.modules``."""
+def _scipy_loaded_after(script: str, tmp_path) -> list[str]:
+    """Run ``script`` in a fresh interpreter, in ``tmp_path``, and return
+    the SciPy modules it left in ``sys.modules``.  No module of the package
+    imports SciPy: the seeing probability, its inverse and the band means
+    are Poisson sums, the root search is a port in ``photon_stats``, and the
+    physics constants are literals."""
     src = str(Path(retinasim.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     probe = (
         "import sys\n"
         + script
-        + f"\nprint(sorted(m for m in {_OFF_PATH!r} if m in sys.modules))\n"
+        + "\nprint(sorted(m for m in sys.modules"
+        " if m == 'scipy' or m.startswith('scipy.')))\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", probe],
         env=env,
+        cwd=tmp_path,
         capture_output=True,
         text=True,
         timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    return set(ast.literal_eval(done.stdout.strip().splitlines()[-1]))
+    return ast.literal_eval(done.stdout.strip().splitlines()[-1])
 
 
 class TestImportPath:
-    def test_commands_load_no_off_path_scipy(self):
+    def test_import_loads_no_scipy(self, tmp_path):
+        assert _scipy_loaded_after("import retinasim\nimport retinasim.cli\n",
+                                   tmp_path) == []
+
+    def test_commands_load_no_off_path_scipy(self, tmp_path):
+        """Every subcommand, ``identify`` under each strategy, loads no SciPy
+        module."""
         script = (
             "from retinasim.cli import main\n"
             "for argv in (['solve'], ['bounds'], ['pattern'],"
-            " ['identify', '--seed', '4601']):\n"
-            "    main(argv)\n"
+            " ['enroll', '--out', 'map'],"
+            " ['montecarlo', '--trials', '20', '--out', 'mc'],"
+            " ['montecarlo', '--trials', '5', '--strategy', 'naive'],"
+            " ['identify', '--seed', '4601', '--strategy', 'bayes'],"
+            " ['identify', '--seed', '4601', '--strategy', 'serial'],"
+            " ['identify', '--seed', '4601', '--strategy', 'naive'],"
+            " ['identify', '--seed', '4601', '--strategy', 'pattern']):\n"
+            "    assert main(argv) in (0, 1), argv  # identify exits 1 on a reject\n"
         )
-        assert _modules_loaded_after(script) == set()
+        assert _scipy_loaded_after(script, tmp_path) == []
 
-    def test_only_positive_width_bands_load_quadrature(self):
-        """The lazy import is live: sizing over bands of positive width
-        loads ``scipy.integrate`` (which pulls in the rest itself)."""
+    def test_bands_sizing_loads_no_scipy(self, tmp_path):
+        """Sizing over bands of positive width takes the band means in
+        closed form, so it loads no quadrature (or any other SciPy)."""
         script = (
             "from retinasim import RunConfig, prepare\n"
-            "prepare(RunConfig(distribution='uniform_bands'))\n"
+            "for strategy in ('bayes', 'serial'):\n"
+            "    prepare(RunConfig(strategy=strategy, distribution='uniform_bands'))\n"
         )
-        assert "scipy.integrate" in _modules_loaded_after(script)
+        assert _scipy_loaded_after(script, tmp_path) == []
 
     def test_no_module_level_import_of_off_path_scipy(self):
-        """Module-level code (class bodies included, function bodies not)
-        imports none of the off-path subpackages."""
+        """No code of the package, module level or function body, imports
+        SciPy."""
 
         def imported(node):
             if isinstance(node, ast.Import):
@@ -711,20 +723,12 @@ class TestImportPath:
                 return [node.module] + [f"{node.module}.{a.name}" for a in node.names]
             return []
 
-        def module_level(nodes):
-            for node in nodes:
-                function = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-                if isinstance(node, function):
-                    continue
-                yield node
-                yield from module_level(ast.iter_child_nodes(node))
-
         package = Path(retinasim.__file__).parent
         offenders = [
             f"{path.name}:{node.lineno} {name}"
             for path in sorted(package.glob("*.py"))
-            for node in module_level(ast.parse(path.read_text()).body)
+            for node in ast.walk(ast.parse(path.read_text()))
             for name in imported(node)
-            if any(name == m or name.startswith(m + ".") for m in _OFF_PATH)
+            if name == "scipy" or name.startswith("scipy.")
         ]
         assert offenders == []

@@ -557,6 +557,34 @@ class TestWalksWriter:
         assert increments == ["0.0", "-0.0", "-0.0", "0.0"]
 
 
+    def test_peak_memory_does_not_grow_with_walk_count(self, tmp_path):
+        """The writer holds one walk's rows at a time: tracing ten times as
+        many walks leaves its tracemalloc peak where it was (the whole text
+        at once would add ~236 B a row, ~3.4 MB here)."""
+        import tracemalloc
+
+        rounds = [Round(0.05, False, 0.1), Round(0.05, True, -1.6),
+                  Round(0.15, True, 0.1), Round(0.15, False, -1.6)]
+        # One walk for every trial, so the log-odds memo holds the same sums
+        # whatever the walk count.
+        walk = tuple(rounds[i] for i in make_rng(4524).integers(4, size=80))
+
+        def peak(n_walks):
+            records = [TrialRecord(t, False, timed_out=True, rounds=80,
+                                   final_log_odds=0.0, walk=walk)
+                       for t in range(n_walks)]
+            stats = merge_records(records)
+            tracemalloc.start()
+            try:
+                write_artifacts(tmp_path, RunConfig(), stats, records)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(20), peak(200)
+        assert large < small + 64 * 1024, (small, large)
+
+
 class TestMontecarlo:
     def test_honest_bayes_run(self):
         config = RunConfig(strategy="bayes", trials=150, master_seed=4515)
@@ -607,22 +635,22 @@ _PINNED_CELLS = [
 _PINNED_TRIALS = {"bayes": 30, "serial": 20, "naive": 10, "pattern": 2}
 _PINNED_DIGESTS = {
     ("bayes", "alice", "point_pair"): (
-        "a879198a4dfcc2cb16acf75fc3136bc102e33146b22a757587402b596568a329"
+        "875964fa195aa71891bea04ee2b20f3dfa41e0b4198a4285abb6896a0213188c"
     ),
     ("bayes", "alice", "uniform_bands"): (
-        "2065c7cac420a889807ced1fa5f5e55bb994485143d2797f458bcd30e5e0e774"
+        "2add71c963e76ef40e682ef199043d9ca2c7b45ecf0d5cb10d275915994446a9"
     ),
     ("bayes", "eve:uniformp", "point_pair"): (
-        "eece9a7f553a07490718d8d18a18a31ae3e559cf79b6685c1b783494d4b7eb59"
+        "2d64df99ebcfde151458171d66997e045e40f123a2d702ed52681571365b3d7f"
     ),
     ("bayes", "eve:uniformp", "uniform_bands"): (
-        "986e79b374b9cf27332b17f8938dec3c2094fbd90344489b66a15343073d91d4"
+        "90a9c22df48f381541eabc4c5ef8da5f57d65f9147cb2de1ee62807d2d9621ed"
     ),
     ("bayes", "eve:echo", "point_pair"): (
-        "f884b4681d01c488f91cbd70e2db3c10d48e38bc00a8b4c542fd412cc37ba0c2"
+        "ef793f26068870bb188367b7f131c8d41764fdb5b0429371fdd025e25827da39"
     ),
     ("bayes", "eve:echo", "uniform_bands"): (
-        "82c3f47b5ce361d1c87fd56b274abd68e00091509dd41619f25f1669eb2c0918"
+        "86efdc2a1ee2cf599604aa56d426144f818c1d0ab5a759321dea61c11c31481f"
     ),
     ("serial", "alice", "point_pair"): (
         "3d45f361316da1346ef934f3c79c96500cc43028171fa9552e6643e0121bdeea"
@@ -767,64 +795,64 @@ _KERNEL_CELLS = [
 ]
 _KERNEL_DIGESTS = {
     ("bayes", "alice", "point_pair", False): (
-        "119381299335a32d351a8771d5e64acfbf18b89a5c3255ae7654acbbe2630a94"
+        "dc28dce510691bfc11f3ea17017103380f706414a53a02b5cb0aac0574e7a7eb"
     ),
     ("bayes", "alice", "point_pair", True): (
-        "869439e8f7a5a00446be125372749d080559956afdb4d4c09719417220a04e7d"
+        "86cbccbbde38578649e2df2d59ccbb6e4d979ef64baf8c37e80d869552905be7"
     ),
     ("bayes", "alice", "uniform_bands", False): (
-        "729275125bd6eb438eff64b75fa8e439913da052316ffa73d7bd321b7d546310"
+        "dba01a2c7c6938076d006682a583f9d7e438cd3306492cda8eb786c567e44d2a"
     ),
     ("bayes", "alice", "uniform_bands", True): (
-        "21a5b502129a1b08824f4eabb1a781a02bf45f392ab642eb78c23e990e7b9938"
+        "3951dee6ba0e4c6f34352ab401b3387370541a06f266add970e181c7f486f9a1"
     ),
     ("bayes", "eve:faircoin", "point_pair", False): (
-        "1d5a47379f527e7354ddf710ce02b466955f3482528da0a52a65837a7e7b1298"
+        "e5db0f8211015704ba4f33cbe8693e5d0e07ee9a947889d60944c31257c4dc92"
     ),
     ("bayes", "eve:faircoin", "point_pair", True): (
-        "75e79a8443f4145e4c46ace1c8c1793478dcdd4f5d0280a04fe2000f806ba327"
+        "c37a05f02bdc00398d595fe6f2c39251b1bffb5bded8a7fd5fd68c3d5720bb4c"
     ),
     ("bayes", "eve:faircoin", "uniform_bands", False): (
-        "dd2d1520da47c35dca1cc13876859e863294fcb5ed868887a08d4829b1de04da"
+        "aa56d31284e8070bbce9213014e85f954e4e8198b32840bd31b3e58614c50739"
     ),
     ("bayes", "eve:faircoin", "uniform_bands", True): (
-        "b2ed4b8d6573455bdacf0d2c1d16e50e449ddcffbee4b686c9093f08d873b7d9"
+        "c8c4356b47c92aca7010bcf09ba6d7fc4a38dd85ef6879112577afdc824bc5d3"
     ),
     ("bayes", "eve:uniformp", "point_pair", False): (
-        "c8c9deb01a4a8fa9df054b448590e1e2d81ffce91d8edf00d314e3a376cf489f"
+        "9c6dd183a7bbc21ac8d839a9a0b893062420368cd42922e85a742cecfa32602a"
     ),
     ("bayes", "eve:uniformp", "point_pair", True): (
-        "7d3eec194403fdccffef0b8f8233114d15e757a5c8e3c15bb288ddaaad44aff0"
+        "630db8df82cb24969135ec06cfa5695a945837108aef57c0abb338ff1dd7cb04"
     ),
     ("bayes", "eve:uniformp", "uniform_bands", False): (
-        "1826d1ee09d17820d639bffcac0cedcd26d7fe1b6cc70723e5a301f1338f60b5"
+        "6534b671dc09a9ddc883c0df0da370f9b28353c6d645ad8f6b0b1f3121c6ce27"
     ),
     ("bayes", "eve:uniformp", "uniform_bands", True): (
-        "cb4cf25b25ca383514686840e65106e1ac7d407b3817c0567fc6fc9a9f2ee732"
+        "b86b47f31fdbd74237da89f23fa4ca6bdc1d7cb9e01b7d3d95cb0ec8623ce1b0"
     ),
     ("bayes", "eve:fixedp:0.3", "point_pair", False): (
-        "d52350ddae7d040f00e40d6debd8ee9f2b906503c6253f164e0098552349ae92"
+        "68fecca8e09787491747ad719abe7862af2636580888f4e55d160b0501159208"
     ),
     ("bayes", "eve:fixedp:0.3", "point_pair", True): (
-        "5d9570805394998976b596ff871b0bf8c28a24fdb5d9603892d7daac4964bd72"
+        "2e71fd9bbf8a932ecd65edd95d92473bc58562f3111005f6bc90d04d59c3f059"
     ),
     ("bayes", "eve:fixedp:0.3", "uniform_bands", False): (
-        "630cc4d5302126739641c73b161188a4a4431be25f45f28b295b10bd36012731"
+        "24ee6fbf0dc534050f0927321193c9f731be2d6984ec112585bd686f8937fd35"
     ),
     ("bayes", "eve:fixedp:0.3", "uniform_bands", True): (
-        "affb266e70e4fed583c082bbde132ca4db63397fe302c9564472fc11b0bc11ed"
+        "1394090b631f61c036f6173fbe59204337521dbcf0bd639fe36ba97b11c4c5cb"
     ),
     ("bayes", "eve:echo", "point_pair", False): (
-        "a81326d74ed29927f7d08274122d717898bbf8002e8a2cb9696d850c7b790178"
+        "c8ff752701bae2d246b07a923705bfdf69832f645ffbb8040ff62599869c4564"
     ),
     ("bayes", "eve:echo", "point_pair", True): (
-        "1160b24c8c5c80b91b97ba4a194ded3f994a21bf73eb94d2a8a4e40b17f55a11"
+        "cbf41c0c6eb60febef363ac0905e0df33ccf522990c469bbd0583608a77f9426"
     ),
     ("bayes", "eve:echo", "uniform_bands", False): (
-        "02af3528fc3f080607a9347e01d16e9abc79f6887e8298fb92f8a76cdfffded3"
+        "22d6ea023d97ce6c49235243c6dc5202e28859b9d43f4d3c693ed0e2e396e815"
     ),
     ("bayes", "eve:echo", "uniform_bands", True): (
-        "48ab05b6645c3a95d0915e10d006c5212d848692d047a08781afe903dc927046"
+        "f137ea664cf25dfbc4778f4d443d366b7ad31fc3ee43c10267eaf9b33a2c2e48"
     ),
     ("serial", "eve:echo", "point_pair", False): (
         "73c96e35dda68e0664cf3342fe59b620907d936d1a433fda6e490faf7556f3ab"
@@ -833,7 +861,7 @@ _KERNEL_DIGESTS = {
         "47306430e413d0aab7839defa3c156489eb1ec6ea8048a64bcf4a304b8a2bd48"
     ),
     "martingale": (
-        "d12fa994727cb4b857e22a4b5c445f7fcbd2a1e23f94efe8baab4933d12584c1"
+        "b3cac7fa22be5787a389aa8f8bac9f624ca90346843c52e67b0d652cac6adbe7"
     ),
 }
 

@@ -1,12 +1,13 @@
-"""Seeing-probability function against two independent oracles.
+"""Seeing-probability function against independent oracles.
 
-The production code evaluates the regularized lower incomplete gamma
-function; the oracles here come from the two *other* definitions — the
-complemented Poisson sum and the Erlang-density quadrature — so all three
-routes must meet.
+The production code sums the Poisson tail on the far side of the mean; the
+oracles here are a 60-digit :mod:`decimal` sum, the complemented float
+Poisson sum, the Erlang-density quadrature and SciPy's regularized
+incomplete gamma function, so every route must meet.
 """
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.special import gammainc, gammaincinv
 
 from retinasim import (
     DEFAULT_THRESHOLD,
@@ -24,6 +26,8 @@ from retinasim import (
     prob_see,
     solve_q_intensity,
 )
+from retinasim import UniformBands
+from retinasim.subjects import class_seeing_means
 from retinasim import photon_stats, strategy_bayes, strategy_serial
 from retinasim.photon_stats import _brentq
 
@@ -70,6 +74,133 @@ def test_gk_matches_poisson_sum(k, x):
 @pytest.mark.parametrize("x", [x for x in X_GRID if x <= 100.0])
 def test_gk_matches_quadrature(k, x):
     assert gk(k, x) == pytest.approx(erlang_cdf_oracle(k, x), abs=1e-10)
+
+
+def decimal_tail(k: int, x: float, digits: int = 60) -> Decimal:
+    """P[Poisson(x) >= k] to ``digits`` significant digits: the upper sum
+    itself when ``x < k`` (the complement of the head would cancel), one
+    minus the head otherwise."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        x = Decimal(x)
+        term = (-x).exp()
+        if x >= k:
+            head = Decimal(0)
+            for j in range(k):
+                head += term
+                term = term * x / (j + 1)
+            return +(1 - head)
+        for j in range(k):
+            term = term * x / (j + 1)
+        total = Decimal(0)
+        j = k
+        while total + term != total:
+            total += term
+            j += 1
+            term = term * x / j
+        return +total
+
+
+def ulps_off(value: float, reference: Decimal) -> float:
+    return float(abs(Decimal(value) - reference) / Decimal(math.ulp(float(reference))))
+
+
+_X_LOG_GRID = [1e-3 * (400.0 / 1e-3) ** (i / 59) for i in range(60)]
+
+
+@pytest.mark.parametrize("k", range(1, 21))
+def test_gk_within_16_ulp_of_decimal_sum(k):
+    """Both tails: means below ``k`` (the upper sum) and at or above it (one
+    minus the head sum), over x in [1e-3, 400]."""
+    errors = {True: [], False: []}
+    for x in _X_LOG_GRID + [float(k), k - 0.5, k + 0.5]:
+        reference = decimal_tail(k, x)
+        if reference < 1:
+            errors[x < k].append(ulps_off(gk(k, x), reference))
+    assert errors[True] and errors[False]
+    assert max(errors[True] + errors[False]) <= 16
+
+
+def test_gk_is_closer_to_decimal_sum_than_scipy():
+    """Over the grid at the default threshold the Poisson sum is never more
+    than 5 ulp off; SciPy's ``gammainc`` is, somewhere."""
+    ours = [ulps_off(gk(6, x), decimal_tail(6, x)) for x in _X_LOG_GRID[:-8]]
+    theirs = [ulps_off(float(gammainc(6, x)), decimal_tail(6, x))
+              for x in _X_LOG_GRID[:-8]]
+    assert max(ours) <= 5 < max(theirs)
+
+
+@pytest.mark.parametrize("k", K_GRID + [30, 100, 1000])
+@pytest.mark.parametrize(
+    "p", [1e-300, 1e-15, 1e-9, 1e-3, 0.096, 0.5, 0.9, 1.0 - 1e-6, 1.0 - 2.0**-52]
+)
+def test_inverse_round_trips(k, p):
+    """p -> x -> p, and x within 1e-12 of SciPy's ``gammaincinv``."""
+    x = gk_inverse(k, p)
+    assert x == pytest.approx(float(gammaincinv(k, p)), rel=1e-12)
+    if k <= 20 and p >= 1e-15:
+        assert gk(k, x) == pytest.approx(p, rel=1e-12)
+
+
+@pytest.mark.parametrize("k", K_GRID)
+def test_inverse_of_gk_returns_the_mean(k):
+    for x in _X_LOG_GRID:
+        p = gk(k, x)
+        if 1e-300 < p < 0.99:
+            assert gk_inverse(k, p) == pytest.approx(x, rel=1e-12)
+
+
+def _decimal_operating_point(alpha_low, alpha_high, k):
+    """(q, i_tilde) by bisection in 60 digits on gk(low) + gk(high) = 1,
+    the two design equations added."""
+    lo, hi = Decimal(0), Decimal(1000)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        a, b = Decimal(alpha_low), Decimal(alpha_high)
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            if decimal_tail(k, a * mid) + decimal_tail(k, b * mid) < 1:
+                lo = mid
+            else:
+                hi = mid
+        return decimal_tail(k, a * lo), lo
+
+
+def test_operating_point_within_1e_13_of_decimal_solution():
+    q, i_tilde = solve_q_intensity(0.05, 0.15, 6)
+    q_ref, i_ref = _decimal_operating_point(0.05, 0.15, 6)
+    assert abs(Decimal(q) - q_ref) <= Decimal("1e-13") * q_ref
+    assert abs(Decimal(i_tilde) - i_ref) <= Decimal("1e-13") * i_ref
+    assert (round(q, 7), round(i_tilde, 4)) == (0.0960914, 62.3254)
+
+
+def _quad_means(bands, i_tilde, k):
+    means = []
+    for a, b in bands:
+        integral, _err = quad(lambda alpha: gk(k, alpha * i_tilde), a, b,
+                              epsabs=0.0, epsrel=1e-13, limit=200)
+        means.append(integral / (b - a))
+    return tuple(means)
+
+
+@pytest.mark.parametrize("width", [None, 1e-6, 1e-9, 1e-12])
+def test_band_means_match_quadrature(width):
+    """The closed form on the default bands, and its narrow-band series on
+    bands of width 1e-6, 1e-9 and 1e-12 at the inner edges, where the
+    closed form's difference cancels."""
+    _q, i_tilde = solve_q_intensity(0.05, 0.15, 6)
+    if width is None:
+        bands = ((0.02, 0.05), (0.15, 0.18))
+    else:
+        bands = ((0.05 - width, 0.05), (0.15, 0.15 + width))
+    means = class_seeing_means(UniformBands(*bands), i_tilde, 6)
+    for mean, expected in zip(means, _quad_means(bands, i_tilde, 6)):
+        assert mean == pytest.approx(expected, rel=1e-13)
+
+
+def test_band_mean_of_a_point_is_the_seeing_probability():
+    means = class_seeing_means(UniformBands((0.05, 0.05), (0.15, 0.15)), 62.4, 6)
+    assert means == (gk(6, 0.05 * 62.4), gk(6, 0.15 * 62.4))
 
 
 def test_gk_edge_values():
