@@ -93,12 +93,14 @@ class NaiveTestPlan:
                 f"nu * p_c = {center!r}"
             )
 
-    @functools.lru_cache(maxsize=64)
-    def tuned_mean(self, k: int) -> float:
-        """x*: the mean photon number at which an eye of threshold ``k``
-        sees a pulse with probability ``p_c``.  Solved once per plan and
-        threshold, not once per session."""
-        return gk_inverse(k, self.p_c)
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _tuned_mean(k: int, p_c: float) -> float:
+    """x*: the mean photon number at which an eye of threshold ``k`` sees a
+    pulse with probability ``p_c``.  Solved once per ``(k, p_c)``, not once
+    per session; ``typed`` keeps a ``True`` threshold from reading the
+    entry of ``1`` instead of being refused."""
+    return gk_inverse(k, p_c)
 
 
 def acceptance_counts(
@@ -245,7 +247,7 @@ def run_naive(
         raise ConfigError(
             f"map has {alpha_map.n_spots} spots but the plan needs {plan.mu}"
         )
-    x_star = plan.tuned_mean(k)
+    x_star = _tuned_mean(k, plan.p_c)
     spot_indices = rng.choice(alpha_map.n_spots, size=plan.mu, replace=False)
     if isinstance(subject, AliceSubject):
         counts = rng.binomial(plan.nu, gk(subject.k, x_star), size=plan.mu)
