@@ -8,9 +8,11 @@ flash is the upper Poisson tail
     P[Poisson(x) >= K],
 
 which equals the regularized lower incomplete gamma function ``P(K, x)``
-evaluated at integer order.  Everything downstream — interrogation designs,
-sequential tests, pattern challenges — is built on this one function and its
-inverse.
+evaluated at integer order.  For an integer ``K`` that is a short Poisson
+sum, which this module evaluates directly, along with its inverse (a Newton
+iteration on the same sum) and its mean over a band of means (in closed
+form).  Everything downstream — interrogation designs, sequential tests,
+pattern challenges — is built on this one function and its inverse.
 
 The symmetric two-point operating design picks a pulse intensity such that a
 low-transmission spot is seen with some small probability ``q`` while a
@@ -49,8 +51,9 @@ def _validate_threshold(k: int) -> int:
     return k
 
 
-#: ``j!`` for the ``j`` whose factorial a double holds exactly.
-_FACTORIALS = tuple(float(math.factorial(j)) for j in range(23))
+#: ``j!`` as a double, correctly rounded, up to the largest ``j`` for which
+#: ``x**j`` stays finite for every ``x <= _PRODUCT_X_MAX``.
+_FACTORIALS = tuple(float(math.factorial(j)) for j in range(109))
 
 #: Largest mean whose ``exp(-x)`` is a normal double, with room to spare.
 _PRODUCT_X_MAX = 700.0
@@ -66,39 +69,21 @@ _NARROW_BAND = 0.05
 _NEWTON_STEPS = 100
 
 
-def _log_pmf_by_formula(j: int, x: float) -> float:
-    """``log P[Poisson(x) = j]`` for ``x > 0`` where the product of
-    :func:`_poisson_pmf` does not serve.  Past the exact factorials it is
-    Loader's saddle-point form, ``-stirlerr(j) - bd0(j, x) - log(2 pi j)/2``,
-    which keeps its relative precision for any ``j``; ``bd0 = j log(j/x) +
-    x - j`` comes from its series when ``j`` is near ``x``."""
-    if j < len(_FACTORIALS):
-        return j * math.log(x) - x - math.lgamma(j + 1.0)
-    jj = float(j) * j  # Stirling's series for lgamma(j+1) - log(sqrt(2 pi j) (j/e)**j)
-    stirlerr = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / jj) / jj)
-                          / jj) / jj) / j
-    d = j - x
-    if abs(d) < 0.1 * (j + x):
-        v = d / (j + x)
-        bd0, term, n = d * v, 2.0 * j * v, 1
-        while True:
-            term *= v * v
-            n += 2
-            if bd0 + term / n == bd0:
-                break
-            bd0 += term / n
-    else:
-        bd0 = j * math.log(j / x) - d
-    return -stirlerr - bd0 - 0.5 * math.log(2.0 * math.pi * j)
+def _log_pmf(j: int, x: float) -> float:
+    """``log P[Poisson(x) = j]`` for ``x > 0``, through ``lgamma``: for the
+    ``j`` and ``x`` the product of :func:`_poisson_pmf` does not serve, or a
+    probability too small for it.  Its absolute error grows with the size
+    of the terms, about ``(j log x + x) * 2**-53``."""
+    return j * math.log(x) - x - math.lgamma(j + 1.0)
 
 
 def _poisson_pmf(j: int, x: float) -> float:
     """``P[Poisson(x) = j]`` for ``j >= 0`` and ``x > 0``: the product
-    ``exp(-x) * x**j / j!`` while ``j!`` is exact and ``exp(-x)`` normal,
-    else :func:`_log_pmf_by_formula`."""
+    ``exp(-x) * x**j / j!``, a few roundings, while ``j!`` is tabled and
+    ``exp(-x)`` normal; else from :func:`_log_pmf`."""
     if j < len(_FACTORIALS) and x <= _PRODUCT_X_MAX:
         return math.exp(-x) * x**j / _FACTORIALS[j]
-    return math.exp(_log_pmf_by_formula(j, x))
+    return math.exp(_log_pmf(j, x))
 
 
 def _tail(k: int, x: float) -> tuple[int, float, bool]:
@@ -176,7 +161,7 @@ def _inverse_tail(k: int, p: float) -> float:
         to_k_minus_1 = k / x if upper else 1.0  # pmf(k - 1) / pmf(j)
         if upper == lower:  # the tail summed is the one solved for
             log_pmf = (math.log(pmf) if pmf >= _MIN_NORMAL
-                       else _log_pmf_by_formula(j, x))
+                       else _log_pmf(j, x))
             log_tail = log_pmf + math.log(total)
             rate = to_k_minus_1 / total
         else:
@@ -213,6 +198,7 @@ def _gk_mean(k: int, lo: float, hi: float) -> float:
     probabilities below ``k``, since ``d/dx pmf(j, x) = pmf(j - 1, x) -
     pmf(j, x)``.
     """
+    k = _validate_threshold(k)
     h = 0.5 * (hi - lo)
     m = lo + h
     if h == 0.0:
