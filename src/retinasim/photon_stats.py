@@ -140,9 +140,9 @@ def _inverse_tail(k: int, p: float) -> float:
     ``x``, otherwise.  The derivative of ``P[N >= k]`` in ``x`` is the
     Poisson probability of ``k - 1``.  Both logarithms are concave (the
     gamma law is log-concave), so Newton never steps past the root from the
-    side it approaches and each step is shorter than the last: the first
-    iterate for ``p <= 1/2`` lies below the root, and every iterate after
-    the first for ``p > 1/2`` above it.  A tail too small for a double is
+    side it approaches: every iterate for ``p <= 1/2`` lies below the root
+    and rises, and every iterate after the first for ``p > 1/2`` lies above
+    it and falls.  A tail too small for a double is
     carried as its logarithm.  Stops when a step moves ``x`` by at most
     4 ulp, or, where rounding noise in the tail outgrows that (large
     ``k``), when a step turns back.
@@ -193,8 +193,8 @@ def _gk_mean(k: int, lo: float, hi: float) -> float:
     (``x / k`` below ``k``, 1 above) the difference cancels too, so there
     the mean is its Taylor series about the midpoint ``m``,
     ``gk(m) + sum over even n of h**n / (n + 1)! * gk^(n)(m)`` with ``h``
-    the half-width, through ``n = 6``: the next term is below 1e-16 of
-    the mean.  ``gk^(n)`` is the ``(n - 1)``-th difference of the Poisson
+    the half-width, through ``n = 6``: the first term left out is of order
+    ``0.05**8 / 9!``, about 1e-16, of the mean.  ``gk^(n)`` is the ``(n - 1)``-th difference of the Poisson
     probabilities below ``k``, since ``d/dx pmf(j, x) = pmf(j - 1, x) -
     pmf(j, x)``.
     """

@@ -124,9 +124,9 @@ def test_gk_within_16_ulp_of_decimal_sum(k):
 def test_gk_is_closer_to_decimal_sum_than_scipy():
     """Over the grid at the default threshold the Poisson sum is never more
     than 5 ulp off; SciPy's ``gammainc`` is, somewhere."""
-    ours = [ulps_off(gk(6, x), decimal_tail(6, x)) for x in _X_LOG_GRID[:-8]]
+    ours = [ulps_off(gk(6, x), decimal_tail(6, x)) for x in _X_LOG_GRID]
     theirs = [ulps_off(float(gammainc(6, x)), decimal_tail(6, x))
-              for x in _X_LOG_GRID[:-8]]
+              for x in _X_LOG_GRID]
     assert max(ours) <= 5 < max(theirs)
 
 
