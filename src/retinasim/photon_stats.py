@@ -68,6 +68,10 @@ _NARROW_BAND = 0.05
 #: Newton steps :func:`_inverse_tail` takes before it gives up.
 _NEWTON_STEPS = 100
 
+#: Smallest wrong-answer probability ``q`` :func:`solve_q_intensity`
+#: accepts, and its distance below 1/2 at the other end.
+_Q_MIN = 1e-12
+
 
 def _log_pmf(j: int, x: float) -> float:
     """``log P[Poisson(x) = j]`` for ``x > 0``, through ``lgamma``: for the
@@ -110,6 +114,17 @@ def _tail(k: int, x: float) -> tuple[int, float, bool]:
     return k - 1, total, False
 
 
+def _seen_and_missed(k: int, x: float) -> tuple[float, float]:
+    """``(P[N >= k], P[N < k])`` for ``N ~ Poisson(x)``, ``x >= 0``: the
+    tail on the far side of the mean summed, the other its complement, so
+    whichever of the two is small keeps its relative precision."""
+    if x == 0.0:
+        return 0.0, 1.0
+    j, total, upper = _tail(k, x)
+    tail = _poisson_pmf(j, x) * total
+    return (tail, 1.0 - tail) if upper else (1.0 - tail, tail)
+
+
 def gk(k: int, x: float) -> float:
     """Probability that a Poisson count with mean ``x`` reaches ``k``.
 
@@ -124,11 +139,7 @@ def gk(k: int, x: float) -> float:
     x = float(x)
     if not math.isfinite(x) or x < 0.0:
         raise DomainError(f"mean photon number must be finite and >= 0, got {x!r}")
-    if x == 0.0:
-        return 0.0
-    j, total, upper = _tail(k, x)
-    tail = _poisson_pmf(j, x) * total
-    return tail if upper else 1.0 - tail
+    return _seen_and_missed(k, x)[0]
 
 
 def _inverse_tail(k: int, p: float) -> float:
@@ -246,18 +257,13 @@ def prob_see(alpha: float, i_tilde: float, k: int = DEFAULT_THRESHOLD) -> float:
     return gk(k, alpha * i_tilde)
 
 
-def _brentq(
-    f, a: float, b: float, *, xtol: float, maxiter: int, rtol: float = 4 * math.ulp(1.0)
-) -> float:
-    """Root of ``f`` in the sign-changing bracket ``[a, b]`` by Brent's zeroin.
+def _bisect(f, lo: float, hi: float) -> float:
+    """Root of ``f`` in the sign-changing bracket ``[lo, hi]``, ``lo < hi``.
 
-    A line-for-line port of SciPy's C ``brentq`` (Brent 1973, ch. 4): the
-    same float operations in the same order, so it returns the same root to
-    the last bit without importing ``scipy.optimize``.  Converged when the
-    bracket half-width is below ``(xtol + rtol * |x|) / 2``; ``rtol``
-    defaults to SciPy's ``4 * DBL_EPSILON``.  Raises
-    :class:`InfeasibleError` for a same-sign bracket, a NaN value or no
-    convergence within ``maxiter`` iterations.
+    Halves the bracket until no double lies strictly between its ends and
+    returns the upper end; a point at which ``f`` is zero is returned as
+    is.  Raises :class:`InfeasibleError` for a same-sign bracket or a NaN
+    value.
     """
 
     def value(x: float) -> float:
@@ -266,45 +272,24 @@ def _brentq(
             raise InfeasibleError(f"root search met NaN at x={x!r}")
         return fx
 
-    xpre, xcur = float(a), float(b)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise InfeasibleError(f"root search bracket [{a!r}, {b!r}] has no sign change")
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (
-                    dblk * dpre * (fblk - fpre)
-                )
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
+    f_lo, f_hi = value(lo), value(hi)
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    if (f_lo < 0.0) == (f_hi < 0.0):
+        raise InfeasibleError(f"root search bracket [{lo!r}, {hi!r}] has no sign change")
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return hi
+        f_mid = value(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_mid < 0.0) == (f_lo < 0.0):
+            lo, f_lo = mid, f_mid
         else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value(xcur)
-    raise InfeasibleError(f"root search did not converge in {maxiter} iterations")
+            hi, f_hi = mid, f_mid
 
 
 def solve_q_intensity(
@@ -319,12 +304,13 @@ def solve_q_intensity(
         gk(k, alpha_low * i_tilde) = q,
         gk(k, alpha_high * i_tilde) = 1 - q.
 
-    Dividing the two conditions shows that only the ratio
-    ``alpha_high / alpha_low`` determines ``q``; the intensity then follows
-    from the low branch alone.  The ratio equation is solved by a bracketed
-    root search over q in (0, 1/2) — the bracket is guaranteed because the
-    quantile ratio decreases monotonically from +inf to 1 on that interval
-    (asserted numerically in the test suite, not assumed here).
+    One bisection in ``i`` on the two small tails compared directly, the
+    low path's chance of being seen against the high path's chance of being
+    missed.  Their difference rises from -1 at ``i = 0`` to a positive value
+    at ``i = k / alpha_low``, where the low path has mean ``k`` and is seen
+    with probability at least 1/2, so that bracket holds the one root.
+    Raises :class:`InfeasibleError` when ``q`` falls outside
+    ``[1e-12, 1/2 - 1e-12]`` or ``i_tilde`` is not a finite double.
     """
     k = _validate_threshold(k)
     alpha_low = float(alpha_low)
@@ -334,25 +320,25 @@ def solve_q_intensity(
             "need 0 < alpha_low < alpha_high <= 1, got "
             f"alpha_low={alpha_low!r}, alpha_high={alpha_high!r}"
         )
-    ratio = alpha_high / alpha_low
-
-    def mismatch(q: float) -> float:
-        return _inverse_tail(k, 1.0 - q) / _inverse_tail(k, q) - ratio
-
-    lo, hi = 1e-12, 0.5 - 1e-12
-    if mismatch(lo) < 0.0 or mismatch(hi) > 0.0:  # pragma: no cover - defensive
+    pair = f"alpha_low={alpha_low!r}, alpha_high={alpha_high!r}, k={k}"
+    hi = k / alpha_low
+    if not math.isfinite(hi):
         raise InfeasibleError(
-            f"no symmetric operating point for transmission ratio {ratio!r}"
+            f"no symmetric operating point at a finite pulse intensity for {pair}"
         )
-    q = _brentq(mismatch, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
-    i_tilde = gk_inverse(k, q) / alpha_low
 
-    # Defensive residual check on both branches of the design equations.
-    if (
-        abs(prob_see(alpha_low, i_tilde, k) - q) > 1e-8
-        or abs(prob_see(alpha_high, i_tilde, k) - (1.0 - q)) > 1e-8
-    ):  # pragma: no cover - numerical safety net
+    def excess(i: float) -> float:
+        return (_seen_and_missed(k, alpha_low * i)[0]
+                - _seen_and_missed(k, alpha_high * i)[1])
+
+    i_tilde = _bisect(excess, 0.0, hi)
+    q = gk(k, alpha_low * i_tilde)
+    if not (_Q_MIN <= q <= 0.5 - _Q_MIN):
         raise InfeasibleError(
-            f"operating-point solver failed to converge for ratio {ratio!r}"
+            f"no symmetric operating point with q in [{_Q_MIN!r}, 0.5 - {_Q_MIN!r}] "
+            f"for {pair}: q = {q!r} at i_tilde = {i_tilde!r}"
         )
+    # Defensive residual check on the high branch of the design equations.
+    if abs(prob_see(alpha_high, i_tilde, k) - (1.0 - q)) > 1e-8:  # pragma: no cover
+        raise InfeasibleError(f"operating-point solver failed to converge for {pair}")
     return q, i_tilde

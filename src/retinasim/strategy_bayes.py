@@ -39,7 +39,7 @@ import numpy as np
 
 from .alpha_map import UniformBands, inner_edges
 from .errors import ConfigError, DomainError
-from .photon_stats import DEFAULT_THRESHOLD, _brentq, gk, solve_q_intensity
+from .photon_stats import DEFAULT_THRESHOLD, _bisect, gk, solve_q_intensity
 from .strategy_serial import relative_entropy
 from .subjects import EveSubject, SubjectModel, class_seeing_means, interrogate
 
@@ -346,7 +346,7 @@ def optimality_lower_bound(q: float, p_fp: float) -> int:
         return n * h + 0.5 * math.log(8.0 * n * q * (1.0 - q)) - target
 
     hi = max(target / h + 10.0, 10.0)
-    root = _brentq(excess, 1e-12, hi, xtol=1e-12, maxiter=200)
+    root = _bisect(excess, 1e-12, hi)
     return max(1, int(math.floor(root)))
 
 

@@ -36,7 +36,7 @@ import numpy as np
 
 from .alpha_map import AlphaMap, SpotClass, UniformBands, require_support
 from .errors import DomainError, InfeasibleError
-from .photon_stats import _brentq
+from .photon_stats import _bisect
 from .subjects import (
     AliceSubject,
     EveSubject,
@@ -132,7 +132,7 @@ def solve_w_N(q: float, p_fp: float, p_fn: float) -> tuple[float, int]:
             f"no decision fraction exists in ({q!r}, 0.5) for targets "
             f"p_fp={p_fp!r}, p_fn={p_fn!r}"
         )
-    w = _brentq(balance, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
+    w = _bisect(balance, lo, hi)
     need_fn = log_fn / relative_entropy(w, q)
     need_fp = log_fp / relative_entropy(w, 0.5)
     n_rounds = math.ceil(max(need_fn, need_fp))

@@ -316,7 +316,7 @@ def interrogate(
         yield spot_class, alpha, answer(alpha, i_tilde)
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=64, typed=True)
 def class_seeing_means(
     distribution: UniformBands, i_tilde: float, k: int
 ) -> tuple[float, float]:
@@ -328,7 +328,8 @@ def class_seeing_means(
     band mean of :func:`~retinasim.photon_stats.gk` on a band of positive
     width (its Taylor series on a band too narrow for the closed form).
     Cached per ``(distribution, i_tilde, k)``: a run asks for the same
-    means every session.
+    means every session.  ``typed`` keeps a ``True`` threshold from reading
+    the entry of ``1`` instead of being refused.
     """
     i_tilde = float(i_tilde)
     if not math.isfinite(i_tilde) or i_tilde < 0.0:

@@ -328,8 +328,9 @@ class TestIdentify:
     def test_runs_that_tune_their_own_intensity_need_no_operating_point(
         self, strategy, tmp_path, capsys
     ):
-        # At k = 200 no symmetric operating point exists; only bayes, serial
-        # and the solve report pulse at it.
+        # At k = 200 the symmetric point has q = 6.8e-15, below the 1e-12
+        # floor the solver accepts; only bayes, serial and the solve report
+        # pulse at it, so only they refuse the config.
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"k": 200}))
         code = main(["identify", "--config", str(path), "--strategy", strategy])

@@ -926,8 +926,12 @@ def test_martingale_report_matches_pinned_digest():
 # state, for every artifact cell, pattern run and kernel cell above, and the
 # martingale report's counts with its generator's end state.  A change that
 # moves only floats (a log-odds increment, a seeing probability in its last
-# bits) leaves these as they are; one that changes a draw, an answer, a
-# decision or how many draws a session takes does not.
+# bits) leaves these as they are; one that changes an answer, a decision or
+# how many draws a session takes does not.  A draw that changes its value
+# but not the generator's end state shows only through what the record
+# holds: ``TrialRecord`` keeps no per-spot naive counts, so a naive count
+# that moves without moving a decision is missed here (test_naive.py pins
+# the one known way for that to happen, NumPy's binomial reflection).
 _STRUCTURAL_CELLS = (
     [("artifacts", *cell) for cell in _PINNED_CELLS]
     + [("pattern-run", subject, trials) for subject, trials in _PINNED_PATTERN_RUNS]

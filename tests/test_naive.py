@@ -30,11 +30,14 @@ from retinasim import (
     UniformP,
     acceptance_counts,
     build_subject,
+    gk,
     prepare,
     relative_entropy,
     required_nu,
     run_naive,
 )
+
+from retinasim import strategy_naive
 
 from conftest import g_test_pvalue, make_rng, two_sample_g_pvalue
 
@@ -381,6 +384,14 @@ class TestLawLevelDraws:
         nu = _published_plan().nu
         assert g_test_pvalue(self._pooled(results),
                              stats.binom.pmf(range(nu + 1), nu, p_see)) > 1e-3
+
+    def test_honest_draw_stays_below_numpy_reflection_point(self):
+        """NumPy's binomial sampler draws ``n - Bin(n, 1 - p)`` for ``p``
+        above 1/2, so the honest seeing probability at the published
+        ``p_c = 1/2`` (a few ulp below it) crossing 1/2 would change every
+        honest count while keeping the law.  ``TrialRecord`` holds no
+        per-spot counts, so no pinned digest would see that change."""
+        assert gk(6, strategy_naive._tuned_mean(6, 0.5)) < 0.5
 
     def test_fair_coin_exact_acceptance_and_counts(self, default_map):
         plan = _published_plan()

@@ -28,8 +28,8 @@ from retinasim import (
 )
 from retinasim import UniformBands
 from retinasim.subjects import class_seeing_means
-from retinasim import photon_stats, strategy_bayes, strategy_serial
-from retinasim.photon_stats import _brentq
+from retinasim import strategy_bayes, strategy_serial
+from retinasim.photon_stats import _bisect
 
 K_GRID = [1, 2, 3, 6, 10, 20]
 X_GRID = [0.0, 1e-9, 1e-3, 0.31, 1.0, 3.12, 6.0, 9.36, 12.96, 30.0, 100.0, 400.0]
@@ -305,8 +305,8 @@ class TestOperatingPoint:
             assert prob_see(alpha_high, i_tilde, k) == pytest.approx(1.0 - q, abs=1e-9)
 
     def test_quantile_ratio_monotone(self):
-        """Numeric support for the bracket argument: the quantile ratio
-        decreases in q over (0, 1/2)."""
+        """The quantile ratio decreases in q over (0, 1/2), so each ratio of
+        transmissions has one symmetric point."""
         ratios = [
             gk_inverse(6, 1.0 - q) / gk_inverse(6, q)
             for q in [1e-6, 1e-4, 0.01, 0.1, 0.2, 0.3, 0.4, 0.49, 0.4999]
@@ -329,61 +329,78 @@ class TestOperatingPoint:
         with pytest.raises(DomainError):
             solve_q_intensity(0.2, 1.2, 6)
 
+    @pytest.mark.parametrize(
+        "alpha_low, alpha_high, k",
+        [
+            (0.05, 0.15, 200),  # q = 6.835e-15 at i_tilde = 2193.596, below 1e-12
+            (0.1499999999999, 0.15, 6),  # q within 1e-12 of 1/2
+            (5e-324, 0.15, 6),  # the upper bracket end k / alpha_low is infinite
+        ],
+    )
+    def test_refuses_points_outside_the_q_range(self, alpha_low, alpha_high, k):
+        with pytest.raises(InfeasibleError, match="no symmetric operating point"):
+            solve_q_intensity(alpha_low, alpha_high, k)
 
-class TestBrentqPort:
-    """``photon_stats._brentq`` against ``scipy.optimize.brentq``: the port
-    must return the same float, bit for bit, on every bracket."""
 
-    @staticmethod
-    def record(monkeypatch, module):
-        """Route ``module``'s root searches through the port and keep each
-        call's function, bracket, tolerances and root."""
-        calls = []
+class TestBisect:
+    """``photon_stats._bisect``, the one root search of the three solvers,
+    on the operating point against a 60-digit solution and on the two
+    sizing solvers against ``scipy.optimize.brentq``."""
 
-        def spy(f, a, b, **tolerances):
-            root = _brentq(f, a, b, **tolerances)
-            calls.append((f, a, b, tolerances, root))
-            return root
-
-        monkeypatch.setattr(module, "_brentq", spy)
-        return calls
-
-    @staticmethod
-    def assert_same_roots(calls, expected_count):
-        assert len(calls) == expected_count
-        for f, a, b, tolerances, root in calls:
-            assert root.hex() == brentq(f, a, b, **tolerances).hex(), (a, b, tolerances)
-
-    def test_quantile_ratio_brackets(self, monkeypatch):
-        calls = self.record(monkeypatch, photon_stats)
+    def test_operating_point_brackets(self):
+        """Every 20th of 2,000 random pairs within 1e-13 of the 60-digit
+        solution, in both q and i_tilde."""
         rng = np.random.default_rng(20261018)
-        for _ in range(2000):
+        for n in range(2000):
             k = int(rng.integers(1, 13))
             alpha_low = float(rng.uniform(0.01, 0.3))
             ratio = float(np.exp(rng.uniform(math.log(1.2), math.log(20.0))))
-            solve_q_intensity(alpha_low, min(1.0, alpha_low * ratio), k)
-        self.assert_same_roots(calls, 2000)
+            alpha_high = min(1.0, alpha_low * ratio)
+            q, i_tilde = solve_q_intensity(alpha_low, alpha_high, k)
+            if n % 20:
+                continue
+            q_ref, i_ref = _decimal_operating_point(alpha_low, alpha_high, k)
+            pair = (alpha_low, alpha_high, k)
+            assert abs(Decimal(q) - q_ref) <= Decimal("1e-13") * q_ref, pair
+            assert abs(Decimal(i_tilde) - i_ref) <= Decimal("1e-13") * i_ref, pair
+
+    @staticmethod
+    def with_brentq(monkeypatch, module, call, **tolerances):
+        """``call()`` with ``module``'s root search swapped for SciPy's."""
+        with monkeypatch.context() as patch:
+            patch.setattr(module, "_bisect",
+                          lambda f, lo, hi: brentq(f, lo, hi, maxiter=200, **tolerances))
+            return call()
 
     def test_serial_balance_brackets(self, monkeypatch):
-        calls = self.record(monkeypatch, strategy_serial)
         rng = np.random.default_rng(20261019)
         for _ in range(1500):
             q = float(rng.uniform(0.005, 0.45))
             p_fp = float(10.0 ** rng.uniform(-14.0, -1.0))
             p_fn = float(10.0 ** rng.uniform(-8.0, -1.0))
-            strategy_serial.solve_w_N(q, p_fp, p_fn)
-        self.assert_same_roots(calls, 1500)
+            w, n_rounds = strategy_serial.solve_w_N(q, p_fp, p_fn)
+            w_ref, n_ref = self.with_brentq(
+                monkeypatch, strategy_serial,
+                lambda: strategy_serial.solve_w_N(q, p_fp, p_fn),
+                xtol=1e-14, rtol=8.9e-16,
+            )
+            assert w == pytest.approx(w_ref, rel=1e-12), (q, p_fp, p_fn)
+            assert n_rounds == n_ref, (q, p_fp, p_fn)
 
     def test_optimality_excess_brackets(self, monkeypatch):
-        calls = self.record(monkeypatch, strategy_bayes)
         rng = np.random.default_rng(20261020)
         for _ in range(1500):
             q = float(rng.uniform(0.005, 0.45))
             p_fp = float(10.0 ** rng.uniform(-14.0, -1.0))
-            strategy_bayes.optimality_lower_bound(q, p_fp)
-        self.assert_same_roots(calls, 1500)
+            floor = strategy_bayes.optimality_lower_bound(q, p_fp)
+            assert floor == self.with_brentq(
+                monkeypatch, strategy_bayes,
+                lambda: strategy_bayes.optimality_lower_bound(q, p_fp), xtol=1e-12,
+            ), (q, p_fp)
 
     def test_generic_brackets(self):
+        """The root returned is a zero of ``f`` or the upper of two adjacent
+        doubles across which ``f`` changes sign."""
         rng = np.random.default_rng(20261021)
         for i in range(1000):
             c = float(rng.uniform(-5.0, 5.0))
@@ -401,59 +418,23 @@ class TestBrentqPort:
                 def f(x, c=c, steep=steep):
                     return math.tanh(steep * (x - c))
 
-            tolerances = {"xtol": 10.0 ** rng.uniform(-15.0, -4.0), "maxiter": 200}
-            if i % 3:
-                tolerances["rtol"] = float(rng.uniform(8.9e-16, 1e-6))
-            root = brentq(f, a, b, **tolerances)
-            assert _brentq(f, a, b, **tolerances).hex() == root.hex()
-
-    @pytest.mark.parametrize(
-        "c, d, a, b, xtol",
-        [
-            (-0.13427841319420253, -0.2077230529083458, -1.7833135013514718,
-             0.8322223764919126, 0.9772176780605094),
-            (-0.23488630255597642, -0.19499095750679007, -1.9873868028606525,
-             1.0759352691753352, 0.7981532265879057),
-        ],
-    )
-    def test_loose_tolerance_step_limit(self, c, d, a, b, xtol):
-        """Two of 200,000 random loose-tolerance brackets whose root depends
-        on the ``- delta`` margin of the short-step limit; the random draws
-        above never reach that window."""
-
-        def f(x):
-            return (x - c) * (1.0 + d * (x - c) ** 2)
-
-        root = brentq(f, a, b, xtol=xtol, maxiter=200)
-        assert _brentq(f, a, b, xtol=xtol, maxiter=200).hex() == root.hex()
+            root = _bisect(f, a, b)
+            assert a < root <= b
+            below = math.nextafter(root, -math.inf)
+            assert f(root) == 0.0 or (f(below) < 0.0) != (f(root) < 0.0), (a, b, c)
+            assert abs(root - c) <= 1e-12
 
     @pytest.mark.parametrize("a, b", [(1.0, 3.0), (-2.0, 1.0)])
     def test_root_at_an_endpoint_is_returned_as_is(self, a, b):
-        def f(x):
-            return x - 1.0
-
-        assert _brentq(f, a, b, xtol=1e-12, maxiter=200) == 1.0
-        assert brentq(f, a, b, xtol=1e-12, maxiter=200) == 1.0
+        assert _bisect(lambda x: x - 1.0, a, b) == 1.0
 
     def test_same_sign_bracket_raises(self):
         with pytest.raises(InfeasibleError):
-            _brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12, maxiter=200)
+            _bisect(lambda x: x * x + 1.0, -1.0, 1.0)
 
     def test_nan_value_raises(self):
         def f(x):
             return -1.0 if x < 0.5 else math.nan
 
         with pytest.raises(InfeasibleError):
-            _brentq(f, 0.0, 1.0, xtol=1e-9, maxiter=9)
-
-    def test_out_of_iterations_raises_infeasible(self):
-        """SciPy raised ``RuntimeError`` here, which the CLI does not map to
-        an exit code; the port raises the package's ``InfeasibleError``."""
-
-        def f(x):
-            return x**3 - 2.0
-
-        with pytest.raises(RuntimeError):
-            brentq(f, 0.0, 4.0, xtol=1e-12, maxiter=1)
-        with pytest.raises(InfeasibleError):
-            _brentq(f, 0.0, 4.0, xtol=1e-12, maxiter=1)
+            _bisect(f, 0.0, 1.0)

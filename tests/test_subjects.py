@@ -271,6 +271,15 @@ def test_class_seeing_means():
         class_seeing_means(bands, -1.0, 6)
 
 
+def test_class_seeing_means_refuses_a_bool_threshold_after_a_cached_one():
+    """``True`` hashes and compares equal to ``1``; the cache must not hand
+    it the entry of ``k=1``."""
+    bands = UniformBands((0.02, 0.05), (0.15, 0.18))
+    class_seeing_means(bands, 62.0, 1)
+    with pytest.raises(DomainError, match="threshold"):
+        class_seeing_means(bands, 62.0, True)
+
+
 @pytest.mark.parametrize("strategy", ["faircoin", "fixedp:0.3", "uniformp", "echo"])
 def test_only_an_adaptive_session_builds_contexts(strategy, monkeypatch):
     """A biased impostor's answers read no context, so her session builds
