@@ -63,14 +63,12 @@ from .physics_bounds import (
     thermal_energy_resolution,
 )
 from .strategy_bayes import (
-    MartingaleReport,
     Outcome,
     Round,
     SequentialPlan,
     SequentialResult,
     design_wrong_probability,
     drift_bounds,
-    martingale_diagnostics,
     optimality_lower_bound,
     prior_p,
     run_sequential,

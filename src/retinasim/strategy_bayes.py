@@ -21,9 +21,9 @@ supermartingale under *every* admissible impostor strategy — adaptive ones
 included — so neither side can improve their exit probabilities by cleverness.
 
 This module provides the designer's ``p``, the session runner, closed-form
-bounds on expected stopping times and per-round drift, a universal lower
+bounds on expected stopping times and per-round drift, and a universal lower
 bound on the mean length of *any* test achieving a given false-positive
-target, and empirical martingale diagnostics.
+target.  The test suite checks the martingale property empirically.
 """
 
 from __future__ import annotations
@@ -41,21 +41,19 @@ from .alpha_map import UniformBands, inner_edges
 from .errors import ConfigError, DomainError
 from .photon_stats import DEFAULT_THRESHOLD, _bisect, gk, solve_q_intensity
 from .strategy_serial import relative_entropy
-from .subjects import EveSubject, SubjectModel, class_seeing_means, interrogate
+from .subjects import SubjectModel, class_seeing_means, interrogate, open_scope
 
 __all__ = [
     "Outcome",
     "Round",
     "SequentialPlan",
     "SequentialResult",
-    "MartingaleReport",
     "prior_p",
     "design_wrong_probability",
     "run_sequential",
     "stopping_time_bounds",
     "drift_bounds",
     "optimality_lower_bound",
-    "martingale_diagnostics",
 ]
 
 DEFAULT_MAX_ROUNDS = 10_000
@@ -250,7 +248,8 @@ def run_sequential(
     rounds = 0
     outcome = Outcome.TIMEOUT
     transcript: list[Round] = []
-    interrogation = interrogate(subject, plan.distribution, plan.i_tilde, rng)
+    interrogation = interrogate(open_scope(subject, rng), plan.distribution,
+                                plan.i_tilde, rng)
     for rounds, (_cls, alpha, saw) in enumerate(islice(interrogation, max_rounds), 1):
         pair = edge_rounds.get(alpha)
         if pair is None:  # a band value off the inner edges
@@ -348,78 +347,3 @@ def optimality_lower_bound(q: float, p_fp: float) -> int:
     hi = max(target / h + 10.0, 10.0)
     root = _bisect(excess, 1e-12, hi)
     return max(1, int(math.floor(root)))
-
-
-@dataclass(frozen=True)
-class MartingaleReport:
-    """Empirical checkpoint means of the martingale statistic.
-
-    ``statistic`` names what was averaged: the odds ratio ``R_n`` for
-    impostor subjects (a martingale under any admissible impostor strategy)
-    or its reciprocal for the honest user.  Under the respective subject the
-    expectation equals 1 at every checkpoint.
-    """
-
-    statistic: str
-    n_trials: int
-    checkpoints: tuple[int, ...]
-    means: tuple[float, ...]
-    stderrs: tuple[float, ...]
-
-    def max_sigma_deviation(self) -> float:
-        """Largest |mean - 1| / stderr across checkpoints."""
-        worst = 0.0
-        for mean, se in zip(self.means, self.stderrs):
-            if se == 0.0:
-                if mean != 1.0:
-                    return math.inf
-                continue
-            worst = max(worst, abs(mean - 1.0) / se)
-        return worst
-
-
-def martingale_diagnostics(
-    plan: SequentialPlan,
-    subject: SubjectModel,
-    n_trials: int,
-    horizon: int,
-    rng: np.random.Generator,
-) -> MartingaleReport:
-    """Estimate the martingale statistic at n = 1, horizon/2 and horizon.
-
-    Walks are run *without* stopping (the martingale property concerns the
-    unstopped chain).  For impostor subjects the statistic is R_n itself;
-    for the honest user it is 1/R_n.
-    """
-    if horizon < 1:
-        raise DomainError(f"horizon must be >= 1, got {horizon}")
-    if n_trials < 2:
-        raise DomainError(f"need at least 2 trials, got {n_trials}")
-    checkpoints = sorted({1, max(1, horizon // 2), horizon})
-    is_eve = isinstance(subject, EveSubject)
-    see = plan.see_probability
-    sums = {n: 0.0 for n in checkpoints}
-    sumsq = {n: 0.0 for n in checkpoints}
-    for _trial in range(n_trials):
-        ratio = 1.0
-        interrogation = interrogate(subject, plan.distribution, plan.i_tilde, rng)
-        for n, (_cls, alpha, saw) in enumerate(islice(interrogation, horizon), 1):
-            ratio *= _likelihood_ratio(see(alpha), saw, plan.p)
-            if n in sums:
-                stat = ratio if is_eve else 1.0 / ratio
-                sums[n] += stat
-                sumsq[n] += stat * stat
-    means = []
-    stderrs = []
-    for n in checkpoints:
-        mean = sums[n] / n_trials
-        var = max(sumsq[n] / n_trials - mean * mean, 0.0) * n_trials / (n_trials - 1)
-        means.append(mean)
-        stderrs.append(math.sqrt(var / n_trials))
-    return MartingaleReport(
-        statistic="R_n" if is_eve else "1/R_n",
-        n_trials=n_trials,
-        checkpoints=tuple(checkpoints),
-        means=tuple(means),
-        stderrs=tuple(stderrs),
-    )

@@ -44,9 +44,9 @@ import numpy as np
 
 from .alpha_map import AlphaMap
 from .errors import ConfigError, DomainError, InfeasibleError
-from .photon_stats import DEFAULT_THRESHOLD, gk, gk_inverse
+from .photon_stats import DEFAULT_THRESHOLD, gk_inverse
 from .strategy_serial import relative_entropy
-from .subjects import AliceSubject, EveSession, EveSubject, SubjectModel, responder
+from .subjects import AnswerLaw, SubjectModel, open_scope
 
 __all__ = [
     "NaiveTestPlan",
@@ -237,11 +237,13 @@ def run_naive(
     threshold ``k``), and requires every spot's count to fall inside the
     acceptance window.  The session stops at the first failing spot.
 
-    Impostor strategies are given a fresh session scope per spot test, so a
-    once-per-scope bias (the uniform-bias strategy) is redrawn for every
-    spot — answering all spots with a single shared bias would correlate the
-    per-spot counts and is a strictly different game from the one the window
-    sizing assumes.
+    Each spot test is its own answering scope
+    (:func:`~retinasim.subjects.open_scope`), so a once-per-scope bias (the
+    uniform-bias strategy) is redrawn for every spot — answering all spots
+    with a single shared bias would correlate the per-spot counts and is a
+    strictly different game from the one the window sizing assumes.  The
+    honest user keeps no per-scope state, so her one law, and its one
+    cached seeing probability, serves every spot.
     """
     if alpha_map.n_spots < plan.mu:
         raise ConfigError(
@@ -249,18 +251,16 @@ def run_naive(
         )
     x_star = _tuned_mean(k, plan.p_c)
     spot_indices = rng.choice(alpha_map.n_spots, size=plan.mu, replace=False)
-    if isinstance(subject, AliceSubject):
-        counts = rng.binomial(plan.nu, gk(subject.k, x_star), size=plan.mu)
-    elif isinstance(subject, EveSubject):
-        sessions = [subject.strategy.session(rng) for _ in range(plan.mu)]
-        biases = [session.bias for session in sessions]
-        if None in biases:
-            counts = _answer_rounds(subject, sessions, alpha_map, spot_indices,
-                                    plan.nu, x_star, rng)
-        else:
-            counts = rng.binomial(plan.nu, biases)
+    law = open_scope(subject, rng)
+    if law is subject:  # one law for every spot test
+        counts = rng.binomial(plan.nu, law.p_seen(x_star), size=plan.mu)
     else:
-        raise DomainError(f"unknown subject model {subject!r}")
+        laws = [law] + [open_scope(subject, rng) for _ in range(plan.mu - 1)]
+        p_seen = [scope.p_seen(x_star) for scope in laws]
+        if None in p_seen:
+            counts = _answer_rounds(laws, alpha_map, spot_indices, plan.nu, x_star, rng)
+        else:
+            counts = rng.binomial(plan.nu, p_seen)
     see_counts: list[int] = []
     accepted = True
     for count in counts:
@@ -277,19 +277,18 @@ def run_naive(
 
 
 def _answer_rounds(
-    subject: EveSubject,
-    sessions: list[EveSession],
+    laws: list[AnswerLaw],
     alpha_map: AlphaMap,
     spot_indices: np.ndarray,
     nu: int,
     x_star: float,
     rng: np.random.Generator,
 ) -> Iterator[int]:
-    """Per-spot "seen" counts of an impostor interrogated round by round,
-    one spot's ``nu`` rounds on its own session at a time, so a caller that
-    stops at a failing spot answers no later round."""
-    for spot_ordinal, (spot, session) in enumerate(zip(spot_indices, sessions)):
+    """Per-spot "seen" counts answered round by round, one spot's ``nu``
+    rounds on its own law at a time, so a caller that stops at a failing
+    spot answers no later round."""
+    for spot_ordinal, (spot, law) in enumerate(zip(spot_indices, laws)):
         alpha = float(alpha_map.alpha[int(spot)])
         i_tilde_spot = x_star / alpha
-        answer = responder(subject, rng, spot_ordinal, session=session)
+        answer = law.answers(rng, spot_ordinal)
         yield sum(answer(alpha, i_tilde_spot) for _ in range(nu))

@@ -42,7 +42,7 @@ from .errors import (
 )
 from .photon_stats import gk
 from .strategy_serial import relative_entropy
-from .subjects import AliceSubject, EveSubject, SubjectModel
+from .subjects import SubjectModel, honest_threshold
 
 __all__ = [
     "Glyph",
@@ -575,9 +575,7 @@ def run_pattern_test(
     unknown = [gid for gid in pool if gid not in library]
     if unknown:
         raise ConfigError(f"glyph ids not in the library: {unknown!r}")
-    is_eve = isinstance(subject, EveSubject)
-    if not is_eve and not isinstance(subject, AliceSubject):
-        raise DomainError(f"unknown subject model {subject!r}")
+    k = honest_threshold(subject)
 
     correct = 0
     for _question in range(m):
@@ -585,10 +583,10 @@ def run_pattern_test(
         challenge = build_challenge(alpha_map, library, gid, n_noise, rng,
                                     i_tilde=i_tilde, low_max=low_max, high_min=high_min)
         menu = candidate_menu(challenge, library, n_entries, rng)
-        if is_eve:
+        if k is None:
             answer = menu[int(rng.integers(len(menu)))]
         else:
-            perceived = simulate_perception(challenge, alpha_map, subject.k, rng)
+            perceived = simulate_perception(challenge, alpha_map, k, rng)
             if recognize(perceived, challenge, rule):
                 answer = max(menu, key=lambda entry: len(entry.spots & perceived))
             else:

@@ -37,13 +37,7 @@ import numpy as np
 from .alpha_map import AlphaMap, SpotClass, UniformBands, require_support
 from .errors import DomainError, InfeasibleError
 from .photon_stats import _bisect
-from .subjects import (
-    AliceSubject,
-    EveSubject,
-    SubjectModel,
-    class_seeing_means,
-    interrogate,
-)
+from .subjects import SubjectModel, interrogate, open_scope
 
 __all__ = [
     "SerialPlan",
@@ -157,10 +151,11 @@ def run_serial(
     map's transmission band must cover the distribution's support; that is
     checked once, before the first round.
 
-    The record is the wrong-answer count, and its rounds are i.i.d. for the
-    honest user and for a biased impostor session, so for them the count is
-    one binomial draw (see the module docstring).  An adaptive impostor
-    answers round by round through :func:`~retinasim.subjects.interrogate`.
+    The record is the wrong-answer count.  When the session's answer law
+    gives a per-round wrong-answer probability (the honest user, a biased
+    impostor), the rounds are i.i.d. and the count is one binomial draw (see
+    the module docstring); a rule answers round by round through
+    :func:`~retinasim.subjects.interrogate`.
 
     ``k`` is unused: it is kept only for the positional signature external
     callers (``perfbench`` among them) pass it in.  The honest subject
@@ -169,19 +164,15 @@ def run_serial(
     """
     require_support(alpha_map, distribution)
     n_rounds = plan.n_rounds
-    session = None
-    if isinstance(subject, EveSubject):
-        session = subject.strategy.session(rng)
-    if isinstance(subject, AliceSubject):
-        low, high = class_seeing_means(distribution, i_tilde, subject.k)
-        wrong = int(rng.binomial(n_rounds, 0.5 * (low + 1.0 - high)))
-    elif session is not None and session.bias is not None:
-        wrong = int(rng.binomial(n_rounds, 0.5))
-    else:
-        interrogation = interrogate(subject, distribution, i_tilde, rng, session=session)
+    law = open_scope(subject, rng)
+    p_wrong = law.p_wrong(distribution, i_tilde)
+    if p_wrong is None:
+        interrogation = interrogate(law, distribution, i_tilde, rng)
         wrong = sum(
             saw != (spot_class is SpotClass.HIGH)
             for spot_class, _alpha, saw in islice(interrogation, n_rounds)
         )
+    else:
+        wrong = int(rng.binomial(n_rounds, p_wrong))
     accepted = wrong < n_rounds * plan.w
     return SerialResult(accepted=accepted, wrong_answers=wrong, rounds=n_rounds)

@@ -14,17 +14,19 @@ Two kinds of subject can sit in front of the device:
   map could reach her — the information barrier is structural, and the test
   suite asserts it by introspecting :class:`EveContext`.
 
-This module also holds the interrogation kernel every class-based protocol
-shares: :func:`responder` builds each scope's "seen / not seen" answers,
-and :func:`interrogate` runs the round primitive — a fair coin picks the
-hidden class, the transmission value is drawn from that class's part of
-the distribution, and the subject answers.  The honest user's answer is
-:func:`alice_response`, which checks its inputs every call;
-:func:`interrogate` checks them once per session and then draws without
-checks.
-:func:`class_seeing_means` gives the honest user's mean seeing probability
-per class, from which a runner that needs only a count of answers draws
-that count at once.
+Only this module tells the two apart.  :func:`open_scope` gives each
+answering scope (a session, or a spot test of the per-spot protocol) its
+answer law — the :class:`AliceSubject` herself, or an :class:`EveSession`
+with a constant bias or a rule — and each law answers the runners'
+questions: ``p_seen(x)`` at a mean photon number ``x``, ``p_wrong`` per
+round of class interrogation (``None`` for a rule, which decides round by
+round), and ``answers(rng, spot_ordinal)``, one call a round.
+:func:`honest_threshold` serves the pattern protocol, which opens no scope.
+:func:`interrogate` runs the round primitive every class-based protocol
+shares: a fair coin picks the hidden class, the transmission value is drawn
+from that class's part of the distribution, and the law answers.
+:func:`alice_response` checks its inputs every call; :func:`interrogate`
+checks them once per session.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from __future__ import annotations
 import abc
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable, Iterator, Union
 
@@ -39,7 +42,7 @@ import numpy as np
 
 from .alpha_map import SpotClass, UniformBands, class_draws
 from .errors import DomainError
-from .photon_stats import DEFAULT_THRESHOLD, _gk_mean
+from .photon_stats import DEFAULT_THRESHOLD, _gk_mean, gk
 
 __all__ = [
     "EveContext",
@@ -52,8 +55,10 @@ __all__ = [
     "AliceSubject",
     "EveSubject",
     "SubjectModel",
+    "AnswerLaw",
     "alice_response",
-    "responder",
+    "honest_threshold",
+    "open_scope",
     "interrogate",
     "class_seeing_means",
 ]
@@ -66,12 +71,42 @@ class EveContext:
     Adding a field to this class widens the impostor's information set;
     do not do that casually.  Deliberately absent: the spot's transmission
     value, its hidden class, and anything derived from the enrolled map.
+    ``history`` holds her answers so far in the scope, oldest first.
     """
 
     round_index: int
     photon_count: int | None = None
-    history: tuple[bool, ...] = ()
+    history: Sequence[bool] = ()
     spot_ordinal: int = 0
+
+
+class _History(Sequence):
+    """The first ``n`` answers of the list a scope appends to: as cheap to
+    build at round 20,000 as at round 0, and, the list only growing, as
+    fixed as the tuple of those answers, which it equals and hashes as."""
+
+    __slots__ = ("_answers", "_n")
+
+    def __init__(self, answers: list[bool], n: int):
+        self._answers = answers
+        self._n = n
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self._answers[: self._n][index])
+        return self._answers[range(self._n)[index]]
+
+    def __eq__(self, other: object) -> bool:
+        return tuple(self) == (tuple(other) if isinstance(other, _History) else other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 def _answer_probability(p: float) -> float:
@@ -106,6 +141,47 @@ class EveSession:
         if p is None:
             p = _answer_probability(self._p_of_round(context))
         return bool(rng.random() < p)
+
+    def p_seen(self, x: float) -> float | None:
+        """The bias: the pulse's mean photon number never reaches it."""
+        return self.bias
+
+    def p_wrong(self, distribution: UniformBands, i_tilde: float) -> float | None:
+        """Exactly 1/2 for a bias, ``None`` for a rule."""
+        return None if self.bias is None else 0.5
+
+    def answers(
+        self, rng: np.random.Generator, spot_ordinal: int = 0
+    ) -> Callable[[float, float], bool]:
+        """The scope's ``answer(alpha, i_tilde) -> saw``, which never reads
+        ``alpha``.  Each round her detector registers a Poisson(``i_tilde``)
+        count.  A biased scope answers Bernoulli(``bias``) without reading
+        it, so no context is built; the count is still drawn, in its place
+        in the stream.  A rule reads an :class:`EveContext`: the round index
+        within the scope, the count, her past answers in the scope and
+        ``spot_ordinal``."""
+        poisson, random, bias = rng.poisson, rng.random, self.bias
+        if bias is not None:
+
+            def answer_biased(_alpha: float, i_tilde: float) -> bool:
+                poisson(i_tilde)  # her detector count, which no bias reads
+                return random() < bias
+
+            return answer_biased
+        rule = self._p_of_round
+        history: list[bool] = []
+
+        def answer_rule(_alpha: float, i_tilde: float) -> bool:
+            n = len(history)
+            # round_index, photon_count, history, spot_ordinal: positional,
+            # as keywords cost more than the fields' own work.
+            context = EveContext(n, int(poisson(i_tilde)), _History(history, n),
+                                 spot_ordinal)
+            saw = random() < _answer_probability(rule(context))  # as ``respond``
+            history.append(saw)
+            return saw
+
+        return answer_rule
 
 
 class EveStrategy(abc.ABC):
@@ -177,6 +253,14 @@ class Adaptive(EveStrategy):
         return EveSession(self.rule)
 
 
+@functools.lru_cache(maxsize=64, typed=True)
+def _seeing(k: int, x: float) -> float:
+    """``gk(k, x)``, once per ``(k, x)``: a per-spot run asks for the same
+    tuned mean every session.  ``typed`` keeps a ``True`` threshold from
+    reading the entry of ``1`` instead of being refused."""
+    return gk(k, x)
+
+
 @dataclass(frozen=True)
 class AliceSubject:
     """The enrolled user, given by her perception threshold.  Her map reaches
@@ -184,6 +268,30 @@ class AliceSubject:
     interrogation distribution drawn from it."""
 
     k: int = DEFAULT_THRESHOLD
+
+    def p_seen(self, x: float) -> float:
+        """``gk(k, x)``, computed once per ``(k, x)``."""
+        return _seeing(self.k, x)
+
+    def p_wrong(self, distribution: UniformBands, i_tilde: float) -> float:
+        """q̄ = ½ (mean P(seen | low) + 1 − mean P(seen | high)), the class
+        means taken over ``distribution`` at her own threshold."""
+        low, high = class_seeing_means(distribution, i_tilde, self.k)
+        return 0.5 * (low + 1.0 - high)
+
+    def answers(
+        self, rng: np.random.Generator, spot_ordinal: int = 0
+    ) -> Callable[[float, float], bool]:
+        """:func:`alice_response` on ``rng``, her threshold checked once and
+        ``alpha`` and ``i_tilde`` not at all: for a caller that has checked
+        them, as :func:`interrogate` does."""
+        k = _check_threshold(self.k)
+        poisson = rng.poisson
+
+        def answer(alpha: float, i_tilde: float) -> bool:
+            return int(poisson(alpha * i_tilde)) >= k
+
+        return answer
 
 
 @dataclass(frozen=True)
@@ -195,14 +303,44 @@ class EveSubject:
 
 SubjectModel = Union[AliceSubject, EveSubject]
 
+#: The answer law of one scope, as :func:`open_scope` gives it.
+AnswerLaw = Union[AliceSubject, EveSession]
 
-def _check_pulse(i_tilde: float, k: int) -> float:
+
+def honest_threshold(subject: SubjectModel) -> int | None:
+    """The honest user's perception threshold, or ``None`` for an impostor,
+    whose answers cannot depend on what a spot transmits.  With
+    :func:`open_scope`, the only place a subject's kind is tested; an
+    unknown subject raises :class:`DomainError` here."""
+    if isinstance(subject, AliceSubject):
+        return subject.k
+    if isinstance(subject, EveSubject):
+        return None
+    raise DomainError(f"unknown subject model {subject!r}")
+
+
+def open_scope(subject: SubjectModel, rng: np.random.Generator) -> AnswerLaw:
+    """The answer law of one fresh scope: a session of an impostor's
+    strategy, opened on ``rng``, or the honest user as is.  She keeps no
+    per-scope state and draws nothing here, so a runner that gets the
+    subject back may use that one law for all its scopes."""
+    if isinstance(subject, EveSubject):
+        return subject.strategy.session(rng)
+    honest_threshold(subject)  # raises for a subject of neither kind
+    return subject
+
+
+def _check_intensity(i_tilde: float) -> float:
     i_tilde = float(i_tilde)
     if not math.isfinite(i_tilde) or i_tilde < 0.0:
         raise DomainError(f"pulse intensity must be finite and >= 0, got {i_tilde!r}")
+    return i_tilde
+
+
+def _check_threshold(k: int) -> int:
     if k < 1:
         raise DomainError(f"perception threshold must be >= 1, got {k}")
-    return i_tilde
+    return k
 
 
 def alice_response(
@@ -218,100 +356,29 @@ def alice_response(
     alpha = float(alpha)
     if not (0.0 <= alpha <= 1.0):
         raise DomainError(f"transmission coefficient must lie in [0, 1], got {alpha!r}")
-    return int(rng.poisson(alpha * _check_pulse(i_tilde, k))) >= k
-
-
-def _alice_answer(k: int, rng: np.random.Generator) -> Callable[[float, float], bool]:
-    """:func:`alice_response` on ``rng`` without its checks, for a caller
-    that has made them once."""
-    poisson = rng.poisson
-
-    def answer(alpha: float, i_tilde: float) -> bool:
-        return int(poisson(alpha * i_tilde)) >= k
-
-    return answer
-
-
-def responder(
-    subject: SubjectModel,
-    rng: np.random.Generator,
-    spot_ordinal: int = 0,
-    *,
-    session: EveSession | None = None,
-) -> Callable[[float, float], bool]:
-    """Answering function ``answer(alpha, i_tilde) -> saw`` for one scope
-    (one identification session, or one spot test of the per-spot protocol).
-
-    Alice answers through :func:`alice_response`.  Eve answers through one
-    strategy session per scope — ``session`` when the caller has opened it
-    already, else a fresh one — and never receives ``alpha``.  Each round
-    her detector registers a Poisson(``i_tilde``) count.  A biased session
-    (``session.bias`` set) answers Bernoulli(``bias``) without reading it,
-    so no context is built; the count is still drawn, in its place in the
-    stream.  Any other session reads an :class:`EveContext`: the round index
-    within the scope, the count, her past answers in the scope and
-    ``spot_ordinal``.
-    """
-    if isinstance(subject, AliceSubject):
-        k = subject.k
-
-        def answer_alice(alpha: float, i_tilde: float) -> bool:
-            return alice_response(alpha, i_tilde, k, rng)
-
-        return answer_alice
-    if isinstance(subject, EveSubject):
-        if session is None:
-            session = subject.strategy.session(rng)
-        poisson, random, bias = rng.poisson, rng.random, session.bias
-        if bias is not None:
-
-            def answer_biased(_alpha: float, i_tilde: float) -> bool:
-                poisson(i_tilde)  # her detector count, which no bias reads
-                return random() < bias
-
-            return answer_biased
-        respond = session.respond
-        history: list[bool] = []
-
-        def answer_eve(_alpha: float, i_tilde: float) -> bool:
-            # round_index, photon_count, history, spot_ordinal: positional,
-            # as keywords cost more than the fields' own work.
-            context = EveContext(
-                len(history), int(poisson(i_tilde)), tuple(history), spot_ordinal
-            )
-            saw = respond(context, rng)
-            history.append(saw)
-            return saw
-
-        return answer_eve
-    raise DomainError(f"unknown subject model {subject!r}")
+    i_tilde = _check_intensity(i_tilde)
+    k = _check_threshold(k)
+    return int(rng.poisson(alpha * i_tilde)) >= k
 
 
 def interrogate(
-    subject: SubjectModel,
+    law: AnswerLaw,
     distribution: UniformBands,
     i_tilde: float,
     rng: np.random.Generator,
-    *,
-    session: EveSession | None = None,
 ) -> Iterator[tuple[SpotClass, float, bool]]:
-    """Endless class interrogation of one session, yielding
+    """Endless class interrogation of one scope, yielding
     ``(spot_class, alpha, saw)`` per round.
 
     Each round a fair coin picks the hidden class, ``alpha`` is drawn from
-    that class's band of ``distribution`` (:func:`class_draws`), and the
-    subject answers a pulse at the common intensity ``i_tilde``.  The caller
-    decides when to stop.  The subject's answering scope opens on the first
-    round; for Eve it runs on ``session`` when given (see
-    :func:`responder`).  Alice's answers are those of
-    :func:`alice_response`, with ``i_tilde`` and her threshold checked once
-    per session: every ``alpha`` the bands draw already lies in (0, 1].
+    that class's band of ``distribution`` (:func:`class_draws`), and ``law``
+    (from :func:`open_scope`) answers a pulse at the common intensity
+    ``i_tilde``.  The caller decides when to stop.  ``i_tilde`` is checked
+    once, on the first round; every ``alpha`` the bands draw already lies
+    in (0, 1].
     """
-    if isinstance(subject, AliceSubject):
-        i_tilde = _check_pulse(i_tilde, subject.k)
-        answer = _alice_answer(subject.k, rng)
-    else:
-        answer = responder(subject, rng, session=session)
+    i_tilde = _check_intensity(i_tilde)
+    answer = law.answers(rng)
     for alpha, spot_class in class_draws(distribution, rng):
         yield spot_class, alpha, answer(alpha, i_tilde)
 
@@ -331,9 +398,7 @@ def class_seeing_means(
     means every session.  ``typed`` keeps a ``True`` threshold from reading
     the entry of ``1`` instead of being refused.
     """
-    i_tilde = float(i_tilde)
-    if not math.isfinite(i_tilde) or i_tilde < 0.0:
-        raise DomainError(f"pulse intensity must be finite and >= 0, got {i_tilde!r}")
+    i_tilde = _check_intensity(i_tilde)
     if not isinstance(distribution, UniformBands):
         raise DomainError(f"unknown interrogation distribution {distribution!r}")
     low, high = (_gk_mean(k, a * i_tilde, b * i_tilde)

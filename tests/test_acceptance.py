@@ -17,6 +17,7 @@ import time
 import numpy as np
 import pytest
 from conftest import make_rng
+from martingale import martingale_diagnostics
 from scipy import stats as scistats
 
 from retinasim import (
@@ -30,7 +31,6 @@ from retinasim import (
     drift_bounds,
     false_positive_rate,
     gk,
-    martingale_diagnostics,
     montecarlo,
     optimality_lower_bound,
     optimize_intensity,

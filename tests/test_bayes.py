@@ -24,7 +24,6 @@ from retinasim import (
     drift_bounds,
     gk,
     gk_inverse,
-    martingale_diagnostics,
     optimality_lower_bound,
     prior_p,
     prob_see,
@@ -36,6 +35,7 @@ from retinasim import (
 from retinasim.strategy_bayes import _log_increment
 
 from conftest import make_rng
+from martingale import martingale_diagnostics
 
 Q_STAR, I_STAR = solve_q_intensity(0.05, 0.15, 6)
 POINT_PAIR = PointPair(0.05, 0.15)

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 from conftest import make_rng
+from martingale import martingale_diagnostics
 
 from retinasim import (
     Adaptive,
@@ -29,7 +30,6 @@ from retinasim import (
     UniformP,
     build_subject,
     load_config,
-    martingale_diagnostics,
     merge_records,
     montecarlo,
     parse_eve_strategy,

@@ -393,6 +393,23 @@ class TestLawLevelDraws:
         per-spot counts, so no pinned digest would see that change."""
         assert gk(6, strategy_naive._tuned_mean(6, 0.5)) < 0.5
 
+    def test_honest_seeing_probability_is_computed_once(self, default_map,
+                                                        monkeypatch):
+        """It depends only on the plan and the two thresholds, so two honest
+        sessions at one plan evaluate it once."""
+        from retinasim import photon_stats
+
+        calls = []
+        seen_and_missed = photon_stats._seen_and_missed  # what ``gk`` sums
+        monkeypatch.setattr(photon_stats, "_seen_and_missed",
+                            lambda k, x: calls.append((k, x)) or seen_and_missed(k, x))
+        # A plan no other test uses, so no cache holds its seeing probability.
+        plan = NaiveTestPlan(nu=40, mu=30, p_c=0.4375, n_l=5, n_r=30)
+        rng = make_rng(4126)
+        for _ in range(2):
+            run_naive(AliceSubject(k=5), default_map, plan, rng)
+        assert calls == [(5, strategy_naive._tuned_mean(6, 0.4375))]
+
     def test_fair_coin_exact_acceptance_and_counts(self, default_map):
         plan = _published_plan()
         inside = range(plan.n_l + 1, plan.n_r)

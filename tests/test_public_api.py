@@ -86,3 +86,31 @@ def test_strategy_names_are_compared_in_no_module():
             ) and any(map(_is_strings, operands)):
                 found.append(f"{module.__name__}:{node.lineno}")
     assert found == []
+
+
+_SUBJECT_TYPES = {"AliceSubject", "EveSubject", "EveSession"}
+
+
+def _named(node: ast.expr) -> set[str]:
+    """Every name in ``node``, bare or as an attribute (``subjects.EveSubject``)."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_subjects_are_told_apart_in_no_other_module():
+    """Each per-subject decision is an answer law of ``subjects``: no other
+    module tests a subject's type or reads an impostor session's ``bias``."""
+    found = []
+    for module in MODULES:
+        if module.__name__ == "retinasim.subjects":
+            continue
+        tree = ast.parse(Path(module.__file__).read_text())
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance"
+                and any(_named(arg) & _SUBJECT_TYPES for arg in node.args[1:])
+            ) or (isinstance(node, ast.Attribute) and node.attr == "bias"):
+                found.append(f"{module.__name__}:{node.lineno}")
+    assert found == []

@@ -29,7 +29,7 @@ from retinasim import (
     trial_rng,
 )
 
-from retinasim.subjects import class_seeing_means, interrogate, responder
+from retinasim.subjects import class_seeing_means, interrogate, open_scope
 
 from conftest import make_rng
 
@@ -171,7 +171,7 @@ def test_photon_view_is_poissonian():
     distribution = UniformBands((0.02, 0.05), (0.15, 0.18))
     high = []
     for _ in range(20):
-        session = interrogate(eve, distribution, i_tilde, rng)
+        session = interrogate(open_scope(eve, rng), distribution, i_tilde, rng)
         high += [cls is SpotClass.HIGH for cls, _alpha, _saw in islice(session, 1000)]
     counts = np.array(counts)
     high = np.array(high)
@@ -202,9 +202,8 @@ def test_interrogate_draws_class_then_alpha_then_answer():
         contexts.append(ctx)
         return 0.0 if ctx.history and ctx.history[-1] else 1.0
 
-    rounds = list(
-        zip(range(40), interrogate(EveSubject(Adaptive(rule)), bands, 62.4, rng))
-    )
+    law = open_scope(EveSubject(Adaptive(rule)), rng)
+    rounds = list(zip(range(40), interrogate(law, bands, 62.4, rng)))
     for _i, (spot_class, alpha, _saw) in rounds:
         if spot_class is SpotClass.HIGH:
             assert alpha == 0.15
@@ -217,20 +216,41 @@ def test_interrogate_draws_class_then_alpha_then_answer():
     assert all(c.photon_count is not None and c.spot_ordinal == 0 for c in contexts)
 
 
-def test_responder_scopes_and_rejects_unknown_subjects():
+def test_open_scope_scopes_and_rejects_unknown_subjects():
     rng = make_rng(13)
     seen = []
     eve = EveSubject(Adaptive(lambda ctx: seen.append(ctx) or 1.0))
-    answer = responder(eve, rng, spot_ordinal=3)
+    answer = open_scope(eve, rng).answers(rng, spot_ordinal=3)
     assert answer(0.05, 60.0) is True and answer(0.15, 60.0) is True
     assert [(c.round_index, c.spot_ordinal) for c in seen] == [(0, 3), (1, 3)]
     # a new scope starts a new history
-    responder(eve, rng)(0.05, 60.0)
+    open_scope(eve, rng).answers(rng)(0.05, 60.0)
     assert seen[-1].round_index == 0 and seen[-1].history == ()
-    with pytest.raises(DomainError):
-        responder(AliceSubject(k=6), rng)(1.5, 60.0)
+    alice = AliceSubject(k=6)
+    assert open_scope(alice, rng) is alice
     with pytest.raises(DomainError, match="unknown subject"):
-        responder(object(), rng)
+        open_scope(object(), rng)
+
+
+def test_history_is_a_frozen_view_of_the_answers_so_far():
+    """A round's history reads the scope's answer list without copying it,
+    yet stays what it was when the round began."""
+    rng = make_rng(16)
+    seen = []
+    eve = EveSubject(Adaptive(lambda ctx: seen.append(ctx) or ctx.round_index % 2))
+    answer = open_scope(eve, rng).answers(rng)
+    answers = [answer(0.05, 60.0) for _ in range(6)]
+    history = seen[4].history
+    assert answers == [False, True] * 3
+    assert history == (False, True, False, True) == tuple(history)
+    assert history != (False, True, False) and history != [False, True, False, True]
+    assert len(history) == 4 and history[-1] is True and history[1:3] == (True, False)
+    assert hash(history) == hash((False, True, False, True))
+    assert seen[0].history == () and not seen[0].history
+    with pytest.raises(IndexError):
+        history[4]  # answered in a later round
+    with pytest.raises(TypeError):
+        history[0] = True
 
 
 def test_session_bias_marks_constant_answering():
@@ -280,10 +300,15 @@ def test_class_seeing_means_refuses_a_bool_threshold_after_a_cached_one():
         class_seeing_means(bands, 62.0, True)
 
 
-@pytest.mark.parametrize("strategy", ["faircoin", "fixedp:0.3", "uniformp", "echo"])
-def test_only_an_adaptive_session_builds_contexts(strategy, monkeypatch):
+@pytest.mark.parametrize("strategy, runner", [
+    pytest.param(strategy, runner, id=strategy if runner == "bayes" else f"{runner}-{strategy}")
+    for runner in ("bayes", "serial", "naive")
+    for strategy in ("faircoin", "fixedp:0.3", "uniformp", "echo")
+])
+def test_only_an_adaptive_session_builds_contexts(strategy, runner, monkeypatch):
     """A biased impostor's answers read no context, so her session builds
-    none; an adaptive one builds exactly one per round."""
+    none; an adaptive one builds exactly one per round, its round index
+    counted within the scope (a naive spot test is a scope of ``nu``)."""
     import retinasim.subjects
 
     built = []
@@ -293,9 +318,11 @@ def test_only_an_adaptive_session_builds_contexts(strategy, monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(retinasim.subjects, "EveContext", counting_context)
-    context = prepare(RunConfig(subject=f"eve:{strategy}", map_width=40,
-                                map_height=40))
+    context = prepare(RunConfig(strategy=runner, subject=f"eve:{strategy}",
+                                map_width=40, map_height=40))
     result = run_session(context, trial_rng(4524, 0))
     assert result.rounds > 1
     assert len(built) == (result.rounds if strategy == "echo" else 0)
-    assert [c.round_index for c in built] == list(range(len(built)))
+    scope = context.naive_plan.nu if runner == "naive" else result.rounds
+    assert [(c.spot_ordinal, c.round_index) for c in built] == [
+        divmod(n, scope) for n in range(len(built))]
