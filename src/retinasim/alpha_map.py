@@ -27,7 +27,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, MapFormatError
+from .errors import ConfigError, DomainError, MapFormatError, _count
 
 __all__ = [
     "AlphaMap",
@@ -68,10 +68,8 @@ class AlphaMap:
     alpha_max: float
 
     def __post_init__(self) -> None:
-        if self.width < 1 or self.height < 1:
-            raise DomainError(
-                f"map dimensions must be >= 1, got {self.width}x{self.height}"
-            )
+        object.__setattr__(self, "width", _count("map width", self.width, 1))
+        object.__setattr__(self, "height", _count("map height", self.height, 1))
         if not (0.0 < self.alpha_min < self.alpha_max <= 1.0):
             raise DomainError(
                 "need 0 < alpha_min < alpha_max <= 1, got "
@@ -188,8 +186,7 @@ def generate_synthetic(
     The same seed always yields the same map (a dedicated counter-based
     generator is constructed locally, so global RNG state is never touched).
     """
-    if width < 1 or height < 1:
-        raise DomainError(f"map dimensions must be >= 1, got {width}x{height}")
+    width, height = _count("map width", width, 1), _count("map height", height, 1)
     if not (0.0 < alpha_min < alpha_max <= 1.0):
         raise DomainError(
             f"need 0 < alpha_min < alpha_max <= 1, got ({alpha_min!r}, {alpha_max!r})"

@@ -1,9 +1,18 @@
-"""Exception taxonomy shared by every module in the package.
+"""Exception taxonomy shared by every module in the package, and the two
+rules that check an argument's domain.
 
 The hierarchy is deliberately shallow: callers that only want "did the
 library object to my inputs" can catch :class:`Error`; the command-line
 front end maps subclasses onto distinct exit codes.
+
+Every range or integer check of an argument goes through :func:`_count`,
+for whole numbers, or :func:`_real`, for real numbers in an interval, so a
+quantity is refused alike wherever it enters.  ``RunConfig`` words its own
+refusals, as :class:`ConfigError` naming the field.
 """
+
+import math
+import numbers
 
 __all__ = [
     "Error",
@@ -47,3 +56,46 @@ class MenuError(InfeasibleError):
 
 class BoundInapplicableError(DomainError):
     """Inputs violate the validity conditions of an analytic bound."""
+
+
+def _count(name: str, value, least: int, error: type[Error] = DomainError) -> int:
+    """``value`` as an ``int``, if it is an integer of at least ``least``;
+    else ``error``.  A bool is refused, and so is a float, whole or not."""
+    if type(value) is int and value >= least:  # the common case, checked first
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if value < least:
+        raise error(f"{name} must be >= {least}, got {value}")
+    return value
+
+
+#: Each interval :func:`_real` checks against, written as its refusals
+#: name it, and its membership test.  NaN lies in none of them.
+_INTERVALS = {
+    "(0, 1)": lambda x: 0.0 < x < 1.0,
+    "[0, 1]": lambda x: 0.0 <= x <= 1.0,
+    "(0, 1]": lambda x: 0.0 < x <= 1.0,
+    "[0, 1)": lambda x: 0.0 <= x < 1.0,
+    "(0, 1/2)": lambda x: 0.0 < x < 0.5,
+    "[0, inf)": lambda x: 0.0 <= x < math.inf,
+    "(0, inf)": lambda x: 0.0 < x < math.inf,
+}
+
+#: How a refusal words the two half-lines.
+_HALF_LINES = {"[0, inf)": "be finite and >= 0", "(0, inf)": "be positive and finite"}
+
+
+def _real(name: str, value, interval: str) -> float:
+    """``value`` as a ``float``, if it is a real number in ``interval``, a
+    key of :data:`_INTERVALS`; else :class:`DomainError`.  A bool is
+    refused."""
+    if type(value) is not float:
+        if isinstance(value, bool):
+            raise DomainError(f"invalid {name} {value!r}: must be a number")
+        value = float(value)
+    if _INTERVALS[interval](value):
+        return value
+    rule = _HALF_LINES.get(interval, f"lie in {interval}")
+    raise DomainError(f"invalid {name} {value!r}: must {rule}")

@@ -35,7 +35,7 @@ from .alpha_map import (
     load,
     require_support,
 )
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, _count
 from .photon_stats import DEFAULT_THRESHOLD, solve_q_intensity
 from .strategy_bayes import (
     DEFAULT_MAX_ROUNDS,
@@ -112,13 +112,8 @@ def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
     and constructing stream *i* does not require constructing streams
     ``0..i-1`` first — the property that makes trial-level fan-out safe.
     """
-    if master_seed < 0 or trial_index < 0:
-        raise DomainError(
-            f"seed and trial index must be >= 0, got ({master_seed}, {trial_index})"
-        )
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence([master_seed, trial_index]))
-    )
+    key = [_count("seed", master_seed, 0), _count("trial index", trial_index, 0)]
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
 
 
 # Declared kind of a config field -> (accepted type, normaliser, noun).

@@ -24,9 +24,8 @@ coefficients.
 from __future__ import annotations
 
 import math
-import numbers
 
-from .errors import DomainError, InfeasibleError
+from .errors import DomainError, InfeasibleError, _count, _real
 
 __all__ = [
     "DEFAULT_THRESHOLD",
@@ -38,17 +37,6 @@ __all__ = [
 
 #: Default perception threshold (photons) used across the package.
 DEFAULT_THRESHOLD = 6
-
-
-def _validate_threshold(k: int) -> int:
-    if type(k) is int and k >= 1:  # the common case, checked first
-        return k
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
-        raise DomainError(f"threshold K must be an integer, got {k!r}")
-    k = int(k)
-    if k < 1:
-        raise DomainError(f"threshold K must be >= 1, got {k}")
-    return k
 
 
 #: ``j!`` as a double, correctly rounded, up to the largest ``j`` for which
@@ -135,11 +123,8 @@ def gk(k: int, x: float) -> float:
     regularized lower incomplete gamma function ``P(k, x)``; the test suite
     checks it against a 60-digit :mod:`decimal` sum.
     """
-    k = _validate_threshold(k)
-    x = float(x)
-    if not math.isfinite(x) or x < 0.0:
-        raise DomainError(f"mean photon number must be finite and >= 0, got {x!r}")
-    return _seen_and_missed(k, x)[0]
+    return _seen_and_missed(_count("threshold K", k, 1),
+                            _real("mean photon number", x, "[0, inf)"))[0]
 
 
 def _inverse_tail(k: int, p: float) -> float:
@@ -209,7 +194,6 @@ def _gk_mean(k: int, lo: float, hi: float) -> float:
     probabilities below ``k``, since ``d/dx pmf(j, x) = pmf(j - 1, x) -
     pmf(j, x)``.
     """
-    k = _validate_threshold(k)
     h = 0.5 * (hi - lo)
     m = lo + h
     if h == 0.0:
@@ -234,11 +218,7 @@ def gk_inverse(k: int, p: float) -> float:
     inside (0, 1).  Solved by a safeguarded Newton iteration on the same
     Poisson sum (see :func:`_inverse_tail`).
     """
-    k = _validate_threshold(k)
-    p = float(p)
-    if not (0.0 < p < 1.0):
-        raise DomainError(f"probability must lie strictly in (0, 1), got {p!r}")
-    return _inverse_tail(k, p)
+    return _inverse_tail(_count("threshold K", k, 1), _real("probability", p, "(0, 1)"))
 
 
 def prob_see(alpha: float, i_tilde: float, k: int = DEFAULT_THRESHOLD) -> float:
@@ -248,13 +228,8 @@ def prob_see(alpha: float, i_tilde: float, k: int = DEFAULT_THRESHOLD) -> float:
     The retina receives a Poisson number of photons with mean
     ``alpha * i_tilde``; the pulse is seen when that count reaches ``k``.
     """
-    alpha = float(alpha)
-    if not (0.0 <= alpha <= 1.0):
-        raise DomainError(f"transmission coefficient must lie in [0, 1], got {alpha!r}")
-    i_tilde = float(i_tilde)
-    if not math.isfinite(i_tilde) or i_tilde < 0.0:
-        raise DomainError(f"pulse intensity must be finite and >= 0, got {i_tilde!r}")
-    return gk(k, alpha * i_tilde)
+    alpha = _real("transmission coefficient", alpha, "[0, 1]")
+    return gk(k, alpha * _real("pulse intensity", i_tilde, "[0, inf)"))
 
 
 def _bisect(f, lo: float, hi: float) -> float:
@@ -312,7 +287,7 @@ def solve_q_intensity(
     Raises :class:`InfeasibleError` when ``q`` falls outside
     ``[1e-12, 1/2 - 1e-12]`` or ``i_tilde`` is not a finite double.
     """
-    k = _validate_threshold(k)
+    k = _count("threshold K", k, 1)
     alpha_low = float(alpha_low)
     alpha_high = float(alpha_high)
     if not (0.0 < alpha_low < alpha_high <= 1.0):

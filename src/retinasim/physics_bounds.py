@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, _real
 
 __all__ = [
     "EyeThermalModel",
@@ -47,9 +47,8 @@ class EyeThermalModel:
 
     def __post_init__(self) -> None:
         for name in ("mass", "specific_heat", "wavelength", "n_scattered", "pulse_time"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise DomainError(f"{name} must be positive and finite, got {value!r}")
+            value = _real(name, getattr(self, name), "(0, inf)")
+            object.__setattr__(self, name, value)
 
 
 def temperature_resolution(model: EyeThermalModel = EyeThermalModel()) -> float:
@@ -88,14 +87,8 @@ def magnetic_energy_resolution(
     State-of-the-art S ~ 1e-19 T/rtHz over a 1 s measurement gives ~9e-9:
     again eight decades short of a quantum-limited measurement.
     """
-    if not (math.isfinite(field_sensitivity) and field_sensitivity > 0.0):
-        raise DomainError(
-            f"field sensitivity must be positive and finite, got {field_sensitivity!r}"
-        )
-    if not (math.isfinite(measurement_time) and measurement_time > 0.0):
-        raise DomainError(
-            f"measurement time must be positive and finite, got {measurement_time!r}"
-        )
+    field_sensitivity = _real("field sensitivity", field_sensitivity, "(0, inf)")
+    measurement_time = _real("measurement time", measurement_time, "(0, inf)")
     field_resolution = field_sensitivity / math.sqrt(measurement_time)
     return BOHR_MAGNETON * field_resolution * measurement_time / HBAR
 
@@ -106,10 +99,8 @@ def dipole_attenuation(r_near: float, r_far: float) -> float:
     Moving a pickup coil from 1 cm to 10 cm costs three decades of signal,
     which is why the magnetometer numbers above are already generous.
     """
-    if not (math.isfinite(r_near) and r_near > 0.0):
-        raise DomainError(f"near distance must be positive and finite, got {r_near!r}")
-    if not (math.isfinite(r_far) and r_far >= r_near):
-        raise DomainError(
-            f"far distance must be finite and >= near distance, got {r_far!r}"
-        )
+    r_near = _real("near distance", r_near, "(0, inf)")
+    r_far = _real("far distance", r_far, "(0, inf)")
+    if r_far < r_near:
+        raise DomainError(f"far distance {r_far!r} lies below near distance {r_near!r}")
     return (r_far / r_near) ** 3

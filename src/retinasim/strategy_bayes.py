@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .alpha_map import UniformBands, inner_edges
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, _count, _real
 from .photon_stats import DEFAULT_THRESHOLD, _bisect, gk, solve_q_intensity
 from .strategy_serial import relative_entropy
 from .subjects import SubjectModel, class_seeing_means, interrogate, open_scope
@@ -121,8 +121,8 @@ class SequentialPlan:
             raise DomainError(
                 f"thresholds must satisfy 0 < x < 1 < y, got x={self.x!r}, y={self.y!r}"
             )
-        if not (0.0 < self.p < 1.0):
-            raise DomainError(f"impostor model p must lie in (0, 1), got {self.p!r}")
+        object.__setattr__(self, "p", _real("impostor model p", self.p, "(0, 1)"))
+        object.__setattr__(self, "k", _count("threshold K", self.k, 1))
         q = design_wrong_probability(self.distribution, self.i_tilde, self.k)
         if not ((1.0 - q) / 2.0 < self.p < (1.0 + q) / 2.0):
             raise ConfigError(
@@ -146,16 +146,15 @@ class SequentialPlan:
         inner edges so the design is symmetric: the top of the low range is
         seen as often as the bottom of the high range is missed.
         """
-        for name, value in (("p_fp", p_fp), ("p_fn", p_fn)):
-            if not (0.0 < float(value) < 1.0):
-                raise DomainError(f"{name} must lie in (0, 1), got {value!r}")
+        p_fp = _real("p_fp", p_fp, "(0, 1)")
+        p_fn = _real("p_fn", p_fn, "(0, 1)")
         if i_tilde is None:
             _q, i_tilde = solve_q_intensity(*inner_edges(distribution), k)
         p = prior_p(distribution, i_tilde, k)
         return cls(
             p=p,
-            x=float(p_fn),
-            y=1.0 / float(p_fp),
+            x=p_fn,
+            y=1.0 / p_fp,
             i_tilde=float(i_tilde),
             k=k,
             distribution=distribution,
@@ -238,12 +237,11 @@ def run_sequential(
     ``record_transcript=False`` skips transcript assembly for bulk Monte
     Carlo runs; the result is identical apart from the empty transcript.
     """
-    if max_rounds < 1:
-        raise DomainError(f"round cap must be >= 1, got {max_rounds}")
+    max_rounds = _count("round cap", max_rounds, 1)
     ln_x = math.log(plan.x)
     ln_y = math.log(plan.y)
     edge_rounds = plan._edge_rounds
-    see, p = plan.see_probability, plan.p
+    k, i_tilde, p = plan.k, plan.i_tilde, plan.p
     log_odds = 0.0
     rounds = 0
     outcome = Outcome.TIMEOUT
@@ -253,7 +251,7 @@ def run_sequential(
     for rounds, (_cls, alpha, saw) in enumerate(islice(interrogation, max_rounds), 1):
         pair = edge_rounds.get(alpha)
         if pair is None:  # a band value off the inner edges
-            step = Round(alpha, saw, _log_increment(see(alpha), saw, p))
+            step = Round(alpha, saw, _log_increment(gk(k, alpha * i_tilde), saw, p))
         else:
             step = pair[saw]
         log_odds += step.increment
@@ -287,15 +285,12 @@ def stopping_time_bounds(
     Both follow from optional stopping applied to the drift-corrected walk;
     numerator and denominator of the impostor bound are both negative.
     """
-    q = float(q)
-    if not (0.0 < q < 0.5):
-        raise DomainError(f"q must lie in (0, 1/2), got {q!r}")
-    q_min = float(q_min)
-    if not (0.0 < q_min <= q):
-        raise DomainError(f"q_min must lie in (0, q], got {q_min!r}")
-    for name, value in (("p_fp", p_fp), ("p_fn", p_fn)):
-        if not (0.0 < float(value) < 1.0):
-            raise DomainError(f"{name} must lie in (0, 1), got {value!r}")
+    q = _real("q", q, "(0, 1/2)")
+    q_min = _real("q_min", q_min, "(0, 1/2)")
+    if q_min > q:
+        raise DomainError(f"q_min must not exceed q, got q_min={q_min!r}, q={q!r}")
+    p_fp = _real("p_fp", p_fp, "(0, 1)")
+    p_fn = _real("p_fn", p_fn, "(0, 1)")
     bound_alice = math.log(2.0 / ((1.0 - q) * p_fp)) / relative_entropy(q, 0.5)
     bound_eve = (
         2.0
@@ -313,9 +308,7 @@ def drift_bounds(q: float) -> tuple[float, float]:
     ``ln(4 q (1-q)) / 2 < 0``.  A symmetric two-point design attains both
     with equality.
     """
-    q = float(q)
-    if not (0.0 < q < 0.5):
-        raise DomainError(f"q must lie in (0, 1/2), got {q!r}")
+    q = _real("q", q, "(0, 1/2)")
     return relative_entropy(q, 0.5), 0.5 * math.log(4.0 * q * (1.0 - q))
 
 
@@ -332,12 +325,8 @@ def optimality_lower_bound(q: float, p_fp: float) -> int:
     — a conservative floor for comparison against achievable mean stopping
     times.
     """
-    q = float(q)
-    if not (0.0 < q < 0.5):
-        raise DomainError(f"q must lie in (0, 1/2), got {q!r}")
-    p_fp = float(p_fp)
-    if not (0.0 < p_fp < 1.0):
-        raise DomainError(f"p_fp must lie in (0, 1), got {p_fp!r}")
+    q = _real("q", q, "(0, 1/2)")
+    p_fp = _real("p_fp", p_fp, "(0, 1)")
     target = math.log(1.0 / p_fp)
     h = relative_entropy(q, 0.5)
 

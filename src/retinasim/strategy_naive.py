@@ -43,7 +43,7 @@ from typing import Iterator
 import numpy as np
 
 from .alpha_map import AlphaMap
-from .errors import ConfigError, DomainError, InfeasibleError
+from .errors import ConfigError, DomainError, InfeasibleError, _count, _real
 from .photon_stats import DEFAULT_THRESHOLD, gk_inverse
 from .strategy_serial import relative_entropy
 from .subjects import AnswerLaw, SubjectModel, open_scope
@@ -75,12 +75,14 @@ class NaiveTestPlan:
     n_r: int
 
     def __post_init__(self) -> None:
-        if self.nu < 1:
-            raise DomainError(f"interrogations per spot must be >= 1, got {self.nu}")
-        if self.mu < 1:
-            raise ConfigError(f"spot count must be >= 1, got {self.mu}")
-        if not (0.0 < self.p_c < 1.0):
-            raise DomainError(f"p_c must lie in (0, 1), got {self.p_c!r}")
+        for name, value in (
+            ("nu", _count("interrogations per spot", self.nu, 1)),
+            ("mu", _count("spot count", self.mu, 1, ConfigError)),
+            ("p_c", _real("p_c", self.p_c, "(0, 1)")),
+            ("n_l", _count("n_l", self.n_l, 0)),
+            ("n_r", _count("n_r", self.n_r, 0)),
+        ):
+            object.__setattr__(self, name, value)
         if not (0 <= self.n_l < self.n_r <= self.nu):
             raise DomainError(
                 f"acceptance counts must satisfy 0 <= n_l < n_r <= nu, got "
@@ -116,16 +118,10 @@ def acceptance_counts(
     (rounding half up) and clipped into ``[0, nu]`` with a warning if the
     ideal symmetric window would overflow the count range.
     """
-    p_c = float(p_c)
-    if not (0.0 < p_c < 1.0):
-        raise DomainError(f"p_c must lie in (0, 1), got {p_c!r}")
-    if nu < 1:
-        raise DomainError(f"interrogations per spot must be >= 1, got {nu}")
-    if mu < 1:
-        raise DomainError(f"spot count must be >= 1, got {mu}")
-    p_fp = float(p_fp)
-    if not (0.0 < p_fp <= 1.0):
-        raise DomainError(f"p_fp must lie in (0, 1], got {p_fp!r}")
+    p_c = _real("p_c", p_c, "(0, 1)")
+    nu = _count("interrogations per spot", nu, 1)
+    mu = _count("spot count", mu, 1)
+    p_fp = _real("p_fp", p_fp, "(0, 1]")
 
     per_spot_budget = p_fp ** (1.0 / mu)
     width = int(math.floor(per_spot_budget * (nu + 1))) + 1
@@ -179,14 +175,10 @@ def required_nu(p_fp: float, p_fn: float, mu: int, p_c: float) -> int:
 
     returning the first ``nu`` with ``p_fail <= p_fn``.
     """
-    for name, value in (("p_fp", p_fp), ("p_fn", p_fn)):
-        if not (0.0 < float(value) < 1.0):
-            raise DomainError(f"{name} must lie in (0, 1), got {value!r}")
-    if mu < 1:
-        raise DomainError(f"spot count must be >= 1, got {mu}")
-    p_c = float(p_c)
-    if not (0.0 < p_c < 1.0):
-        raise DomainError(f"p_c must lie in (0, 1), got {p_c!r}")
+    p_fp = _real("p_fp", p_fp, "(0, 1)")
+    p_fn = _real("p_fn", p_fn, "(0, 1)")
+    mu = _count("spot count", mu, 1)
+    p_c = _real("p_c", p_c, "(0, 1)")
 
     for nu in range(1, _NU_SEARCH_LIMIT + 1):
         try:

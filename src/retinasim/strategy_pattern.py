@@ -39,6 +39,8 @@ from .errors import (
     InfeasibleError,
     MenuError,
     PlacementError,
+    _count,
+    _real,
 )
 from .photon_stats import gk
 from .strategy_serial import relative_entropy
@@ -236,8 +238,8 @@ class PatternChallenge:
             raise DomainError("pattern and noise spots must be disjoint")
         if not self.pattern_spots:
             raise DomainError("challenge must have at least one pattern spot")
-        if not (math.isfinite(self.i_tilde) and self.i_tilde >= 0.0):
-            raise DomainError(f"pulse intensity must be >= 0, got {self.i_tilde!r}")
+        i_tilde = _real("pulse intensity", self.i_tilde, "[0, inf)")
+        object.__setattr__(self, "i_tilde", i_tilde)
 
     @property
     def illuminated_spots(self) -> frozenset[int]:
@@ -255,8 +257,8 @@ class RecognitionRule:
     l: int
 
     def __post_init__(self) -> None:
-        if self.k < 1 or self.l < 1:
-            raise DomainError(f"tolerances must be >= 1, got k={self.k}, l={self.l}")
+        object.__setattr__(self, "k", _count("miss tolerance k", self.k, 1))
+        object.__setattr__(self, "l", _count("noise tolerance l", self.l, 1))
 
 
 @dataclass(frozen=True)
@@ -325,8 +327,7 @@ def build_challenge(
     """
     if glyph_id not in library:
         raise DomainError(f"unknown glyph {glyph_id!r}")
-    if n_noise < 0:
-        raise DomainError(f"noise spot count must be >= 0, got {n_noise}")
+    n_noise = _count("noise spot count", n_noise, 0)
     glyph = library[glyph_id]
     index = _class_index(alpha_map, low_max, high_min)
     cells = _cell_keys(glyph)
@@ -412,6 +413,7 @@ def simulate_perception(
 ) -> frozenset[int]:
     """The honest user's percept: each illuminated spot fires independently
     when its Poisson photon count (mean ``alpha * i_tilde``) reaches ``k``."""
+    k = _count("threshold K", k, 1)
     spots = np.fromiter(sorted(challenge.illuminated_spots), dtype=np.int64)
     if spots.size and (spots[0] < 0 or spots[-1] >= alpha_map.n_spots):
         raise DomainError("challenge references spots outside the map")
@@ -433,17 +435,8 @@ def recognize(
 
 def false_positive_rate(n_entries: int, n_questions: int) -> Fraction:
     """Exact impostor success probability: (1/M)**m as a rational number."""
-    if n_entries < 2:
-        raise DomainError(f"menu size must be >= 2, got {n_entries}")
-    if n_questions < 0:
-        raise DomainError(f"question count must be >= 0, got {n_questions}")
-    return Fraction(1, n_entries) ** n_questions
-
-
-def _require_counts(**counts: int) -> None:
-    for name, value in counts.items():
-        if value < 1:
-            raise DomainError(f"{name} must be >= 1, got {value}")
+    n_entries = _count("menu size", n_entries, 2)
+    return Fraction(1, n_entries) ** _count("question count", n_questions, 0)
 
 
 def alice_failure_bound(
@@ -470,12 +463,11 @@ def alice_failure_bound(
     exact equality the exponent vanishes and the returned bound is a
     vacuous 1.0 (flagged with a warning).
     """
-    _require_counts(n_h=n_h, n_l=n_l, k=k, l=l)
-    if m < 0:
-        raise DomainError(f"question count must be >= 0, got {m}")
-    for name, value in (("p_h", p_h), ("p_l", p_l)):
-        if not (0.0 <= float(value) < 1.0):
-            raise DomainError(f"{name} must lie in [0, 1), got {value!r}")
+    n_h, n_l = _count("n_h", n_h, 1), _count("n_l", n_l, 1)
+    k, l = _count("k", k, 1), _count("l", l, 1)
+    m = _count("question count", m, 0)
+    p_h = _real("p_h", p_h, "[0, 1)")
+    p_l = _real("p_l", p_l, "[0, 1)")
     frac_h = k / n_h
     frac_l = l / n_l
     if frac_h < p_h or frac_l < p_l:
@@ -517,7 +509,7 @@ def optimize_intensity(
     the bound has an interior minimum.  The scan covers :data:`INTENSITY_SCAN`
     in steps of :data:`INTENSITY_STEP`.
     """
-    _require_counts(n_h=n_h, n_l=n_l)
+    n_h, n_l = _count("n_h", n_h, 1), _count("n_l", n_l, 1)
     lo, hi = INTENSITY_SCAN
     step = INTENSITY_STEP
     best: tuple[float, float] | None = None

@@ -35,7 +35,7 @@ from itertools import islice
 import numpy as np
 
 from .alpha_map import AlphaMap, SpotClass, UniformBands, require_support
-from .errors import DomainError, InfeasibleError
+from .errors import DomainError, InfeasibleError, _count, _real
 from .photon_stats import _bisect
 from .subjects import SubjectModel, interrogate, open_scope
 
@@ -56,12 +56,8 @@ def relative_entropy(x: float, y: float) -> float:
     (y in {0, 1}) the divergence is 0 when x matches the point mass and
     +inf otherwise.
     """
-    x = float(x)
-    y = float(y)
-    if not (0.0 <= x <= 1.0):
-        raise DomainError(f"x must lie in [0, 1], got {x!r}")
-    if not (0.0 <= y <= 1.0):
-        raise DomainError(f"y must lie in [0, 1], got {y!r}")
+    x = _real("x", x, "[0, 1]")
+    y = _real("y", y, "[0, 1]")
     if y == 0.0 or y == 1.0:
         return 0.0 if x == y else math.inf
     total = 0.0
@@ -88,8 +84,7 @@ class SerialPlan:
             raise DomainError(
                 f"need 0 < q < w < 1/2, got q={self.q!r}, w={self.w!r}"
             )
-        if self.n_rounds < 1:
-            raise DomainError(f"round count must be >= 1, got {self.n_rounds}")
+        object.__setattr__(self, "n_rounds", _count("round count", self.n_rounds, 1))
 
 
 @dataclass(frozen=True)
@@ -107,12 +102,9 @@ def solve_w_N(q: float, p_fp: float, p_fn: float) -> tuple[float, int]:
     count — then returns (w, N) with N the ceiling of the larger requirement
     evaluated at the solved w.
     """
-    q = float(q)
-    if not (0.0 < q < 0.5):
-        raise DomainError(f"wrong-answer bound q must lie in (0, 1/2), got {q!r}")
-    for name, value in (("p_fp", p_fp), ("p_fn", p_fn)):
-        if not (0.0 < value < 1.0):
-            raise DomainError(f"{name} must lie in (0, 1), got {value!r}")
+    q = _real("wrong-answer bound q", q, "(0, 1/2)")
+    p_fp = _real("p_fp", p_fp, "(0, 1)")
+    p_fn = _real("p_fn", p_fn, "(0, 1)")
     log_fn = math.log(1.0 / p_fn)
     log_fp = math.log(1.0 / p_fp)
 

@@ -25,15 +25,19 @@ round), and ``answers(rng, spot_ordinal)``, one call a round.
 :func:`interrogate` runs the round primitive every class-based protocol
 shares: a fair coin picks the hidden class, the transmission value is drawn
 from that class's part of the distribution, and the law answers.
-:func:`alice_response` checks its inputs every call; :func:`interrogate`
-checks them once per session.
+
+Arguments are checked by the rules of :mod:`retinasim.errors`, each once:
+the threshold and the fixed bias when :class:`AliceSubject` and
+:class:`FixedP` are made, a constant bias when its :class:`EveSession`
+opens, a rule's answer probability every round, the pulse intensity once
+per :func:`interrogate`, every input of :func:`alice_response` every call,
+and those of :func:`class_seeing_means` once per cached entry.
 """
 
 from __future__ import annotations
 
 import abc
 import functools
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable, Iterator, Union
@@ -41,7 +45,7 @@ from typing import Callable, Iterator, Union
 import numpy as np
 
 from .alpha_map import SpotClass, UniformBands, class_draws
-from .errors import DomainError
+from .errors import DomainError, _count, _real
 from .photon_stats import DEFAULT_THRESHOLD, _gk_mean, gk
 
 __all__ = [
@@ -110,10 +114,11 @@ class _History(Sequence):
 
 
 def _answer_probability(p: float) -> float:
-    p = float(p)
-    if not (0.0 <= p <= 1.0) or not math.isfinite(p):
-        raise DomainError(f"strategy produced invalid answer probability {p!r}")
-    return p
+    """``p`` checked as a probability of answering "seen".  A float in [0, 1],
+    what a rule returns round after round, is passed at once."""
+    if type(p) is float and 0.0 <= p <= 1.0:
+        return p
+    return _real("answer probability", p, "[0, 1]")
 
 
 class EveSession:
@@ -214,11 +219,11 @@ class FixedP(EveStrategy):
 
     p: float
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "p", _answer_probability(self.p))
+
     def session(self, rng: np.random.Generator) -> EveSession:
-        p = float(self.p)
-        if not (0.0 <= p <= 1.0):
-            raise DomainError(f"fixed answer probability must lie in [0, 1], got {self.p!r}")
-        return EveSession(p)
+        return EveSession(self.p)
 
 
 @dataclass(frozen=True)
@@ -253,11 +258,10 @@ class Adaptive(EveStrategy):
         return EveSession(self.rule)
 
 
-@functools.lru_cache(maxsize=64, typed=True)
+@functools.lru_cache(maxsize=64)
 def _seeing(k: int, x: float) -> float:
     """``gk(k, x)``, once per ``(k, x)``: a per-spot run asks for the same
-    tuned mean every session.  ``typed`` keeps a ``True`` threshold from
-    reading the entry of ``1`` instead of being refused."""
+    tuned mean every session."""
     return gk(k, x)
 
 
@@ -268,6 +272,9 @@ class AliceSubject:
     interrogation distribution drawn from it."""
 
     k: int = DEFAULT_THRESHOLD
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "k", _count("threshold K", self.k, 1))
 
     def p_seen(self, x: float) -> float:
         """``gk(k, x)``, computed once per ``(k, x)``."""
@@ -282,11 +289,10 @@ class AliceSubject:
     def answers(
         self, rng: np.random.Generator, spot_ordinal: int = 0
     ) -> Callable[[float, float], bool]:
-        """:func:`alice_response` on ``rng``, her threshold checked once and
-        ``alpha`` and ``i_tilde`` not at all: for a caller that has checked
-        them, as :func:`interrogate` does."""
-        k = _check_threshold(self.k)
-        poisson = rng.poisson
+        """:func:`alice_response` on ``rng``, her threshold checked when she
+        was made and ``alpha`` and ``i_tilde`` not at all: for a caller that
+        has checked them, as :func:`interrogate` does."""
+        k, poisson = self.k, rng.poisson
 
         def answer(alpha: float, i_tilde: float) -> bool:
             return int(poisson(alpha * i_tilde)) >= k
@@ -330,19 +336,6 @@ def open_scope(subject: SubjectModel, rng: np.random.Generator) -> AnswerLaw:
     return subject
 
 
-def _check_intensity(i_tilde: float) -> float:
-    i_tilde = float(i_tilde)
-    if not math.isfinite(i_tilde) or i_tilde < 0.0:
-        raise DomainError(f"pulse intensity must be finite and >= 0, got {i_tilde!r}")
-    return i_tilde
-
-
-def _check_threshold(k: int) -> int:
-    if k < 1:
-        raise DomainError(f"perception threshold must be >= 1, got {k}")
-    return k
-
-
 def alice_response(
     alpha: float, i_tilde: float, k: int, rng: np.random.Generator
 ) -> bool:
@@ -353,11 +346,9 @@ def alice_response(
     when the count reaches ``k``.  Marginally this is a Bernoulli draw with
     success probability ``prob_see(alpha, i_tilde, k)``.
     """
-    alpha = float(alpha)
-    if not (0.0 <= alpha <= 1.0):
-        raise DomainError(f"transmission coefficient must lie in [0, 1], got {alpha!r}")
-    i_tilde = _check_intensity(i_tilde)
-    k = _check_threshold(k)
+    alpha = _real("transmission coefficient", alpha, "[0, 1]")
+    i_tilde = _real("pulse intensity", i_tilde, "[0, inf)")
+    k = _count("threshold K", k, 1)
     return int(rng.poisson(alpha * i_tilde)) >= k
 
 
@@ -377,7 +368,7 @@ def interrogate(
     once, on the first round; every ``alpha`` the bands draw already lies
     in (0, 1].
     """
-    i_tilde = _check_intensity(i_tilde)
+    i_tilde = _real("pulse intensity", i_tilde, "[0, inf)")
     answer = law.answers(rng)
     for alpha, spot_class in class_draws(distribution, rng):
         yield spot_class, alpha, answer(alpha, i_tilde)
@@ -398,7 +389,8 @@ def class_seeing_means(
     means every session.  ``typed`` keeps a ``True`` threshold from reading
     the entry of ``1`` instead of being refused.
     """
-    i_tilde = _check_intensity(i_tilde)
+    i_tilde = _real("pulse intensity", i_tilde, "[0, inf)")
+    k = _count("threshold K", k, 1)
     if not isinstance(distribution, UniformBands):
         raise DomainError(f"unknown interrogation distribution {distribution!r}")
     low, high = (_gk_mean(k, a * i_tilde, b * i_tilde)

@@ -114,3 +114,32 @@ def test_subjects_are_told_apart_in_no_other_module():
             ) or (isinstance(node, ast.Attribute) and node.attr == "bias"):
                 found.append(f"{module.__name__}:{node.lineno}")
     assert found == []
+
+
+_RULE_PHRASES = ("must lie in", "must be >=", "must be an integer", "must be finite",
+                 "positive and finite")
+
+
+def _text(node: ast.expr) -> str:
+    """The literal text of every string in ``node``, f-strings included."""
+    return "".join(n.value for n in ast.walk(node)
+                   if isinstance(n, ast.Constant) and isinstance(n.value, str))
+
+
+def test_argument_rules_are_written_in_no_other_module():
+    """Each range or integer check of an argument goes through a rule of
+    ``errors``: no other module raises a ``DomainError`` that words one."""
+    found = []
+    for module in MODULES:
+        if module.__name__ == "retinasim.errors":
+            continue
+        tree = ast.parse(Path(module.__file__).read_text())
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Raise)
+                and isinstance(node.exc, ast.Call)
+                and "DomainError" in _named(node.exc.func)
+                and any(p in _text(node.exc) for p in _RULE_PHRASES)
+            ):
+                found.append(f"{module.__name__}:{node.lineno}")
+    assert found == []
