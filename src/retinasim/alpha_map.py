@@ -27,7 +27,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, MapFormatError, _count
+from .errors import ConfigError, DomainError, MapFormatError, _count, _real
 
 __all__ = [
     "AlphaMap",
@@ -110,12 +110,10 @@ class UniformBands:
     high_band: tuple[float, float]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "low_band", (float(self.low_band[0]), float(self.low_band[1]))
-        )
-        object.__setattr__(
-            self, "high_band", (float(self.high_band[0]), float(self.high_band[1]))
-        )
+        for name in ("low_band", "high_band"):
+            edges = tuple(_real("band edge", edge, "(-inf, inf)")
+                          for edge in getattr(self, name))
+            object.__setattr__(self, name, edges)
         a, b = self.low_band
         c, d = self.high_band
         if not (0.0 < a <= b < c <= d <= 1.0):

@@ -5,10 +5,9 @@ The hierarchy is deliberately shallow: callers that only want "did the
 library object to my inputs" can catch :class:`Error`; the command-line
 front end maps subclasses onto distinct exit codes.
 
-Every range or integer check of an argument goes through :func:`_count`,
-for whole numbers, or :func:`_real`, for real numbers in an interval, so a
-quantity is refused alike wherever it enters.  ``RunConfig`` words its own
-refusals, as :class:`ConfigError` naming the field.
+Every range or integer check of an argument or a ``RunConfig`` field goes
+through :func:`_count`, for whole numbers, or :func:`_real`, for real
+numbers in an interval, so a quantity is refused alike wherever it enters.
 """
 
 import math
@@ -81,21 +80,27 @@ _INTERVALS = {
     "(0, 1/2)": lambda x: 0.0 < x < 0.5,
     "[0, inf)": lambda x: 0.0 <= x < math.inf,
     "(0, inf)": lambda x: 0.0 < x < math.inf,
+    "(-inf, inf)": math.isfinite,
 }
 
-#: How a refusal words the two half-lines.
-_HALF_LINES = {"[0, inf)": "be finite and >= 0", "(0, inf)": "be positive and finite"}
+#: How a refusal words the unbounded intervals.
+_UNBOUNDED = {"[0, inf)": "be finite and >= 0", "(0, inf)": "be positive and finite",
+              "(-inf, inf)": "be finite"}
 
 
 def _real(name: str, value, interval: str) -> float:
     """``value`` as a ``float``, if it is a real number in ``interval``, a
-    key of :data:`_INTERVALS`; else :class:`DomainError`.  A bool is
-    refused."""
-    if type(value) is not float:
-        if isinstance(value, bool):
+    key of :data:`_INTERVALS`; else :class:`DomainError`.  A bool, a value
+    that is not a real number (a string, None, a complex) and an integer
+    past the float range are refused."""
+    if type(value) is not float:  # the common case, checked first
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise DomainError(f"invalid {name} {value!r}: must be a number")
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            raise DomainError(f"invalid {name}: too large for a float") from None
     if _INTERVALS[interval](value):
         return value
-    rule = _HALF_LINES.get(interval, f"lie in {interval}")
+    rule = _UNBOUNDED.get(interval, f"lie in {interval}")
     raise DomainError(f"invalid {name} {value!r}: must {rule}")

@@ -19,7 +19,6 @@ import dataclasses
 import functools
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -35,7 +34,7 @@ from .alpha_map import (
     load,
     require_support,
 )
-from .errors import ConfigError, DomainError, _count
+from .errors import ConfigError, DomainError, _count, _real
 from .photon_stats import DEFAULT_THRESHOLD, solve_q_intensity
 from .strategy_bayes import (
     DEFAULT_MAX_ROUNDS,
@@ -116,40 +115,39 @@ def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
 
 
-# Declared kind of a config field -> (accepted type, normaliser, noun).
-_KINDS = {
-    "str": (str, str, "a string"),
-    "int": (numbers.Integral, int, "an integer"),
-    "float": (numbers.Real, float, "a number"),
+#: The least value of each count field of :class:`RunConfig`, and the
+#: interval of each real field that a range bounds.  A real field not named
+#: here is bounded only by a relation to another, and must be finite.
+_FIELD_RULES = {
+    "trials": 1, "k": 1, "max_rounds": 1, "naive_mu": 1, "pattern_questions": 1,
+    "pattern_menu": 2, "pattern_noise": 0, "pattern_miss_limit": 1,
+    "pattern_noise_limit": 1, "map_width": 1, "map_height": 1, "master_seed": 0,
+    "map_seed": 0, "walk_trace_limit": 0,
+    "p_fp": "(0, 1)", "p_fn": "(0, 1)", "naive_p_c": "(0, 1)",
+    "i_tilde": "[0, inf)", "pattern_i_tilde": "[0, inf)",
 }
 
 
 def _checked_kind(name: str, kind: str, value):
-    """A config field's value checked against its declared kind and
-    normalised.  Bools are refused where a number is declared; a float pair
-    may arrive as a JSON list and becomes a tuple; ``| None`` admits None."""
-    optional = kind.endswith(" | None")
-    kind = kind.removesuffix(" | None")
-    if value is None and optional:
+    """A config field's value, checked against its declared kind and its
+    rule in :data:`_FIELD_RULES` and normalised; a pair may arrive as a JSON
+    list.  A refusal is a :class:`DomainError`, which :class:`RunConfig`
+    raises as a :class:`ConfigError`."""
+    if value is None and kind.endswith(" | None"):
         return None
-    if kind == "tuple[float, float]":
-        if not (isinstance(value, (tuple, list)) and len(value) == 2 and all(
-            not isinstance(v, bool) and isinstance(v, numbers.Real) for v in value
-        )):
-            raise ConfigError(
-                f"field {name!r} must be a pair of numbers, got {value!r}"
-            )
-        normalise = _float_pair
-    else:
-        expected, normalise, noun = _KINDS[kind]
-        if isinstance(value, bool) or not isinstance(value, expected):
-            raise ConfigError(
-                f"bad config value: field {name!r} must be {noun}, got {value!r}"
-            )
-    try:
-        return normalise(value)
-    except OverflowError:  # a JSON integer past the float range
-        raise ConfigError(f"field {name!r} is too large for a float") from None
+    kind = kind.removesuffix(" | None")
+    label = f"field {name!r}"
+    if kind == "int":
+        return _count(label, value, _FIELD_RULES[name])
+    if kind == "float":
+        return _real(label, value, _FIELD_RULES.get(name, "(-inf, inf)"))
+    if kind == "str":
+        if isinstance(value, str):
+            return value
+        raise DomainError(f"{label} must be a string, got {value!r}")
+    if not (isinstance(value, (tuple, list)) and len(value) == 2):
+        raise DomainError(f"{label} must be a pair of numbers, got {value!r}")
+    return tuple(_real(label, v, "(-inf, inf)") for v in value)
 
 
 @functools.lru_cache(maxsize=64)
@@ -157,10 +155,6 @@ def _symmetric_intensity(alpha_low: float, alpha_high: float, k: int) -> float:
     """The pulse intensity of :func:`solve_q_intensity`, solved once per
     (inner edges, ``k``): each ``prepare`` of a run asks for it again."""
     return solve_q_intensity(alpha_low, alpha_high, k)[1]
-
-
-def _float_pair(pair) -> tuple[float, float]:
-    return float(pair[0]), float(pair[1])
 
 
 @dataclass(frozen=True)
@@ -173,8 +167,9 @@ class RunConfig:
     bands.  ``i_tilde=None`` means "solve the symmetric pulse intensity from
     the distribution's inner edges".  Strategy-specific knobs carry a
     strategy prefix and are ignored by the other strategies.  Every field is
-    checked against its declared kind, then its range; a violation raises
-    :class:`ConfigError` naming the field.
+    checked against its declared kind and range by the rules of
+    :mod:`~retinasim.errors`; a violation raises :class:`ConfigError`
+    naming the field.
     """
 
     strategy: str = "bayes"
@@ -212,7 +207,10 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         for field in dataclasses.fields(self):
-            value = _checked_kind(field.name, field.type, getattr(self, field.name))
+            try:
+                value = _checked_kind(field.name, field.type, getattr(self, field.name))
+            except DomainError as exc:
+                raise ConfigError(f"bad config value: {exc}") from exc
             object.__setattr__(self, field.name, value)
         if self.strategy not in STRATEGIES:
             raise ConfigError(
@@ -229,31 +227,12 @@ class RunConfig:
         except DomainError as exc:
             names = _DISTRIBUTION_FIELDS[self.distribution]
             raise ConfigError(f"fields {names}: {exc}") from exc
-        for name in ("p_fp", "p_fn", "naive_p_c"):
-            value = getattr(self, name)
-            if not (0.0 < value < 1.0):
-                raise ConfigError(f"field {name!r} must lie in (0, 1), got {value!r}")
-        for name, least in (
-            ("trials", 1), ("k", 1), ("max_rounds", 1), ("naive_mu", 1),
-            ("pattern_questions", 1), ("pattern_menu", 2), ("pattern_noise", 0),
-            ("pattern_miss_limit", 1), ("pattern_noise_limit", 1),
-            ("map_width", 1), ("map_height", 1),
-            ("master_seed", 0), ("map_seed", 0), ("walk_trace_limit", 0),
-        ):
-            value = getattr(self, name)
-            if value < least:
-                raise ConfigError(f"field {name!r} must be >= {least}, got {value!r}")
         if self.map_width * self.map_height > _MAX_MAP_SPOTS:
             raise ConfigError(
                 f"fields 'map_width' and 'map_height' give "
                 f"{self.map_width * self.map_height} spots, more than the "
                 f"{_MAX_MAP_SPOTS} a synthetic map may hold"
             )
-        for name in ("i_tilde", "pattern_i_tilde"):
-            value = getattr(self, name)
-            if value is not None and not 0.0 <= value < math.inf:
-                raise ConfigError(f"field {name!r} must be finite and >= 0, "
-                                  f"got {value!r}")
         if self.i_tilde is not None:
             q = design_wrong_probability(distribution, self.i_tilde, self.k)
             if not q < 0.5:
@@ -345,12 +324,9 @@ def parse_eve_strategy(spec: str, k: int) -> EveStrategy:
         return Adaptive(_echo_rule(k))
     if spec.startswith("fixedp:"):
         try:
-            p = float(spec.split(":", 1)[1])
-        except ValueError as exc:
-            raise ConfigError(f"bad probability in subject {spec!r}") from exc
-        if not 0.0 <= p <= 1.0:
-            raise ConfigError(f"probability in {spec!r} must lie in [0, 1]")
-        return FixedP(p)
+            return FixedP(float(spec.split(":", 1)[1]))
+        except ValueError as exc:  # not a number, or one FixedP refuses
+            raise ConfigError(f"bad probability in subject {spec!r}: {exc}") from exc
     raise ConfigError(
         f"unknown impostor strategy {spec!r} "
         f"(expected faircoin, uniformp, fixedp:<p> or echo)"

@@ -288,8 +288,8 @@ def solve_q_intensity(
     ``[1e-12, 1/2 - 1e-12]`` or ``i_tilde`` is not a finite double.
     """
     k = _count("threshold K", k, 1)
-    alpha_low = float(alpha_low)
-    alpha_high = float(alpha_high)
+    alpha_low = _real("alpha_low", alpha_low, "(-inf, inf)")
+    alpha_high = _real("alpha_high", alpha_high, "(-inf, inf)")
     if not (0.0 < alpha_low < alpha_high <= 1.0):
         raise DomainError(
             "need 0 < alpha_low < alpha_high <= 1, got "

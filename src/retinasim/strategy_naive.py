@@ -173,31 +173,43 @@ def required_nu(p_fp: float, p_fn: float, mu: int, p_c: float) -> int:
         w(nu)  = (exp(-nu*H(p_r|p_c)) + exp(-nu*H(p_l|p_c))) / sqrt(2*nu),
         p_fail = 1 - (1 - w(nu))**mu,
 
-    returning the first ``nu`` with ``p_fail <= p_fn``.
+    returning the first ``nu`` with ``p_fail <= p_fn``.  The scan starts at
+    the first ``nu`` whose window holds two counts, where
+    ``p_fp**(1/mu) * (nu + 1)`` reaches 1.
     """
     p_fp = _real("p_fp", p_fp, "(0, 1)")
     p_fn = _real("p_fn", p_fn, "(0, 1)")
     mu = _count("spot count", mu, 1)
     p_c = _real("p_c", p_c, "(0, 1)")
 
-    for nu in range(1, _NU_SEARCH_LIMIT + 1):
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
+    budget = p_fp ** (1.0 / mu)  # as acceptance_counts computes it
+    first = _NU_SEARCH_LIMIT + 1  # no window within the limit: scan nothing
+    if budget * first >= 1.0:
+        # The least nu with budget * (nu + 1) >= 1 as acceptance_counts
+        # rounds it; one below 1 / budget - 1 lies at or under it, however
+        # 1 / budget rounds.
+        first = max(1, math.ceil(1.0 / budget) - 2)
+        while budget * (first + 1) < 1.0:
+            first += 1
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for nu in range(first, _NU_SEARCH_LIMIT + 1):
+            try:
                 n_l, n_r = acceptance_counts(p_c, nu, p_fp, mu)
-        except InfeasibleError:
-            continue
-        p_l = n_l / nu
-        p_r = n_r / nu
-        w = (
-            math.exp(-nu * relative_entropy(p_r, p_c))
-            + math.exp(-nu * relative_entropy(p_l, p_c))
-        ) / math.sqrt(2.0 * nu)
-        if w >= 1.0:
-            continue
-        p_fail = 1.0 - (1.0 - w) ** mu
-        if p_fail <= p_fn:
-            return nu
+            except InfeasibleError:
+                continue
+            p_l = n_l / nu
+            p_r = n_r / nu
+            w = (
+                math.exp(-nu * relative_entropy(p_r, p_c))
+                + math.exp(-nu * relative_entropy(p_l, p_c))
+            ) / math.sqrt(2.0 * nu)
+            if w >= 1.0:
+                continue
+            p_fail = 1.0 - (1.0 - w) ** mu
+            if p_fail <= p_fn:
+                return nu
     raise InfeasibleError(
         f"no nu <= {_NU_SEARCH_LIMIT} meets p_fp={p_fp!r}, p_fn={p_fn!r} "
         f"with mu={mu}, p_c={p_c!r}"

@@ -291,17 +291,24 @@ def _require_noise(index: _ClassBlockIndex, n_noise: int) -> None:
 def require_placeable(
     alpha_map: AlphaMap, n_noise: int, *, low_max: float, high_min: float
 ) -> None:
-    """Raise :class:`PlacementError` when no pattern question can be placed
-    on the map: it is smaller than the glyph grid, no library glyph has a
-    high-transmission spot in the block of each of its cells, or the block
-    grid holds fewer than ``n_noise`` low-transmission spots.  Builds the
-    map's class index, which later questions reuse; draws nothing."""
+    """Raise :class:`PlacementError` unless every pattern question can be
+    placed on the map: it is smaller than the glyph grid, some library glyph
+    has no high-transmission spot in the block of one of its cells, or the
+    block grid holds fewer than ``n_noise`` low-transmission spots.  Builds
+    the map's class index, which later questions reuse; draws nothing."""
     index = _class_index(alpha_map, low_max, high_min)
-    _ids, incidence = _incidence(tuple(glyph_library().items()))
-    if incidence[:, index.high.counts == 0].any(axis=1).all():
+    ids, incidence = _incidence(tuple(glyph_library().items()))
+    blocked = incidence & (index.high.counts == 0)
+    if blocked.any(axis=1).all():
         raise PlacementError(
             f"no library glyph has a high-transmission spot (alpha >= "
             f"{high_min!r}) in the block of each of its cells"
+        )
+    if blocked.any():
+        row, cell = np.argwhere(blocked)[0]
+        raise PlacementError(
+            f"library glyph {ids[row]!r} has no high-transmission spot (alpha >= "
+            f"{high_min!r}) in the block of its cell {divmod(int(cell), GLYPH_GRID[1])}"
         )
     _require_noise(index, n_noise)
 
@@ -357,7 +364,7 @@ def build_challenge(
     return PatternChallenge(
         pattern_spots=frozenset(pattern.tolist()),
         noise_spots=frozenset(noise.tolist()),
-        i_tilde=float(i_tilde),
+        i_tilde=i_tilde,
         hidden_glyph=glyph.glyph_id,
         block_grid=index.grid,
     )
@@ -375,8 +382,7 @@ def candidate_menu(
     forming that glyph, one spot per glyph cell — and exactly one entry
     equals the hidden pattern.  Entries are returned in shuffled order.
     """
-    if n_entries < 2:
-        raise DomainError(f"a menu needs at least 2 entries, got {n_entries}")
+    n_entries = _count("menu size", n_entries, 2)
     hidden = challenge.hidden_glyph
     if hidden not in library:
         raise DomainError(f"hidden glyph {hidden!r} is not in the library")
@@ -558,8 +564,7 @@ def run_pattern_test(
     no better than a uniform pick.  Accept iff all m answers name the hidden
     glyph.
     """
-    if m < 1:
-        raise ConfigError(f"a session needs at least one question, got m={m}")
+    m = _count("question count", m, 1, ConfigError)
     library = glyph_library()
     pool = sorted(library) if glyph_ids is None else list(glyph_ids)
     if not pool:

@@ -176,6 +176,9 @@ class TestUsageErrors:
             ({"map_width": 4}, "smaller than the 5x7 glyph grid"),
             ({"map_height": 4}, "smaller than the 5x7 glyph grid"),
             ({"pattern_noise": 5000}, "5000 noise spots requested"),
+            ({"pattern_high_min": 0.17844},
+             "glyph '%' has no high-transmission spot (alpha >= 0.17844) in the "
+             "block of its cell (3, 3)"),
         ],
     )
     def test_unplaceable_pattern_fails_before_output(self, doc, fragment, tmp_path,

@@ -41,6 +41,7 @@ from retinasim import (
     solve_w_N,
     trial_rng,
 )
+from retinasim.errors import _real
 from retinasim.subjects import class_seeing_means
 
 PLAN = SequentialPlan.design(PointPair(0.05, 0.15), 1e-10, 1e-4)
@@ -149,3 +150,21 @@ def test_a_fixed_bias_is_checked_when_made():
     assert FixedP(np.float64(0.25)).p == 0.25
     assert type(FixedP(1).p) is float
     assert FixedP(0.25).session(make_rng(8)).bias == 0.25
+
+
+#: Entry points that take a real argument, called with one.
+REAL_CALLS = {
+    "_real": lambda x: _real("x", x, "(0, 1)"),
+    "gk": lambda x: gk(6, x),
+    "prob_see": lambda x: prob_see(x, 30.0),
+    "UniformBands": lambda x: UniformBands((x, 0.05), (0.15, 0.18)),
+    "solve_q_intensity": lambda x: solve_q_intensity(x, 0.15),
+}
+
+
+@pytest.mark.parametrize("bad", ["0.05", None, 1 + 2j, 10**400],
+                         ids=["str", "None", "complex", "10**400"])
+@pytest.mark.parametrize("entry", REAL_CALLS)
+def test_a_real_argument_is_a_real_number(entry, bad):
+    with pytest.raises(DomainError, match="^invalid "):
+        REAL_CALLS[entry](bad)

@@ -169,6 +169,56 @@ class TestRequiredNu:
         ]
         assert totals == sorted(totals)
 
+    @staticmethod
+    def _plain_scan(p_fp, p_fn, mu, p_c, limit):
+        """The first nu in 1..limit that meets both targets, every nu tried."""
+        for nu in range(1, limit + 1):
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    n_l, n_r = acceptance_counts(p_c, nu, p_fp, mu)
+            except InfeasibleError:
+                continue
+            w = (
+                math.exp(-nu * relative_entropy(n_r / nu, p_c))
+                + math.exp(-nu * relative_entropy(n_l / nu, p_c))
+            ) / math.sqrt(2.0 * nu)
+            if w < 1.0 and 1.0 - (1.0 - w) ** mu <= p_fn:
+                return nu
+        return None
+
+    @pytest.mark.parametrize("p_c", [0.3, 0.5])
+    @pytest.mark.parametrize("mu", [1, 3, 20, 50])
+    @pytest.mark.parametrize("p_fn", [1e-4, 1e-2])
+    @pytest.mark.parametrize("p_fp", [1e-10, 1e-3, 0.1])
+    def test_matches_the_plain_scan(self, p_fp, p_fn, mu, p_c, monkeypatch):
+        """Starting at the first nu with a two-count window skips only
+        counts the plain scan skips; a lowered limit keeps the infeasible
+        cases small."""
+        limit = 3000
+        monkeypatch.setattr(strategy_naive, "_NU_SEARCH_LIMIT", limit)
+        expected = self._plain_scan(p_fp, p_fn, mu, p_c, limit)
+        if expected is None:
+            with pytest.raises(InfeasibleError, match=f"no nu <= {limit}"):
+                required_nu(p_fp, p_fn, mu, p_c)
+        else:
+            assert required_nu(p_fp, p_fn, mu, p_c) == expected
+
+    def test_no_window_within_the_limit_is_refused_without_a_scan(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return acceptance_counts(*args)
+
+        monkeypatch.setattr(strategy_naive, "acceptance_counts", counted)
+        with pytest.raises(InfeasibleError, match="no nu <= 1000000"):
+            required_nu(1e-10, 1e-4, 1, 0.5)
+        assert calls == []
+        # The first window of two counts: 0.1 * (nu + 1) >= 1 at nu = 9.
+        assert required_nu(0.1, 1e-2, 1, 0.5) == 379
+        assert [args[1] for args in calls] == list(range(9, 380))
+
     @pytest.mark.parametrize(
         "call",
         [

@@ -400,7 +400,7 @@ class TestCandidateMenu:
         lib = glyph_library()
         rng = make_rng(4421)
         ch = build_challenge(default_map, lib, "2", 75, rng)
-        with pytest.raises(DomainError, match="at least 2"):
+        with pytest.raises(DomainError, match="menu size must be >= 2"):
             candidate_menu(ch, lib, 1, rng)
 
     def test_hidden_glyph_missing_from_library(self, default_map):
@@ -861,7 +861,7 @@ class TestRunPatternTest:
         assert a == b
 
     def test_zero_questions_rejected(self, default_map):
-        with pytest.raises(ConfigError, match="at least one question"):
+        with pytest.raises(ConfigError, match="question count must be >= 1"):
             run_pattern_test(
                 EveSubject(FairCoin()), default_map, 0, 18,
                 RecognitionRule(5, 5), make_rng(4433),
@@ -888,7 +888,7 @@ class TestRunPatternTest:
             )
 
     def test_menu_size_error_propagates(self, default_map):
-        with pytest.raises(DomainError, match="at least 2"):
+        with pytest.raises(DomainError, match="menu size must be >= 2"):
             run_pattern_test(
                 EveSubject(FairCoin()), default_map, 4, 1,
                 RecognitionRule(5, 5), make_rng(4437),

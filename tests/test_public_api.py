@@ -5,6 +5,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -116,8 +117,11 @@ def test_subjects_are_told_apart_in_no_other_module():
     assert found == []
 
 
-_RULE_PHRASES = ("must lie in", "must be >=", "must be an integer", "must be finite",
-                 "positive and finite")
+#: How a rule is worded: a fixed interval (a computed window such as
+#: ``SequentialPlan``'s "must lie in ({lo}, {hi})" is a relation, not a
+#: rule), a least value, wholeness or finiteness.
+_RULE_WORDING = re.compile(r"must lie in [\[(][-\d]|must be >=|must be an integer"
+                           r"|must be finite|positive and finite")
 
 
 def _text(node: ast.expr) -> str:
@@ -127,8 +131,9 @@ def _text(node: ast.expr) -> str:
 
 
 def test_argument_rules_are_written_in_no_other_module():
-    """Each range or integer check of an argument goes through a rule of
-    ``errors``: no other module raises a ``DomainError`` that words one."""
+    """Each range or integer check of an argument or a config field goes
+    through a rule of ``errors``: no other module raises a ``DomainError``
+    or a ``ConfigError`` that words one."""
     found = []
     for module in MODULES:
         if module.__name__ == "retinasim.errors":
@@ -138,8 +143,8 @@ def test_argument_rules_are_written_in_no_other_module():
             if (
                 isinstance(node, ast.Raise)
                 and isinstance(node.exc, ast.Call)
-                and "DomainError" in _named(node.exc.func)
-                and any(p in _text(node.exc) for p in _RULE_PHRASES)
+                and _named(node.exc.func) & {"DomainError", "ConfigError"}
+                and _RULE_WORDING.search(_text(node.exc))
             ):
                 found.append(f"{module.__name__}:{node.lineno}")
     assert found == []
