@@ -37,11 +37,9 @@ from .harness import (
     RunContext,
     TrialRecord,
     TrialStats,
-    build_subject,
     load_config,
     merge_records,
     montecarlo,
-    parse_eve_strategy,
     prepare,
     run_session,
     run_trial,
@@ -110,12 +108,12 @@ from .subjects import (
     EveContext,
     EveSession,
     EveStrategy,
-    EveSubject,
-    FairCoin,
     FixedP,
     SubjectModel,
     UniformP,
     alice_response,
+    build_subject,
+    parse_eve_strategy,
 )
 
 __version__ = "0.1.0"

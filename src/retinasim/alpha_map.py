@@ -38,7 +38,6 @@ __all__ = [
     "inner_edges",
     "require_support",
     "class_draws",
-    "draw_class_alpha",
     "generate_synthetic",
     "draw_interrogation_spot",
     "save",
@@ -70,6 +69,8 @@ class AlphaMap:
     def __post_init__(self) -> None:
         object.__setattr__(self, "width", _count("map width", self.width, 1))
         object.__setattr__(self, "height", _count("map height", self.height, 1))
+        for name in ("alpha_min", "alpha_max"):
+            object.__setattr__(self, name, _real(name, getattr(self, name), "(-inf, inf)"))
         if not (0.0 < self.alpha_min < self.alpha_max <= 1.0):
             raise DomainError(
                 "need 0 < alpha_min < alpha_max <= 1, got "
@@ -169,13 +170,6 @@ def class_draws(
         yield (a if a == b else float(uniform(a, b))), spot_class
 
 
-def draw_class_alpha(
-    distribution: UniformBands, rng: np.random.Generator
-) -> tuple[float, SpotClass]:
-    """One draw of :func:`class_draws`."""
-    return next(class_draws(distribution, rng))
-
-
 def generate_synthetic(
     width: int, height: int, alpha_min: float, alpha_max: float, seed: int
 ) -> AlphaMap:
@@ -185,6 +179,8 @@ def generate_synthetic(
     generator is constructed locally, so global RNG state is never touched).
     """
     width, height = _count("map width", width, 1), _count("map height", height, 1)
+    alpha_min = _real("alpha_min", alpha_min, "(-inf, inf)")
+    alpha_max = _real("alpha_max", alpha_max, "(-inf, inf)")
     if not (0.0 < alpha_min < alpha_max <= 1.0):
         raise DomainError(
             f"need 0 < alpha_min < alpha_max <= 1, got ({alpha_min!r}, {alpha_max!r})"
@@ -209,7 +205,7 @@ def draw_interrogation_spot(
     global transmission band.
     """
     require_support(alpha_map, distribution)
-    return draw_class_alpha(distribution, rng)
+    return next(class_draws(distribution, rng))
 
 
 # ---------------------------------------------------------------------------

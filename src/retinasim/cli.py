@@ -37,7 +37,7 @@ from .strategy_bayes import drift_bounds, optimality_lower_bound, stopping_time_
 from .strategy_naive import acceptance_counts, required_nu
 from .strategy_pattern import false_positive_rate, optimize_intensity
 from .strategy_serial import solve_w_N
-from .subjects import Adaptive, EveContext, EveSubject
+from .subjects import Adaptive, EveContext
 
 __all__ = [
     "main",
@@ -146,9 +146,7 @@ def cmd_identify(config: RunConfig) -> int:
         dataclasses.replace(config, subject="eve:faircoin") if interactive else config
     )
     if interactive:
-        context = dataclasses.replace(
-            context, subject=EveSubject(strategy=Adaptive(_interactive_rule))
-        )
+        context = dataclasses.replace(context, subject=Adaptive(_interactive_rule))
     print(f"strategy: {config.strategy}   subject: {config.subject}   "
           f"seed: {config.master_seed}")
     entry = STRATEGIES[config.strategy]

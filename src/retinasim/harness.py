@@ -21,7 +21,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -63,17 +63,7 @@ from .strategy_pattern import (
     run_pattern_test,
 )
 from .strategy_serial import SerialPlan, SerialResult, run_serial, solve_w_N
-from .subjects import (
-    Adaptive,
-    AliceSubject,
-    EveContext,
-    EveStrategy,
-    EveSubject,
-    FairCoin,
-    FixedP,
-    SubjectModel,
-    UniformP,
-)
+from .subjects import SubjectModel, build_subject
 
 __all__ = [
     "STRATEGIES",
@@ -83,8 +73,6 @@ __all__ = [
     "RunContext",
     "trial_rng",
     "load_config",
-    "parse_eve_strategy",
-    "build_subject",
     "prepare",
     "run_session",
     "run_trial",
@@ -294,58 +282,6 @@ def load_config(path: str | Path) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError(f"config file {path}: top level must be an object")
     return RunConfig.from_dict(doc)
-
-
-# ---------------------------------------------------------------------------
-# Subjects from command-line/config strings
-# ---------------------------------------------------------------------------
-
-
-def _echo_rule(threshold: int) -> Callable[[EveContext], float]:
-    def rule(context: EveContext) -> float:
-        count = context.photon_count
-        return 1.0 if count is not None and count >= threshold else 0.0
-
-    return rule
-
-
-def parse_eve_strategy(spec: str, k: int) -> EveStrategy:
-    """Build an impostor strategy from its textual name.
-
-    Accepted: ``faircoin``, ``uniformp``, ``fixedp:<p>``, ``echo`` (answers
-    "seen" exactly when her own detector count reaches the perception
-    threshold — the most informed guess the information barrier allows).
-    """
-    if spec == "faircoin":
-        return FairCoin()
-    if spec == "uniformp":
-        return UniformP()
-    if spec == "echo":
-        return Adaptive(_echo_rule(k))
-    if spec.startswith("fixedp:"):
-        try:
-            return FixedP(float(spec.split(":", 1)[1]))
-        except ValueError as exc:  # not a number, or one FixedP refuses
-            raise ConfigError(f"bad probability in subject {spec!r}: {exc}") from exc
-    raise ConfigError(
-        f"unknown impostor strategy {spec!r} "
-        f"(expected faircoin, uniformp, fixedp:<p> or echo)"
-    )
-
-
-def build_subject(kind: str, k: int) -> SubjectModel:
-    """Build the subject model named by ``kind`` (``alice`` or ``eve:<strategy>``).
-
-    The interactive subject is a front-end concern and deliberately not
-    constructible here: bulk runs must be non-interactive.
-    """
-    if kind == "alice":
-        return AliceSubject(k=k)
-    if kind.startswith("eve:"):
-        return EveSubject(strategy=parse_eve_strategy(kind[4:], k))
-    raise ConfigError(
-        f"unknown subject kind {kind!r} (expected alice or eve:<strategy>)"
-    )
 
 
 # ---------------------------------------------------------------------------

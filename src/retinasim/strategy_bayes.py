@@ -161,31 +161,18 @@ class SequentialPlan:
         )
 
     @functools.cached_property
-    def _edge_see(self) -> dict[float, float]:
-        return {a: gk(self.k, a * self.i_tilde) for a in inner_edges(self.distribution)}
-
-    def see_probability(self, alpha: float) -> float:
-        """The honest user's seeing probability for a pulse at ``alpha``.
-
-        Values at the distribution's inner edges are computed once per plan;
-        a zero-width band draws only its edge, so two-point runs — the bulk
-        of Monte Carlo work — never recompute the gamma CDF.
-        """
-        p_see = self._edge_see.get(alpha)
-        return gk(self.k, alpha * self.i_tilde) if p_see is None else p_see
-
-    @functools.cached_property
     def _edge_rounds(self) -> dict[float, tuple[Round, Round]]:
         """For each inner edge ``alpha``, its transcript entry on a miss and
         on a hit, indexed by the answer: ``_edge_rounds[alpha][saw]``.  The
         increment is a pure function of the plan, ``alpha`` and the answer,
         so a point-pair session needs only these four entries and shares
         them across its rounds and transcripts."""
-        return {
-            a: (Round(a, False, _log_increment(see, False, self.p)),
-                Round(a, True, _log_increment(see, True, self.p)))
-            for a, see in self._edge_see.items()
-        }
+        rounds = {}
+        for a in inner_edges(self.distribution):
+            see = gk(self.k, a * self.i_tilde)
+            rounds[a] = (Round(a, False, _log_increment(see, False, self.p)),
+                         Round(a, True, _log_increment(see, True, self.p)))
+        return rounds
 
 
 def _likelihood_ratio(p_see: float, saw: bool, p: float) -> float:

@@ -175,15 +175,17 @@ def required_nu(p_fp: float, p_fn: float, mu: int, p_c: float) -> int:
 
     returning the first ``nu`` with ``p_fail <= p_fn``.  The scan starts at
     the first ``nu`` whose window holds two counts, where
-    ``p_fp**(1/mu) * (nu + 1)`` reaches 1.
+    ``p_fp**(1/mu) * (nu + 1)`` reaches 1, and is not made at all when a
+    lower bound on ``w`` over the whole scan already fails ``p_fn``.
     """
     p_fp = _real("p_fp", p_fp, "(0, 1)")
     p_fn = _real("p_fn", p_fn, "(0, 1)")
     mu = _count("spot count", mu, 1)
     p_c = _real("p_c", p_c, "(0, 1)")
 
+    limit = _NU_SEARCH_LIMIT
     budget = p_fp ** (1.0 / mu)  # as acceptance_counts computes it
-    first = _NU_SEARCH_LIMIT + 1  # no window within the limit: scan nothing
+    first = limit + 1  # no window within the limit: scan nothing
     if budget * first >= 1.0:
         # The least nu with budget * (nu + 1) >= 1 as acceptance_counts
         # rounds it; one below 1 / budget - 1 lies at or under it, however
@@ -192,9 +194,22 @@ def required_nu(p_fp: float, p_fn: float, mu: int, p_c: float) -> int:
         while budget * (first + 1) < 1.0:
             first += 1
 
+        # A window holds at most budget * (nu + 1) + 1 counts and straddles
+        # nu * p_c, so its nearer edge lies within half that of nu * p_c;
+        # with H(p|p_c) <= (p - p_c)**2 / (p_c * (1 - p_c)), every nu has
+        # w(nu) >= exp(-reach(nu)) / sqrt(2 * nu).  reach is convex in nu,
+        # so over the scan it is largest at an end.
+        def reach(nu: int) -> float:
+            return (budget * (nu + 1) + 1.0) ** 2 / (4.0 * nu * p_c * (1.0 - p_c))
+
+        least_w = math.exp(-max(reach(first), reach(limit))) / math.sqrt(2.0 * limit)
+        # The margin covers rounding in the scan's own w.
+        if 1.0 - (1.0 - least_w * (1.0 - 1e-6)) ** mu > p_fn:
+            first = limit + 1
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        for nu in range(first, _NU_SEARCH_LIMIT + 1):
+        for nu in range(first, limit + 1):
             try:
                 n_l, n_r = acceptance_counts(p_c, nu, p_fp, mu)
             except InfeasibleError:
@@ -211,7 +226,7 @@ def required_nu(p_fp: float, p_fn: float, mu: int, p_c: float) -> int:
             if p_fail <= p_fn:
                 return nu
     raise InfeasibleError(
-        f"no nu <= {_NU_SEARCH_LIMIT} meets p_fp={p_fp!r}, p_fn={p_fn!r} "
+        f"no nu <= {limit} meets p_fp={p_fp!r}, p_fn={p_fn!r} "
         f"with mu={mu}, p_c={p_c!r}"
     )
 

@@ -196,6 +196,8 @@ class _ClassBlockIndex:
     def __init__(
         self, alpha_map: AlphaMap, grid: BlockGrid, low_max: float, high_min: float
     ):
+        low_max = _real("low_max", low_max, "(-inf, inf)")
+        high_min = _real("high_min", high_min, "(-inf, inf)")
         if low_max >= high_min:
             raise DomainError(
                 f"class thresholds must satisfy low_max < high_min, got "
@@ -516,6 +518,8 @@ def optimize_intensity(
     in steps of :data:`INTENSITY_STEP`.
     """
     n_h, n_l = _count("n_h", n_h, 1), _count("n_l", n_l, 1)
+    alpha_low = _real("alpha_low", alpha_low, "(-inf, inf)")
+    alpha_high = _real("alpha_high", alpha_high, "(-inf, inf)")
     lo, hi = INTENSITY_SCAN
     step = INTENSITY_STEP
     best: tuple[float, float] | None = None

@@ -12,7 +12,12 @@ Two kinds of subject can sit in front of the device:
   detector registered, her own past answers, and the ordinal of the spot test
   in progress.  There is no field through which the hidden spot class or the
   map could reach her — the information barrier is structural, and the test
-  suite asserts it by introspecting :class:`EveContext`.
+  suite asserts it by introspecting :class:`EveContext`.  She is her
+  strategy: an :class:`EveStrategy` is the impostor subject itself.
+
+A subject model is an :class:`AliceSubject` or an :class:`EveStrategy`, and
+:func:`build_subject` makes one from its name (``alice``, or
+``eve:<strategy>`` for :func:`parse_eve_strategy`).
 
 Only this module tells the two apart.  :func:`open_scope` gives each
 answering scope (a session, or a spot test of the per-spot protocol) its
@@ -36,7 +41,6 @@ and those of :func:`class_seeing_means` once per cached entry.
 
 from __future__ import annotations
 
-import abc
 import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -45,19 +49,17 @@ from typing import Callable, Iterator, Union
 import numpy as np
 
 from .alpha_map import SpotClass, UniformBands, class_draws
-from .errors import DomainError, _count, _real
+from .errors import ConfigError, DomainError, _count, _real
 from .photon_stats import DEFAULT_THRESHOLD, _gk_mean, gk
 
 __all__ = [
     "EveContext",
     "EveStrategy",
     "EveSession",
-    "FairCoin",
     "FixedP",
     "UniformP",
     "Adaptive",
     "AliceSubject",
-    "EveSubject",
     "SubjectModel",
     "AnswerLaw",
     "alice_response",
@@ -65,6 +67,8 @@ __all__ = [
     "open_scope",
     "interrogate",
     "class_seeing_means",
+    "parse_eve_strategy",
+    "build_subject",
 ]
 
 
@@ -189,33 +193,29 @@ class EveSession:
         return answer_rule
 
 
-class EveStrategy(abc.ABC):
-    """Factory for per-session answering behaviour.
+class EveStrategy:
+    """An impostor, given by her strategy: a factory for per-session
+    answering behaviour.
 
     Strategies themselves are immutable specifications.  Runners call
     :meth:`session` once per scope (one identification session, or one
     spot test for the per-spot protocol) so that strategies which hold
     state — like a once-drawn answering bias — start fresh each scope.
+    A plain base class, not an ``abc.ABC``: :func:`open_scope` tests it
+    once per scope, and an abstract class's instance check costs about
+    five times the interpreter's own.
     """
 
-    @abc.abstractmethod
     def session(self, rng: np.random.Generator) -> EveSession:
         """Create fresh answering state for one session."""
-
-
-@dataclass(frozen=True)
-class FairCoin(EveStrategy):
-    """Answer "seen" with probability 1/2, independently every round."""
-
-    def session(self, rng: np.random.Generator) -> EveSession:
-        return EveSession(0.5)
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
 class FixedP(EveStrategy):
     """Answer "seen" with a fixed probability ``p``, independently every
-    round.  A per-round schedule is an :class:`Adaptive` rule on
-    ``ctx.round_index``."""
+    round; ``FixedP(0.5)`` is the fair coin.  A per-round schedule is an
+    :class:`Adaptive` rule on ``ctx.round_index``."""
 
     p: float
 
@@ -300,14 +300,7 @@ class AliceSubject:
         return answer
 
 
-@dataclass(frozen=True)
-class EveSubject:
-    """An impostor answering through the given strategy."""
-
-    strategy: EveStrategy
-
-
-SubjectModel = Union[AliceSubject, EveSubject]
+SubjectModel = Union[AliceSubject, EveStrategy]
 
 #: The answer law of one scope, as :func:`open_scope` gives it.
 AnswerLaw = Union[AliceSubject, EveSession]
@@ -320,7 +313,7 @@ def honest_threshold(subject: SubjectModel) -> int | None:
     unknown subject raises :class:`DomainError` here."""
     if isinstance(subject, AliceSubject):
         return subject.k
-    if isinstance(subject, EveSubject):
+    if isinstance(subject, EveStrategy):
         return None
     raise DomainError(f"unknown subject model {subject!r}")
 
@@ -330,8 +323,8 @@ def open_scope(subject: SubjectModel, rng: np.random.Generator) -> AnswerLaw:
     strategy, opened on ``rng``, or the honest user as is.  She keeps no
     per-scope state and draws nothing here, so a runner that gets the
     subject back may use that one law for all its scopes."""
-    if isinstance(subject, EveSubject):
-        return subject.strategy.session(rng)
+    if isinstance(subject, EveStrategy):
+        return subject.session(rng)
     honest_threshold(subject)  # raises for a subject of neither kind
     return subject
 
@@ -396,3 +389,56 @@ def class_seeing_means(
     low, high = (_gk_mean(k, a * i_tilde, b * i_tilde)
                  for a, b in (distribution.low_band, distribution.high_band))
     return low, high
+
+
+# ---------------------------------------------------------------------------
+# Subjects from command-line/config strings
+# ---------------------------------------------------------------------------
+
+
+def _echo_rule(threshold: int) -> Callable[[EveContext], float]:
+    def rule(context: EveContext) -> float:
+        count = context.photon_count
+        return 1.0 if count is not None and count >= threshold else 0.0
+
+    return rule
+
+
+def parse_eve_strategy(spec: str, k: int) -> EveStrategy:
+    """Build an impostor strategy from its textual name.
+
+    Accepted: ``faircoin`` (``FixedP(0.5)``), ``uniformp``, ``fixedp:<p>``,
+    ``echo`` (answers "seen" exactly when her own detector count reaches the
+    perception threshold — the most informed guess the information barrier
+    allows).
+    """
+    if spec == "faircoin":
+        return FixedP(0.5)
+    if spec == "uniformp":
+        return UniformP()
+    if spec == "echo":
+        return Adaptive(_echo_rule(k))
+    if spec.startswith("fixedp:"):
+        try:
+            return FixedP(float(spec.split(":", 1)[1]))
+        except ValueError as exc:  # not a number, or one FixedP refuses
+            raise ConfigError(f"bad probability in subject {spec!r}: {exc}") from exc
+    raise ConfigError(
+        f"unknown impostor strategy {spec!r} "
+        f"(expected faircoin, uniformp, fixedp:<p> or echo)"
+    )
+
+
+def build_subject(kind: str, k: int) -> SubjectModel:
+    """Build the subject model named by ``kind`` (``alice`` or ``eve:<strategy>``).
+
+    The interactive subject is a front-end concern and deliberately not
+    constructible here: bulk runs must be non-interactive.
+    """
+    if kind == "alice":
+        return AliceSubject(k=k)
+    if kind.startswith("eve:"):
+        return parse_eve_strategy(kind[4:], k)
+    raise ConfigError(
+        f"unknown subject kind {kind!r} (expected alice or eve:<strategy>)"
+    )

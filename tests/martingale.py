@@ -14,7 +14,7 @@ from itertools import islice
 
 import numpy as np
 
-from retinasim import DomainError, SequentialPlan
+from retinasim import DomainError, SequentialPlan, gk
 from retinasim.strategy_bayes import _likelihood_ratio
 from retinasim.subjects import SubjectModel, honest_threshold, interrogate, open_scope
 
@@ -66,7 +66,6 @@ def martingale_diagnostics(
         raise DomainError(f"need at least 2 trials, got {n_trials}")
     checkpoints = sorted({1, max(1, horizon // 2), horizon})
     is_eve = honest_threshold(subject) is None
-    see = plan.see_probability
     sums = {n: 0.0 for n in checkpoints}
     sumsq = {n: 0.0 for n in checkpoints}
     for _trial in range(n_trials):
@@ -74,7 +73,7 @@ def martingale_diagnostics(
         interrogation = interrogate(open_scope(subject, rng), plan.distribution,
                                     plan.i_tilde, rng)
         for n, (_cls, alpha, saw) in enumerate(islice(interrogation, horizon), 1):
-            ratio *= _likelihood_ratio(see(alpha), saw, plan.p)
+            ratio *= _likelihood_ratio(gk(plan.k, alpha * plan.i_tilde), saw, plan.p)
             if n in sums:
                 stat = ratio if is_eve else 1.0 / ratio
                 sums[n] += stat

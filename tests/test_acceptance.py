@@ -22,8 +22,7 @@ from scipy import stats as scistats
 
 from retinasim import (
     AliceSubject,
-    EveSubject,
-    FairCoin,
+    FixedP,
     PointPair,
     RunConfig,
     SequentialPlan,
@@ -159,7 +158,7 @@ def test_stopped_walk_means_respect_bounds():
 
     alice = AliceSubject(k=6)
     mean_a, se_a, accepted_a = _run_walks(plan, alice, 5000, make_rng(4701))
-    eve = EveSubject(FairCoin())
+    eve = FixedP(0.5)
     mean_e, se_e, accepted_e = _run_walks(plan, eve, 5000, make_rng(4702))
     elapsed = time.perf_counter() - start
 
@@ -251,10 +250,10 @@ def test_odds_martingale_under_all_subjects():
     horizon, trials = 8, 10_000
 
     coin = martingale_diagnostics(
-        plan, EveSubject(FairCoin()), trials, horizon, make_rng(4730)
+        plan, FixedP(0.5), trials, horizon, make_rng(4730)
     )
     echo = martingale_diagnostics(
-        plan, EveSubject(parse_eve_strategy("echo", 6)), trials, horizon, make_rng(4731)
+        plan, parse_eve_strategy("echo", 6), trials, horizon, make_rng(4731)
     )
     alice = martingale_diagnostics(
         plan, AliceSubject(k=6), trials, horizon, make_rng(4732)

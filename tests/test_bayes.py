@@ -13,8 +13,6 @@ from retinasim import (
     AliceSubject,
     ConfigError,
     DomainError,
-    EveSubject,
-    FairCoin,
     FixedP,
     Outcome,
     PointPair,
@@ -128,7 +126,7 @@ class TestUpdateOdds:
     def test_uninformative_round_has_zero_increment(self):
         plan = make_plan(i_tilde=62.4)
         alpha = gk_inverse(6, plan.p) / 62.4
-        increment = _log_increment(plan.see_probability(alpha), True, plan.p)
+        increment = _log_increment(gk(plan.k, alpha * plan.i_tilde), True, plan.p)
         assert increment == pytest.approx(0.0, abs=1e-12)
 
     def test_published_increments(self):
@@ -138,7 +136,7 @@ class TestUpdateOdds:
         rng = make_rng(4301)
         steps = set()
         for _ in range(5):
-            result = run_sequential(EveSubject(FairCoin()), plan, rng)
+            result = run_sequential(FixedP(0.5), plan, rng)
             steps.update((r.alpha, r.saw, r.increment) for r in result.transcript)
         increments = {(alpha, saw): inc for alpha, saw, inc in steps}
         assert len(increments) == len(steps) == 4
@@ -152,7 +150,7 @@ class TestUpdateOdds:
 
     def test_impossible_observation_is_terminal(self):
         plan = make_plan()
-        increment = _log_increment(plan.see_probability(0.0), True, plan.p)
+        increment = _log_increment(gk(plan.k, 0.0), True, plan.p)
         assert increment == -math.inf
         assert _log_increment(1.0, False, plan.p) == -math.inf
         # At this intensity the high spot is seen with probability exactly 1,
@@ -160,11 +158,11 @@ class TestUpdateOdds:
         bright = SequentialPlan(
             p=0.5, x=1e-4, y=1e10, i_tilde=600.0, k=6, distribution=POINT_PAIR
         )
-        assert bright.see_probability(0.15) == 1.0
+        assert gk(bright.k, 0.15 * bright.i_tilde) == 1.0
         rng = make_rng(4303)
         endings = set()
         for _ in range(20):
-            result = run_sequential(EveSubject(FixedP(0.0)), bright, rng)
+            result = run_sequential(FixedP(0.0), bright, rng)
             assert result.outcome is Outcome.REJECT
             if result.transcript[-1].alpha == 0.15:
                 assert result.log_odds == -math.inf
@@ -174,7 +172,7 @@ class TestUpdateOdds:
     def test_walk_reconstruction(self):
         plan = make_plan(BANDS)
         rng = make_rng(4302)
-        for subject in (AliceSubject(), EveSubject(FairCoin())):
+        for subject in (AliceSubject(), FixedP(0.5)):
             for _ in range(20):
                 result = run_sequential(subject, plan, rng)
                 assert len(result.transcript) == result.rounds
@@ -245,7 +243,7 @@ class TestRunSequential:
         plan = make_plan()
         rng = make_rng(4304)
         results = [
-            run_sequential(EveSubject(FairCoin()), plan, rng, record_transcript=False)
+            run_sequential(FixedP(0.5), plan, rng, record_transcript=False)
             for _ in range(3000)
         ]
         assert all(r.outcome is Outcome.REJECT for r in results)
@@ -408,7 +406,7 @@ class TestDriftBounds:
         drift, se = measured_drift(AliceSubject(), 4311)
         assert drift == pytest.approx(mu_alice_min, abs=3.5 * se)
         assert drift >= mu_alice_min - 3 * se
-        drift, se = measured_drift(EveSubject(FairCoin()), 4312)
+        drift, se = measured_drift(FixedP(0.5), 4312)
         assert drift == pytest.approx(mu_eve_max, abs=3.5 * se)
         assert drift <= mu_eve_max + 3 * se
 
@@ -456,7 +454,7 @@ class TestMartingaleDiagnostics:
     def test_coin_flip_impostor_odds_are_a_martingale(self, default_map):
         plan = make_plan()
         report = martingale_diagnostics(
-            plan, EveSubject(FairCoin()), 10_000, 10, make_rng(4313)
+            plan, FixedP(0.5), 10_000, 10, make_rng(4313)
         )
         assert report.statistic == "R_n"
         assert report.checkpoints == (1, 5, 10)
@@ -470,7 +468,7 @@ class TestMartingaleDiagnostics:
             lambda ctx: 1.0 if ctx.photon_count >= plan.i_tilde else 0.0
         )
         report = martingale_diagnostics(
-            plan, EveSubject(echo), 10_000, 10, make_rng(4314)
+            plan, echo, 10_000, 10, make_rng(4314)
         )
         assert report.max_sigma_deviation() <= 3.0
 

@@ -12,6 +12,7 @@ from conftest import make_rng
 
 from retinasim import (
     AliceSubject,
+    AlphaMap,
     ConfigError,
     DomainError,
     EveSession,
@@ -168,3 +169,24 @@ REAL_CALLS = {
 def test_a_real_argument_is_a_real_number(entry, bad):
     with pytest.raises(DomainError, match="^invalid "):
         REAL_CALLS[entry](bad)
+
+
+#: Entry points with a real argument that only a relation to another bounds,
+#: called with one there.
+RELATION_CALLS = {
+    "AlphaMap alpha_min": lambda x, _map: AlphaMap(1, 1, [0.1], x, 0.18),
+    "AlphaMap alpha_max": lambda x, _map: AlphaMap(1, 1, [0.1], 0.02, x),
+    "generate_synthetic": lambda x, _map: generate_synthetic(10, 10, x, 0.18, 1),
+    "build_challenge low_max": lambda x, alpha_map: build_challenge(
+        alpha_map, glyph_library(), "2", 75, make_rng(5), low_max=x),
+    "build_challenge high_min": lambda x, alpha_map: build_challenge(
+        alpha_map, glyph_library(), "2", 75, make_rng(5), high_min=x),
+    "optimize_intensity": lambda x, _map: optimize_intensity(25, 75, 5, 5, x, 0.16, 6, 6),
+}
+
+
+@pytest.mark.parametrize("bad", ["0.04", None, 1 + 2j], ids=["str", "None", "complex"])
+@pytest.mark.parametrize("entry", RELATION_CALLS)
+def test_a_real_bounded_by_a_relation_is_a_real_number(entry, bad, default_map):
+    with pytest.raises(DomainError, match="^invalid "):
+        RELATION_CALLS[entry](bad, default_map)

@@ -18,8 +18,6 @@ from retinasim import (
     ConfigError,
     DomainError,
     EveContext,
-    EveSubject,
-    FairCoin,
     FixedP,
     PlacementError,
     PointPair,
@@ -187,7 +185,7 @@ class TestLoadConfig:
 
 class TestParseEveStrategy:
     def test_named_strategies(self):
-        assert isinstance(parse_eve_strategy("faircoin", 6), FairCoin)
+        assert parse_eve_strategy("faircoin", 6) == FixedP(0.5)
         assert isinstance(parse_eve_strategy("uniformp", 6), UniformP)
         fixed = parse_eve_strategy("fixedp:0.3", 6)
         assert isinstance(fixed, FixedP)
@@ -223,8 +221,7 @@ class TestBuildSubject:
 
     def test_eve(self):
         subject = build_subject("eve:faircoin", 6)
-        assert isinstance(subject, EveSubject)
-        assert isinstance(subject.strategy, FairCoin)
+        assert subject == FixedP(0.5)
 
     @pytest.mark.parametrize("kind", ["interactive", "bob", "eve", "eve:"])
     def test_other_kinds_rejected(self, kind):
@@ -301,8 +298,7 @@ class TestPrepare:
 
     def test_eve_subject_from_config(self):
         context = prepare(RunConfig(subject="eve:fixedp:0.25"))
-        assert isinstance(context.subject, EveSubject)
-        assert context.subject.strategy == FixedP(0.25)
+        assert context.subject == FixedP(0.25)
 
 
 class TestRunTrial:

@@ -20,8 +20,6 @@ from retinasim import (
     DomainError,
     EveSession,
     EveStrategy,
-    EveSubject,
-    FairCoin,
     FixedP,
     InfeasibleError,
     NaiveResult,
@@ -219,6 +217,22 @@ class TestRequiredNu:
         assert required_nu(0.1, 1e-2, 1, 0.5) == 379
         assert [args[1] for args in calls] == list(range(9, 380))
 
+    @pytest.mark.parametrize("mu", [2, 3])
+    def test_hopeless_plan_is_refused_without_a_scan(self, mu, monkeypatch):
+        """At the default targets a window exists from nu ~ 10^5 (mu = 2) or
+        ~ 2 * 10^3 (mu = 3) on, but none ever holds the honest count's
+        spread: the lower bound on w refuses before any window is sized."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return acceptance_counts(*args)
+
+        monkeypatch.setattr(strategy_naive, "acceptance_counts", counted)
+        with pytest.raises(InfeasibleError, match="no nu <= 1000000"):
+            required_nu(1e-10, 1e-4, mu, 0.5)
+        assert calls == []
+
     @pytest.mark.parametrize(
         "call",
         [
@@ -291,7 +305,7 @@ class TestRunNaive:
 
         rng = make_rng(4102)
         results = [
-            run_naive(EveSubject(UniformP()), default_map, plan, rng)
+            run_naive(UniformP(), default_map, plan, rng)
             for _ in range(2000)
         ]
         passes = sum(r.accepted for r in results)
@@ -325,7 +339,7 @@ class TestRunNaive:
         plan = NaiveTestPlan(nu=50, mu=1, p_c=0.5, n_l=9, n_r=42)
         rng = make_rng(4103)
         passes = sum(
-            run_naive(EveSubject(UniformP()), default_map, plan, rng).accepted
+            run_naive(UniformP(), default_map, plan, rng).accepted
             for _ in range(3000)
         )
         expected = (plan.n_r - plan.n_l - 1) / (plan.nu + 1)
@@ -362,7 +376,7 @@ class TestRunNaive:
 
         rng = make_rng(4105)
         passes = sum(
-            run_naive(EveSubject(UniformP()), default_map, plan, rng).accepted
+            run_naive(UniformP(), default_map, plan, rng).accepted
             for _ in range(3000)
         )
         rate = passes / 3000
@@ -373,7 +387,7 @@ class TestRunNaive:
     def test_stops_at_first_failing_spot(self, default_map):
         plan = _published_plan()
         rng = make_rng(4106)
-        result = run_naive(EveSubject(FixedP(0.0)), default_map, plan, rng)
+        result = run_naive(FixedP(0.0), default_map, plan, rng)
         assert not result.accepted
         assert result.spots_tested == 1
         assert result.see_counts == (0,)
@@ -467,14 +481,14 @@ class TestLawLevelDraws:
             Fraction(sum(math.comb(plan.nu, j) for j in inside), 2**plan.nu) ** plan.mu
         )
         assert accept == pytest.approx(0.99983057, rel=1e-8)
-        results = self._counts(EveSubject(FairCoin()), default_map, 4121, 3000)
+        results = self._counts(FixedP(0.5), default_map, 4121, 3000)
         passes = sum(r.accepted for r in results)
         assert stats.binomtest(passes, 3000, accept).pvalue > 1e-3
         counts = self._pooled(results)
         pmf = stats.binom.pmf(range(plan.nu + 1), plan.nu, 0.5)
         assert g_test_pvalue(counts, pmf) > 1e-3
 
-        twin = self._counts(EveSubject(Adaptive(lambda _ctx: 0.5)), default_map,
+        twin = self._counts(Adaptive(lambda _ctx: 0.5), default_map,
                             4122, 60)
         assert g_test_pvalue(self._pooled(twin), pmf) > 1e-3
         assert two_sample_g_pvalue(counts, self._pooled(twin), plan.nu + 1) > 1e-3
@@ -482,16 +496,16 @@ class TestLawLevelDraws:
     def test_uniform_bias_counts_are_uniform(self, default_map):
         nu = _published_plan().nu
         uniform = np.full(nu + 1, 1.0 / (nu + 1))
-        counts = self._pooled(self._counts(EveSubject(UniformP()), default_map,
+        counts = self._pooled(self._counts(UniformP(), default_map,
                                            4123, 3000))
         assert g_test_pvalue(counts, uniform) > 1e-3
-        twin = self._pooled(self._counts(EveSubject(_PerRoundUniformP()), default_map,
+        twin = self._pooled(self._counts(_PerRoundUniformP(), default_map,
                                          4124, 1500))
         assert g_test_pvalue(twin, uniform) > 1e-3
         assert two_sample_g_pvalue(counts, twin, nu + 1) > 1e-3
 
     def test_adaptive_rule_runs_once_per_round(self, default_map):
-        echo = build_subject("eve:echo", 6).strategy
+        echo = build_subject("eve:echo", 6)
         calls = []
 
         def counted(context):
@@ -499,7 +513,7 @@ class TestLawLevelDraws:
             return echo.rule(context)
 
         plan = NaiveTestPlan(nu=20, mu=5, p_c=0.5, n_l=0, n_r=20)
-        result = run_naive(EveSubject(Adaptive(counted)), default_map, plan,
+        result = run_naive(Adaptive(counted), default_map, plan,
                            make_rng(4125))
         assert calls == [
             (s, r) for s in range(result.spots_tested) for r in range(plan.nu)

@@ -26,8 +26,7 @@ from retinasim import (
     BoundInapplicableError,
     ConfigError,
     DomainError,
-    EveSubject,
-    FairCoin,
+    FixedP,
     InfeasibleError,
     MenuEntry,
     MenuError,
@@ -735,7 +734,7 @@ class TestRunPatternTest:
         # checked through the first answer, which is correct iff the
         # uniform pick hits the single hidden entry
         rng = make_rng(4428)
-        eve = EveSubject(FairCoin())
+        eve = FixedP(0.5)
         rule = RecognitionRule(5, 5)
         trials = 3000
         passes = 0
@@ -755,10 +754,10 @@ class TestRunPatternTest:
         # detector strategy collapses to the same uniform menu pick
         rule = RecognitionRule(5, 5)
         runs = {}
-        for label, strategy in [("coin", FairCoin()), ("uniform", UniformP())]:
+        for label, strategy in [("coin", FixedP(0.5)), ("uniform", UniformP())]:
             rng = make_rng(4429)
             runs[label] = [
-                run_pattern_test(EveSubject(strategy), default_map, 4, 12, rule, rng)
+                run_pattern_test(strategy, default_map, 4, 12, rule, rng)
                 for _ in range(60)
             ]
         assert runs["coin"] == runs["uniform"]
@@ -863,21 +862,21 @@ class TestRunPatternTest:
     def test_zero_questions_rejected(self, default_map):
         with pytest.raises(ConfigError, match="question count must be >= 1"):
             run_pattern_test(
-                EveSubject(FairCoin()), default_map, 0, 18,
+                FixedP(0.5), default_map, 0, 18,
                 RecognitionRule(5, 5), make_rng(4433),
             )
 
     def test_empty_glyph_pool_rejected(self, default_map):
         with pytest.raises(ConfigError, match="empty glyph pool"):
             run_pattern_test(
-                EveSubject(FairCoin()), default_map, 4, 18,
+                FixedP(0.5), default_map, 4, 18,
                 RecognitionRule(5, 5), make_rng(4434), glyph_ids=[],
             )
 
     def test_unknown_pool_ids_rejected(self, default_map):
         with pytest.raises(ConfigError, match="not in the library"):
             run_pattern_test(
-                EveSubject(FairCoin()), default_map, 4, 18,
+                FixedP(0.5), default_map, 4, 18,
                 RecognitionRule(5, 5), make_rng(4435), glyph_ids=["2", "no-such"],
             )
 
@@ -890,7 +889,7 @@ class TestRunPatternTest:
     def test_menu_size_error_propagates(self, default_map):
         with pytest.raises(DomainError, match="menu size must be >= 2"):
             run_pattern_test(
-                EveSubject(FairCoin()), default_map, 4, 1,
+                FixedP(0.5), default_map, 4, 1,
                 RecognitionRule(5, 5), make_rng(4437),
             )
 

@@ -89,11 +89,11 @@ def test_strategy_names_are_compared_in_no_module():
     assert found == []
 
 
-_SUBJECT_TYPES = {"AliceSubject", "EveSubject", "EveSession"}
+_SUBJECT_TYPES = {"AliceSubject", "EveStrategy", "EveSession"}
 
 
 def _named(node: ast.expr) -> set[str]:
-    """Every name in ``node``, bare or as an attribute (``subjects.EveSubject``)."""
+    """Every name in ``node``, bare or as an attribute (``subjects.EveStrategy``)."""
     return {n.id if isinstance(n, ast.Name) else n.attr
             for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
 
@@ -114,6 +114,27 @@ def test_subjects_are_told_apart_in_no_other_module():
                 and any(_named(arg) & _SUBJECT_TYPES for arg in node.args[1:])
             ) or (isinstance(node, ast.Attribute) and node.attr == "bias"):
                 found.append(f"{module.__name__}:{node.lineno}")
+    assert found == []
+
+
+def test_subject_kinds_are_named_in_no_other_module():
+    """Subjects are made from their names in ``subjects``
+    (``build_subject``): no other module imports a subject class from it,
+    but for ``cli``, whose interactive subject is an ``Adaptive`` rule on
+    an ``EveContext``."""
+    from retinasim import subjects
+
+    classes = {name for name in subjects.__all__
+               if inspect.isclass(getattr(subjects, name))}
+    found = []
+    for module in MODULES:
+        if module.__name__ in {"retinasim.subjects", "retinasim.cli"}:
+            continue
+        tree = ast.parse(Path(module.__file__).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("subjects"):
+                found += [f"{module.__name__}:{a.name}" for a in node.names
+                          if a.name in classes]
     assert found == []
 
 

@@ -16,8 +16,7 @@ from retinasim import (
     DomainError,
     EveSession,
     EveStrategy,
-    EveSubject,
-    FairCoin,
+    FixedP,
     PointPair,
     SerialPlan,
     SerialResult,
@@ -231,7 +230,7 @@ class TestRunSerial:
         rng = make_rng(4202)
         results = [
             run_serial(
-                EveSubject(FairCoin()),
+                FixedP(0.5),
                 default_map,
                 plan,
                 I_STAR,
@@ -290,7 +289,7 @@ class TestRunSerial:
     def test_result_shape_and_determinism(self, default_map):
         plan = SerialPlan(q=0.1, w=0.3, n_rounds=25)
         first = run_serial(
-            EveSubject(FairCoin()),
+            FixedP(0.5),
             default_map,
             plan,
             I_STAR,
@@ -299,7 +298,7 @@ class TestRunSerial:
             distribution=POINT_PAIR,
         )
         again = run_serial(
-            EveSubject(FairCoin()),
+            FixedP(0.5),
             default_map,
             plan,
             I_STAR,
@@ -389,19 +388,19 @@ class TestLawLevelDraws:
 
     @pytest.mark.parametrize(
         "strategy,twin",
-        [(FairCoin(), Adaptive(lambda _ctx: 0.5)), (UniformP(), _PerRoundUniformP())],
+        [(FixedP(0.5), Adaptive(lambda _ctx: 0.5)), (UniformP(), _PerRoundUniformP())],
         ids=["faircoin", "uniformp"],
     )
     def test_biased_impostor_count_is_fair_binomial(self, strategy, twin, default_map):
         n = self.PLAN.n_rounds
-        counts = self._wrong_counts(EveSubject(strategy), default_map, 4261, 4000)
+        counts = self._wrong_counts(strategy, default_map, 4261, 4000)
         assert g_test_pvalue(counts, stats.binom.pmf(range(n + 1), n, 0.5)) > 1e-3
-        per_round = self._wrong_counts(EveSubject(twin), default_map, 4262, 1500)
+        per_round = self._wrong_counts(twin, default_map, 4262, 1500)
         assert g_test_pvalue(per_round, stats.binom.pmf(range(n + 1), n, 0.5)) > 1e-3
         assert two_sample_g_pvalue(counts, per_round, n + 1) > 1e-3
 
     @pytest.mark.parametrize(
-        "subject", [AliceSubject(), EveSubject(FairCoin())],
+        "subject", [AliceSubject(), FixedP(0.5)],
         ids=["alice", "eve-faircoin"],
     )
     def test_generator_draws_do_not_grow_with_session_length(self, subject, default_map):
@@ -418,7 +417,7 @@ class TestLawLevelDraws:
                 assert _philox_counter(rng) - start <= 2, (seed, n_rounds)
 
     def test_adaptive_rule_runs_once_per_round(self, default_map):
-        echo = build_subject("eve:echo", 6).strategy
+        echo = build_subject("eve:echo", 6)
         rounds = []
 
         def counted(context):
@@ -426,7 +425,7 @@ class TestLawLevelDraws:
             return echo.rule(context)
 
         plan = SerialPlan(q=0.1, w=0.3, n_rounds=500)
-        result = run_serial(EveSubject(Adaptive(counted)), default_map, plan, I_STAR, 6,
+        result = run_serial(Adaptive(counted), default_map, plan, I_STAR, 6,
                             make_rng(4263), distribution=POINT_PAIR)
         assert rounds == list(range(plan.n_rounds))
         assert result.rounds == plan.n_rounds

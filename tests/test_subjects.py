@@ -14,8 +14,6 @@ from retinasim import (
     DomainError,
     EveContext,
     EveSession,
-    EveSubject,
-    FairCoin,
     FixedP,
     RunConfig,
     SpotClass,
@@ -47,7 +45,7 @@ def test_eve_context_is_the_whole_information_set():
 
 def test_fair_coin_rate():
     rng = make_rng(1)
-    session = FairCoin().session(rng)
+    session = FixedP(0.5).session(rng)
     n = 10_000
     seen = sum(
         session.respond(EveContext(round_index=i), rng) for i in range(n)
@@ -167,7 +165,7 @@ def test_photon_view_is_poissonian():
         counts.append(ctx.photon_count)
         return 0.5
 
-    eve = EveSubject(Adaptive(record))
+    eve = Adaptive(record)
     distribution = UniformBands((0.02, 0.05), (0.15, 0.18))
     high = []
     for _ in range(20):
@@ -189,8 +187,7 @@ def test_photon_view_is_poissonian():
 def test_subject_dataclasses():
     alice = AliceSubject(k=6)
     assert alice.k == 6
-    eve = EveSubject(strategy=FairCoin())
-    assert isinstance(eve.strategy, FairCoin)
+    assert build_subject("eve:faircoin", 6) == FixedP(0.5)
 
 
 def test_interrogate_draws_class_then_alpha_then_answer():
@@ -202,7 +199,7 @@ def test_interrogate_draws_class_then_alpha_then_answer():
         contexts.append(ctx)
         return 0.0 if ctx.history and ctx.history[-1] else 1.0
 
-    law = open_scope(EveSubject(Adaptive(rule)), rng)
+    law = open_scope(Adaptive(rule), rng)
     rounds = list(zip(range(40), interrogate(law, bands, 62.4, rng)))
     for _i, (spot_class, alpha, _saw) in rounds:
         if spot_class is SpotClass.HIGH:
@@ -219,7 +216,7 @@ def test_interrogate_draws_class_then_alpha_then_answer():
 def test_open_scope_scopes_and_rejects_unknown_subjects():
     rng = make_rng(13)
     seen = []
-    eve = EveSubject(Adaptive(lambda ctx: seen.append(ctx) or 1.0))
+    eve = Adaptive(lambda ctx: seen.append(ctx) or 1.0)
     answer = open_scope(eve, rng).answers(rng, spot_ordinal=3)
     assert answer(0.05, 60.0) is True and answer(0.15, 60.0) is True
     assert [(c.round_index, c.spot_ordinal) for c in seen] == [(0, 3), (1, 3)]
@@ -237,7 +234,7 @@ def test_history_is_a_frozen_view_of_the_answers_so_far():
     yet stays what it was when the round began."""
     rng = make_rng(16)
     seen = []
-    eve = EveSubject(Adaptive(lambda ctx: seen.append(ctx) or ctx.round_index % 2))
+    eve = Adaptive(lambda ctx: seen.append(ctx) or ctx.round_index % 2)
     answer = open_scope(eve, rng).answers(rng)
     answers = [answer(0.05, 60.0) for _ in range(6)]
     history = seen[4].history
@@ -255,13 +252,13 @@ def test_history_is_a_frozen_view_of_the_answers_so_far():
 
 def test_session_bias_marks_constant_answering():
     rng = make_rng(14)
-    assert FairCoin().session(rng).bias == 0.5
+    assert FixedP(0.5).session(rng).bias == 0.5
     assert FixedP(0.3).session(rng).bias == 0.3
     biases = [UniformP().session(rng).bias for _ in range(3)]
     assert all(b is not None and 0.0 <= b < 1.0 for b in biases)
     assert len(set(biases)) == 3
     assert Adaptive(lambda _ctx: 0.5).session(rng).bias is None
-    assert build_subject("eve:echo", 6).strategy.session(rng).bias is None
+    assert build_subject("eve:echo", 6).session(rng).bias is None
 
 
 def test_biased_session_answers_like_its_per_round_twin():
