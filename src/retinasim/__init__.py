@@ -106,7 +106,6 @@ from .subjects import (
     Adaptive,
     AliceSubject,
     EveContext,
-    EveSession,
     EveStrategy,
     FixedP,
     SubjectModel,

@@ -24,6 +24,7 @@ from .errors import ConfigError, DomainError, InfeasibleError, MapFormatError
 from .harness import (
     STRATEGIES,
     RunConfig,
+    _DISTRIBUTION_FIELDS,
     _require_coverage,
     _resolve_map,
     load_config,
@@ -178,10 +179,8 @@ def cmd_montecarlo(config: RunConfig) -> int:
 
 def _operating_lines(config: RunConfig) -> list[str]:
     q, i_tilde = config.operating_point()
-    if config.distribution == "point_pair":
-        classes = f"alpha_low={config.alpha_low}  alpha_high={config.alpha_high}"
-    else:
-        classes = f"low_band={config.low_band}  high_band={config.high_band}"
+    classes = "  ".join(f"{name}={getattr(config, name)}"
+                        for name in _DISTRIBUTION_FIELDS[config.distribution])
     lines = [
         "operating point",
         f"  classes: {classes}  K={config.k}",

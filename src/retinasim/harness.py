@@ -87,8 +87,8 @@ _MAX_MAP_SPOTS = 10**7
 
 #: Each distribution name and the config fields that set its classes.
 _DISTRIBUTION_FIELDS = {
-    "point_pair": "'alpha_low' and 'alpha_high'",
-    "uniform_bands": "'low_band' and 'high_band'",
+    "point_pair": ("alpha_low", "alpha_high"),
+    "uniform_bands": ("low_band", "high_band"),
 }
 
 
@@ -213,7 +213,7 @@ class RunConfig:
         try:
             distribution = self.distribution_object()
         except DomainError as exc:
-            names = _DISTRIBUTION_FIELDS[self.distribution]
+            names = " and ".join(map(repr, _DISTRIBUTION_FIELDS[self.distribution]))
             raise ConfigError(f"fields {names}: {exc}") from exc
         if self.map_width * self.map_height > _MAX_MAP_SPOTS:
             raise ConfigError(
@@ -339,8 +339,9 @@ def _require_coverage(config: RunConfig, alpha_map: AlphaMap) -> None:
     except ConfigError as exc:
         source = ("'map_file'" if config.map_file is not None
                   else "'map_alpha_min' and 'map_alpha_max'")
+        names = " and ".join(map(repr, _DISTRIBUTION_FIELDS[config.distribution]))
         raise ConfigError(
-            f"{exc}; change fields {_DISTRIBUTION_FIELDS[config.distribution]}, "
+            f"{exc}; change fields {names}, "
             f"or {source}"
         ) from exc
 

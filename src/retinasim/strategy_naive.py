@@ -27,8 +27,8 @@ from their exact law where a spot's rounds are i.i.d.: after the spots are
 sampled (``rng.choice``), the honest user's counts are one vector of
 Binomial(nu, P(Poisson(x*) >= k)) draws, with x* the intensity that gives
 p_C at the design threshold and k her own (so p_C when the two agree), and
-an impostor whose sessions answer with a constant bias gets one session per
-spot and one vector of Binomial(nu, bias) draws.  An adaptive impostor, whose rule reads
+a constant-bias impostor one vector of Binomial(nu, bias) draws (a uniform
+bias drawn first for each spot).  An adaptive impostor, whose rule reads
 each round's context, is interrogated round by round, one spot at a time.
 """
 
@@ -261,8 +261,8 @@ def run_naive(
     uniform-bias strategy) is redrawn for every spot — answering all spots
     with a single shared bias would correlate the per-spot counts and is a
     strictly different game from the one the window sizing assumes.  The
-    honest user keeps no per-scope state, so her one law, and its one
-    cached seeing probability, serves every spot.
+    honest user, a fixed bias and a rule keep no per-scope state, so one
+    law serves every spot (a rule's history still starts afresh at each).
     """
     if alpha_map.n_spots < plan.mu:
         raise ConfigError(
@@ -272,14 +272,15 @@ def run_naive(
     spot_indices = rng.choice(alpha_map.n_spots, size=plan.mu, replace=False)
     law = open_scope(subject, rng)
     if law is subject:  # one law for every spot test
-        counts = rng.binomial(plan.nu, law.p_seen(x_star), size=plan.mu)
+        laws, p_seen = [law] * plan.mu, law.p_seen(x_star)
     else:
         laws = [law] + [open_scope(subject, rng) for _ in range(plan.mu - 1)]
         p_seen = [scope.p_seen(x_star) for scope in laws]
-        if None in p_seen:
-            counts = _answer_rounds(laws, alpha_map, spot_indices, plan.nu, x_star, rng)
-        else:
-            counts = rng.binomial(plan.nu, p_seen)
+        p_seen = None if None in p_seen else p_seen
+    if p_seen is None:
+        counts = _answer_rounds(laws, alpha_map, spot_indices, plan.nu, x_star, rng)
+    else:
+        counts = rng.binomial(plan.nu, p_seen, size=plan.mu)
     see_counts: list[int] = []
     accepted = True
     for count in counts:

@@ -196,8 +196,6 @@ class _ClassBlockIndex:
     def __init__(
         self, alpha_map: AlphaMap, grid: BlockGrid, low_max: float, high_min: float
     ):
-        low_max = _real("low_max", low_max, "(-inf, inf)")
-        high_min = _real("high_min", high_min, "(-inf, inf)")
         if low_max >= high_min:
             raise DomainError(
                 f"class thresholds must satisfy low_max < high_min, got "
@@ -215,8 +213,14 @@ class _ClassBlockIndex:
         self.low_counts = lows.counts[_DEAL_ORDER]
 
 
+def _class_index(alpha_map: AlphaMap, low_max, high_min) -> _ClassBlockIndex:
+    """The map's class index, its edges checked before they key the cache."""
+    return _cached_class_index(alpha_map, _real("low_max", low_max, "(-inf, inf)"),
+                               _real("high_min", high_min, "(-inf, inf)"))
+
+
 @lru_cache(maxsize=4)
-def _class_index(
+def _cached_class_index(
     alpha_map: AlphaMap, low_max: float, high_min: float
 ) -> _ClassBlockIndex:
     """The map's class index, built once per map object: ``AlphaMap`` is

@@ -21,22 +21,22 @@ A subject model is an :class:`AliceSubject` or an :class:`EveStrategy`, and
 
 Only this module tells the two apart.  :func:`open_scope` gives each
 answering scope (a session, or a spot test of the per-spot protocol) its
-answer law — the :class:`AliceSubject` herself, or an :class:`EveSession`
-with a constant bias or a rule — and each law answers the runners'
-questions: ``p_seen(x)`` at a mean photon number ``x``, ``p_wrong`` per
-round of class interrogation (``None`` for a rule, which decides round by
-round), and ``answers(rng, spot_ordinal)``, one call a round.
+answer law — the :class:`AliceSubject` herself, a :class:`FixedP` bias (a
+:class:`UniformP` impostor opens a fresh one per scope) or an
+:class:`Adaptive` rule — and each law answers the runners' questions:
+``p_seen(x)`` at a mean photon number ``x``, ``p_wrong`` per round of
+class interrogation (``None`` for a rule, which decides round by round),
+and ``answers(rng, spot_ordinal)``, one call a round.
 :func:`honest_threshold` serves the pattern protocol, which opens no scope.
 :func:`interrogate` runs the round primitive every class-based protocol
 shares: a fair coin picks the hidden class, the transmission value is drawn
 from that class's part of the distribution, and the law answers.
 
 Arguments are checked by the rules of :mod:`retinasim.errors`, each once:
-the threshold and the fixed bias when :class:`AliceSubject` and
-:class:`FixedP` are made, a constant bias when its :class:`EveSession`
-opens, a rule's answer probability every round, the pulse intensity once
-per :func:`interrogate`, every input of :func:`alice_response` every call,
-and those of :func:`class_seeing_means` once per cached entry.
+the threshold and the bias when :class:`AliceSubject` and :class:`FixedP`
+are made, a rule's answer probability every round, the pulse intensity
+once per :func:`interrogate`, every input of :func:`alice_response` every
+call, and those of :func:`class_seeing_means` once per cached entry.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ from .photon_stats import DEFAULT_THRESHOLD, _gk_mean, gk
 __all__ = [
     "EveContext",
     "EveStrategy",
-    "EveSession",
     "FixedP",
     "UniformP",
     "Adaptive",
@@ -125,111 +124,68 @@ def _answer_probability(p: float) -> float:
     return _real("answer probability", p, "[0, 1]")
 
 
-class EveSession:
-    """Per-scope answering state produced by :meth:`EveStrategy.session`:
-    each round answers "seen" with the probability ``p_of_round`` gives.
+class EveStrategy:
+    """An impostor, given by her strategy, an immutable specification.
 
-    ``p_of_round`` is either a number, the same for every round of the
-    scope, or a callable on the round's context.  ``bias`` holds the number
-    (``None`` for a callable): the rounds of a biased scope are i.i.d.
-    Bernoulli(``bias``) answers, so a runner that reads only how many rounds
-    were answered "seen" may draw that count from its binomial law without
-    building the rounds' contexts.
+    Runners call :meth:`session` once per scope (one identification session,
+    or one spot test for the per-spot protocol) for its answer law: the
+    strategy itself, unless it keeps per-scope state, like the once-drawn
+    bias of :class:`UniformP`, which opens a fresh law.  A plain base class,
+    not an ``abc.ABC``: :func:`open_scope` tests it once per scope, and an
+    abstract class's instance check costs about five times the
+    interpreter's own.
     """
 
-    def __init__(self, p_of_round: Callable[[EveContext], float] | float):
-        if callable(p_of_round):
-            self.bias = None
-            self._p_of_round = p_of_round
-        else:
-            self.bias = _answer_probability(p_of_round)
+    def session(self, rng: np.random.Generator) -> AnswerLaw:
+        """The answer law of one fresh scope: the strategy itself."""
+        return self
+
+
+@dataclass(frozen=True, init=False)
+class FixedP(EveStrategy):
+    """Answer "seen" with a fixed probability ``p``, independently every
+    round; ``FixedP(0.5)`` is the fair coin.  A per-round schedule is an
+    :class:`Adaptive` rule on ``ctx.round_index``.
+    """
+
+    p: float
+
+    def __init__(self, p: float) -> None:
+        # Written out: UniformP makes one per scope, and a generated
+        # ``__init__`` with a ``__post_init__`` costs a third more.
+        object.__setattr__(self, "p", _answer_probability(p))
 
     def respond(self, context: EveContext, rng: np.random.Generator) -> bool:
         """Answer one round: ``True`` for "seen", ``False`` for "not seen"."""
-        p = self.bias
-        if p is None:
-            p = _answer_probability(self._p_of_round(context))
-        return bool(rng.random() < p)
+        return bool(rng.random() < self.p)
 
-    def p_seen(self, x: float) -> float | None:
+    def p_seen(self, x: float) -> float:
         """The bias: the pulse's mean photon number never reaches it."""
-        return self.bias
+        return self.p
 
-    def p_wrong(self, distribution: UniformBands, i_tilde: float) -> float | None:
-        """Exactly 1/2 for a bias, ``None`` for a rule."""
-        return None if self.bias is None else 0.5
+    def p_wrong(self, distribution: UniformBands, i_tilde: float) -> float:
+        """Exactly 1/2, whatever the bias."""
+        return 0.5
 
     def answers(
         self, rng: np.random.Generator, spot_ordinal: int = 0
     ) -> Callable[[float, float], bool]:
-        """The scope's ``answer(alpha, i_tilde) -> saw``, which never reads
-        ``alpha``.  Each round her detector registers a Poisson(``i_tilde``)
-        count.  A biased scope answers Bernoulli(``bias``) without reading
-        it, so no context is built; the count is still drawn, in its place
-        in the stream.  A rule reads an :class:`EveContext`: the round index
-        within the scope, the count, her past answers in the scope and
-        ``spot_ordinal``."""
-        poisson, random, bias = rng.poisson, rng.random, self.bias
-        if bias is not None:
+        """The scope's ``answer(alpha, i_tilde) -> saw``: Bernoulli(``p``),
+        reading neither ``alpha`` nor her detector's Poisson(``i_tilde``)
+        count, which is still drawn, in its place in the stream."""
+        poisson, random, p = rng.poisson, rng.random, self.p
 
-            def answer_biased(_alpha: float, i_tilde: float) -> bool:
-                poisson(i_tilde)  # her detector count, which no bias reads
-                return random() < bias
+        def answer_biased(_alpha: float, i_tilde: float) -> bool:
+            poisson(i_tilde)  # her detector count, which no bias reads
+            return random() < p
 
-            return answer_biased
-        rule = self._p_of_round
-        history: list[bool] = []
-
-        def answer_rule(_alpha: float, i_tilde: float) -> bool:
-            n = len(history)
-            # round_index, photon_count, history, spot_ordinal: positional,
-            # as keywords cost more than the fields' own work.
-            context = EveContext(n, int(poisson(i_tilde)), _History(history, n),
-                                 spot_ordinal)
-            saw = random() < _answer_probability(rule(context))  # as ``respond``
-            history.append(saw)
-            return saw
-
-        return answer_rule
-
-
-class EveStrategy:
-    """An impostor, given by her strategy: a factory for per-session
-    answering behaviour.
-
-    Strategies themselves are immutable specifications.  Runners call
-    :meth:`session` once per scope (one identification session, or one
-    spot test for the per-spot protocol) so that strategies which hold
-    state — like a once-drawn answering bias — start fresh each scope.
-    A plain base class, not an ``abc.ABC``: :func:`open_scope` tests it
-    once per scope, and an abstract class's instance check costs about
-    five times the interpreter's own.
-    """
-
-    def session(self, rng: np.random.Generator) -> EveSession:
-        """Create fresh answering state for one session."""
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class FixedP(EveStrategy):
-    """Answer "seen" with a fixed probability ``p``, independently every
-    round; ``FixedP(0.5)`` is the fair coin.  A per-round schedule is an
-    :class:`Adaptive` rule on ``ctx.round_index``."""
-
-    p: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "p", _answer_probability(self.p))
-
-    def session(self, rng: np.random.Generator) -> EveSession:
-        return EveSession(self.p)
+        return answer_biased
 
 
 @dataclass(frozen=True)
 class UniformP(EveStrategy):
     """Draw a bias p ~ Uniform(0, 1) once per session, then answer i.i.d.
-    Bernoulli(p).
+    Bernoulli(p): each scope's law is a :class:`FixedP`.
 
     Over ``n`` rounds the total number of "seen" answers is uniform on
     ``{0, ..., n}`` — the classical exchangeable-coin construction, against
@@ -238,8 +194,8 @@ class UniformP(EveStrategy):
     seeing probability is (see :mod:`retinasim.strategy_naive`).
     """
 
-    def session(self, rng: np.random.Generator) -> EveSession:
-        return EveSession(float(rng.random()))
+    def session(self, rng: np.random.Generator) -> FixedP:
+        return FixedP(float(rng.random()))
 
 
 @dataclass(frozen=True)
@@ -249,13 +205,48 @@ class Adaptive(EveStrategy):
     ``rule`` maps an :class:`EveContext` to the probability of answering
     "seen"; returning 0.0 or 1.0 makes the strategy deterministic.  The rule
     can consult past answers and photon counts — nothing else exists in the
-    context to consult.
+    context to consult.  Deciding round by round, its law gives no
+    probability: ``p_seen`` and ``p_wrong`` are ``None``.
     """
 
     rule: Callable[[EveContext], float]
 
-    def session(self, rng: np.random.Generator) -> EveSession:
-        return EveSession(self.rule)
+    def __post_init__(self) -> None:
+        if not callable(self.rule):
+            raise DomainError(f"an adaptive rule is a callable, got {self.rule!r}")
+
+    def respond(self, context: EveContext, rng: np.random.Generator) -> bool:
+        """Answer one round: ``True`` for "seen", ``False`` for "not seen"."""
+        return bool(rng.random() < _answer_probability(self.rule(context)))
+
+    def p_seen(self, x: float) -> None:
+        return None
+
+    def p_wrong(self, distribution: UniformBands, i_tilde: float) -> None:
+        return None
+
+    def answers(
+        self, rng: np.random.Generator, spot_ordinal: int = 0
+    ) -> Callable[[float, float], bool]:
+        """The scope's ``answer(alpha, i_tilde) -> saw``, which never reads
+        ``alpha``.  Each round her detector registers a Poisson(``i_tilde``)
+        count, and the rule reads an :class:`EveContext`: the round index
+        within the scope, the count, her past answers in the scope and
+        ``spot_ordinal``."""
+        poisson, random, rule = rng.poisson, rng.random, self.rule
+        history: list[bool] = []
+
+        def answer_rule(_alpha: float, i_tilde: float) -> bool:
+            n = len(history)
+            # round_index, photon_count, history, spot_ordinal: positional,
+            # as keywords cost more than the fields' own work.
+            context = EveContext(n, int(poisson(i_tilde)), _History(history, n),
+                                 spot_ordinal)
+            saw = random() < _answer_probability(rule(context))
+            history.append(saw)
+            return saw
+
+        return answer_rule
 
 
 @functools.lru_cache(maxsize=64)
@@ -303,7 +294,7 @@ class AliceSubject:
 SubjectModel = Union[AliceSubject, EveStrategy]
 
 #: The answer law of one scope, as :func:`open_scope` gives it.
-AnswerLaw = Union[AliceSubject, EveSession]
+AnswerLaw = Union[AliceSubject, FixedP, Adaptive]
 
 
 def honest_threshold(subject: SubjectModel) -> int | None:
@@ -319,10 +310,11 @@ def honest_threshold(subject: SubjectModel) -> int | None:
 
 
 def open_scope(subject: SubjectModel, rng: np.random.Generator) -> AnswerLaw:
-    """The answer law of one fresh scope: a session of an impostor's
-    strategy, opened on ``rng``, or the honest user as is.  She keeps no
-    per-scope state and draws nothing here, so a runner that gets the
-    subject back may use that one law for all its scopes."""
+    """The answer law of one fresh scope: the honest user as is, or the law
+    an impostor's strategy opens on ``rng``.  A subject that keeps no
+    per-scope state (the honest user, a fixed bias, a rule) is its own law
+    and draws nothing here, so a runner that gets the subject back may use
+    that one law for all its scopes."""
     if isinstance(subject, EveStrategy):
         return subject.session(rng)
     honest_threshold(subject)  # raises for a subject of neither kind

@@ -551,6 +551,28 @@ class TestSolveCommand:
         assert "q = 0.096091" not in out
 
     @pytest.mark.parametrize(
+        "doc, line",
+        [
+            ({}, "  classes: alpha_low=0.05  alpha_high=0.15  K=6"),
+            (
+                {
+                    "distribution": "uniform_bands",
+                    "low_band": [0.02, 0.07],
+                    "high_band": [0.13, 0.18],
+                },
+                "  classes: low_band=(0.02, 0.07)  high_band=(0.13, 0.18)  K=6",
+            ),
+        ],
+        ids=["point_pair", "uniform_bands"],
+    )
+    def test_classes_line_names_the_distribution_fields(self, doc, line, tmp_path,
+                                                        capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve", "--config", str(path)]) == 0
+        assert line in capsys.readouterr().out.splitlines()
+
+    @pytest.mark.parametrize(
         "doc",
         [
             {},

@@ -15,7 +15,6 @@ from retinasim import (
     AlphaMap,
     ConfigError,
     DomainError,
-    EveSession,
     FixedP,
     NaiveTestPlan,
     PointPair,
@@ -43,6 +42,7 @@ from retinasim import (
     trial_rng,
 )
 from retinasim.errors import _real
+from retinasim.strategy_pattern import require_placeable
 from retinasim.subjects import class_seeing_means
 
 PLAN = SequentialPlan.design(PointPair(0.05, 0.15), 1e-10, 1e-4)
@@ -134,7 +134,7 @@ BAD_REALS = {
     "gk NaN mean": lambda: gk(6, math.nan),
     "FixedP bool": lambda: FixedP(True),
     "FixedP NaN": lambda: FixedP(math.nan),
-    "EveSession above 1": lambda: EveSession(1.5),
+    "FixedP above 1": lambda: FixedP(1.5),
     "solve_w_N q of 1/2": lambda: solve_w_N(0.5, 1e-10, 1e-4),
     "solve_w_N NaN target": lambda: solve_w_N(0.1, math.nan, 1e-4),
     "acceptance_counts p_fp above 1": lambda: acceptance_counts(0.5, 50, 1.5, 50),
@@ -150,7 +150,7 @@ def test_a_real_argument_lies_in_its_interval(entry):
 def test_a_fixed_bias_is_checked_when_made():
     assert FixedP(np.float64(0.25)).p == 0.25
     assert type(FixedP(1).p) is float
-    assert FixedP(0.25).session(make_rng(8)).bias == 0.25
+    assert FixedP(0.25).session(make_rng(8)).p == 0.25
 
 
 #: Entry points that take a real argument, called with one.
@@ -182,10 +182,17 @@ RELATION_CALLS = {
     "build_challenge high_min": lambda x, alpha_map: build_challenge(
         alpha_map, glyph_library(), "2", 75, make_rng(5), high_min=x),
     "optimize_intensity": lambda x, _map: optimize_intensity(25, 75, 5, 5, x, 0.16, 6, 6),
+    "require_placeable low_max": lambda x, alpha_map: require_placeable(
+        alpha_map, 75, low_max=x, high_min=0.16),
+    "require_placeable high_min": lambda x, alpha_map: require_placeable(
+        alpha_map, 75, low_max=0.04, high_min=x),
 }
 
 
-@pytest.mark.parametrize("bad", ["0.04", None, 1 + 2j], ids=["str", "None", "complex"])
+# Lists, sets and dicts too: the pattern class edges key a cache, where an
+# unhashable value would fail before its check.
+@pytest.mark.parametrize("bad", ["0.04", None, 1 + 2j, [0.04], {0.04}, {"low": 0.04}],
+                         ids=["str", "None", "complex", "list", "set", "dict"])
 @pytest.mark.parametrize("entry", RELATION_CALLS)
 def test_a_real_bounded_by_a_relation_is_a_real_number(entry, bad, default_map):
     with pytest.raises(DomainError, match="^invalid "):

@@ -18,7 +18,6 @@ from retinasim import (
     AliceSubject,
     ConfigError,
     DomainError,
-    EveSession,
     EveStrategy,
     FixedP,
     InfeasibleError,
@@ -411,12 +410,12 @@ class TestRunNaive:
 
 class _PerRoundUniformP(EveStrategy):
     """The uniform-bias law answered round by round: the bias is drawn once
-    per spot test, as in UniformP, but handed over as a per-round callable,
-    so the session carries no bias."""
+    per spot test, as in UniformP, but handed over as an Adaptive rule, so
+    the session's law gives no per-round probability."""
 
     def session(self, rng):
         p = float(rng.random())
-        return EveSession(lambda _ctx: p)
+        return Adaptive(lambda _ctx: p)
 
 
 class TestLawLevelDraws:
@@ -518,3 +517,21 @@ class TestLawLevelDraws:
         assert calls == [
             (s, r) for s in range(result.spots_tested) for r in range(plan.nu)
         ]
+
+    @pytest.mark.parametrize("name, scopes", [
+        ("alice", 1), ("eve:faircoin", 1), ("eve:fixedp:0.3", 1), ("eve:echo", 1),
+        ("eve:uniformp", PUBLISHED["mu"]),
+    ])
+    def test_only_a_once_per_scope_bias_opens_a_scope_per_spot(
+        self, name, scopes, default_map, monkeypatch
+    ):
+        """A subject that keeps no per-scope state is one law for every
+        spot test; the uniform bias is redrawn for each of the mu spots."""
+        opened = []
+        open_scope = strategy_naive.open_scope
+        monkeypatch.setattr(strategy_naive, "open_scope",
+                            lambda subject, rng: opened.append(subject)
+                            or open_scope(subject, rng))
+        run_naive(build_subject(name, 6), default_map, _published_plan(),
+                  make_rng(4127))
+        assert len(opened) == scopes

@@ -89,7 +89,28 @@ def test_strategy_names_are_compared_in_no_module():
     assert found == []
 
 
-_SUBJECT_TYPES = {"AliceSubject", "EveStrategy", "EveSession"}
+def test_distribution_names_are_compared_only_in_harness():
+    """Each per-distribution decision reads ``harness._DISTRIBUTION_FIELDS``
+    or ``RunConfig.distribution_object``: no other module tests a
+    ``.distribution`` attribute against a distribution name."""
+    found = []
+    for module in MODULES:
+        if module.__name__ == "retinasim.harness":
+            continue
+        tree = ast.parse(Path(module.__file__).read_text())
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Compare):
+                continue
+            operands = [node.left, *node.comparators]
+            if any(
+                isinstance(o, ast.Attribute) and o.attr == "distribution"
+                for o in operands
+            ) and any(map(_is_strings, operands)):
+                found.append(f"{module.__name__}:{node.lineno}")
+    assert found == []
+
+
+_SUBJECT_TYPES = {"AliceSubject", "EveStrategy", "FixedP", "UniformP", "Adaptive"}
 
 
 def _named(node: ast.expr) -> set[str]:
@@ -100,7 +121,7 @@ def _named(node: ast.expr) -> set[str]:
 
 def test_subjects_are_told_apart_in_no_other_module():
     """Each per-subject decision is an answer law of ``subjects``: no other
-    module tests a subject's type or reads an impostor session's ``bias``."""
+    module tests a subject's type or reads a ``bias`` attribute."""
     found = []
     for module in MODULES:
         if module.__name__ == "retinasim.subjects":

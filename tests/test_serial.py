@@ -14,7 +14,6 @@ from retinasim import (
     Adaptive,
     AliceSubject,
     DomainError,
-    EveSession,
     EveStrategy,
     FixedP,
     PointPair,
@@ -328,12 +327,12 @@ class TestRunSerial:
 
 class _PerRoundUniformP(EveStrategy):
     """The uniform-bias law answered round by round: the bias is drawn once
-    per session, as in UniformP, but handed over as a per-round callable, so
-    the session carries no bias."""
+    per session, as in UniformP, but handed over as an Adaptive rule, so the
+    session's law gives no per-round probability."""
 
     def session(self, rng):
         p = float(rng.random())
-        return EveSession(lambda _ctx: p)
+        return Adaptive(lambda _ctx: p)
 
 
 def _philox_counter(rng) -> int:

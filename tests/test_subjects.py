@@ -13,7 +13,6 @@ from retinasim import (
     AliceSubject,
     DomainError,
     EveContext,
-    EveSession,
     FixedP,
     RunConfig,
     SpotClass,
@@ -21,6 +20,7 @@ from retinasim import (
     UniformP,
     alice_response,
     build_subject,
+    parse_eve_strategy,
     prepare,
     prob_see,
     run_session,
@@ -252,13 +252,13 @@ def test_history_is_a_frozen_view_of_the_answers_so_far():
 
 def test_session_bias_marks_constant_answering():
     rng = make_rng(14)
-    assert FixedP(0.5).session(rng).bias == 0.5
-    assert FixedP(0.3).session(rng).bias == 0.3
-    biases = [UniformP().session(rng).bias for _ in range(3)]
+    assert FixedP(0.5).session(rng).p_seen(60.0) == 0.5
+    assert FixedP(0.3).session(rng).p_seen(60.0) == 0.3
+    biases = [UniformP().session(rng).p for _ in range(3)]
     assert all(b is not None and 0.0 <= b < 1.0 for b in biases)
     assert len(set(biases)) == 3
-    assert Adaptive(lambda _ctx: 0.5).session(rng).bias is None
-    assert build_subject("eve:echo", 6).session(rng).bias is None
+    assert Adaptive(lambda _ctx: 0.5).session(rng).p_seen(60.0) is None
+    assert build_subject("eve:echo", 6).session(rng).p_seen(60.0) is None
 
 
 def test_biased_session_answers_like_its_per_round_twin():
@@ -266,13 +266,39 @@ def test_biased_session_answers_like_its_per_round_twin():
     # number or a callable, so the two answer identically on equal streams.
     contexts = [EveContext(round_index=i) for i in range(200)]
     answers = []
-    for session in (EveSession(0.3), EveSession(lambda _ctx: 0.3)):
+    for session in (FixedP(0.3), Adaptive(lambda _ctx: 0.3)):
         rng = make_rng(15)
         answers.append([session.respond(c, rng) for c in contexts])
     assert answers[0] == answers[1]
     for bad in (1.5, -0.1, math.nan):
         with pytest.raises(DomainError, match="invalid answer probability"):
-            EveSession(bad)
+            FixedP(bad)
+
+
+def test_strategies_without_scope_state_are_their_own_laws():
+    rng = make_rng(17)
+    for eve in (FixedP(0.3), Adaptive(lambda _ctx: 0.3)):
+        assert open_scope(eve, rng) is eve
+    law = open_scope(UniformP(), make_rng(19))
+    assert law == FixedP(make_rng(19).random())
+    bands = UniformBands((0.02, 0.05), (0.15, 0.18))
+    assert law.p_wrong(bands, 60.0) == 0.5
+    assert Adaptive(lambda _ctx: 0.3).p_wrong(bands, 60.0) is None
+
+
+@pytest.mark.parametrize("name", ["faircoin", "uniformp", "echo"])
+def test_each_named_strategy_responds_per_round(name):
+    """The per-round call a caller outside the runners makes: a fresh
+    scope's law answers one context with a bool."""
+    rng = make_rng(18)
+    law = parse_eve_strategy(name, 6).session(rng)
+    assert type(law.respond(EveContext(0, 6), rng)) is bool
+
+
+@pytest.mark.parametrize("rule", [0.3, None, "echo"])
+def test_an_adaptive_rule_is_a_callable(rule):
+    with pytest.raises(DomainError, match="adaptive rule"):
+        Adaptive(rule)
 
 
 def test_class_seeing_means():
