@@ -81,7 +81,7 @@ from .strategy_naive import (
 )
 from .strategy_pattern import (
     Glyph,
-    MenuEntry,
+    Menu,
     PatternChallenge,
     PatternResult,
     RecognitionRule,

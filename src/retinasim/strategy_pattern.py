@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
-from itertools import islice
 
 import numpy as np
 
@@ -43,7 +42,7 @@ from .errors import (
     _real,
 )
 from .photon_stats import gk
-from .strategy_serial import relative_entropy
+from .strategy_serial import _relative_entropy
 from .subjects import SubjectModel, honest_threshold
 
 __all__ = [
@@ -51,7 +50,7 @@ __all__ = [
     "BlockGrid",
     "PatternChallenge",
     "RecognitionRule",
-    "MenuEntry",
+    "Menu",
     "PatternResult",
     "glyph_library",
     "build_challenge",
@@ -70,9 +69,10 @@ __all__ = [
 
 GLYPH_GRID = (5, 7)
 _N_CELLS = GLYPH_GRID[0] * GLYPH_GRID[1]
-#: Cell keys (see ``_cell_keys``) in row-major block order, the order noise
-#: is dealt in.
-_DEAL_ORDER = np.arange(_N_CELLS).reshape(GLYPH_GRID).T.ravel()
+#: Each cell key's (see ``_cell_keys``) place in row-major block order, the
+#: order noise is dealt in within a round.
+_DEAL_BLOCK = np.arange(_N_CELLS) % GLYPH_GRID[1] * GLYPH_GRID[0] + np.arange(
+    _N_CELLS) // GLYPH_GRID[1]
 
 #: Default operating point for challenge construction.
 DEFAULT_CHALLENGE_INTENSITY = 72.0
@@ -97,11 +97,15 @@ class Glyph:
         return len(self.pixels)
 
 
+@lru_cache(maxsize=256)
 def _cell_keys(glyph: Glyph) -> np.ndarray:
-    """Flat keys ``cx * rows + cy`` of a glyph's cells, ascending.  Ascending
-    keys are the cells in sorted ``(cx, cy)`` order."""
+    """Flat keys ``cx * rows + cy`` of a glyph's cells, ascending (read-only,
+    cached per glyph).  Ascending keys are the cells in sorted ``(cx, cy)``
+    order."""
     rows = GLYPH_GRID[1]
-    return np.array(sorted(cx * rows + cy for cx, cy in glyph.pixels), dtype=np.intp)
+    keys = np.array(sorted(cx * rows + cy for cx, cy in glyph.pixels), dtype=np.intp)
+    keys.setflags(write=False)
+    return keys
 
 
 @lru_cache(maxsize=1)
@@ -160,38 +164,58 @@ class BlockGrid:
 
 
 class _CellGroups:
-    """Spots grouped by glyph cell: cell ``c`` holds
-    ``spots[starts[c]:starts[c] + counts[c]]``, in the order given."""
+    """Items grouped by glyph cell: cell ``c`` holds
+    ``items[starts[c]:starts[c] + counts[c]]``, in the order given."""
 
-    def __init__(self, spots: np.ndarray, keys: np.ndarray):
+    def __init__(self, items: np.ndarray, keys: np.ndarray):
         inside = keys >= 0
         keys = keys[inside]
-        self.spots = spots[inside][np.argsort(keys, kind="stable")]
+        self.items = items[inside][np.argsort(keys, kind="stable")]
         self.counts = np.bincount(keys, minlength=_N_CELLS)
         self.starts = np.cumsum(self.counts) - self.counts
 
     def draw(self, cells: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """One spot uniformly from each of the (non-empty) ``cells``.  The
+        """One item uniformly from each of the (non-empty) ``cells``.  The
         single array call draws exactly what one scalar ``rng.integers``
         per cell, in order, would."""
-        return self.spots[self.starts[cells] + rng.integers(self.counts[cells])]
+        return self.items[self.starts[cells] + rng.integers(self.counts[cells])]
 
 
 @lru_cache(maxsize=4)
-def _incidence(items: tuple) -> tuple[tuple[str, ...], np.ndarray]:
-    """Sorted glyph ids and their glyph x cell incidence matrix, for a
-    library given as ``tuple(library.items())``."""
+def _incidence_of(items: tuple) -> tuple:
+    """Sorted glyph ids, the row of each id, the glyph x cell incidence
+    matrix and each glyph's cell keys by row, for a library given as
+    ``tuple(library.items())``."""
     glyphs = dict(items)
     ids = tuple(sorted(glyphs))
+    cells = [_cell_keys(glyphs[gid]) for gid in ids]
     matrix = np.zeros((len(ids), _N_CELLS), dtype=bool)
-    for row, gid in enumerate(ids):
-        matrix[row, _cell_keys(glyphs[gid])] = True
+    for row, keys in enumerate(cells):
+        matrix[row, keys] = True
     matrix.setflags(write=False)
-    return ids, matrix
+    return ids, {gid: row for row, gid in enumerate(ids)}, matrix, cells
+
+
+@lru_cache(maxsize=1)
+def _packaged_incidence() -> tuple:
+    return _incidence_of(tuple(glyph_library().items()))
+
+
+def _incidence(library: dict[str, Glyph]) -> tuple:
+    """``_incidence_of`` the library.  The packaged one is found by identity:
+    hashing its 45 glyphs would cost more than a question's menu."""
+    return (_packaged_incidence() if library is glyph_library()
+            else _incidence_of(tuple(library.items())))
 
 
 class _ClassBlockIndex:
-    """Low- and high-transmission spot indices grouped by glyph cell."""
+    """The map's high-transmission spots grouped by glyph cell, and its
+    low-transmission spots inside the block grid in one array, grouped by
+    block in deal order.  With the low spots go each one's deal-order block
+    (``low_block``, ``uint8``), its glyph-cell key (``low_keys``) and the
+    deal: the positions of a block-grouped array in the order noise is
+    dealt from them, round by round (a block's first spot, then its
+    second, ...), blocks in deal order within a round."""
 
     def __init__(
         self, alpha_map: AlphaMap, grid: BlockGrid, low_max: float, high_min: float
@@ -204,13 +228,18 @@ class _ClassBlockIndex:
         self.grid = grid
         spots = np.arange(alpha_map.n_spots)
         keys = grid.cell_keys(spots)
-        low = alpha_map.alpha <= low_max
         high = alpha_map.alpha >= high_min
         self.high = _CellGroups(spots[high], keys[high])
-        lows = _CellGroups(spots[low], keys[low])
-        by_cell = np.split(lows.spots, lows.starts[1:])
-        self.low_blocks = [by_cell[cell] for cell in _DEAL_ORDER]
-        self.low_counts = lows.counts[_DEAL_ORDER]
+        low = (alpha_map.alpha <= low_max) & (keys >= 0)
+        block = _DEAL_BLOCK[keys[low]].astype(np.uint8)
+        by_block = np.argsort(block, kind="stable")
+        self.low = spots[low][by_block]
+        self.low_keys = keys[low][by_block]
+        self.low_block = block[by_block]
+        counts = np.bincount(self.low_block, minlength=_N_CELLS)
+        starts = np.cumsum(counts) - counts
+        rank = np.arange(self.low.size) - starts[self.low_block]
+        self.deal = np.lexsort((self.low_block, rank))
 
 
 def _class_index(alpha_map: AlphaMap, low_max, high_min) -> _ClassBlockIndex:
@@ -228,30 +257,63 @@ def _cached_class_index(
     return _ClassBlockIndex(alpha_map, BlockGrid.for_map(alpha_map), low_max, high_min)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PatternChallenge:
-    """One pattern question: the hidden glyph's spots, the noise spots, the
-    common pulse intensity, and the placement geometry."""
+    """One pattern question: the illuminated spots, pattern spots first,
+    their glyph-cell keys (``block_grid.cell_keys(spots)``), the number of
+    pattern spots, the common pulse intensity, the hidden glyph and the
+    placement geometry.  Both arrays are kept as read-only copies."""
 
-    pattern_spots: frozenset[int]
-    noise_spots: frozenset[int]
+    spots: np.ndarray
+    cell_keys: np.ndarray
+    n_pattern: int
     i_tilde: float
     hidden_glyph: str
     block_grid: BlockGrid
 
     def __post_init__(self) -> None:
-        if self.pattern_spots & self.noise_spots:
-            raise DomainError("pattern and noise spots must be disjoint")
-        if not self.pattern_spots:
-            raise DomainError("challenge must have at least one pattern spot")
+        spots = np.array(self.spots, dtype=np.intp)
+        keys = np.array(self.cell_keys, dtype=np.intp)
+        n_pattern = _count("pattern spot count", self.n_pattern, 0)
+        if not 0 < n_pattern <= spots.size or spots.ndim != 1 or keys.shape != spots.shape:
+            raise DomainError("challenge must have at least one pattern spot among its "
+                              "spots, and a cell key for each spot")
+        ordered = np.sort(spots)
+        if (ordered[1:] == ordered[:-1]).any():
+            raise DomainError("pattern and noise spots must be disjoint and distinct")
+        spots.setflags(write=False)
+        keys.setflags(write=False)
+        object.__setattr__(self, "spots", spots)
+        object.__setattr__(self, "cell_keys", keys)
+        object.__setattr__(self, "n_pattern", n_pattern)
         i_tilde = _real("pulse intensity", self.i_tilde, "[0, inf)")
         object.__setattr__(self, "i_tilde", i_tilde)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PatternChallenge):
+            return NotImplemented
+        return (
+            (self.n_pattern, self.i_tilde, self.hidden_glyph, self.block_grid)
+            == (other.n_pattern, other.i_tilde, other.hidden_glyph, other.block_grid)
+            and np.array_equal(self.spots, other.spots)
+            and np.array_equal(self.cell_keys, other.cell_keys)
+        )
+
+    __hash__ = None
+
+    @property
+    def pattern_spots(self) -> frozenset[int]:
+        return frozenset(self.spots[: self.n_pattern].tolist())
+
+    @property
+    def noise_spots(self) -> frozenset[int]:
+        return frozenset(self.spots[self.n_pattern :].tolist())
 
     @property
     def illuminated_spots(self) -> frozenset[int]:
         """What an ideal photodetector perceives: every illuminated spot,
         with nothing to distinguish pattern from noise."""
-        return self.pattern_spots | self.noise_spots
+        return frozenset(self.spots.tolist())
 
 
 @dataclass(frozen=True)
@@ -267,10 +329,18 @@ class RecognitionRule:
         object.__setattr__(self, "l", _count("noise tolerance l", self.l, 1))
 
 
-@dataclass(frozen=True)
-class MenuEntry:
-    glyph_id: str
-    spots: frozenset[int]
+@dataclass(frozen=True, eq=False)
+class Menu:
+    """A question's menu as arrays.  Entry ``e`` offers ``glyph_ids[e]``;
+    entry 0 is the hidden glyph.  Drawn spot ``j`` belongs to entry
+    ``entry[j]`` and is the challenge spot ``challenge.spots[at[j]]``; an
+    entry's spots embed its glyph, one per glyph cell.  ``order`` lists the
+    entries in the order the menu shows them."""
+
+    glyph_ids: tuple[str, ...]
+    order: np.ndarray
+    entry: np.ndarray
+    at: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -286,7 +356,7 @@ class PatternResult:
 
 
 def _require_noise(index: _ClassBlockIndex, n_noise: int) -> None:
-    available = index.low_counts.sum()
+    available = index.low.size
     if available < n_noise:
         raise PlacementError(
             f"map provides only {available} low-transmission spots inside "
@@ -303,7 +373,7 @@ def require_placeable(
     block grid holds fewer than ``n_noise`` low-transmission spots.  Builds
     the map's class index, which later questions reuse; draws nothing."""
     index = _class_index(alpha_map, low_max, high_min)
-    ids, incidence = _incidence(tuple(glyph_library().items()))
+    ids, _rows, incidence, _cells = _incidence(glyph_library())
     blocked = incidence & (index.high.counts == 0)
     if blocked.any(axis=1).all():
         raise PlacementError(
@@ -334,9 +404,10 @@ def build_challenge(
 
     Each glyph cell receives exactly one high-transmission spot chosen
     uniformly inside that cell's block; ``n_noise`` low-transmission spots
-    are then dealt round-robin across all blocks.  Construction is
-    deterministic given the generator state; the map's class index is built
-    on the first call for a map and reused, and building it draws nothing.
+    are then dealt round-robin across all blocks, each block's in a uniform
+    random order.  Construction is deterministic given the generator state;
+    the map's class index is built on the first call for a map and reused,
+    and building it draws nothing.
     """
     if glyph_id not in library:
         raise DomainError(f"unknown glyph {glyph_id!r}")
@@ -353,23 +424,17 @@ def build_challenge(
     pattern = index.high.draw(cells, rng)
 
     # Spread noise round-robin over every block so the combined illuminated
-    # set can embed many glyphs, not just the hidden one.  Every block's low
-    # spots are permuted, and the first ``depth`` of each suffice.
+    # set can embed many glyphs, not just the hidden one.  One shuffle of
+    # all low spots, grouped again by block with a stable sort, leaves each
+    # block's spots in a uniform order, independently across blocks.
     _require_noise(index, n_noise)
-    low_counts = index.low_counts
-    depth = n_dealt = 0
-    while n_dealt < n_noise:
-        n_dealt += int(np.count_nonzero(low_counts > depth))
-        depth += 1
-    heads = np.full((_N_CELLS, depth), -1)
-    for row, lows in enumerate(index.low_blocks):
-        head = rng.permutation(lows)[:depth]
-        heads[row, : head.size] = head
-    dealt = heads.T.ravel()  # round by round, blocks in order within a round
-    noise = dealt[dealt >= 0][:n_noise]
+    shuffled = rng.permutation(index.low.size)
+    shuffled = shuffled[np.argsort(index.low_block[shuffled], kind="stable")]
+    noise = shuffled[index.deal[:n_noise]]
     return PatternChallenge(
-        pattern_spots=frozenset(pattern.tolist()),
-        noise_spots=frozenset(noise.tolist()),
+        spots=np.concatenate((pattern, index.low[noise])),
+        cell_keys=np.concatenate((cells, index.low_keys[noise])),
+        n_pattern=cells.size,
         i_tilde=i_tilde,
         hidden_glyph=glyph.glyph_id,
         block_grid=index.grid,
@@ -381,23 +446,23 @@ def candidate_menu(
     library: dict[str, Glyph],
     n_entries: int,
     rng: np.random.Generator,
-) -> list[MenuEntry]:
+) -> Menu:
     """Assemble the question menu: the hidden pattern plus distractors.
 
     Every entry is a genuine embedding — a subset of the illuminated set
-    forming that glyph, one spot per glyph cell — and exactly one entry
-    equals the hidden pattern.  Entries are returned in shuffled order.
+    forming that glyph, one spot per glyph cell — and exactly one entry, the
+    first, is the hidden pattern.  ``order`` shuffles the entries.
     """
     n_entries = _count("menu size", n_entries, 2)
     hidden = challenge.hidden_glyph
     if hidden not in library:
         raise DomainError(f"hidden glyph {hidden!r} is not in the library")
-    ids, incidence = _incidence(tuple(library.items()))
-    spots = np.sort(np.fromiter(challenge.illuminated_spots, dtype=np.int64))
-    illuminated = _CellGroups(spots, challenge.block_grid.cell_keys(spots))
+    ids, rows_of, incidence, cells_of = _incidence(library)
+    n_pattern = challenge.n_pattern
+    illuminated = _CellGroups(np.arange(challenge.spots.size), challenge.cell_keys)
     # a glyph embeds iff none of its cells is empty
     embeddable = ~incidence[:, illuminated.counts == 0].any(axis=1)
-    embeddable[ids.index(hidden)] = False
+    embeddable[rows_of[hidden]] = False
     candidates = np.flatnonzero(embeddable)
     achievable = candidates.size + 1
     if achievable < n_entries:
@@ -405,16 +470,17 @@ def candidate_menu(
             f"only {achievable} glyphs embeddable in the illuminated set; "
             f"{n_entries} requested"
         )
-    rows = candidates[rng.choice(candidates.size, size=n_entries - 1, replace=False)]
-    picked = incidence[rows]
-    chosen = iter(illuminated.draw(np.nonzero(picked)[1], rng).tolist())
-    entries = [MenuEntry(hidden, challenge.pattern_spots)]
-    entries += [
-        MenuEntry(ids[row], frozenset(islice(chosen, size)))
-        for row, size in zip(rows.tolist(), picked.sum(axis=1).tolist())
-    ]
-    order = rng.permutation(len(entries))
-    return [entries[int(i)] for i in order]
+    picked = rng.choice(candidates.size, size=n_entries - 1, replace=False)
+    rows = candidates[picked].tolist()
+    cells = [cells_of[row] for row in rows]
+    drawn = illuminated.draw(np.concatenate(cells), rng)
+    order = rng.permutation(n_entries)
+    return Menu(
+        glyph_ids=(hidden, *(ids[row] for row in rows)),
+        order=order,
+        entry=np.repeat(np.arange(n_entries), [n_pattern, *map(len, cells)]),
+        at=np.concatenate((np.arange(n_pattern), drawn)),
+    )
 
 
 def simulate_perception(
@@ -422,26 +488,30 @@ def simulate_perception(
     alpha_map: AlphaMap,
     k: int,
     rng: np.random.Generator,
-) -> frozenset[int]:
-    """The honest user's percept: each illuminated spot fires independently
-    when its Poisson photon count (mean ``alpha * i_tilde``) reaches ``k``."""
+) -> np.ndarray:
+    """The honest user's percept, aligned with ``challenge.spots``: each
+    illuminated spot fires independently when its Poisson photon count
+    (mean ``alpha * i_tilde``) reaches ``k``."""
     k = _count("threshold K", k, 1)
-    spots = np.fromiter(sorted(challenge.illuminated_spots), dtype=np.int64)
-    if spots.size and (spots[0] < 0 or spots[-1] >= alpha_map.n_spots):
+    spots = challenge.spots
+    if spots.min() < 0 or spots.max() >= alpha_map.n_spots:
         raise DomainError("challenge references spots outside the map")
-    counts = rng.poisson(alpha_map.alpha[spots] * challenge.i_tilde)
-    return frozenset(spots[counts >= k].tolist())
+    return rng.poisson(alpha_map.alpha[spots] * challenge.i_tilde) >= k
 
 
 def recognize(
-    perceived: frozenset[int],
+    perceived: np.ndarray,
     challenge: PatternChallenge,
     rule: RecognitionRule,
 ) -> bool:
     """Recognition succeeds iff missed pattern spots < k and perceived noise
-    spots < l (both strict)."""
-    missed = len(challenge.pattern_spots - perceived)
-    noise_seen = len(challenge.noise_spots & perceived)
+    spots < l (both strict).  ``perceived`` flags each of the challenge's
+    spots, as :func:`simulate_perception` returns it."""
+    if perceived.shape != challenge.spots.shape:
+        raise DomainError("percept must flag each of the challenge's spots")
+    n_pattern = challenge.n_pattern
+    missed = n_pattern - int(np.count_nonzero(perceived[:n_pattern]))
+    noise_seen = int(np.count_nonzero(perceived[n_pattern:]))
     return missed < rule.k and noise_seen < rule.l
 
 
@@ -475,9 +545,7 @@ def alice_failure_bound(
     exact equality the exponent vanishes and the returned bound is a
     vacuous 1.0 (flagged with a warning).
     """
-    n_h, n_l = _count("n_h", n_h, 1), _count("n_l", n_l, 1)
-    k, l = _count("k", k, 1), _count("l", l, 1)
-    m = _count("question count", m, 0)
+    n_h, n_l, k, l, m = _checked_bound_counts(n_h, n_l, k, l, m)
     p_h = _real("p_h", p_h, "[0, 1)")
     p_l = _real("p_l", p_l, "[0, 1)")
     frac_h = k / n_h
@@ -487,12 +555,8 @@ def alice_failure_bound(
             f"tolerated fractions (k/n_h={frac_h!r}, l/n_l={frac_l!r}) must not "
             f"fall below the per-spot rates (p_h={p_h!r}, p_l={p_l!r})"
         )
-    if m == 0:
-        return 0.0
-    per_question = math.exp(-n_h * relative_entropy(min(frac_h, 1.0), p_h)) + math.exp(
-        -n_l * relative_entropy(min(frac_l, 1.0), p_l)
-    )
-    if per_question >= 1.0:
+    bound = _failure_bound(n_h, n_l, k, l, p_h, p_l, m)
+    if bound == math.inf:
         warnings.warn(
             "failure bound is vacuous (per-question bound >= 1); the tolerated "
             "fractions sit on the validity boundary",
@@ -500,6 +564,25 @@ def alice_failure_bound(
             stacklevel=2,
         )
         return 1.0
+    return bound
+
+
+def _checked_bound_counts(n_h, n_l, k, l, m) -> tuple[int, int, int, int, int]:
+    return (_count("n_h", n_h, 1), _count("n_l", n_l, 1), _count("k", k, 1),
+            _count("l", l, 1), _count("question count", m, 0))
+
+
+def _failure_bound(n_h: int, n_l: int, k: int, l: int, p_h: float, p_l: float,
+                   m: int) -> float:
+    """:func:`alice_failure_bound` of checked arguments inside its validity
+    condition, or ``math.inf`` where the bound is vacuous."""
+    if m == 0:
+        return 0.0
+    per_question = math.exp(-n_h * _relative_entropy(min(k / n_h, 1.0), p_h)) + math.exp(
+        -n_l * _relative_entropy(min(l / n_l, 1.0), p_l)
+    )
+    if per_question >= 1.0:
+        return math.inf
     return 1.0 - (1.0 - per_question) ** m
 
 
@@ -521,9 +604,10 @@ def optimize_intensity(
     the bound has an interior minimum.  The scan covers :data:`INTENSITY_SCAN`
     in steps of :data:`INTENSITY_STEP`.
     """
-    n_h, n_l = _count("n_h", n_h, 1), _count("n_l", n_l, 1)
+    n_h, n_l, k, l, m = _checked_bound_counts(n_h, n_l, k, l, m)
     alpha_low = _real("alpha_low", alpha_low, "(-inf, inf)")
     alpha_high = _real("alpha_high", alpha_high, "(-inf, inf)")
+    threshold = _count("threshold K", threshold, 1)
     lo, hi = INTENSITY_SCAN
     step = INTENSITY_STEP
     best: tuple[float, float] | None = None
@@ -536,9 +620,7 @@ def optimize_intensity(
             continue
         # Vacuous grid points are skipped silently — near the edges of the
         # scan they are expected, not noteworthy.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            bound = alice_failure_bound(n_h, n_l, k, l, p_h, p_l, m)
+        bound = _failure_bound(n_h, n_l, k, l, p_h, p_l, m)
         if bound >= 1.0:
             continue
         if best is None or bound < best[1]:
@@ -567,10 +649,10 @@ def run_pattern_test(
     """Run one identification session of m pattern questions.
 
     A fresh glyph and fresh spot placement are drawn per question.  The
-    honest user answers the menu entry overlapping her percept the most when
-    recognition succeeds, otherwise uniformly at random; an impostor can do
-    no better than a uniform pick.  Accept iff all m answers name the hidden
-    glyph.
+    honest user answers the menu entry overlapping her percept the most (the
+    first such in menu order) when recognition succeeds, otherwise uniformly
+    at random; an impostor can do no better than a uniform pick.  Accept iff
+    all m answers name the hidden glyph.
     """
     m = _count("question count", m, 1, ConfigError)
     library = glyph_library()
@@ -588,16 +670,14 @@ def run_pattern_test(
         challenge = build_challenge(alpha_map, library, gid, n_noise, rng,
                                     i_tilde=i_tilde, low_max=low_max, high_min=high_min)
         menu = candidate_menu(challenge, library, n_entries, rng)
-        if k is None:
-            answer = menu[int(rng.integers(len(menu)))]
+        perceived = None if k is None else simulate_perception(challenge, alpha_map, k, rng)
+        if perceived is not None and recognize(perceived, challenge, rule):
+            # the first entry, in menu order, of largest overlap with the percept
+            overlap = np.bincount(menu.entry, weights=perceived[menu.at])
+            pick = menu.order[np.argmax(overlap[menu.order])]
         else:
-            perceived = simulate_perception(challenge, alpha_map, k, rng)
-            if recognize(perceived, challenge, rule):
-                answer = max(menu, key=lambda entry: len(entry.spots & perceived))
-            else:
-                answer = menu[int(rng.integers(len(menu)))]
-        if answer.glyph_id == challenge.hidden_glyph:
-            correct += 1
-        else:
+            pick = menu.order[int(rng.integers(n_entries))]
+        if pick != 0:
             return PatternResult(accepted=False, questions=m, correct=correct)
+        correct += 1
     return PatternResult(accepted=True, questions=m, correct=correct)

@@ -56,8 +56,12 @@ def relative_entropy(x: float, y: float) -> float:
     (y in {0, 1}) the divergence is 0 when x matches the point mass and
     +inf otherwise.
     """
-    x = _real("x", x, "[0, 1]")
-    y = _real("y", y, "[0, 1]")
+    return _relative_entropy(_real("x", x, "[0, 1]"), _real("y", y, "[0, 1]"))
+
+
+def _relative_entropy(x: float, y: float) -> float:
+    """:func:`relative_entropy` of two floats already checked to lie in
+    [0, 1]."""
     if y == 0.0 or y == 1.0:
         return 0.0 if x == y else math.inf
     total = 0.0

@@ -96,8 +96,8 @@ def test_classify_boundaries_are_inclusive():
     values = np.full(35, 0.1)
     values[:6] = [0.04, 0.16, 0.02, 0.18, np.nextafter(0.04, 1), np.nextafter(0.16, 0)]
     index = _class_index(AlphaMap(5, 7, values, 0.02, 0.18))
-    assert sorted(np.concatenate(index.low_blocks).tolist()) == [0, 2]
-    assert sorted(index.high.spots.tolist()) == [1, 3]
+    assert sorted(index.low.tolist()) == [0, 2]
+    assert sorted(index.high.items.tolist()) == [1, 3]
 
 
 def test_classify_threshold_validation(default_map):

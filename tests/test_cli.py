@@ -421,7 +421,7 @@ _IDENTIFY_PINS = {
         "cf710f33bc4161a60f786bef2c2bc2977ca529508dae8819b195c2b43a78c0a6", 1
     ),
     ("pattern", "alice"): (
-        "2f577a2046985c16a9e6049a483af03c71f2558c79b2669b85278fe4650e251c", 1
+        "05b4ec333152cfc2fc864f93303dde5f389f56d1dc81b3712e3230c176543290", 0
     ),
     ("pattern", "eve:faircoin"): (
         "11c5c0bd94b3c22f4bcbda12674018e443cb66a07d43e9245749f6ed6e4c20cd", 1

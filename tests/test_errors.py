@@ -51,7 +51,7 @@ NAIVE_PLAN = NaiveTestPlan(nu=50, mu=5, p_c=0.5, n_l=9, n_r=42)
 
 def _perceived(k, alpha_map):
     challenge = build_challenge(alpha_map, glyph_library(), "2", 75, make_rng(5))
-    return simulate_perception(challenge, alpha_map, k, make_rng(6))
+    return simulate_perception(challenge, alpha_map, k, make_rng(6)).tolist()
 
 
 #: Each entry point that takes a perception threshold, called with one.

@@ -685,10 +685,10 @@ _PINNED_DIGESTS = {
         "ff4c3f68e3c7dd49fd2b1e32e3beea301ac281f83161716bc1294b0102eaec9a"
     ),
     ("pattern", "alice", "point_pair"): (
-        "37e69b2d93a8b7e2347e25249ae59b1ff6adcf6214a147aaa22eb004951c41cb"
+        "31424cf0fac0a684a6a76513168bf276bbcae5d50fb99013bad645cb7462f1f3"
     ),
     ("pattern", "alice", "uniform_bands"): (
-        "37e69b2d93a8b7e2347e25249ae59b1ff6adcf6214a147aaa22eb004951c41cb"
+        "31424cf0fac0a684a6a76513168bf276bbcae5d50fb99013bad645cb7462f1f3"
     ),
     ("pattern", "eve:uniformp", "point_pair"): (
         "37e69b2d93a8b7e2347e25249ae59b1ff6adcf6214a147aaa22eb004951c41cb"
@@ -747,10 +747,10 @@ def test_artifacts_match_pinned_digests(strategy, subject, distribution, tmp_pat
 # and some impostor ones a second.
 _PINNED_PATTERN_RUNS = {
     ("alice", 40): (
-        "0e4ecf28ebd760faab41aea97d4d47545a8f44caa5a698c1f1f39d5e7d6c1382"
+        "40100c03e35f010b5a6566057960754b00595596a34c1cb3006c292686f939a9"
     ),
     ("eve:faircoin", 200): (
-        "445884d808f00870f88522ba7d046d980d096ab1e2ac2c618c004d49a54faebf"
+        "18963d95d4aa12776ec7b1e6fd331210b3c925fcac12fe7ab6915d8140347a70"
     ),
 }
 
@@ -990,28 +990,28 @@ _STRUCTURAL_DIGESTS = {
         "4e93d1d2c1e1203ab9e09fe624bcc04bb9bec3af0592b4aa9fa95c3a864ff15c"
     ),
     ('artifacts', 'pattern', 'alice', 'point_pair'): (
-        "d99eda97e4975872773f05e61a8ce6cdf1a342bfa5ddec44ecbcdda024e71ae4"
+        "db8c4e19313ca49c278312436d9650eb38d4fd3921e4cd82f3edf1c70d1c2839"
     ),
     ('artifacts', 'pattern', 'alice', 'uniform_bands'): (
-        "d99eda97e4975872773f05e61a8ce6cdf1a342bfa5ddec44ecbcdda024e71ae4"
+        "db8c4e19313ca49c278312436d9650eb38d4fd3921e4cd82f3edf1c70d1c2839"
     ),
     ('artifacts', 'pattern', 'eve:uniformp', 'point_pair'): (
-        "af21a6611d96fa02ba83071782f30259a19b29d6a11cf8893f042691d8fa6fa1"
+        "32622af97880cc69ad584ed0a1a1836c0c9e376b0e77c89ed1242275e042ce95"
     ),
     ('artifacts', 'pattern', 'eve:uniformp', 'uniform_bands'): (
-        "af21a6611d96fa02ba83071782f30259a19b29d6a11cf8893f042691d8fa6fa1"
+        "32622af97880cc69ad584ed0a1a1836c0c9e376b0e77c89ed1242275e042ce95"
     ),
     ('artifacts', 'pattern', 'eve:echo', 'point_pair'): (
-        "af21a6611d96fa02ba83071782f30259a19b29d6a11cf8893f042691d8fa6fa1"
+        "32622af97880cc69ad584ed0a1a1836c0c9e376b0e77c89ed1242275e042ce95"
     ),
     ('artifacts', 'pattern', 'eve:echo', 'uniform_bands'): (
-        "af21a6611d96fa02ba83071782f30259a19b29d6a11cf8893f042691d8fa6fa1"
+        "32622af97880cc69ad584ed0a1a1836c0c9e376b0e77c89ed1242275e042ce95"
     ),
     ('pattern-run', 'alice', 40): (
-        "3e8868510c3a699fb7ff1dfa41bf39f9416ec51db1e1940edc76365388df2408"
+        "2844b9f452ba8537fc8064dee13f89e82c348518c0130e2d2f3a6fcf47a5b64f"
     ),
     ('pattern-run', 'eve:faircoin', 200): (
-        "c07e40cbdb1ae3eb9c329a2303ba78d2f185ccdc9d81b7e53184c491b9ef5f00"
+        "2120105f0e3199edc023adffd423810d5df8af2a9c8147058b60ac7c33e753aa"
     ),
     ('kernel', 'bayes', 'alice', 'point_pair', False): (
         "5aebdab9ef2131ec4796d038ede1b98df59e3118a652ee9e2157907c68c563ba"

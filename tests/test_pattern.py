@@ -1,8 +1,32 @@
 """Tests for the pattern-challenge identification strategy.
 
 Covers glyph library integrity, challenge placement, menu soundness, the
-honest-user perception model, the exact impostor law, the honest-failure
-Chernoff bound with its intensity optimizer, and full session runs.
+laws of the challenge and menu draws, the generator calls a question makes,
+the honest-user perception model, the exact impostor law, the
+honest-failure Chernoff bound with its intensity optimizer, and full session
+runs.
+
+Seeded statistical checks and the probability that each fails although the
+code implements its law (a re-draw of the records passes or fails them by
+chance with this probability; every other check here is exact):
+
+=================================================  ==========================
+check                                              false-failure probability
+=================================================  ==========================
+``test_per_spot_rates_match_seeing_probability``   0.016 (six two-sided 3σ
+                                                   checks; exact binomial
+                                                   tails at the drawn spots)
+``test_impostor_never_passes_published_session``   0.0028 (3σ first-answer
+                                                   check) + 2.7e-7 (a pass)
+``test_detector_counts_carry_no_class_signal``     at most 0.01 (KS p > 0.01)
+``test_honest_user_failure_within_bound``          below 1e-60 (failure rate
+                                                   ~0.009 against a limit of
+                                                   0.32)
+``test_recognition_failure_bounded_per_question``  at most 1e-3 (ten one-sided
+                                                   binomial tests at 1e-4
+                                                   against a true bound)
+``TestDrawLaws`` (two G-tests)                     at most 1e-6 each
+=================================================  ==========================
 """
 
 import dataclasses
@@ -28,7 +52,7 @@ from retinasim import (
     DomainError,
     FixedP,
     InfeasibleError,
-    MenuEntry,
+    Menu,
     MenuError,
     PatternChallenge,
     PlacementError,
@@ -67,6 +91,36 @@ def cell_of(grid, spot):
 
 def blocks_of(spots, grid):
     return {cell_of(grid, s) for s in spots}
+
+
+def challenge_of(spots, n_pattern, grid, i_tilde=72.0, hidden="2"):
+    """A challenge made by hand, its cell keys read off the grid."""
+    spots = np.asarray(spots, dtype=np.intp)
+    return PatternChallenge(spots, grid.cell_keys(spots), n_pattern, i_tilde, hidden, grid)
+
+
+def keeping(challenge, keep):
+    """``challenge`` with only the spots flagged in ``keep``."""
+    return PatternChallenge(
+        challenge.spots[keep], challenge.cell_keys[keep], challenge.n_pattern,
+        challenge.i_tilde, challenge.hidden_glyph, challenge.block_grid,
+    )
+
+
+def shown(challenge, menu):
+    """The menu as ``(glyph id, spot set)`` pairs, in the order it shows them."""
+    return [
+        (menu.glyph_ids[e], frozenset(challenge.spots[menu.at[menu.entry == e]].tolist()))
+        for e in menu.order.tolist()
+    ]
+
+
+def generator_state(rng):
+    return json.dumps(rng.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
+
+
+def menu_lists(menu):
+    return list(menu.glyph_ids), menu.order.tolist(), menu.entry.tolist(), menu.at.tolist()
 
 
 def entropy(x, y):
@@ -169,6 +223,14 @@ class TestBuildChallenge:
         assert all(alpha[s] <= 0.04 for s in ch.noise_spots)
         assert len(ch.illuminated_spots) == 100
 
+    def test_spots_are_one_read_only_keyed_array(self, default_map):
+        ch = build_challenge(default_map, glyph_library(), "2", 75, make_rng(4406))
+        assert ch.spots.shape == ch.cell_keys.shape == (100,)
+        assert not ch.spots.flags.writeable and not ch.cell_keys.flags.writeable
+        assert ch.n_pattern == 25
+        assert ch.pattern_spots == frozenset(ch.spots[:25].tolist())
+        assert ch.cell_keys.tolist() == ch.block_grid.cell_keys(ch.spots).tolist()
+
     def test_pattern_traces_the_glyph_blocks(self, default_map):
         lib = glyph_library()
         ch = build_challenge(default_map, lib, "S", 40, make_rng(4407))
@@ -244,13 +306,17 @@ class TestBuildChallenge:
     def test_challenge_validation(self, default_map):
         grid = BlockGrid.for_map(default_map)
         with pytest.raises(DomainError, match="disjoint"):
-            PatternChallenge(frozenset({1, 2}), frozenset({2, 3}), 72.0, "2", grid)
+            challenge_of([1, 2, 2, 3], 2, grid)
         with pytest.raises(DomainError, match="at least one pattern spot"):
-            PatternChallenge(frozenset(), frozenset({3}), 72.0, "2", grid)
+            challenge_of([3], 0, grid)
+        with pytest.raises(DomainError, match="at least one pattern spot"):
+            challenge_of([1, 3], 3, grid)
+        with pytest.raises(DomainError, match="a cell key for each spot"):
+            PatternChallenge(np.array([1, 3]), np.array([0]), 1, 72.0, "2", grid)
         with pytest.raises(DomainError, match=">= 0"):
-            PatternChallenge(frozenset({1}), frozenset({3}), -1.0, "2", grid)
+            challenge_of([1, 3], 1, grid, i_tilde=-1.0)
         with pytest.raises(DomainError, match=">= 0"):
-            PatternChallenge(frozenset({1}), frozenset({3}), math.inf, "2", grid)
+            challenge_of([1, 3], 1, grid, i_tilde=math.inf)
 
 
 class TestClassIndexBuiltOncePerMap:
@@ -299,29 +365,30 @@ class TestCandidateMenu:
         lib = glyph_library()
         rng = make_rng(4417 + n_entries)
         ch = build_challenge(default_map, lib, "2", 75, rng)
-        menu = candidate_menu(ch, lib, n_entries, rng)
+        menu = shown(ch, candidate_menu(ch, lib, n_entries, rng))
         assert len(menu) == n_entries
-        ids = [e.glyph_id for e in menu]
+        ids = [gid for gid, _spots in menu]
         assert len(set(ids)) == n_entries
         # exactly one entry is the hidden pattern, as id and as spot set
-        assert sum(e.glyph_id == ch.hidden_glyph for e in menu) == 1
-        assert sum(e.spots == ch.pattern_spots for e in menu) == 1
+        assert sum(gid == ch.hidden_glyph for gid in ids) == 1
+        assert sum(spots == ch.pattern_spots for _gid, spots in menu) == 1
         grid = ch.block_grid
-        for entry in menu:
-            glyph = lib[entry.glyph_id]
-            assert entry.spots <= ch.illuminated_spots
-            assert len(entry.spots) == glyph.size
+        for gid, spots in menu:
+            glyph = lib[gid]
+            assert spots <= ch.illuminated_spots
+            assert len(spots) == glyph.size
             # each entry is a genuine embedding: one spot in each glyph cell
-            assert blocks_of(entry.spots, grid) == set(glyph.pixels)
+            assert blocks_of(spots, grid) == set(glyph.pixels)
 
     def test_published_menu_size_includes_hidden(self, default_map):
         lib = glyph_library()
         rng = make_rng(4418)
         ch = build_challenge(default_map, lib, "2", 75, rng)
         menu = candidate_menu(ch, lib, 18, rng)
-        hidden = [e for e in menu if e.glyph_id == "2"]
-        assert len(hidden) == 1
-        assert hidden[0].spots == ch.pattern_spots
+        assert menu.glyph_ids[0] == "2" and menu.glyph_ids.count("2") == 1
+        assert sorted(menu.order.tolist()) == list(range(18))
+        hidden = [spots for gid, spots in shown(ch, menu) if gid == "2"]
+        assert hidden == [ch.pattern_spots]
 
     def test_every_glyph_embeddable_with_dense_noise(self, default_map):
         # 75 round-robin noise spots put >= 2 spots in every block, so all
@@ -330,7 +397,7 @@ class TestCandidateMenu:
         rng = make_rng(4419)
         ch = build_challenge(default_map, lib, "2", 75, rng)
         menu = candidate_menu(ch, lib, 45, rng)
-        assert sorted(e.glyph_id for e in menu) == sorted(lib)
+        assert sorted(menu.glyph_ids) == sorted(lib)
 
     def test_oversized_menu_reports_achievable_count(self, default_map):
         lib = glyph_library()
@@ -345,13 +412,11 @@ class TestCandidateMenu:
         ch = build_challenge(default_map, lib, "2", 75, rng)
         cell = (0, 3)  # not a cell of "2"
         grid = ch.block_grid
-        holed = dataclasses.replace(ch, noise_spots=frozenset(
-            s for s in ch.noise_spots if cell_of(grid, s) != cell
-        ))
+        holed = keeping(ch, np.array([cell_of(grid, s) != cell for s in ch.spots.tolist()]))
         offered = sorted(gid for gid in lib if cell not in lib[gid].pixels)
         assert "2" in offered and len(offered) < len(lib)
         menu = candidate_menu(holed, lib, len(offered), rng)
-        assert sorted(entry.glyph_id for entry in menu) == offered
+        assert sorted(menu.glyph_ids) == offered
         with pytest.raises(MenuError, match=rf"only {len(offered)} glyphs embeddable"):
             candidate_menu(holed, lib, len(offered) + 1, rng)
 
@@ -361,16 +426,16 @@ class TestCandidateMenu:
         ch = build_challenge(default_map, lib, "2", 75, rng)
         cell = (0, 3)
         grid = ch.block_grid
-        in_cell = sorted(s for s in ch.noise_spots if cell_of(grid, s) == cell)
+        in_cell = [s for s in ch.spots.tolist() if cell_of(grid, s) == cell]
         assert len(in_cell) >= 2
-        single = dataclasses.replace(ch, noise_spots=ch.noise_spots - set(in_cell[1:]))
+        single = keeping(ch, ~np.isin(ch.spots, in_cell[1:]))
         menu = candidate_menu(single, lib, 45, rng)
-        for entry in menu:
-            if cell in lib[entry.glyph_id].pixels:
-                assert in_cell[0] in entry.spots
+        for gid, spots in shown(single, menu):
+            if cell in lib[gid].pixels:
+                assert in_cell[0] in spots
         twin = make_rng(4441)
         build_challenge(default_map, lib, "2", 75, twin)
-        assert menu == _loop_menu(single, lib, 45, twin)
+        assert menu_lists(menu) == _loop_menu(single, lib, 45, twin)
 
     @pytest.mark.parametrize("n_noise", [0, 12, 35, 50, 75])
     @pytest.mark.parametrize("wide", [False, True], ids=["100x100", "103x97"])
@@ -382,9 +447,10 @@ class TestCandidateMenu:
             alpha_map = generate_synthetic(103, 97, 0.02, 0.18, seed=11)
         for seed in range(4442, 4452):
             rng = make_rng(seed)
-            ch = build_challenge(alpha_map, lib, sorted(lib)[seed % 45], n_noise, rng)
+            gid = sorted(lib)[seed % 45]
+            ch = build_challenge(alpha_map, lib, gid, n_noise, rng)
             loop_rng = make_rng(seed)
-            build_challenge(alpha_map, lib, ch.hidden_glyph, n_noise, loop_rng)
+            assert ch == _loop_challenge(alpha_map, lib, gid, n_noise, loop_rng)
             for n_entries in (2, 18, 40):
                 try:
                     expected = _loop_menu(ch, lib, n_entries, loop_rng)
@@ -392,8 +458,8 @@ class TestCandidateMenu:
                     with pytest.raises(MenuError, match=re.escape(str(exc))):
                         candidate_menu(ch, lib, n_entries, rng)
                     continue
-                assert candidate_menu(ch, lib, n_entries, rng) == expected
-            assert rng.integers(2**62) == loop_rng.integers(2**62)
+                assert menu_lists(candidate_menu(ch, lib, n_entries, rng)) == expected
+            assert generator_state(rng) == generator_state(loop_rng)
 
     def test_single_entry_menu_rejected(self, default_map):
         lib = glyph_library()
@@ -411,14 +477,52 @@ class TestCandidateMenu:
             candidate_menu(orphan, lib, 5, rng)
 
 
+def _loop_challenge(alpha_map, library, glyph_id, n_noise, rng):
+    """``build_challenge`` at the default class edges and intensity as loops
+    over spots and blocks, one scalar draw per glyph cell and the deal
+    written out: the reference the array version must match draw for draw.
+    The low spots are listed block by block in row-major block order,
+    ascending within a block; one permutation of that list, read in order,
+    gives each block the order its spots are dealt in."""
+    grid = BlockGrid.for_map(alpha_map)
+    cols, rows = GLYPH_GRID
+    high, low = {}, {}
+    for spot in range(alpha_map.n_spots):
+        cell = cell_of(grid, spot)
+        if cell is None:
+            continue
+        if alpha_map.alpha[spot] >= 0.16:
+            high.setdefault(cell, []).append(spot)
+        elif alpha_map.alpha[spot] <= 0.04:
+            low.setdefault(cell, []).append(spot)
+    pattern = [
+        high[cell][rng.integers(len(high[cell]))]
+        for cell in sorted(library[glyph_id].pixels)
+    ]
+    blocks = [(cx, cy) for cy in range(rows) for cx in range(cols)]
+    lows = [spot for block in blocks for spot in low.get(block, [])]
+    dealt_from = {block: [] for block in blocks}
+    for position in rng.permutation(len(lows)).tolist():
+        dealt_from[cell_of(grid, lows[position])].append(lows[position])
+    noise = [
+        dealt_from[block][depth]
+        for depth in range(max(map(len, dealt_from.values())))
+        for block in blocks
+        if depth < len(dealt_from[block])
+    ]
+    return challenge_of(pattern + noise[:n_noise], len(pattern), grid, hidden=glyph_id)
+
+
 def _loop_menu(challenge, library, n_entries, rng):
     """``candidate_menu`` as a loop over spots, one generator call per glyph
-    cell: the reference the array version must match draw for draw."""
+    cell: the reference the array version must match draw for draw.  Gives
+    the menu as lists: glyph ids, order, and each drawn spot's entry and
+    position in the challenge."""
     by_block: dict = {}
-    for spot in sorted(challenge.illuminated_spots):
+    for position, spot in enumerate(challenge.spots.tolist()):
         cell = cell_of(challenge.block_grid, spot)
         if cell is not None:
-            by_block.setdefault(cell, []).append(spot)
+            by_block.setdefault(cell, []).append(position)
     candidates = [
         gid
         for gid in sorted(library)
@@ -431,16 +535,118 @@ def _loop_menu(challenge, library, n_entries, rng):
             f"set; {n_entries} requested"
         )
     picked = rng.choice(len(candidates), size=n_entries - 1, replace=False)
-    entries = [MenuEntry(challenge.hidden_glyph, challenge.pattern_spots)]
-    for idx in picked:
-        glyph = library[candidates[int(idx)]]
-        spots = frozenset(
-            by_block[cell][rng.integers(len(by_block[cell]))]
-            for cell in sorted(glyph.pixels)
-        )
-        entries.append(MenuEntry(glyph.glyph_id, spots))
-    order = rng.permutation(len(entries))
-    return [entries[int(i)] for i in order]
+    glyph_ids = [challenge.hidden_glyph]
+    entry = [0] * challenge.n_pattern
+    at = list(range(challenge.n_pattern))
+    for number, idx in enumerate(picked.tolist(), start=1):
+        glyph = library[candidates[idx]]
+        glyph_ids.append(glyph.glyph_id)
+        for cell in sorted(glyph.pixels):
+            entry.append(number)
+            at.append(by_block[cell][rng.integers(len(by_block[cell]))])
+    order = rng.permutation(n_entries)
+    return glyph_ids, order.tolist(), entry, at
+
+
+class TestDrawLaws:
+    """The laws of the challenge and menu draws, each checked by a G-test
+    whose false-failure probability is at most 1e-6."""
+
+    def test_each_low_spot_is_dealt_at_its_block_rate(self, default_map):
+        # Block b holds c_b low spots and receives r_b noise spots a
+        # challenge, so each of its low spots is dealt with frequency
+        # r_b / c_b.  An r-of-c draw without replacement has per-spot count
+        # variance (c - r) / (c - 1) times the multinomial one; each block's
+        # G statistic is divided by that factor, so the sum is chi-square
+        # with sum(c_b - 1) degrees of freedom.
+        lib = glyph_library()
+        rng = make_rng(4454)
+        builds = 3000
+        grid = BlockGrid.for_map(default_map)
+        low = {}
+        for spot in range(default_map.n_spots):
+            cell = cell_of(grid, spot)
+            if cell is not None and default_map.alpha[spot] <= 0.04:
+                low.setdefault(cell, []).append(spot)
+        dealt = np.zeros(default_map.n_spots)
+        per_block = None
+        for _ in range(builds):
+            ch = build_challenge(default_map, lib, "2", 75, rng)
+            noise = ch.spots[ch.n_pattern:]
+            dealt[noise] += 1
+            counts = {cell: 0 for cell in low}
+            for spot in noise.tolist():
+                counts[cell_of(grid, spot)] += 1
+            assert per_block in (None, counts)
+            per_block = counts
+        statistic, dof = 0.0, 0
+        for cell, spots in low.items():
+            c, r = len(spots), per_block[cell]
+            if r in (0, c):
+                assert set(dealt[spots]) == {builds * r / c}
+                continue
+            observed = dealt[spots]
+            g = stats.power_divergence(observed, np.full(c, builds * r / c),
+                                       lambda_="log-likelihood").statistic
+            statistic += g * (c - 1) / (c - r)
+            dof += c - 1
+        assert dof > 1000
+        assert stats.chi2.sf(statistic, dof) > 1e-6
+
+    def test_hidden_entry_menu_position_is_uniform(self, default_map):
+        lib = glyph_library()
+        rng = make_rng(4455)
+        n_entries, menus = 40, 4000
+        ch = build_challenge(default_map, lib, "2", 75, rng)
+        positions = np.zeros(n_entries)
+        for _ in range(menus):
+            menu = candidate_menu(ch, lib, n_entries, rng)
+            positions[np.flatnonzero(menu.order == 0)[0]] += 1
+        result = stats.power_divergence(positions, lambda_="log-likelihood")
+        assert result.pvalue > 1e-6
+
+
+class _LoggedGenerator:
+    """A generator that logs the name of each method called on it."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.calls = []
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def logged(*args, **kwargs):
+            self.calls.append(name)
+            return method(*args, **kwargs)
+
+        return logged
+
+
+#: One question's draws before its answer, as README's ``pattern`` bullet
+#: lists them: the glyph, a high spot per glyph cell, the noise shuffle, the
+#: distractors, a spot per distractor cell, the menu order.
+_QUESTION_CALLS = ["integers", "integers", "permutation", "choice", "integers",
+                   "permutation"]
+
+
+@pytest.mark.parametrize(
+    "subject,i_tilde,rule,answer_calls",
+    [
+        # at these limits every percept is recognized
+        (AliceSubject(k=6), 72.0, RecognitionRule(26, 76), ["poisson"]),
+        # at zero intensity nothing fires and the pattern is not recognized
+        (AliceSubject(k=6), 0.0, RecognitionRule(5, 5), ["poisson", "integers"]),
+        (FixedP(0.5), 72.0, RecognitionRule(5, 5), ["integers"]),
+    ],
+    ids=["honest-recognized", "honest-not-recognized", "impostor"],
+)
+def test_question_makes_the_documented_generator_calls(
+    default_map, subject, i_tilde, rule, answer_calls
+):
+    rng = _LoggedGenerator(make_rng(4456))
+    run_pattern_test(subject, default_map, 1, 40, rule, rng, i_tilde=i_tilde)
+    assert rng.calls == _QUESTION_CALLS + answer_calls
 
 
 # ---------------------------------------------------------------------------
@@ -459,10 +665,11 @@ class TestSimulatePerception:
         noise = sorted(ch.noise_spots, key=lambda s: alpha[s])
         probes = [pattern[0], pattern[-1], pattern[12], noise[0], noise[-1], noise[37]]
         hits = {s: 0 for s in probes}
+        position = {s: i for i, s in enumerate(ch.spots.tolist())}
         for _ in range(reps):
             perceived = simulate_perception(ch, default_map, 6, rng)
             for s in probes:
-                hits[s] += s in perceived
+                hits[s] += bool(perceived[position[s]])
         for s in probes:
             p = prob_see(float(alpha[s]), ch.i_tilde, 6)
             sigma = math.sqrt(p * (1.0 - p) / reps)
@@ -472,7 +679,8 @@ class TestSimulatePerception:
         lib = glyph_library()
         rng = make_rng(4424)
         ch = build_challenge(default_map, lib, "2", 75, rng, i_tilde=0.0)
-        assert simulate_perception(ch, default_map, 6, rng) == frozenset()
+        perceived = simulate_perception(ch, default_map, 6, rng)
+        assert perceived.shape == ch.spots.shape and not perceived.any()
 
     def test_high_transmission_spot_nearly_always_seen(self):
         # at the default operating point a 0.18-transmission spot sees a
@@ -483,11 +691,10 @@ class TestSimulatePerception:
 
     def test_challenge_spots_must_lie_on_map(self, default_map):
         grid = BlockGrid.for_map(default_map)
-        stray = PatternChallenge(
-            frozenset({0, default_map.n_spots}), frozenset(), 72.0, "2", grid
-        )
-        with pytest.raises(DomainError, match="outside the map"):
-            simulate_perception(stray, default_map, 6, make_rng(4425))
+        for spots in ([0, default_map.n_spots], [-1, 0]):
+            stray = challenge_of(spots, 2, grid)
+            with pytest.raises(DomainError, match="outside the map"):
+                simulate_perception(stray, default_map, 6, make_rng(4425))
 
     def test_detector_counts_carry_no_class_signal(self, default_map):
         # an interceptor sees each illuminated spot at the same pulse
@@ -513,28 +720,42 @@ def challenge(default_map):
     return build_challenge(default_map, glyph_library(), "2", 75, make_rng(4427))
 
 
+def percept(challenge, fired):
+    """A percept flagging the challenge's spots listed in ``fired``."""
+    flags = np.zeros(challenge.spots.size, dtype=bool)
+    flags[np.isin(challenge.spots, list(fired))] = True
+    return flags
+
+
 class TestRecognize:
     def test_exact_percept_recognized_at_tightest_rule(self, challenge):
-        assert recognize(challenge.pattern_spots, challenge, RecognitionRule(1, 1))
+        assert recognize(percept(challenge, challenge.pattern_spots), challenge,
+                         RecognitionRule(1, 1))
 
     def test_five_missed_of_25_fails_at_k5(self, challenge):
         pattern = sorted(challenge.pattern_spots)
-        perceived = frozenset(pattern[5:])
+        perceived = percept(challenge, pattern[5:])
         assert not recognize(perceived, challenge, RecognitionRule(5, 5))
         assert recognize(perceived, challenge, RecognitionRule(6, 5))
 
     def test_four_missed_four_noise_passes_at_k5_l5(self, challenge):
         pattern = sorted(challenge.pattern_spots)
         noise = sorted(challenge.noise_spots)
-        perceived = frozenset(pattern[4:]) | frozenset(noise[:4])
+        perceived = percept(challenge, pattern[4:] + noise[:4])
         assert recognize(perceived, challenge, RecognitionRule(5, 5))
         assert not recognize(perceived, challenge, RecognitionRule(5, 4))
         assert not recognize(perceived, challenge, RecognitionRule(4, 5))
 
-    def test_noise_outside_challenge_is_ignored(self, challenge):
-        # spots that were never illuminated cannot count as perceived noise
-        perceived = challenge.pattern_spots | frozenset({10_001, 10_002})
+    def test_noise_outside_challenge_is_ignored(self, challenge, default_map):
+        # a percept flags only the challenge's own spots: spots that were
+        # never illuminated have no place in it, however bright, and a
+        # percept that does not line up with the challenge is refused
+        assert simulate_perception(challenge, default_map, 6, make_rng(4453)).shape == (
+            challenge.spots.shape)
+        perceived = percept(challenge, challenge.pattern_spots | {10_001, 10_002})
         assert recognize(perceived, challenge, RecognitionRule(1, 1))
+        with pytest.raises(DomainError, match="each of the challenge's spots"):
+            recognize(np.append(perceived, True), challenge, RecognitionRule(1, 1))
 
     def test_rule_validation(self):
         with pytest.raises(DomainError, match=">= 1"):
@@ -838,19 +1059,24 @@ class TestRunPatternTest:
         # is the earlier of the two in menu order, as max() gives it
         import retinasim.strategy_pattern as sp
 
-        percept = frozenset({1, 2, 3})
-        hidden = MenuEntry("2", frozenset({1, 2, 10}))
-        decoy = MenuEntry("7", frozenset({2, 3, 11}))
-        menu = [hidden, decoy] if hidden_first else [decoy, hidden]
+        fired = np.zeros(100, dtype=bool)
+        fired[[1, 2, 3]] = True
+        menu = Menu(
+            glyph_ids=("2", "7"),
+            order=np.array([0, 1] if hidden_first else [1, 0]),
+            entry=np.array([0, 0, 0, 1, 1, 1]),
+            at=np.array([1, 2, 10, 2, 3, 11]),
+        )
         monkeypatch.setattr(sp, "candidate_menu", lambda *args: menu)
-        monkeypatch.setattr(sp, "simulate_perception", lambda *args: percept)
+        monkeypatch.setattr(sp, "simulate_perception", lambda *args: fired)
         monkeypatch.setattr(sp, "recognize", lambda *args: True)
         result = run_pattern_test(
             AliceSubject(k=6), default_map, 1, 2, RecognitionRule(5, 5),
             make_rng(4452), glyph_ids=["2"],
         )
         assert result.accepted is hidden_first
-        assert max(menu, key=lambda entry: len(entry.spots & percept)) is menu[0]
+        overlap = {0: 2, 1: 2}
+        assert max(menu.order.tolist(), key=overlap.get) == menu.order[0]
 
     def test_session_determinism(self, default_map):
         alice = AliceSubject(k=6)
@@ -901,10 +1127,11 @@ class TestRunPatternTest:
 
 def _question_log_digest(alpha_map, n_entries, seed, questions=300):
     """SHA-256 over ``questions`` honest pattern questions, each recorded as
-    hidden glyph, sorted pattern and noise spots, the menu (ids and sorted
-    spots, in menu order), the percept and the chosen answer.  The question
-    is asked the way ``run_pattern_test`` asks it, but every question is
-    logged: a session would stop at the first wrong answer."""
+    hidden glyph, the challenge's spots (pattern first), the menu (ids and
+    sorted spots, in menu order), the sorted perceived spots and the chosen
+    answer.  The question is asked the way ``run_pattern_test`` asks it, with
+    the honest pick written as ``max`` over the shown entries, but every
+    question is logged: a session would stop at the first wrong answer."""
     lib = glyph_library()
     pool = sorted(lib)
     rule = RecognitionRule(5, 5)
@@ -913,19 +1140,19 @@ def _question_log_digest(alpha_map, n_entries, seed, questions=300):
     for _ in range(questions):
         gid = pool[int(rng.integers(len(pool)))]
         ch = build_challenge(alpha_map, lib, gid, 75, rng)
-        menu = candidate_menu(ch, lib, n_entries, rng)
+        menu = shown(ch, candidate_menu(ch, lib, n_entries, rng))
         perceived = simulate_perception(ch, alpha_map, 6, rng)
+        seen = frozenset(ch.spots[perceived].tolist())
         if recognize(perceived, ch, rule):
-            answer = max(menu, key=lambda entry: len(entry.spots & perceived))
+            answer = max(menu, key=lambda entry: len(entry[1] & seen))
         else:
             answer = menu[int(rng.integers(len(menu)))]
         record = [
             ch.hidden_glyph,
-            sorted(ch.pattern_spots),
-            sorted(ch.noise_spots),
-            [[entry.glyph_id, sorted(entry.spots)] for entry in menu],
-            sorted(perceived),
-            answer.glyph_id,
+            ch.spots.tolist(),
+            [[gid, sorted(spots)] for gid, spots in menu],
+            sorted(seen),
+            answer[0],
         ]
         digest.update(json.dumps(record).encode())
     return digest.hexdigest()
@@ -936,13 +1163,13 @@ def _question_log_digest(alpha_map, n_entries, seed, questions=300):
 # and with it every pattern record.
 _PINNED_QUESTION_LOGS = {
     "default-menu40": (
-        "95265dc10f0308d17fbaae8622effa3002407ee9672b1f0536d86bd972d4fbd4"
+        "cbc840a88495c0f29013527d66efbe33d83e8c86a782a28e21f65b42ceca41a2"
     ),
     "default-menu18": (
-        "279261b6dee2d0a50385cf29424dbe0d1187af3bcf13fe6daa737b355fe4cdee"
+        "bd554882202de6aae4d351120a6da1b5787eff1cc52df128d98e4832c4c3e1d9"
     ),
     "103x97-menu40": (
-        "c5edc8e8b2fc29a93c4c0261293712f7d71148d9e74f9ec1c4f0f664b64063c1"
+        "9b4574073b3b0ff52d7f2d95c5f4d3d4c2eb8b84198ad25445b0c071b9651bc1"
     ),
 }
 
