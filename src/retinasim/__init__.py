@@ -81,6 +81,7 @@ from .strategy_naive import (
 )
 from .strategy_pattern import (
     Glyph,
+    GlyphLibrary,
     Menu,
     PatternChallenge,
     PatternResult,

@@ -650,9 +650,10 @@ def write_artifacts(
     stats: TrialStats,
     records: Sequence[TrialRecord],
 ) -> list[Path]:
-    """Emit summary.json, t_histogram.csv and (for walk strategies)
-    walks.csv into ``out_dir``.  Output is deterministic: stable key order,
-    no timestamps, shortest-roundtrip float formatting."""
+    """Emit summary.json, t_histogram.csv and (when some record has a walk)
+    walks.csv into ``out_dir``, removing a walks.csv left there by an
+    earlier run otherwise.  Output is deterministic: stable key order, no
+    timestamps, shortest-roundtrip float formatting."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -668,10 +669,12 @@ def write_artifacts(
     hist_path.write_text("\n".join(lines) + "\n")
     written.append(hist_path)
 
+    walks_path = out / "walks.csv"
     texts = _walk_texts(records)
     first = next(texts, None)
-    if first is not None:
-        walks_path = out / "walks.csv"
+    if first is None:
+        walks_path.unlink(missing_ok=True)
+    else:
         with walks_path.open("w") as walks:
             walks.write("trial,n,alpha,S,increment,log_odds\n")
             walks.write(first)
@@ -717,9 +720,10 @@ def _walk_texts(records: Sequence[TrialRecord]) -> Iterator[str]:
 def montecarlo(config: RunConfig) -> tuple[TrialStats, list[TrialRecord]]:
     """Run ``config.trials`` independent sessions and aggregate.
 
-    Trials are executed serially here, but every record depends only on
-    ``(config, trial_index)``, so a parallel executor mapping
-    :func:`run_trial` over the index range is equivalent by construction.
+    Trials run serially here.  A parallel executor mapping :func:`run_trial`
+    over the index range gives the same records, each depending only on
+    ``(config, trial_index)``, but its drift statistics agree only to
+    rounding unless merged in trial order (see :func:`merge_records`).
     Writes artifacts when ``config.out_dir`` is set.
     """
     context = prepare(config)

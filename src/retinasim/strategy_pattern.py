@@ -23,10 +23,12 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
+from types import MappingProxyType
 
 import numpy as np
 
@@ -47,6 +49,7 @@ from .subjects import SubjectModel, honest_threshold
 
 __all__ = [
     "Glyph",
+    "GlyphLibrary",
     "BlockGrid",
     "PatternChallenge",
     "RecognitionRule",
@@ -69,8 +72,8 @@ __all__ = [
 
 GLYPH_GRID = (5, 7)
 _N_CELLS = GLYPH_GRID[0] * GLYPH_GRID[1]
-#: Each cell key's (see ``_cell_keys``) place in row-major block order, the
-#: order noise is dealt in within a round.
+#: Each glyph-cell key's (see ``GlyphLibrary``) place in row-major block
+#: order, the order noise is dealt in within a round.
 _DEAL_BLOCK = np.arange(_N_CELLS) % GLYPH_GRID[1] * GLYPH_GRID[0] + np.arange(
     _N_CELLS) // GLYPH_GRID[1]
 
@@ -97,27 +100,54 @@ class Glyph:
         return len(self.pixels)
 
 
-@lru_cache(maxsize=256)
-def _cell_keys(glyph: Glyph) -> np.ndarray:
-    """Flat keys ``cx * rows + cy`` of a glyph's cells, ascending (read-only,
-    cached per glyph).  Ascending keys are the cells in sorted ``(cx, cy)``
-    order."""
-    rows = GLYPH_GRID[1]
-    keys = np.array(sorted(cx * rows + cy for cx, cy in glyph.pixels), dtype=np.intp)
-    keys.setflags(write=False)
-    return keys
+class GlyphLibrary(Mapping[str, Glyph]):
+    """A read-only library of glyphs by id, and the index a question reads
+    off it: ``ids``, the glyph ids in sorted order (the order the library
+    iterates in); ``rows``, the row of each id; ``incidence``, the read-only
+    glyph x cell matrix, true where a glyph occupies a cell; and ``cells``,
+    each row's flat cell keys ``cx * rows + cy`` as a read-only array,
+    ascending, which is the glyph's cells in sorted ``(cx, cy)`` order.  The
+    index is built once, with the library."""
+
+    def __init__(self, glyphs: Iterable[Glyph]):
+        self._glyphs = {glyph.glyph_id: glyph for glyph in glyphs}
+        self.ids = tuple(sorted(self._glyphs))
+        self.rows = MappingProxyType({gid: row for row, gid in enumerate(self.ids)})
+        self.incidence = np.zeros((len(self.ids), _N_CELLS), dtype=bool)
+        for gid, row in self.rows.items():
+            for cx, cy in self._glyphs[gid].pixels:
+                self.incidence[row, cx * GLYPH_GRID[1] + cy] = True
+        self.incidence.setflags(write=False)
+        self.cells = tuple(map(np.flatnonzero, self.incidence))
+        for keys in self.cells:
+            keys.setflags(write=False)
+
+    def __getitem__(self, glyph_id: str) -> Glyph:
+        return self._glyphs[glyph_id]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.ids)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+
+def _require_library(library: object) -> None:
+    if not isinstance(library, GlyphLibrary):
+        raise DomainError(
+            f"library must be a GlyphLibrary, got {type(library).__name__}")
 
 
 @lru_cache(maxsize=1)
-def glyph_library() -> dict[str, Glyph]:
-    """Load and validate the packaged glyph library."""
+def glyph_library() -> GlyphLibrary:
+    """Load and validate the packaged glyph library (built once)."""
     with resources.files("retinasim.data").joinpath("glyphs_5x7.json").open() as fh:
         doc = json.load(fh)
     grid = tuple(doc["grid"])
     if grid != GLYPH_GRID:
         raise ConfigError(f"glyph library grid {grid} != expected {GLYPH_GRID}")
     lo, hi = doc["size_range"]
-    library: dict[str, Glyph] = {}
+    glyphs: list[Glyph] = []
     seen: dict[frozenset, str] = {}
     for gid, pts in doc["glyphs"].items():
         pixels = frozenset((int(x), int(y)) for x, y in pts)
@@ -130,8 +160,8 @@ def glyph_library() -> dict[str, Glyph]:
         if pixels in seen:
             raise ConfigError(f"glyphs {gid!r} and {seen[pixels]!r} are identical")
         seen[pixels] = gid
-        library[gid] = Glyph(glyph_id=gid, pixels=pixels)
-    return library
+        glyphs.append(Glyph(glyph_id=gid, pixels=pixels))
+    return GlyphLibrary(glyphs)
 
 
 @dataclass(frozen=True)
@@ -155,8 +185,8 @@ class BlockGrid:
         return cls(alpha_map.width, cell_w, cell_h)
 
     def cell_keys(self, spots: np.ndarray) -> np.ndarray:
-        """Flat glyph-cell key of each spot (see ``_cell_keys``), or -1 for
-        spots outside the used region."""
+        """Flat glyph-cell key of each spot (see ``GlyphLibrary``), or -1
+        for spots outside the used region."""
         cols, rows = GLYPH_GRID
         cx = spots % self.map_width // self.cell_w
         cy = spots // self.map_width // self.cell_h
@@ -181,33 +211,6 @@ class _CellGroups:
         return self.items[self.starts[cells] + rng.integers(self.counts[cells])]
 
 
-@lru_cache(maxsize=4)
-def _incidence_of(items: tuple) -> tuple:
-    """Sorted glyph ids, the row of each id, the glyph x cell incidence
-    matrix and each glyph's cell keys by row, for a library given as
-    ``tuple(library.items())``."""
-    glyphs = dict(items)
-    ids = tuple(sorted(glyphs))
-    cells = [_cell_keys(glyphs[gid]) for gid in ids]
-    matrix = np.zeros((len(ids), _N_CELLS), dtype=bool)
-    for row, keys in enumerate(cells):
-        matrix[row, keys] = True
-    matrix.setflags(write=False)
-    return ids, {gid: row for row, gid in enumerate(ids)}, matrix, cells
-
-
-@lru_cache(maxsize=1)
-def _packaged_incidence() -> tuple:
-    return _incidence_of(tuple(glyph_library().items()))
-
-
-def _incidence(library: dict[str, Glyph]) -> tuple:
-    """``_incidence_of`` the library.  The packaged one is found by identity:
-    hashing its 45 glyphs would cost more than a question's menu."""
-    return (_packaged_incidence() if library is glyph_library()
-            else _incidence_of(tuple(library.items())))
-
-
 class _ClassBlockIndex:
     """The map's high-transmission spots grouped by glyph cell, and its
     low-transmission spots inside the block grid in one array, grouped by
@@ -225,7 +228,6 @@ class _ClassBlockIndex:
                 f"class thresholds must satisfy low_max < high_min, got "
                 f"({low_max!r}, {high_min!r})"
             )
-        self.grid = grid
         spots = np.arange(alpha_map.n_spots)
         keys = grid.cell_keys(spots)
         high = alpha_map.alpha >= high_min
@@ -260,16 +262,15 @@ def _cached_class_index(
 @dataclass(frozen=True, eq=False)
 class PatternChallenge:
     """One pattern question: the illuminated spots, pattern spots first,
-    their glyph-cell keys (``block_grid.cell_keys(spots)``), the number of
-    pattern spots, the common pulse intensity, the hidden glyph and the
-    placement geometry.  Both arrays are kept as read-only copies."""
+    their glyph-cell keys (``BlockGrid.for_map(alpha_map).cell_keys(spots)``),
+    the number of pattern spots, the common pulse intensity and the hidden
+    glyph.  Both arrays are kept as read-only copies."""
 
     spots: np.ndarray
     cell_keys: np.ndarray
     n_pattern: int
     i_tilde: float
     hidden_glyph: str
-    block_grid: BlockGrid
 
     def __post_init__(self) -> None:
         spots = np.array(self.spots, dtype=np.intp)
@@ -293,27 +294,13 @@ class PatternChallenge:
         if not isinstance(other, PatternChallenge):
             return NotImplemented
         return (
-            (self.n_pattern, self.i_tilde, self.hidden_glyph, self.block_grid)
-            == (other.n_pattern, other.i_tilde, other.hidden_glyph, other.block_grid)
+            (self.n_pattern, self.i_tilde, self.hidden_glyph)
+            == (other.n_pattern, other.i_tilde, other.hidden_glyph)
             and np.array_equal(self.spots, other.spots)
             and np.array_equal(self.cell_keys, other.cell_keys)
         )
 
     __hash__ = None
-
-    @property
-    def pattern_spots(self) -> frozenset[int]:
-        return frozenset(self.spots[: self.n_pattern].tolist())
-
-    @property
-    def noise_spots(self) -> frozenset[int]:
-        return frozenset(self.spots[self.n_pattern :].tolist())
-
-    @property
-    def illuminated_spots(self) -> frozenset[int]:
-        """What an ideal photodetector perceives: every illuminated spot,
-        with nothing to distinguish pattern from noise."""
-        return frozenset(self.spots.tolist())
 
 
 @dataclass(frozen=True)
@@ -373,8 +360,8 @@ def require_placeable(
     block grid holds fewer than ``n_noise`` low-transmission spots.  Builds
     the map's class index, which later questions reuse; draws nothing."""
     index = _class_index(alpha_map, low_max, high_min)
-    ids, _rows, incidence, _cells = _incidence(glyph_library())
-    blocked = incidence & (index.high.counts == 0)
+    library = glyph_library()
+    blocked = library.incidence & (index.high.counts == 0)
     if blocked.any(axis=1).all():
         raise PlacementError(
             f"no library glyph has a high-transmission spot (alpha >= "
@@ -383,7 +370,7 @@ def require_placeable(
     if blocked.any():
         row, cell = np.argwhere(blocked)[0]
         raise PlacementError(
-            f"library glyph {ids[row]!r} has no high-transmission spot (alpha >= "
+            f"library glyph {library.ids[row]!r} has no high-transmission spot (alpha >= "
             f"{high_min!r}) in the block of its cell {divmod(int(cell), GLYPH_GRID[1])}"
         )
     _require_noise(index, n_noise)
@@ -391,7 +378,7 @@ def require_placeable(
 
 def build_challenge(
     alpha_map: AlphaMap,
-    library: dict[str, Glyph],
+    library: GlyphLibrary,
     glyph_id: str,
     n_noise: int,
     rng: np.random.Generator,
@@ -409,17 +396,18 @@ def build_challenge(
     the map's class index is built on the first call for a map and reused,
     and building it draws nothing.
     """
-    if glyph_id not in library:
+    _require_library(library)
+    row = library.rows.get(glyph_id)
+    if row is None:
         raise DomainError(f"unknown glyph {glyph_id!r}")
     n_noise = _count("noise spot count", n_noise, 0)
-    glyph = library[glyph_id]
     index = _class_index(alpha_map, low_max, high_min)
-    cells = _cell_keys(glyph)
+    cells = library.cells[row]
     empty = cells[index.high.counts[cells] == 0]
     if empty.size:
         raise PlacementError(
             f"no high-transmission spots available in glyph cell "
-            f"{divmod(int(empty[0]), GLYPH_GRID[1])} for {glyph.glyph_id!r}"
+            f"{divmod(int(empty[0]), GLYPH_GRID[1])} for {library.ids[row]!r}"
         )
     pattern = index.high.draw(cells, rng)
 
@@ -436,14 +424,13 @@ def build_challenge(
         cell_keys=np.concatenate((cells, index.low_keys[noise])),
         n_pattern=cells.size,
         i_tilde=i_tilde,
-        hidden_glyph=glyph.glyph_id,
-        block_grid=index.grid,
+        hidden_glyph=library.ids[row],
     )
 
 
 def candidate_menu(
     challenge: PatternChallenge,
-    library: dict[str, Glyph],
+    library: GlyphLibrary,
     n_entries: int,
     rng: np.random.Generator,
 ) -> Menu:
@@ -454,15 +441,16 @@ def candidate_menu(
     first, is the hidden pattern.  ``order`` shuffles the entries.
     """
     n_entries = _count("menu size", n_entries, 2)
+    _require_library(library)
     hidden = challenge.hidden_glyph
-    if hidden not in library:
+    hidden_row = library.rows.get(hidden)
+    if hidden_row is None:
         raise DomainError(f"hidden glyph {hidden!r} is not in the library")
-    ids, rows_of, incidence, cells_of = _incidence(library)
     n_pattern = challenge.n_pattern
     illuminated = _CellGroups(np.arange(challenge.spots.size), challenge.cell_keys)
     # a glyph embeds iff none of its cells is empty
-    embeddable = ~incidence[:, illuminated.counts == 0].any(axis=1)
-    embeddable[rows_of[hidden]] = False
+    embeddable = ~library.incidence[:, illuminated.counts == 0].any(axis=1)
+    embeddable[hidden_row] = False
     candidates = np.flatnonzero(embeddable)
     achievable = candidates.size + 1
     if achievable < n_entries:
@@ -472,11 +460,11 @@ def candidate_menu(
         )
     picked = rng.choice(candidates.size, size=n_entries - 1, replace=False)
     rows = candidates[picked].tolist()
-    cells = [cells_of[row] for row in rows]
+    cells = [library.cells[row] for row in rows]
     drawn = illuminated.draw(np.concatenate(cells), rng)
     order = rng.permutation(n_entries)
     return Menu(
-        glyph_ids=(hidden, *(ids[row] for row in rows)),
+        glyph_ids=(hidden, *(library.ids[row] for row in rows)),
         order=order,
         entry=np.repeat(np.arange(n_entries), [n_pattern, *map(len, cells)]),
         at=np.concatenate((np.arange(n_pattern), drawn)),
@@ -656,12 +644,14 @@ def run_pattern_test(
     """
     m = _count("question count", m, 1, ConfigError)
     library = glyph_library()
-    pool = sorted(library) if glyph_ids is None else list(glyph_ids)
-    if not pool:
-        raise ConfigError("empty glyph pool")
-    unknown = [gid for gid in pool if gid not in library]
-    if unknown:
-        raise ConfigError(f"glyph ids not in the library: {unknown!r}")
+    pool = library.ids
+    if glyph_ids is not None:
+        pool = list(glyph_ids)
+        if not pool:
+            raise ConfigError("empty glyph pool")
+        unknown = [gid for gid in pool if gid not in library]
+        if unknown:
+            raise ConfigError(f"glyph ids not in the library: {unknown!r}")
     k = honest_threshold(subject)
 
     correct = 0

@@ -490,6 +490,21 @@ class TestArtifacts:
         assert (tmp_path / "summary.json").exists()
         assert not (tmp_path / "walks.csv").exists()
 
+    @pytest.mark.parametrize(
+        "second",
+        [dict(strategy="serial"), dict(strategy="bayes", walk_trace_limit=0)],
+        ids=["serial", "bayes-untraced"],
+    )
+    def test_run_without_walks_leaves_no_older_walk_file(self, tmp_path, second):
+        # a traced bayes run, then one that traces no walk, into one out dir:
+        # the directory then holds exactly the second run's artifacts
+        montecarlo(RunConfig(strategy="bayes", trials=5, master_seed=4515,
+                             out_dir=str(tmp_path)))
+        assert (tmp_path / "walks.csv").exists()
+        montecarlo(RunConfig(trials=5, master_seed=4516, out_dir=str(tmp_path), **second))
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "summary.json", "t_histogram.csv"]
+
     def test_write_artifacts_returns_written_paths(self, tmp_path):
         config = RunConfig(strategy="bayes", trials=10, master_seed=4514)
         context = prepare(config)

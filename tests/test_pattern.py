@@ -51,6 +51,7 @@ from retinasim import (
     ConfigError,
     DomainError,
     FixedP,
+    GlyphLibrary,
     InfeasibleError,
     Menu,
     MenuError,
@@ -93,17 +94,25 @@ def blocks_of(spots, grid):
     return {cell_of(grid, s) for s in spots}
 
 
+def pattern_set(challenge):
+    return set(challenge.spots[:challenge.n_pattern].tolist())
+
+
+def noise_set(challenge):
+    return set(challenge.spots[challenge.n_pattern:].tolist())
+
+
 def challenge_of(spots, n_pattern, grid, i_tilde=72.0, hidden="2"):
     """A challenge made by hand, its cell keys read off the grid."""
     spots = np.asarray(spots, dtype=np.intp)
-    return PatternChallenge(spots, grid.cell_keys(spots), n_pattern, i_tilde, hidden, grid)
+    return PatternChallenge(spots, grid.cell_keys(spots), n_pattern, i_tilde, hidden)
 
 
 def keeping(challenge, keep):
     """``challenge`` with only the spots flagged in ``keep``."""
     return PatternChallenge(
         challenge.spots[keep], challenge.cell_keys[keep], challenge.n_pattern,
-        challenge.i_tilde, challenge.hidden_glyph, challenge.block_grid,
+        challenge.i_tilde, challenge.hidden_glyph,
     )
 
 
@@ -165,6 +174,46 @@ class TestGlyphLibrary:
     def test_library_is_cached(self):
         assert glyph_library() is glyph_library()
 
+    def test_library_is_read_only(self):
+        lib = glyph_library()
+        with pytest.raises(TypeError):
+            lib["x"] = lib["2"]
+        with pytest.raises(TypeError):
+            del lib["x"]
+        assert len(lib) == 45 and "x" in lib
+        with pytest.raises(ValueError, match="read-only"):
+            lib.incidence[0, 0] = not lib.incidence[0, 0]
+        with pytest.raises(ValueError, match="read-only"):
+            lib.cells[0][0] = 0
+        with pytest.raises(TypeError):
+            lib.rows["x"] = 0
+
+    def test_index_matches_one_built_from_the_pixels(self):
+        lib = glyph_library()
+        cols, rows = GLYPH_GRID
+        assert lib.ids == tuple(sorted(lib)) and len(lib.ids) == 45
+        assert list(lib) == list(lib.ids)
+        assert lib.incidence.shape == (45, cols * rows)
+        for row, gid in enumerate(lib.ids):
+            assert lib.rows[gid] == row
+            cells = {cx * rows + cy for cx, cy in lib[gid].pixels}
+            assert set(np.flatnonzero(lib.incidence[row]).tolist()) == cells
+            assert lib.cells[row].tolist() == sorted(cells)
+        # a library built from the same glyphs in another order indexes alike
+        rebuilt = GlyphLibrary(reversed(list(lib.values())))
+        assert rebuilt == lib and rebuilt.ids == lib.ids
+        assert np.array_equal(rebuilt.incidence, lib.incidence)
+        assert all(np.array_equal(a, b) for a, b in zip(rebuilt.cells, lib.cells))
+
+    def test_a_plain_dict_is_refused(self, default_map):
+        lib = glyph_library()
+        plain = dict(lib)
+        with pytest.raises(DomainError, match="must be a GlyphLibrary, got dict"):
+            build_challenge(default_map, plain, "2", 75, make_rng(4457))
+        ch = build_challenge(default_map, lib, "2", 75, make_rng(4457))
+        with pytest.raises(DomainError, match="must be a GlyphLibrary, got dict"):
+            candidate_menu(ch, plain, 18, make_rng(4458))
+
 
 # ---------------------------------------------------------------------------
 # block grid geometry
@@ -213,38 +262,42 @@ class TestBuildChallenge:
     def test_spot_counts_and_classes(self, default_map):
         lib = glyph_library()
         ch = build_challenge(default_map, lib, "2", 75, make_rng(4406))
-        assert len(ch.pattern_spots) == 25
-        assert len(ch.noise_spots) == 75
-        assert not (ch.pattern_spots & ch.noise_spots)
+        assert len(pattern_set(ch)) == 25
+        assert len(noise_set(ch)) == 75
+        assert not (pattern_set(ch) & noise_set(ch))
         assert ch.hidden_glyph == "2"
         assert ch.i_tilde == 72.0
         alpha = default_map.alpha
-        assert all(alpha[s] >= 0.16 for s in ch.pattern_spots)
-        assert all(alpha[s] <= 0.04 for s in ch.noise_spots)
-        assert len(ch.illuminated_spots) == 100
+        assert all(alpha[s] >= 0.16 for s in pattern_set(ch))
+        assert all(alpha[s] <= 0.04 for s in noise_set(ch))
+        assert len(set(ch.spots.tolist())) == 100
 
     def test_spots_are_one_read_only_keyed_array(self, default_map):
         ch = build_challenge(default_map, glyph_library(), "2", 75, make_rng(4406))
         assert ch.spots.shape == ch.cell_keys.shape == (100,)
         assert not ch.spots.flags.writeable and not ch.cell_keys.flags.writeable
         assert ch.n_pattern == 25
-        assert ch.pattern_spots == frozenset(ch.spots[:25].tolist())
-        assert ch.cell_keys.tolist() == ch.block_grid.cell_keys(ch.spots).tolist()
+        # the pattern spots come first, one in each of the glyph's cells
+        lib = glyph_library()
+        assert ch.cell_keys[:25].tolist() == lib.cells[lib.rows["2"]].tolist()
+        grid = BlockGrid.for_map(default_map)
+        assert ch.cell_keys.tolist() == grid.cell_keys(ch.spots).tolist()
 
     def test_pattern_traces_the_glyph_blocks(self, default_map):
         lib = glyph_library()
         ch = build_challenge(default_map, lib, "S", 40, make_rng(4407))
-        grid = ch.block_grid
-        assert blocks_of(ch.pattern_spots, grid) == set(lib["S"].pixels)
+        grid = BlockGrid.for_map(default_map)
+        assert blocks_of(pattern_set(ch), grid) == set(lib["S"].pixels)
         # one spot per glyph cell
-        assert len(ch.pattern_spots) == lib["S"].size
+        assert len(pattern_set(ch)) == lib["S"].size
 
     def test_noise_is_spread_round_robin(self, default_map):
         # 75 noise spots over 35 blocks: every block gets 2 or 3
         ch = build_challenge(default_map, glyph_library(), "2", 75, make_rng(4408))
         per_block: dict = {}
-        for s in ch.noise_spots:
-            cell = cell_of(ch.block_grid, s)
+        grid = BlockGrid.for_map(default_map)
+        for s in noise_set(ch):
+            cell = cell_of(grid, s)
             per_block[cell] = per_block.get(cell, 0) + 1
         assert len(per_block) == 35
         assert set(per_block.values()) <= {2, 3}
@@ -260,7 +313,7 @@ class TestBuildChallenge:
         lib = glyph_library()
         a = build_challenge(default_map, lib, "7", 60, make_rng(4410))
         b = build_challenge(default_map, lib, "7", 60, make_rng(4411))
-        assert a.pattern_spots != b.pattern_spots
+        assert pattern_set(a) != pattern_set(b)
 
     def test_first_empty_cell_in_sorted_order_named(self):
         # 2x2 blocks; blocks (3, 3) and (0, 6) of glyph "2" hold no high
@@ -312,7 +365,7 @@ class TestBuildChallenge:
         with pytest.raises(DomainError, match="at least one pattern spot"):
             challenge_of([1, 3], 3, grid)
         with pytest.raises(DomainError, match="a cell key for each spot"):
-            PatternChallenge(np.array([1, 3]), np.array([0]), 1, 72.0, "2", grid)
+            PatternChallenge(np.array([1, 3]), np.array([0]), 1, 72.0, "2")
         with pytest.raises(DomainError, match=">= 0"):
             challenge_of([1, 3], 1, grid, i_tilde=-1.0)
         with pytest.raises(DomainError, match=">= 0"):
@@ -371,11 +424,11 @@ class TestCandidateMenu:
         assert len(set(ids)) == n_entries
         # exactly one entry is the hidden pattern, as id and as spot set
         assert sum(gid == ch.hidden_glyph for gid in ids) == 1
-        assert sum(spots == ch.pattern_spots for _gid, spots in menu) == 1
-        grid = ch.block_grid
+        assert sum(spots == pattern_set(ch) for _gid, spots in menu) == 1
+        grid = BlockGrid.for_map(default_map)
         for gid, spots in menu:
             glyph = lib[gid]
-            assert spots <= ch.illuminated_spots
+            assert spots <= set(ch.spots.tolist())
             assert len(spots) == glyph.size
             # each entry is a genuine embedding: one spot in each glyph cell
             assert blocks_of(spots, grid) == set(glyph.pixels)
@@ -388,7 +441,7 @@ class TestCandidateMenu:
         assert menu.glyph_ids[0] == "2" and menu.glyph_ids.count("2") == 1
         assert sorted(menu.order.tolist()) == list(range(18))
         hidden = [spots for gid, spots in shown(ch, menu) if gid == "2"]
-        assert hidden == [ch.pattern_spots]
+        assert hidden == [pattern_set(ch)]
 
     def test_every_glyph_embeddable_with_dense_noise(self, default_map):
         # 75 round-robin noise spots put >= 2 spots in every block, so all
@@ -411,7 +464,7 @@ class TestCandidateMenu:
         rng = make_rng(4440)
         ch = build_challenge(default_map, lib, "2", 75, rng)
         cell = (0, 3)  # not a cell of "2"
-        grid = ch.block_grid
+        grid = BlockGrid.for_map(default_map)
         holed = keeping(ch, np.array([cell_of(grid, s) != cell for s in ch.spots.tolist()]))
         offered = sorted(gid for gid in lib if cell not in lib[gid].pixels)
         assert "2" in offered and len(offered) < len(lib)
@@ -425,7 +478,7 @@ class TestCandidateMenu:
         rng = make_rng(4441)
         ch = build_challenge(default_map, lib, "2", 75, rng)
         cell = (0, 3)
-        grid = ch.block_grid
+        grid = BlockGrid.for_map(default_map)
         in_cell = [s for s in ch.spots.tolist() if cell_of(grid, s) == cell]
         assert len(in_cell) >= 2
         single = keeping(ch, ~np.isin(ch.spots, in_cell[1:]))
@@ -435,7 +488,7 @@ class TestCandidateMenu:
                 assert in_cell[0] in spots
         twin = make_rng(4441)
         build_challenge(default_map, lib, "2", 75, twin)
-        assert menu_lists(menu) == _loop_menu(single, lib, 45, twin)
+        assert menu_lists(menu) == _loop_menu(single, grid, lib, 45, twin)
 
     @pytest.mark.parametrize("n_noise", [0, 12, 35, 50, 75])
     @pytest.mark.parametrize("wide", [False, True], ids=["100x100", "103x97"])
@@ -445,6 +498,7 @@ class TestCandidateMenu:
         alpha_map = default_map
         if wide:
             alpha_map = generate_synthetic(103, 97, 0.02, 0.18, seed=11)
+        grid = BlockGrid.for_map(alpha_map)
         for seed in range(4442, 4452):
             rng = make_rng(seed)
             gid = sorted(lib)[seed % 45]
@@ -453,7 +507,7 @@ class TestCandidateMenu:
             assert ch == _loop_challenge(alpha_map, lib, gid, n_noise, loop_rng)
             for n_entries in (2, 18, 40):
                 try:
-                    expected = _loop_menu(ch, lib, n_entries, loop_rng)
+                    expected = _loop_menu(ch, grid, lib, n_entries, loop_rng)
                 except MenuError as exc:
                     with pytest.raises(MenuError, match=re.escape(str(exc))):
                         candidate_menu(ch, lib, n_entries, rng)
@@ -513,14 +567,14 @@ def _loop_challenge(alpha_map, library, glyph_id, n_noise, rng):
     return challenge_of(pattern + noise[:n_noise], len(pattern), grid, hidden=glyph_id)
 
 
-def _loop_menu(challenge, library, n_entries, rng):
+def _loop_menu(challenge, grid, library, n_entries, rng):
     """``candidate_menu`` as a loop over spots, one generator call per glyph
-    cell: the reference the array version must match draw for draw.  Gives
-    the menu as lists: glyph ids, order, and each drawn spot's entry and
-    position in the challenge."""
+    cell, the spots placed on ``grid``: the reference the array version must
+    match draw for draw.  Gives the menu as lists: glyph ids, order, and
+    each drawn spot's entry and position in the challenge."""
     by_block: dict = {}
     for position, spot in enumerate(challenge.spots.tolist()):
-        cell = cell_of(challenge.block_grid, spot)
+        cell = cell_of(grid, spot)
         if cell is not None:
             by_block.setdefault(cell, []).append(position)
     candidates = [
@@ -661,8 +715,8 @@ class TestSimulatePerception:
         ch = build_challenge(default_map, lib, "2", 75, rng)
         reps = 10_000
         alpha = default_map.alpha
-        pattern = sorted(ch.pattern_spots, key=lambda s: alpha[s])
-        noise = sorted(ch.noise_spots, key=lambda s: alpha[s])
+        pattern = sorted(pattern_set(ch), key=lambda s: alpha[s])
+        noise = sorted(noise_set(ch), key=lambda s: alpha[s])
         probes = [pattern[0], pattern[-1], pattern[12], noise[0], noise[-1], noise[37]]
         hits = {s: 0 for s in probes}
         position = {s: i for i, s in enumerate(ch.spots.tolist())}
@@ -704,8 +758,8 @@ class TestSimulatePerception:
         rng = make_rng(4426)
         ch = build_challenge(default_map, lib, "2", 75, rng)
         reps = 40
-        counts_pattern = rng.poisson(ch.i_tilde, size=reps * len(ch.pattern_spots))
-        counts_noise = rng.poisson(ch.i_tilde, size=reps * len(ch.noise_spots))
+        counts_pattern = rng.poisson(ch.i_tilde, size=reps * len(pattern_set(ch)))
+        counts_noise = rng.poisson(ch.i_tilde, size=reps * len(noise_set(ch)))
         result = stats.ks_2samp(counts_pattern, counts_noise)
         assert result.pvalue > 0.01
 
@@ -729,18 +783,18 @@ def percept(challenge, fired):
 
 class TestRecognize:
     def test_exact_percept_recognized_at_tightest_rule(self, challenge):
-        assert recognize(percept(challenge, challenge.pattern_spots), challenge,
+        assert recognize(percept(challenge, pattern_set(challenge)), challenge,
                          RecognitionRule(1, 1))
 
     def test_five_missed_of_25_fails_at_k5(self, challenge):
-        pattern = sorted(challenge.pattern_spots)
+        pattern = sorted(pattern_set(challenge))
         perceived = percept(challenge, pattern[5:])
         assert not recognize(perceived, challenge, RecognitionRule(5, 5))
         assert recognize(perceived, challenge, RecognitionRule(6, 5))
 
     def test_four_missed_four_noise_passes_at_k5_l5(self, challenge):
-        pattern = sorted(challenge.pattern_spots)
-        noise = sorted(challenge.noise_spots)
+        pattern = sorted(pattern_set(challenge))
+        noise = sorted(noise_set(challenge))
         perceived = percept(challenge, pattern[4:] + noise[:4])
         assert recognize(perceived, challenge, RecognitionRule(5, 5))
         assert not recognize(perceived, challenge, RecognitionRule(5, 4))
@@ -752,7 +806,7 @@ class TestRecognize:
         # percept that does not line up with the challenge is refused
         assert simulate_perception(challenge, default_map, 6, make_rng(4453)).shape == (
             challenge.spots.shape)
-        perceived = percept(challenge, challenge.pattern_spots | {10_001, 10_002})
+        perceived = percept(challenge, pattern_set(challenge) | {10_001, 10_002})
         assert recognize(perceived, challenge, RecognitionRule(1, 1))
         with pytest.raises(DomainError, match="each of the challenge's spots"):
             recognize(np.append(perceived, True), challenge, RecognitionRule(1, 1))
