@@ -51,6 +51,7 @@ from .photon_stats import (
     gk,
     gk_inverse,
     prob_see,
+    relative_entropy,
     solve_q_intensity,
 )
 from .physics_bounds import (
@@ -99,7 +100,6 @@ from .strategy_pattern import (
 from .strategy_serial import (
     SerialPlan,
     SerialResult,
-    relative_entropy,
     run_serial,
     solve_w_N,
 )

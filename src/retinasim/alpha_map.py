@@ -273,16 +273,16 @@ def load(path: str | Path) -> AlphaMap:
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        data = path.read_bytes()
     except OSError as exc:
         raise MapFormatError(f"{path}: cannot read map file: {exc}") from exc
     try:
-        doc = json.loads(text)
+        doc = json.loads(data)
     except json.JSONDecodeError as exc:
         raise MapFormatError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    except ValueError as exc:  # an integer past the int-from-string digit limit
+    except ValueError as exc:  # bytes in no UTF encoding, or an integer past the digit limit
         raise MapFormatError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise MapFormatError(f"{path}: top-level JSON value must be an object")

@@ -271,13 +271,13 @@ class RunConfig:
 
 def load_config(path: str | Path) -> RunConfig:
     """Read a JSON config file mirroring :class:`RunConfig` field for field."""
-    text = Path(path).read_text()
+    data = Path(path).read_bytes()
     try:
-        doc = json.loads(text)
+        doc = json.loads(data)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path}: invalid JSON at line "
                           f"{exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    except ValueError as exc:  # an integer past the int-from-string digit limit
+    except ValueError as exc:  # bytes in no UTF encoding, or an integer past the digit limit
         raise ConfigError(f"config file {path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"config file {path}: top level must be an object")

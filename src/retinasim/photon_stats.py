@@ -9,8 +9,8 @@ flash is the upper Poisson tail
 
 which equals the regularized lower incomplete gamma function ``P(K, x)``
 evaluated at integer order.  For an integer ``K`` that is a short Poisson
-sum, which this module evaluates directly, along with its inverse (a Newton
-iteration on the same sum) and its mean over a band of means (in closed
+sum, which this module evaluates directly, along with its inverse (a
+bisection on the same sum) and its mean over a band of means (in closed
 form).  Everything downstream — interrogation designs, sequential tests,
 pattern challenges — is built on this one function and its inverse.
 
@@ -19,6 +19,9 @@ low-transmission spot is seen with some small probability ``q`` while a
 high-transmission spot is *missed* with the same probability ``q``.  Routine
 :func:`solve_q_intensity` computes that design from the pair of transmission
 coefficients.
+
+The Bernoulli relative entropy, :func:`relative_entropy`, lives here too:
+it is the Chernoff exponent by which every test is sized.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ __all__ = [
     "gk",
     "gk_inverse",
     "prob_see",
+    "relative_entropy",
     "solve_q_intensity",
 ]
 
@@ -46,46 +50,38 @@ _FACTORIALS = tuple(float(math.factorial(j)) for j in range(109))
 #: Largest mean whose ``exp(-x)`` is a normal double, with room to spare.
 _PRODUCT_X_MAX = 700.0
 
-#: Smallest positive normal double.
-_MIN_NORMAL = 2.2250738585072014e-308
-
 #: Widest band, in units of the scale on which ``gk`` changes, whose mean
 #: :func:`_gk_mean` takes from its Taylor series.
 _NARROW_BAND = 0.05
-
-#: Newton steps :func:`_inverse_tail` takes before it gives up.
-_NEWTON_STEPS = 100
 
 #: Smallest wrong-answer probability ``q`` :func:`solve_q_intensity`
 #: accepts, and its distance below 1/2 at the other end.
 _Q_MIN = 1e-12
 
 
-def _log_pmf(j: int, x: float) -> float:
-    """``log P[Poisson(x) = j]`` for ``x > 0``, through ``lgamma``: for the
-    ``j`` and ``x`` the product of :func:`_poisson_pmf` does not serve, or a
-    probability too small for it.  Its absolute error grows with the size
-    of the terms, about ``(j log x + x) * 2**-53``."""
-    return j * math.log(x) - x - math.lgamma(j + 1.0)
-
-
 def _poisson_pmf(j: int, x: float) -> float:
     """``P[Poisson(x) = j]`` for ``j >= 0`` and ``x > 0``: the product
     ``exp(-x) * x**j / j!``, a few roundings, while ``j!`` is tabled and
-    ``exp(-x)`` normal; else from :func:`_log_pmf`."""
+    ``exp(-x)`` normal; else through ``lgamma``, whose absolute error in the
+    logarithm grows with the size of the terms, about
+    ``(j log x + x) * 2**-53``."""
     if j < len(_FACTORIALS) and x <= _PRODUCT_X_MAX:
         return math.exp(-x) * x**j / _FACTORIALS[j]
-    return math.exp(_log_pmf(j, x))
+    return math.exp(j * math.log(x) - x - math.lgamma(j + 1.0))
 
 
-def _tail(k: int, x: float) -> tuple[int, float, bool]:
-    """The tail of Poisson(``x``) about ``k`` on the far side of the mean,
-    as ``(j, s, upper)``: the tail is ``_poisson_pmf(j, x) * s``, and it is
-    ``P[N >= k]`` (``j = k``, ``upper``) when ``x < k``, else ``P[N < k]``
-    (``j = k - 1``).  ``s`` sums the terms over the first one, each term
-    smaller than the last, and stops at the first that no longer changes
-    it.  The tail summed is never much above 1/2, so its complement loses
-    nothing."""
+def _seen_and_missed(k: int, x: float) -> tuple[float, float]:
+    """``(P[N >= k], P[N < k])`` for ``N ~ Poisson(x)``, ``x >= 0``.
+
+    Sums the tail on the far side of the mean, ``P[N >= k]`` up from
+    ``j = k`` when ``x < k``, else ``P[N < k]`` down from ``j = k - 1``, as
+    the Poisson probability of ``j`` times the sum of each term over it;
+    each term is smaller than the last, and the sum stops at the first that
+    no longer changes it.  The other tail is the complement: the tail
+    summed is never much above 1/2, so whichever of the two is small keeps
+    its relative precision."""
+    if x == 0.0:
+        return 0.0, 1.0
     term, total = 1.0, 0.0
     if x < k:
         n = k
@@ -93,24 +89,15 @@ def _tail(k: int, x: float) -> tuple[int, float, bool]:
             total += term
             n += 1
             term *= x / n
-        return k, total, True
+        tail = _poisson_pmf(k, x) * total
+        return tail, 1.0 - tail
     n = k - 1
     while total + term != total:
         total += term
         term *= n / x
         n -= 1
-    return k - 1, total, False
-
-
-def _seen_and_missed(k: int, x: float) -> tuple[float, float]:
-    """``(P[N >= k], P[N < k])`` for ``N ~ Poisson(x)``, ``x >= 0``: the
-    tail on the far side of the mean summed, the other its complement, so
-    whichever of the two is small keeps its relative precision."""
-    if x == 0.0:
-        return 0.0, 1.0
-    j, total, upper = _tail(k, x)
-    tail = _poisson_pmf(j, x) * total
-    return (tail, 1.0 - tail) if upper else (1.0 - tail, tail)
+    tail = _poisson_pmf(k - 1, x) * total
+    return 1.0 - tail, tail
 
 
 def gk(k: int, x: float) -> float:
@@ -130,53 +117,24 @@ def gk(k: int, x: float) -> float:
 def _inverse_tail(k: int, p: float) -> float:
     """The mean ``x`` at which ``gk(k, x) == p``, for ``0 < p < 1``.
 
-    Newton's method on the logarithm of the tail the root leaves small:
-    ``log P[N >= k]`` against ``log p``, in ``log x``, when ``p <= 1/2``;
-    ``log P[N < k]`` against ``log(1 - p)`` (``1 - p`` is exact there), in
-    ``x``, otherwise.  The derivative of ``P[N >= k]`` in ``x`` is the
-    Poisson probability of ``k - 1``.  Both logarithms are concave (the
-    gamma law is log-concave), so Newton never steps past the root from the
-    side it approaches: every iterate for ``p <= 1/2`` lies below the root
-    and rises, and every iterate after the first for ``p > 1/2`` lies above
-    it and falls.  A tail too small for a double is
-    carried as its logarithm.  Stops when a step moves ``x`` by at most
-    4 ulp, or, where rounding noise in the tail outgrows that (large
-    ``k``), when a step turns back.
+    Bisection (:func:`_bisect`) on the tail the root leaves small, so a
+    root deep in either tail keeps its relative precision.  For
+    ``p <= 1/2``, ``P[N >= k] - p`` over ``[0, k]``: at mean ``k`` the
+    count reaches ``k`` with probability above 1/2.  For ``p > 1/2``,
+    ``(1 - p) - P[N < k]`` (``1 - p`` is exact there) over ``[0, hi]``,
+    ``hi`` doubled from ``k`` until it brackets the root.  ``_bisect``
+    returns the upper end of its final bracket; the first search runs on
+    ``-x``, so that end is the lower one in ``x``.  Either way the small
+    tail at the ``x`` returned does not exceed its target:
+    ``P[N >= k] <= p``, or ``P[N < k] <= 1 - p``.
     """
-    lower = p <= 0.5
-    if lower:
-        target = math.log(p)
-        # P[N >= k] <= x**k / k!, so this start lies at or below the root.
-        x = math.exp((target + math.lgamma(k + 1.0)) / k)
-    else:
-        target = math.log(1.0 - p)
-        x = float(k)
-    for step in range(_NEWTON_STEPS):
-        j, total, upper = _tail(k, x)
-        pmf = _poisson_pmf(j, x)
-        to_k_minus_1 = k / x if upper else 1.0  # pmf(k - 1) / pmf(j)
-        if upper == lower:  # the tail summed is the one solved for
-            log_pmf = (math.log(pmf) if pmf >= _MIN_NORMAL
-                       else _log_pmf(j, x))
-            log_tail = log_pmf + math.log(total)
-            rate = to_k_minus_1 / total
-        else:
-            tail = 1.0 - pmf * total
-            log_tail = math.log(tail)
-            rate = pmf * to_k_minus_1 / tail
-        # ``rate`` is |d log(tail) / dx|.
-        if lower:
-            new_x = x * math.exp((target - log_tail) / (x * rate))
-        else:
-            new_x = x + (log_tail - target) / rate
-        if abs(new_x - x) <= 4 * math.ulp(x):
-            return new_x
-        if (new_x <= x) == lower and step > 0:  # rounding noise: Newton turned back
-            return x
-        x = new_x
-    raise InfeasibleError(
-        f"inverse seeing probability did not converge for k={k}, p={p!r}"
-    )
+    if p <= 0.5:
+        return -_bisect(lambda t: _seen_and_missed(k, -t)[0] - p, -float(k), 0.0)
+    missed = 1.0 - p
+    hi = float(k)
+    while _seen_and_missed(k, hi)[1] > missed:
+        hi *= 2.0
+    return _bisect(lambda x: missed - _seen_and_missed(k, x)[1], 0.0, hi)
 
 
 def _gk_mean(k: int, lo: float, hi: float) -> float:
@@ -215,8 +173,8 @@ def gk_inverse(k: int, p: float) -> float:
     """Mean photon number at which the seeing probability equals ``p``.
 
     Inverse of :func:`gk` in its second argument; ``p`` must lie strictly
-    inside (0, 1).  Solved by a safeguarded Newton iteration on the same
-    Poisson sum (see :func:`_inverse_tail`).
+    inside (0, 1).  Solved by bisection on the same Poisson sum (see
+    :func:`_inverse_tail`).
     """
     return _inverse_tail(_count("threshold K", k, 1), _real("probability", p, "(0, 1)"))
 
@@ -265,6 +223,31 @@ def _bisect(f, lo: float, hi: float) -> float:
             lo, f_lo = mid, f_mid
         else:
             hi, f_hi = mid, f_mid
+
+
+def relative_entropy(x: float, y: float) -> float:
+    """Relative entropy H(x|y) between Bernoulli(x) and Bernoulli(y), in nats.
+
+    H(x|y) = x log(x/y) + (1-x) log((1-x)/(1-y)), with the usual convention
+    0 log 0 = 0.  Nonnegative, zero iff x == y.  For a degenerate reference
+    (y in {0, 1}) the divergence is 0 when x matches the point mass and
+    +inf otherwise.
+    """
+    return _relative_entropy(_real("x", x, "[0, 1]"), _real("y", y, "[0, 1]"))
+
+
+def _relative_entropy(x: float, y: float) -> float:
+    """:func:`relative_entropy` of two floats already checked to lie in
+    [0, 1]."""
+    if y == 0.0 or y == 1.0:
+        return 0.0 if x == y else math.inf
+    total = 0.0
+    if x > 0.0:
+        total += x * math.log(x / y)
+    if x < 1.0:
+        total += (1.0 - x) * math.log((1.0 - x) / (1.0 - y))
+    # Guard against a tiny negative from rounding when x ~ y.
+    return max(total, 0.0)
 
 
 def solve_q_intensity(

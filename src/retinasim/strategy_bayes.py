@@ -39,8 +39,13 @@ import numpy as np
 
 from .alpha_map import UniformBands, inner_edges
 from .errors import ConfigError, DomainError, _count, _real
-from .photon_stats import DEFAULT_THRESHOLD, _bisect, gk, solve_q_intensity
-from .strategy_serial import relative_entropy
+from .photon_stats import (
+    DEFAULT_THRESHOLD,
+    _bisect,
+    gk,
+    relative_entropy,
+    solve_q_intensity,
+)
 from .subjects import SubjectModel, class_seeing_means, interrogate, open_scope
 
 __all__ = [

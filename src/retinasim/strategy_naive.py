@@ -44,8 +44,7 @@ import numpy as np
 
 from .alpha_map import AlphaMap
 from .errors import ConfigError, DomainError, InfeasibleError, _count, _real
-from .photon_stats import DEFAULT_THRESHOLD, gk_inverse
-from .strategy_serial import relative_entropy
+from .photon_stats import DEFAULT_THRESHOLD, gk_inverse, relative_entropy
 from .subjects import AnswerLaw, SubjectModel, open_scope
 
 __all__ = [

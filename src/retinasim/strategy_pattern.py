@@ -43,8 +43,7 @@ from .errors import (
     _count,
     _real,
 )
-from .photon_stats import gk
-from .strategy_serial import _relative_entropy
+from .photon_stats import _relative_entropy, gk
 from .subjects import SubjectModel, honest_threshold
 
 __all__ = [

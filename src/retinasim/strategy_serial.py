@@ -36,41 +36,15 @@ import numpy as np
 
 from .alpha_map import AlphaMap, SpotClass, UniformBands, require_support
 from .errors import DomainError, InfeasibleError, _count, _real
-from .photon_stats import _bisect
+from .photon_stats import _bisect, relative_entropy
 from .subjects import SubjectModel, interrogate, open_scope
 
 __all__ = [
     "SerialPlan",
     "SerialResult",
-    "relative_entropy",
     "solve_w_N",
     "run_serial",
 ]
-
-
-def relative_entropy(x: float, y: float) -> float:
-    """Relative entropy H(x|y) between Bernoulli(x) and Bernoulli(y), in nats.
-
-    H(x|y) = x log(x/y) + (1-x) log((1-x)/(1-y)), with the usual convention
-    0 log 0 = 0.  Nonnegative, zero iff x == y.  For a degenerate reference
-    (y in {0, 1}) the divergence is 0 when x matches the point mass and
-    +inf otherwise.
-    """
-    return _relative_entropy(_real("x", x, "[0, 1]"), _real("y", y, "[0, 1]"))
-
-
-def _relative_entropy(x: float, y: float) -> float:
-    """:func:`relative_entropy` of two floats already checked to lie in
-    [0, 1]."""
-    if y == 0.0 or y == 1.0:
-        return 0.0 if x == y else math.inf
-    total = 0.0
-    if x > 0.0:
-        total += x * math.log(x / y)
-    if x < 1.0:
-        total += (1.0 - x) * math.log((1.0 - x) / (1.0 - y))
-    # Guard against a tiny negative from rounding when x ~ y.
-    return max(total, 0.0)
 
 
 @dataclass(frozen=True)

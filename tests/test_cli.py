@@ -73,6 +73,24 @@ class TestUsageErrors:
         assert main(["identify", "--config", str(path)]) == 3
         assert "invalid JSON" in capsys.readouterr().err
 
+    def test_config_file_not_in_a_utf_encoding(self, tmp_path, capsys):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\x7fELF\x02\x01\x01\xff\xfe\x00{")
+        assert main(["solve", "--config", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: config file {path}: invalid JSON")
+
+    def test_map_file_not_in_a_utf_encoding(self, tmp_path, capsys):
+        store = tmp_path / "binary.json"
+        store.write_bytes(b"\x7fELF\x02\x01\x01\xff\xfe\x00{")
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"map_file": str(store)}))
+        assert main(["identify", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {store}: invalid JSON")
+
     def test_unknown_config_field(self, tmp_path, capsys):
         path = tmp_path / "extra.json"
         path.write_text('{"warp_factor": 9}')

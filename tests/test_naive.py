@@ -453,8 +453,13 @@ class TestLawLevelDraws:
         above 1/2, so the honest seeing probability at the published
         ``p_c = 1/2`` (a few ulp below it) crossing 1/2 would change every
         honest count while keeping the law.  ``TrialRecord`` holds no
-        per-spot counts, so no pinned digest would see that change."""
+        per-spot counts, so no pinned digest would see that change.  The
+        inverse never overshoots into the small tail, so no threshold's
+        tuned mean is seen with probability above 1/2 (several land on it
+        exactly, where NumPy does not reflect)."""
         assert gk(6, strategy_naive._tuned_mean(6, 0.5)) < 0.5
+        for k in range(1, 101):
+            assert gk(k, strategy_naive._tuned_mean(k, 0.5)) <= 0.5, k
 
     def test_honest_seeing_probability_is_computed_once(self, default_map,
                                                         monkeypatch):
@@ -462,6 +467,8 @@ class TestLawLevelDraws:
         sessions at one plan evaluate it once."""
         from retinasim import photon_stats
 
+        # The inverse evaluates the seeing probability too: solve it first.
+        x_star = strategy_naive._tuned_mean(6, 0.4375)
         calls = []
         seen_and_missed = photon_stats._seen_and_missed  # what ``gk`` sums
         monkeypatch.setattr(photon_stats, "_seen_and_missed",
@@ -471,7 +478,7 @@ class TestLawLevelDraws:
         rng = make_rng(4126)
         for _ in range(2):
             run_naive(AliceSubject(k=5), default_map, plan, rng)
-        assert calls == [(5, strategy_naive._tuned_mean(6, 0.4375))]
+        assert calls == [(5, x_star)]
 
     def test_fair_coin_exact_acceptance_and_counts(self, default_map):
         plan = _published_plan()

@@ -29,7 +29,7 @@ from retinasim import (
 from retinasim import UniformBands
 from retinasim.subjects import class_seeing_means
 from retinasim import strategy_bayes, strategy_serial
-from retinasim.photon_stats import _bisect
+from retinasim.photon_stats import _bisect, _seen_and_missed
 
 K_GRID = [1, 2, 3, 6, 10, 20]
 X_GRID = [0.0, 1e-9, 1e-3, 0.31, 1.0, 3.12, 6.0, 9.36, 12.96, 30.0, 100.0, 400.0]
@@ -148,6 +148,43 @@ def test_inverse_of_gk_returns_the_mean(k):
         p = gk(k, x)
         if 1e-300 < p < 0.99:
             assert gk_inverse(k, p) == pytest.approx(x, rel=1e-12)
+
+
+#: Seeing probabilities log-spaced from 1/2 down to 1e-300, and from 1/2 up
+#: to ``1 - 1e-16`` log-spaced in their distance from 1.
+_P_LOW = [0.5 * 2e-300 ** (i / 49) for i in range(50)]
+_P_HIGH = [1.0 - 0.5 * 2e-16 ** (i / 49) for i in range(1, 50)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 6, 10, 20, 30, 100, 1000])
+def test_inverse_leaves_the_small_tail_at_or_below_its_target(k):
+    """At the mean returned, ``P[N >= k] <= p`` for ``p <= 1/2`` and
+    ``P[N < k] <= 1 - p`` above it: the root is never overshot into the
+    tail it leaves small."""
+    for p in _P_LOW:
+        assert gk(k, gk_inverse(k, p)) <= p
+    for p in _P_HIGH:
+        assert 1.0 - p >= _seen_and_missed(k, gk_inverse(k, p))[1]
+
+
+def decimal_root(k: int, p: float, digits: int = 60) -> Decimal:
+    """The mean at which P[Poisson(x) >= k] equals ``p``, to ``digits``
+    significant digits: Newton's method on :func:`decimal_tail`, whose
+    slope in ``x`` is the Poisson probability of ``k - 1``, from SciPy's
+    ``gammaincinv`` (within 1e-12 of the root, so five steps converge)."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        x, target = Decimal(float(gammaincinv(k, p))), Decimal(p)
+        for _ in range(5):
+            slope = (-x).exp() * x ** (k - 1) / math.factorial(k - 1)
+            x -= (decimal_tail(k, x, digits) - target) / slope
+        return +x
+
+
+@pytest.mark.parametrize("k", K_GRID)
+def test_inverse_within_16_ulp_of_decimal_root(k):
+    for p in _P_LOW + _P_HIGH:
+        assert ulps_off(gk_inverse(k, p), decimal_root(k, p)) <= 16, p
 
 
 def _decimal_operating_point(alpha_low, alpha_high, k):

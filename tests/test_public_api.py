@@ -159,6 +159,27 @@ def test_subject_kinds_are_named_in_no_other_module():
     assert found == []
 
 
+def test_no_strategy_module_imports_another():
+    """What two strategies share lives below them (``photon_stats``,
+    ``subjects``, ``alpha_map``): no ``strategy_*`` module imports from a
+    sibling."""
+    found = []
+    for module in MODULES:
+        if not module.__name__.startswith("retinasim.strategy_"):
+            continue
+        tree = ast.parse(Path(module.__file__).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):  # ``from . import strategy_x`` too
+                sources = [node.module or "", *(a.name for a in node.names)]
+            elif isinstance(node, ast.Import):
+                sources = [a.name for a in node.names]
+            else:
+                continue
+            found += [f"{module.__name__}:{node.lineno}" for source in sources
+                      if source.rpartition(".")[2].startswith("strategy_")]
+    assert found == []
+
+
 #: How a rule is worded: a fixed interval (a computed window such as
 #: ``SequentialPlan``'s "must lie in ({lo}, {hi})" is a relation, not a
 #: rule), a least value, wholeness or finiteness.
