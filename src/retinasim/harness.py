@@ -570,17 +570,15 @@ class TrialStats:
 
 
 def merge_records(records: Iterable[TrialRecord]) -> TrialStats:
-    """Fold trial records into summary statistics.  The counts, the
-    histogram, ``t_mean`` and ``t_stderr`` come from sums of integers (exact
-    below 2**53), so any order or partition of the records gives them bit
-    for bit.  The drift
-    sums are floats folded in the order given: :func:`montecarlo` passes
-    trial order, which keeps its artifacts byte-identical, and another order
-    agrees with it only to rounding."""
+    """Fold trial records into summary statistics.  The counts and the
+    histogram are integers, and ``t_mean`` and ``t_stderr`` come from the
+    histogram's exact integer moments, so any order or partition of the
+    records gives them bit for bit.  The drift sums are floats folded in
+    the order given: :func:`montecarlo` passes trial order, which keeps its
+    artifacts byte-identical, and another order agrees with it only to
+    rounding."""
     n_trials = accepted = timed_out = violations = 0
     histogram: dict[int, int] = {}
-    t_sum = 0.0
-    t_sumsq = 0.0
     walk_trials: list[tuple[float, int]] = []
     for record in records:
         n_trials += 1
@@ -589,12 +587,12 @@ def merge_records(records: Iterable[TrialRecord]) -> TrialStats:
         violations += record.boundary_violation
         if not record.timed_out:
             histogram[record.rounds] = histogram.get(record.rounds, 0) + 1
-            t_sum += record.rounds
-            t_sumsq += record.rounds * record.rounds
         if record.final_log_odds is not None and math.isfinite(record.final_log_odds):
             walk_trials.append((record.final_log_odds, record.rounds))
     terminated = n_trials - timed_out
     if terminated > 0:
+        t_sum = sum(t * count for t, count in histogram.items())
+        t_sumsq = sum(t * t * count for t, count in histogram.items())
         t_mean = t_sum / terminated
         if terminated > 1:
             var = max(t_sumsq / terminated - t_mean * t_mean, 0.0)

@@ -44,7 +44,7 @@ import numpy as np
 
 from .alpha_map import AlphaMap
 from .errors import ConfigError, DomainError, InfeasibleError, _count, _real
-from .photon_stats import DEFAULT_THRESHOLD, gk_inverse, relative_entropy
+from .photon_stats import DEFAULT_THRESHOLD, _relative_entropy, gk_inverse
 from .subjects import AnswerLaw, SubjectModel, open_scope
 
 __all__ = [
@@ -135,8 +135,21 @@ def acceptance_counts(
             f"(p_fp**(1/mu) * (nu+1) = {per_spot_budget * (nu + 1)!r} < 1); "
             "increase nu or relax p_fp"
         )
-    center = nu * p_c
-    n_l = int(math.floor(center - width / 2.0 + 0.5))
+    n_l, n_r, clipped = _window(p_c, nu, width)
+    if clipped:
+        warnings.warn(
+            f"acceptance window clipped to [{n_l}, {n_r}] within counts 0..{nu}",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    return n_l, n_r
+
+
+def _window(p_c: float, nu: int, width: int) -> tuple[int, int, bool]:
+    """:func:`acceptance_counts`' window of ``width`` counts, unchecked, and
+    whether it was clipped.  For ``2 <= width <= nu + 1`` it straddles
+    ``nu * p_c``: each unclipped edge is ``width / 2 - 1/2`` or more away."""
+    n_l = int(math.floor(nu * p_c - width / 2.0 + 0.5))
     clipped = False
     if n_l < 0:
         n_l = 0
@@ -148,18 +161,7 @@ def acceptance_counts(
         clipped = True
         if n_l < 0:
             n_l = 0
-    if clipped:
-        warnings.warn(
-            f"acceptance window clipped to [{n_l}, {n_r}] within counts 0..{nu}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    if not (n_l < center < n_r):
-        raise InfeasibleError(
-            f"cannot centre an acceptance window of width {width} on "
-            f"nu * p_c = {center!r} within counts 0..{nu}"
-        )
-    return n_l, n_r
+    return n_l, n_r, clipped
 
 
 def required_nu(p_fp: float, p_fn: float, mu: int, p_c: float) -> int:
@@ -184,6 +186,11 @@ def required_nu(p_fp: float, p_fn: float, mu: int, p_c: float) -> int:
 
     limit = _NU_SEARCH_LIMIT
     budget = p_fp ** (1.0 / mu)  # as acceptance_counts computes it
+    if budget == 1.0:
+        raise InfeasibleError(
+            f"per-spot budget {budget!r} accepts every count at every nu; "
+            "the plan is vacuous"
+        )
     first = limit + 1  # no window within the limit: scan nothing
     if budget * first >= 1.0:
         # The least nu with budget * (nu + 1) >= 1 as acceptance_counts
@@ -206,24 +213,16 @@ def required_nu(p_fp: float, p_fn: float, mu: int, p_c: float) -> int:
         if 1.0 - (1.0 - least_w * (1.0 - 1e-6)) ** mu > p_fn:
             first = limit + 1
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for nu in range(first, limit + 1):
-            try:
-                n_l, n_r = acceptance_counts(p_c, nu, p_fp, mu)
-            except InfeasibleError:
-                continue
-            p_l = n_l / nu
-            p_r = n_r / nu
-            w = (
-                math.exp(-nu * relative_entropy(p_r, p_c))
-                + math.exp(-nu * relative_entropy(p_l, p_c))
-            ) / math.sqrt(2.0 * nu)
-            if w >= 1.0:
-                continue
-            p_fail = 1.0 - (1.0 - w) ** mu
-            if p_fail <= p_fn:
-                return nu
+    # From first on, 2 <= width <= nu + 1: acceptance_counts refuses none.
+    for nu in range(first, limit + 1):
+        width = int(math.floor(budget * (nu + 1))) + 1
+        n_l, n_r, _ = _window(p_c, nu, width)
+        w = (
+            math.exp(-nu * _relative_entropy(n_r / nu, p_c))
+            + math.exp(-nu * _relative_entropy(n_l / nu, p_c))
+        ) / math.sqrt(2.0 * nu)
+        if w < 1.0 and 1.0 - (1.0 - w) ** mu <= p_fn:
+            return nu
     raise InfeasibleError(
         f"no nu <= {limit} meets p_fp={p_fp!r}, p_fn={p_fn!r} "
         f"with mu={mu}, p_c={p_c!r}"

@@ -69,6 +69,11 @@ def test_map_validation_errors():
     assert "4" in str(err.value)  # names the offending spot
 
 
+def test_synthetic_map_refuses_an_inverted_band():
+    with pytest.raises(DomainError, match=r"need 0 < alpha_min < alpha_max <= 1"):
+        generate_synthetic(10, 10, 0.18, 0.02, 1)
+
+
 def test_nan_value_is_outside_the_band():
     with pytest.raises(DomainError, match=r"alpha\[0\] = nan outside"):
         AlphaMap(2, 1, [math.nan, 0.1], 0.02, 0.18)
@@ -327,4 +332,24 @@ class TestLoadErrors:
         doc["alpha"][2] = 0.125
         path.write_text(json.dumps(doc).replace("0.125", "1" * 5000, 1))
         with pytest.raises(MapFormatError, match=r"map\.json: invalid JSON"):
+            load(path)
+
+    @pytest.mark.parametrize(("field", "value", "message"), [
+        ("width", "10", "field 'width' must be an integer, got '10'"),
+        ("alpha_min", "x", "field 'alpha_min' must be a number, got 'x'"),
+        ("alpha", {}, "field 'alpha' must be an array"),
+    ])
+    def test_field_of_the_wrong_type_named(self, field, value, message, tmp_path):
+        path = tmp_path / "map.json"
+        save(generate_synthetic(3, 2, 0.02, 0.18, seed=1), path)
+        doc = json.loads(path.read_text())
+        doc[field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MapFormatError, match=f"map\\.json: {message}"):
+            load(path)
+
+    def test_top_level_array_refused(self, tmp_path):
+        path = tmp_path / "map.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(MapFormatError, match="top-level JSON value must be an object"):
             load(path)

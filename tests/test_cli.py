@@ -7,6 +7,7 @@ import ast
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -327,6 +328,15 @@ class TestIdentify:
         # transcript table with the running log odds
         assert "log_odds" in out
 
+    def test_long_transcript_is_cut_with_a_count(self, monkeypatch, capsys):
+        monkeypatch.setattr(retinasim.harness, "_TRANSCRIPT_CAP", 5)
+        assert main(["identify", "--seed", "4601"]) == 0
+        out = capsys.readouterr().out
+        rounds = int(re.search(r"outcome: accept after (\d+) rounds", out).group(1))
+        assert rounds > 5
+        assert f"\n... ({rounds - 5} more rounds)\n" in out
+        assert re.findall(r"^ +(\d+) +0\.", out, re.MULTILINE) == ["1", "2", "3", "4", "5"]
+
     def test_impostor_rejected(self, capsys):
         code = main(["identify", "--seed", "4601", "--subject", "eve:faircoin"])
         assert code == 1
@@ -611,6 +621,16 @@ class TestSolveCommand:
         out = capsys.readouterr().out
         assert f"rounds N = {plan.n_rounds}" in out
         assert f"q = {plan.q:.6f}" in out
+
+
+    def test_infeasible_naive_plan_is_reported_not_refused(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"naive_mu": 2}))
+        assert main(["solve", "--config", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[lines.index("per-spot counting test") + 1].startswith(
+            "  infeasible: no nu <= 1000000 meets p_fp=1e-10, p_fn=0.0001 with mu=2"
+        )
 
 
 class TestPatternCommand:

@@ -1,4 +1,51 @@
-"""Tests for the per-spot interrogation protocol (planning and runner)."""
+"""Tests for the per-spot interrogation protocol (planning and runner).
+
+Seeded statistical checks and the probability that each fails although the
+code implements its law (a re-draw of the records passes or fails them by
+chance with this probability; every other check here is exact).  Each count
+the naive runner draws is binomial, so a binomial-tail check's probability is
+its law's mass on the counts the check refuses, summed in 50-digit
+arithmetic.  A G-test's has no closed form: its figure is the share of 50,000
+simulated re-draws of the exact pooled-count law that the test refuses.
+
+=====================================================  ======================
+check                                                  false-failure
+                                                       probability
+=====================================================  ======================
+``test_honest_user_reject_rate_within_target``         4.2e-4 (4 or more of
+                                                       2000 sessions
+                                                       rejected, each with
+                                                       probability 1.69e-4)
+``test_uniform_bias_impostor_pass_rate``               6.4e-6 (9 or more of
+                                                       2000 accepted, each
+                                                       with 6.22e-4) + 4.7e-4
+                                                       (pooled per-spot 3.5σ
+                                                       check, over the
+                                                       sessions' stopping
+                                                       law)
+``test_uniform_count_law_single_spot``                 0.0027 (3σ, Bin(3000,
+                                                       32/51))
+``test_uniform_count_law_vectorized``                  0.0027 (3σ,
+                                                       Bin(100000, 32/51))
+``test_bias_redrawn_for_every_spot``                   0.0027 (3σ, Bin(3000,
+                                                       1/27)); the check
+                                                       against the shared
+                                                       bias 8e-124
+``test_result_records_all_spot_counts_on_accept``      1.7e-4 (one honest
+                                                       session rejected)
+``test_honest_counts_are_binomial[6]``, ``[7]``        0.0013, 0.0010 (G-test
+                                                       at 1e-3; simulated,
+                                                       ±0.00016)
+``test_fair_coin_exact_acceptance_and_counts``         1.9e-4 (two-sided
+                                                       binomtest: 2995 or
+                                                       fewer of 3000
+                                                       accepted) + 0.0026
+                                                       (three G-tests;
+                                                       simulated, ±0.00023)
+``test_uniform_bias_counts_are_uniform``               0.0027 (three G-tests;
+                                                       simulated, ±0.00023)
+=====================================================  ======================
+"""
 
 from __future__ import annotations
 
@@ -94,6 +141,20 @@ class TestAcceptanceCounts:
     def test_rejects_out_of_domain_arguments(self, call):
         with pytest.raises(DomainError):
             call()
+
+    def test_every_window_straddles_the_centre(self):
+        """Every width the budget checks let through (2..nu+1) gives a
+        window inside [0, nu] that straddles nu * p_c, so the rule needs no
+        refusal of its own.  The p_c grid holds centres near both ends,
+        centres off the half-integers (j/997) and on them (i/8)."""
+        p_cs = [1e-9, 1 - 1e-9, *(j / 997 for j in range(1, 997, 20)),
+                *(i / 8 for i in range(1, 8))]
+        for p_c in p_cs:
+            for nu in range(1, 201):
+                for width in range(2, nu + 2):
+                    n_l, n_r, _ = strategy_naive._window(p_c, nu, width)
+                    assert 0 <= n_l < nu * p_c < n_r <= nu, (p_c, nu, width)
+                    assert n_r - n_l == min(width, nu), (p_c, nu, width)
 
     @given(
         p_c=st.floats(min_value=0.05, max_value=0.95),
@@ -201,14 +262,17 @@ class TestRequiredNu:
         else:
             assert required_nu(p_fp, p_fn, mu, p_c) == expected
 
-    def test_no_window_within_the_limit_is_refused_without_a_scan(self, monkeypatch):
+    @staticmethod
+    def _count_windows(monkeypatch):
+        """Record the arguments of every window the scan sizes."""
         calls = []
+        window = strategy_naive._window
+        monkeypatch.setattr(strategy_naive, "_window",
+                            lambda *args: calls.append(args) or window(*args))
+        return calls
 
-        def counted(*args):
-            calls.append(args)
-            return acceptance_counts(*args)
-
-        monkeypatch.setattr(strategy_naive, "acceptance_counts", counted)
+    def test_no_window_within_the_limit_is_refused_without_a_scan(self, monkeypatch):
+        calls = self._count_windows(monkeypatch)
         with pytest.raises(InfeasibleError, match="no nu <= 1000000"):
             required_nu(1e-10, 1e-4, 1, 0.5)
         assert calls == []
@@ -221,15 +285,17 @@ class TestRequiredNu:
         """At the default targets a window exists from nu ~ 10^5 (mu = 2) or
         ~ 2 * 10^3 (mu = 3) on, but none ever holds the honest count's
         spread: the lower bound on w refuses before any window is sized."""
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return acceptance_counts(*args)
-
-        monkeypatch.setattr(strategy_naive, "acceptance_counts", counted)
+        calls = self._count_windows(monkeypatch)
         with pytest.raises(InfeasibleError, match="no nu <= 1000000"):
             required_nu(1e-10, 1e-4, mu, 0.5)
+        assert calls == []
+
+    def test_vacuous_budget_is_refused_without_a_scan(self, monkeypatch):
+        """Below 1, p_fp**(1/mu) can round to 1: then every window accepts
+        every count, at every nu, and no scan can find a test."""
+        calls = self._count_windows(monkeypatch)
+        with pytest.raises(InfeasibleError, match="the plan is vacuous"):
+            required_nu(1 - 2**-53, 1e-4, 50, 0.5)
         assert calls == []
 
     @pytest.mark.parametrize(

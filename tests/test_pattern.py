@@ -31,11 +31,13 @@ check                                              false-failure probability
 
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import re
 import warnings
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -147,6 +149,10 @@ def entropy(x, y):
 # ---------------------------------------------------------------------------
 
 
+# 25 cells of the 5x7 grid: rows 0-4, every column.
+_BLOCK = [[x, y] for y in range(5) for x in range(5)]
+
+
 class TestGlyphLibrary:
     def test_library_size_and_shapes(self):
         lib = glyph_library()
@@ -173,6 +179,24 @@ class TestGlyphLibrary:
 
     def test_library_is_cached(self):
         assert glyph_library() is glyph_library()
+
+    @pytest.mark.parametrize(("grid", "glyphs", "message"), [
+        ([7, 5], {"a": _BLOCK}, r"glyph library grid \(7, 5\) != expected \(5, 7\)"),
+        ([5, 7], {"a": _BLOCK[:-1] + [[5, 0]]}, "glyph 'a' has pixels outside the grid"),
+        ([5, 7], {"a": _BLOCK[:3]}, r"glyph 'a' has 3 pixels, outside \[20, 30\]"),
+        ([5, 7], {"a": _BLOCK, "b": _BLOCK[::-1]}, "glyphs 'b' and 'a' are identical"),
+    ], ids=["grid", "outside", "size", "duplicate"])
+    def test_loader_refuses_a_malformed_library(self, grid, glyphs, message,
+                                                 monkeypatch):
+        """The loader's own body, past its cache, so the cached library is
+        never replaced."""
+        doc = json.dumps({"grid": grid, "size_range": [20, 30], "glyphs": glyphs})
+        data = SimpleNamespace(open=lambda: io.StringIO(doc))
+        package = SimpleNamespace(joinpath=lambda _name: data)
+        monkeypatch.setattr(strategy_pattern, "resources",
+                            SimpleNamespace(files=lambda _name: package))
+        with pytest.raises(ConfigError, match=message):
+            glyph_library.__wrapped__()
 
     def test_library_is_read_only(self):
         lib = glyph_library()

@@ -16,6 +16,7 @@ from retinasim import (
     DomainError,
     EveStrategy,
     FixedP,
+    InfeasibleError,
     PointPair,
     SerialPlan,
     SerialResult,
@@ -140,6 +141,11 @@ class TestSolveWN:
         need = np.maximum(math.log(1 / p_fn) / h_q, math.log(1 / p_fp) / h_half)
         _, n = solve_w_N(q, p_fp, p_fn)
         assert n == math.ceil(need.min())
+
+    def test_no_room_between_q_and_one_half_refused(self):
+        # q within the solver's 1e-12 margin of 1/2 leaves an empty bracket.
+        with pytest.raises(InfeasibleError, match=r"no decision fraction exists in \("):
+            solve_w_N(0.5 - 1e-13, 1e-10, 1e-4)
 
     def test_rounds_monotone_in_impostor_target(self):
         sizes = [solve_w_N(0.1, p_fp, 1e-4)[1] for p_fp in (1e-6, 1e-10, 1e-14)]
