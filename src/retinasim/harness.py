@@ -92,15 +92,135 @@ _DISTRIBUTION_FIELDS = {
 }
 
 
+#: Trial indices whose keys :func:`_key_block` computes in one call.  It
+#: divides 2**32, so the indices of a block all have the same number of
+#: 32-bit words, and hence one entropy layout.
+_KEY_BLOCK = 256
+
+#: ``np.random.SeedSequence``'s hash constants (O'Neill's ``seed_seq``
+#: design) and its pool size, 4 words of 32 bits.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+
+
+def _words(n: int) -> list[int]:
+    """The little-endian 32-bit words of ``n >= 0``; 0 is one word."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+@functools.lru_cache(maxsize=8)
+def _key_block(master_seed: int, block: int) -> np.ndarray:
+    """Read-only ``(_KEY_BLOCK, 2)`` uint64 Philox keys of the trial indices
+    ``block * _KEY_BLOCK`` onwards: row *r* is
+    ``SeedSequence([master_seed, index]).generate_state(2, np.uint64)``.
+
+    A port of ``SeedSequence``'s ``mix_entropy`` and ``generate_state`` to
+    uint32 arrays, one lane per index.  The hash constants stay Python ints
+    masked to 32 bits, so that no NumPy scalar product (which warns when it
+    wraps) is ever formed; array products wrap silently."""
+    # Every _Key is made right after a call here, and the first call in a
+    # process computes a block; registering at import instead would import
+    # numpy.random (~12 ms) into commands that draw nothing.
+    np.random.bit_generator.ISpawnableSeedSequence.register(_Key)
+    seed_words = _words(master_seed)
+    entropy = [np.full(_KEY_BLOCK, w, np.uint32)
+               for w in seed_words + _words(block * _KEY_BLOCK)]
+    # The index's low word is the only one that varies within the block.
+    entropy[len(seed_words)] += np.arange(_KEY_BLOCK, dtype=np.uint32)
+    entropy += [np.zeros(_KEY_BLOCK, np.uint32)] * (_POOL_SIZE - len(entropy))
+    const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _MASK32
+        value = value * const
+        return value ^ (value >> 16)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return result ^ (result >> 16)
+
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    state = []
+    const = _INIT_B
+    for word in pool:
+        word = word ^ const
+        const = const * _MULT_B & _MASK32
+        word = word * const
+        state.append((word ^ (word >> 16)).astype(np.uint64))
+    keys = np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=1)
+    keys.flags.writeable = False
+    return keys
+
+
+class _Key:
+    """A trial's seed sequence as Philox reads it: one precomputed key.
+    The real ``SeedSequence`` is built only when ``spawn`` or pickling asks
+    for it, so both behave as they do on it; a pickled stream loads with
+    that ``SeedSequence`` as its ``seed_seq``.
+    :func:`_key_block` registers this class as a virtual subclass of NumPy's
+    ``ISpawnableSeedSequence``, which Philox and ``spawn`` check for."""
+
+    def __init__(self, master_seed: int, trial_index: int, key: np.ndarray) -> None:
+        self._entropy = [master_seed, trial_index]
+        self._key = key
+        self._built = None
+
+    def _sequence(self) -> np.random.SeedSequence:
+        if self._built is None:
+            self._built = np.random.SeedSequence(self._entropy)
+        return self._built
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or dtype is not np.uint64:
+            raise DomainError(f"a trial key holds 2 uint64 words, not {n_words} {dtype}")
+        return self._key
+
+    def spawn(self, n_children):
+        return self._sequence().spawn(n_children)
+
+    def __reduce__(self):
+        return self._sequence().__reduce__()
+
+
 def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
     """Independent counter-based stream for one trial.
 
-    Streams for different ``(master_seed, trial_index)`` pairs never collide,
-    and constructing stream *i* does not require constructing streams
-    ``0..i-1`` first — the property that makes trial-level fan-out safe.
+    The stream is a fresh ``Generator`` on a fresh ``Philox`` with counter
+    0, whose key is the first two uint64 words of
+    ``np.random.SeedSequence([master_seed, trial_index])``: every draw is
+    the one that sequence would give.  Streams for different
+    ``(master_seed, trial_index)`` pairs never collide, and constructing
+    stream *i* does not require constructing streams ``0..i-1`` first — the
+    property that makes trial-level fan-out safe.
+
+    Keys are computed :data:`_KEY_BLOCK` indices at a time and the 8 most
+    recently used blocks are cached, so a sweep over ``0..N-1`` costs ~5 µs
+    a stream plus ~0.15 ms a block.  A call that makes 5 streams or so
+    about breaks even with building each ``SeedSequence``, and random
+    access over many blocks is slower than that.  ``bit_generator.seed_seq``
+    holds the key, not a ``SeedSequence``; ``spawn`` and pickling still
+    behave as they do on the ``SeedSequence``.
     """
-    key = [_count("seed", master_seed, 0), _count("trial index", trial_index, 0)]
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
+    master_seed = _count("seed", master_seed, 0)
+    trial_index = _count("trial index", trial_index, 0)
+    block, row = divmod(trial_index, _KEY_BLOCK)
+    key = _Key(master_seed, trial_index, _key_block(master_seed, block)[row])
+    return np.random.Generator(np.random.Philox(key))
 
 
 #: The least value of each count field of :class:`RunConfig`, and the
@@ -572,10 +692,13 @@ class TrialStats:
 def merge_records(records: Iterable[TrialRecord]) -> TrialStats:
     """Fold trial records into summary statistics.  The counts and the
     histogram are integers, and ``t_mean`` and ``t_stderr`` come from the
-    histogram's exact integer moments, so any order or partition of the
-    records gives them bit for bit.  The drift sums are floats folded in
-    the order given: :func:`montecarlo` passes trial order, which keeps its
-    artifacts byte-identical, and another order agrees with it only to
+    histogram's exact integer sums, so any order or partition of the
+    records gives them bit for bit.  ``t_stderr`` is not exact, though: it
+    takes the float difference ``Σt²/n - mean²``, which cancels once the
+    stopping times are large against their spread (four records of 3e8 to
+    3e8+3 rounds give 0.0, not 0.6455).  The drift sums are floats folded
+    in the order given: :func:`montecarlo` passes trial order, which keeps
+    its artifacts byte-identical, and another order agrees with it only to
     rounding."""
     n_trials = accepted = timed_out = violations = 0
     histogram: dict[int, int] = {}
