@@ -35,9 +35,7 @@ from .harness import (
 )
 from .photon_stats import gk
 from .strategy_bayes import drift_bounds, optimality_lower_bound, stopping_time_bounds
-from .strategy_naive import acceptance_counts, required_nu
 from .strategy_pattern import false_positive_rate, optimize_intensity
-from .strategy_serial import solve_w_N
 from .subjects import Adaptive, EveContext
 
 __all__ = [
@@ -143,6 +141,9 @@ def cmd_identify(config: RunConfig) -> int:
     """Run one session, trial 0 of the ``montecarlo`` run with the same
     seed; print the plan, the transcript and the decision."""
     interactive = config.subject == "interactive"
+    if interactive and not STRATEGIES[config.strategy].asks_subject:
+        raise ConfigError(f"strategy {config.strategy!r} asks the subject nothing, "
+                          "so subject 'interactive' cannot answer it")
     context = prepare(
         dataclasses.replace(config, subject="eve:faircoin") if interactive else config
     )
@@ -177,21 +178,9 @@ def cmd_montecarlo(config: RunConfig) -> int:
     return 0
 
 
-def _operating_lines(config: RunConfig) -> list[str]:
-    q, i_tilde = config.operating_point()
-    classes = "  ".join(f"{name}={getattr(config, name)}"
-                        for name in _DISTRIBUTION_FIELDS[config.distribution])
-    lines = [
-        "operating point",
-        f"  classes: {classes}  K={config.k}",
-        f"  wrong-answer probability q = {q:.6f}",
-        f"  pulse intensity i_tilde    = {i_tilde:.4f}",
-    ]
-    return lines
-
-
-def _bounds_lines(config: RunConfig, alpha_map: AlphaMap) -> list[str]:
-    q, i_tilde = config.operating_point()
+def _bounds_lines(
+    config: RunConfig, alpha_map: AlphaMap, q: float, i_tilde: float
+) -> list[str]:
     q_min = gk(config.k, alpha_map.alpha_min * i_tilde)
     bound_alice, bound_eve = stopping_time_bounds(q, q_min, config.p_fp, config.p_fn)
     mu_alice, mu_eve = drift_bounds(q)
@@ -269,39 +258,37 @@ def _pattern_lines(config: RunConfig, alpha_map: AlphaMap) -> list[str]:
     return lines
 
 
-def _serial_naive_lines(config: RunConfig) -> list[str]:
-    q, _i_tilde = config.operating_point()
-    w, n_rounds = solve_w_N(q, config.p_fp, config.p_fn)
-    lines = [
-        "fixed-length test",
-        f"  decision fraction w = {w:.6f}, rounds N = {n_rounds}",
-        "per-spot counting test",
-    ]
+def _naive_line(config: RunConfig, alpha_map: AlphaMap) -> str:
+    """The naive plan a run would use, or why no run could use one."""
     try:
-        nu = required_nu(config.p_fp, config.p_fn, config.naive_mu, config.naive_p_c)
-        n_l, n_r = acceptance_counts(
-            config.naive_p_c, nu, config.p_fp, config.naive_mu
-        )
-        lines.append(
-            f"  mu = {config.naive_mu} spots, nu = {nu} pulses/spot "
-            f"(total {config.naive_mu * nu}), window ({n_l}, {n_r})"
-        )
-    except InfeasibleError as exc:
-        lines.append(f"  infeasible: {exc}")
-    return lines
+        plan = STRATEGIES["naive"].plan(config, alpha_map)["naive_plan"]
+    except (ConfigError, InfeasibleError) as exc:
+        return f"  infeasible: {exc}"
+    return (f"  mu = {plan.mu} spots, nu = {plan.nu} pulses/spot "
+            f"(total {plan.mu * plan.nu}), window ({plan.n_l}, {plan.n_r})")
 
 
 def cmd_solve(config: RunConfig) -> int:
-    """Print every protocol constant for the configuration."""
+    """Print every protocol constant for the configuration: the serial and
+    naive plans are the ones a run of that strategy sizes."""
     alpha_map = _resolve_map(config)
-    _require_coverage(config, alpha_map)
-    lines: list[str] = []
-    lines += _operating_lines(config)
-    lines += _serial_naive_lines(config)
-    lines += _bounds_lines(config, alpha_map)
-    lines += _pattern_lines(config, alpha_map)
-    lines += _physics_lines()
-    print("\n".join(lines))
+    serial = STRATEGIES["serial"].plan(config, alpha_map)
+    plan, i_tilde = serial["serial_plan"], serial["i_tilde"]
+    classes = "  ".join(f"{name}={getattr(config, name)}"
+                        for name in _DISTRIBUTION_FIELDS[config.distribution])
+    print("\n".join([
+        "operating point",
+        f"  classes: {classes}  K={config.k}",
+        f"  wrong-answer probability q = {plan.q:.6f}",
+        f"  pulse intensity i_tilde    = {i_tilde:.4f}",
+        "fixed-length test",
+        f"  decision fraction w = {plan.w:.6f}, rounds N = {plan.n_rounds}",
+        "per-spot counting test",
+        _naive_line(config, alpha_map),
+        *_bounds_lines(config, alpha_map, plan.q, i_tilde),
+        *_pattern_lines(config, alpha_map),
+        *_physics_lines(),
+    ]))
     return 0
 
 
@@ -315,7 +302,8 @@ def cmd_bounds(config: RunConfig) -> int:
     """Print the sequential bounds and the physics report."""
     alpha_map = _resolve_map(config)
     _require_coverage(config, alpha_map)
-    print("\n".join(_bounds_lines(config, alpha_map) + _physics_lines()))
+    q, i_tilde = config.operating_point()
+    print("\n".join(_bounds_lines(config, alpha_map, q, i_tilde) + _physics_lines()))
     return 0
 
 

@@ -479,6 +479,8 @@ class _Entry:
     ``identify`` prints.  Entries call the runners as this module's globals,
     so a wrapper set on ``harness.run_*`` sees every session."""
 
+    asks_subject = True  # a session puts its rounds to the subject's answer law
+
     def record(self, context, result, trial, want_walk) -> TrialRecord:
         # Every result has ``accepted`` and ``rounds``; only bayes adds more.
         return TrialRecord(trial, result.accepted, timed_out=False,
@@ -592,6 +594,8 @@ class _Bayes(_Entry):
 
 
 class _Pattern(_Entry):
+    asks_subject = False  # an impostor's pick is uniform over each menu
+
     def plan(self, config, alpha_map):
         require_placeable(alpha_map, config.pattern_noise,
                           low_max=config.pattern_low_max,

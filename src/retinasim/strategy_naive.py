@@ -165,11 +165,13 @@ def _window(p_c: float, nu: int, width: int) -> tuple[int, int, bool]:
 
 
 def required_nu(p_fp: float, p_fn: float, mu: int, p_c: float) -> int:
-    """Smallest per-spot interrogation count meeting both error targets.
+    """Smallest per-spot interrogation count meeting ``p_fp`` exactly and
+    ``p_fn`` by an estimate that is not a bound.
 
-    For each candidate ``nu`` the acceptance window is sized for the
-    impostor budget, and the honest user's failure probability across all
-    ``mu`` spot tests is estimated through the Chernoff-style expression
+    For each candidate ``nu`` the acceptance window is sized from the
+    uniform-bias impostor's exact pass probability, and the honest user's
+    failure probability across all ``mu`` spot tests is estimated through
+    the Chernoff-style expression
 
         w(nu)  = (exp(-nu*H(p_r|p_c)) + exp(-nu*H(p_l|p_c))) / sqrt(2*nu),
         p_fail = 1 - (1 - w(nu))**mu,
@@ -177,7 +179,9 @@ def required_nu(p_fp: float, p_fn: float, mu: int, p_c: float) -> int:
     returning the first ``nu`` with ``p_fail <= p_fn``.  The scan starts at
     the first ``nu`` whose window holds two counts, where
     ``p_fp**(1/mu) * (nu + 1)`` reaches 1, and is not made at all when a
-    lower bound on ``w`` over the whole scan already fails ``p_fn``.
+    lower bound on ``w`` over the whole scan already fails ``p_fn``.  At the
+    default plan (nu = mu = 50, window (9, 42)) the exact honest session
+    failure is 1.694e-4 against ``p_fn`` = 1e-4.
     """
     p_fp = _real("p_fp", p_fp, "(0, 1)")
     p_fn = _real("p_fn", p_fn, "(0, 1)")

@@ -388,12 +388,9 @@ def class_seeing_means(
 # ---------------------------------------------------------------------------
 
 
-def _echo_rule(threshold: int) -> Callable[[EveContext], float]:
-    def rule(context: EveContext) -> float:
-        count = context.photon_count
-        return 1.0 if count is not None and count >= threshold else 0.0
-
-    return rule
+def _echo(threshold: int, context: EveContext) -> float:
+    count = context.photon_count
+    return 1.0 if count is not None and count >= threshold else 0.0
 
 
 def parse_eve_strategy(spec: str, k: int) -> EveStrategy:
@@ -409,7 +406,7 @@ def parse_eve_strategy(spec: str, k: int) -> EveStrategy:
     if spec == "uniformp":
         return UniformP()
     if spec == "echo":
-        return Adaptive(_echo_rule(k))
+        return Adaptive(functools.partial(_echo, k))
     if spec.startswith("fixedp:"):
         try:
             return FixedP(float(spec.split(":", 1)[1]))

@@ -10,12 +10,14 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 import retinasim
 from retinasim import (
+    ConfigError,
     InfeasibleError,
     RunConfig,
     optimize_intensity,
@@ -397,6 +399,16 @@ class TestIdentify:
         assert "seen? [y/n]" in out
         assert "outcome: reject" in out
 
+    def test_interactive_pattern_session_is_refused(self, capsys, monkeypatch):
+        """A pattern session asks the subject nothing, so it could only play
+        a uniform pick in the user's name."""
+        monkeypatch.setattr("sys.stdin", None)
+        code = main(["identify", "--strategy", "pattern", "--subject", "interactive"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: strategy 'pattern' asks the subject")
+
     def test_interactive_aborts_on_closed_stdin(self, capsys, monkeypatch):
         class Closed:
             def readline(self):
@@ -610,18 +622,37 @@ class TestSolveCommand:
                 "high_band": [0.13, 0.18],
             },
             {"i_tilde": 70.0},
+            {"naive_mu": 2},
+            {"naive_mu": 20000},
         ],
-        ids=["default", "uniform_bands", "explicit_i_tilde"],
+        ids=["default", "uniform_bands", "explicit_i_tilde", "naive_infeasible",
+             "naive_mu_above_map_spots"],
     )
     def test_rounds_match_the_run_that_config_makes(self, doc, tmp_path, capsys):
+        """Every number ``solve`` sizes is the one the run of that strategy
+        uses; a naive plan no run could use is reported, not refused."""
         path = tmp_path / "run.json"
         path.write_text(json.dumps(doc))
-        plan = prepare(RunConfig(strategy="serial", **doc)).serial_plan
-        assert main(["solve", "--config", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert f"rounds N = {plan.n_rounds}" in out
-        assert f"q = {plan.q:.6f}" in out
-
+        serial = prepare(RunConfig(strategy="serial", **doc))
+        plan = serial.serial_plan
+        try:
+            naive = prepare(RunConfig(strategy="naive", **doc)).naive_plan
+        except (ConfigError, InfeasibleError) as exc:
+            naive_line = f"  infeasible: {exc}"
+        else:
+            naive_line = (f"  mu = {naive.mu} spots, nu = {naive.nu} pulses/spot "
+                          f"(total {naive.mu * naive.nu}), "
+                          f"window ({naive.n_l}, {naive.n_r})")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["solve", "--config", str(path)]) == 0
+        assert caught == []
+        lines = capsys.readouterr().out.splitlines()
+        assert f"  wrong-answer probability q = {plan.q:.6f}" in lines
+        assert f"  pulse intensity i_tilde    = {serial.i_tilde:.4f}" in lines
+        assert (f"  decision fraction w = {plan.w:.6f}, rounds N = {plan.n_rounds}"
+                in lines)
+        assert lines[lines.index("per-spot counting test") + 1] == naive_line
 
     def test_infeasible_naive_plan_is_reported_not_refused(self, tmp_path, capsys):
         path = tmp_path / "run.json"

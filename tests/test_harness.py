@@ -422,6 +422,18 @@ class TestRunTrial:
         shuffled = {int(i): run_trial(context, int(i)) for i in order}
         assert [shuffled[i] for i in range(config.trials)] == swept
 
+    @pytest.mark.parametrize("subject", ["alice", "eve:faircoin", "eve:uniformp",
+                                         "eve:echo"])
+    @pytest.mark.parametrize("strategy", ["bayes", "serial", "naive", "pattern"])
+    def test_context_crosses_a_process_boundary(self, strategy, subject):
+        """A pickled context, as a worker process receives it, runs the
+        trials the original runs."""
+        context = prepare(RunConfig(strategy=strategy, subject=subject,
+                                    walk_trace_limit=2, master_seed=4514))
+        copy = pickle.loads(pickle.dumps(context))
+        for index in (0, 1, 7):
+            assert run_trial(copy, index) == run_trial(context, index)
+
 
 class TestMergeRecords:
     def test_exact_aggregation(self):

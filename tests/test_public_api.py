@@ -180,6 +180,21 @@ def test_no_strategy_module_imports_another():
     assert found == []
 
 
+def test_cli_sizes_no_plan_itself():
+    """``solve`` prints the plans of ``harness.STRATEGIES``: the command line
+    neither imports nor calls the solvers that size a serial or naive plan."""
+    tree = ast.parse(Path(importlib.import_module("retinasim.cli").__file__).read_text())
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            named |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.Name):
+            named.add(node.id)
+    assert named & {"solve_w_N", "required_nu", "acceptance_counts"} == set()
+
+
 #: How a rule is worded: a fixed interval (a computed window such as
 #: ``SequentialPlan``'s "must lie in ({lo}, {hi})" is a relation, not a
 #: rule), a least value, wholeness or finiteness.
