@@ -50,10 +50,13 @@ __all__ = [
 
 
 def _u64(text: str) -> int:
-    value = int(text)
-    if not (0 <= value < 2**64):
-        raise argparse.ArgumentTypeError("seed must be an unsigned 64-bit integer")
-    return value
+    try:
+        value = int(text)
+        if 0 <= value < 2**64:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError("seed must be an unsigned 64-bit integer")
 
 
 #: Each override flag: the ``RunConfig`` field it sets and its argparse options.

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -114,8 +113,10 @@ def acceptance_counts(
     overall false-positive target ``p_fp`` therefore requires the per-spot
     probability to stay at or below ``p_fp ** (1/mu)``.  The window is the
     widest integer window meeting that budget, centred on ``nu * p_c``
-    (rounding half up) and clipped into ``[0, nu]`` with a warning if the
-    ideal symmetric window would overflow the count range.
+    (rounding half up) and clipped into ``[0, nu]``: an edge past the count
+    range moves the window inward, and a window clipped at both edges is
+    narrower, which still meets the budget.  Nothing warns of a clip; the
+    returned edges show it.
     """
     p_c = _real("p_c", p_c, "(0, 1)")
     nu = _count("interrogations per spot", nu, 1)
@@ -135,33 +136,20 @@ def acceptance_counts(
             f"(p_fp**(1/mu) * (nu+1) = {per_spot_budget * (nu + 1)!r} < 1); "
             "increase nu or relax p_fp"
         )
-    n_l, n_r, clipped = _window(p_c, nu, width)
-    if clipped:
-        warnings.warn(
-            f"acceptance window clipped to [{n_l}, {n_r}] within counts 0..{nu}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return n_l, n_r
+    return _window(p_c, nu, width)
 
 
-def _window(p_c: float, nu: int, width: int) -> tuple[int, int, bool]:
-    """:func:`acceptance_counts`' window of ``width`` counts, unchecked, and
-    whether it was clipped.  For ``2 <= width <= nu + 1`` it straddles
-    ``nu * p_c``: each unclipped edge is ``width / 2 - 1/2`` or more away."""
-    n_l = int(math.floor(nu * p_c - width / 2.0 + 0.5))
-    clipped = False
-    if n_l < 0:
-        n_l = 0
-        clipped = True
+def _window(p_c: float, nu: int, width: int) -> tuple[int, int]:
+    """:func:`acceptance_counts`' window ``(n_l, n_r)`` of ``width`` counts,
+    unchecked, clipped into ``[0, nu]``.  For ``2 <= width <= nu + 1`` it
+    straddles ``nu * p_c``: each unclipped edge is ``width / 2 - 1/2`` or
+    more away."""
+    n_l = max(0, int(math.floor(nu * p_c - width / 2.0 + 0.5)))
     n_r = n_l + width
     if n_r > nu:
         n_r = nu
-        n_l = n_r - width
-        clipped = True
-        if n_l < 0:
-            n_l = 0
-    return n_l, n_r, clipped
+        n_l = max(0, n_r - width)
+    return n_l, n_r
 
 
 def required_nu(p_fp: float, p_fn: float, mu: int, p_c: float) -> int:
@@ -220,7 +208,7 @@ def required_nu(p_fp: float, p_fn: float, mu: int, p_c: float) -> int:
     # From first on, 2 <= width <= nu + 1: acceptance_counts refuses none.
     for nu in range(first, limit + 1):
         width = int(math.floor(budget * (nu + 1))) + 1
-        n_l, n_r, _ = _window(p_c, nu, width)
+        n_l, n_r = _window(p_c, nu, width)
         w = (
             math.exp(-nu * _relative_entropy(n_r / nu, p_c))
             + math.exp(-nu * _relative_entropy(n_l / nu, p_c))

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -528,9 +527,9 @@ def alice_failure_bound(
 
     and over m independent questions p_fn <= 1 - (1 - P)**m.  The bound
     needs the tolerated fractions to sit at or above the per-spot rates;
-    below them it is not a bound at all and the call is rejected.  At
-    exact equality the exponent vanishes and the returned bound is a
-    vacuous 1.0 (flagged with a warning).
+    below them it is not a bound at all and the call is rejected.  Where the
+    per-question bound reaches 1 (always at exact equality, where an
+    exponent vanishes) the returned bound is a vacuous 1.0.
     """
     n_h, n_l, k, l, m = _checked_bound_counts(n_h, n_l, k, l, m)
     p_h = _real("p_h", p_h, "[0, 1)")
@@ -542,16 +541,7 @@ def alice_failure_bound(
             f"tolerated fractions (k/n_h={frac_h!r}, l/n_l={frac_l!r}) must not "
             f"fall below the per-spot rates (p_h={p_h!r}, p_l={p_l!r})"
         )
-    bound = _failure_bound(n_h, n_l, k, l, p_h, p_l, m)
-    if bound == math.inf:
-        warnings.warn(
-            "failure bound is vacuous (per-question bound >= 1); the tolerated "
-            "fractions sit on the validity boundary",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return 1.0
-    return bound
+    return _failure_bound(n_h, n_l, k, l, p_h, p_l, m)
 
 
 def _checked_bound_counts(n_h, n_l, k, l, m) -> tuple[int, int, int, int, int]:
@@ -562,14 +552,14 @@ def _checked_bound_counts(n_h, n_l, k, l, m) -> tuple[int, int, int, int, int]:
 def _failure_bound(n_h: int, n_l: int, k: int, l: int, p_h: float, p_l: float,
                    m: int) -> float:
     """:func:`alice_failure_bound` of checked arguments inside its validity
-    condition, or ``math.inf`` where the bound is vacuous."""
+    condition: 1.0 where the bound is vacuous."""
     if m == 0:
         return 0.0
     per_question = math.exp(-n_h * _relative_entropy(min(k / n_h, 1.0), p_h)) + math.exp(
         -n_l * _relative_entropy(min(l / n_l, 1.0), p_l)
     )
     if per_question >= 1.0:
-        return math.inf
+        return 1.0
     return 1.0 - (1.0 - per_question) ** m
 
 
@@ -605,8 +595,6 @@ def optimize_intensity(
         p_l = gk(threshold, alpha_low * i_tilde)
         if k / n_h <= p_h or l / n_l <= p_l:
             continue
-        # Vacuous grid points are skipped silently — near the edges of the
-        # scan they are expected, not noteworthy.
         bound = _failure_bound(n_h, n_l, k, l, p_h, p_l, m)
         if bound >= 1.0:
             continue

@@ -66,6 +66,14 @@ class TestUsageErrors:
         assert main(["identify", "--seed", "-1"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("seed", ["abc", "1.5", str(2**64)])
+    def test_bad_seed_message(self, seed, capsys):
+        assert main(["montecarlo", "--seed", seed]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith(
+            "error: argument --seed: seed must be an unsigned 64-bit integer\n"
+        )
+
     def test_missing_config_file(self, capsys):
         assert main(["identify", "--config", "/no/such/file.json"]) == 2
         assert "error:" in capsys.readouterr().err
@@ -624,9 +632,12 @@ class TestSolveCommand:
             {"i_tilde": 70.0},
             {"naive_mu": 2},
             {"naive_mu": 20000},
+            {"naive_mu": 10000},
+            {"p_fp": 0.4, "p_fn": 0.4},
         ],
         ids=["default", "uniform_bands", "explicit_i_tilde", "naive_infeasible",
-             "naive_mu_above_map_spots"],
+             "naive_mu_above_map_spots", "naive_window_clipped_many_spots",
+             "naive_window_clipped_loose_targets"],
     )
     def test_rounds_match_the_run_that_config_makes(self, doc, tmp_path, capsys):
         """Every number ``solve`` sizes is the one the run of that strategy
@@ -662,6 +673,21 @@ class TestSolveCommand:
         assert lines[lines.index("per-spot counting test") + 1].startswith(
             "  infeasible: no nu <= 1000000 meets p_fp=1e-10, p_fn=0.0001 with mu=2"
         )
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["identify", "--strategy", "naive"], 1),
+         (["montecarlo", "--strategy", "naive", "--trials", "20"], 0)],
+        ids=["identify", "montecarlo"],
+    )
+    def test_clipped_naive_window_leaves_stderr_empty(self, argv, code, tmp_path,
+                                                       capsys):
+        """At p_fp = p_fn = 0.4 the naive window is clipped to (0, 6) within
+        counts 0..6, and the run writes nothing to stderr about it."""
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"p_fp": 0.4, "p_fn": 0.4}))
+        assert main([*argv, "--config", str(path)]) == code
+        assert capsys.readouterr().err == ""
 
 
 class TestPatternCommand:

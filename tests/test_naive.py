@@ -50,7 +50,6 @@ check                                                  false-failure
 from __future__ import annotations
 
 import math
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -120,9 +119,10 @@ class TestAcceptanceCounts:
         with pytest.raises(InfeasibleError, match="increase nu or relax p_fp"):
             acceptance_counts(0.5, 50, 1e-10, 1)
 
-    def test_window_clipped_with_warning_near_edge(self):
-        with pytest.warns(RuntimeWarning, match="clipped"):
-            n_l, n_r = acceptance_counts(0.95, 50, 1e-3, 5)
+    def test_window_clipped_without_warning_near_edge(self):
+        # Clipped at the top: the edges show it, and nothing warns (the
+        # suite runs with every warning an error).
+        n_l, n_r = acceptance_counts(0.95, 50, 1e-3, 5)
         assert n_r == 50
         assert n_l < 50 * 0.95 < n_r
 
@@ -152,7 +152,7 @@ class TestAcceptanceCounts:
         for p_c in p_cs:
             for nu in range(1, 201):
                 for width in range(2, nu + 2):
-                    n_l, n_r, _ = strategy_naive._window(p_c, nu, width)
+                    n_l, n_r = strategy_naive._window(p_c, nu, width)
                     assert 0 <= n_l < nu * p_c < n_r <= nu, (p_c, nu, width)
                     assert n_r - n_l == min(width, nu), (p_c, nu, width)
 
@@ -165,9 +165,7 @@ class TestAcceptanceCounts:
     @settings(max_examples=150)
     def test_window_postconditions(self, p_c, nu, mu, p_fp):
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                n_l, n_r = acceptance_counts(p_c, nu, p_fp, mu)
+            n_l, n_r = acceptance_counts(p_c, nu, p_fp, mu)
         except InfeasibleError:
             assume(False)
         assert 0 <= n_l < n_r <= nu
@@ -185,9 +183,7 @@ class TestChernoffEnvelope:
     @pytest.mark.parametrize("p_fp", [0.3, 0.05])
     def test_bound_dominates_exact_tail(self, nu, p_c, p_fp):
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                n_l, n_r = acceptance_counts(p_c, nu, p_fp, 1)
+            n_l, n_r = acceptance_counts(p_c, nu, p_fp, 1)
         except InfeasibleError:
             pytest.skip("no window at this budget")
         exact = stats.binom.cdf(n_l, nu, p_c) + stats.binom.sf(n_r - 1, nu, p_c)
@@ -232,9 +228,7 @@ class TestRequiredNu:
         """The first nu in 1..limit that meets both targets, every nu tried."""
         for nu in range(1, limit + 1):
             try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", RuntimeWarning)
-                    n_l, n_r = acceptance_counts(p_c, nu, p_fp, mu)
+                n_l, n_r = acceptance_counts(p_c, nu, p_fp, mu)
             except InfeasibleError:
                 continue
             w = (

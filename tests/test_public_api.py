@@ -65,6 +65,20 @@ def test_no_unused_imports(module):
     assert [name for name in _module_imports(tree) if name not in used] == []
 
 
+def test_no_module_imports_warnings():
+    """A caller learns of a condition from a return value or an exception:
+    no module emits a Python warning."""
+    found = [
+        f"{module.__name__}:{node.lineno}"
+        for module in MODULES
+        for node in ast.walk(ast.parse(Path(module.__file__).read_text()))
+        if (isinstance(node, ast.Import)
+            and any(a.name.split(".")[0] == "warnings" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "warnings")
+    ]
+    assert found == []
+
+
 def _is_strings(node: ast.expr) -> bool:
     """A string literal, or a tuple, list or set of string literals."""
     if isinstance(node, (ast.Tuple, ast.List, ast.Set)):

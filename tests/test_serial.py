@@ -1,4 +1,59 @@
-"""Tests for the fixed-length wrong-answer-counting test and its sizing."""
+"""Tests for the fixed-length wrong-answer-counting test and its sizing.
+
+Seeded statistical checks and the probability that each fails although the
+code implements its law (a re-draw of the records passes or fails them by
+chance with this probability; every other check here is exact).  Each
+wrong-answer count the serial runner draws is binomial, with per-round
+probability q* = ``Q_STAR`` for the honest user at the operating point and
+1/2 for a fair coin, so a binomial-tail or 3σ check's probability is its
+law's mass on the counts the check refuses, summed in 50-digit arithmetic.
+A G-test's has no closed form: its figure is the share of 50,000 simulated
+re-draws of the exact count law that the test refuses.
+
+=========================================================  ==================
+check                                                      false-failure
+                                                           probability
+=========================================================  ==================
+``test_honest_user_wrong_rate_and_reject_envelope``        0.0027 (3σ,
+                                                           Bin(568000, q*))
+                                                           + 3.0e-9 (4 or
+                                                           more of 4000
+                                                           sessions rejected,
+                                                           each with 4.1e-6)
+``test_fair_coin_exact_pass_law``                          0.0027 (3σ passes,
+                                                           Bin(5000,
+                                                           0.00321)) + 0.0027
+                                                           (3σ wrong answers,
+                                                           Bin(200000, 1/2))
+                                                           + 1e-128 (passes
+                                                           above the
+                                                           envelope)
+``test_honest_per_round_wrong_rate_within_design_bound``   0.0027 (3σ,
+                                                           Bin(100000, q*);
+                                                           rate <= q lies
+                                                           inside it)
+``test_off_design_perception_threshold_errs_more``         0.0042 (2050 or
+                                                           fewer of 20000
+                                                           rounds wrong,
+                                                           Bin(20000,
+                                                           0.10827))
+``test_honest_count_is_binomial[point-pair]``,             0.0011, 0.0010,
+``[point-pair-k7]``, ``[bands]``                           0.0012 (G-test at
+                                                           1e-3; simulated,
+                                                           ±0.00016)
+``test_biased_impostor_count_is_fair_binomial[faircoin]``  0.0033 each (three
+and ``[uniformp]``                                         G-tests; simulated,
+                                                           ±0.00026)
+``test_generator_draws_do_not_grow_with_session_length``   0.013, 0.0032 (one
+``[alice]``, ``[eve-faircoin]``                            of 8 sessions moves
+                                                           the counter past
+                                                           two blocks;
+                                                           simulated over
+                                                           10^5 seeds per
+                                                           length, ±0.0007,
+                                                           ±0.0004)
+=========================================================  ==================
+"""
 
 from __future__ import annotations
 
