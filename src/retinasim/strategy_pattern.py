@@ -8,7 +8,10 @@ noise spots stay dark — and picks it from a menu of candidate symbols.  An
 impostor's detector registers every illuminated spot identically, so all she
 faces is a menu of equally plausible symbols: her per-question success is
 exactly 1/M, giving an exact false-positive rate of (1/M)**m over m
-questions.
+questions.  ``run_pattern_test`` draws her session from that law: each
+question draws its glyph and her menu position, right iff it is 0, and
+refuses where the question's challenge and menu would, without building
+either.
 
 Geometry: the map is partitioned into a 5x7 grid of rectangular cell blocks,
 one block per glyph cell.  A glyph is *embedded* by lighting one spot inside
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -349,6 +352,45 @@ def _require_noise(index: _ClassBlockIndex, n_noise: int) -> None:
         )
 
 
+def _glyph_cells(index: _ClassBlockIndex, library: GlyphLibrary, row: int) -> np.ndarray:
+    """The cell keys of library glyph ``row``, or :class:`PlacementError` if
+    the block of one of them holds no high-transmission spot."""
+    cells = library.cells[row]
+    empty = cells[index.high.counts[cells] == 0]
+    if empty.size:
+        raise PlacementError(
+            f"no high-transmission spots available in glyph cell "
+            f"{divmod(int(empty[0]), GLYPH_GRID[1])} for {library.ids[row]!r}"
+        )
+    return cells
+
+
+def _require_menu(achievable: int, n_entries: int) -> None:
+    if achievable < n_entries:
+        raise MenuError(
+            f"only {achievable} glyphs embeddable in the illuminated set; "
+            f"{n_entries} requested"
+        )
+
+
+@lru_cache(maxsize=4)
+def _menu_capacity(index: _ClassBlockIndex, n_noise: int) -> np.ndarray:
+    """The menu size ``candidate_menu`` can fill for each library glyph
+    hidden among ``n_noise`` noise spots: the number of library glyphs whose
+    cells lie in the hidden glyph's cells and the noise-lit ones.  The deal
+    fixes the block of each noise spot, so the noise-lit cells, and with
+    them this count, depend on ``n_noise`` alone, never on the draws."""
+    incidence = glyph_library().incidence
+    lit = np.zeros(_N_CELLS, dtype=bool)
+    lit[index.low_keys[index.deal[:n_noise]]] = True
+    # glyph g embeds beside hidden glyph h iff h covers every cell of g the
+    # noise leaves dark
+    uncovered = (incidence & ~lit).astype(np.intp) @ (~incidence).T.astype(np.intp)
+    capacity = np.count_nonzero(uncovered == 0, axis=0)
+    capacity.setflags(write=False)
+    return capacity
+
+
 def require_placeable(
     alpha_map: AlphaMap, n_noise: int, *, low_max: float, high_min: float
 ) -> None:
@@ -400,13 +442,7 @@ def build_challenge(
         raise DomainError(f"unknown glyph {glyph_id!r}")
     n_noise = _count("noise spot count", n_noise, 0)
     index = _class_index(alpha_map, low_max, high_min)
-    cells = library.cells[row]
-    empty = cells[index.high.counts[cells] == 0]
-    if empty.size:
-        raise PlacementError(
-            f"no high-transmission spots available in glyph cell "
-            f"{divmod(int(empty[0]), GLYPH_GRID[1])} for {library.ids[row]!r}"
-        )
+    cells = _glyph_cells(index, library, row)
     pattern = index.high.draw(cells, rng)
 
     # Spread noise round-robin over every block so the combined illuminated
@@ -450,12 +486,7 @@ def candidate_menu(
     embeddable = ~library.incidence[:, illuminated.counts == 0].any(axis=1)
     embeddable[hidden_row] = False
     candidates = np.flatnonzero(embeddable)
-    achievable = candidates.size + 1
-    if achievable < n_entries:
-        raise MenuError(
-            f"only {achievable} glyphs embeddable in the illuminated set; "
-            f"{n_entries} requested"
-        )
+    _require_menu(candidates.size + 1, n_entries)
     picked = rng.choice(candidates.size, size=n_entries - 1, replace=False)
     rows = candidates[picked].tolist()
     cells = [library.cells[row] for row in rows]
@@ -626,8 +657,9 @@ def run_pattern_test(
     A fresh glyph and fresh spot placement are drawn per question.  The
     honest user answers the menu entry overlapping her percept the most (the
     first such in menu order) when recognition succeeds, otherwise uniformly
-    at random; an impostor can do no better than a uniform pick.  Accept iff
-    all m answers name the hidden glyph.
+    at random.  An impostor can do no better than a uniform pick, so her
+    session is drawn from that law (see :func:`_impostor_session`).  Accept
+    iff all m answers name the hidden glyph.
     """
     m = _count("question count", m, 1, ConfigError)
     library = glyph_library()
@@ -640,15 +672,18 @@ def run_pattern_test(
         if unknown:
             raise ConfigError(f"glyph ids not in the library: {unknown!r}")
     k = honest_threshold(subject)
+    if k is None:
+        return _impostor_session(alpha_map, library, pool, m, n_entries, rng,
+                                 n_noise=n_noise, i_tilde=i_tilde, low_max=low_max,
+                                 high_min=high_min)
 
-    correct = 0
-    for _question in range(m):
+    for correct in range(m):
         gid = pool[int(rng.integers(len(pool)))]
         challenge = build_challenge(alpha_map, library, gid, n_noise, rng,
                                     i_tilde=i_tilde, low_max=low_max, high_min=high_min)
         menu = candidate_menu(challenge, library, n_entries, rng)
-        perceived = None if k is None else simulate_perception(challenge, alpha_map, k, rng)
-        if perceived is not None and recognize(perceived, challenge, rule):
+        perceived = simulate_perception(challenge, alpha_map, k, rng)
+        if recognize(perceived, challenge, rule):
             # the first entry, in menu order, of largest overlap with the percept
             overlap = np.bincount(menu.entry, weights=perceived[menu.at])
             pick = menu.order[np.argmax(overlap[menu.order])]
@@ -656,5 +691,43 @@ def run_pattern_test(
             pick = menu.order[int(rng.integers(n_entries))]
         if pick != 0:
             return PatternResult(accepted=False, questions=m, correct=correct)
-        correct += 1
-    return PatternResult(accepted=True, questions=m, correct=correct)
+    return PatternResult(accepted=True, questions=m, correct=m)
+
+
+def _impostor_session(
+    alpha_map: AlphaMap,
+    library: GlyphLibrary,
+    pool: Sequence[str],
+    m: int,
+    n_entries: int,
+    rng: np.random.Generator,
+    *,
+    n_noise: int,
+    i_tilde: float,
+    low_max: float,
+    high_min: float,
+) -> PatternResult:
+    """An impostor's session, drawn from its exact law.  Her pick is uniform
+    over the menu and the hidden glyph's menu position is a uniform
+    permutation entry, so whatever the challenge she answers right with
+    probability exactly 1/n_entries.  A question therefore draws
+    ``integers`` (the glyph), then ``integers(n_entries)``, and is answered
+    right iff that draw is 0; no challenge or menu is built.  Each question
+    still refuses as ``build_challenge`` and ``candidate_menu`` would, in
+    their order: the glyph's placement, then (checked once, on the first
+    question) the noise supply, the intensity and the menu size, then the
+    menu the glyph leaves room for."""
+    n_noise = _count("noise spot count", n_noise, 0)
+    index = _class_index(alpha_map, low_max, high_min)
+    for correct in range(m):
+        row = library.rows[pool[int(rng.integers(len(pool)))]]
+        _glyph_cells(index, library, row)
+        if not correct:
+            _require_noise(index, n_noise)
+            _real("pulse intensity", i_tilde, "[0, inf)")
+            n_entries = _count("menu size", n_entries, 2)
+            capacity = _menu_capacity(index, n_noise)
+        _require_menu(int(capacity[row]), n_entries)
+        if rng.integers(n_entries):
+            return PatternResult(accepted=False, questions=m, correct=correct)
+    return PatternResult(accepted=True, questions=m, correct=m)

@@ -31,6 +31,7 @@ from retinasim import (
     TrialStats,
     UniformP,
     build_subject,
+    generate_synthetic,
     load_config,
     merge_records,
     montecarlo,
@@ -358,6 +359,27 @@ class TestPrepare:
         context = prepare(RunConfig(map_file=str(path)))
         assert context.alpha_map.width == default_map.width
         assert np.allclose(context.alpha_map.alpha, default_map.alpha)
+
+    def test_synthetic_map_is_kept_across_calls(self, default_map):
+        config = RunConfig(strategy="pattern")
+        first = prepare(config).alpha_map
+        assert prepare(dataclasses.replace(config, subject="eve:echo")).alpha_map is first
+        assert np.array_equal(first.alpha, default_map.alpha)
+        other = prepare(dataclasses.replace(config, map_seed=8)).alpha_map
+        assert other is not first
+        assert not np.array_equal(other.alpha, first.alpha)
+
+    def test_map_file_is_read_on_every_call(self, tmp_path):
+        path = tmp_path / "map.json"
+        config = RunConfig(map_file=str(path))
+        maps = []
+        for seed in (3, 4):
+            save(generate_synthetic(40, 30, 0.02, 0.18, seed=seed), path)
+            maps.append(prepare(config).alpha_map)
+        assert maps[0].width == 40
+        assert not np.array_equal(maps[0].alpha, maps[1].alpha)
+        assert np.array_equal(maps[1].alpha,
+                              generate_synthetic(40, 30, 0.02, 0.18, seed=4).alpha)
 
     def test_eve_subject_from_config(self):
         context = prepare(RunConfig(subject="eve:fixedp:0.25"))
@@ -858,7 +880,7 @@ _PINNED_PATTERN_RUNS = {
         "40100c03e35f010b5a6566057960754b00595596a34c1cb3006c292686f939a9"
     ),
     ("eve:faircoin", 200): (
-        "18963d95d4aa12776ec7b1e6fd331210b3c925fcac12fe7ab6915d8140347a70"
+        "781ed3b56b2d9ac3978f21d2eab06e3b35e99e72969d3a3e7648fb8c03206dc9"
     ),
 }
 
@@ -1104,22 +1126,22 @@ _STRUCTURAL_DIGESTS = {
         "db8c4e19313ca49c278312436d9650eb38d4fd3921e4cd82f3edf1c70d1c2839"
     ),
     ('artifacts', 'pattern', 'eve:uniformp', 'point_pair'): (
-        "32622af97880cc69ad584ed0a1a1836c0c9e376b0e77c89ed1242275e042ce95"
+        "f97fbee1e9150b4a3cd9c3bd75d570b9956e106a709d5461ebe0cf98d9adae67"
     ),
     ('artifacts', 'pattern', 'eve:uniformp', 'uniform_bands'): (
-        "32622af97880cc69ad584ed0a1a1836c0c9e376b0e77c89ed1242275e042ce95"
+        "f97fbee1e9150b4a3cd9c3bd75d570b9956e106a709d5461ebe0cf98d9adae67"
     ),
     ('artifacts', 'pattern', 'eve:echo', 'point_pair'): (
-        "32622af97880cc69ad584ed0a1a1836c0c9e376b0e77c89ed1242275e042ce95"
+        "f97fbee1e9150b4a3cd9c3bd75d570b9956e106a709d5461ebe0cf98d9adae67"
     ),
     ('artifacts', 'pattern', 'eve:echo', 'uniform_bands'): (
-        "32622af97880cc69ad584ed0a1a1836c0c9e376b0e77c89ed1242275e042ce95"
+        "f97fbee1e9150b4a3cd9c3bd75d570b9956e106a709d5461ebe0cf98d9adae67"
     ),
     ('pattern-run', 'alice', 40): (
         "2844b9f452ba8537fc8064dee13f89e82c348518c0130e2d2f3a6fcf47a5b64f"
     ),
     ('pattern-run', 'eve:faircoin', 200): (
-        "2120105f0e3199edc023adffd423810d5df8af2a9c8147058b60ac7c33e753aa"
+        "b6cb9d8cc2a13ccaef5c00eb8f6bdb3c7417b3b717a6003e06cc93d0a642f085"
     ),
     ('kernel', 'bayes', 'alice', 'point_pair', False): (
         "5aebdab9ef2131ec4796d038ede1b98df59e3118a652ee9e2157907c68c563ba"

@@ -26,6 +26,11 @@ check                                              false-failure probability
                                                    binomial tests at 1e-4
                                                    against a true bound)
 ``TestDrawLaws`` (two G-tests)                     at most 1e-6 each
+``TestImpostorLaw`` (two G-tests)                  at most 1e-6 each (right
+                                                   answers against the law
+                                                   and the question loop)
+``test_accept_count_binomial_tail``                at most 1e-6 (exact
+                                                   two-sided binomial tail)
 =================================================  ==========================
 """
 
@@ -40,7 +45,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import make_rng
+from conftest import g_test_pvalue, make_rng, two_sample_g_pvalue
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
@@ -51,12 +56,14 @@ from retinasim import (
     BoundInapplicableError,
     ConfigError,
     DomainError,
+    Error,
     FixedP,
     GlyphLibrary,
     InfeasibleError,
     Menu,
     MenuError,
     PatternChallenge,
+    PatternResult,
     PlacementError,
     RecognitionRule,
     RunConfig,
@@ -401,7 +408,10 @@ class TestClassIndexBuiltOncePerMap:
 
     @pytest.fixture
     def built(self, monkeypatch):
-        """The maps of every ``_ClassBlockIndex`` built during the test."""
+        """The maps of every ``_ClassBlockIndex`` built during the test, from
+        an empty index cache (``prepare`` shares its synthetic map across
+        runs, so an earlier test's index would otherwise still be there)."""
+        strategy_pattern._cached_class_index.cache_clear()
         maps = []
         original = strategy_pattern._ClassBlockIndex
 
@@ -416,6 +426,11 @@ class TestClassIndexBuiltOncePerMap:
     def test_montecarlo_run_builds_one(self, built):
         stats, _records = montecarlo(RunConfig(strategy="pattern", trials=20))
         assert stats.n_trials == 20
+        assert len(built) == 1
+
+    def test_runs_on_one_synthetic_map_share_it(self, built):
+        for subject in ("alice", "eve:faircoin", "eve:echo"):
+            montecarlo(RunConfig(strategy="pattern", subject=subject, trials=3))
         assert len(built) == 1
 
     def test_repeated_challenges_on_one_map_build_one(self, built):
@@ -700,30 +715,32 @@ class _LoggedGenerator:
         return logged
 
 
-#: One question's draws before its answer, as README's ``pattern`` bullet
-#: lists them: the glyph, a high spot per glyph cell, the noise shuffle, the
-#: distractors, a spot per distractor cell, the menu order.
+#: One honest question's draws before its answer, as README's ``pattern``
+#: bullet lists them: the glyph, a high spot per glyph cell, the noise
+#: shuffle, the distractors, a spot per distractor cell, the menu order.
 _QUESTION_CALLS = ["integers", "integers", "permutation", "choice", "integers",
                    "permutation"]
 
 
 @pytest.mark.parametrize(
-    "subject,i_tilde,rule,answer_calls",
+    "subject,i_tilde,rule,calls",
     [
         # at these limits every percept is recognized
-        (AliceSubject(k=6), 72.0, RecognitionRule(26, 76), ["poisson"]),
+        (AliceSubject(k=6), 72.0, RecognitionRule(26, 76), _QUESTION_CALLS + ["poisson"]),
         # at zero intensity nothing fires and the pattern is not recognized
-        (AliceSubject(k=6), 0.0, RecognitionRule(5, 5), ["poisson", "integers"]),
-        (FixedP(0.5), 72.0, RecognitionRule(5, 5), ["integers"]),
+        (AliceSubject(k=6), 0.0, RecognitionRule(5, 5),
+         _QUESTION_CALLS + ["poisson", "integers"]),
+        # an impostor's question draws its glyph and her menu position only
+        (FixedP(0.5), 72.0, RecognitionRule(5, 5), ["integers", "integers"]),
     ],
     ids=["honest-recognized", "honest-not-recognized", "impostor"],
 )
 def test_question_makes_the_documented_generator_calls(
-    default_map, subject, i_tilde, rule, answer_calls
+    default_map, subject, i_tilde, rule, calls
 ):
     rng = _LoggedGenerator(make_rng(4456))
     run_pattern_test(subject, default_map, 1, 40, rule, rng, i_tilde=i_tilde)
-    assert rng.calls == _QUESTION_CALLS + answer_calls
+    assert rng.calls == calls
 
 
 # ---------------------------------------------------------------------------
@@ -1201,6 +1218,212 @@ class TestRunPatternTest:
                 FixedP(0.5), default_map, 4, 1,
                 RecognitionRule(5, 5), make_rng(4437),
             )
+
+
+# ---------------------------------------------------------------------------
+# impostor sessions from their law
+# ---------------------------------------------------------------------------
+
+
+def _loop_impostor_session(alpha_map, m, n_entries, rng, *, n_noise=75, i_tilde=72.0,
+                           low_max=0.04, high_min=0.16, glyph_ids=None):
+    """An impostor's session as a loop over questions, each building its
+    challenge and menu and picking ``menu.order[integers(n_entries)]``: the
+    reference ``run_pattern_test``'s impostor law and refusals must match."""
+    lib = glyph_library()
+    pool = sorted(lib) if glyph_ids is None else glyph_ids
+    for correct in range(m):
+        gid = pool[int(rng.integers(len(pool)))]
+        challenge = build_challenge(alpha_map, lib, gid, n_noise, rng, i_tilde=i_tilde,
+                                    low_max=low_max, high_min=high_min)
+        menu = candidate_menu(challenge, lib, n_entries, rng)
+        if menu.order[int(rng.integers(n_entries))] != 0:
+            return PatternResult(accepted=False, questions=m, correct=correct)
+    return PatternResult(accepted=True, questions=m, correct=m)
+
+
+def _law_impostor_session(alpha_map, m, n_entries, rng, **kwargs):
+    return run_pattern_test(FixedP(0.5), alpha_map, m, n_entries, RecognitionRule(5, 5),
+                            rng, **kwargs)
+
+
+class _Steered:
+    """A generator under which an impostor answers every question right and
+    her glyphs come from a stream of their own, so a session by the law and
+    one by the loop ask the same glyphs, question for question.  Either
+    session's scalar ``integers`` calls alternate glyph and answer; a right
+    answer is 0 for the law, and for the loop the place of entry 0 in the
+    menu order, the last permutation drawn.  Given ``answers``, it answers
+    those menu positions in turn instead.  ``glyphs`` counts the glyph
+    draws."""
+
+    def __init__(self, seed, answers=None):
+        self._rng = make_rng(seed)
+        self._glyph_rng = make_rng(seed + 10_000)
+        self._answers = answers
+        self._order = None
+        self._answering = False
+        self.glyphs = 0
+
+    def integers(self, high, *args, **kwargs):
+        if np.ndim(high):  # a spot in each of several cells
+            return self._rng.integers(high, *args, **kwargs)
+        self._answering = not self._answering
+        if self._answering:
+            self.glyphs += 1
+            return self._glyph_rng.integers(high)
+        if self._answers is not None:
+            answer = self._answers.pop(0)
+            assert 0 <= answer < high
+            return answer
+        return 0 if self._order is None else int(np.flatnonzero(self._order == 0)[0])
+
+    def permutation(self, n):
+        self._order = self._rng.permutation(n)
+        return self._order
+
+    def choice(self, *args, **kwargs):
+        return self._rng.choice(*args, **kwargs)
+
+
+def _outcome(session, *args, **kwargs):
+    """A session's result or its refusal's type and message."""
+    try:
+        return session(*args, **kwargs)
+    except Error as exc:
+        return type(exc), str(exc)
+
+
+def _holed_map():
+    """The default map with no high-transmission spot in the block of glyph
+    cell (2, 1): the 14 glyphs using it cannot be placed, the other 31 can."""
+    alpha = generate_synthetic(100, 100, 0.02, 0.18, seed=7).alpha.reshape(100, 100).copy()
+    block = alpha[14:28, 40:60]
+    block[block >= 0.16] = 0.1
+    return AlphaMap(100, 100, alpha, 0.02, 0.18)
+
+
+_PARITY_MAPS = {
+    "100x100": lambda: generate_synthetic(100, 100, 0.02, 0.18, seed=7),
+    "103x97": lambda: generate_synthetic(103, 97, 0.02, 0.18, seed=11),
+    "holed": _holed_map,
+}
+
+
+class TestImpostorLaw:
+    """``run_pattern_test`` draws an impostor's session from its law: two
+    ``integers`` calls a question, right iff the menu position is 0.  The
+    checks below compare it with that law exactly, by enumeration, and with
+    the question loop it replaced, by G-test and refusal for refusal."""
+
+    @staticmethod
+    def _law_pmf(n_entries, m):
+        """P(C = c) for c = 0..m: truncated geometric, exact."""
+        right = Fraction(1, n_entries)
+        return [right**c * (1 - right) for c in range(m)] + [right**m]
+
+    @pytest.mark.parametrize("n_entries,m", [(2, 6), (3, 4), (4, 3)])
+    def test_enumerated_law_is_the_truncated_geometric(self, default_map, n_entries, m):
+        # every sequence of menu positions, each of probability (1/M)**m;
+        # the session reads only up to its first wrong answer
+        counts = [0] * (m + 1)
+        for positions in np.ndindex(*(n_entries,) * m):
+            rng = _Steered(4460, answers=list(positions))
+            result = _law_impostor_session(default_map, m, n_entries, rng)
+            assert result.rounds == rng.glyphs
+            assert result.accepted == (result.correct == m)
+            counts[result.correct] += 1
+        pmf = [Fraction(count, n_entries**m) for count in counts]
+        assert pmf == self._law_pmf(n_entries, m)
+        assert pmf[m] == false_positive_rate(n_entries, m)
+        assert sum(self._law_pmf(n_entries, m)) == 1
+
+    def test_correct_count_g_test_against_the_law(self, default_map):
+        rng = make_rng(4461)
+        n_entries, m, sessions = 4, 6, 6000
+        correct = [_law_impostor_session(default_map, m, n_entries, rng).correct
+                   for _ in range(sessions)]
+        assert g_test_pvalue(correct, self._law_pmf(n_entries, m)) > 1e-6
+
+    def test_correct_count_g_test_against_the_loop(self, default_map):
+        n_entries, m, sessions = 4, 6, 2000
+        law_rng, loop_rng = make_rng(4462), make_rng(4463)
+        law = [_law_impostor_session(default_map, m, n_entries, law_rng).correct
+               for _ in range(sessions)]
+        loop = [_loop_impostor_session(default_map, m, n_entries, loop_rng).correct
+                for _ in range(sessions)]
+        assert two_sample_g_pvalue(law, loop, m + 1) > 1e-6
+
+    def test_accept_count_binomial_tail(self, default_map):
+        # M = 2, m = 6: P(accept) = 1/64
+        rng = make_rng(4464)
+        sessions = 20_000
+        accepted = sum(_law_impostor_session(default_map, 6, 2, rng).accepted
+                       for _ in range(sessions))
+        p_accept = false_positive_rate(2, 6)
+        assert p_accept == Fraction(1, 64)
+        assert stats.binomtest(accepted, sessions, float(p_accept)).pvalue > 1e-6
+
+    @pytest.mark.parametrize("glyph", sorted(glyph_library()))
+    def test_menu_capacity_is_what_candidate_menu_finds(self, glyph):
+        # a menu of 46 is one more than the library: the refusal names the
+        # count the glyph's challenge can fill
+        alpha_map = _PARITY_MAPS["100x100"]()
+        for n_noise in (0, 12, 35, 75):
+            rng = make_rng(4465)
+            challenge = build_challenge(alpha_map, glyph_library(), glyph, n_noise, rng)
+            with pytest.raises(MenuError) as built:
+                candidate_menu(challenge, glyph_library(), 46, rng)
+            with pytest.raises(MenuError) as drawn:
+                _law_impostor_session(alpha_map, 1, 46, rng, n_noise=n_noise,
+                                      glyph_ids=[glyph])
+            assert str(drawn.value) == str(built.value)
+
+    @pytest.mark.parametrize("name", list(_PARITY_MAPS))
+    @pytest.mark.parametrize("n_noise", [0, 12, 35, 75])
+    @pytest.mark.parametrize("n_entries", [2, 18, 40, 46])
+    def test_refuses_on_the_question_the_loop_does(self, name, n_noise, n_entries):
+        alpha_map = _PARITY_MAPS[name]()
+        for seed in range(4470, 4475):
+            law_rng, loop_rng = _Steered(seed), _Steered(seed)
+            law = _outcome(_law_impostor_session, alpha_map, 6, n_entries, law_rng,
+                           n_noise=n_noise)
+            loop = _outcome(_loop_impostor_session, alpha_map, 6, n_entries, loop_rng,
+                            n_noise=n_noise)
+            assert law == loop
+            assert law_rng.glyphs == loop_rng.glyphs
+
+    @pytest.mark.parametrize("kwargs,n_entries", [
+        (dict(n_noise=1197), 18),                      # more noise than low spots
+        (dict(n_noise=-1), 18),
+        (dict(i_tilde=-1.0), 18),
+        (dict(i_tilde=math.nan), 18),
+        (dict(low_max=0.2), 18),                       # edges out of order
+        (dict(low_max=math.inf), 18),
+        ({}, 1),
+        (dict(n_noise=1197, i_tilde=-1.0), 1),         # the first check wins
+        (dict(i_tilde=-1.0), 1),
+        (dict(n_noise=0, i_tilde=-1.0), 46),
+    ], ids=["noise-supply", "noise-count", "intensity", "intensity-nan", "edges",
+            "edge-inf", "menu-size", "noise-before-intensity", "intensity-before-menu",
+            "intensity-before-capacity"])
+    @pytest.mark.parametrize("name", ["100x100", "holed"])
+    def test_first_question_refusals_match_the_loop(self, kwargs, n_entries, name):
+        alpha_map = _PARITY_MAPS[name]()
+        for seed in range(4480, 4484):
+            law = _outcome(_law_impostor_session, alpha_map, 6, n_entries,
+                           _Steered(seed), **kwargs)
+            loop = _outcome(_loop_impostor_session, alpha_map, 6, n_entries,
+                            _Steered(seed), **kwargs)
+            assert law == loop
+            assert isinstance(law, tuple)
+
+    def test_map_below_the_glyph_grid_refused_as_by_the_loop(self):
+        tiny = generate_synthetic(4, 4, 0.02, 0.18, seed=1)
+        law = _outcome(_law_impostor_session, tiny, 6, 18, make_rng(4485))
+        loop = _outcome(_loop_impostor_session, tiny, 6, 18, make_rng(4485))
+        assert law == loop == (PlacementError, law[1])
+        assert "smaller than the 5x7 glyph grid" in law[1]
 
 
 # ---------------------------------------------------------------------------

@@ -464,9 +464,12 @@ class TestLawLevelDraws:
         ids=["alice", "eve-faircoin"],
     )
     def test_generator_draws_do_not_grow_with_session_length(self, subject, default_map):
-        # One binomial draw per session: the counter moves by one block of
-        # four outputs, or two when the sampler's rejection step repeats,
-        # whether the session has a thousand rounds or a hundred thousand.
+        # One binomial draw per session, so the counter moves by a few blocks
+        # of four outputs whether the session has a thousand rounds or a
+        # hundred thousand.  The bound of 2 holds at these four seeds, not at
+        # every seed: the sampler's rejection step can repeat, and over
+        # 20,000 fresh seeds per case 0.05% to 0.33% of sessions moved it
+        # by 3 or more.
         for seed in range(4270, 4274):
             for n_rounds in (1_000, 100_000):
                 rng = make_rng(seed)
