@@ -440,17 +440,15 @@ class RunContext:
 
 
 def _resolve_map(config: RunConfig) -> AlphaMap:
-    """The run's map: ``map_file`` read afresh on every call, or the
-    synthetic map of the five ``map_*`` fields, kept from the last call."""
     if config.map_file is not None:
         return load(config.map_file)
-    return _synthetic_map(config.map_width, config.map_height, config.map_alpha_min,
-                          config.map_alpha_max, config.map_seed)
-
-
-#: One entry: ``AlphaMap`` is immutable, so runs on the same synthetic map
-#: share it, and with it the class index ``strategy_pattern`` keys on it.
-_synthetic_map = functools.lru_cache(maxsize=1)(generate_synthetic)
+    return generate_synthetic(
+        config.map_width,
+        config.map_height,
+        config.map_alpha_min,
+        config.map_alpha_max,
+        config.map_seed,
+    )
 
 
 def _require_coverage(config: RunConfig, alpha_map: AlphaMap) -> None:

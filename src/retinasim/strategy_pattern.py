@@ -229,15 +229,15 @@ class _ClassBlockIndex:
                 f"class thresholds must satisfy low_max < high_min, got "
                 f"({low_max!r}, {high_min!r})"
             )
-        spots = np.arange(alpha_map.n_spots)
-        keys = grid.cell_keys(spots)
-        high = alpha_map.alpha >= high_min
-        self.high = _CellGroups(spots[high], keys[high])
-        low = (alpha_map.alpha <= low_max) & (keys >= 0)
-        block = _DEAL_BLOCK[keys[low]].astype(np.uint8)
+        high = np.flatnonzero(alpha_map.alpha >= high_min)
+        self.high = _CellGroups(high, grid.cell_keys(high))
+        low = np.flatnonzero(alpha_map.alpha <= low_max)
+        keys = grid.cell_keys(low)
+        low, keys = low[keys >= 0], keys[keys >= 0]
+        block = _DEAL_BLOCK[keys].astype(np.uint8)
         by_block = np.argsort(block, kind="stable")
-        self.low = spots[low][by_block]
-        self.low_keys = keys[low][by_block]
+        self.low = low[by_block]
+        self.low_keys = keys[by_block]
         self.low_block = block[by_block]
         counts = np.bincount(self.low_block, minlength=_N_CELLS)
         starts = np.cumsum(counts) - counts
@@ -373,20 +373,25 @@ def _require_menu(achievable: int, n_entries: int) -> None:
         )
 
 
+def _embeddable(incidence: np.ndarray, dark: np.ndarray) -> np.ndarray:
+    """Which glyphs of ``incidence`` embed in an illuminated set whose empty
+    glyph cells are ``dark`` (a flag per cell, or a row of flags per set):
+    those with none of their cells in the dark (a boolean matrix product
+    is an any-of-ands)."""
+    return ~(dark @ incidence.T)
+
+
 @lru_cache(maxsize=4)
 def _menu_capacity(index: _ClassBlockIndex, n_noise: int) -> np.ndarray:
     """The menu size ``candidate_menu`` can fill for each library glyph
-    hidden among ``n_noise`` noise spots: the number of library glyphs whose
-    cells lie in the hidden glyph's cells and the noise-lit ones.  The deal
+    hidden among ``n_noise`` noise spots: the number of library glyphs that
+    embed in the hidden glyph's cells and the noise-lit ones.  The deal
     fixes the block of each noise spot, so the noise-lit cells, and with
     them this count, depend on ``n_noise`` alone, never on the draws."""
     incidence = glyph_library().incidence
     lit = np.zeros(_N_CELLS, dtype=bool)
     lit[index.low_keys[index.deal[:n_noise]]] = True
-    # glyph g embeds beside hidden glyph h iff h covers every cell of g the
-    # noise leaves dark
-    uncovered = (incidence & ~lit).astype(np.intp) @ (~incidence).T.astype(np.intp)
-    capacity = np.count_nonzero(uncovered == 0, axis=0)
+    capacity = np.count_nonzero(_embeddable(incidence, ~(incidence | lit)), axis=1)
     capacity.setflags(write=False)
     return capacity
 
@@ -482,8 +487,7 @@ def candidate_menu(
         raise DomainError(f"hidden glyph {hidden!r} is not in the library")
     n_pattern = challenge.n_pattern
     illuminated = _CellGroups(np.arange(challenge.spots.size), challenge.cell_keys)
-    # a glyph embeds iff none of its cells is empty
-    embeddable = ~library.incidence[:, illuminated.counts == 0].any(axis=1)
+    embeddable = _embeddable(library.incidence, illuminated.counts == 0)
     embeddable[hidden_row] = False
     candidates = np.flatnonzero(embeddable)
     _require_menu(candidates.size + 1, n_entries)

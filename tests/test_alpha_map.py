@@ -105,6 +105,32 @@ def test_classify_boundaries_are_inclusive():
     assert sorted(index.high.items.tolist()) == [1, 3]
 
 
+def test_index_holds_each_classed_spot_with_its_cell():
+    """On a map whose sides leave spots outside the block grid, the index
+    holds every high spot, and every low spot inside the grid, under the
+    glyph cell a per-spot reading of the geometry gives it."""
+    alpha_map = generate_synthetic(103, 97, 0.02, 0.18, seed=5)
+    index = _class_index(alpha_map)
+    cell_w, cell_h = 103 // 5, 97 // 7
+
+    def cell(spot):
+        cx, cy = spot % 103 // cell_w, spot // 103 // cell_h
+        return cx * 7 + cy if cx < 5 and cy < 7 else None
+
+    def classed(inside):
+        return {s: cell(s) for s in range(alpha_map.n_spots)
+                if inside(alpha_map.alpha[s]) and cell(s) is not None}
+
+    high = classed(lambda a: a >= 0.16)
+    for c in range(35):
+        group = index.high.items[index.high.starts[c]:][:index.high.counts[c]]
+        assert group.tolist() == [s for s in sorted(high) if high[s] == c]
+    assert dict(zip(index.low.tolist(), index.low_keys.tolist())) == classed(
+        lambda a: a <= 0.04)
+    assert index.low.size == len(set(index.low.tolist()))
+    assert (np.diff(index.low_block.astype(int)) >= 0).all()
+
+
 def test_classify_threshold_validation(default_map):
     with pytest.raises(DomainError, match="low_max < high_min"):
         _class_index(default_map, 0.16, 0.04)

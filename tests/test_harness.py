@@ -31,7 +31,6 @@ from retinasim import (
     TrialStats,
     UniformP,
     build_subject,
-    generate_synthetic,
     load_config,
     merge_records,
     montecarlo,
@@ -359,27 +358,6 @@ class TestPrepare:
         context = prepare(RunConfig(map_file=str(path)))
         assert context.alpha_map.width == default_map.width
         assert np.allclose(context.alpha_map.alpha, default_map.alpha)
-
-    def test_synthetic_map_is_kept_across_calls(self, default_map):
-        config = RunConfig(strategy="pattern")
-        first = prepare(config).alpha_map
-        assert prepare(dataclasses.replace(config, subject="eve:echo")).alpha_map is first
-        assert np.array_equal(first.alpha, default_map.alpha)
-        other = prepare(dataclasses.replace(config, map_seed=8)).alpha_map
-        assert other is not first
-        assert not np.array_equal(other.alpha, first.alpha)
-
-    def test_map_file_is_read_on_every_call(self, tmp_path):
-        path = tmp_path / "map.json"
-        config = RunConfig(map_file=str(path))
-        maps = []
-        for seed in (3, 4):
-            save(generate_synthetic(40, 30, 0.02, 0.18, seed=seed), path)
-            maps.append(prepare(config).alpha_map)
-        assert maps[0].width == 40
-        assert not np.array_equal(maps[0].alpha, maps[1].alpha)
-        assert np.array_equal(maps[1].alpha,
-                              generate_synthetic(40, 30, 0.02, 0.18, seed=4).alpha)
 
     def test_eve_subject_from_config(self):
         context = prepare(RunConfig(subject="eve:fixedp:0.25"))
