@@ -106,6 +106,7 @@ from .strategy_serial import (
 from .subjects import (
     Adaptive,
     AliceSubject,
+    Echo,
     EveContext,
     EveStrategy,
     FixedP,

@@ -158,16 +158,19 @@ def class_draws(
 ) -> Iterator[tuple[float, SpotClass]]:
     """Endless ``(alpha, spot_class)`` draws: each time a fair coin picks the
     hidden class, then the transmission value is drawn uniformly from that
-    class's band (a zero-width band draws nothing).  The generator's methods
-    and the band edges are looked up once, not once per draw."""
-    random, uniform = rng.random, rng.uniform
+    class's band (a zero-width band draws nothing).  The value is
+    ``a + (b - a) * random()``, the expression NumPy's ``uniform(a, b)``
+    evaluates, so it draws the same double from the same stream without the
+    call's overhead.  The generator's method and the band edges are looked
+    up once, not once per draw."""
+    random = rng.random
     classes = (
         (*distribution.low_band, SpotClass.LOW),
         (*distribution.high_band, SpotClass.HIGH),
     )
     while True:
         a, b, spot_class = classes[random() < 0.5]
-        yield (a if a == b else float(uniform(a, b))), spot_class
+        yield (a if a == b else a + (b - a) * random()), spot_class
 
 
 def generate_synthetic(

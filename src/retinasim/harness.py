@@ -697,13 +697,12 @@ def merge_records(records: Iterable[TrialRecord]) -> TrialStats:
     """Fold trial records into summary statistics.  The counts and the
     histogram are integers, and ``t_mean`` and ``t_stderr`` come from the
     histogram's exact integer sums, so any order or partition of the
-    records gives them bit for bit.  ``t_stderr`` is not exact, though: it
-    takes the float difference ``Σt²/n - mean²``, which cancels once the
-    stopping times are large against their spread (four records of 3e8 to
-    3e8+3 rounds give 0.0, not 0.6455).  The drift sums are floats folded
-    in the order given: :func:`montecarlo` passes trial order, which keeps
-    its artifacts byte-identical, and another order agrees with it only to
-    rounding."""
+    records gives them bit for bit.  Each is one correctly rounded division
+    of integers (``t_stderr`` the square root of one), so no difference of
+    floats cancels, however large the stopping times are against their
+    spread.  The drift sums are floats folded in the order given:
+    :func:`montecarlo` passes trial order, which keeps its artifacts
+    byte-identical, and another order agrees with it only to rounding."""
     n_trials = accepted = timed_out = violations = 0
     histogram: dict[int, int] = {}
     walk_trials: list[tuple[float, int]] = []
@@ -722,9 +721,10 @@ def merge_records(records: Iterable[TrialRecord]) -> TrialStats:
         t_sumsq = sum(t * t * count for t, count in histogram.items())
         t_mean = t_sum / terminated
         if terminated > 1:
-            var = max(t_sumsq / terminated - t_mean * t_mean, 0.0)
-            var *= terminated / (terminated - 1)
-            t_stderr = math.sqrt(var / terminated)
+            # The squared standard error, n Σt² - (Σt)² over n² (n - 1), is
+            # a ratio of exact integers: one correctly rounded division.
+            t_stderr = math.sqrt((terminated * t_sumsq - t_sum * t_sum)
+                                 / (terminated * terminated * (terminated - 1)))
         else:
             t_stderr = 0.0
     else:

@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import DomainError, InfeasibleError, _count, _real
 
 __all__ = [
@@ -98,6 +100,53 @@ def _seen_and_missed(k: int, x: float) -> tuple[float, float]:
         n -= 1
     tail = _poisson_pmf(k - 1, x) * total
     return 1.0 - tail, tail
+
+
+def _poisson_pmfs(j: int, x: np.ndarray) -> np.ndarray:
+    """:func:`_poisson_pmf` of one ``j`` at each mean of the array ``x``:
+    its product in NumPy while every mean allows it, else the scalar
+    itself, mean by mean."""
+    if j < len(_FACTORIALS) and (x <= _PRODUCT_X_MAX).all():
+        return np.exp(-x) * x**j / _FACTORIALS[j]
+    return np.array([_poisson_pmf(j, mean) for mean in x.tolist()])
+
+
+def _gk_array(k: int, x: np.ndarray) -> np.ndarray:
+    """``gk(k, x)`` at each mean of the float array ``x``, ``k`` checked and
+    every mean positive.  The far-side tail of :func:`_seen_and_missed`,
+    its terms formed and added in the same order, so each sum is the
+    scalar's to the bit: a sum that went on past the scalar's last change
+    gains only smaller terms, which leave it as it is.  The Poisson
+    probability it scales is the scalar's own where some mean is past the
+    product form, and otherwise that product in NumPy, whose ``exp`` and
+    ``**`` need not round as :mod:`math` does, so a value may lie a few ulp
+    from the scalar's."""
+    below = x < k
+    if not below.any():
+        return 1.0 - _poisson_pmfs(k - 1, x) * _head_sum(k, x)
+    seen = np.empty(x.shape)
+    up = x[below]
+    term, total, n = np.ones(up.shape), np.zeros(up.shape), k
+    while (total + term != total).any():
+        total = total + term
+        n += 1
+        term = term * (up / n)
+    seen[below] = _poisson_pmfs(k, up) * total
+    down = x[~below]
+    seen[~below] = 1.0 - _poisson_pmfs(k - 1, down) * _head_sum(k, down)
+    return seen
+
+
+def _head_sum(k: int, x: np.ndarray) -> np.ndarray:
+    """``P[N < k] / P[N = k - 1]`` for ``N ~ Poisson(x)``, each ``x >= k``:
+    the ``k`` terms ``1, (k-1)/x, (k-1)/x * (k-2)/x, ...`` as
+    :func:`_seen_and_missed` forms them, one row each, added row by row
+    (a running sum, which, unlike ``sum``, never pairs them up)."""
+    terms = np.empty((k, x.size))
+    terms[0] = 1.0
+    np.divide.outer(np.arange(k - 1.0, 0.0, -1.0), x, out=terms[1:])
+    np.cumprod(terms, axis=0, out=terms)
+    return np.add.accumulate(terms, axis=0, out=terms)[-1]
 
 
 def gk(k: int, x: float) -> float:

@@ -26,10 +26,14 @@ A session's record is its per-spot "seen" counts, which the runner draws
 from their exact law where a spot's rounds are i.i.d.: after the spots are
 sampled (``rng.choice``), the honest user's counts are one vector of
 Binomial(nu, P(Poisson(x*) >= k)) draws, with x* the intensity that gives
-p_C at the design threshold and k her own (so p_C when the two agree), and
-a constant-bias impostor one vector of Binomial(nu, bias) draws (a uniform
-bias drawn first for each spot).  An adaptive impostor, whose rule reads
-each round's context, is interrogated round by round, one spot at a time.
+p_C at the design threshold and k her own (so p_C when the two agree), a
+constant-bias impostor one vector of Binomial(nu, bias) draws (a uniform
+bias drawn first for each spot), and ``echo``, who sees when her own
+detector counts k of the pulse's x*/alpha_s photons, one vector of
+Binomial(nu, P(Poisson(x*/alpha_s) >= k)) draws, one probability per spot.
+The first failing spot is found in that vector with one array comparison.
+An adaptive impostor whose rule declares no law is interrogated round by
+round, one spot at a time.
 """
 
 from __future__ import annotations
@@ -260,26 +264,27 @@ def run_naive(
         )
     x_star = _tuned_mean(k, plan.p_c)
     spot_indices = rng.choice(alpha_map.n_spots, size=plan.mu, replace=False)
+    alphas = alpha_map.alpha[spot_indices]
     law = open_scope(subject, rng)
     if law is subject:  # one law for every spot test
-        laws, p_seen = [law] * plan.mu, law.p_seen(x_star)
+        laws, p_seen = [law] * plan.mu, law.p_seen(x_star, alphas)
     else:
         laws = [law] + [open_scope(subject, rng) for _ in range(plan.mu - 1)]
-        p_seen = [scope.p_seen(x_star) for scope in laws]
+        p_seen = [scope.p_seen(x_star, alpha)  # each scope on its one spot
+                  for scope, alpha in zip(laws, alphas.tolist())]
         p_seen = None if None in p_seen else p_seen
     if p_seen is None:
-        counts = _answer_rounds(laws, alpha_map, spot_indices, plan.nu, x_star, rng)
+        see_counts = []
+        for count in _answer_rounds(laws, alphas, plan.nu, x_star, rng):
+            see_counts.append(count)
+            if not (plan.n_l < count < plan.n_r):
+                break
     else:
         counts = rng.binomial(plan.nu, p_seen, size=plan.mu)
-    see_counts: list[int] = []
-    accepted = True
-    for count in counts:
-        see_counts.append(int(count))
-        if not (plan.n_l < count < plan.n_r):
-            accepted = False
-            break
+        failed = np.flatnonzero((counts <= plan.n_l) | (counts >= plan.n_r))
+        see_counts = counts[: failed[0] + 1 if failed.size else plan.mu].tolist()
     return NaiveResult(
-        accepted=accepted,
+        accepted=plan.n_l < see_counts[-1] < plan.n_r,
         spots_tested=len(see_counts),
         see_counts=tuple(see_counts),
         rounds=len(see_counts) * plan.nu,
@@ -288,8 +293,7 @@ def run_naive(
 
 def _answer_rounds(
     laws: list[AnswerLaw],
-    alpha_map: AlphaMap,
-    spot_indices: np.ndarray,
+    alphas: np.ndarray,
     nu: int,
     x_star: float,
     rng: np.random.Generator,
@@ -297,8 +301,7 @@ def _answer_rounds(
     """Per-spot "seen" counts answered round by round, one spot's ``nu``
     rounds on its own law at a time, so a caller that stops at a failing
     spot answers no later round."""
-    for spot_ordinal, (spot, law) in enumerate(zip(spot_indices, laws)):
-        alpha = float(alpha_map.alpha[int(spot)])
+    for spot_ordinal, (alpha, law) in enumerate(zip(alphas.tolist(), laws)):
         i_tilde_spot = x_star / alpha
         answer = law.answers(rng, spot_ordinal)
         yield sum(answer(alpha, i_tilde_spot) for _ in range(nu))

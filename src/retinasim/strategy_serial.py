@@ -22,8 +22,9 @@ in every round, the class means taken over the interrogation distribution
 at her own threshold, so her count is one Binomial(N, q̄) draw.  An
 impostor whose session answers with a constant bias never sees the fresh
 fair coin that picks the hidden class, so her count is one Binomial(N, ½)
-draw whatever the bias.  An adaptive impostor, whose rule reads each
-round's context, is interrogated round by round.
+draw whatever the bias; so is the count of ``echo``, whose answer reads
+only her own detector count, which the coin never reaches.  An adaptive
+impostor whose rule declares no law is interrogated round by round.
 """
 
 from __future__ import annotations
@@ -123,9 +124,9 @@ def run_serial(
 
     The record is the wrong-answer count.  When the session's answer law
     gives a per-round wrong-answer probability (the honest user, a biased
-    impostor), the rounds are i.i.d. and the count is one binomial draw (see
-    the module docstring); a rule answers round by round through
-    :func:`~retinasim.subjects.interrogate`.
+    impostor, ``echo``), the rounds are i.i.d. and the count is one binomial
+    draw (see the module docstring); a rule that gives none answers round by
+    round through :func:`~retinasim.subjects.interrogate`.
 
     ``k`` is unused: it is kept only for the positional signature external
     callers (``perfbench`` among them) pass it in.  The honest subject

@@ -24,9 +24,13 @@ answering scope (a session, or a spot test of the per-spot protocol) its
 answer law — the :class:`AliceSubject` herself, a :class:`FixedP` bias (a
 :class:`UniformP` impostor opens a fresh one per scope) or an
 :class:`Adaptive` rule — and each law answers the runners' questions:
-``p_seen(x)`` at a mean photon number ``x``, ``p_wrong`` per round of
-class interrogation (``None`` for a rule, which decides round by round),
-and ``answers(rng, spot_ordinal)``, one call a round.
+``p_seen(x, alpha)``, the chance of "seen" on spots of transmissions
+``alpha`` each pulsed to deposit a mean of ``x`` photons on the honest
+retina, ``p_wrong`` per round of class interrogation, and
+``answers(rng, spot_ordinal)``, one call a round.  A rule gives ``None``
+for both probabilities and decides round by round, unless it declares its
+law: :class:`Echo`, the perfect-detector impostor, is a rule whose rounds
+are i.i.d., and gives both.
 :func:`honest_threshold` serves the pattern protocol, which opens no scope.
 :func:`interrogate` runs the round primitive every class-based protocol
 shares: a fair coin picks the hidden class, the transmission value is drawn
@@ -50,7 +54,7 @@ import numpy as np
 
 from .alpha_map import SpotClass, UniformBands, class_draws
 from .errors import ConfigError, DomainError, _count, _real
-from .photon_stats import DEFAULT_THRESHOLD, _gk_mean, gk
+from .photon_stats import DEFAULT_THRESHOLD, _gk_array, _gk_mean, gk
 
 __all__ = [
     "EveContext",
@@ -58,6 +62,7 @@ __all__ = [
     "FixedP",
     "UniformP",
     "Adaptive",
+    "Echo",
     "AliceSubject",
     "SubjectModel",
     "AnswerLaw",
@@ -159,8 +164,9 @@ class FixedP(EveStrategy):
         """Answer one round: ``True`` for "seen", ``False`` for "not seen"."""
         return bool(rng.random() < self.p)
 
-    def p_seen(self, x: float) -> float:
-        """The bias: the pulse's mean photon number never reaches it."""
+    def p_seen(self, x: float, alpha: np.ndarray) -> float:
+        """The bias: neither the pulse's mean photon number nor the spots'
+        transmissions reach it."""
         return self.p
 
     def p_wrong(self, distribution: UniformBands, i_tilde: float) -> float:
@@ -206,7 +212,9 @@ class Adaptive(EveStrategy):
     "seen"; returning 0.0 or 1.0 makes the strategy deterministic.  The rule
     can consult past answers and photon counts — nothing else exists in the
     context to consult.  Deciding round by round, its law gives no
-    probability: ``p_seen`` and ``p_wrong`` are ``None``.
+    probability: ``p_seen`` and ``p_wrong`` are ``None``.  A rule whose
+    rounds are i.i.d. can say so in a subclass that gives them, as
+    :class:`Echo` does.
     """
 
     rule: Callable[[EveContext], float]
@@ -219,7 +227,7 @@ class Adaptive(EveStrategy):
         """Answer one round: ``True`` for "seen", ``False`` for "not seen"."""
         return bool(rng.random() < _answer_probability(self.rule(context)))
 
-    def p_seen(self, x: float) -> None:
+    def p_seen(self, x: float, alpha: np.ndarray) -> None:
         return None
 
     def p_wrong(self, distribution: UniformBands, i_tilde: float) -> None:
@@ -249,6 +257,37 @@ class Adaptive(EveStrategy):
         return answer_rule
 
 
+@dataclass(frozen=True, init=False)
+class Echo(Adaptive):
+    """The impostor with a perfect photodetector: she answers "seen" exactly
+    when her own detector count reaches the perception threshold ``k`` (the
+    rule :func:`_echo`), the most informed guess the information barrier
+    allows.
+
+    Round by round she is the :class:`Adaptive` rule, and answers as one.
+    Her rounds are i.i.d. all the same, so her law gives both
+    probabilities: her count never reads the class coin, so she errs with
+    probability exactly 1/2 a round, and on a spot of transmission
+    ``alpha`` pulsed at ``x / alpha`` she sees with probability
+    ``gk(k, x / alpha)``.
+    """
+
+    k: int
+
+    def __init__(self, k: int) -> None:
+        k = _count("threshold K", k, 1)
+        object.__setattr__(self, "rule", functools.partial(_echo, k))
+        object.__setattr__(self, "k", k)
+
+    def p_seen(self, x: float, alpha: np.ndarray) -> np.ndarray:
+        """``gk(k, x / alpha)`` for each spot transmission of ``alpha``."""
+        return _gk_array(self.k, x / alpha)
+
+    def p_wrong(self, distribution: UniformBands, i_tilde: float) -> float:
+        """Exactly 1/2: the class coin never reaches her count."""
+        return 0.5
+
+
 @functools.lru_cache(maxsize=64)
 def _seeing(k: int, x: float) -> float:
     """``gk(k, x)``, once per ``(k, x)``: a per-spot run asks for the same
@@ -267,8 +306,10 @@ class AliceSubject:
     def __post_init__(self) -> None:
         object.__setattr__(self, "k", _count("threshold K", self.k, 1))
 
-    def p_seen(self, x: float) -> float:
-        """``gk(k, x)``, computed once per ``(k, x)``."""
+    def p_seen(self, x: float, alpha: np.ndarray) -> float:
+        """``gk(k, x)`` on every spot, the pulse tuned to deposit ``x``
+        photons through each transmission of ``alpha``; computed once per
+        ``(k, x)``."""
         return _seeing(self.k, x)
 
     def p_wrong(self, distribution: UniformBands, i_tilde: float) -> float:
@@ -406,7 +447,7 @@ def parse_eve_strategy(spec: str, k: int) -> EveStrategy:
     if spec == "uniformp":
         return UniformP()
     if spec == "echo":
-        return Adaptive(functools.partial(_echo, k))
+        return Echo(k)
     if spec.startswith("fixedp:"):
         try:
             return FixedP(float(spec.split(":", 1)[1]))

@@ -1,6 +1,7 @@
 """Map model, synthesis, spot classes, and the persistence format."""
 
 import hashlib
+import itertools
 import json
 import math
 
@@ -26,6 +27,7 @@ from retinasim import (
     save,
 )
 
+from retinasim.alpha_map import class_draws
 from retinasim.strategy_pattern import BlockGrid, _ClassBlockIndex
 
 from conftest import make_rng
@@ -208,6 +210,43 @@ def test_draw_interrogation_uniform_bands(default_map):
             assert 0.15 <= alpha <= 0.18
         else:
             assert 0.02 <= alpha <= 0.05
+
+
+def _twin_class_draws(distribution, rng):
+    """The draws ``class_draws`` must give: the class coin, then
+    ``Generator.uniform`` on the class's band."""
+    classes = ((*distribution.low_band, SpotClass.LOW),
+               (*distribution.high_band, SpotClass.HIGH))
+    while True:
+        a, b, spot_class = classes[rng.random() < 0.5]
+        yield (a if a == b else float(rng.uniform(a, b))), spot_class
+
+
+@pytest.mark.parametrize("bands", [
+    ((0.02, 0.05), (0.15, 0.18)),
+    ((0.05, 0.05), (0.15, 0.18)),
+    ((1e-3, 0.5), (0.5000000000000001, 1.0)),
+    ((0.1, 0.1000000000000003), (0.3, 0.7)),
+])
+def test_class_draws_equal_generator_uniform_on_twin_streams(bands):
+    distribution = UniformBands(*bands)
+    ours, twin = make_rng(45), make_rng(45)
+    n = 20_000
+    assert (list(itertools.islice(class_draws(distribution, ours), n))
+            == list(itertools.islice(_twin_class_draws(distribution, twin), n)))
+    assert repr(ours.bit_generator.state) == repr(twin.bit_generator.state)
+
+
+@given(edges=st.lists(st.floats(min_value=1e-6, max_value=1.0), min_size=4, max_size=4,
+                      unique=True),
+       seed=st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=100, deadline=None)
+def test_class_draws_equal_generator_uniform_for_any_bands(edges, seed):
+    a, b, c, d = sorted(edges)
+    distribution = UniformBands((a, b), (c, d))
+    draws = list(itertools.islice(class_draws(distribution, make_rng(seed)), 200))
+    twin = list(itertools.islice(_twin_class_draws(distribution, make_rng(seed)), 200))
+    assert draws == twin
 
 
 def test_draw_requires_support_inside_band(default_map):

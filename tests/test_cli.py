@@ -454,7 +454,7 @@ _IDENTIFY_PINS = {
         "734b394aa2dec977f79a984a0c93b2c785ac7c49f06ab549d445211645e2cdd1", 1
     ),
     ("serial", "eve:echo"): (
-        "e739977c7d6f636f3d0e1303f84438889f24ed69f6fea94cbf9ad7a62b3e830d", 1
+        "698b1b36a3618a2c808c5e9aa1974a9c9442fc8c8528c80c4946265d82341320", 1
     ),
     ("naive", "alice"): (
         "2a8cb4a0034da25b14ef9517d5b771bf38133c67b8d10ce9db82e5618e7097f3", 0

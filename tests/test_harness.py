@@ -481,8 +481,6 @@ class TestMergeRecords:
         assert shuffled.t_mean == pytest.approx(serial.t_mean, rel=1e-12)
         assert shuffled.drift_mean == pytest.approx(serial.drift_mean, rel=1e-12)
 
-    @pytest.mark.xfail(strict=True, reason="t_stderr is a float difference of moments, "
-                       "which cancels; exact moments are ROADMAP item 8")
     def test_stopping_time_stderr_of_large_times(self):
         rounds = [3 * 10**8 + d for d in range(4)]
         records = [TrialRecord(i, True, False, rounds=t) for i, t in enumerate(rounds)]
@@ -742,16 +740,16 @@ _PINNED_DIGESTS = {
         "875964fa195aa71891bea04ee2b20f3dfa41e0b4198a4285abb6896a0213188c"
     ),
     ("bayes", "alice", "uniform_bands"): (
-        "2add71c963e76ef40e682ef199043d9ca2c7b45ecf0d5cb10d275915994446a9"
+        "07774efc277baf192a4969185c3eaebfa0d697e501b20614df1b20430ecc744e"
     ),
     ("bayes", "eve:uniformp", "point_pair"): (
-        "2d64df99ebcfde151458171d66997e045e40f123a2d702ed52681571365b3d7f"
+        "52c4ff9ccaf52e99b765a64e5151dcb5bc08bee0375215897a60a23496637db9"
     ),
     ("bayes", "eve:uniformp", "uniform_bands"): (
-        "90a9c22df48f381541eabc4c5ef8da5f57d65f9147cb2de1ee62807d2d9621ed"
+        "39ddbb927f1a8bc36f6845157928ff72f3153ece33a97cec0049dd838fa89339"
     ),
     ("bayes", "eve:echo", "point_pair"): (
-        "ef793f26068870bb188367b7f131c8d41764fdb5b0429371fdd025e25827da39"
+        "68977ea99cbb9e597974d6877c27e314e5d74902c6e4093ff51d00292dd24ea1"
     ),
     ("bayes", "eve:echo", "uniform_bands"): (
         "86efdc2a1ee2cf599604aa56d426144f818c1d0ab5a759321dea61c11c31481f"
@@ -855,10 +853,10 @@ def test_artifacts_match_pinned_digests(strategy, subject, distribution, tmp_pat
 # and some impostor ones a second.
 _PINNED_PATTERN_RUNS = {
     ("alice", 40): (
-        "40100c03e35f010b5a6566057960754b00595596a34c1cb3006c292686f939a9"
+        "a755d3474b0ae238a54057f3f37537760b865a6aa8fbe21a7f8ac4104a13c75e"
     ),
     ("eve:faircoin", 200): (
-        "781ed3b56b2d9ac3978f21d2eab06e3b35e99e72969d3a3e7648fb8c03206dc9"
+        "3a7ba088572ddda1eb3243339b9915ad1384d984eba6e38984044d1966eef8ee"
     ),
 }
 
@@ -959,10 +957,10 @@ _KERNEL_DIGESTS = {
         "f137ea664cf25dfbc4778f4d443d366b7ad31fc3ee43c10267eaf9b33a2c2e48"
     ),
     ("serial", "eve:echo", "point_pair", False): (
-        "73c96e35dda68e0664cf3342fe59b620907d936d1a433fda6e490faf7556f3ab"
+        "56aa9bd202fbe17d71f1c317b05d850431dc83eabba8c34dc965c10aa7b8278c"
     ),
     ("naive", "eve:echo", "point_pair", False): (
-        "47306430e413d0aab7839defa3c156489eb1ec6ea8048a64bcf4a304b8a2bd48"
+        "11ad4d7ec5bd70f40358f05b109dfbb978d60155fb0400f45a71e7fa3eaa3809"
     ),
     "martingale": (
         "b3cac7fa22be5787a389aa8f8bac9f624ca90346843c52e67b0d652cac6adbe7"
@@ -1074,10 +1072,10 @@ _STRUCTURAL_DIGESTS = {
         "932872ae9f9ba387d66e1027d0d372d7963e639b26370734fc8e61b257cbaa1b"
     ),
     ('artifacts', 'serial', 'eve:echo', 'point_pair'): (
-        "32cad8404836214bc48e00249850bafc92d28a88de2409b02874d160e43b447e"
+        "5841402ca288c536d6f3a33ade19afa9699251c1617a50e3abe4f33027dfa8d9"
     ),
     ('artifacts', 'serial', 'eve:echo', 'uniform_bands'): (
-        "3794bc44be3c7878f615e6f915c326bbbd2805a8188714c837cd6621be9e2a63"
+        "5841402ca288c536d6f3a33ade19afa9699251c1617a50e3abe4f33027dfa8d9"
     ),
     ('artifacts', 'naive', 'alice', 'point_pair'): (
         "37e3e21f9f5e800030e896c21e8d4c577245b567e479d5bbeca4009cfc8b8b58"
@@ -1092,10 +1090,10 @@ _STRUCTURAL_DIGESTS = {
         "aebdb6ac42cbd93d25f8dc559cd5cae1d826ae150c82eac0ce3994680a5c25aa"
     ),
     ('artifacts', 'naive', 'eve:echo', 'point_pair'): (
-        "4e93d1d2c1e1203ab9e09fe624bcc04bb9bec3af0592b4aa9fa95c3a864ff15c"
+        "e0900047db96d97584d3c6c546e4c999ee42d8310015a708f61fdfdea5e90e04"
     ),
     ('artifacts', 'naive', 'eve:echo', 'uniform_bands'): (
-        "4e93d1d2c1e1203ab9e09fe624bcc04bb9bec3af0592b4aa9fa95c3a864ff15c"
+        "e0900047db96d97584d3c6c546e4c999ee42d8310015a708f61fdfdea5e90e04"
     ),
     ('artifacts', 'pattern', 'alice', 'point_pair'): (
         "db8c4e19313ca49c278312436d9650eb38d4fd3921e4cd82f3edf1c70d1c2839"
@@ -1182,10 +1180,10 @@ _STRUCTURAL_DIGESTS = {
         "652b234bac7953f876573f310fb7eb02e71c98ca3d8ed1a7a8fdb8adb5eede97"
     ),
     ('kernel', 'serial', 'eve:echo', 'point_pair', False): (
-        "284622c0c713eb11d5ebd7c59795f0f18f9ea913f1b698c30dc4707bda8652b1"
+        "c48d6c91abe692a947c4a4613b4f0aace66e47c42d9641ca82fd0e97b4225c0d"
     ),
     ('kernel', 'naive', 'eve:echo', 'point_pair', False): (
-        "12cf93b76ea697fcd4f1bfc0414f0e2630f6dc603f1b8bfca070df56318d1686"
+        "d7e23008e4ef79e5dca148911e32b6f0ed6a3405735b0fddd1676d097289f572"
     ),
     ('martingale',): (
         "cf8a6dc005fd32dc9b3f103392c6e692b74a9ec97e0065626eb99ac98d83ee31"

@@ -6,7 +6,8 @@ chance with this probability; every other check here is exact).  Each count
 the naive runner draws is binomial, so a binomial-tail check's probability is
 its law's mass on the counts the check refuses, summed in 50-digit
 arithmetic.  A G-test's has no closed form: its figure is the share of 50,000
-simulated re-draws of the exact pooled-count law that the test refuses.
+simulated re-draws of the exact law it tests (the pooled counts, or
+echo's first-spot count or first failing position) that the test refuses.
 
 =====================================================  ======================
 check                                                  false-failure
@@ -44,11 +45,16 @@ check                                                  false-failure
                                                        simulated, ±0.00023)
 ``test_uniform_bias_counts_are_uniform``               0.0027 (three G-tests;
                                                        simulated, ±0.00023)
+``TestEchoLaw::test_first_spot_counts``                0.0031 (three G-tests;
+                                                       simulated, ±0.00025)
+``TestEchoLaw::test_first_failing_position``           0.0035 (three G-tests;
+                                                       simulated, ±0.00026)
 =====================================================  ======================
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -73,6 +79,7 @@ from retinasim import (
     UniformP,
     acceptance_counts,
     build_subject,
+    generate_synthetic,
     gk,
     prepare,
     relative_entropy,
@@ -81,6 +88,7 @@ from retinasim import (
 )
 
 from retinasim import strategy_naive
+from retinasim.subjects import _echo
 
 from conftest import g_test_pvalue, make_rng, two_sample_g_pvalue
 
@@ -480,7 +488,8 @@ class _PerRoundUniformP(EveStrategy):
 
 class TestLawLevelDraws:
     """The honest user's per-spot counts, and those of every biased impostor
-    session, are one vector of binomial draws; an adaptive impostor keeps
+    session and of ``echo`` (:class:`TestEchoLaw`), are one vector of
+    binomial draws; an adaptive impostor whose rule declares no law keeps
     the per-round path.  The counts must follow the exact law, and match the
     per-round path's counts where both can run.
 
@@ -602,3 +611,112 @@ class TestLawLevelDraws:
         run_naive(build_subject(name, 6), default_map, _published_plan(),
                   make_rng(4127))
         assert len(opened) == scopes
+
+
+class TestEchoLaw:
+    """``eve:echo`` answers "seen" exactly when her detector count reaches
+    k, so on spot s, pulsed at x*/alpha_s, her count is
+    Bin(nu, P(Poisson(x*/alpha_s) >= k)), and the runner draws it from that
+    law.  The oracle is the same rule without a law, answered round by
+    round, and the exact law computed here with SciPy's Poisson tail.  The
+    map's band keeps the seeing probability away from 0 and 1 (about 0.5
+    to 0.96), so spots pass and fail alike; on the default map echo sees
+    almost every pulse and fails at her first spot."""
+
+    @pytest.fixture(scope="class")
+    def sessions(self):
+        """4,000 sessions of her declared law and 1,000 of the plain rule."""
+        alpha_map = generate_synthetic(100, 100, 0.5, 1.0, seed=4128)
+        plan = _published_plan()
+        runs = []
+        for subject, seed, count in (
+            (build_subject("eve:echo", 6), 4129, 4000),
+            (Adaptive(functools.partial(_echo, 6)), 4130, 1000),
+        ):
+            rng = make_rng(seed)
+            runs.append([run_naive(subject, alpha_map, plan, rng) for _ in range(count)])
+        return alpha_map, plan, *runs
+
+    @staticmethod
+    def _exact(alpha_map, plan):
+        """The first spot's count law and the law of the first failing
+        position (``mu`` standing for an accepted session).  The spots are
+        a uniform draw without replacement, so the first j all pass with
+        the mean of their pass probabilities' products over the j-subsets
+        of the map, e_j / C(S, j) with e_j the elementary symmetric sum."""
+        x = strategy_naive._tuned_mean(6, plan.p_c) / alpha_map.alpha
+        seen = stats.poisson.sf(5, x)
+        counts = np.arange(plan.nu + 1)
+        per_spot = stats.binom.pmf(counts[:, None], plan.nu, seen[None, :])
+        first = per_spot.mean(axis=1)
+        passes = per_spot[plan.n_l + 1:plan.n_r].sum(axis=0)
+        e = np.zeros(plan.mu + 1)
+        e[0] = 1.0
+        for p in passes:
+            e[1:] += p * e[:-1]
+        all_pass = e / np.array([float(math.comb(alpha_map.n_spots, j))
+                                 for j in range(plan.mu + 1)])
+        position = np.append(all_pass[:-1] - all_pass[1:], all_pass[-1])
+        return first, position
+
+    @staticmethod
+    def _positions(results, mu):
+        return [mu if r.accepted else r.spots_tested - 1 for r in results]
+
+    def test_laws_are_not_degenerate(self, sessions):
+        alpha_map, plan, _law, _twin = sessions
+        first, position = self._exact(alpha_map, plan)
+        assert first.sum() == pytest.approx(1.0, abs=1e-12)
+        assert position.sum() == pytest.approx(1.0, abs=1e-12)
+        assert 0.2 < position[0] < 0.5 and position[1] > 0.1
+
+    def test_first_spot_counts(self, sessions):
+        alpha_map, plan, law, twin = sessions
+        first, _position = self._exact(alpha_map, plan)
+        law_counts = [r.see_counts[0] for r in law]
+        twin_counts = [r.see_counts[0] for r in twin]
+        assert g_test_pvalue(law_counts, first) > 1e-3
+        assert g_test_pvalue(twin_counts, first) > 1e-3
+        assert two_sample_g_pvalue(law_counts, twin_counts, plan.nu + 1) > 1e-3
+
+    def test_first_failing_position(self, sessions):
+        alpha_map, plan, law, twin = sessions
+        _first, position = self._exact(alpha_map, plan)
+        law_positions = self._positions(law, plan.mu)
+        twin_positions = self._positions(twin, plan.mu)
+        assert g_test_pvalue(law_positions, position) > 1e-3
+        assert g_test_pvalue(twin_positions, position) > 1e-3
+        assert two_sample_g_pvalue(law_positions, twin_positions, plan.mu + 1) > 1e-3
+
+    def test_counts_take_one_binomial_vector(self):
+        """Her law path: the spots' ``choice``, then one ``binomial`` of
+        size mu, whose probabilities are her seeing probability on each
+        chosen spot; the session records its counts up to the first
+        failing one."""
+        alpha_map = generate_synthetic(40, 40, 0.5, 1.0, seed=4131)
+        plan = _published_plan()
+        calls = []
+
+        class Recording:
+            def __init__(self, rng):
+                self._rng = rng
+
+            def __getattr__(self, name):
+                method = getattr(self._rng, name)
+
+                def recorded(*args, **kwargs):
+                    calls.append((name, args, method(*args, **kwargs)))
+                    return calls[-1][2]
+
+                return recorded
+
+        for seed in range(4132, 4142):
+            calls.clear()
+            result = run_naive(build_subject("eve:echo", 6), alpha_map, plan,
+                               Recording(make_rng(seed)))
+            (choice, _, spots), (binomial, (_nu, p), counts) = calls
+            assert (choice, binomial) == ("choice", "binomial")
+            x_star = strategy_naive._tuned_mean(6, plan.p_c)
+            np.testing.assert_allclose(p, stats.poisson.sf(5, x_star / alpha_map.alpha[spots]),
+                                       rtol=1e-13)
+            assert result.see_counts == tuple(counts[:result.spots_tested].tolist())

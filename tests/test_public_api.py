@@ -124,7 +124,8 @@ def test_distribution_names_are_compared_only_in_harness():
     assert found == []
 
 
-_SUBJECT_TYPES = {"AliceSubject", "EveStrategy", "FixedP", "UniformP", "Adaptive"}
+_SUBJECT_TYPES = {"AliceSubject", "EveStrategy", "FixedP", "UniformP", "Adaptive",
+                  "Echo"}
 
 
 def _named(node: ast.expr) -> set[str]:

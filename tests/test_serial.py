@@ -41,9 +41,12 @@ check                                                      false-failure
 ``[point-pair-k7]``, ``[bands]``                           0.0012 (G-test at
                                                            1e-3; simulated,
                                                            ±0.00016)
-``test_biased_impostor_count_is_fair_binomial[faircoin]``  0.0033 each (three
-and ``[uniformp]``                                         G-tests; simulated,
-                                                           ±0.00026)
+``test_biased_impostor_count_is_fair_binomial[faircoin]``, 0.0033 each (three
+``[uniformp]`` and ``[echo]``                              G-tests; simulated,
+                                                           ±0.00026; one law
+                                                           and one pair of
+                                                           sizes for all
+                                                           three)
 ``test_generator_draws_do_not_grow_with_session_length``   0.013, 0.0032 (one
 ``[alice]``, ``[eve-faircoin]``                            of 8 sessions moves
                                                            the counter past
@@ -57,6 +60,7 @@ and ``[uniformp]``                                         G-tests; simulated,
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -83,6 +87,8 @@ from retinasim import (
     solve_q_intensity,
     solve_w_N,
 )
+
+from retinasim.subjects import _echo
 
 from conftest import g_test_pvalue, make_rng, two_sample_g_pvalue
 
@@ -414,9 +420,9 @@ def _band_mean_seeing(band, i_tilde, k):
 
 
 class TestLawLevelDraws:
-    """The honest user and every biased impostor session draw their
-    wrong-answer count in one binomial step; an adaptive impostor keeps the
-    per-round path.  The counts must follow the exact law, and match the
+    """The honest user, every biased impostor session and ``echo`` draw
+    their wrong-answer count in one binomial step; an adaptive impostor
+    whose rule declares no law keeps the per-round path.  The counts must follow the exact law, and match the
     per-round path's counts where both can run."""
 
     PLAN = SerialPlan(q=0.1, w=0.3, n_rounds=60)
@@ -448,16 +454,37 @@ class TestLawLevelDraws:
 
     @pytest.mark.parametrize(
         "strategy,twin",
-        [(FixedP(0.5), Adaptive(lambda _ctx: 0.5)), (UniformP(), _PerRoundUniformP())],
-        ids=["faircoin", "uniformp"],
+        [(FixedP(0.5), Adaptive(lambda _ctx: 0.5)), (UniformP(), _PerRoundUniformP()),
+         (build_subject("eve:echo", 6), Adaptive(functools.partial(_echo, 6)))],
+        ids=["faircoin", "uniformp", "echo"],
     )
     def test_biased_impostor_count_is_fair_binomial(self, strategy, twin, default_map):
+        """A biased impostor's count, and ``echo``'s, whose answers read only
+        her own detector count, are Bin(N, 1/2); each twin is the same law
+        without a declared probability, answered round by round."""
         n = self.PLAN.n_rounds
         counts = self._wrong_counts(strategy, default_map, 4261, 4000)
         assert g_test_pvalue(counts, stats.binom.pmf(range(n + 1), n, 0.5)) > 1e-3
         per_round = self._wrong_counts(twin, default_map, 4262, 1500)
         assert g_test_pvalue(per_round, stats.binom.pmf(range(n + 1), n, 0.5)) > 1e-3
         assert two_sample_g_pvalue(counts, per_round, n + 1) > 1e-3
+
+    @pytest.mark.parametrize("distribution", [
+        POINT_PAIR, UniformBands((0.02, 0.05), (0.15, 0.18)),
+    ], ids=["point-pair", "bands"])
+    def test_echo_session_is_a_fair_coin_session(self, distribution, default_map):
+        """Both laws err with probability 1/2 a round, so on twin streams an
+        echo session takes the fair coin's one binomial draw."""
+        results = []
+        for subject in (build_subject("eve:echo", 6), FixedP(0.5)):
+            rng = make_rng(4266)
+            results.append([
+                (run_serial(subject, default_map, SerialPlan(q=0.1, w=0.3, n_rounds=n),
+                            I_STAR, 6, rng, distribution=distribution),
+                 _philox_counter(rng))
+                for n in (60, 1_000, 100_000)
+            ])
+        assert results[0] == results[1]
 
     @pytest.mark.parametrize(
         "subject", [AliceSubject(), FixedP(0.5)],

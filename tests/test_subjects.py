@@ -2,7 +2,9 @@
 structural information barrier impostors answer through."""
 
 import dataclasses
+import functools
 import math
+import pickle
 from itertools import islice
 
 import numpy as np
@@ -12,6 +14,7 @@ from retinasim import (
     Adaptive,
     AliceSubject,
     DomainError,
+    Echo,
     EveContext,
     FixedP,
     RunConfig,
@@ -27,7 +30,7 @@ from retinasim import (
     trial_rng,
 )
 
-from retinasim.subjects import class_seeing_means, interrogate, open_scope
+from retinasim.subjects import _echo, class_seeing_means, interrogate, open_scope
 
 from conftest import make_rng
 
@@ -252,13 +255,13 @@ def test_history_is_a_frozen_view_of_the_answers_so_far():
 
 def test_session_bias_marks_constant_answering():
     rng = make_rng(14)
-    assert FixedP(0.5).session(rng).p_seen(60.0) == 0.5
-    assert FixedP(0.3).session(rng).p_seen(60.0) == 0.3
+    alphas = np.array([0.05, 0.15])
+    assert FixedP(0.5).session(rng).p_seen(60.0, alphas) == 0.5
+    assert FixedP(0.3).session(rng).p_seen(60.0, alphas) == 0.3
     biases = [UniformP().session(rng).p for _ in range(3)]
     assert all(b is not None and 0.0 <= b < 1.0 for b in biases)
     assert len(set(biases)) == 3
-    assert Adaptive(lambda _ctx: 0.5).session(rng).p_seen(60.0) is None
-    assert build_subject("eve:echo", 6).session(rng).p_seen(60.0) is None
+    assert Adaptive(lambda _ctx: 0.5).session(rng).p_seen(60.0, alphas) is None
 
 
 def test_biased_session_answers_like_its_per_round_twin():
@@ -330,8 +333,10 @@ def test_class_seeing_means_refuses_a_bool_threshold_after_a_cached_one():
 ])
 def test_only_an_adaptive_session_builds_contexts(strategy, runner, monkeypatch):
     """A biased impostor's answers read no context, so her session builds
-    none; an adaptive one builds exactly one per round, its round index
-    counted within the scope (a naive spot test is a scope of ``nu``)."""
+    none.  ``echo`` builds exactly one per round under bayes, its round
+    index counted within the scope, but none under serial or naive: there
+    her law gives the count's probability (1/2 a round for serial, the
+    seeing probability of each spot for naive), so no round is answered."""
     import retinasim.subjects
 
     built = []
@@ -345,7 +350,61 @@ def test_only_an_adaptive_session_builds_contexts(strategy, runner, monkeypatch)
                                 map_width=40, map_height=40))
     result = run_session(context, trial_rng(4524, 0))
     assert result.rounds > 1
-    assert len(built) == (result.rounds if strategy == "echo" else 0)
+    assert len(built) == (result.rounds if (strategy, runner) == ("echo", "bayes")
+                          else 0)
     scope = context.naive_plan.nu if runner == "naive" else result.rounds
     assert [(c.spot_ordinal, c.round_index) for c in built] == [
         divmod(n, scope) for n in range(len(built))]
+
+
+class TestEcho:
+    """``eve:echo`` is an :class:`Adaptive` rule that also declares its law:
+    round by round it answers exactly as the plain rule does, and its law
+    gives the two probabilities the serial and naive runners draw from."""
+
+    def test_is_the_named_rule(self):
+        echo = build_subject("eve:echo", 9)
+        assert type(echo) is Echo and isinstance(echo, Adaptive)
+        assert echo.k == 9
+        assert (echo.rule.func, echo.rule.args) == (_echo, (9,))
+        assert open_scope(echo, make_rng(1)) is echo
+        for count, saw in ((None, 0.0), (8, 0.0), (9, 1.0), (40, 1.0)):
+            assert echo.rule(EveContext(0, count)) == saw
+
+    @pytest.mark.parametrize("bad", [0, -1, 2.0, True])
+    def test_threshold_is_a_count(self, bad):
+        with pytest.raises(DomainError, match="threshold"):
+            Echo(bad)
+
+    @pytest.mark.parametrize("distribution", [
+        UniformBands((0.05, 0.05), (0.15, 0.15)),
+        UniformBands((0.02, 0.05), (0.15, 0.18)),
+    ], ids=["point-pair", "bands"])
+    def test_answers_as_the_plain_rule_round_by_round(self, distribution):
+        """The bayes rounds, on twin streams: same answers, same draws."""
+        twins = []
+        for law in (Echo(6), Adaptive(functools.partial(_echo, 6))):
+            rng = make_rng(4530)
+            rounds = list(islice(interrogate(law, distribution, 62.3, rng), 2000))
+            twins.append((rounds, repr(rng.bit_generator.state)))
+        assert twins[0] == twins[1]
+        rng = make_rng(4531)
+        contexts = [EveContext(i, c) for i, c in enumerate(range(2, 12))]
+        answers = [Echo(6).respond(c, rng) for c in contexts]
+        assert answers == [c.photon_count >= 6 for c in contexts]
+
+    def test_law_probabilities(self):
+        from scipy import stats
+
+        echo = Echo(6)
+        bands = UniformBands((0.02, 0.05), (0.15, 0.18))
+        assert echo.p_wrong(bands, 62.3) == 0.5
+        alphas = np.linspace(0.02, 1.0, 50)
+        seen = echo.p_seen(5.67, alphas)
+        assert seen.shape == alphas.shape
+        np.testing.assert_allclose(seen, stats.poisson.sf(5, 5.67 / alphas), rtol=1e-13)
+
+    def test_pickles_to_the_same_law(self):
+        echo = pickle.loads(pickle.dumps(Echo(7)))
+        assert type(echo) is Echo and echo.k == 7
+        assert echo.rule(EveContext(0, 7)) == 1.0 and echo.rule(EveContext(0, 6)) == 0.0
