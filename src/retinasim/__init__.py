@@ -85,6 +85,7 @@ from .strategy_pattern import (
     GlyphLibrary,
     Menu,
     PatternChallenge,
+    PatternPlan,
     PatternResult,
     RecognitionRule,
     alice_failure_bound,

@@ -25,7 +25,7 @@ from .harness import (
     STRATEGIES,
     RunConfig,
     _DISTRIBUTION_FIELDS,
-    _require_coverage,
+    _operating_point,
     _resolve_map,
     load_config,
     montecarlo,
@@ -304,8 +304,7 @@ def cmd_pattern(config: RunConfig) -> int:
 def cmd_bounds(config: RunConfig) -> int:
     """Print the sequential bounds and the physics report."""
     alpha_map = _resolve_map(config)
-    _require_coverage(config, alpha_map)
-    q, i_tilde = config.operating_point()
+    q, i_tilde = _operating_point(config, alpha_map)
     print("\n".join(_bounds_lines(config, alpha_map, q, i_tilde) + _physics_lines()))
     return 0
 

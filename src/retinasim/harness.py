@@ -57,9 +57,9 @@ from .strategy_pattern import (
     DEFAULT_HIGH_MIN,
     DEFAULT_LOW_MAX,
     DEFAULT_NOISE_SPOTS,
+    PatternPlan,
     PatternResult,
     RecognitionRule,
-    require_placeable,
     run_pattern_test,
 )
 from .strategy_serial import SerialPlan, SerialResult, run_serial, solve_w_N
@@ -258,13 +258,6 @@ def _checked_kind(name: str, kind: str, value):
     return tuple(_real(label, v, "(-inf, inf)") for v in value)
 
 
-@functools.lru_cache(maxsize=64)
-def _symmetric_intensity(alpha_low: float, alpha_high: float, k: int) -> float:
-    """The pulse intensity of :func:`solve_q_intensity`, solved once per
-    (inner edges, ``k``): each ``prepare`` of a run asks for it again."""
-    return solve_q_intensity(alpha_low, alpha_high, k)[1]
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Everything needed to reproduce a run.
@@ -362,18 +355,6 @@ class RunConfig:
             return PointPair(self.alpha_low, self.alpha_high)
         return UniformBands(self.low_band, self.high_band)
 
-    def operating_point(self) -> tuple[float, float]:
-        """``(q, i_tilde)`` the configured distribution runs at: the pulse
-        intensity (``i_tilde`` when set, else solved symmetrically from the
-        distribution's inner edges) and the honest user's worst-case
-        wrong-answer probability at that intensity."""
-        distribution = self.distribution_object()
-        if self.i_tilde is not None:
-            i_tilde = self.i_tilde
-        else:
-            i_tilde = _symmetric_intensity(*inner_edges(distribution), self.k)
-        return design_wrong_probability(distribution, i_tilde, self.k), i_tilde
-
     def to_dict(self) -> dict:
         doc = dataclasses.asdict(self)
         doc["low_band"] = list(self.low_band)
@@ -426,8 +407,10 @@ class TrialRecord:
 class RunContext:
     """Immutable shared inputs for all trials of one run: the map, the
     solved plan, and the subject template.  Safe to share across workers.
-    ``i_tilde`` is the common pulse intensity of a bayes or serial run;
-    naive and pattern runs tune their own, and it is ``None`` for them."""
+    ``i_tilde`` is the common pulse intensity of a bayes or serial run, and
+    ``None`` for the others: a naive plan sets its own pulses, and a
+    pattern run carries its intensity, with everything else its questions
+    read, in ``pattern_plan``."""
 
     config: RunConfig
     alpha_map: AlphaMap
@@ -437,6 +420,7 @@ class RunContext:
     sequential_plan: SequentialPlan | None = None
     serial_plan: SerialPlan | None = None
     naive_plan: NaiveTestPlan | None = None
+    pattern_plan: PatternPlan | None = None
 
 
 def _resolve_map(config: RunConfig) -> AlphaMap:
@@ -451,11 +435,16 @@ def _resolve_map(config: RunConfig) -> AlphaMap:
     )
 
 
-def _require_coverage(config: RunConfig, alpha_map: AlphaMap) -> None:
-    """:func:`require_support` for the configured distribution, naming the
-    config fields that would fix a miss."""
+def _operating_point(config: RunConfig, alpha_map: AlphaMap) -> tuple[float, float]:
+    """``(q, i_tilde)`` the configured distribution runs at: the pulse
+    intensity (``i_tilde`` when set, else solved symmetrically from the
+    distribution's inner edges) and the honest user's worst-case
+    wrong-answer probability at that intensity.  A map that does not cover
+    the distribution is refused first, naming the config fields that would
+    fix it."""
+    distribution = config.distribution_object()
     try:
-        require_support(alpha_map, config.distribution_object())
+        require_support(alpha_map, distribution)
     except ConfigError as exc:
         source = ("'map_file'" if config.map_file is not None
                   else "'map_alpha_min' and 'map_alpha_max'")
@@ -464,6 +453,10 @@ def _require_coverage(config: RunConfig, alpha_map: AlphaMap) -> None:
             f"{exc}; change fields {names}, "
             f"or {source}"
         ) from exc
+    i_tilde = config.i_tilde
+    if i_tilde is None:
+        i_tilde = solve_q_intensity(*inner_edges(distribution), config.k)[1]
+    return design_wrong_probability(distribution, i_tilde, config.k), i_tilde
 
 
 #: Transcript rows ``identify`` prints for a bayes session; the rest are counted.
@@ -521,8 +514,7 @@ class _Naive(_Entry):
 
 class _Serial(_Entry):
     def plan(self, config, alpha_map):
-        _require_coverage(config, alpha_map)
-        q, i_tilde = config.operating_point()
+        q, i_tilde = _operating_point(config, alpha_map)
         w, n_rounds = solve_w_N(q, config.p_fp, config.p_fn)
         return {"i_tilde": i_tilde,
                 "serial_plan": SerialPlan(q=q, w=w, n_rounds=n_rounds)}
@@ -546,8 +538,7 @@ class _Serial(_Entry):
 
 class _Bayes(_Entry):
     def plan(self, config, alpha_map):
-        _require_coverage(config, alpha_map)
-        _q, i_tilde = config.operating_point()
+        _q, i_tilde = _operating_point(config, alpha_map)
         return {"i_tilde": i_tilde, "sequential_plan": SequentialPlan.design(
             config.distribution_object(), config.p_fp, config.p_fn, i_tilde=i_tilde,
             k=config.k)}
@@ -597,24 +588,19 @@ class _Pattern(_Entry):
     asks_subject = False  # an impostor's pick is uniform over each menu
 
     def plan(self, config, alpha_map):
-        require_placeable(alpha_map, config.pattern_noise,
-                          low_max=config.pattern_low_max,
-                          high_min=config.pattern_high_min)
-        return {}
+        rule = RecognitionRule(config.pattern_miss_limit, config.pattern_noise_limit)
+        return {"pattern_plan": PatternPlan(
+            alpha_map, config.pattern_questions, config.pattern_menu, rule,
+            n_noise=config.pattern_noise, i_tilde=config.pattern_i_tilde,
+            low_max=config.pattern_low_max, high_min=config.pattern_high_min)}
 
     def run(self, context, rng, record_transcript):
-        config = context.config
-        rule = RecognitionRule(config.pattern_miss_limit, config.pattern_noise_limit)
-        return run_pattern_test(
-            context.subject, context.alpha_map, config.pattern_questions,
-            config.pattern_menu, rule, rng, n_noise=config.pattern_noise,
-            i_tilde=config.pattern_i_tilde, low_max=config.pattern_low_max,
-            high_min=config.pattern_high_min)
+        return run_pattern_test(context.subject, context.pattern_plan, rng)
 
     def plan_line(self, context):
-        config = context.config
-        return (f"plan: {config.pattern_questions} questions, menu of "
-                f"{config.pattern_menu}, i_tilde={config.pattern_i_tilde}")
+        plan = context.pattern_plan
+        return (f"plan: {plan.n_questions} questions, menu of {plan.n_entries}, "
+                f"i_tilde={plan.i_tilde}")
 
     def session_lines(self, context, result):
         return [f"correct answers: {result.correct} of {result.questions}",

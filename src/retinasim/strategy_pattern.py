@@ -8,10 +8,14 @@ noise spots stay dark — and picks it from a menu of candidate symbols.  An
 impostor's detector registers every illuminated spot identically, so all she
 faces is a menu of equally plausible symbols: her per-question success is
 exactly 1/M, giving an exact false-positive rate of (1/M)**m over m
-questions.  ``run_pattern_test`` draws her session from that law: each
-question draws its glyph and her menu position, right iff it is 0, and
-refuses where the question's challenge and menu would, without building
-either.
+questions.
+
+A run settles on its map once: a :class:`PatternPlan` makes every refusal a
+question could meet (its arguments, the glyphs' placement, the noise supply
+and the menu each glyph's challenge can fill) when it is made, and
+``run_pattern_test`` only draws.  An impostor's session is drawn from her
+law: each question draws its glyph and her menu position, right iff it is
+0, and builds no challenge or menu.
 
 Geometry: the map is partitioned into a 5x7 grid of rectangular cell blocks,
 one block per glyph cell.  A glyph is *embedded* by lighting one spot inside
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -64,7 +68,7 @@ __all__ = [
     "false_positive_rate",
     "alice_failure_bound",
     "optimize_intensity",
-    "require_placeable",
+    "PatternPlan",
     "run_pattern_test",
     "DEFAULT_CHALLENGE_INTENSITY",
     "DEFAULT_LOW_MAX",
@@ -352,19 +356,6 @@ def _require_noise(index: _ClassBlockIndex, n_noise: int) -> None:
         )
 
 
-def _glyph_cells(index: _ClassBlockIndex, library: GlyphLibrary, row: int) -> np.ndarray:
-    """The cell keys of library glyph ``row``, or :class:`PlacementError` if
-    the block of one of them holds no high-transmission spot."""
-    cells = library.cells[row]
-    empty = cells[index.high.counts[cells] == 0]
-    if empty.size:
-        raise PlacementError(
-            f"no high-transmission spots available in glyph cell "
-            f"{divmod(int(empty[0]), GLYPH_GRID[1])} for {library.ids[row]!r}"
-        )
-    return cells
-
-
 def _require_menu(achievable: int, n_entries: int) -> None:
     if achievable < n_entries:
         raise MenuError(
@@ -381,7 +372,6 @@ def _embeddable(incidence: np.ndarray, dark: np.ndarray) -> np.ndarray:
     return ~(dark @ incidence.T)
 
 
-@lru_cache(maxsize=4)
 def _menu_capacity(index: _ClassBlockIndex, n_noise: int) -> np.ndarray:
     """The menu size ``candidate_menu`` can fill for each library glyph
     hidden among ``n_noise`` noise spots: the number of library glyphs that
@@ -391,34 +381,63 @@ def _menu_capacity(index: _ClassBlockIndex, n_noise: int) -> np.ndarray:
     incidence = glyph_library().incidence
     lit = np.zeros(_N_CELLS, dtype=bool)
     lit[index.low_keys[index.deal[:n_noise]]] = True
-    capacity = np.count_nonzero(_embeddable(incidence, ~(incidence | lit)), axis=1)
-    capacity.setflags(write=False)
-    return capacity
+    return np.count_nonzero(_embeddable(incidence, ~(incidence | lit)), axis=1)
 
 
-def require_placeable(
-    alpha_map: AlphaMap, n_noise: int, *, low_max: float, high_min: float
-) -> None:
-    """Raise :class:`PlacementError` unless every pattern question can be
-    placed on the map: it is smaller than the glyph grid, some library glyph
-    has no high-transmission spot in the block of one of its cells, or the
-    block grid holds fewer than ``n_noise`` low-transmission spots.  Builds
-    the map's class index, which later questions reuse; draws nothing."""
-    index = _class_index(alpha_map, low_max, high_min)
-    library = glyph_library()
-    blocked = library.incidence & (index.high.counts == 0)
-    if blocked.any(axis=1).all():
-        raise PlacementError(
-            f"no library glyph has a high-transmission spot (alpha >= "
-            f"{high_min!r}) in the block of each of its cells"
-        )
-    if blocked.any():
-        row, cell = np.argwhere(blocked)[0]
-        raise PlacementError(
-            f"library glyph {library.ids[row]!r} has no high-transmission spot (alpha >= "
-            f"{high_min!r}) in the block of its cell {divmod(int(cell), GLYPH_GRID[1])}"
-        )
-    _require_noise(index, n_noise)
+@dataclass(frozen=True)
+class PatternPlan:
+    """A pattern run's plan on one map: ``n_questions`` questions, each
+    with a menu of ``n_entries`` and recognized under ``rule``, and each
+    challenge ``n_noise`` noise spots at pulse intensity ``i_tilde``, its
+    classes cut at ``low_max`` and ``high_min``.
+
+    Making the plan makes every refusal a question on the map could meet,
+    in the order a question meets them: the question and noise counts, the
+    class edges, a map smaller than the glyph grid, a library glyph with no
+    high-transmission spot in the block of one of its cells, too few
+    low-transmission spots in the block grid, the intensity, the menu size,
+    and a menu larger than some glyph's challenge can fill.  The plan holds
+    the map because these refusals depend on it.  Making it builds the
+    map's class index and draws nothing; a session on it refuses nothing
+    but its own arguments."""
+
+    alpha_map: AlphaMap
+    n_questions: int
+    n_entries: int
+    rule: RecognitionRule
+    n_noise: int = DEFAULT_NOISE_SPOTS
+    i_tilde: float = DEFAULT_CHALLENGE_INTENSITY
+    low_max: float = DEFAULT_LOW_MAX
+    high_min: float = DEFAULT_HIGH_MIN
+
+    def __post_init__(self) -> None:
+        n_questions = _count("question count", self.n_questions, 1, ConfigError)
+        n_noise = _count("noise spot count", self.n_noise, 0)
+        low_max = _real("low_max", self.low_max, "(-inf, inf)")
+        high_min = _real("high_min", self.high_min, "(-inf, inf)")
+        index = _cached_class_index(self.alpha_map, low_max, high_min)
+        library = glyph_library()
+        blocked = library.incidence & (index.high.counts == 0)
+        if blocked.any(axis=1).all():
+            raise PlacementError(
+                f"no library glyph has a high-transmission spot (alpha >= "
+                f"{high_min!r}) in the block of each of its cells"
+            )
+        if blocked.any():
+            row, cell = np.argwhere(blocked)[0]
+            raise PlacementError(
+                f"library glyph {library.ids[row]!r} has no high-transmission spot "
+                f"(alpha >= {high_min!r}) in the block of its cell "
+                f"{divmod(int(cell), GLYPH_GRID[1])}"
+            )
+        _require_noise(index, n_noise)
+        i_tilde = _real("pulse intensity", self.i_tilde, "[0, inf)")
+        n_entries = _count("menu size", self.n_entries, 2)
+        _require_menu(int(_menu_capacity(index, n_noise).min()), n_entries)
+        for name, value in [("n_questions", n_questions), ("n_entries", n_entries),
+                            ("n_noise", n_noise), ("i_tilde", i_tilde),
+                            ("low_max", low_max), ("high_min", high_min)]:
+            object.__setattr__(self, name, value)
 
 
 def build_challenge(
@@ -447,7 +466,13 @@ def build_challenge(
         raise DomainError(f"unknown glyph {glyph_id!r}")
     n_noise = _count("noise spot count", n_noise, 0)
     index = _class_index(alpha_map, low_max, high_min)
-    cells = _glyph_cells(index, library, row)
+    cells = library.cells[row]
+    empty = cells[index.high.counts[cells] == 0]
+    if empty.size:
+        raise PlacementError(
+            f"no high-transmission spots available in glyph cell "
+            f"{divmod(int(empty[0]), GLYPH_GRID[1])} for {library.ids[row]!r}"
+        )
     pattern = index.high.draw(cells, rng)
 
     # Spread noise round-robin over every block so the combined illuminated
@@ -644,28 +669,23 @@ def optimize_intensity(
 
 def run_pattern_test(
     subject: SubjectModel,
-    alpha_map: AlphaMap,
-    m: int,
-    n_entries: int,
-    rule: RecognitionRule,
+    plan: PatternPlan,
     rng: np.random.Generator,
     *,
-    n_noise: int = DEFAULT_NOISE_SPOTS,
-    i_tilde: float = DEFAULT_CHALLENGE_INTENSITY,
-    low_max: float = DEFAULT_LOW_MAX,
-    high_min: float = DEFAULT_HIGH_MIN,
     glyph_ids: list[str] | None = None,
 ) -> PatternResult:
-    """Run one identification session of m pattern questions.
+    """Run one identification session of ``plan.n_questions`` pattern
+    questions.
 
-    A fresh glyph and fresh spot placement are drawn per question.  The
-    honest user answers the menu entry overlapping her percept the most (the
-    first such in menu order) when recognition succeeds, otherwise uniformly
-    at random.  An impostor can do no better than a uniform pick, so her
-    session is drawn from that law (see :func:`_impostor_session`).  Accept
-    iff all m answers name the hidden glyph.
+    A fresh glyph, from ``glyph_ids`` or the whole library, and a fresh spot
+    placement are drawn per question.  The honest user answers the menu
+    entry overlapping her percept the most (the first such in menu order)
+    when recognition succeeds, otherwise uniformly at random.  An impostor
+    can do no better than a uniform pick, so her session is drawn from that
+    law (see :func:`_impostor_session`).  Accept iff every answer names the
+    hidden glyph.  The plan has made every refusal a question could meet,
+    so only the glyph pool and the subject are checked here.
     """
-    m = _count("question count", m, 1, ConfigError)
     library = glyph_library()
     pool = library.ids
     if glyph_ids is not None:
@@ -675,63 +695,41 @@ def run_pattern_test(
         unknown = [gid for gid in pool if gid not in library]
         if unknown:
             raise ConfigError(f"glyph ids not in the library: {unknown!r}")
+    m = plan.n_questions
     k = honest_threshold(subject)
     if k is None:
-        return _impostor_session(alpha_map, library, pool, m, n_entries, rng,
-                                 n_noise=n_noise, i_tilde=i_tilde, low_max=low_max,
-                                 high_min=high_min)
+        return _impostor_session(len(pool), m, plan.n_entries, rng)
 
+    alpha_map = plan.alpha_map
     for correct in range(m):
         gid = pool[int(rng.integers(len(pool)))]
-        challenge = build_challenge(alpha_map, library, gid, n_noise, rng,
-                                    i_tilde=i_tilde, low_max=low_max, high_min=high_min)
-        menu = candidate_menu(challenge, library, n_entries, rng)
+        challenge = build_challenge(alpha_map, library, gid, plan.n_noise, rng,
+                                    i_tilde=plan.i_tilde, low_max=plan.low_max,
+                                    high_min=plan.high_min)
+        menu = candidate_menu(challenge, library, plan.n_entries, rng)
         perceived = simulate_perception(challenge, alpha_map, k, rng)
-        if recognize(perceived, challenge, rule):
+        if recognize(perceived, challenge, plan.rule):
             # the first entry, in menu order, of largest overlap with the percept
             overlap = np.bincount(menu.entry, weights=perceived[menu.at])
             pick = menu.order[np.argmax(overlap[menu.order])]
         else:
-            pick = menu.order[int(rng.integers(n_entries))]
+            pick = menu.order[int(rng.integers(plan.n_entries))]
         if pick != 0:
             return PatternResult(accepted=False, questions=m, correct=correct)
     return PatternResult(accepted=True, questions=m, correct=m)
 
 
 def _impostor_session(
-    alpha_map: AlphaMap,
-    library: GlyphLibrary,
-    pool: Sequence[str],
-    m: int,
-    n_entries: int,
-    rng: np.random.Generator,
-    *,
-    n_noise: int,
-    i_tilde: float,
-    low_max: float,
-    high_min: float,
+    n_glyphs: int, m: int, n_entries: int, rng: np.random.Generator
 ) -> PatternResult:
-    """An impostor's session, drawn from its exact law.  Her pick is uniform
-    over the menu and the hidden glyph's menu position is a uniform
-    permutation entry, so whatever the challenge she answers right with
-    probability exactly 1/n_entries.  A question therefore draws
-    ``integers`` (the glyph), then ``integers(n_entries)``, and is answered
-    right iff that draw is 0; no challenge or menu is built.  Each question
-    still refuses as ``build_challenge`` and ``candidate_menu`` would, in
-    their order: the glyph's placement, then (checked once, on the first
-    question) the noise supply, the intensity and the menu size, then the
-    menu the glyph leaves room for."""
-    n_noise = _count("noise spot count", n_noise, 0)
-    index = _class_index(alpha_map, low_max, high_min)
+    """An impostor's session of ``m`` questions, drawn from its exact law.
+    Her pick is uniform over the menu and the hidden glyph's menu position
+    is a uniform permutation entry, so whatever the challenge she answers
+    right with probability exactly 1/n_entries.  A question therefore draws
+    ``integers(n_glyphs)`` (the glyph), then ``integers(n_entries)``, and is
+    answered right iff that draw is 0; no challenge or menu is built."""
     for correct in range(m):
-        row = library.rows[pool[int(rng.integers(len(pool)))]]
-        _glyph_cells(index, library, row)
-        if not correct:
-            _require_noise(index, n_noise)
-            _real("pulse intensity", i_tilde, "[0, inf)")
-            n_entries = _count("menu size", n_entries, 2)
-            capacity = _menu_capacity(index, n_noise)
-        _require_menu(int(capacity[row]), n_entries)
+        rng.integers(n_glyphs)
         if rng.integers(n_entries):
             return PatternResult(accepted=False, questions=m, correct=correct)
     return PatternResult(accepted=True, questions=m, correct=m)

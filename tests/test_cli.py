@@ -208,16 +208,26 @@ class TestUsageErrors:
             ({"pattern_high_min": 0.17844},
              "glyph '%' has no high-transmission spot (alpha >= 0.17844) in the "
              "block of its cell (3, 3)"),
+            # some glyph's challenge lights too few cells for a second entry
+            ({"pattern_noise": 12, "pattern_menu": 2},
+             "only 1 glyphs embeddable in the illuminated set; 2 requested"),
         ],
     )
     def test_unplaceable_pattern_fails_before_output(self, doc, fragment, tmp_path,
                                                      capsys):
+        """The run is refused when its plan is made, whatever the session
+        would draw: at every seed, for either subject, and in bulk."""
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"strategy": "pattern", **doc}))
-        assert main(["identify", "--config", str(path)]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error:") and fragment in captured.err
+        argvs = [["montecarlo", "--config", str(path), "--trials", "3"]]
+        argvs += [["identify", "--config", str(path), "--subject", subject,
+                   "--seed", str(seed)]
+                  for subject in ("alice", "eve:faircoin") for seed in range(1, 9)]
+        for argv in argvs:
+            assert main(argv) == 3, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error:") and fragment in captured.err
 
     @pytest.mark.parametrize(
         "argv",

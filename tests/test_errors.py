@@ -17,6 +17,7 @@ from retinasim import (
     DomainError,
     FixedP,
     NaiveTestPlan,
+    PatternPlan,
     PointPair,
     RecognitionRule,
     SequentialPlan,
@@ -42,7 +43,6 @@ from retinasim import (
     trial_rng,
 )
 from retinasim.errors import _real
-from retinasim.strategy_pattern import require_placeable
 from retinasim.subjects import class_seeing_means
 
 PLAN = SequentialPlan.design(PointPair(0.05, 0.15), 1e-10, 1e-4)
@@ -63,7 +63,8 @@ THRESHOLD_CALLS = {
     "run_sequential": lambda k, _map: run_sequential(
         AliceSubject(k=k), PLAN, make_rng(2)),
     "run_pattern_test": lambda k, alpha_map: run_pattern_test(
-        AliceSubject(k=k), alpha_map, 2, 10, RecognitionRule(5, 5), make_rng(3)),
+        AliceSubject(k=k), PatternPlan(alpha_map, 2, 10, RecognitionRule(5, 5)),
+        make_rng(3)),
     "simulate_perception": _perceived,
     "class_seeing_means": lambda k, _map: class_seeing_means(
         UniformBands((0.02, 0.05), (0.15, 0.18)), 62.0, k),
@@ -182,10 +183,10 @@ RELATION_CALLS = {
     "build_challenge high_min": lambda x, alpha_map: build_challenge(
         alpha_map, glyph_library(), "2", 75, make_rng(5), high_min=x),
     "optimize_intensity": lambda x, _map: optimize_intensity(25, 75, 5, 5, x, 0.16, 6, 6),
-    "require_placeable low_max": lambda x, alpha_map: require_placeable(
-        alpha_map, 75, low_max=x, high_min=0.16),
-    "require_placeable high_min": lambda x, alpha_map: require_placeable(
-        alpha_map, 75, low_max=0.04, high_min=x),
+    "PatternPlan low_max": lambda x, alpha_map: PatternPlan(
+        alpha_map, 6, 40, RecognitionRule(5, 5), low_max=x),
+    "PatternPlan high_min": lambda x, alpha_map: PatternPlan(
+        alpha_map, 6, 40, RecognitionRule(5, 5), high_min=x),
 }
 
 

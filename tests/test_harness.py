@@ -23,8 +23,10 @@ from retinasim import (
     DomainError,
     EveContext,
     FixedP,
+    PatternPlan,
     PlacementError,
     PointPair,
+    RecognitionRule,
     Round,
     RunConfig,
     TrialRecord,
@@ -329,16 +331,22 @@ class TestPrepare:
         assert (plan.n_l, plan.n_r) == (9, 42)
 
     def test_pattern_context(self):
-        # a pattern run needs no plan: its questions come from the map and
-        # the config alone
-        context = prepare(RunConfig(strategy="pattern"))
+        # a pattern run's plan holds its map and every value its questions
+        # read, taken from the config once
+        config = RunConfig(strategy="pattern", pattern_menu=18, pattern_noise=60)
+        context = prepare(config)
         assert context.sequential_plan is None
         assert context.serial_plan is None
         assert context.naive_plan is None
+        assert context.i_tilde is None
+        assert context.pattern_plan == PatternPlan(
+            context.alpha_map, 6, 18, RecognitionRule(5, 5), n_noise=60, i_tilde=72.0,
+            low_max=0.04, high_min=0.16)
+        assert context.pattern_plan.alpha_map is context.alpha_map
         assert context.alpha_map.width == 100
         assert [f.name for f in dataclasses.fields(context)] == [
             "config", "alpha_map", "distribution", "subject", "i_tilde",
-            "sequential_plan", "serial_plan", "naive_plan",
+            "sequential_plan", "serial_plan", "naive_plan", "pattern_plan",
         ]
 
     def test_pattern_run_on_map_below_glyph_grid(self):

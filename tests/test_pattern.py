@@ -2,9 +2,9 @@
 
 Covers glyph library integrity, challenge placement, menu soundness, the
 laws of the challenge and menu draws, the generator calls a question makes,
-the honest-user perception model, the exact impostor law, the
-honest-failure Chernoff bound with its intensity optimizer, and full session
-runs.
+the honest-user perception model, the exact impostor law, the refusals a
+run's plan makes, the honest-failure Chernoff bound with its intensity
+optimizer, and full session runs.
 
 Seeded statistical checks and the probability that each fails although the
 code implements its law (a re-draw of the records passes or fails them by
@@ -63,6 +63,7 @@ from retinasim import (
     Menu,
     MenuError,
     PatternChallenge,
+    PatternPlan,
     PatternResult,
     PlacementError,
     RecognitionRule,
@@ -731,7 +732,7 @@ def test_question_makes_the_documented_generator_calls(
     default_map, subject, i_tilde, rule, calls
 ):
     rng = _LoggedGenerator(make_rng(4456))
-    run_pattern_test(subject, default_map, 1, 40, rule, rng, i_tilde=i_tilde)
+    run_pattern_test(subject, PatternPlan(default_map, 1, 40, rule, i_tilde=i_tilde), rng)
     assert rng.calls == calls
 
 
@@ -1048,12 +1049,12 @@ class TestRunPatternTest:
         # uniform pick hits the single hidden entry
         rng = make_rng(4428)
         eve = FixedP(0.5)
-        rule = RecognitionRule(5, 5)
+        plan = PatternPlan(default_map, 8, 18, RecognitionRule(5, 5))
         trials = 3000
         passes = 0
         first_correct = 0
         for _ in range(trials):
-            result = run_pattern_test(eve, default_map, 8, 18, rule, rng)
+            result = run_pattern_test(eve, plan, rng)
             assert result.questions == 8
             passes += result.accepted
             first_correct += result.correct >= 1
@@ -1065,12 +1066,12 @@ class TestRunPatternTest:
     def test_impostor_detector_strategy_is_irrelevant(self, default_map):
         # pattern questions feed the impostor no usable photon signal: any
         # detector strategy collapses to the same uniform menu pick
-        rule = RecognitionRule(5, 5)
+        plan = PatternPlan(default_map, 4, 12, RecognitionRule(5, 5))
         runs = {}
         for label, strategy in [("coin", FixedP(0.5)), ("uniform", UniformP())]:
             rng = make_rng(4429)
             runs[label] = [
-                run_pattern_test(strategy, default_map, 4, 12, rule, rng)
+                run_pattern_test(strategy, plan, rng)
                 for _ in range(60)
             ]
         assert runs["coin"] == runs["uniform"]
@@ -1080,17 +1081,15 @@ class TestRunPatternTest:
         # at the published intensity
         rng = make_rng(4430)
         alice = AliceSubject(k=6)
-        rule = RecognitionRule(5, 5)
         m, trials = 6, 400
+        plan = PatternPlan(default_map, m, 18, RecognitionRule(5, 5), low_max=0.03,
+                           high_min=0.17)
         p_h = 1.0 - prob_see(0.17, 72.0, 6)
         p_l = prob_see(0.03, 72.0, 6)
         bound = alice_failure_bound(25, 75, 5, 5, p_h, p_l, m)
         fails = 0
         for _ in range(trials):
-            result = run_pattern_test(
-                alice, default_map, m, 18, rule, rng,
-                low_max=0.03, high_min=0.17, glyph_ids=["2"],
-            )
+            result = run_pattern_test(alice, plan, rng, glyph_ids=["2"])
             fails += not result.accepted
             assert result.accepted == (result.correct == m)
         test = stats.binomtest(fails, trials, float(bound), alternative="greater")
@@ -1163,7 +1162,7 @@ class TestRunPatternTest:
         monkeypatch.setattr(sp, "simulate_perception", lambda *args: fired)
         monkeypatch.setattr(sp, "recognize", lambda *args: True)
         result = run_pattern_test(
-            AliceSubject(k=6), default_map, 1, 2, RecognitionRule(5, 5),
+            AliceSubject(k=6), PatternPlan(default_map, 1, 2, RecognitionRule(5, 5)),
             make_rng(4452), glyph_ids=["2"],
         )
         assert result.accepted is hidden_first
@@ -1172,44 +1171,39 @@ class TestRunPatternTest:
 
     def test_session_determinism(self, default_map):
         alice = AliceSubject(k=6)
-        rule = RecognitionRule(5, 5)
-        a = run_pattern_test(alice, default_map, 5, 18, rule, make_rng(4432))
-        b = run_pattern_test(alice, default_map, 5, 18, rule, make_rng(4432))
+        plan = PatternPlan(default_map, 5, 18, RecognitionRule(5, 5))
+        a = run_pattern_test(alice, plan, make_rng(4432))
+        b = run_pattern_test(alice, plan, make_rng(4432))
         assert a == b
 
     def test_zero_questions_rejected(self, default_map):
         with pytest.raises(ConfigError, match="question count must be >= 1"):
-            run_pattern_test(
-                FixedP(0.5), default_map, 0, 18,
-                RecognitionRule(5, 5), make_rng(4433),
-            )
+            PatternPlan(default_map, 0, 18, RecognitionRule(5, 5))
 
     def test_empty_glyph_pool_rejected(self, default_map):
         with pytest.raises(ConfigError, match="empty glyph pool"):
             run_pattern_test(
-                FixedP(0.5), default_map, 4, 18,
-                RecognitionRule(5, 5), make_rng(4434), glyph_ids=[],
+                FixedP(0.5), PatternPlan(default_map, 4, 18, RecognitionRule(5, 5)),
+                make_rng(4434), glyph_ids=[],
             )
 
     def test_unknown_pool_ids_rejected(self, default_map):
         with pytest.raises(ConfigError, match="not in the library"):
             run_pattern_test(
-                FixedP(0.5), default_map, 4, 18,
-                RecognitionRule(5, 5), make_rng(4435), glyph_ids=["2", "no-such"],
+                FixedP(0.5), PatternPlan(default_map, 4, 18, RecognitionRule(5, 5)),
+                make_rng(4435), glyph_ids=["2", "no-such"],
             )
 
     def test_unknown_subject_rejected(self, default_map):
         with pytest.raises(DomainError, match="unknown subject"):
             run_pattern_test(
-                object(), default_map, 4, 18, RecognitionRule(5, 5), make_rng(4436)
+                object(), PatternPlan(default_map, 4, 18, RecognitionRule(5, 5)),
+                make_rng(4436),
             )
 
     def test_menu_size_error_propagates(self, default_map):
         with pytest.raises(DomainError, match="menu size must be >= 2"):
-            run_pattern_test(
-                FixedP(0.5), default_map, 4, 1,
-                RecognitionRule(5, 5), make_rng(4437),
-            )
+            PatternPlan(default_map, 4, 1, RecognitionRule(5, 5))
 
 
 # ---------------------------------------------------------------------------
@@ -1221,7 +1215,7 @@ def _loop_impostor_session(alpha_map, m, n_entries, rng, *, n_noise=75, i_tilde=
                            low_max=0.04, high_min=0.16, glyph_ids=None):
     """An impostor's session as a loop over questions, each building its
     challenge and menu and picking ``menu.order[integers(n_entries)]``: the
-    reference ``run_pattern_test``'s impostor law and refusals must match."""
+    reference ``run_pattern_test``'s impostor law must match."""
     lib = glyph_library()
     pool = sorted(lib) if glyph_ids is None else glyph_ids
     for correct in range(m):
@@ -1235,8 +1229,9 @@ def _loop_impostor_session(alpha_map, m, n_entries, rng, *, n_noise=75, i_tilde=
 
 
 def _law_impostor_session(alpha_map, m, n_entries, rng, **kwargs):
-    return run_pattern_test(FixedP(0.5), alpha_map, m, n_entries, RecognitionRule(5, 5),
-                            rng, **kwargs)
+    """The plan, then an impostor's session on it."""
+    plan = PatternPlan(alpha_map, m, n_entries, RecognitionRule(5, 5), **kwargs)
+    return run_pattern_test(FixedP(0.5), plan, rng)
 
 
 class _Steered:
@@ -1299,14 +1294,28 @@ _PARITY_MAPS = {
     "100x100": lambda: generate_synthetic(100, 100, 0.02, 0.18, seed=7),
     "103x97": lambda: generate_synthetic(103, 97, 0.02, 0.18, seed=11),
     "holed": _holed_map,
+    "below-grid": lambda: generate_synthetic(4, 4, 0.02, 0.18, seed=1),
 }
+
+
+def _question_refusal(alpha_map, glyph, n_noise, n_entries):
+    """The error class with which a question hiding ``glyph`` refuses, as
+    the loop asks it (its challenge, then its menu), or None.  The deal
+    fixes which blocks the noise lights, so no draw decides it."""
+    rng = make_rng(4470)
+    try:
+        challenge = build_challenge(alpha_map, glyph_library(), glyph, n_noise, rng)
+        candidate_menu(challenge, glyph_library(), n_entries, rng)
+    except Error as exc:
+        return type(exc)
+    return None
 
 
 class TestImpostorLaw:
     """``run_pattern_test`` draws an impostor's session from its law: two
     ``integers`` calls a question, right iff the menu position is 0.  The
     checks below compare it with that law exactly, by enumeration, and with
-    the question loop it replaced, by G-test and refusal for refusal."""
+    the question loop it replaced, by G-test."""
 
     @staticmethod
     def _law_pmf(n_entries, m):
@@ -1333,14 +1342,16 @@ class TestImpostorLaw:
     def test_correct_count_g_test_against_the_law(self, default_map):
         rng = make_rng(4461)
         n_entries, m, sessions = 4, 6, 6000
-        correct = [_law_impostor_session(default_map, m, n_entries, rng).correct
+        plan = PatternPlan(default_map, m, n_entries, RecognitionRule(5, 5))
+        correct = [run_pattern_test(FixedP(0.5), plan, rng).correct
                    for _ in range(sessions)]
         assert g_test_pvalue(correct, self._law_pmf(n_entries, m)) > 1e-6
 
     def test_correct_count_g_test_against_the_loop(self, default_map):
         n_entries, m, sessions = 4, 6, 2000
         law_rng, loop_rng = make_rng(4462), make_rng(4463)
-        law = [_law_impostor_session(default_map, m, n_entries, law_rng).correct
+        plan = PatternPlan(default_map, m, n_entries, RecognitionRule(5, 5))
+        law = [run_pattern_test(FixedP(0.5), plan, law_rng).correct
                for _ in range(sessions)]
         loop = [_loop_impostor_session(default_map, m, n_entries, loop_rng).correct
                 for _ in range(sessions)]
@@ -1350,7 +1361,8 @@ class TestImpostorLaw:
         # M = 2, m = 6: P(accept) = 1/64
         rng = make_rng(4464)
         sessions = 20_000
-        accepted = sum(_law_impostor_session(default_map, 6, 2, rng).accepted
+        plan = PatternPlan(default_map, 6, 2, RecognitionRule(5, 5))
+        accepted = sum(run_pattern_test(FixedP(0.5), plan, rng).accepted
                        for _ in range(sessions))
         p_accept = false_positive_rate(2, 6)
         assert p_accept == Fraction(1, 64)
@@ -1358,32 +1370,19 @@ class TestImpostorLaw:
 
     @pytest.mark.parametrize("glyph", sorted(glyph_library()))
     def test_menu_capacity_is_what_candidate_menu_finds(self, glyph):
-        # a menu of 46 is one more than the library: the refusal names the
-        # count the glyph's challenge can fill
+        # the glyph's challenge fills a menu of its capacity, and refuses
+        # one entry more, naming the capacity
         alpha_map = _PARITY_MAPS["100x100"]()
+        lib = glyph_library()
+        index = strategy_pattern._class_index(alpha_map, 0.04, 0.16)
         for n_noise in (0, 12, 35, 75):
+            capacity = int(strategy_pattern._menu_capacity(index, n_noise)[lib.rows[glyph]])
             rng = make_rng(4465)
-            challenge = build_challenge(alpha_map, glyph_library(), glyph, n_noise, rng)
-            with pytest.raises(MenuError) as built:
-                candidate_menu(challenge, glyph_library(), 46, rng)
-            with pytest.raises(MenuError) as drawn:
-                _law_impostor_session(alpha_map, 1, 46, rng, n_noise=n_noise,
-                                      glyph_ids=[glyph])
-            assert str(drawn.value) == str(built.value)
-
-    @pytest.mark.parametrize("name", list(_PARITY_MAPS))
-    @pytest.mark.parametrize("n_noise", [0, 12, 35, 75])
-    @pytest.mark.parametrize("n_entries", [2, 18, 40, 46])
-    def test_refuses_on_the_question_the_loop_does(self, name, n_noise, n_entries):
-        alpha_map = _PARITY_MAPS[name]()
-        for seed in range(4470, 4475):
-            law_rng, loop_rng = _Steered(seed), _Steered(seed)
-            law = _outcome(_law_impostor_session, alpha_map, 6, n_entries, law_rng,
-                           n_noise=n_noise)
-            loop = _outcome(_loop_impostor_session, alpha_map, 6, n_entries, loop_rng,
-                            n_noise=n_noise)
-            assert law == loop
-            assert law_rng.glyphs == loop_rng.glyphs
+            challenge = build_challenge(alpha_map, lib, glyph, n_noise, rng)
+            if capacity >= 2:
+                assert len(candidate_menu(challenge, lib, capacity, rng).glyph_ids) == capacity
+            with pytest.raises(MenuError, match=f"^only {capacity} glyphs embeddable"):
+                candidate_menu(challenge, lib, capacity + 1, rng)
 
     @pytest.mark.parametrize("kwargs,n_entries", [
         (dict(n_noise=1197), 18),                      # more noise than low spots
@@ -1399,23 +1398,68 @@ class TestImpostorLaw:
     ], ids=["noise-supply", "noise-count", "intensity", "intensity-nan", "edges",
             "edge-inf", "menu-size", "noise-before-intensity", "intensity-before-menu",
             "intensity-before-capacity"])
-    @pytest.mark.parametrize("name", ["100x100", "holed"])
+    @pytest.mark.parametrize("name", ["100x100", "103x97"])
     def test_first_question_refusals_match_the_loop(self, kwargs, n_entries, name):
+        # every glyph places on these maps, so the loop's first question
+        # meets these refusals whatever glyph it draws: the plan makes each
+        # one, with its type and message, before any draw
         alpha_map = _PARITY_MAPS[name]()
         for seed in range(4480, 4484):
-            law = _outcome(_law_impostor_session, alpha_map, 6, n_entries,
-                           _Steered(seed), **kwargs)
+            law_rng = _Steered(seed)
+            law = _outcome(_law_impostor_session, alpha_map, 6, n_entries, law_rng,
+                           **kwargs)
             loop = _outcome(_loop_impostor_session, alpha_map, 6, n_entries,
                             _Steered(seed), **kwargs)
             assert law == loop
             assert isinstance(law, tuple)
+            assert law_rng.glyphs == 0
 
-    def test_map_below_the_glyph_grid_refused_as_by_the_loop(self):
-        tiny = generate_synthetic(4, 4, 0.02, 0.18, seed=1)
-        law = _outcome(_law_impostor_session, tiny, 6, 18, make_rng(4485))
-        loop = _outcome(_loop_impostor_session, tiny, 6, 18, make_rng(4485))
-        assert law == loop == (PlacementError, law[1])
-        assert "smaller than the 5x7 glyph grid" in law[1]
+
+class TestPlanRefusals:
+    """A :class:`PatternPlan` makes, once, every refusal a question on its
+    map could meet; a session on an accepted plan refuses nothing."""
+
+    @pytest.mark.parametrize("name", list(_PARITY_MAPS))
+    @pytest.mark.parametrize("n_noise", [0, 12, 35, 75])
+    @pytest.mark.parametrize("n_entries", [2, 18, 40, 46])
+    def test_plan_refuses_where_a_question_would(self, name, n_noise, n_entries):
+        # the oracle asks one question per library glyph; a question places
+        # its glyph and noise before it fills its menu, and so does the plan
+        alpha_map = _PARITY_MAPS[name]()
+        refusals = {_question_refusal(alpha_map, glyph, n_noise, n_entries)
+                    for glyph in glyph_library()} - {None}
+        assert refusals <= {PlacementError, MenuError}
+        plan = _outcome(PatternPlan, alpha_map, 6, n_entries, RecognitionRule(5, 5),
+                        n_noise=n_noise)
+        if not refusals:
+            assert isinstance(plan, PatternPlan)
+        else:
+            expected = PlacementError if PlacementError in refusals else MenuError
+            assert isinstance(plan, tuple) and plan[0] is expected
+
+    def test_sessions_on_an_accepted_plan_never_raise(self):
+        accepted = 0
+        for name, make_map in _PARITY_MAPS.items():
+            alpha_map = make_map()
+            for n_noise in (0, 12, 35, 75):
+                for n_entries in (2, 18, 40, 46):
+                    try:
+                        plan = PatternPlan(alpha_map, 6, n_entries, RecognitionRule(5, 5),
+                                           n_noise=n_noise)
+                    except Error:
+                        continue
+                    accepted += 1
+                    for seed in range(4490, 4510):
+                        run_pattern_test(AliceSubject(k=6), plan, make_rng(seed))
+                    for seed in range(4490, 4690):
+                        run_pattern_test(FixedP(0.5), plan, make_rng(seed))
+        # noise 35 or 75 and a menu of at most 40, on the 100x100 and 103x97 maps
+        assert accepted == 12
+
+    def test_map_below_the_glyph_grid_refused(self):
+        tiny = _PARITY_MAPS["below-grid"]()
+        with pytest.raises(PlacementError, match="smaller than the 5x7 glyph grid"):
+            PatternPlan(tiny, 6, 18, RecognitionRule(5, 5))
 
 
 # ---------------------------------------------------------------------------

@@ -47,14 +47,6 @@ check                                                      false-failure
                                                            and one pair of
                                                            sizes for all
                                                            three)
-``test_generator_draws_do_not_grow_with_session_length``   0.013, 0.0032 (one
-``[alice]``, ``[eve-faircoin]``                            of 8 sessions moves
-                                                           the counter past
-                                                           two blocks;
-                                                           simulated over
-                                                           10^5 seeds per
-                                                           length, ±0.0007,
-                                                           ±0.0004)
 =========================================================  ==================
 """
 
@@ -487,24 +479,25 @@ class TestLawLevelDraws:
         assert results[0] == results[1]
 
     @pytest.mark.parametrize(
-        "subject", [AliceSubject(), FixedP(0.5)],
+        "subject,p", [(AliceSubject(), AliceSubject().p_wrong(POINT_PAIR, I_STAR)),
+                      (FixedP(0.5), 0.5)],
         ids=["alice", "eve-faircoin"],
     )
-    def test_generator_draws_do_not_grow_with_session_length(self, subject, default_map):
-        # One binomial draw per session, so the counter moves by a few blocks
-        # of four outputs whether the session has a thousand rounds or a
-        # hundred thousand.  The bound of 2 holds at these four seeds, not at
-        # every seed: the sampler's rejection step can repeat, and over
-        # 20,000 fresh seeds per case 0.05% to 0.33% of sessions moved it
-        # by 3 or more.
+    def test_generator_draws_do_not_grow_with_session_length(
+        self, subject, p, default_map
+    ):
+        # A session is one binomial(N, p) call, so its count and the
+        # generator it leaves behind are a twin's that makes only that call,
+        # whether it has a thousand rounds or a hundred thousand.
         for seed in range(4270, 4274):
             for n_rounds in (1_000, 100_000):
-                rng = make_rng(seed)
-                start = _philox_counter(rng)
-                run_serial(subject, default_map,
-                           SerialPlan(q=0.1, w=0.3, n_rounds=n_rounds), I_STAR, 6, rng,
-                           distribution=POINT_PAIR)
-                assert _philox_counter(rng) - start <= 2, (seed, n_rounds)
+                rng, twin = make_rng(seed), make_rng(seed)
+                result = run_serial(subject, default_map,
+                                    SerialPlan(q=0.1, w=0.3, n_rounds=n_rounds), I_STAR, 6,
+                                    rng, distribution=POINT_PAIR)
+                assert result.wrong_answers == int(twin.binomial(n_rounds, p))
+                assert (repr(rng.bit_generator.state)
+                        == repr(twin.bit_generator.state)), (seed, n_rounds)
 
     def test_adaptive_rule_runs_once_per_round(self, default_map):
         echo = build_subject("eve:echo", 6)
