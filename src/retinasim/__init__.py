@@ -62,6 +62,7 @@ from .physics_bounds import (
     thermal_energy_resolution,
 )
 from .strategy_bayes import (
+    ExitLaw,
     Outcome,
     Round,
     SequentialPlan,

@@ -30,9 +30,10 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
+from itertools import accumulate, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -51,6 +52,7 @@ from .subjects import SubjectModel, class_seeing_means, interrogate, open_scope
 __all__ = [
     "Outcome",
     "Round",
+    "ExitLaw",
     "SequentialPlan",
     "SequentialResult",
     "prior_p",
@@ -62,6 +64,19 @@ __all__ = [
 ]
 
 DEFAULT_MAX_ROUNDS = 10_000
+
+#: The unit roundoff of a double, 2**-53: the largest relative error of one
+#: correctly rounded sum or product, and the step between the values
+#: ``Generator.random()`` returns.
+_UNIT_ROUNDOFF = 2.0**-53
+
+#: Most units in the last place by which a point pair's two "right"
+#: increments, or its two "wrong" ones, may differ for its walk to count as
+#: a lattice walk.  The solved symmetric intensity leaves them 1 and 4 apart
+#: at the default pair, and at most 55 apart over the pairs in [0.02, 0.18]
+#: and thresholds 4 to 9 tried; an asymmetric pair's differ by a tenth or
+#: more.  Whatever the gap, it is charged to the fold's error bound.
+_LATTICE_ULPS = 256
 
 
 class Outcome(Enum):
@@ -179,6 +194,46 @@ class SequentialPlan:
                          Round(a, True, _log_increment(see, True, self.p)))
         return rounds
 
+    @functools.cached_property
+    def _lattice(self) -> tuple[float, float, float] | None:
+        """``(right, wrong, error)`` for a symmetric point pair, ``None`` for
+        any other plan.  ``right`` and ``wrong`` are the low spot's
+        increments on a right and on a wrong answer; the high spot's agree
+        with them within :data:`_LATTICE_ULPS`, so after ``w`` wrong answers
+        in ``n`` rounds the walk stands near the lattice point
+        ``(n - w) * right + w * wrong`` whatever the classes were.
+        ``error`` bounds, per round, how far the round-order fold of the
+        actual increments and that lattice value computed in floats may
+        stray from each other: the gap between the two spots' increments,
+        plus one rounding of each fold step (whose sum is at most the
+        larger threshold's magnitude plus the largest increment, ``R``) and
+        three of the lattice value's ``n`` increments (``3 * M``)."""
+        (low, low_top), (high, high_top) = self.distribution.low_band, self.distribution.high_band
+        if low != low_top or high != high_top:
+            return None
+        rights = (self._edge_rounds[low][False].increment,
+                  self._edge_rounds[high][True].increment)
+        wrongs = (self._edge_rounds[low][True].increment,
+                  self._edge_rounds[high][False].increment)
+        steps = rights + wrongs
+        if not (all(map(math.isfinite, steps)) and rights[0] > 0.0 > wrongs[0]):
+            return None
+        gap = max(abs(rights[0] - rights[1]), abs(wrongs[0] - wrongs[1]))
+        largest = max(map(abs, steps))
+        if gap > _LATTICE_ULPS * math.ulp(largest):
+            return None
+        reach = max(abs(math.log(self.x)), abs(math.log(self.y))) + largest
+        return rights[0], wrongs[0], gap + _UNIT_ROUNDOFF * (reach + 3.0 * largest)
+
+    def exit_law(self, p_wrong: float, max_rounds: int = DEFAULT_MAX_ROUNDS) -> ExitLaw | None:
+        """The exact law of the session's exit when each round is answered
+        wrong with probability ``p_wrong``, independently, and the session
+        stops at ``max_rounds``; ``None`` unless the walk is a lattice walk
+        on which every decision the round-order fold makes is the lattice
+        value's (see :class:`ExitLaw`).  Built on first use and cached per
+        ``(plan, p_wrong, max_rounds)``."""
+        return _exit_law(self, p_wrong, max_rounds)
+
 
 def _likelihood_ratio(p_see: float, saw: bool, p: float) -> float:
     """Z_A / Z_E for one answer: honest-user likelihood over the designer's
@@ -209,6 +264,143 @@ class SequentialResult:
     @property
     def accepted(self) -> bool:
         return self.outcome is Outcome.ACCEPT
+
+
+@dataclass(frozen=True, eq=False)
+class ExitLaw:
+    """Where and how a symmetric point pair's walk leaves (ln x, ln y).
+
+    Such a walk is a random walk on the lattice (#right, #wrong) that
+    takes a wrong step with probability ``p_wrong`` a round (Wald, 1945).
+    Its exit atoms come from a level-by-level recursion over the live band,
+    the states (n, w) still inside after ``n`` rounds with ``w`` wrong: one
+    contiguous run of ``w``, since the log odds fall as ``w`` grows, and
+    each level's at most one accepting and one rejecting state leave it.
+
+    * ``results[i]`` is atom ``i`` as a session's result without a
+      transcript: its outcome, round count and final log odds, the lattice
+      value ``(rounds - w) * right + w * wrong`` in floats, with
+      ``w = wrong[i]``; it has probability ``mass[i]``, and ``cdf`` holds
+      the running sums, for sampling by one uniform.  A walk still inside
+      at ``max_rounds`` is a timeout atom, one per live state.
+    * ``levels[n]`` is ``(lo, masses)``: the live band after ``n`` rounds,
+      ``masses[j]`` the probability of standing at ``w = lo + j``.  A path
+      to a given atom is sampled backward through these.
+    * The recursion stops once the live mass is below 2**-53, the step of
+      one uniform: the law sampled differs from the exact one by less than
+      that in total variation, apart from the rounding of the masses.
+    * Every decision agrees with the per-round walk's: at each level, the
+      reachable lattice points nearest each threshold lie farther from it
+      than ``n * fold_error``, which bounds how far the round-order fold of
+      the actual increments may be from the lattice value.  ``margin`` is
+      the least of those distances.
+    """
+
+    p_wrong: float
+    right: float
+    wrong_step: float
+    results: tuple[SequentialResult, ...]
+    wrong: tuple[int, ...]
+    mass: tuple[float, ...]
+    cdf: tuple[float, ...]
+    levels: tuple[tuple[int, tuple[float, ...]], ...]
+    margin: float
+    fold_error: float
+
+    def probability(self, outcome: Outcome) -> float:
+        """The probability that the session ends in ``outcome``."""
+        return math.fsum(m for r, m in zip(self.results, self.mass) if r.outcome is outcome)
+
+    @property
+    def mean_rounds(self) -> float:
+        """E[T], a timed-out session counted at its cap."""
+        return math.fsum(r.rounds * m for r, m in zip(self.results, self.mass))
+
+    def draw(self, u: float) -> int:
+        """The atom a uniform ``u`` in [0, 1) picks; the mass below the
+        stopping floor falls to the last atom."""
+        return min(bisect_right(self.cdf, u), len(self.cdf) - 1)
+
+    def path(self, index: int, uniforms) -> list[bool]:
+        """Whether each round of a walk that ends at atom ``index`` was
+        answered wrong, sampled backward through the live bands: the state
+        before a live state ``(n, w)`` is ``(n - 1, w)`` after a right
+        answer or ``(n - 1, w - 1)`` after a wrong one, in proportion to
+        their masses times the step's probability.  ``uniforms[n - 1]``
+        decides round ``n``, where it is not forced: an accepting walk's
+        last answer is right and a rejecting one's wrong."""
+        result = self.results[index]
+        n, w = result.rounds, self.wrong[index]
+        wrong = [False] * n
+        if result.outcome is not Outcome.TIMEOUT:
+            n -= 1
+            if result.outcome is Outcome.REJECT:
+                wrong[n] = True
+                w -= 1
+        keep, cross = 1.0 - self.p_wrong, self.p_wrong
+        levels = self.levels
+        while n > 0:
+            lo, masses = levels[n - 1]
+            j = w - lo
+            stay = masses[j] * keep if j < len(masses) else 0.0
+            step = masses[j - 1] * cross if j > 0 else 0.0
+            n -= 1
+            if uniforms[n] * (stay + step) >= stay:
+                wrong[n] = True
+                w -= 1
+        return wrong
+
+
+@functools.lru_cache(maxsize=64)
+def _exit_law(plan: SequentialPlan, p_wrong: float, max_rounds: int) -> ExitLaw | None:
+    """:meth:`SequentialPlan.exit_law`, cached per argument triple as
+    :func:`~retinasim.subjects.class_seeing_means` is: a run asks for the
+    same law every session."""
+    p_wrong = _real("wrong-answer probability", p_wrong, "(0, 1)")
+    max_rounds = _count("round cap", max_rounds, 1)
+    lattice = plan._lattice
+    if lattice is None:
+        return None
+    right, wrong, error = lattice
+    ln_x, ln_y = math.log(plan.x), math.log(plan.y)
+    keep, cross = 1.0 - p_wrong, p_wrong
+    live: tuple[float, ...] = (1.0,)
+    lo = 0
+    levels = [(lo, live)]
+    atoms = []  # (mass, outcome, rounds, wrong)
+    margin = math.inf
+    for n in range(1, max_rounds + 1):
+        band = [x * keep + y * cross for x, y in zip(live + (0.0,), (0.0,) + live)]
+        hi = lo + len(band) - 1
+        # The reachable lattice points nearest each threshold: the band's
+        # ends, and the state beside an end that leaves.
+        top, bottom = (n - lo) * right + lo * wrong, (n - hi) * right + hi * wrong
+        nearest = min(abs(top - ln_y), abs(bottom - ln_x))
+        if top >= ln_y:
+            atoms.append((band.pop(0), Outcome.ACCEPT, n, lo))
+            lo += 1
+            nearest = min(nearest, ln_y - ((n - lo) * right + lo * wrong))
+        if bottom <= ln_x:
+            atoms.append((band.pop(), Outcome.REJECT, n, hi))
+            nearest = min(nearest, (n - hi + 1) * right + (hi - 1) * wrong - ln_x)
+        if not nearest > n * error:
+            return None
+        margin = min(margin, nearest)
+        live = tuple(band)
+        levels.append((lo, live))
+        if sum(live) < _UNIT_ROUNDOFF:
+            break
+    else:
+        atoms += [(m, Outcome.TIMEOUT, max_rounds, lo + j) for j, m in enumerate(live)]
+    mass = tuple(m for m, _outcome, _n, _w in atoms)
+    return ExitLaw(
+        p_wrong=p_wrong, right=right, wrong_step=wrong,
+        results=tuple(SequentialResult(outcome, n, (n - w) * right + w * wrong)
+                      for _m, outcome, n, w in atoms),
+        wrong=tuple(w for _m, _outcome, _n, w in atoms),
+        mass=mass, cdf=tuple(accumulate(mass)), levels=tuple(levels),
+        margin=margin, fold_error=error,
+    )
 
 
 def run_sequential(

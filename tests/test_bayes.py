@@ -1,8 +1,44 @@
-"""Tests for the sequential odds-ratio test: increments, bounds, martingales."""
+"""Tests for the sequential odds-ratio test: increments, bounds, martingales,
+and the exact exit law of a point pair's walk.
+
+Seeded Monte Carlo checks that draw point-pair bayes records, and the
+probability that each fails although the code implements its law (a re-draw
+of the records fails it by chance this often).  The exact law is the walk's
+exit law (``SequentialPlan.exit_law``): P(reject) 5.2272e-5, T 61.934 ±
+13.752 for the honest user, P(accept) 7.4515e-11, T 18.841 ± 9.114 for an
+impostor.  Means and drifts are compared by a normal approximation; band
+walks, which have no exact law here, by 20,000 per-round sessions (T 45.27
+± 7.85).  The other checks here are exact, or walk round by round on a
+seed no exact-law draw touches (bands, asymmetric plans, the martingale
+diagnostics).
+
+===========================================================  ================
+check                                                        false-failure
+                                                             probability
+===========================================================  ================
+``test_honest_user_accepts_quickly``                         2.2e-5 (4 or
+                                                             more of 3000
+                                                             rejected) +
+                                                             4e-13 (mean)
+``test_coin_flip_impostor_rejected_quickly``                 2.2e-7 (one of
+                                                             3000 accepted);
+                                                             mean below
+                                                             1e-300
+``test_band_interrogation_is_faster_for_honest_user``        below 1e-300
+                                                             (57.7 standard
+                                                             errors apart)
+``test_symmetric_design_attains_both_with_equality``         0.0016 a
+                                                             subject (beyond
+                                                             3.5 sigma, or
+                                                             3 on the bound's
+                                                             side)
+===========================================================  ================
+"""
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -319,6 +355,118 @@ class TestRunSequential:
             run_sequential(AliceSubject(), plan, make_rng(4309), max_rounds=0)
         with pytest.raises(DomainError, match="unknown subject"):
             run_sequential(object(), plan, make_rng(4310))
+
+
+def _enumerated_exits(plan, p_wrong, max_rounds):
+    """Every answer path of the walk, one right or wrong answer a round, up
+    to its exit or ``max_rounds``, in exact arithmetic: the mass of each
+    exit ``(outcome, rounds, wrong answers)``, the lattice value compared
+    with the thresholds as rationals.  No path is merged with another."""
+    low, high = plan.distribution.low_band[0], plan.distribution.high_band[0]
+    right = Fraction(plan._edge_rounds[low][False].increment)
+    wrong = Fraction(plan._edge_rounds[low][True].increment)
+    ln_x, ln_y = Fraction(math.log(plan.x)), Fraction(math.log(plan.y))
+    p_wrong = Fraction(p_wrong)
+    exits: dict = {}
+
+    def walk(n, w, mass):
+        value = (n - w) * right + w * wrong
+        outcome = (Outcome.ACCEPT if value >= ln_y else Outcome.REJECT if value <= ln_x
+                   else Outcome.TIMEOUT if n == max_rounds else None)
+        if outcome is not None:
+            exits[outcome, n, w] = exits.get((outcome, n, w), 0) + mass
+            return
+        walk(n + 1, w, mass * (1 - p_wrong))
+        walk(n + 1, w + 1, mass * p_wrong)
+
+    walk(0, 0, Fraction(1))
+    return exits
+
+
+class TestExitLaw:
+    """The exact exit law of a symmetric point pair's walk
+    (``SequentialPlan.exit_law``): the figures of its level-by-level
+    recursion, and that recursion against every answer path enumerated in
+    exact arithmetic."""
+
+    def test_published_figures(self):
+        plan = make_plan()
+        alice = plan.exit_law(AliceSubject().p_wrong(POINT_PAIR, plan.i_tilde))
+        assert alice.probability(Outcome.REJECT) == pytest.approx(5.2272e-5, rel=1e-4)
+        assert alice.probability(Outcome.TIMEOUT) == 0.0
+        assert alice.mean_rounds == pytest.approx(61.9335, abs=1e-4)
+        impostor = plan.exit_law(0.5)
+        assert impostor.probability(Outcome.ACCEPT) == pytest.approx(7.4515e-11, rel=1e-4)
+        assert impostor.mean_rounds == pytest.approx(18.8405, abs=1e-4)
+        # both means below their closed-form bounds
+        bound_alice, bound_eve = stopping_time_bounds(
+            Q_STAR, gk(6, 0.02 * plan.i_tilde), 1e-10, 1e-4)
+        assert alice.mean_rounds < bound_alice and impostor.mean_rounds < bound_eve
+        assert alice.margin == impostor.margin == pytest.approx(1.3535e-5, rel=1e-4)
+        relaxed = make_plan(p_fp=1e-3, p_fn=1e-2)
+        assert relaxed.exit_law(0.5).probability(Outcome.ACCEPT) == pytest.approx(
+            7.3102e-4, rel=1e-4)
+        assert relaxed.exit_law(Q_STAR).probability(Outcome.REJECT) == pytest.approx(
+            5.5258e-3, rel=1e-4)
+        assert relaxed.exit_law(0.5).margin == pytest.approx(6.7676e-6, rel=1e-4)
+
+    @pytest.mark.parametrize("p_wrong", [Q_STAR, 0.5, 0.3])
+    def test_masses_sum_to_one_within_the_floor(self, p_wrong):
+        law = make_plan().exit_law(p_wrong)
+        # The floor drops less than 2**-53; each level's products round by
+        # a few units of 2**-53 more.
+        slack = 4 * len(law.levels) * 2.0**-53
+        assert math.fsum(law.mass) == pytest.approx(1.0, abs=slack)
+        assert law.cdf[-1] == pytest.approx(1.0, abs=slack)
+        assert min(law.mass) > 0.0
+        # the atoms' walks are lattice walks: each exit state's value is the
+        # result's final log odds, on the right side of its threshold
+        ln_x, ln_y = math.log(1e-4), math.log(1e10)
+        for result, w in zip(law.results, law.wrong):
+            assert result.log_odds == (result.rounds - w) * law.right + w * law.wrong_step
+            assert (result.log_odds >= ln_y) == (result.outcome is Outcome.ACCEPT)
+            assert (result.log_odds <= ln_x) == (result.outcome is Outcome.REJECT)
+
+    @pytest.mark.parametrize("p_wrong", [Q_STAR, 0.5])
+    @pytest.mark.parametrize("max_rounds", [1, 9, 16])
+    def test_matches_enumerated_answer_paths(self, p_wrong, max_rounds):
+        plan = make_plan(p_fp=0.01, p_fn=0.01)
+        exits = _enumerated_exits(plan, p_wrong, max_rounds)
+        law = plan.exit_law(p_wrong, max_rounds)
+        drawn = {(r.outcome, r.rounds, w): m
+                 for r, w, m in zip(law.results, law.wrong, law.mass)}
+        assert drawn.keys() == exits.keys()
+        for key, mass in exits.items():
+            assert drawn[key] == pytest.approx(float(mass), rel=1e-12, abs=0.0), key
+        assert {outcome for outcome, _n, _w in exits} == (
+            {Outcome.TIMEOUT} if max_rounds == 1 else set(Outcome))
+
+    def test_cap_is_a_timeout_atom(self):
+        law = make_plan().exit_law(0.5, max_rounds=1)
+        assert [(r.outcome, r.rounds) for r in law.results] == [(Outcome.TIMEOUT, 1)] * 2
+        assert law.mass == (0.5, 0.5)
+        assert [r.log_odds for r in law.results] == [law.right, law.wrong_step]
+
+    def test_only_a_symmetric_point_pair_is_a_lattice_walk(self):
+        assert make_plan(BANDS).exit_law(0.5) is None
+        # at i_tilde = 70 the four increments are about -2.198, -1.344,
+        # +0.553 and +0.636
+        assert make_plan(i_tilde=70.0).exit_law(0.5) is None
+        assert make_plan(i_tilde=62.4).exit_law(0.5) is None
+
+    def test_built_once_per_plan_rate_and_cap(self):
+        law = make_plan().exit_law(0.5)
+        assert make_plan().exit_law(0.5) is law
+        assert make_plan().exit_law(0.5, 10_000) is law
+        assert make_plan().exit_law(0.5, 500) is not law
+
+    @pytest.mark.parametrize("p_wrong, cap", [(0.0, 10), (1.0, 10), (math.nan, 10),
+                                              (0.5, 0)])
+    def test_rejects_bad_arguments(self, p_wrong, cap):
+        with pytest.raises(DomainError):
+            make_plan().exit_law(p_wrong, cap)
+        with pytest.raises(DomainError):
+            make_plan(BANDS).exit_law(p_wrong, cap)
 
 
 class TestStoppingTimeBounds:

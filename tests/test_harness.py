@@ -1,6 +1,31 @@
 """Tests for run configuration, RNG stream management, and the Monte Carlo
 driver: per-trial stream independence, config parsing and validation,
-order-independent aggregation, and byte-reproducible artifacts."""
+order-independent aggregation, and byte-reproducible artifacts.
+
+Seeded checks that draw point-pair bayes records, and the probability that
+each fails although the code implements its law, from the walk's exact exit
+law (``SequentialPlan.exit_law``; means by a normal approximation).  The
+other checks of bayes runs are exact, and the pinned digests change only
+with the records.
+
+=====================================================  ====================
+check                                                  false-failure
+                                                       probability
+=====================================================  ====================
+``TestWalksWriter::test_matches_per_row_reference``    3.2e-9 (none or all
+(``point_pair``)                                       of 30 honest walks
+                                                       capped at 60 rounds
+                                                       time out, each with
+                                                       probability 0.4807)
+``TestMontecarlo::test_honest_bayes_run``              7.8e-8 (3 or more of
+                                                       150 rejected) +
+                                                       1.6e-5 (mean above
+                                                       its bound plus 3
+                                                       standard errors)
+``TestMontecarlo::test_impostor_bayes_run``            1.1e-8 (one of 150
+                                                       accepted)
+=====================================================  ====================
+"""
 
 import dataclasses
 import hashlib
