@@ -418,10 +418,33 @@ def run_sequential(
     the cap is reached — the walk terminates almost surely, so the cap is a
     plumbing guard, not part of the statistical design.
 
+    A session whose walk is a lattice walk is drawn from its exact exit law
+    (:meth:`SequentialPlan.exit_law`): a symmetric point pair, answered by a
+    law that gives its wrong-answer probability and does not ask to be
+    walked round by round (the honest user and every biased impostor).
+    One uniform picks the exit, whose final log odds is the lattice value
+    of its right and wrong answers.  A traced session then samples its path
+    backward from that exit, and each round's class after it, so the
+    transcript changes the draws after the exit and never the result.
+    Every other session (band distributions, adaptive rules, a plan whose
+    lattice check fails) is interrogated round by round, and its final log
+    odds is the round-order sum of its increments.
+
     ``record_transcript=False`` skips transcript assembly for bulk Monte
     Carlo runs; the result is identical apart from the empty transcript.
     """
     max_rounds = _count("round cap", max_rounds, 1)
+    law = open_scope(subject, rng)
+    exits = None
+    if plan._lattice is not None and not law.walks_round_by_round:
+        p_wrong = law.p_wrong(plan.distribution, plan.i_tilde)
+        if p_wrong is not None:
+            exits = plan.exit_law(p_wrong, max_rounds)
+    if exits is not None:
+        index = exits.draw(rng.random())
+        if not record_transcript:
+            return exits.results[index]
+        return _traced_exit(plan, law, exits, index, rng)
     ln_x = math.log(plan.x)
     ln_y = math.log(plan.y)
     edge_rounds = plan._edge_rounds
@@ -430,8 +453,7 @@ def run_sequential(
     rounds = 0
     outcome = Outcome.TIMEOUT
     transcript: list[Round] = []
-    interrogation = interrogate(open_scope(subject, rng), plan.distribution,
-                                plan.i_tilde, rng)
+    interrogation = interrogate(law, plan.distribution, plan.i_tilde, rng)
     for rounds, (_cls, alpha, saw) in enumerate(islice(interrogation, max_rounds), 1):
         pair = edge_rounds.get(alpha)
         if pair is None:  # a band value off the inner edges
@@ -450,6 +472,32 @@ def run_sequential(
     return SequentialResult(
         outcome=outcome, rounds=rounds, log_odds=log_odds, transcript=tuple(transcript)
     )
+
+
+def _traced_exit(
+    plan: SequentialPlan, law, exits: ExitLaw, index: int, rng: np.random.Generator
+) -> SequentialResult:
+    """The result of exit atom ``index`` with a transcript: ``2 * rounds``
+    uniforms, the first ``rounds`` for the path (:meth:`ExitLaw.path`) and
+    the rest for each round's class, given whether the round was answered
+    right.  The law sees with probability ``s_low`` on the low spot and
+    ``s_high`` on the high one, so a right answer was on the high spot with
+    probability ``s_high / (s_high + 1 - s_low)``, a wrong one with
+    ``(1 - s_high) / (1 - s_high + s_low)``; a high spot's answer is "seen"
+    exactly when it is right."""
+    result = exits.results[index]
+    rounds = result.rounds
+    uniforms = rng.random(2 * rounds).tolist()
+    (low, _), (high, _) = plan.distribution.low_band, plan.distribution.high_band
+    s_low = law.p_seen(low * plan.i_tilde, low)
+    s_high = law.p_seen(high * plan.i_tilde, high)
+    high_given = (s_high / (s_high + 1.0 - s_low), (1.0 - s_high) / (1.0 - s_high + s_low))
+    low_rounds, high_rounds = plan._edge_rounds[low], plan._edge_rounds[high]
+    transcript = tuple(
+        high_rounds[not wrong] if u < high_given[wrong] else low_rounds[wrong]
+        for wrong, u in zip(exits.path(index, uniforms), uniforms[rounds:])
+    )
+    return SequentialResult(result.outcome, rounds, result.log_odds, transcript)
 
 
 def stopping_time_bounds(

@@ -141,6 +141,10 @@ class EveStrategy:
     interpreter's own.
     """
 
+    #: Whether a bayes session asks this law every round even where the law
+    #: gives its wrong-answer probability: only a rule does.
+    walks_round_by_round = False
+
     def session(self, rng: np.random.Generator) -> AnswerLaw:
         """The answer law of one fresh scope: the strategy itself."""
         return self
@@ -214,10 +218,12 @@ class Adaptive(EveStrategy):
     context to consult.  Deciding round by round, its law gives no
     probability: ``p_seen`` and ``p_wrong`` are ``None``.  A rule whose
     rounds are i.i.d. can say so in a subclass that gives them, as
-    :class:`Echo` does.
+    :class:`Echo` does; a bayes session still asks every rule round by
+    round, so that one impostor the benchmark times walks that path.
     """
 
     rule: Callable[[EveContext], float]
+    walks_round_by_round = True
 
     def __post_init__(self) -> None:
         if not callable(self.rule):
@@ -302,6 +308,7 @@ class AliceSubject:
     interrogation distribution drawn from it."""
 
     k: int = DEFAULT_THRESHOLD
+    walks_round_by_round = False  # see EveStrategy
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "k", _count("threshold K", self.k, 1))

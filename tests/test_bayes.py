@@ -49,6 +49,7 @@ from retinasim import (
     AliceSubject,
     ConfigError,
     DomainError,
+    EveStrategy,
     FixedP,
     Outcome,
     PointPair,
@@ -64,11 +65,15 @@ from retinasim import (
     run_sequential,
     solve_q_intensity,
     stopping_time_bounds,
+    UniformP,
+    parse_eve_strategy,
 )
 
+import retinasim.strategy_bayes
 from retinasim.strategy_bayes import _log_increment
+from retinasim.subjects import interrogate, open_scope
 
-from conftest import make_rng
+from conftest import g_test_pvalue, make_rng, two_sample_g_pvalue
 from martingale import martingale_diagnostics
 
 Q_STAR, I_STAR = solve_q_intensity(0.05, 0.15, 6)
@@ -467,6 +472,165 @@ class TestExitLaw:
             make_plan().exit_law(p_wrong, cap)
         with pytest.raises(DomainError):
             make_plan(BANDS).exit_law(p_wrong, cap)
+
+
+def _per_round_session(subject, plan, rng, max_rounds=10_000):
+    """``(outcome, rounds, first round)`` of a session walked round by
+    round: :func:`interrogate` driven by the subject's own answer law, the
+    kernel every session ran before sessions were drawn from their exit
+    law, with the first round as ``(alpha, saw)``."""
+    ln_x, ln_y = math.log(plan.x), math.log(plan.y)
+    log_odds, first = 0.0, None
+    interrogation = interrogate(open_scope(subject, rng), plan.distribution,
+                                plan.i_tilde, rng)
+    for rounds, (_cls, alpha, saw) in enumerate(interrogation, 1):
+        first = first or (alpha, saw)
+        log_odds += plan._edge_rounds[alpha][saw].increment
+        if log_odds >= ln_y:
+            return Outcome.ACCEPT, rounds, first
+        if log_odds <= ln_x or rounds == max_rounds:
+            return (Outcome.REJECT if log_odds <= ln_x else Outcome.TIMEOUT), rounds, first
+
+
+class _PerRoundUniformP(EveStrategy):
+    """The uniform bias handed over as an Adaptive rule: drawn once per
+    session, as in UniformP, then answered round by round."""
+
+    def session(self, rng):
+        p = float(rng.random())
+        return Adaptive(lambda _ctx: p)
+
+
+#: Each subject whose point-pair sessions are drawn from the exit law, its
+#: per-round twin, and the chance each sees the low and the high spot.
+_LAW_SUBJECTS = {
+    "alice": (AliceSubject(), AliceSubject(),
+              (gk(6, 0.05 * I_STAR), gk(6, 0.15 * I_STAR))),
+    "faircoin": (FixedP(0.5), Adaptive(lambda _ctx: 0.5), (0.5, 0.5)),
+    "fixedp:0.3": (FixedP(0.3), Adaptive(lambda _ctx: 0.3), (0.3, 0.3)),
+    "uniformp": (UniformP(), _PerRoundUniformP(), (0.5, 0.5)),
+}
+
+
+class TestExitLawSessions:
+    """Point-pair sessions drawn from the exit law against the per-round
+    kernel, which stays the oracle, and against the exact law.
+
+    Each G-test and two-sided binomial test refuses at 1e-3, so each fails
+    with probability about 1e-3 under the law it tests (the G-tests by the
+    chi-square approximation, with sparse bins merged); a subject's three
+    G-tests and one binomial test fail together with probability at most
+    4e-3, and the four subjects at most 0.016.  The first round's (spot,
+    answer) law tests the backward path and the class coins: marginally a
+    traced session's first round is any round of the per-round kernel."""
+
+    SESSIONS, TWIN_SESSIONS = 4000, 1500
+
+    @pytest.fixture(scope="class", params=list(_LAW_SUBJECTS))
+    def drawn(self, request):
+        subject, twin, seeing = _LAW_SUBJECTS[request.param]
+        plan = make_plan()
+        rng = make_rng(4331)
+        law = [run_sequential(subject, plan, rng) for _ in range(self.SESSIONS)]
+        rng = make_rng(4332)
+        loop = [_per_round_session(twin, plan, rng) for _ in range(self.TWIN_SESSIONS)]
+        p_wrong = 0.5 * (seeing[0] + 1.0 - seeing[1])
+        return plan, law, loop, plan.exit_law(p_wrong), seeing
+
+    def test_round_counts(self, drawn):
+        _plan, law, loop, exits, _seeing = drawn
+        pmf = np.zeros(max(r.rounds for r in exits.results) + 1)
+        for result, mass in zip(exits.results, exits.mass):
+            pmf[result.rounds] += mass
+        assert g_test_pvalue([r.rounds for r in law], pmf) > 1e-3
+        assert g_test_pvalue([t for _o, t, _f in loop], pmf) > 1e-3
+        assert two_sample_g_pvalue([r.rounds for r in law], [t for _o, t, _f in loop],
+                                   len(pmf)) > 1e-3
+
+    def test_exits(self, drawn):
+        _plan, law, loop, exits, _seeing = drawn
+        rare = min((Outcome.ACCEPT, Outcome.REJECT), key=exits.probability)
+        rate = exits.probability(rare)
+        for outcomes in ([r.outcome for r in law], [o for o, _t, _f in loop]):
+            assert Outcome.TIMEOUT not in outcomes
+            observed = outcomes.count(rare)
+            assert stats.binomtest(observed, len(outcomes), rate).pvalue > 1e-3
+
+    def test_first_round(self, drawn):
+        plan, law, loop, _exits, (s_low, s_high) = drawn
+        cells = [(0.05, False), (0.05, True), (0.15, False), (0.15, True)]
+        pmf = [0.5 * (1 - s_low), 0.5 * s_low, 0.5 * (1 - s_high), 0.5 * s_high]
+        index = {cell: i for i, cell in enumerate(cells)}
+        firsts = [index[r.transcript[0].alpha, r.transcript[0].saw] for r in law]
+        assert g_test_pvalue(firsts, pmf) > 1e-3
+        assert g_test_pvalue([index[f] for _o, _t, f in loop], pmf) > 1e-3
+
+    def test_walks_fold_to_their_final_log_odds(self, drawn):
+        plan, law, _loop, exits, _seeing = drawn
+        ln_x, ln_y = math.log(plan.x), math.log(plan.y)
+        for result in law:
+            assert len(result.transcript) == result.rounds
+            running = 0.0
+            for step in result.transcript[:-1]:
+                running += step.increment
+                assert ln_x < running < ln_y
+            running += result.transcript[-1].increment
+            assert abs(running - result.log_odds) <= result.rounds * exits.fold_error
+            assert result.rounds * exits.fold_error < exits.margin
+            assert (running >= ln_y) == result.accepted
+            assert (running <= ln_x) == (result.outcome is Outcome.REJECT)
+
+
+class TestExitLawPath:
+    @pytest.mark.parametrize("subject", ["alice", "faircoin", "uniformp"])
+    def test_tracing_never_changes_the_result(self, subject):
+        subject = _LAW_SUBJECTS[subject][0]
+        plan = make_plan()
+        for seed in range(4340, 4440):
+            traced = run_sequential(subject, plan, make_rng(seed))
+            untraced = run_sequential(subject, plan, make_rng(seed),
+                                      record_transcript=False)
+            assert (traced.outcome, traced.rounds, traced.log_odds) == (
+                untraced.outcome, untraced.rounds, untraced.log_odds)
+            assert len(traced.transcript) == traced.rounds and untraced.transcript == ()
+
+    @pytest.mark.parametrize("subject, draws", [("alice", 1), ("faircoin", 1),
+                                                ("uniformp", 2)])
+    def test_untraced_session_reads_one_uniform(self, subject, draws):
+        """One uniform picks the exit; the uniform bias draws hers first."""
+        rng, twin = make_rng(4441), make_rng(4441)
+        run_sequential(_LAW_SUBJECTS[subject][0], make_plan(), rng,
+                       record_transcript=False)
+        twin.random(draws)
+        assert rng.random(4).tolist() == twin.random(4).tolist()
+        assert repr(rng.bit_generator.state) == repr(twin.bit_generator.state)
+
+    @pytest.mark.parametrize("plan, subject", [
+        (make_plan(i_tilde=70.0), AliceSubject()),
+        (make_plan(i_tilde=70.0), FixedP(0.5)),
+        (make_plan(BANDS), AliceSubject()),
+        (make_plan(BANDS), FixedP(0.3)),
+        (make_plan(), Adaptive(lambda _ctx: 0.5)),
+        (make_plan(), parse_eve_strategy("echo", 6)),
+    ], ids=["asymmetric-alice", "asymmetric-faircoin", "bands-alice", "bands-fixedp",
+            "rule", "echo"])
+    def test_other_sessions_walk_round_by_round(self, plan, subject, monkeypatch):
+        interrogations = []
+        monkeypatch.setattr(retinasim.strategy_bayes, "interrogate",
+                            lambda *args: interrogations.append(args) or interrogate(*args))
+        result = run_sequential(subject, plan, make_rng(4442))
+        assert len(interrogations) == 1
+        assert len(result.transcript) == result.rounds
+        running = 0.0
+        for step in result.transcript:
+            running += step.increment
+        assert result.log_odds == running
+
+    def test_law_sessions_interrogate_nothing(self, monkeypatch):
+        monkeypatch.setattr(retinasim.strategy_bayes, "interrogate", None)
+        plan = make_plan()
+        for subject in ("alice", "faircoin", "fixedp:0.3", "uniformp"):
+            run_sequential(_LAW_SUBJECTS[subject][0], plan, make_rng(4443))
 
 
 class TestStoppingTimeBounds:

@@ -443,13 +443,13 @@ class TestIdentify:
 # printout changed.
 _IDENTIFY_PINS = {
     ("bayes", "alice"): (
-        "a2b08e2b743595c04172261bf265cd7ac0402f1d24a86192d32e63a3e1718dd4", 0
+        "5398e4db27064796498d1631988c9bb9aeb008854213ed7c0e49c1d921a170b8", 0
     ),
     ("bayes", "eve:faircoin"): (
-        "9893cf3b3ae596b77170d91454722dca83d83a48c871262c7cb8cf4412f0108b", 1
+        "6a8b2a8f0cf41cea2a2584615111bf6b130cc2199c3c99351478e7692c8f79d5", 1
     ),
     ("bayes", "eve:uniformp"): (
-        "1a672734db6fd78a82ec411a0daecc62cdf94f0dd92dd821080d6721057ff87a", 1
+        "d3fb4b7f867b1f074b20780bc2b8582a83c60a47dda6aa159b8acf14d047def4", 1
     ),
     ("bayes", "eve:echo"): (
         "d8ce2678bb2a0fe7ea4f75f6c37f8b407118556da54b2548a8ac438f5f44c61c", 1

@@ -456,6 +456,17 @@ class TestRunTrial:
         assert [shuffled[i] for i in range(config.trials)] == swept
 
     @pytest.mark.parametrize("subject", ["alice", "eve:faircoin", "eve:uniformp",
+                                         "eve:fixedp:0.3", "eve:echo"])
+    def test_tracing_changes_no_record(self, subject):
+        """A traced bayes trial draws its path after its exit: it records
+        what the untraced trial records, and its walk."""
+        configs = [RunConfig(subject=subject, trials=120, walk_trace_limit=limit,
+                             master_seed=4525) for limit in (120, 0)]
+        (_s, traced), (_t, untraced) = map(montecarlo, configs)
+        assert all(record.walk is not None for record in traced)
+        assert [dataclasses.replace(record, walk=None) for record in traced] == untraced
+
+    @pytest.mark.parametrize("subject", ["alice", "eve:faircoin", "eve:uniformp",
                                          "eve:echo"])
     @pytest.mark.parametrize("strategy", ["bayes", "serial", "naive", "pattern"])
     def test_context_crosses_a_process_boundary(self, strategy, subject):
@@ -770,13 +781,13 @@ _PINNED_CELLS = [
 _PINNED_TRIALS = {"bayes": 30, "serial": 20, "naive": 10, "pattern": 2}
 _PINNED_DIGESTS = {
     ("bayes", "alice", "point_pair"): (
-        "875964fa195aa71891bea04ee2b20f3dfa41e0b4198a4285abb6896a0213188c"
+        "eb93b0a65004ebdc211ddf3af2cafb61e64047951a6f494b42f3a71d027b6b69"
     ),
     ("bayes", "alice", "uniform_bands"): (
         "07774efc277baf192a4969185c3eaebfa0d697e501b20614df1b20430ecc744e"
     ),
     ("bayes", "eve:uniformp", "point_pair"): (
-        "52c4ff9ccaf52e99b765a64e5151dcb5bc08bee0375215897a60a23496637db9"
+        "4e92e9868e52f56dc9285694640444fcdb680349ee03674471b780a918ff8767"
     ),
     ("bayes", "eve:uniformp", "uniform_bands"): (
         "39ddbb927f1a8bc36f6845157928ff72f3153ece33a97cec0049dd838fa89339"
@@ -930,10 +941,10 @@ _KERNEL_CELLS = [
 ]
 _KERNEL_DIGESTS = {
     ("bayes", "alice", "point_pair", False): (
-        "dc28dce510691bfc11f3ea17017103380f706414a53a02b5cb0aac0574e7a7eb"
+        "788014064cb1c41f1494a7bf19be5c81c0479f599c246170594f5d8ac1b5806e"
     ),
     ("bayes", "alice", "point_pair", True): (
-        "86cbccbbde38578649e2df2d59ccbb6e4d979ef64baf8c37e80d869552905be7"
+        "8e83d918a43ca2aabdafe8911069a934c43fa63eda715bcc935351b3747061c6"
     ),
     ("bayes", "alice", "uniform_bands", False): (
         "dba01a2c7c6938076d006682a583f9d7e438cd3306492cda8eb786c567e44d2a"
@@ -942,10 +953,10 @@ _KERNEL_DIGESTS = {
         "3951dee6ba0e4c6f34352ab401b3387370541a06f266add970e181c7f486f9a1"
     ),
     ("bayes", "eve:faircoin", "point_pair", False): (
-        "e5db0f8211015704ba4f33cbe8693e5d0e07ee9a947889d60944c31257c4dc92"
+        "455305b4b9e5b92ef2ae7e0ce2a9b15eb3a0e90951a901610951e3162e0261bf"
     ),
     ("bayes", "eve:faircoin", "point_pair", True): (
-        "c37a05f02bdc00398d595fe6f2c39251b1bffb5bded8a7fd5fd68c3d5720bb4c"
+        "c642744c263ed5f1ebb800a0adac8b3d83ba32a9978b5c91bf863719a7313476"
     ),
     ("bayes", "eve:faircoin", "uniform_bands", False): (
         "aa56d31284e8070bbce9213014e85f954e4e8198b32840bd31b3e58614c50739"
@@ -954,10 +965,10 @@ _KERNEL_DIGESTS = {
         "c8c4356b47c92aca7010bcf09ba6d7fc4a38dd85ef6879112577afdc824bc5d3"
     ),
     ("bayes", "eve:uniformp", "point_pair", False): (
-        "9c6dd183a7bbc21ac8d839a9a0b893062420368cd42922e85a742cecfa32602a"
+        "3301ef55be559a883ba5c2e36a1ad1b7431fa14bebed977d1a1110c4d8a24fcd"
     ),
     ("bayes", "eve:uniformp", "point_pair", True): (
-        "630db8df82cb24969135ec06cfa5695a945837108aef57c0abb338ff1dd7cb04"
+        "058059a5cfb461c4c72d4393d71eb404d26cffd1c6e169c728cc3fe31f070760"
     ),
     ("bayes", "eve:uniformp", "uniform_bands", False): (
         "6534b671dc09a9ddc883c0df0da370f9b28353c6d645ad8f6b0b1f3121c6ce27"
@@ -966,10 +977,10 @@ _KERNEL_DIGESTS = {
         "b86b47f31fdbd74237da89f23fa4ca6bdc1d7cb9e01b7d3d95cb0ec8623ce1b0"
     ),
     ("bayes", "eve:fixedp:0.3", "point_pair", False): (
-        "68fecca8e09787491747ad719abe7862af2636580888f4e55d160b0501159208"
+        "455305b4b9e5b92ef2ae7e0ce2a9b15eb3a0e90951a901610951e3162e0261bf"
     ),
     ("bayes", "eve:fixedp:0.3", "point_pair", True): (
-        "2e71fd9bbf8a932ecd65edd95d92473bc58562f3111005f6bc90d04d59c3f059"
+        "7c3fdf21a6c8c7f009b58f162af76de62b69ec321ea3677402072d6cc56dd81a"
     ),
     ("bayes", "eve:fixedp:0.3", "uniform_bands", False): (
         "24ee6fbf0dc534050f0927321193c9f731be2d6984ec112585bd686f8937fd35"
@@ -1075,13 +1086,13 @@ _STRUCTURAL_CELLS = (
 )
 _STRUCTURAL_DIGESTS = {
     ('artifacts', 'bayes', 'alice', 'point_pair'): (
-        "00d85c036aed0a372c90c189da01ec5e9778ac270016e98e7c9cf6b69c72c8e4"
+        "ed5a9b661641a9a8fa0cbec04a48605062e92d09a900b20d922f20ac65acfbd7"
     ),
     ('artifacts', 'bayes', 'alice', 'uniform_bands'): (
         "f16269ad6a41e0681029c47a17795aa05677fae865e2d1bb92564beb4e55d448"
     ),
     ('artifacts', 'bayes', 'eve:uniformp', 'point_pair'): (
-        "66e3e7f90cccad44280d436b6661850aa2c6ae515f4a65e266795cfcc145af21"
+        "f79f40d8fa1197149bdffa72547f646f1f546de21f6fe6a1c460bf0191d2b11f"
     ),
     ('artifacts', 'bayes', 'eve:uniformp', 'uniform_bands'): (
         "031e89f994769eb6669f3e101ae8b9133f304ef2e268afa75ac15b097b753d7b"
@@ -1153,10 +1164,10 @@ _STRUCTURAL_DIGESTS = {
         "b6cb9d8cc2a13ccaef5c00eb8f6bdb3c7417b3b717a6003e06cc93d0a642f085"
     ),
     ('kernel', 'bayes', 'alice', 'point_pair', False): (
-        "5aebdab9ef2131ec4796d038ede1b98df59e3118a652ee9e2157907c68c563ba"
+        "9eba97bc21c0b97f44a7f0720131d2ad5f1b08623569303ba95f93c9b2be95cd"
     ),
     ('kernel', 'bayes', 'alice', 'point_pair', True): (
-        "02bd301d0eaf6702eb962079ca64ec6aaed089315bf067ea0eccf05adff375f9"
+        "58a474d9a583e04e02f762376ae450a19b867a0000331c3b0f31516b97939f89"
     ),
     ('kernel', 'bayes', 'alice', 'uniform_bands', False): (
         "a4112b12996d7e7909416fc3f6c0ba6ad57845b9a25a0fed8a3dd1bd1a5ee7ab"
@@ -1165,10 +1176,10 @@ _STRUCTURAL_DIGESTS = {
         "ff1ba618a7779adf9b27eef06e7a27bed875a79e8fb70aad40cedca60f7f2414"
     ),
     ('kernel', 'bayes', 'eve:faircoin', 'point_pair', False): (
-        "a7f5fa26e18d352e59d6c1a7ba25993e9d4bd2725a972778767dd59fe22eeabd"
+        "519fe0b722e23c2219128e24c263746c201642f6e63de6b29e2b4ad5f345a337"
     ),
     ('kernel', 'bayes', 'eve:faircoin', 'point_pair', True): (
-        "84a8aaea472e7be550099e41db4dd5ea4153d4d77e89e6745c9d79df140e19ac"
+        "7292cee87a3474e7c635054a14e802c841c6a81c5563c3e3ace24fa38d35c4e4"
     ),
     ('kernel', 'bayes', 'eve:faircoin', 'uniform_bands', False): (
         "fb76f049fc9b2a0cf7dc12fea6726c2f10cae0560053053f8ba9bd3e3b525cba"
@@ -1177,10 +1188,10 @@ _STRUCTURAL_DIGESTS = {
         "8e6d669ede066a89842daf7087393db6179ac2ee4bba01a7281de5312d4d99b9"
     ),
     ('kernel', 'bayes', 'eve:uniformp', 'point_pair', False): (
-        "fdb57a1c82cf2a98dc5b0210bffd5ffce8ddd1984dff070db3f91e627650864a"
+        "ede7b3626f6c7112bd1d95e766c6f5b697e7708961f79c00a8e64247f123042f"
     ),
     ('kernel', 'bayes', 'eve:uniformp', 'point_pair', True): (
-        "47881f4c0dc187eb0e1637db9888a5c8758152902827175db419fc49b171197e"
+        "4a3e8ab61a385591ee9c82f3a63939131684f0605c6b23f06a62014057b066e5"
     ),
     ('kernel', 'bayes', 'eve:uniformp', 'uniform_bands', False): (
         "44339bd3c761936c98dcc1fca4d20c04fa3e706056b72eebf68ad2398da8c998"
@@ -1189,10 +1200,10 @@ _STRUCTURAL_DIGESTS = {
         "f0c34415a056d3d4c372d30c20a4b1505358867ce8036c4393e1f3562f5eab17"
     ),
     ('kernel', 'bayes', 'eve:fixedp:0.3', 'point_pair', False): (
-        "dbaae7ee23dec715c0786ae5f8b8920956080ef8ad97080c31a2c538586a723e"
+        "519fe0b722e23c2219128e24c263746c201642f6e63de6b29e2b4ad5f345a337"
     ),
     ('kernel', 'bayes', 'eve:fixedp:0.3', 'point_pair', True): (
-        "569c6cfbdb5f2a4b3e09703e638ef31443025a69c6875896122f5fcbc958bb0a"
+        "937acf51a65248bcacf166563d3375800af27495870cc8614d93da7578373f11"
     ),
     ('kernel', 'bayes', 'eve:fixedp:0.3', 'uniform_bands', False): (
         "89a05394750863a1ea19efa95515a20b84729a71cd6a41ec51c3d365813fc487"
