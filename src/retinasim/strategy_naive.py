@@ -48,7 +48,7 @@ import numpy as np
 from .alpha_map import AlphaMap
 from .errors import ConfigError, DomainError, InfeasibleError, _count, _real
 from .photon_stats import DEFAULT_THRESHOLD, _relative_entropy, gk_inverse
-from .subjects import AnswerLaw, SubjectModel, open_scope
+from .subjects import AnswerLaw, SubjectModel, open_scopes
 
 __all__ = [
     "NaiveTestPlan",
@@ -250,13 +250,14 @@ def run_naive(
     threshold ``k``), and requires every spot's count to fall inside the
     acceptance window.  The session stops at the first failing spot.
 
-    Each spot test is its own answering scope
-    (:func:`~retinasim.subjects.open_scope`), so a once-per-scope bias (the
-    uniform-bias strategy) is redrawn for every spot — answering all spots
-    with a single shared bias would correlate the per-spot counts and is a
-    strictly different game from the one the window sizing assumes.  The
-    honest user, a fixed bias and a rule keep no per-scope state, so one
-    law serves every spot (a rule's history still starts afresh at each).
+    Each spot test is its own answering scope, and the ``mu`` scopes are
+    opened at once (:func:`~retinasim.subjects.open_scopes`), so a
+    once-per-scope bias (the uniform-bias strategy) is redrawn for every
+    spot — answering all spots with a single shared bias would correlate
+    the per-spot counts and is a strictly different game from the one the
+    window sizing assumes.  The honest user, a fixed bias and a rule keep no
+    per-scope state, so one law serves every spot (a rule's history still
+    starts afresh at each).
     """
     if alpha_map.n_spots < plan.mu:
         raise ConfigError(
@@ -265,17 +266,11 @@ def run_naive(
     x_star = _tuned_mean(k, plan.p_c)
     spot_indices = rng.choice(alpha_map.n_spots, size=plan.mu, replace=False)
     alphas = alpha_map.alpha[spot_indices]
-    law = open_scope(subject, rng)
-    if law is subject:  # one law for every spot test
-        laws, p_seen = [law] * plan.mu, law.p_seen(x_star, alphas)
-    else:
-        laws = [law] + [open_scope(subject, rng) for _ in range(plan.mu - 1)]
-        p_seen = [scope.p_seen(x_star, alpha)  # each scope on its one spot
-                  for scope, alpha in zip(laws, alphas.tolist())]
-        p_seen = None if None in p_seen else p_seen
+    law = open_scopes(subject, rng, plan.mu)
+    p_seen = law.p_seen(x_star, alphas)
     if p_seen is None:
         see_counts = []
-        for count in _answer_rounds(laws, alphas, plan.nu, x_star, rng):
+        for count in _answer_rounds(law, alphas, plan.nu, x_star, rng):
             see_counts.append(count)
             if not (plan.n_l < count < plan.n_r):
                 break
@@ -292,16 +287,16 @@ def run_naive(
 
 
 def _answer_rounds(
-    laws: list[AnswerLaw],
+    law: AnswerLaw,
     alphas: np.ndarray,
     nu: int,
     x_star: float,
     rng: np.random.Generator,
 ) -> Iterator[int]:
     """Per-spot "seen" counts answered round by round, one spot's ``nu``
-    rounds on its own law at a time, so a caller that stops at a failing
-    spot answers no later round."""
-    for spot_ordinal, (alpha, law) in enumerate(zip(alphas.tolist(), laws)):
+    rounds at a time, each spot's answers opened afresh, so a caller that
+    stops at a failing spot answers no later round."""
+    for spot_ordinal, alpha in enumerate(alphas.tolist()):
         i_tilde_spot = x_star / alpha
         answer = law.answers(rng, spot_ordinal)
         yield sum(answer(alpha, i_tilde_spot) for _ in range(nu))

@@ -23,7 +23,9 @@ Only this module tells the two apart.  :func:`open_scope` gives each
 answering scope (a session, or a spot test of the per-spot protocol) its
 answer law — the :class:`AliceSubject` herself, a :class:`FixedP` bias (a
 :class:`UniformP` impostor opens a fresh one per scope) or an
-:class:`Adaptive` rule — and each law answers the runners' questions:
+:class:`Adaptive` rule — and :func:`open_scopes` the law of several scopes
+asked alike (the uniform bias draws all their biases at once); each law
+answers the runners' questions:
 ``p_seen(x, alpha)``, the chance of "seen" on spots of transmissions
 ``alpha`` each pulsed to deposit a mean of ``x`` photons on the honest
 retina, ``p_wrong`` per round of class interrogation, and
@@ -69,6 +71,7 @@ __all__ = [
     "alice_response",
     "honest_threshold",
     "open_scope",
+    "open_scopes",
     "interrogate",
     "class_seeing_means",
     "parse_eve_strategy",
@@ -149,6 +152,13 @@ class EveStrategy:
         """The answer law of one fresh scope: the strategy itself."""
         return self
 
+    def scopes(self, rng: np.random.Generator, n: int) -> AnswerLaw:
+        """The answer law of ``n`` fresh scopes asked alike, each about its
+        own spot: the strategy itself.  A strategy that keeps per-scope
+        state gives both this and :meth:`session`, as :class:`UniformP`
+        does."""
+        return self
+
 
 @dataclass(frozen=True, init=False)
 class FixedP(EveStrategy):
@@ -206,6 +216,30 @@ class UniformP(EveStrategy):
 
     def session(self, rng: np.random.Generator) -> FixedP:
         return FixedP(float(rng.random()))
+
+    def scopes(self, rng: np.random.Generator, n: int) -> _ScopeBiases:
+        """The ``n`` scopes' biases in one ``rng.random(n)``, the doubles
+        ``n`` sessions would draw one by one."""
+        return _ScopeBiases(rng.random(n))
+
+
+class _ScopeBiases(EveStrategy):
+    """The law of ``n`` :class:`UniformP` scopes asked alike, for a runner
+    that draws them at law level: ``p_seen`` is the array of their biases,
+    one per scope in order, and each scope errs with probability 1/2 a
+    round.  It answers no round: every runner asks a law that gives
+    ``p_seen`` nothing else."""
+
+    __slots__ = ("p",)
+
+    def __init__(self, p: np.ndarray) -> None:
+        self.p = p
+
+    def p_seen(self, x: float, alpha: np.ndarray) -> np.ndarray:
+        return self.p
+
+    def p_wrong(self, distribution: UniformBands, i_tilde: float) -> float:
+        return 0.5
 
 
 @dataclass(frozen=True)
@@ -365,6 +399,17 @@ def open_scope(subject: SubjectModel, rng: np.random.Generator) -> AnswerLaw:
     that one law for all its scopes."""
     if isinstance(subject, EveStrategy):
         return subject.session(rng)
+    honest_threshold(subject)  # raises for a subject of neither kind
+    return subject
+
+
+def open_scopes(subject: SubjectModel, rng: np.random.Generator, n: int) -> AnswerLaw:
+    """The answer law of ``n`` fresh scopes that a runner asks alike, each
+    about its own spot: the subject itself when it keeps no per-scope
+    state, and for the uniform bias the law of ``n`` biases drawn at once
+    (:meth:`UniformP.scopes`).  :func:`open_scope` opens one scope."""
+    if isinstance(subject, EveStrategy):
+        return subject.scopes(rng, n)
     honest_threshold(subject)  # raises for a subject of neither kind
     return subject
 

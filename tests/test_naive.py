@@ -88,7 +88,7 @@ from retinasim import (
 )
 
 from retinasim import strategy_naive
-from retinasim.subjects import _echo
+from retinasim.subjects import _echo, open_scope, open_scopes
 
 from conftest import g_test_pvalue, make_rng, two_sample_g_pvalue
 
@@ -485,6 +485,10 @@ class _PerRoundUniformP(EveStrategy):
         p = float(rng.random())
         return Adaptive(lambda _ctx: p)
 
+    def scopes(self, rng, n):
+        biases = rng.random(n).tolist()
+        return Adaptive(lambda ctx: biases[ctx.spot_ordinal])
+
 
 class TestLawLevelDraws:
     """The honest user's per-spot counts, and those of every biased impostor
@@ -602,15 +606,67 @@ class TestLawLevelDraws:
         self, name, scopes, default_map, monkeypatch
     ):
         """A subject that keeps no per-scope state is one law for every
-        spot test; the uniform bias is redrawn for each of the mu spots."""
+        spot test; the uniform bias is redrawn for each of the mu spots,
+        all of them in one call."""
         opened = []
-        open_scope = strategy_naive.open_scope
-        monkeypatch.setattr(strategy_naive, "open_scope",
-                            lambda subject, rng: opened.append(subject)
-                            or open_scope(subject, rng))
+        open_scopes = strategy_naive.open_scopes
+        monkeypatch.setattr(strategy_naive, "open_scopes",
+                            lambda subject, rng, n: opened.append(
+                                (subject, open_scopes(subject, rng, n))) or opened[-1][1])
         run_naive(build_subject(name, 6), default_map, _published_plan(),
                   make_rng(4127))
-        assert len(opened) == scopes
+        [(subject, law)] = opened
+        assert (1 if law is subject else len(law.p_seen(0.0, None))) == scopes
+
+
+def _per_scope_uniform_session(alpha_map, plan, rng):
+    """A uniform-bias session as the runner drew it with one scope opened
+    per spot: mu ``open_scope`` calls, each drawing its bias with one
+    scalar ``random()``, then the binomial vector of the mu counts."""
+    x_star = strategy_naive._tuned_mean(6, plan.p_c)
+    spots = rng.choice(alpha_map.n_spots, size=plan.mu, replace=False)
+    alphas = alpha_map.alpha[spots]
+    laws = [open_scope(UniformP(), rng) for _ in range(plan.mu)]
+    counts = rng.binomial(plan.nu, [law.p_seen(x_star, a) for law, a in
+                                    zip(laws, alphas.tolist())], size=plan.mu)
+    failed = np.flatnonzero((counts <= plan.n_l) | (counts >= plan.n_r))
+    return tuple(counts[: failed[0] + 1 if failed.size else plan.mu].tolist())
+
+
+class TestScopesOpenedAtOnce:
+    """The uniform bias's mu scopes take their biases from one
+    ``random(mu)``: the doubles mu scalar draws give, so its sessions are
+    the per-scope form's, draw for draw."""
+
+    @pytest.mark.parametrize("offset", [0, 1, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 50, 257])
+    def test_random_array_is_the_scalar_draws(self, offset, n):
+        """Philox makes four 64-bit words a block; an array may start and
+        end anywhere in one."""
+        rng, twin = make_rng(4150), make_rng(4150)
+        rng.random(offset)
+        twin.random(offset)
+        assert rng.random(n).tolist() == [twin.random() for _ in range(n)]
+        assert repr(rng.bit_generator.state) == repr(twin.bit_generator.state)
+
+    @pytest.mark.parametrize("seed", [4151, 4152])
+    def test_sessions_and_end_states_are_the_per_scope_forms(self, seed, default_map):
+        plan = _published_plan()
+        rng, twin = make_rng(seed), make_rng(seed)
+        for _ in range(300):
+            result = run_naive(UniformP(), default_map, plan, rng)
+            assert result.see_counts == _per_scope_uniform_session(default_map, plan, twin)
+            assert repr(rng.bit_generator.state) == repr(twin.bit_generator.state)
+
+    def test_biases_are_the_law_of_their_scopes(self):
+        law = open_scopes(UniformP(), make_rng(4153), 5)
+        biases = law.p_seen(60.0, np.full(5, 0.1))
+        assert biases.tolist() == make_rng(4153).random(5).tolist()
+        assert law.p_wrong(None, 60.0) == 0.5
+        for subject in (AliceSubject(), FixedP(0.3), Adaptive(lambda _ctx: 0.5)):
+            assert open_scopes(subject, make_rng(4154), 5) is subject
+        with pytest.raises(DomainError, match="unknown subject"):
+            open_scopes(object(), make_rng(4155), 5)
 
 
 class TestEchoLaw:
