@@ -34,7 +34,7 @@ from .alpha_map import (
     load,
     require_support,
 )
-from .errors import ConfigError, DomainError, _count, _real
+from .errors import ConfigError, DomainError, MenuError, _count, _real
 from .photon_stats import DEFAULT_THRESHOLD, solve_q_intensity
 from .strategy_bayes import (
     DEFAULT_MAX_ROUNDS,
@@ -589,10 +589,14 @@ class _Pattern(_Entry):
 
     def plan(self, config, alpha_map):
         rule = RecognitionRule(config.pattern_miss_limit, config.pattern_noise_limit)
-        return {"pattern_plan": PatternPlan(
-            alpha_map, config.pattern_questions, config.pattern_menu, rule,
-            n_noise=config.pattern_noise, i_tilde=config.pattern_i_tilde,
-            low_max=config.pattern_low_max, high_min=config.pattern_high_min)}
+        try:
+            return {"pattern_plan": PatternPlan(
+                alpha_map, config.pattern_questions, config.pattern_menu, rule,
+                n_noise=config.pattern_noise, i_tilde=config.pattern_i_tilde,
+                low_max=config.pattern_low_max, high_min=config.pattern_high_min)}
+        except MenuError as exc:
+            raise MenuError(f"{exc}; raise field 'pattern_noise' or lower field "
+                            f"'pattern_menu'") from exc
 
     def run(self, context, rng, record_transcript):
         return run_pattern_test(context.subject, context.pattern_plan, rng)

@@ -356,10 +356,10 @@ def _require_noise(index: _ClassBlockIndex, n_noise: int) -> None:
         )
 
 
-def _require_menu(achievable: int, n_entries: int) -> None:
+def _require_menu(achievable: int, n_entries: int, where: str = "") -> None:
     if achievable < n_entries:
         raise MenuError(
-            f"only {achievable} glyphs embeddable in the illuminated set; "
+            f"{where}only {achievable} glyphs embeddable in the illuminated set; "
             f"{n_entries} requested"
         )
 
@@ -433,7 +433,11 @@ class PatternPlan:
         _require_noise(index, n_noise)
         i_tilde = _real("pulse intensity", self.i_tilde, "[0, inf)")
         n_entries = _count("menu size", self.n_entries, 2)
-        _require_menu(int(_menu_capacity(index, n_noise).min()), n_entries)
+        capacity = _menu_capacity(index, n_noise)
+        shortest = int(capacity.argmin())
+        _require_menu(int(capacity[shortest]), n_entries,
+                      f"hidden among {n_noise} noise spots, library glyph "
+                      f"{library.ids[shortest]!r} leaves the smallest menu: ")
         for name, value in [("n_questions", n_questions), ("n_entries", n_entries),
                             ("n_noise", n_noise), ("i_tilde", i_tilde),
                             ("low_max", low_max), ("high_min", high_min)]:

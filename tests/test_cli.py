@@ -229,6 +229,21 @@ class TestUsageErrors:
             assert captured.out == ""
             assert captured.err.startswith("error:") and fragment in captured.err
 
+    @pytest.mark.parametrize("command", ["identify", "montecarlo"])
+    def test_unfillable_menu_names_its_glyph_and_fields(self, command, tmp_path, capsys):
+        """The menu refusal names the glyph whose challenge leaves the
+        smallest menu, and the two fields that would let it fill one."""
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"strategy": "pattern", "pattern_noise": 12,
+                                    "pattern_menu": 2}))
+        assert main([command, "--config", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: hidden among 12 noise spots, library glyph '%' leaves the "
+            "smallest menu: only 1 glyphs embeddable in the illuminated set; 2 "
+            "requested; raise field 'pattern_noise' or lower field 'pattern_menu'\n")
+
     @pytest.mark.parametrize(
         "argv",
         [["identify"], ["identify", "--strategy", "serial"], ["montecarlo"],
