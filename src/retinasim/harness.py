@@ -633,7 +633,8 @@ def run_session(
     """Run one identification session of ``context.config.strategy`` on
     ``rng`` and return that strategy's own result; ``run_trial`` and the
     ``identify`` command both come through here.  ``record_transcript``
-    matters to bayes only and never changes the draws."""
+    matters to bayes only: it changes the draws after the session's exit,
+    never the record."""
     return STRATEGIES[context.config.strategy].run(context, rng, record_transcript)
 
 

@@ -20,10 +20,17 @@ Stopping at the first exit from ``(x, y)`` with ``x = p_fn`` and
 supermartingale under *every* admissible impostor strategy — adaptive ones
 included — so neither side can improve their exit probabilities by cleverness.
 
-This module provides the designer's ``p``, the session runner, closed-form
-bounds on expected stopping times and per-round drift, and a universal lower
-bound on the mean length of *any* test achieving a given false-positive
-target.  The test suite checks the martingale property empirically.
+For a symmetric point pair the two answers that are right, and the two that
+are wrong, move the log odds alike, so the walk lives on the lattice
+(#right, #wrong) and its exit law is computed exactly (Wald, 1945); the
+session runner draws such a session's exit from that law, and walks every
+other session round by round.
+
+This module provides the designer's ``p``, the session runner, the exit
+law, closed-form bounds on expected stopping times and per-round drift, and
+a universal lower bound on the mean length of *any* test achieving a given
+false-positive target.  The test suite checks the martingale property
+empirically, and the exit law against the per-round walk.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from collections.abc import Sequence
 from itertools import accumulate, islice
 from typing import NamedTuple
 
@@ -47,7 +55,13 @@ from .photon_stats import (
     relative_entropy,
     solve_q_intensity,
 )
-from .subjects import SubjectModel, class_seeing_means, interrogate, open_scope
+from .subjects import (
+    AnswerLaw,
+    SubjectModel,
+    class_seeing_means,
+    interrogate,
+    open_scope,
+)
 
 __all__ = [
     "Outcome",
@@ -208,7 +222,8 @@ class SequentialPlan:
         plus one rounding of each fold step (whose sum is at most the
         larger threshold's magnitude plus the largest increment, ``R``) and
         three of the lattice value's ``n`` increments (``3 * M``)."""
-        (low, low_top), (high, high_top) = self.distribution.low_band, self.distribution.high_band
+        (low, low_top), (high, high_top) = (self.distribution.low_band,
+                                            self.distribution.high_band)
         if low != low_top or high != high_top:
             return None
         rights = (self._edge_rounds[low][False].increment,
@@ -225,7 +240,9 @@ class SequentialPlan:
         reach = max(abs(math.log(self.x)), abs(math.log(self.y))) + largest
         return rights[0], wrongs[0], gap + _UNIT_ROUNDOFF * (reach + 3.0 * largest)
 
-    def exit_law(self, p_wrong: float, max_rounds: int = DEFAULT_MAX_ROUNDS) -> ExitLaw | None:
+    def exit_law(
+        self, p_wrong: float, max_rounds: int = DEFAULT_MAX_ROUNDS
+    ) -> ExitLaw | None:
         """The exact law of the session's exit when each round is answered
         wrong with probability ``p_wrong``, independently, and the session
         stops at ``max_rounds``; ``None`` unless the walk is a lattice walk
@@ -321,7 +338,7 @@ class ExitLaw:
         stopping floor falls to the last atom."""
         return min(bisect_right(self.cdf, u), len(self.cdf) - 1)
 
-    def path(self, index: int, uniforms) -> list[bool]:
+    def path(self, index: int, uniforms: Sequence[float]) -> list[bool]:
         """Whether each round of a walk that ends at atom ``index`` was
         answered wrong, sampled backward through the live bands: the state
         before a live state ``(n, w)`` is ``(n - 1, w)`` after a right
@@ -435,11 +452,9 @@ def run_sequential(
     """
     max_rounds = _count("round cap", max_rounds, 1)
     law = open_scope(subject, rng)
-    exits = None
-    if plan._lattice is not None and not law.walks_round_by_round:
-        p_wrong = law.p_wrong(plan.distribution, plan.i_tilde)
-        if p_wrong is not None:
-            exits = plan.exit_law(p_wrong, max_rounds)
+    p_wrong = (None if law.walks_round_by_round
+               else law.p_wrong(plan.distribution, plan.i_tilde))
+    exits = None if p_wrong is None else plan.exit_law(p_wrong, max_rounds)
     if exits is not None:
         index = exits.draw(rng.random())
         if not record_transcript:
@@ -475,7 +490,8 @@ def run_sequential(
 
 
 def _traced_exit(
-    plan: SequentialPlan, law, exits: ExitLaw, index: int, rng: np.random.Generator
+    plan: SequentialPlan, law: AnswerLaw, exits: ExitLaw, index: int,
+    rng: np.random.Generator,
 ) -> SequentialResult:
     """The result of exit atom ``index`` with a transcript: ``2 * rounds``
     uniforms, the first ``rounds`` for the path (:meth:`ExitLaw.path`) and
