@@ -32,7 +32,10 @@ check                                                        false-failure
                                                              3.5 sigma, or
                                                              3 on the bound's
                                                              side)
+``TestExitLawSessions`` (28 tests at 1e-3 each)              at most 0.028
 ===========================================================  ================
+
+``TestExitLaw`` and ``TestExitLawPath`` are exact.
 """
 
 from __future__ import annotations
@@ -518,9 +521,9 @@ class TestExitLawSessions:
 
     Each G-test and two-sided binomial test refuses at 1e-3, so each fails
     with probability about 1e-3 under the law it tests (the G-tests by the
-    chi-square approximation, with sparse bins merged); a subject's three
-    G-tests and one binomial test fail together with probability at most
-    4e-3, and the four subjects at most 0.016.  The first round's (spot,
+    chi-square approximation, with sparse bins merged); a subject's five
+    G-tests and two binomial tests fail together with probability at most
+    7e-3, and the four subjects' at most 0.028.  The first round's (spot,
     answer) law tests the backward path and the class coins: marginally a
     traced session's first round is any round of the per-round kernel."""
 
