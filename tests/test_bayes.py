@@ -35,7 +35,32 @@ check                                                        false-failure
 ``TestExitLawSessions`` (28 tests at 1e-3 each)              at most 0.028
 ===========================================================  ================
 
-``TestExitLaw`` and ``TestExitLawPath`` are exact.
+Seeded checks that draw band or asymmetric-pair bayes sessions (walks off
+the lattice, which have no exit law), and the same probability.
+
+===========================================================  ================
+check                                                        false-failure
+                                                             probability
+===========================================================  ================
+``test_published_increments`` (pair at i_tilde 62.4,         2.7e-6 (some
+five fair-coin sessions)                                     spot and answer
+                                                             in none of them,
+                                                             by a walk DP per
+                                                             spot and answer)
+``test_impossible_observation_is_terminal`` (pair at         9.5e-7 (2**-20:
+i_tilde 600, twenty one-round sessions)                      none of them on
+                                                             the high spot)
+``test_walk_reconstruction`` (bands)                         0 (the final log
+                                                             odds is the
+                                                             round-order sum)
+``test_band_interrogation_is_faster_for_honest_user``        in the table
+                                                             above
+``test_other_sessions_walk_round_by_round`` (the two         0 (structure
+asymmetric and the two band cases)                           only)
+===========================================================  ================
+
+``TestExitLaw`` and ``TestExitLawPath`` are exact.  The martingale
+diagnostics walk their own round-by-round loop (``martingale.py``).
 """
 
 from __future__ import annotations

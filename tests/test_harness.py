@@ -25,6 +25,23 @@ check                                                  false-failure
 ``TestMontecarlo::test_impostor_bayes_run``            1.1e-8 (one of 150
                                                        accepted)
 =====================================================  ====================
+
+Seeded checks that draw band bayes sessions (a walk off the lattice, which
+has no exit law), and the same probability, from 20,000 per-round sessions.
+
+=====================================================  ====================
+check                                                  false-failure
+                                                       probability
+=====================================================  ====================
+``TestWalksWriter::test_matches_per_row_reference``    0.24 (none or all of
+(``uniform_bands``; both memo cases share one draw)    30 honest walks
+                                                       capped at 60 rounds
+                                                       time out, each with
+                                                       probability 0.0461
+                                                       ± 0.0015; 0.22 to
+                                                       0.27 over two
+                                                       standard errors)
+=====================================================  ====================
 """
 
 import dataclasses
