@@ -34,7 +34,7 @@ from .alpha_map import (
     load,
     require_support,
 )
-from .errors import ConfigError, DomainError, MenuError, _count, _real
+from .errors import ConfigError, DomainError, InfeasibleError, MenuError, _count, _real
 from .photon_stats import DEFAULT_THRESHOLD, solve_q_intensity
 from .strategy_bayes import (
     DEFAULT_MAX_ROUNDS,
@@ -455,7 +455,14 @@ def _operating_point(config: RunConfig, alpha_map: AlphaMap) -> tuple[float, flo
         ) from exc
     i_tilde = config.i_tilde
     if i_tilde is None:
-        i_tilde = solve_q_intensity(*inner_edges(distribution), config.k)[1]
+        try:
+            i_tilde = solve_q_intensity(*inner_edges(distribution), config.k)[1]
+        except InfeasibleError as exc:
+            names = ", ".join(map(repr, _DISTRIBUTION_FIELDS[config.distribution]))
+            raise InfeasibleError(
+                f"{exc}; change fields {names} or 'k', or set field 'i_tilde', "
+                f"which skips this search"
+            ) from exc
     return design_wrong_probability(distribution, i_tilde, config.k), i_tilde
 
 
@@ -489,7 +496,11 @@ class _Naive(_Entry):
         if alpha_map.n_spots < config.naive_mu:
             raise ConfigError(f"field 'naive_mu' is {config.naive_mu} but the map "
                               f"has only {alpha_map.n_spots} spots")
-        nu = required_nu(config.p_fp, config.p_fn, config.naive_mu, config.naive_p_c)
+        try:
+            nu = required_nu(config.p_fp, config.p_fn, config.naive_mu, config.naive_p_c)
+        except InfeasibleError as exc:
+            raise InfeasibleError(f"{exc}; change fields 'naive_mu', 'naive_p_c', "
+                                  f"'p_fp' or 'p_fn'") from exc
         n_l, n_r = acceptance_counts(config.naive_p_c, nu, config.p_fp, config.naive_mu)
         return {"naive_plan": NaiveTestPlan(nu=nu, mu=config.naive_mu,
                                             p_c=config.naive_p_c, n_l=n_l, n_r=n_r)}
@@ -633,8 +644,8 @@ def run_session(
     """Run one identification session of ``context.config.strategy`` on
     ``rng`` and return that strategy's own result; ``run_trial`` and the
     ``identify`` command both come through here.  ``record_transcript``
-    matters to bayes only: it changes the draws after the session's exit,
-    never the record."""
+    matters to bayes only: it may change the draws after the session's
+    exit, never the record."""
     return STRATEGIES[context.config.strategy].run(context, rng, record_transcript)
 
 

@@ -126,15 +126,40 @@ def _gk_array(k: int, x: np.ndarray) -> np.ndarray:
         return 1.0 - _poisson_pmfs(k - 1, x) * _head_sum(k, x)
     seen = np.empty(x.shape)
     up = x[below]
-    term, total, n = np.ones(up.shape), np.zeros(up.shape), k
-    while (total + term != total).any():
-        total = total + term
-        n += 1
-        term = term * (up / n)
-    seen[below] = _poisson_pmfs(k, up) * total
+    seen[below] = _poisson_pmfs(k, up) * _tail_sum(k, up)
     down = x[~below]
     seen[~below] = 1.0 - _poisson_pmfs(k - 1, down) * _head_sum(k, down)
     return seen
+
+
+def _tail_depth(k: int, x: float) -> int:
+    """Rows enough for :func:`_tail_sum` at every mean up to ``x < k``: the
+    terms of ``P[N >= k]`` that :func:`_seen_and_missed` forms at ``x``,
+    counted up to the first one that four times over would still leave the
+    sum as it is.  A smaller mean's terms fall faster against its sum, so
+    its loop stops within these rows: its sum may sit in a binade below,
+    where a term half as large already changes it, and the factor four
+    covers that twice over."""
+    term, total, depth = 1.0, 0.0, 0
+    while total + 4.0 * term != total:
+        total += term
+        depth += 1
+        term *= x / (k + depth)
+    return depth
+
+
+def _tail_sum(k: int, x: np.ndarray) -> np.ndarray:
+    """``P[N >= k] / P[N = k]`` for ``N ~ Poisson(x)``, each ``x < k``: the
+    terms ``1, x/(k+1), x/(k+1) * x/(k+2), ...`` as :func:`_seen_and_missed`
+    forms them, one row each (:func:`_tail_depth` rows, sized at the largest
+    mean), added row by row.  Rows past the scalar's last change leave each
+    sum as it is."""
+    depth = _tail_depth(k, float(x.max()))
+    terms = np.empty((depth, x.size))
+    terms[0] = 1.0
+    np.divide(x, np.arange(k + 1.0, k + depth)[:, None], out=terms[1:])
+    np.multiply.accumulate(terms, axis=0, out=terms)
+    return np.add.accumulate(terms, axis=0, out=terms)[-1]
 
 
 def _head_sum(k: int, x: np.ndarray) -> np.ndarray:
@@ -145,7 +170,7 @@ def _head_sum(k: int, x: np.ndarray) -> np.ndarray:
     terms = np.empty((k, x.size))
     terms[0] = 1.0
     np.divide.outer(np.arange(k - 1.0, 0.0, -1.0), x, out=terms[1:])
-    np.cumprod(terms, axis=0, out=terms)
+    np.multiply.accumulate(terms, axis=0, out=terms)
     return np.add.accumulate(terms, axis=0, out=terms)[-1]
 
 

@@ -23,8 +23,9 @@ included — so neither side can improve their exit probabilities by cleverness.
 For a symmetric point pair the two answers that are right, and the two that
 are wrong, move the log odds alike, so the walk lives on the lattice
 (#right, #wrong) and its exit law is computed exactly (Wald, 1945); the
-session runner draws such a session's exit from that law, and walks every
-other session round by round.
+session runner draws such a session's exit from that law.  Any other
+session whose answer law is known (band distributions, an asymmetric pair)
+it draws in blocks of rounds, and a rule's session round by round.
 
 This module provides the designer's ``p``, the session runner, the exit
 law, closed-form bounds on expected stopping times and per-round drift, and
@@ -51,6 +52,7 @@ from .errors import ConfigError, DomainError, _count, _real
 from .photon_stats import (
     DEFAULT_THRESHOLD,
     _bisect,
+    _gk_array,
     gk,
     relative_entropy,
     solve_q_intensity,
@@ -59,6 +61,7 @@ from .subjects import (
     AnswerLaw,
     SubjectModel,
     class_seeing_means,
+    honest_threshold,
     interrogate,
     open_scope,
 )
@@ -83,6 +86,12 @@ DEFAULT_MAX_ROUNDS = 10_000
 #: correctly rounded sum or product, and the step between the values
 #: ``Generator.random()`` returns.
 _UNIT_ROUNDOFF = 2.0**-53
+
+#: Rounds a block session (:func:`_block_session`) draws at once, from one
+#: ``rng.random(3 * _BLOCK_ROUNDS)``; the last block stops at the round
+#: cap.  Each round reads its own three uniforms, so no record depends on
+#: it.  An honest band session takes about 45 rounds.
+_BLOCK_ROUNDS = 64
 
 #: Most units in the last place by which a point pair's two "right"
 #: increments, or its two "wrong" ones, may differ for its walk to count as
@@ -435,31 +444,45 @@ def run_sequential(
     the cap is reached — the walk terminates almost surely, so the cap is a
     plumbing guard, not part of the statistical design.
 
-    A session whose walk is a lattice walk is drawn from its exact exit law
-    (:meth:`SequentialPlan.exit_law`): a symmetric point pair, answered by a
-    law that gives its wrong-answer probability and does not ask to be
-    walked round by round (the honest user and every biased impostor).
-    One uniform picks the exit, whose final log odds is the lattice value
-    of its right and wrong answers.  A traced session then samples its path
-    backward from that exit, and each round's class after it, so the
-    transcript changes the draws after the exit and never the result.
-    Every other session (band distributions, adaptive rules, a plan whose
-    lattice check fails) is interrogated round by round, and its final log
-    odds is the round-order sum of its increments.
+    A session whose law gives its answers (the honest user and every
+    biased impostor; a rule asks to be walked round by round) is drawn at
+    law level:
+
+    * on a lattice walk, from its exact exit law
+      (:meth:`SequentialPlan.exit_law`): a symmetric point pair.  One
+      uniform picks the exit, whose final log odds is the lattice value of
+      its right and wrong answers.  A traced session then samples its path
+      backward from that exit, and each round's class after it, so the
+      transcript changes the draws after the exit and never the result;
+    * on any other plan (band distributions, an asymmetric point pair, a
+      plan whose lattice check fails), in blocks of rounds
+      (:func:`_block_session`), three uniforms a round.
+
+    A rule's session is interrogated round by round.  Either way the final
+    log odds of a walk is the round-order sum of its increments.
 
     ``record_transcript=False`` skips transcript assembly for bulk Monte
     Carlo runs; the result is identical apart from the empty transcript.
     """
     max_rounds = _count("round cap", max_rounds, 1)
     law = open_scope(subject, rng)
-    p_wrong = (None if law.walks_round_by_round
-               else law.p_wrong(plan.distribution, plan.i_tilde))
-    exits = None if p_wrong is None else plan.exit_law(p_wrong, max_rounds)
-    if exits is not None:
-        index = exits.draw(rng.random())
-        if not record_transcript:
-            return exits.results[index]
-        return _traced_exit(plan, law, exits, index, rng)
+    if law.walks_round_by_round:
+        return _rule_session(plan, law, rng, max_rounds, record_transcript)
+    exits = plan.exit_law(law.p_wrong(plan.distribution, plan.i_tilde), max_rounds)
+    if exits is None:
+        return _block_session(plan, law, rng, max_rounds, record_transcript)
+    index = exits.draw(rng.random())
+    if not record_transcript:
+        return exits.results[index]
+    return _traced_exit(plan, law, exits, index, rng)
+
+
+def _rule_session(
+    plan: SequentialPlan, law: AnswerLaw, rng: np.random.Generator, max_rounds: int,
+    record_transcript: bool,
+) -> SequentialResult:
+    """A session interrogated round by round (:func:`interrogate`), one
+    answer of the law a round."""
     ln_x = math.log(plan.x)
     ln_y = math.log(plan.y)
     edge_rounds = plan._edge_rounds
@@ -487,6 +510,58 @@ def run_sequential(
     return SequentialResult(
         outcome=outcome, rounds=rounds, log_odds=log_odds, transcript=tuple(transcript)
     )
+
+
+def _block_session(
+    plan: SequentialPlan, law: AnswerLaw, rng: np.random.Generator, max_rounds: int,
+    record_transcript: bool,
+) -> SequentialResult:
+    """A session drawn in blocks of :data:`_BLOCK_ROUNDS` rounds.
+
+    Round ``j`` reads uniforms ``3j``, ``3j + 1`` and ``3j + 2`` of the
+    stream: the class coin (high below 1/2, as in
+    :func:`~retinasim.alpha_map.class_draws`), the transmission
+    ``a + (b - a) * u`` in that class's band, and the answer, "seen" below
+    the law's seeing probability.  The seeing probabilities come from
+    :func:`~retinasim.photon_stats._gk_array` and the increments from
+    :func:`_log_increment`'s expression, elementwise; NumPy's ``log`` may
+    round an increment one ulp from :func:`math.log`'s.  The walk is one
+    running sum carried from block to block, so it folds in round order as
+    the per-round ``+=`` does, and the session ends at its first value at or
+    beyond ln y or ln x, or at ``max_rounds``.  The uniforms drawn past the
+    exit are the trial's own and go unused, so the record does not depend on
+    the block size, and a transcript changes no draw.  The honest user at
+    the plan's threshold sees with the plan's own probabilities, which are
+    computed once."""
+    ln_x, ln_y = math.log(plan.x), math.log(plan.y)
+    (a, b), (c, d) = plan.distribution.low_band, plan.distribution.high_band
+    k, i_tilde, p = plan.k, plan.i_tilde, plan.p
+    own = honest_threshold(law) == k
+    log_odds, rounds, outcome = 0.0, 0, Outcome.TIMEOUT
+    transcript: list[Round] = []
+    while rounds < max_rounds:
+        n = min(_BLOCK_ROUNDS, max_rounds - rounds)
+        coin, spread, answer = rng.random(3 * n).reshape(n, 3).T
+        alpha = np.where(coin < 0.5, c + (d - c) * spread, a + (b - a) * spread)
+        x = alpha * i_tilde
+        see = _gk_array(k, x)
+        saw = answer < (see if own else law.p_seen(x, alpha))
+        with np.errstate(divide="ignore"):
+            steps = np.log(np.where(saw, see, 1.0 - see) / np.where(saw, p, 1.0 - p))
+        walk = steps.copy()
+        walk[0] += log_odds
+        np.add.accumulate(walk, out=walk)
+        exits = np.flatnonzero((walk >= ln_y) | (walk <= ln_x))
+        end = int(exits[0]) + 1 if exits.size else n
+        if record_transcript:
+            transcript += map(Round, alpha[:end].tolist(), saw[:end].tolist(),
+                              steps[:end].tolist())
+        rounds += end
+        log_odds = float(walk[end - 1])
+        if exits.size:
+            outcome = Outcome.ACCEPT if log_odds >= ln_y else Outcome.REJECT
+            break
+    return SequentialResult(outcome, rounds, log_odds, tuple(transcript))
 
 
 def _traced_exit(

@@ -347,10 +347,15 @@ class AliceSubject:
     def __post_init__(self) -> None:
         object.__setattr__(self, "k", _count("threshold K", self.k, 1))
 
-    def p_seen(self, x: float, alpha: np.ndarray) -> float:
+    def p_seen(
+        self, x: float | np.ndarray, alpha: np.ndarray
+    ) -> float | np.ndarray:
         """``gk(k, x)`` on every spot, the pulse tuned to deposit ``x``
-        photons through each transmission of ``alpha``; computed once per
-        ``(k, x)``."""
+        photons through each transmission of ``alpha`` (computed once per
+        ``(k, x)``), or at each mean of an array ``x``, one per spot of
+        ``alpha``."""
+        if isinstance(x, np.ndarray):
+            return _gk_array(self.k, x)
         return _seeing(self.k, x)
 
     def p_wrong(self, distribution: UniformBands, i_tilde: float) -> float:

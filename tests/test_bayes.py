@@ -8,9 +8,9 @@ exit law (``SequentialPlan.exit_law``): P(reject) 5.2272e-5, T 61.934 ±
 13.752 for the honest user, P(accept) 7.4515e-11, T 18.841 ± 9.114 for an
 impostor.  Means and drifts are compared by a normal approximation; band
 walks, which have no exact law here, by 20,000 per-round sessions (T 45.27
-± 7.85).  The other checks here are exact, or walk round by round on a
-seed no exact-law draw touches (bands, asymmetric plans, the martingale
-diagnostics).
+± 7.85).  The other checks here are exact, or draw band and
+asymmetric-pair sessions in blocks (second table), or walk round by round
+(rules, and the martingale diagnostics).
 
 ===========================================================  ================
 check                                                        false-failure
@@ -55,16 +55,19 @@ i_tilde 600, twenty one-round sessions)                      none of them on
                                                              round-order sum)
 ``test_band_interrogation_is_faster_for_honest_user``        in the table
                                                              above
-``test_other_sessions_walk_round_by_round`` (the two         0 (structure
-asymmetric and the two band cases)                           only)
+``test_block_sessions_interrogate_nothing``                  0 (structure
+                                                             only)
+``TestBlockSessionLaw`` (24 checks at 1e-3 each)             at most 0.024
 ===========================================================  ================
 
-``TestExitLaw`` and ``TestExitLawPath`` are exact.  The martingale
-diagnostics walk their own round-by-round loop (``martingale.py``).
+``TestExitLaw``, ``TestExitLawPath`` and ``TestBlockSessions`` are exact.
+The martingale diagnostics walk their own round-by-round loop
+(``martingale.py``).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -81,7 +84,10 @@ from retinasim import (
     FixedP,
     Outcome,
     PointPair,
+    Round,
     SequentialPlan,
+    SequentialResult,
+    SpotClass,
     UniformBands,
     design_wrong_probability,
     drift_bounds,
@@ -98,8 +104,9 @@ from retinasim import (
 )
 
 import retinasim.strategy_bayes
+from retinasim.photon_stats import _gk_array
 from retinasim.strategy_bayes import _log_increment
-from retinasim.subjects import interrogate, open_scope
+from retinasim.subjects import class_seeing_means, interrogate, open_scope
 
 from conftest import g_test_pvalue, make_rng, two_sample_g_pvalue
 from martingale import martingale_diagnostics
@@ -633,21 +640,30 @@ class TestExitLawPath:
         assert rng.random(4).tolist() == twin.random(4).tolist()
         assert repr(rng.bit_generator.state) == repr(twin.bit_generator.state)
 
+    @pytest.mark.parametrize("subject", [Adaptive(lambda _ctx: 0.5),
+                                         parse_eve_strategy("echo", 6)],
+                             ids=["rule", "echo"])
+    def test_other_sessions_walk_round_by_round(self, subject, monkeypatch):
+        interrogations = []
+        monkeypatch.setattr(retinasim.strategy_bayes, "interrogate",
+                            lambda *args: interrogations.append(args) or interrogate(*args))
+        result = run_sequential(subject, make_plan(), make_rng(4442))
+        assert len(interrogations) == 1
+        assert len(result.transcript) == result.rounds
+        running = 0.0
+        for step in result.transcript:
+            running += step.increment
+        assert result.log_odds == running
+
     @pytest.mark.parametrize("plan, subject", [
         (make_plan(i_tilde=70.0), AliceSubject()),
         (make_plan(i_tilde=70.0), FixedP(0.5)),
         (make_plan(BANDS), AliceSubject()),
         (make_plan(BANDS), FixedP(0.3)),
-        (make_plan(), Adaptive(lambda _ctx: 0.5)),
-        (make_plan(), parse_eve_strategy("echo", 6)),
-    ], ids=["asymmetric-alice", "asymmetric-faircoin", "bands-alice", "bands-fixedp",
-            "rule", "echo"])
-    def test_other_sessions_walk_round_by_round(self, plan, subject, monkeypatch):
-        interrogations = []
-        monkeypatch.setattr(retinasim.strategy_bayes, "interrogate",
-                            lambda *args: interrogations.append(args) or interrogate(*args))
+    ], ids=["asymmetric-alice", "asymmetric-faircoin", "bands-alice", "bands-fixedp"])
+    def test_block_sessions_interrogate_nothing(self, plan, subject, monkeypatch):
+        monkeypatch.setattr(retinasim.strategy_bayes, "interrogate", None)
         result = run_sequential(subject, plan, make_rng(4442))
-        assert len(interrogations) == 1
         assert len(result.transcript) == result.rounds
         running = 0.0
         for step in result.transcript:
@@ -659,6 +675,179 @@ class TestExitLawPath:
         plan = make_plan()
         for subject in ("alice", "faircoin", "fixedp:0.3", "uniformp"):
             run_sequential(_LAW_SUBJECTS[subject][0], plan, make_rng(4443))
+
+
+def _reference_session(subject, plan, rng, max_rounds=10_000):
+    """A block session transcribed round by round: each round reads its
+    three uniforms one ``rng.random()`` at a time (the class coin, high
+    below 1/2; the transmission in that class's band; the answer, "seen"
+    below the law's seeing probability) and adds its increment to the log
+    odds with ``+=``, stopping at the first value at or beyond a threshold.
+    The seeing probabilities and the logarithm are the kernel's elementwise
+    NumPy functions, on one-element arrays, so the records compare exactly."""
+    ln_x, ln_y = math.log(plan.x), math.log(plan.y)
+    law = open_scope(subject, rng)
+    (a, b), (c, d) = plan.distribution.low_band, plan.distribution.high_band
+    log_odds, transcript = 0.0, []
+    for rounds in range(1, max_rounds + 1):
+        lo, hi = (c, d) if rng.random() < 0.5 else (a, b)
+        alpha = lo + (hi - lo) * rng.random()
+        x = np.array([alpha * plan.i_tilde])
+        see = float(_gk_array(plan.k, x)[0])
+        saw = bool(rng.random() < np.broadcast_to(law.p_seen(x, np.array([alpha])), 1)[0])
+        ratio = (see if saw else 1.0 - see) / (plan.p if saw else 1.0 - plan.p)
+        increment = float(np.log(np.array([ratio]))[0]) if ratio > 0.0 else -math.inf
+        transcript.append(Round(alpha, saw, increment))
+        log_odds += increment
+        if log_odds >= ln_y or log_odds <= ln_x:
+            outcome = Outcome.ACCEPT if log_odds >= ln_y else Outcome.REJECT
+            return SequentialResult(outcome, rounds, log_odds, tuple(transcript))
+    return SequentialResult(Outcome.TIMEOUT, max_rounds, log_odds, tuple(transcript))
+
+
+#: Plans and subjects whose sessions are drawn in blocks: band
+#: distributions and an asymmetric point pair, the honest user (also at a
+#: threshold other than the plan's), the biases, and answers no honest
+#: user could give (the high spot missed at a pulse it always sees).
+_BLOCK_CASES = {
+    "bands-alice": (make_plan(BANDS), AliceSubject()),
+    "bands-alice-k7": (make_plan(BANDS), AliceSubject(k=7)),
+    "bands-faircoin": (make_plan(BANDS), FixedP(0.5)),
+    "bands-fixedp": (make_plan(BANDS), FixedP(0.3)),
+    "bands-uniformp": (make_plan(BANDS), UniformP()),
+    "asymmetric-alice": (make_plan(i_tilde=70.0), AliceSubject()),
+    "asymmetric-faircoin": (make_plan(i_tilde=70.0), FixedP(0.5)),
+    "impossible": (SequentialPlan(p=0.5, x=1e-4, y=1e10, i_tilde=600.0, k=6,
+                                  distribution=BANDS), FixedP(0.0)),
+}
+
+
+class TestBlockSessions:
+    """Sessions drawn in blocks against a scalar transcription of the same
+    draws, and against themselves under other block sizes and without a
+    transcript.  All exact."""
+
+    @pytest.mark.parametrize("max_rounds", [10_000, 70, 3])
+    @pytest.mark.parametrize("case", list(_BLOCK_CASES))
+    def test_matches_the_scalar_reference(self, case, max_rounds):
+        plan, subject = _BLOCK_CASES[case]
+        for seed in range(4460, 4500):
+            assert run_sequential(subject, plan, make_rng(seed), max_rounds) == (
+                _reference_session(subject, plan, make_rng(seed), max_rounds))
+
+    @pytest.mark.parametrize("case", ["bands-alice", "bands-uniformp", "asymmetric-faircoin"])
+    def test_records_do_not_depend_on_the_block_size(self, case, monkeypatch):
+        plan, subject = _BLOCK_CASES[case]
+
+        def records(block):
+            monkeypatch.setattr(retinasim.strategy_bayes, "_BLOCK_ROUNDS", block)
+            return [run_sequential(subject, plan, make_rng(seed), max_rounds)
+                    for seed in range(4500, 4530) for max_rounds in (10_000, 50)]
+
+        assert records(1) == records(7) == records(64) == records(500)
+
+    @pytest.mark.parametrize("case", list(_BLOCK_CASES))
+    def test_tracing_changes_no_draw(self, case):
+        plan, subject = _BLOCK_CASES[case]
+        for seed in range(4530, 4560):
+            rng, twin = make_rng(seed), make_rng(seed)
+            traced = run_sequential(subject, plan, rng)
+            untraced = run_sequential(subject, plan, twin, record_transcript=False)
+            assert untraced == dataclasses.replace(traced, transcript=())
+            assert len(traced.transcript) == traced.rounds
+            assert repr(rng.bit_generator.state) == repr(twin.bit_generator.state)
+
+
+def _walked_session(subject, plan, rng, max_rounds=10_000):
+    """``(outcome, rounds, first round)`` of a session walked round by
+    round, the kernel every band and asymmetric-pair session ran before
+    they were drawn in blocks: :func:`interrogate` driven by the subject's
+    own answer law, each increment the scalar :func:`_log_increment` of
+    the scalar ``gk``; the first round as ``(high class, saw)``."""
+    ln_x, ln_y = math.log(plan.x), math.log(plan.y)
+    log_odds, first = 0.0, None
+    interrogation = interrogate(open_scope(subject, rng), plan.distribution,
+                                plan.i_tilde, rng)
+    for rounds, (spot_class, alpha, saw) in enumerate(interrogation, 1):
+        first = first or (spot_class is SpotClass.HIGH, saw)
+        log_odds += _log_increment(gk(plan.k, alpha * plan.i_tilde), saw, plan.p)
+        if log_odds >= ln_y:
+            return Outcome.ACCEPT, rounds, first
+        if log_odds <= ln_x or rounds == max_rounds:
+            return (Outcome.REJECT if log_odds <= ln_x else Outcome.TIMEOUT), rounds, first
+
+
+#: Each block-drawn subject, its distribution and intensity, the per-round
+#: twin it is tested against, and its chance of "seen" on each class at
+#: the plan's intensity: the class means of ``gk`` for the honest user,
+#: the bias for a biased impostor (the uniform bias's, marginally, 1/2).
+_ALICE_BANDS = class_seeing_means(BANDS, I_STAR, 6)
+_BLOCK_LAW_SUBJECTS = {
+    "bands-alice": (BANDS, None, AliceSubject(), AliceSubject(), _ALICE_BANDS),
+    "bands-faircoin": (BANDS, None, FixedP(0.5), Adaptive(lambda _ctx: 0.5),
+                       (0.5, 0.5)),
+    "bands-fixedp:0.3": (BANDS, None, FixedP(0.3), Adaptive(lambda _ctx: 0.3),
+                         (0.3, 0.3)),
+    "bands-uniformp": (BANDS, None, UniformP(), _PerRoundUniformP(), (0.5, 0.5)),
+    "asymmetric-alice": (POINT_PAIR, 70.0, AliceSubject(), AliceSubject(),
+                         (gk(6, 0.05 * 70.0), gk(6, 0.15 * 70.0))),
+    "asymmetric-faircoin": (POINT_PAIR, 70.0, FixedP(0.5), Adaptive(lambda _ctx: 0.5),
+                            (0.5, 0.5)),
+}
+
+
+class TestBlockSessionLaw:
+    """Block sessions against the per-round kernel, which stays the oracle.
+
+    No exit law is known off the lattice, so the two samples are compared
+    with each other: the round counts at the design targets by a
+    two-sample G-test, and the exits at relaxed targets (p_fp = p_fn =
+    0.02, where both exits are common) by the binomial law of the block
+    sample's share of the accepting sessions, given how many there were.
+    The first round's (class, answer) is tested against its exact law in
+    both samples.  Each of these four checks refuses at 1e-3, so fails
+    with probability about 1e-3 under the law it tests (the G-tests by the
+    chi-square approximation, with sparse bins merged); a subject's fail
+    together with probability at most 4e-3, and the six subjects' at most
+    0.024."""
+
+    SESSIONS, TWIN_SESSIONS = 4000, 1500
+
+    @pytest.fixture(scope="class", params=list(_BLOCK_LAW_SUBJECTS))
+    def drawn(self, request):
+        distribution, i_tilde, subject, twin, seeing = _BLOCK_LAW_SUBJECTS[request.param]
+        samples = []
+        for seed, targets in ((4561, (1e-10, 1e-4)), (4563, (0.02, 0.02))):
+            plan = make_plan(distribution, *targets, i_tilde=i_tilde)
+            rng = make_rng(seed)
+            blocks = [run_sequential(subject, plan, rng) for _ in range(self.SESSIONS)]
+            rng = make_rng(seed + 1)
+            walks = [_walked_session(twin, plan, rng) for _ in range(self.TWIN_SESSIONS)]
+            samples.append((blocks, walks))
+        return samples, seeing
+
+    def test_round_counts(self, drawn):
+        ((blocks, walks), _relaxed), _seeing = drawn
+        rounds = [r.rounds for r in blocks]
+        size = max(rounds + [t for _o, t, _f in walks]) + 1
+        assert two_sample_g_pvalue(rounds, [t for _o, t, _f in walks], size) > 1e-3
+
+    def test_exits(self, drawn):
+        (_design, (blocks, walks)), _seeing = drawn
+        outcomes = [r.outcome for r in blocks], [o for o, _t, _f in walks]
+        assert all(Outcome.TIMEOUT not in sample for sample in outcomes)
+        accepted = [sample.count(Outcome.ACCEPT) for sample in outcomes]
+        share = len(blocks) / (len(blocks) + len(walks))
+        assert stats.binomtest(accepted[0], sum(accepted), share).pvalue > 1e-3
+
+    def test_first_round(self, drawn):
+        ((blocks, walks), _relaxed), (s_low, s_high) = drawn
+        pmf = [0.5 * (1 - s_low), 0.5 * s_low, 0.5 * (1 - s_high), 0.5 * s_high]
+        low_top = BANDS.low_band[1]
+        firsts = [2 * (r.transcript[0].alpha > low_top) + r.transcript[0].saw
+                  for r in blocks]
+        assert g_test_pvalue(firsts, pmf) > 1e-3
+        assert g_test_pvalue([2 * high + saw for _o, _t, (high, saw) in walks], pmf) > 1e-3
 
 
 class TestStoppingTimeBounds:

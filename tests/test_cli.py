@@ -410,6 +410,33 @@ class TestIdentify:
             assert captured.out == ""
             assert "no symmetric operating point" in captured.err
 
+    @pytest.mark.parametrize("command", ["identify", "solve"])
+    @pytest.mark.parametrize("doc, fields", [
+        ({"k": 200}, "'alpha_low', 'alpha_high'"),
+        ({"k": 200, "distribution": "uniform_bands"}, "'low_band', 'high_band'"),
+    ], ids=["point_pair", "uniform_bands"])
+    def test_operating_point_refusal_names_its_fields(self, command, doc, fields,
+                                                      tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, "--config", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: no symmetric operating point")
+        assert captured.err.endswith(
+            f"; change fields {fields} or 'k', or set field 'i_tilde', which skips "
+            f"this search\n")
+
+    def test_naive_sizing_refusal_names_its_fields(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"strategy": "naive", "naive_mu": 1, "p_fp": 1e-12}))
+        assert main(["identify", "--config", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: no nu <= 1000000 meets p_fp=1e-12, p_fn=0.0001 with mu=1, "
+            "p_c=0.5; change fields 'naive_mu', 'naive_p_c', 'p_fp' or 'p_fn'\n")
+
     def test_pattern_impostor(self, capsys):
         code = main([
             "identify", "--seed", "4604", "--strategy", "pattern",
@@ -552,6 +579,27 @@ class TestIdentifyPinned:
         ])
         capsys.readouterr()
         assert code == expected
+
+
+    @pytest.mark.parametrize("seed", [1, 9])
+    @pytest.mark.parametrize("subject", ["alice", "eve:uniformp", "eve:faircoin"])
+    @pytest.mark.parametrize("doc", [{"distribution": "uniform_bands"}, {"i_tilde": 70.0}],
+                             ids=["bands", "asymmetric"])
+    def test_identify_block_session_is_trial_zero_of_montecarlo(
+        self, doc, subject, seed, tmp_path, capsys
+    ):
+        """A bayes session drawn in blocks: ``identify`` prints the outcome
+        and the rounds of trial 0."""
+        config = RunConfig(subject=subject, master_seed=seed, **doc)
+        record = run_trial(prepare(config), 0)
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc))
+        code = main(["identify", "--config", str(path), "--seed", str(seed),
+                     "--subject", subject])
+        outcome = "accept" if record.accepted else "reject"
+        assert (f"outcome: {outcome} after {record.rounds} rounds"
+                in capsys.readouterr().out)
+        assert code == (0 if record.accepted else 1)
 
 
 class TestMontecarloCommand:

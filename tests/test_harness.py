@@ -484,6 +484,20 @@ class TestRunTrial:
         assert [dataclasses.replace(record, walk=None) for record in traced] == untraced
 
     @pytest.mark.parametrize("subject", ["alice", "eve:faircoin", "eve:uniformp",
+                                         "eve:fixedp:0.3"])
+    @pytest.mark.parametrize("plan", [dict(distribution="uniform_bands"),
+                                      dict(i_tilde=70.0)], ids=["bands", "asymmetric"])
+    def test_tracing_changes_no_block_record(self, plan, subject):
+        """A band or asymmetric-pair bayes trial is drawn in blocks, three
+        uniforms a round whether traced or not: it records what the
+        untraced trial records, and its walk."""
+        configs = [RunConfig(subject=subject, trials=120, walk_trace_limit=limit,
+                             master_seed=4526, **plan) for limit in (120, 0)]
+        (_s, traced), (_t, untraced) = map(montecarlo, configs)
+        assert all(record.walk is not None for record in traced)
+        assert [dataclasses.replace(record, walk=None) for record in traced] == untraced
+
+    @pytest.mark.parametrize("subject", ["alice", "eve:faircoin", "eve:uniformp",
                                          "eve:echo"])
     @pytest.mark.parametrize("strategy", ["bayes", "serial", "naive", "pattern"])
     def test_context_crosses_a_process_boundary(self, strategy, subject):
@@ -801,13 +815,13 @@ _PINNED_DIGESTS = {
         "eb93b0a65004ebdc211ddf3af2cafb61e64047951a6f494b42f3a71d027b6b69"
     ),
     ("bayes", "alice", "uniform_bands"): (
-        "07774efc277baf192a4969185c3eaebfa0d697e501b20614df1b20430ecc744e"
+        "7330ce45096e2845b73c00f957dc65d66e5ccd3566700a1ebb0f4105f2fa81aa"
     ),
     ("bayes", "eve:uniformp", "point_pair"): (
         "4e92e9868e52f56dc9285694640444fcdb680349ee03674471b780a918ff8767"
     ),
     ("bayes", "eve:uniformp", "uniform_bands"): (
-        "39ddbb927f1a8bc36f6845157928ff72f3153ece33a97cec0049dd838fa89339"
+        "269b68523b50103f2466dbab801094557b182af3f22308be5625e77bff73dd3d"
     ),
     ("bayes", "eve:echo", "point_pair"): (
         "68977ea99cbb9e597974d6877c27e314e5d74902c6e4093ff51d00292dd24ea1"
@@ -964,10 +978,10 @@ _KERNEL_DIGESTS = {
         "8e83d918a43ca2aabdafe8911069a934c43fa63eda715bcc935351b3747061c6"
     ),
     ("bayes", "alice", "uniform_bands", False): (
-        "dba01a2c7c6938076d006682a583f9d7e438cd3306492cda8eb786c567e44d2a"
+        "a5f33324171fb83ace9346e010ed2fc31d7b0d40eed9a63131d94ea5eb560855"
     ),
     ("bayes", "alice", "uniform_bands", True): (
-        "3951dee6ba0e4c6f34352ab401b3387370541a06f266add970e181c7f486f9a1"
+        "a2a7e43eb234e61ad83ffc71e0e8301b889aeeb0700b5c3454e71d3d3c3eca25"
     ),
     ("bayes", "eve:faircoin", "point_pair", False): (
         "455305b4b9e5b92ef2ae7e0ce2a9b15eb3a0e90951a901610951e3162e0261bf"
@@ -976,10 +990,10 @@ _KERNEL_DIGESTS = {
         "c642744c263ed5f1ebb800a0adac8b3d83ba32a9978b5c91bf863719a7313476"
     ),
     ("bayes", "eve:faircoin", "uniform_bands", False): (
-        "aa56d31284e8070bbce9213014e85f954e4e8198b32840bd31b3e58614c50739"
+        "0aa7ce506ada14df90894291ff69e363ce7d6d0dd41a1c08e4b8544fbd8647d6"
     ),
     ("bayes", "eve:faircoin", "uniform_bands", True): (
-        "c8c4356b47c92aca7010bcf09ba6d7fc4a38dd85ef6879112577afdc824bc5d3"
+        "cbef6843a8ee94158e3b0925e887e94694fbe164943e891a6317c30dbb4f8763"
     ),
     ("bayes", "eve:uniformp", "point_pair", False): (
         "3301ef55be559a883ba5c2e36a1ad1b7431fa14bebed977d1a1110c4d8a24fcd"
@@ -988,10 +1002,10 @@ _KERNEL_DIGESTS = {
         "058059a5cfb461c4c72d4393d71eb404d26cffd1c6e169c728cc3fe31f070760"
     ),
     ("bayes", "eve:uniformp", "uniform_bands", False): (
-        "6534b671dc09a9ddc883c0df0da370f9b28353c6d645ad8f6b0b1f3121c6ce27"
+        "bb7681a2ee353bea3361aa65d6aaa4a9801d04fab8c4e1e2f3547fd4294cd07d"
     ),
     ("bayes", "eve:uniformp", "uniform_bands", True): (
-        "b86b47f31fdbd74237da89f23fa4ca6bdc1d7cb9e01b7d3d95cb0ec8623ce1b0"
+        "181a45da1970b662dbe7a5ea87c91b6d2056fe87c8e07139a7df2569a971e24e"
     ),
     ("bayes", "eve:fixedp:0.3", "point_pair", False): (
         "455305b4b9e5b92ef2ae7e0ce2a9b15eb3a0e90951a901610951e3162e0261bf"
@@ -1000,10 +1014,10 @@ _KERNEL_DIGESTS = {
         "7c3fdf21a6c8c7f009b58f162af76de62b69ec321ea3677402072d6cc56dd81a"
     ),
     ("bayes", "eve:fixedp:0.3", "uniform_bands", False): (
-        "24ee6fbf0dc534050f0927321193c9f731be2d6984ec112585bd686f8937fd35"
+        "26b9ccda2d1c736b6146ca322b7a6cf0ac16f0edc10c1e4ee0fa665f33528149"
     ),
     ("bayes", "eve:fixedp:0.3", "uniform_bands", True): (
-        "1394090b631f61c036f6173fbe59204337521dbcf0bd639fe36ba97b11c4c5cb"
+        "d03e02baf7099d95576b66598e9bb2f1148a4b72dfafe693a105dbbffbc4031e"
     ),
     ("bayes", "eve:echo", "point_pair", False): (
         "c8ff752701bae2d246b07a923705bfdf69832f645ffbb8040ff62599869c4564"
@@ -1106,13 +1120,13 @@ _STRUCTURAL_DIGESTS = {
         "ed5a9b661641a9a8fa0cbec04a48605062e92d09a900b20d922f20ac65acfbd7"
     ),
     ('artifacts', 'bayes', 'alice', 'uniform_bands'): (
-        "f16269ad6a41e0681029c47a17795aa05677fae865e2d1bb92564beb4e55d448"
+        "e6e579b9c69e4adf10ba07cd8340b75d1ef0c49684a44a1656917e500091b96f"
     ),
     ('artifacts', 'bayes', 'eve:uniformp', 'point_pair'): (
         "f79f40d8fa1197149bdffa72547f646f1f546de21f6fe6a1c460bf0191d2b11f"
     ),
     ('artifacts', 'bayes', 'eve:uniformp', 'uniform_bands'): (
-        "031e89f994769eb6669f3e101ae8b9133f304ef2e268afa75ac15b097b753d7b"
+        "71d245657b3364390730b220fd332622acddfbc5387821b377d05f2fba1f1ba0"
     ),
     ('artifacts', 'bayes', 'eve:echo', 'point_pair'): (
         "3e14da2896fb5bbef942f2559b3a39f795180d157bfd4f61fa1fbbe344222e9e"
@@ -1187,10 +1201,10 @@ _STRUCTURAL_DIGESTS = {
         "58a474d9a583e04e02f762376ae450a19b867a0000331c3b0f31516b97939f89"
     ),
     ('kernel', 'bayes', 'alice', 'uniform_bands', False): (
-        "a4112b12996d7e7909416fc3f6c0ba6ad57845b9a25a0fed8a3dd1bd1a5ee7ab"
+        "fb4df48eef58956a58878118b4741d1b493b7dc34e7679cba9314cefaf2e28cd"
     ),
     ('kernel', 'bayes', 'alice', 'uniform_bands', True): (
-        "ff1ba618a7779adf9b27eef06e7a27bed875a79e8fb70aad40cedca60f7f2414"
+        "35734c8989687c79449fcb95c6102df060bd29efe7225a45f62fab31660f6160"
     ),
     ('kernel', 'bayes', 'eve:faircoin', 'point_pair', False): (
         "519fe0b722e23c2219128e24c263746c201642f6e63de6b29e2b4ad5f345a337"
@@ -1199,10 +1213,10 @@ _STRUCTURAL_DIGESTS = {
         "7292cee87a3474e7c635054a14e802c841c6a81c5563c3e3ace24fa38d35c4e4"
     ),
     ('kernel', 'bayes', 'eve:faircoin', 'uniform_bands', False): (
-        "fb76f049fc9b2a0cf7dc12fea6726c2f10cae0560053053f8ba9bd3e3b525cba"
+        "691f670260d60d599e4496a952a7e35112878560bfad6ea831822e68baae2b11"
     ),
     ('kernel', 'bayes', 'eve:faircoin', 'uniform_bands', True): (
-        "8e6d669ede066a89842daf7087393db6179ac2ee4bba01a7281de5312d4d99b9"
+        "de740a85d70b7288344698ce9c2357417333940ffea83557c502d2a554e87727"
     ),
     ('kernel', 'bayes', 'eve:uniformp', 'point_pair', False): (
         "ede7b3626f6c7112bd1d95e766c6f5b697e7708961f79c00a8e64247f123042f"
@@ -1211,10 +1225,10 @@ _STRUCTURAL_DIGESTS = {
         "4a3e8ab61a385591ee9c82f3a63939131684f0605c6b23f06a62014057b066e5"
     ),
     ('kernel', 'bayes', 'eve:uniformp', 'uniform_bands', False): (
-        "44339bd3c761936c98dcc1fca4d20c04fa3e706056b72eebf68ad2398da8c998"
+        "5d2e31edd24a17c715bf84b4b1ee9821940492ba457a09597cb253084677bd95"
     ),
     ('kernel', 'bayes', 'eve:uniformp', 'uniform_bands', True): (
-        "f0c34415a056d3d4c372d30c20a4b1505358867ce8036c4393e1f3562f5eab17"
+        "64cfae2fd3f704eeac2033d21cb6619720fd1d599f65eb5fafe9a596eb78ef46"
     ),
     ('kernel', 'bayes', 'eve:fixedp:0.3', 'point_pair', False): (
         "519fe0b722e23c2219128e24c263746c201642f6e63de6b29e2b4ad5f345a337"
@@ -1223,10 +1237,10 @@ _STRUCTURAL_DIGESTS = {
         "937acf51a65248bcacf166563d3375800af27495870cc8614d93da7578373f11"
     ),
     ('kernel', 'bayes', 'eve:fixedp:0.3', 'uniform_bands', False): (
-        "89a05394750863a1ea19efa95515a20b84729a71cd6a41ec51c3d365813fc487"
+        "7ecf065a6952dfd8f0e573ab7947a84f0dee8d1570babfca69986e8bf8cc163c"
     ),
     ('kernel', 'bayes', 'eve:fixedp:0.3', 'uniform_bands', True): (
-        "a64d5620578f890602e0ae231180e9fcd8ea7ca946d2c7e478ca9af4690e5168"
+        "712d4a261184583f9ecfb158557a37da73714549b10de35dcb887637afb61b9a"
     ),
     ('kernel', 'bayes', 'eve:echo', 'point_pair', False): (
         "45131e0f9776f93602a9d650aed42dc627741d327175a2c7a8184955d7f419cb"

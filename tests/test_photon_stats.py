@@ -9,7 +9,9 @@ the scalar's bit for bit, and the values lie within 8 ulp of the scalar's
 where it takes the Poisson probability as a NumPy product (the largest
 distance found was 5 ulp, at k = 35, 51 and 71, over k = 1..108 with some
 6,000 means each in (0, 700]); elsewhere it takes the scalar's own, and
-equals ``gk``.  No check here is statistical, so none can fail by chance.
+equals ``gk``.  Its fixed-depth tail sum is held, bit for bit, to the NumPy
+loop it replaced, which stays here as the oracle.  No check here is
+statistical, so none can fail by chance.
 """
 
 import math
@@ -34,7 +36,7 @@ from retinasim import (
 )
 from retinasim import UniformBands
 from retinasim.subjects import class_seeing_means
-from retinasim import strategy_bayes, strategy_serial
+from retinasim import photon_stats, strategy_bayes, strategy_serial
 from retinasim.photon_stats import _bisect, _gk_array, _head_sum, _seen_and_missed
 
 K_GRID = [1, 2, 3, 6, 10, 20]
@@ -549,10 +551,58 @@ def test_array_head_sum_is_the_scalar_sum_to_the_bit(k):
 def test_array_seeing_probability_shares_the_scalar_sums_below_the_threshold(monkeypatch):
     """With the Poisson probability replaced by 1 in both forms, what is
     left is the tail sum, which must agree to the bit."""
-    from retinasim import photon_stats
-
     monkeypatch.setattr(photon_stats, "_poisson_pmfs", lambda j, x: np.ones(x.shape))
     for k in (1, 2, 6, 20, 108):
         x = np.concatenate([np.geomspace(1e-9, k, 300, endpoint=False),
                             k * (1.0 - np.geomspace(1e-12, 0.5, 100))])
         assert _gk_array(k, x).tolist() == [_scalar_tail_sums(k, v) for v in x.tolist()]
+
+
+def _loop_gk_array(k: int, x: np.ndarray) -> np.ndarray:
+    """``_gk_array`` as it summed the tail below the threshold before that
+    sum became one fixed-depth matrix: a NumPy loop, row by row, until the
+    longest tail stops changing.  The oracle the matrix must equal."""
+    below = x < k
+    if not below.any():
+        return 1.0 - photon_stats._poisson_pmfs(k - 1, x) * _head_sum(k, x)
+    seen = np.empty(x.shape)
+    up = x[below]
+    term, total, n = np.ones(up.shape), np.zeros(up.shape), k
+    while (total + term != total).any():
+        total = total + term
+        n += 1
+        term = term * (up / n)
+    seen[below] = photon_stats._poisson_pmfs(k, up) * total
+    down = x[~below]
+    seen[~below] = 1.0 - photon_stats._poisson_pmfs(k - 1, down) * _head_sum(k, down)
+    return seen
+
+
+@st.composite
+def _means(draw):
+    """A threshold and up to 199 means in (0, 3k), drawn all over that
+    range, or crowded just below the threshold, where the tail is longest
+    and a mean a little below the largest can need more terms than it."""
+    k = draw(st.integers(min_value=1, max_value=120))
+    low = draw(st.sampled_from([0.0, 0.9 * k, 0.99 * k]))
+    high = draw(st.sampled_from([float(k), 3.0 * k]))
+    x = draw(st.lists(st.floats(min_value=low, max_value=high, exclude_min=True),
+                      min_size=1, max_size=199))
+    return k, np.array(x)
+
+
+@given(_means())
+@settings(max_examples=400, deadline=None)
+def test_array_seeing_probability_is_the_loop_to_the_bit(case):
+    k, x = case
+    assert _gk_array(k, x).tolist() == _loop_gk_array(k, x).tolist()
+
+
+def test_tail_rows_cover_a_smaller_mean_in_a_lower_binade(monkeypatch):
+    """At k = 39 the scalar sums 63 terms at 38.6299 and only 62 at
+    38.8597: rows sized by the scalar's own count at the largest mean would
+    drop the smaller mean's last term."""
+    x = np.array([38.62990284629566, 38.85967788818698])
+    assert _gk_array(39, x).tolist() == _loop_gk_array(39, x).tolist()
+    monkeypatch.setattr(photon_stats, "_poisson_pmfs", lambda j, x: np.ones(x.shape))
+    assert _gk_array(39, x).tolist() == [_scalar_tail_sums(39, v) for v in x.tolist()]

@@ -23,6 +23,7 @@ from retinasim import (
     UniformP,
     alice_response,
     build_subject,
+    gk,
     parse_eve_strategy,
     prepare,
     prob_see,
@@ -30,6 +31,7 @@ from retinasim import (
     trial_rng,
 )
 
+from retinasim.photon_stats import _gk_array
 from retinasim.subjects import _echo, class_seeing_means, interrogate, open_scope
 
 from conftest import make_rng
@@ -262,6 +264,16 @@ def test_session_bias_marks_constant_answering():
     assert all(b is not None and 0.0 <= b < 1.0 for b in biases)
     assert len(set(biases)) == 3
     assert Adaptive(lambda _ctx: 0.5).session(rng).p_seen(60.0, alphas) is None
+
+
+def test_honest_seeing_probability_of_one_mean_or_many():
+    """One mean gives ``gk``; an array of means, one per spot, gives the
+    array form at each, whatever the transmissions."""
+    alice = AliceSubject(k=7)
+    alphas = np.array([0.03, 0.05, 0.16])
+    assert alice.p_seen(4.5, alphas) == gk(7, 4.5)
+    means = alphas * 62.3
+    assert alice.p_seen(means, alphas).tolist() == _gk_array(7, means).tolist()
 
 
 def test_biased_session_answers_like_its_per_round_twin():
