@@ -551,14 +551,14 @@ def _block_session(
         walk = steps.copy()
         walk[0] += log_odds
         np.add.accumulate(walk, out=walk)
-        exits = np.flatnonzero((walk >= ln_y) | (walk <= ln_x))
-        end = int(exits[0]) + 1 if exits.size else n
+        crossed = np.flatnonzero((walk >= ln_y) | (walk <= ln_x))
+        end = int(crossed[0]) + 1 if crossed.size else n
         if record_transcript:
             transcript += map(Round, alpha[:end].tolist(), saw[:end].tolist(),
                               steps[:end].tolist())
         rounds += end
         log_odds = float(walk[end - 1])
-        if exits.size:
+        if crossed.size:
             outcome = Outcome.ACCEPT if log_odds >= ln_y else Outcome.REJECT
             break
     return SequentialResult(outcome, rounds, log_odds, tuple(transcript))

@@ -511,16 +511,17 @@ class TestExitLaw:
 
 def _per_round_session(subject, plan, rng, max_rounds=10_000):
     """``(outcome, rounds, first round)`` of a session walked round by
-    round: :func:`interrogate` driven by the subject's own answer law, the
-    kernel every session ran before sessions were drawn from their exit
-    law, with the first round as ``(alpha, saw)``."""
+    round: :func:`interrogate` driven by the subject's own answer law, each
+    increment the scalar :func:`_log_increment` of the scalar ``gk``, the
+    kernel every law-level session ran before it was drawn from its exit
+    law or in blocks; the first round as ``(high class, saw)``."""
     ln_x, ln_y = math.log(plan.x), math.log(plan.y)
     log_odds, first = 0.0, None
     interrogation = interrogate(open_scope(subject, rng), plan.distribution,
                                 plan.i_tilde, rng)
-    for rounds, (_cls, alpha, saw) in enumerate(interrogation, 1):
-        first = first or (alpha, saw)
-        log_odds += plan._edge_rounds[alpha][saw].increment
+    for rounds, (spot_class, alpha, saw) in enumerate(interrogation, 1):
+        first = first or (spot_class is SpotClass.HIGH, saw)
+        log_odds += _log_increment(gk(plan.k, alpha * plan.i_tilde), saw, plan.p)
         if log_odds >= ln_y:
             return Outcome.ACCEPT, rounds, first
         if log_odds <= ln_x or rounds == max_rounds:
@@ -593,12 +594,10 @@ class TestExitLawSessions:
 
     def test_first_round(self, drawn):
         plan, law, loop, _exits, (s_low, s_high) = drawn
-        cells = [(0.05, False), (0.05, True), (0.15, False), (0.15, True)]
         pmf = [0.5 * (1 - s_low), 0.5 * s_low, 0.5 * (1 - s_high), 0.5 * s_high]
-        index = {cell: i for i, cell in enumerate(cells)}
-        firsts = [index[r.transcript[0].alpha, r.transcript[0].saw] for r in law]
+        firsts = [2 * (r.transcript[0].alpha == 0.15) + r.transcript[0].saw for r in law]
         assert g_test_pvalue(firsts, pmf) > 1e-3
-        assert g_test_pvalue([index[f] for _o, _t, f in loop], pmf) > 1e-3
+        assert g_test_pvalue([2 * high + saw for _o, _t, (high, saw) in loop], pmf) > 1e-3
 
     def test_walks_fold_to_their_final_log_odds(self, drawn):
         plan, law, _loop, exits, _seeing = drawn
@@ -758,32 +757,13 @@ class TestBlockSessions:
             assert repr(rng.bit_generator.state) == repr(twin.bit_generator.state)
 
 
-def _walked_session(subject, plan, rng, max_rounds=10_000):
-    """``(outcome, rounds, first round)`` of a session walked round by
-    round, the kernel every band and asymmetric-pair session ran before
-    they were drawn in blocks: :func:`interrogate` driven by the subject's
-    own answer law, each increment the scalar :func:`_log_increment` of
-    the scalar ``gk``; the first round as ``(high class, saw)``."""
-    ln_x, ln_y = math.log(plan.x), math.log(plan.y)
-    log_odds, first = 0.0, None
-    interrogation = interrogate(open_scope(subject, rng), plan.distribution,
-                                plan.i_tilde, rng)
-    for rounds, (spot_class, alpha, saw) in enumerate(interrogation, 1):
-        first = first or (spot_class is SpotClass.HIGH, saw)
-        log_odds += _log_increment(gk(plan.k, alpha * plan.i_tilde), saw, plan.p)
-        if log_odds >= ln_y:
-            return Outcome.ACCEPT, rounds, first
-        if log_odds <= ln_x or rounds == max_rounds:
-            return (Outcome.REJECT if log_odds <= ln_x else Outcome.TIMEOUT), rounds, first
-
-
 #: Each block-drawn subject, its distribution and intensity, the per-round
 #: twin it is tested against, and its chance of "seen" on each class at
 #: the plan's intensity: the class means of ``gk`` for the honest user,
 #: the bias for a biased impostor (the uniform bias's, marginally, 1/2).
-_ALICE_BANDS = class_seeing_means(BANDS, I_STAR, 6)
 _BLOCK_LAW_SUBJECTS = {
-    "bands-alice": (BANDS, None, AliceSubject(), AliceSubject(), _ALICE_BANDS),
+    "bands-alice": (BANDS, None, AliceSubject(), AliceSubject(),
+                    class_seeing_means(BANDS, I_STAR, 6)),
     "bands-faircoin": (BANDS, None, FixedP(0.5), Adaptive(lambda _ctx: 0.5),
                        (0.5, 0.5)),
     "bands-fixedp:0.3": (BANDS, None, FixedP(0.3), Adaptive(lambda _ctx: 0.3),
@@ -822,7 +802,7 @@ class TestBlockSessionLaw:
             rng = make_rng(seed)
             blocks = [run_sequential(subject, plan, rng) for _ in range(self.SESSIONS)]
             rng = make_rng(seed + 1)
-            walks = [_walked_session(twin, plan, rng) for _ in range(self.TWIN_SESSIONS)]
+            walks = [_per_round_session(twin, plan, rng) for _ in range(self.TWIN_SESSIONS)]
             samples.append((blocks, walks))
         return samples, seeing
 
