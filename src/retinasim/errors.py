@@ -46,7 +46,14 @@ class MapFormatError(Error):
 
 
 class PlacementError(InfeasibleError):
-    """A pattern challenge could not be placed on the given map."""
+    """A pattern challenge could not be placed on the given map, which
+    lacks room for the glyph grid (``shortfall`` ``"grid"``), a
+    high-transmission spot in some glyph cell's block (``"high"``) or
+    low-transmission spots for the noise (``"noise"``)."""
+
+    def __init__(self, message: str, shortfall: str = "") -> None:
+        super().__init__(message)
+        self.shortfall = shortfall
 
 
 class MenuError(InfeasibleError):

@@ -34,7 +34,8 @@ from .alpha_map import (
     load,
     require_support,
 )
-from .errors import ConfigError, DomainError, InfeasibleError, MenuError, _count, _real
+from .errors import (ConfigError, DomainError, InfeasibleError, MenuError,
+                     PlacementError, _count, _real)
 from .photon_stats import DEFAULT_THRESHOLD, solve_q_intensity
 from .strategy_bayes import (
     DEFAULT_MAX_ROUNDS,
@@ -595,6 +596,16 @@ class _Bayes(_Entry):
                         f"rounds (final log odds {result.log_odds:+.4f})"]
 
 
+#: The fields that would place a refused pattern challenge, by what the map
+#: lacks (:class:`PlacementError`), for a synthetic map and for a map file.
+_PLACEMENT_FIELDS = {
+    "grid": ("raise fields 'map_width' and 'map_height'", "change field 'map_file'"),
+    "high": ("lower field 'pattern_high_min' or raise field 'map_alpha_max'",
+             "lower field 'pattern_high_min' or change field 'map_file'"),
+    "noise": ("lower field 'pattern_noise' or raise field 'pattern_low_max'",) * 2,
+}
+
+
 class _Pattern(_Entry):
     asks_subject = False  # an impostor's pick is uniform over each menu
 
@@ -608,6 +619,9 @@ class _Pattern(_Entry):
         except MenuError as exc:
             raise MenuError(f"{exc}; raise field 'pattern_noise' or lower field "
                             f"'pattern_menu'") from exc
+        except PlacementError as exc:
+            fields = _PLACEMENT_FIELDS[exc.shortfall][config.map_file is not None]
+            raise PlacementError(f"{exc}; {fields}", exc.shortfall) from exc
 
     def run(self, context, rng, record_transcript):
         return run_pattern_test(context.subject, context.pattern_plan, rng)
@@ -759,12 +773,6 @@ def merge_records(records: Iterable[TrialRecord]) -> TrialStats:
 # ---------------------------------------------------------------------------
 
 
-def _stats_dict(stats: TrialStats) -> dict:
-    doc = dataclasses.asdict(stats)
-    doc["t_histogram"] = [[t, count] for t, count in stats.t_histogram]
-    return doc
-
-
 #: Most log odds :func:`write_artifacts` keeps formatted: room for the sums
 #: that point-pair walks revisit, while band walks, whose sums seldom
 #: repeat, cost bounded memory.
@@ -785,7 +793,7 @@ def write_artifacts(
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
-    summary = {"config": config.to_dict(), "stats": _stats_dict(stats)}
+    summary = {"config": config.to_dict(), "stats": dataclasses.asdict(stats)}
     summary_path = out / "summary.json"
     summary_path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
     written.append(summary_path)

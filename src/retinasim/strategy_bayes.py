@@ -261,18 +261,11 @@ class SequentialPlan:
         return _exit_law(self, p_wrong, max_rounds)
 
 
-def _likelihood_ratio(p_see: float, saw: bool, p: float) -> float:
-    """Z_A / Z_E for one answer: honest-user likelihood over the designer's
-    impostor likelihood."""
-    z_a = p_see if saw else 1.0 - p_see
-    z_e = p if saw else 1.0 - p
-    return z_a / z_e
-
-
 def _log_increment(p_see: float, saw: bool, p: float) -> float:
-    """ln(Z_A / Z_E) for one answer; -inf when the answer is impossible
+    """ln(Z_A / Z_E) for one answer, the honest-user likelihood over the
+    designer's impostor likelihood; -inf when the answer is impossible
     under the honest-user model."""
-    ratio = _likelihood_ratio(p_see, saw, p)
+    ratio = (p_see if saw else 1.0 - p_see) / (p if saw else 1.0 - p)
     return math.log(ratio) if ratio > 0.0 else -math.inf
 
 
@@ -444,9 +437,8 @@ def run_sequential(
     the cap is reached — the walk terminates almost surely, so the cap is a
     plumbing guard, not part of the statistical design.
 
-    A session whose law gives its answers (the honest user and every
-    biased impostor; a rule asks to be walked round by round) is drawn at
-    law level:
+    A session whose law gives its wrong-answer probability (the honest
+    user, every biased impostor, and ``echo``) is drawn at law level:
 
     * on a lattice walk, from its exact exit law
       (:meth:`SequentialPlan.exit_law`): a symmetric point pair.  One
@@ -458,17 +450,19 @@ def run_sequential(
       plan whose lattice check fails), in blocks of rounds
       (:func:`_block_session`), three uniforms a round.
 
-    A rule's session is interrogated round by round.  Either way the final
-    log odds of a walk is the round-order sum of its increments.
+    A rule, whose law gives no probability, is interrogated round by round.
+    In blocks or round by round, the final log odds of a walk is the
+    round-order sum of its increments.
 
     ``record_transcript=False`` skips transcript assembly for bulk Monte
     Carlo runs; the result is identical apart from the empty transcript.
     """
     max_rounds = _count("round cap", max_rounds, 1)
     law = open_scope(subject, rng)
-    if law.walks_round_by_round:
+    p_wrong = law.p_wrong(plan.distribution, plan.i_tilde)
+    if p_wrong is None:
         return _rule_session(plan, law, rng, max_rounds, record_transcript)
-    exits = plan.exit_law(law.p_wrong(plan.distribution, plan.i_tilde), max_rounds)
+    exits = plan.exit_law(p_wrong, max_rounds)
     if exits is None:
         return _block_session(plan, law, rng, max_rounds, record_transcript)
     index = exits.draw(rng.random())
@@ -483,33 +477,20 @@ def _rule_session(
 ) -> SequentialResult:
     """A session interrogated round by round (:func:`interrogate`), one
     answer of the law a round."""
-    ln_x = math.log(plan.x)
-    ln_y = math.log(plan.y)
-    edge_rounds = plan._edge_rounds
+    ln_x, ln_y = math.log(plan.x), math.log(plan.y)
     k, i_tilde, p = plan.k, plan.i_tilde, plan.p
-    log_odds = 0.0
-    rounds = 0
-    outcome = Outcome.TIMEOUT
+    log_odds, rounds, outcome = 0.0, 0, Outcome.TIMEOUT
     transcript: list[Round] = []
-    interrogation = interrogate(law, plan.distribution, plan.i_tilde, rng)
+    interrogation = interrogate(law, plan.distribution, i_tilde, rng)
     for rounds, (_cls, alpha, saw) in enumerate(islice(interrogation, max_rounds), 1):
-        pair = edge_rounds.get(alpha)
-        if pair is None:  # a band value off the inner edges
-            step = Round(alpha, saw, _log_increment(gk(k, alpha * i_tilde), saw, p))
-        else:
-            step = pair[saw]
+        step = Round(alpha, saw, _log_increment(gk(k, alpha * i_tilde), saw, p))
         log_odds += step.increment
         if record_transcript:
             transcript.append(step)
-        if log_odds >= ln_y:
-            outcome = Outcome.ACCEPT
+        if log_odds >= ln_y or log_odds <= ln_x:
+            outcome = Outcome.ACCEPT if log_odds >= ln_y else Outcome.REJECT
             break
-        if log_odds <= ln_x:
-            outcome = Outcome.REJECT
-            break
-    return SequentialResult(
-        outcome=outcome, rounds=rounds, log_odds=log_odds, transcript=tuple(transcript)
-    )
+    return SequentialResult(outcome, rounds, log_odds, tuple(transcript))
 
 
 def _block_session(
@@ -584,10 +565,11 @@ def _traced_exit(
     s_high = law.p_seen(high * plan.i_tilde, high)
     high_given = (s_high / (s_high + 1.0 - s_low), (1.0 - s_high) / (1.0 - s_high + s_low))
     low_rounds, high_rounds = plan._edge_rounds[low], plan._edge_rounds[high]
-    transcript = tuple(
+    # From a list: a tuple grown from a generator fragments the heap.
+    transcript = tuple([
         high_rounds[not wrong] if u < high_given[wrong] else low_rounds[wrong]
         for wrong, u in zip(exits.path(index, uniforms), uniforms[rounds:])
-    )
+    ])
     return SequentialResult(result.outcome, rounds, result.log_odds, transcript)
 
 

@@ -185,7 +185,7 @@ class BlockGrid:
         if cell_w < 1 or cell_h < 1:
             raise PlacementError(
                 f"map {alpha_map.width}x{alpha_map.height} is smaller than the "
-                f"{cols}x{rows} glyph grid"
+                f"{cols}x{rows} glyph grid", "grid"
             )
         return cls(alpha_map.width, cell_w, cell_h)
 
@@ -352,7 +352,7 @@ def _require_noise(index: _ClassBlockIndex, n_noise: int) -> None:
     if available < n_noise:
         raise PlacementError(
             f"map provides only {available} low-transmission spots inside "
-            f"the block grid; {n_noise} noise spots requested"
+            f"the block grid; {n_noise} noise spots requested", "noise"
         )
 
 
@@ -421,14 +421,14 @@ class PatternPlan:
         if blocked.any(axis=1).all():
             raise PlacementError(
                 f"no library glyph has a high-transmission spot (alpha >= "
-                f"{high_min!r}) in the block of each of its cells"
+                f"{high_min!r}) in the block of each of its cells", "high"
             )
         if blocked.any():
             row, cell = np.argwhere(blocked)[0]
             raise PlacementError(
                 f"library glyph {library.ids[row]!r} has no high-transmission spot "
                 f"(alpha >= {high_min!r}) in the block of its cell "
-                f"{divmod(int(cell), GLYPH_GRID[1])}"
+                f"{divmod(int(cell), GLYPH_GRID[1])}", "high"
             )
         _require_noise(index, n_noise)
         i_tilde = _real("pulse intensity", self.i_tilde, "[0, inf)")
@@ -475,7 +475,7 @@ def build_challenge(
     if empty.size:
         raise PlacementError(
             f"no high-transmission spots available in glyph cell "
-            f"{divmod(int(empty[0]), GLYPH_GRID[1])} for {library.ids[row]!r}"
+            f"{divmod(int(empty[0]), GLYPH_GRID[1])} for {library.ids[row]!r}", "high"
         )
     pattern = index.high.draw(cells, rng)
 

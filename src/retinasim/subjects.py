@@ -29,10 +29,10 @@ answers the runners' questions:
 ``p_seen(x, alpha)``, the chance of "seen" on spots of transmissions
 ``alpha`` each pulsed to deposit a mean of ``x`` photons on the honest
 retina, ``p_wrong`` per round of class interrogation, and
-``answers(rng, spot_ordinal)``, one call a round.  A rule gives ``None``
-for both probabilities and decides round by round, unless it declares its
-law: :class:`Echo`, the perfect-detector impostor, is a rule whose rounds
-are i.i.d., and gives both.
+``answers(rng, spot_ordinal)``, one call a round.  Every runner draws a
+session from its law when the law gives its probability, and asks
+``answers`` only of a rule, which gives ``None`` for both unless it
+declares its law, as :class:`Echo`, the perfect-detector impostor, does.
 :func:`honest_threshold` serves the pattern protocol, which opens no scope.
 :func:`interrogate` runs the round primitive every class-based protocol
 shares: a fair coin picks the hidden class, the transmission value is drawn
@@ -144,10 +144,6 @@ class EveStrategy:
     interpreter's own.
     """
 
-    #: Whether a bayes session asks this law every round even where the law
-    #: gives its wrong-answer probability: only a rule does.
-    walks_round_by_round = False
-
     def session(self, rng: np.random.Generator) -> AnswerLaw:
         """The answer law of one fresh scope: the strategy itself."""
         return self
@@ -250,14 +246,13 @@ class Adaptive(EveStrategy):
     "seen"; returning 0.0 or 1.0 makes the strategy deterministic.  The rule
     can consult past answers and photon counts — nothing else exists in the
     context to consult.  Deciding round by round, its law gives no
-    probability: ``p_seen`` and ``p_wrong`` are ``None``.  A rule whose
-    rounds are i.i.d. can say so in a subclass that gives them, as
-    :class:`Echo` does; a bayes session still asks every rule round by
-    round, so that one impostor the benchmark times walks that path.
+    probability: ``p_seen`` and ``p_wrong`` are ``None``, and every runner
+    asks it round by round.  A rule whose rounds are i.i.d. can say so in a
+    subclass that gives them, as :class:`Echo` does; the runners then draw
+    its sessions from that law.
     """
 
     rule: Callable[[EveContext], float]
-    walks_round_by_round = True
 
     def __post_init__(self) -> None:
         if not callable(self.rule):
@@ -306,10 +301,10 @@ class Echo(Adaptive):
 
     Round by round she is the :class:`Adaptive` rule, and answers as one.
     Her rounds are i.i.d. all the same, so her law gives both
-    probabilities: her count never reads the class coin, so she errs with
-    probability exactly 1/2 a round, and on a spot of transmission
-    ``alpha`` pulsed at ``x / alpha`` she sees with probability
-    ``gk(k, x / alpha)``.
+    probabilities, and every runner draws her sessions from it: her count
+    never reads the class coin, so she errs with probability exactly 1/2 a
+    round, and on a spot of transmission ``alpha`` pulsed at ``x / alpha``
+    she sees with probability ``gk(k, x / alpha)``.
     """
 
     k: int
@@ -319,9 +314,14 @@ class Echo(Adaptive):
         object.__setattr__(self, "rule", functools.partial(_echo, k))
         object.__setattr__(self, "k", k)
 
-    def p_seen(self, x: float, alpha: np.ndarray) -> np.ndarray:
-        """``gk(k, x / alpha)`` for each spot transmission of ``alpha``."""
-        return _gk_array(self.k, x / alpha)
+    def p_seen(
+        self, x: float | np.ndarray, alpha: float | np.ndarray
+    ) -> float | np.ndarray:
+        """``gk(k, x / alpha)`` for each spot transmission of an array
+        ``alpha`` (``x`` one mean, or one per spot), or for a float one."""
+        if isinstance(alpha, np.ndarray):
+            return _gk_array(self.k, x / alpha)
+        return _seeing(self.k, x / alpha)
 
     def p_wrong(self, distribution: UniformBands, i_tilde: float) -> float:
         """Exactly 1/2: the class coin never reaches her count."""
@@ -342,7 +342,6 @@ class AliceSubject:
     interrogation distribution drawn from it."""
 
     k: int = DEFAULT_THRESHOLD
-    walks_round_by_round = False  # see EveStrategy
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "k", _count("threshold K", self.k, 1))

@@ -15,8 +15,14 @@ from itertools import islice
 import numpy as np
 
 from retinasim import DomainError, SequentialPlan, gk
-from retinasim.strategy_bayes import _likelihood_ratio
 from retinasim.subjects import SubjectModel, honest_threshold, interrogate, open_scope
+
+
+def _likelihood_ratio(p_see: float, saw: bool, p: float) -> float:
+    """Z_A / Z_E for one answer: the honest-user likelihood of the answer
+    over the designer's impostor likelihood, as the session runner forms
+    it before taking its logarithm."""
+    return (p_see if saw else 1.0 - p_see) / (p if saw else 1.0 - p)
 
 
 @dataclass(frozen=True)

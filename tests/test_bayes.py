@@ -32,7 +32,7 @@ check                                                        false-failure
                                                              3.5 sigma, or
                                                              3 on the bound's
                                                              side)
-``TestExitLawSessions`` (28 tests at 1e-3 each)              at most 0.028
+``TestExitLawSessions`` (35 tests at 1e-3 each)              at most 0.035
 ===========================================================  ================
 
 Seeded checks that draw band or asymmetric-pair bayes sessions (walks off
@@ -57,7 +57,7 @@ i_tilde 600, twenty one-round sessions)                      none of them on
                                                              above
 ``test_block_sessions_interrogate_nothing``                  0 (structure
                                                              only)
-``TestBlockSessionLaw`` (24 checks at 1e-3 each)             at most 0.024
+``TestBlockSessionLaw`` (28 checks at 1e-3 each)             at most 0.028
 ===========================================================  ================
 
 ``TestExitLaw``, ``TestExitLawPath`` and ``TestBlockSessions`` are exact.
@@ -68,6 +68,7 @@ The martingale diagnostics walk their own round-by-round loop
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from fractions import Fraction
 
@@ -80,6 +81,7 @@ from retinasim import (
     AliceSubject,
     ConfigError,
     DomainError,
+    Echo,
     EveStrategy,
     FixedP,
     Outcome,
@@ -100,13 +102,12 @@ from retinasim import (
     solve_q_intensity,
     stopping_time_bounds,
     UniformP,
-    parse_eve_strategy,
 )
 
 import retinasim.strategy_bayes
 from retinasim.photon_stats import _gk_array
 from retinasim.strategy_bayes import _log_increment
-from retinasim.subjects import class_seeing_means, interrogate, open_scope
+from retinasim.subjects import _echo, class_seeing_means, interrogate, open_scope
 
 from conftest import g_test_pvalue, make_rng, two_sample_g_pvalue
 from martingale import martingale_diagnostics
@@ -545,6 +546,8 @@ _LAW_SUBJECTS = {
     "faircoin": (FixedP(0.5), Adaptive(lambda _ctx: 0.5), (0.5, 0.5)),
     "fixedp:0.3": (FixedP(0.3), Adaptive(lambda _ctx: 0.3), (0.3, 0.3)),
     "uniformp": (UniformP(), _PerRoundUniformP(), (0.5, 0.5)),
+    "echo": (Echo(6), Adaptive(functools.partial(_echo, 6)),
+             (gk(6, I_STAR), gk(6, I_STAR))),
 }
 
 
@@ -556,7 +559,7 @@ class TestExitLawSessions:
     with probability about 1e-3 under the law it tests (the G-tests by the
     chi-square approximation, with sparse bins merged); a subject's five
     G-tests and two binomial tests fail together with probability at most
-    7e-3, and the four subjects' at most 0.028.  The first round's (spot,
+    7e-3, and the five subjects' at most 0.035.  The first round's (spot,
     answer) law tests the backward path and the class coins: marginally a
     traced session's first round is any round of the per-round kernel."""
 
@@ -616,7 +619,7 @@ class TestExitLawSessions:
 
 
 class TestExitLawPath:
-    @pytest.mark.parametrize("subject", ["alice", "faircoin", "uniformp"])
+    @pytest.mark.parametrize("subject", ["alice", "faircoin", "uniformp", "echo"])
     def test_tracing_never_changes_the_result(self, subject):
         subject = _LAW_SUBJECTS[subject][0]
         plan = make_plan()
@@ -629,7 +632,7 @@ class TestExitLawPath:
             assert len(traced.transcript) == traced.rounds and untraced.transcript == ()
 
     @pytest.mark.parametrize("subject, draws", [("alice", 1), ("faircoin", 1),
-                                                ("uniformp", 2)])
+                                                ("uniformp", 2), ("echo", 1)])
     def test_untraced_session_reads_one_uniform(self, subject, draws):
         """One uniform picks the exit; the uniform bias draws hers first."""
         rng, twin = make_rng(4441), make_rng(4441)
@@ -639,10 +642,9 @@ class TestExitLawPath:
         assert rng.random(4).tolist() == twin.random(4).tolist()
         assert repr(rng.bit_generator.state) == repr(twin.bit_generator.state)
 
-    @pytest.mark.parametrize("subject", [Adaptive(lambda _ctx: 0.5),
-                                         parse_eve_strategy("echo", 6)],
-                             ids=["rule", "echo"])
+    @pytest.mark.parametrize("subject", [Adaptive(lambda _ctx: 0.5)], ids=["rule"])
     def test_other_sessions_walk_round_by_round(self, subject, monkeypatch):
+        """Only a rule, whose law gives no probability, is interrogated."""
         interrogations = []
         monkeypatch.setattr(retinasim.strategy_bayes, "interrogate",
                             lambda *args: interrogations.append(args) or interrogate(*args))
@@ -659,7 +661,9 @@ class TestExitLawPath:
         (make_plan(i_tilde=70.0), FixedP(0.5)),
         (make_plan(BANDS), AliceSubject()),
         (make_plan(BANDS), FixedP(0.3)),
-    ], ids=["asymmetric-alice", "asymmetric-faircoin", "bands-alice", "bands-fixedp"])
+        (make_plan(BANDS), Echo(6)),
+    ], ids=["asymmetric-alice", "asymmetric-faircoin", "bands-alice", "bands-fixedp",
+            "bands-echo"])
     def test_block_sessions_interrogate_nothing(self, plan, subject, monkeypatch):
         monkeypatch.setattr(retinasim.strategy_bayes, "interrogate", None)
         result = run_sequential(subject, plan, make_rng(4442))
@@ -672,7 +676,7 @@ class TestExitLawPath:
     def test_law_sessions_interrogate_nothing(self, monkeypatch):
         monkeypatch.setattr(retinasim.strategy_bayes, "interrogate", None)
         plan = make_plan()
-        for subject in ("alice", "faircoin", "fixedp:0.3", "uniformp"):
+        for subject in _LAW_SUBJECTS:
             run_sequential(_LAW_SUBJECTS[subject][0], plan, make_rng(4443))
 
 
@@ -714,6 +718,7 @@ _BLOCK_CASES = {
     "bands-faircoin": (make_plan(BANDS), FixedP(0.5)),
     "bands-fixedp": (make_plan(BANDS), FixedP(0.3)),
     "bands-uniformp": (make_plan(BANDS), UniformP()),
+    "bands-echo": (make_plan(BANDS), Echo(6)),
     "asymmetric-alice": (make_plan(i_tilde=70.0), AliceSubject()),
     "asymmetric-faircoin": (make_plan(i_tilde=70.0), FixedP(0.5)),
     "impossible": (SequentialPlan(p=0.5, x=1e-4, y=1e10, i_tilde=600.0, k=6,
@@ -760,7 +765,8 @@ class TestBlockSessions:
 #: Each block-drawn subject, its distribution and intensity, the per-round
 #: twin it is tested against, and its chance of "seen" on each class at
 #: the plan's intensity: the class means of ``gk`` for the honest user,
-#: the bias for a biased impostor (the uniform bias's, marginally, 1/2).
+#: the bias for a biased impostor (the uniform bias's, marginally, 1/2),
+#: and for ``echo``, whose count reads no transmission, gk(6, i_tilde).
 _BLOCK_LAW_SUBJECTS = {
     "bands-alice": (BANDS, None, AliceSubject(), AliceSubject(),
                     class_seeing_means(BANDS, I_STAR, 6)),
@@ -769,6 +775,8 @@ _BLOCK_LAW_SUBJECTS = {
     "bands-fixedp:0.3": (BANDS, None, FixedP(0.3), Adaptive(lambda _ctx: 0.3),
                          (0.3, 0.3)),
     "bands-uniformp": (BANDS, None, UniformP(), _PerRoundUniformP(), (0.5, 0.5)),
+    "bands-echo": (BANDS, None, Echo(6), Adaptive(functools.partial(_echo, 6)),
+                   (gk(6, I_STAR), gk(6, I_STAR))),
     "asymmetric-alice": (POINT_PAIR, 70.0, AliceSubject(), AliceSubject(),
                          (gk(6, 0.05 * 70.0), gk(6, 0.15 * 70.0))),
     "asymmetric-faircoin": (POINT_PAIR, 70.0, FixedP(0.5), Adaptive(lambda _ctx: 0.5),
@@ -788,8 +796,8 @@ class TestBlockSessionLaw:
     both samples.  Each of these four checks refuses at 1e-3, so fails
     with probability about 1e-3 under the law it tests (the G-tests by the
     chi-square approximation, with sparse bins merged); a subject's fail
-    together with probability at most 4e-3, and the six subjects' at most
-    0.024."""
+    together with probability at most 4e-3, and the seven subjects' at most
+    0.028."""
 
     SESSIONS, TWIN_SESSIONS = 4000, 1500
 

@@ -244,6 +244,35 @@ class TestUsageErrors:
             "smallest menu: only 1 glyphs embeddable in the illuminated set; 2 "
             "requested; raise field 'pattern_noise' or lower field 'pattern_menu'\n")
 
+    @pytest.mark.parametrize("doc, from_file, fields", [
+        ({"pattern_noise": 5000}, False,
+         "lower field 'pattern_noise' or raise field 'pattern_low_max'"),
+        ({"pattern_high_min": 0.179}, False,
+         "lower field 'pattern_high_min' or raise field 'map_alpha_max'"),
+        ({"map_width": 4, "map_height": 4}, False,
+         "raise fields 'map_width' and 'map_height'"),
+        ({"map_width": 4, "map_height": 4}, True, "change field 'map_file'"),
+    ], ids=["noise", "high", "grid", "grid-map-file"])
+    def test_placement_refusal_names_its_fields(self, doc, from_file, fields, tmp_path,
+                                                capsys):
+        """Each placement refusal names the fields that would place the
+        challenge; for a map read from a file (``from_file``: the map
+        ``doc`` makes, enrolled first), that file."""
+        if from_file:
+            enroll = tmp_path / "enroll.json"
+            enroll.write_text(json.dumps(doc))
+            assert main(["enroll", "--config", str(enroll), "--out",
+                         str(tmp_path / "store")]) == 0
+            capsys.readouterr()
+            doc = {"map_file": str(tmp_path / "store" / "map.json")}
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"strategy": "pattern", **doc}))
+        assert main(["identify", "--config", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.endswith(f"; {fields}\n")
+
     @pytest.mark.parametrize(
         "argv",
         [["identify"], ["identify", "--strategy", "serial"], ["montecarlo"],
@@ -494,7 +523,7 @@ _IDENTIFY_PINS = {
         "d3fb4b7f867b1f074b20780bc2b8582a83c60a47dda6aa159b8acf14d047def4", 1
     ),
     ("bayes", "eve:echo"): (
-        "d8ce2678bb2a0fe7ea4f75f6c37f8b407118556da54b2548a8ac438f5f44c61c", 1
+        "1d9d7c1a1096347457f1669f03bfc5931bfea3cae96e04db27a9c086e078d468", 1
     ),
     ("serial", "alice"): (
         "b480650f0cbc88587d326bef553392eb6f0fcd463f3707be96c3b7f9ffdabd6e", 0

@@ -27,19 +27,20 @@ check                                                  false-failure
 =====================================================  ====================
 
 Seeded checks that draw band bayes sessions (a walk off the lattice, which
-has no exit law), and the same probability, from 20,000 per-round sessions.
+has no exit law), and the same probability, from 20,000 block sessions on
+the test's 40x40 map (master seed 777).
 
 =====================================================  ====================
 check                                                  false-failure
                                                        probability
 =====================================================  ====================
-``TestWalksWriter::test_matches_per_row_reference``    0.24 (none or all of
-(``uniform_bands``; both memo cases share one draw)    30 honest walks
-                                                       capped at 60 rounds
+``TestWalksWriter::test_matches_per_row_reference``    9.6e-9 (none or all
+(``uniform_bands``; both memo cases share one draw)    of 30 honest walks
+                                                       capped at 44 rounds
                                                        time out, each with
-                                                       probability 0.0461
-                                                       ± 0.0015; 0.22 to
-                                                       0.27 over two
+                                                       probability 0.4597
+                                                       ± 0.0035; 6.5e-9 to
+                                                       1.4e-8 over two
                                                        standard errors)
 =====================================================  ====================
 """
@@ -484,7 +485,7 @@ class TestRunTrial:
         assert [dataclasses.replace(record, walk=None) for record in traced] == untraced
 
     @pytest.mark.parametrize("subject", ["alice", "eve:faircoin", "eve:uniformp",
-                                         "eve:fixedp:0.3"])
+                                         "eve:fixedp:0.3", "eve:echo"])
     @pytest.mark.parametrize("plan", [dict(distribution="uniform_bands"),
                                       dict(i_tilde=70.0)], ids=["bands", "asymmetric"])
     def test_tracing_changes_no_block_record(self, plan, subject):
@@ -496,6 +497,15 @@ class TestRunTrial:
         (_s, traced), (_t, untraced) = map(montecarlo, configs)
         assert all(record.walk is not None for record in traced)
         assert [dataclasses.replace(record, walk=None) for record in traced] == untraced
+
+    def test_untraced_echo_records_are_faircoin_records(self):
+        """On the point pair ``echo`` and the fair coin each err with
+        probability 1/2 a round, so both take the one exit law and one
+        uniform a trial: their untraced records are equal, trial by trial."""
+        configs = [RunConfig(subject=subject, trials=300, walk_trace_limit=0,
+                             master_seed=4527) for subject in ("eve:echo", "eve:faircoin")]
+        (echo_stats, echo), (coin_stats, coin) = map(montecarlo, configs)
+        assert echo == coin and echo_stats == coin_stats
 
     @pytest.mark.parametrize("subject", ["alice", "eve:faircoin", "eve:uniformp",
                                          "eve:echo"])
@@ -697,8 +707,13 @@ def _loop_walks(records) -> str:
     return "\n".join(walk_rows) + "\n"
 
 
+#: The round cap of each distribution's walks in the writer test: about half
+#: of the honest walks time out at it (see the module docstring).
+_WALK_CAPS = {"point_pair": 60, "uniform_bands": 44}
+
+
 class TestWalksWriter:
-    @pytest.mark.parametrize("distribution", ["point_pair", "uniform_bands"])
+    @pytest.mark.parametrize("distribution", list(_WALK_CAPS))
     @pytest.mark.parametrize("memo_entries", [None, 8], ids=["memo", "memo-full"])
     def test_matches_per_row_reference(self, distribution, memo_entries, tmp_path,
                                        monkeypatch):
@@ -707,8 +722,8 @@ class TestWalksWriter:
         if memo_entries is not None:
             monkeypatch.setattr(retinasim.harness, "_MEMO_ENTRIES", memo_entries)
         config = RunConfig(distribution=distribution, trials=40, walk_trace_limit=30,
-                           max_rounds=60, master_seed=4523, map_width=40,
-                           map_height=40)
+                           max_rounds=_WALK_CAPS[distribution], master_seed=4523,
+                           map_width=40, map_height=40)
         stats, records = montecarlo(config)
         walked = records[:30]
         assert any(r.timed_out for r in walked) and not all(r.timed_out for r in walked)
@@ -824,10 +839,10 @@ _PINNED_DIGESTS = {
         "269b68523b50103f2466dbab801094557b182af3f22308be5625e77bff73dd3d"
     ),
     ("bayes", "eve:echo", "point_pair"): (
-        "68977ea99cbb9e597974d6877c27e314e5d74902c6e4093ff51d00292dd24ea1"
+        "afc0df3761e4ceaa593b9b3c5cbdfa462cd7b52c436c886df8701ea3a2bb953e"
     ),
     ("bayes", "eve:echo", "uniform_bands"): (
-        "86efdc2a1ee2cf599604aa56d426144f818c1d0ab5a759321dea61c11c31481f"
+        "aa93036731c00d17946e0dc576423bdf4d3888d536d96bb44c2087646c4e3648"
     ),
     ("serial", "alice", "point_pair"): (
         "3d45f361316da1346ef934f3c79c96500cc43028171fa9552e6643e0121bdeea"
@@ -1020,16 +1035,16 @@ _KERNEL_DIGESTS = {
         "d03e02baf7099d95576b66598e9bb2f1148a4b72dfafe693a105dbbffbc4031e"
     ),
     ("bayes", "eve:echo", "point_pair", False): (
-        "c8ff752701bae2d246b07a923705bfdf69832f645ffbb8040ff62599869c4564"
+        "455305b4b9e5b92ef2ae7e0ce2a9b15eb3a0e90951a901610951e3162e0261bf"
     ),
     ("bayes", "eve:echo", "point_pair", True): (
-        "cbf41c0c6eb60febef363ac0905e0df33ccf522990c469bbd0583608a77f9426"
+        "3a966d80b268f6a9c7d7c0900e0e8c0ba67ac12a770371855d6fbd48667a794e"
     ),
     ("bayes", "eve:echo", "uniform_bands", False): (
-        "22d6ea023d97ce6c49235243c6dc5202e28859b9d43f4d3c693ed0e2e396e815"
+        "a8b2061f63c9d0b01e2d1effe8b7ca9519d0c762c275f7948d186312f452affc"
     ),
     ("bayes", "eve:echo", "uniform_bands", True): (
-        "f137ea664cf25dfbc4778f4d443d366b7ad31fc3ee43c10267eaf9b33a2c2e48"
+        "351924f190e23a0b4805fcda1cf9f93bf0800af5a7ce6fb957f8121a5470f780"
     ),
     ("serial", "eve:echo", "point_pair", False): (
         "56aa9bd202fbe17d71f1c317b05d850431dc83eabba8c34dc965c10aa7b8278c"
@@ -1129,10 +1144,10 @@ _STRUCTURAL_DIGESTS = {
         "71d245657b3364390730b220fd332622acddfbc5387821b377d05f2fba1f1ba0"
     ),
     ('artifacts', 'bayes', 'eve:echo', 'point_pair'): (
-        "3e14da2896fb5bbef942f2559b3a39f795180d157bfd4f61fa1fbbe344222e9e"
+        "3c2e012fdd170362f4882d59f92fbbbdc780193b8ee2f942fdc473d45bcf3113"
     ),
     ('artifacts', 'bayes', 'eve:echo', 'uniform_bands'): (
-        "b7bffa99518c72c922797bb368130bd7a5f0447f4cda68425ee9ce0a872af960"
+        "471ec6d9d5ae63baa274dad3e5e31b7709c2756d0c3d55a527556cf7f3dc2d9f"
     ),
     ('artifacts', 'serial', 'alice', 'point_pair'): (
         "53ad3a366fb731762ccfa4e479008c518426d1099a0f559a0b11c5c6f4f54e01"
@@ -1243,16 +1258,16 @@ _STRUCTURAL_DIGESTS = {
         "712d4a261184583f9ecfb158557a37da73714549b10de35dcb887637afb61b9a"
     ),
     ('kernel', 'bayes', 'eve:echo', 'point_pair', False): (
-        "45131e0f9776f93602a9d650aed42dc627741d327175a2c7a8184955d7f419cb"
+        "519fe0b722e23c2219128e24c263746c201642f6e63de6b29e2b4ad5f345a337"
     ),
     ('kernel', 'bayes', 'eve:echo', 'point_pair', True): (
-        "221b305dd300e9e19aff3645953cee49a7f5f98294e104b379e2eeaf58173624"
+        "652a2eed20c853e2416fec18ff10b449f6a7ba27c1da385be2df7c4dfb50ca2c"
     ),
     ('kernel', 'bayes', 'eve:echo', 'uniform_bands', False): (
-        "421bf53d77093659c65a8d786802745442509f6d2c4acf96e007cbed39a21b0e"
+        "682e7a220d1620385abc2e37f3f8baa958e139683d70722f3a875d6a51e64d7e"
     ),
     ('kernel', 'bayes', 'eve:echo', 'uniform_bands', True): (
-        "652b234bac7953f876573f310fb7eb02e71c98ca3d8ed1a7a8fdb8adb5eede97"
+        "9a383684442753e3a9b893aa39357dbb4bf26f42181e8f80cdb16cab5e63ed2d"
     ),
     ('kernel', 'serial', 'eve:echo', 'point_pair', False): (
         "c48d6c91abe692a947c4a4613b4f0aace66e47c42d9641ca82fd0e97b4225c0d"
