@@ -34,8 +34,8 @@ from .alpha_map import (
     load,
     require_support,
 )
-from .errors import (ConfigError, DomainError, InfeasibleError, MenuError,
-                     PlacementError, _count, _real)
+from .errors import (ConfigError, DomainError, InfeasibleError, MapFormatError,
+                     MenuError, PlacementError, _count, _real)
 from .photon_stats import DEFAULT_THRESHOLD, solve_q_intensity
 from .strategy_bayes import (
     DEFAULT_MAX_ROUNDS,
@@ -426,7 +426,10 @@ class RunContext:
 
 def _resolve_map(config: RunConfig) -> AlphaMap:
     if config.map_file is not None:
-        return load(config.map_file)
+        try:
+            return load(config.map_file)
+        except MapFormatError as exc:
+            raise MapFormatError(f"{exc}; change field 'map_file'") from exc
     return generate_synthetic(
         config.map_width,
         config.map_height,
@@ -457,7 +460,7 @@ def _operating_point(config: RunConfig, alpha_map: AlphaMap) -> tuple[float, flo
     i_tilde = config.i_tilde
     if i_tilde is None:
         try:
-            i_tilde = solve_q_intensity(*inner_edges(distribution), config.k)[1]
+            i_tilde = _symmetric_intensity(*inner_edges(distribution), config.k)
         except InfeasibleError as exc:
             names = ", ".join(map(repr, _DISTRIBUTION_FIELDS[config.distribution]))
             raise InfeasibleError(
@@ -465,6 +468,16 @@ def _operating_point(config: RunConfig, alpha_map: AlphaMap) -> tuple[float, flo
                 f"which skips this search"
             ) from exc
     return design_wrong_probability(distribution, i_tilde, config.k), i_tilde
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _symmetric_intensity(low: float, high: float, k: int) -> float:
+    """The pulse intensity of :func:`solve_q_intensity` on the inner edges
+    ``(low, high)`` at threshold ``k``, solved once per ``(low, high, k)``:
+    runs of one distribution and threshold share it.  A refusal is raised
+    anew each call, never cached; ``typed`` keeps a ``True`` threshold from
+    reading the entry of ``1``."""
+    return solve_q_intensity(low, high, k)[1]
 
 
 #: Transcript rows ``identify`` prints for a bayes session; the rest are counted.
@@ -648,8 +661,11 @@ def prepare(config: RunConfig) -> RunContext:
     :func:`trial_rng`."""
     alpha_map = _resolve_map(config)
     plan = STRATEGIES[config.strategy].plan(config, alpha_map)
-    return RunContext(config, alpha_map, config.distribution_object(),
-                      build_subject(config.subject, config.k), **plan)
+    try:
+        subject = build_subject(config.subject, config.k)
+    except ConfigError as exc:
+        raise ConfigError(f"{exc}; change field 'subject'") from exc
+    return RunContext(config, alpha_map, config.distribution_object(), subject, **plan)
 
 
 def run_session(
@@ -793,7 +809,11 @@ def write_artifacts(
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
-    summary = {"config": config.to_dict(), "stats": dataclasses.asdict(stats)}
+    # A shallow dict: json writes the histogram's tuples as the lists that
+    # ``dataclasses.asdict`` would copy them into.
+    fields = {field.name: getattr(stats, field.name)
+              for field in dataclasses.fields(stats)}
+    summary = {"config": config.to_dict(), "stats": fields}
     summary_path = out / "summary.json"
     summary_path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
     written.append(summary_path)

@@ -104,11 +104,18 @@ def _seen_and_missed(k: int, x: float) -> tuple[float, float]:
 
 def _poisson_pmfs(j: int, x: np.ndarray) -> np.ndarray:
     """:func:`_poisson_pmf` of one ``j`` at each mean of the array ``x``:
-    its product in NumPy while every mean allows it, else the scalar
-    itself, mean by mean."""
-    if j < len(_FACTORIALS) and (x <= _PRODUCT_X_MAX).all():
+    its product in NumPy at each mean that allows it, else the scalar
+    itself, so each value is the one its mean gets alone, whatever else
+    the array holds."""
+    if j >= len(_FACTORIALS):
+        return np.array([_poisson_pmf(j, mean) for mean in x.tolist()])
+    product = x <= _PRODUCT_X_MAX
+    if product.all():
         return np.exp(-x) * x**j / _FACTORIALS[j]
-    return np.array([_poisson_pmf(j, mean) for mean in x.tolist()])
+    pmfs = np.array([_poisson_pmf(j, mean) for mean in x.tolist()])
+    near = x[product]
+    pmfs[product] = np.exp(-near) * near**j / _FACTORIALS[j]
+    return pmfs
 
 
 def _gk_array(k: int, x: np.ndarray) -> np.ndarray:
@@ -117,10 +124,12 @@ def _gk_array(k: int, x: np.ndarray) -> np.ndarray:
     its terms formed and added in the same order, so each sum is the
     scalar's to the bit: a sum that went on past the scalar's last change
     gains only smaller terms, which leave it as it is.  The Poisson
-    probability it scales is the scalar's own where some mean is past the
-    product form, and otherwise that product in NumPy, whose ``exp`` and
-    ``**`` need not round as :mod:`math` does, so a value may lie a few ulp
-    from the scalar's."""
+    probability it scales is the scalar's own at a mean past the product
+    form, and otherwise that product in NumPy, whose ``exp`` and ``**``
+    need not round as :mod:`math` does, so a value may lie a few ulp from
+    the scalar's.  Each value is the one its mean gets in an array of its
+    own, so a slice of the values on a whole map is the values on that
+    slice, bit for bit."""
     below = x < k
     if not below.any():
         return 1.0 - _poisson_pmfs(k - 1, x) * _head_sum(k, x)

@@ -22,24 +22,34 @@ impostor could in principle estimate it and reconstruct the spot's
 transmission — this protocol predates the information-barrier designs and is
 kept as the baseline they improve on.
 
-A session's record is its per-spot "seen" counts, which the runner draws
-from their exact law where a spot's rounds are i.i.d.: after the spots are
-sampled (``rng.choice``), the honest user's counts are one vector of
-Binomial(nu, P(Poisson(x*) >= k)) draws, with x* the intensity that gives
-p_C at the design threshold and k her own (so p_C when the two agree), a
-constant-bias impostor one vector of Binomial(nu, bias) draws (a uniform
-bias drawn first for each spot), and ``echo``, who sees when her own
-detector counts k of the pulse's x*/alpha_s photons, one vector of
-Binomial(nu, P(Poisson(x*/alpha_s) >= k)) draws, one probability per spot.
-The first failing spot is found in that vector with one array comparison.
-An adaptive impostor whose rule declares no law is interrogated round by
-round, one spot at a time.
+A session's record is its per-spot "seen" counts, drawn from their exact
+law.  When one count law serves every spot (the honest user's
+Binomial(nu, P(Poisson(x*) >= k)), with x* the intensity that gives p_C at
+the design threshold and k her own, so p_C when the two agree; a fixed
+bias's Binomial(nu, bias); the uniform bias's uniform count on 0..nu), a
+spot passes with one probability w, so the first failing spot J is
+truncated-geometric, P(J = j) = w**(j-1) (1 - w), and the session is
+accepted with probability w**mu.  One uniform picks J by inversion on that
+law, which fixes the decision and the pulses spent, and J more give the
+counts by inversion on the count law given the window (the spots that
+pass) and given outside it (the one that fails); no spot is chosen, since
+no spot's transmission reaches such a count.  ``echo``, who sees when her
+own detector counts k of the pulse's x*/alpha_s photons, passes each spot
+with its own probability: after the spots are sampled (``rng.choice``),
+her counts are one vector of Binomial(nu, P(Poisson(x*/alpha_s) >= k))
+draws, one probability per spot, read from her seeing probability on
+every spot of the map, computed once per map, and the first failing spot
+is found in that vector with one array comparison.  An adaptive impostor
+whose rule declares no law is interrogated round by round, one spot at a
+time.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import weakref
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -48,7 +58,7 @@ import numpy as np
 from .alpha_map import AlphaMap
 from .errors import ConfigError, DomainError, InfeasibleError, _count, _real
 from .photon_stats import DEFAULT_THRESHOLD, _relative_entropy, gk_inverse
-from .subjects import AnswerLaw, SubjectModel, open_scopes
+from .subjects import AnswerLaw, SubjectModel, open_scopes, spot_count_law
 
 __all__ = [
     "NaiveTestPlan",
@@ -250,32 +260,38 @@ def run_naive(
     threshold ``k``), and requires every spot's count to fall inside the
     acceptance window.  The session stops at the first failing spot.
 
-    Each spot test is its own answering scope, and the ``mu`` scopes are
-    opened at once (:func:`~retinasim.subjects.open_scopes`), so a
-    once-per-scope bias (the uniform-bias strategy) is redrawn for every
-    spot — answering all spots with a single shared bias would correlate
-    the per-spot counts and is a strictly different game from the one the
-    window sizing assumes.  The honest user, a fixed bias and a rule keep no
-    per-scope state, so one law serves every spot (a rule's history still
-    starts afresh at each).
+    Each spot test is its own answering scope, so a once-per-scope bias
+    (the uniform-bias strategy) is redrawn for every spot — answering all
+    spots with a single shared bias would correlate the per-spot counts and
+    is a strictly different game from the one the window sizing assumes.
+    A subject whose count law is the same on every spot (the honest user,
+    a fixed or a uniform bias: :func:`~retinasim.subjects.spot_count_law`)
+    is drawn from the session's exit law (:func:`_exit_session`) and opens
+    no scope.  For any other subject the ``mu`` scopes are opened at once
+    (:func:`~retinasim.subjects.open_scopes`): ``echo`` is one law for
+    every spot and takes one binomial vector over the chosen spots, and a
+    rule answers round by round, its history starting afresh at each spot.
     """
     if alpha_map.n_spots < plan.mu:
         raise ConfigError(
             f"map has {alpha_map.n_spots} spots but the plan needs {plan.mu}"
         )
     x_star = _tuned_mean(k, plan.p_c)
+    counts = spot_count_law(subject, x_star, plan.nu)
+    if counts is not None:
+        return _exit_session(_exit_law(counts, plan.n_l, plan.n_r, plan.mu), plan, rng)
     spot_indices = rng.choice(alpha_map.n_spots, size=plan.mu, replace=False)
-    alphas = alpha_map.alpha[spot_indices]
     law = open_scopes(subject, rng, plan.mu)
-    p_seen = law.p_seen(x_star, alphas)
+    p_seen = _map_seeing(law, alpha_map, x_star)
     if p_seen is None:
         see_counts = []
+        alphas = alpha_map.alpha[spot_indices]
         for count in _answer_rounds(law, alphas, plan.nu, x_star, rng):
             see_counts.append(count)
             if not (plan.n_l < count < plan.n_r):
                 break
     else:
-        counts = rng.binomial(plan.nu, p_seen, size=plan.mu)
+        counts = rng.binomial(plan.nu, p_seen[spot_indices], size=plan.mu)
         failed = np.flatnonzero((counts <= plan.n_l) | (counts >= plan.n_r))
         see_counts = counts[: failed[0] + 1 if failed.size else plan.mu].tolist()
     return NaiveResult(
@@ -284,6 +300,85 @@ def run_naive(
         see_counts=tuple(see_counts),
         rounds=len(see_counts) * plan.nu,
     )
+
+
+@functools.lru_cache(maxsize=16)
+def _exit_law(
+    counts: tuple[float, ...], n_l: int, n_r: int, mu: int
+) -> tuple[tuple[float, ...], tuple[np.ndarray, np.ndarray],
+           tuple[np.ndarray, np.ndarray]]:
+    """The exit law of a session whose every spot count has the law
+    ``counts`` (probabilities on ``0..nu``), with window ``(n_l, n_r)`` and
+    ``mu`` spots: ``(spots, passing, failing)``.
+
+    ``spots[j]`` is P(J <= j + 1) = 1 - w**(j + 1), J the first failing
+    spot and w the window's mass, from the failing mass f = 1 - w as
+    ``-expm1((j + 1) * log1p(-f))``, so a small f keeps its precision.
+    ``passing`` and ``failing`` are ``(values, cdf)``: the counts inside
+    the window and outside it, and the cumulative law of each given that
+    side, normalised to end at 1.  A side without mass keeps its sums at 0
+    and is never read.  Cached per law and window: a run asks for the same
+    table every session."""
+    pmf = np.array(counts)
+    inside = np.arange(n_l + 1, n_r)
+    outside = np.concatenate([np.arange(n_l + 1), np.arange(n_r, pmf.size)])
+    f = min(1.0, math.fsum(pmf[outside].tolist()))
+    spots = tuple(-math.expm1(j * math.log1p(-f)) if f < 1.0 else 1.0
+                  for j in range(1, mu + 1))
+    return spots, _given(pmf, inside), _given(pmf, outside)
+
+
+def _given(pmf: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``values`` and the cumulative law of ``pmf`` on them, given that the
+    count is one of them; both read-only, as every session shares them."""
+    cdf = np.cumsum(pmf[values])
+    if cdf.size and cdf[-1] > 0.0:
+        cdf /= cdf[-1]
+    for array in (values, cdf):
+        array.setflags(write=False)
+    return values, cdf
+
+
+def _exit_session(exits, plan: NaiveTestPlan, rng: np.random.Generator) -> NaiveResult:
+    """A session drawn from its exit law (:func:`_exit_law`).  One uniform
+    picks the number of spots that pass before the first failing one (all
+    ``mu`` for an accepted session), so the decision and the pulses spent
+    depend on it alone; one ``random(J)``, J the spots tested, then gives
+    each passing count, and the failing one last, by inversion on its side's
+    table ("seen" counts of no mass are never drawn)."""
+    spots, (inside, inside_cdf), (outside, outside_cdf) = exits
+    passed = bisect_right(spots, rng.random())
+    accepted = passed == plan.mu
+    tested = plan.mu if accepted else passed + 1
+    uniforms = rng.random(tested)
+    picks = inside_cdf.searchsorted(uniforms[:passed], "right")
+    see_counts = inside.take(picks).tolist()
+    if not accepted:
+        see_counts.append(int(outside[outside_cdf.searchsorted(uniforms[-1], "right")]))
+    return NaiveResult(
+        accepted=accepted,
+        spots_tested=tested,
+        see_counts=tuple(see_counts),
+        rounds=tested * plan.nu,
+    )
+
+
+#: Per live map, the last law asked of it, the mean it was asked at, and
+#: that law's seeing probability on every spot of the map.  Keyed weakly:
+#: an entry goes with its map, so no run's array outlives it.
+_MAP_SEEING: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _map_seeing(law: AnswerLaw, alpha_map: AlphaMap, x: float) -> np.ndarray | None:
+    """``law.p_seen(x, alpha)`` on every spot of ``alpha_map`` (``None`` for
+    a rule), computed once per law, map and mean: every session of a run
+    asks for the same array and reads its chosen spots from it.
+    ``_gk_array`` computes each spot's value as it would alone, so the
+    spots read equal the law's values on the chosen spots bit for bit."""
+    entry = _MAP_SEEING.get(alpha_map)
+    if entry is None or entry[0] is not law or entry[1] != x:
+        entry = _MAP_SEEING[alpha_map] = (law, x, law.p_seen(x, alpha_map.alpha))
+    return entry[2]
 
 
 def _answer_rounds(

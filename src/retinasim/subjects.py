@@ -24,8 +24,10 @@ answering scope (a session, or a spot test of the per-spot protocol) its
 answer law — the :class:`AliceSubject` herself, a :class:`FixedP` bias (a
 :class:`UniformP` impostor opens a fresh one per scope) or an
 :class:`Adaptive` rule — and :func:`open_scopes` the law of several scopes
-asked alike (the uniform bias draws all their biases at once); each law
-answers the runners' questions:
+asked alike (the uniform bias draws all their biases at once), while
+:func:`spot_count_law` gives the law of a spot test's count where one law
+serves every spot (the honest user, a fixed bias, the uniform bias), for
+a runner that opens no scope; each law answers the runners' questions:
 ``p_seen(x, alpha)``, the chance of "seen" on spots of transmissions
 ``alpha`` each pulsed to deposit a mean of ``x`` photons on the honest
 retina, ``p_wrong`` per round of class interrogation, and
@@ -48,6 +50,7 @@ call, and those of :func:`class_seeing_means` once per cached entry.
 from __future__ import annotations
 
 import functools
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable, Iterator, Union
@@ -72,6 +75,7 @@ __all__ = [
     "honest_threshold",
     "open_scope",
     "open_scopes",
+    "spot_count_law",
     "interrogate",
     "class_seeing_means",
     "parse_eve_strategy",
@@ -155,6 +159,12 @@ class EveStrategy:
         does."""
         return self
 
+    def spot_counts(self, x: float, nu: int) -> tuple[float, ...] | None:
+        """The law of a spot test's "seen" count when it is the same on
+        every spot (:func:`spot_count_law`): ``None`` unless a strategy
+        gives it."""
+        return None
+
 
 @dataclass(frozen=True, init=False)
 class FixedP(EveStrategy):
@@ -182,6 +192,10 @@ class FixedP(EveStrategy):
     def p_wrong(self, distribution: UniformBands, i_tilde: float) -> float:
         """Exactly 1/2, whatever the bias."""
         return 0.5
+
+    def spot_counts(self, x: float, nu: int) -> tuple[float, ...]:
+        """Binomial(``nu``, ``p``) on every spot."""
+        return _binomial_pmf(nu, self.p)
 
     def answers(
         self, rng: np.random.Generator, spot_ordinal: int = 0
@@ -218,13 +232,18 @@ class UniformP(EveStrategy):
         ``n`` sessions would draw one by one."""
         return _ScopeBiases(rng.random(n))
 
+    def spot_counts(self, x: float, nu: int) -> tuple[float, ...]:
+        """Uniform on ``0..nu``: a bias drawn afresh for each spot test
+        makes its Binomial(``nu``, bias) count uniform."""
+        return _uniform_pmf(nu)
+
 
 class _ScopeBiases(EveStrategy):
-    """The law of ``n`` :class:`UniformP` scopes asked alike, for a runner
-    that draws them at law level: ``p_seen`` is the array of their biases,
-    one per scope in order, and each scope errs with probability 1/2 a
-    round.  It answers no round: every runner asks a law that gives
-    ``p_seen`` nothing else."""
+    """The law of ``n`` :class:`UniformP` scopes asked alike: ``p_seen`` is
+    the array of their biases, one per scope in order, and each scope errs
+    with probability 1/2 a round.  It answers no round.  No runner asks
+    for it: a per-spot session of the uniform bias is drawn from its spot
+    count law (:func:`spot_count_law`)."""
 
     __slots__ = ("p",)
 
@@ -335,6 +354,30 @@ def _seeing(k: int, x: float) -> float:
     return gk(k, x)
 
 
+@functools.lru_cache(maxsize=16)
+def _binomial_pmf(nu: int, p: float) -> tuple[float, ...]:
+    """The probabilities of Binomial(``nu``, ``p``) on ``0..nu``, each from
+    its logarithm, so that no factor overflows or underflows before the
+    product does.  Once per ``(nu, p)``: a per-spot run asks for the same
+    law every session."""
+    if p == 0.0 or p == 1.0:
+        sure = nu if p else 0
+        return tuple(float(j == sure) for j in range(nu + 1))
+    log_p, log_q = math.log(p), math.log1p(-p)
+    top = math.lgamma(nu + 1.0)
+    return tuple(
+        math.exp(top - math.lgamma(j + 1.0) - math.lgamma(nu - j + 1.0)
+                 + j * log_p + (nu - j) * log_q)
+        for j in range(nu + 1)
+    )
+
+
+@functools.lru_cache(maxsize=16)
+def _uniform_pmf(nu: int) -> tuple[float, ...]:
+    """The uniform law on ``0..nu``, once per ``nu``."""
+    return (1.0 / (nu + 1),) * (nu + 1)
+
+
 @dataclass(frozen=True)
 class AliceSubject:
     """The enrolled user, given by her perception threshold.  Her map reaches
@@ -362,6 +405,11 @@ class AliceSubject:
         means taken over ``distribution`` at her own threshold."""
         low, high = class_seeing_means(distribution, i_tilde, self.k)
         return 0.5 * (low + 1.0 - high)
+
+    def spot_counts(self, x: float, nu: int) -> tuple[float, ...]:
+        """Binomial(``nu``, ``gk(k, x)``) on every spot: the pulse is tuned to
+        deposit ``x`` photons through each spot's transmission."""
+        return _binomial_pmf(nu, _seeing(self.k, x))
 
     def answers(
         self, rng: np.random.Generator, spot_ordinal: int = 0
@@ -416,6 +464,22 @@ def open_scopes(subject: SubjectModel, rng: np.random.Generator, n: int) -> Answ
         return subject.scopes(rng, n)
     honest_threshold(subject)  # raises for a subject of neither kind
     return subject
+
+
+def spot_count_law(
+    subject: SubjectModel, x: float, nu: int
+) -> tuple[float, ...] | None:
+    """The law of a spot test's "seen" count, ``nu`` pulses each tuned to
+    deposit a mean of ``x`` photons on the honest retina, as its
+    probabilities on ``0..nu``, when one law serves every spot test of a
+    session: Binomial(``nu``, ``gk(k, x)``) for the honest user,
+    Binomial(``nu``, ``p``) for a fixed bias, and uniform on ``0..nu`` for
+    the uniform bias, whose bias each spot test draws afresh.  ``None``
+    for ``echo``, whose seeing probability depends on the spot's
+    transmission, and for a rule.  Each law is computed once and handed
+    back as the same tuple, so it can key a cache; nothing is drawn."""
+    honest_threshold(subject)  # raises for a subject of neither kind
+    return subject.spot_counts(x, nu)
 
 
 def alice_response(

@@ -4,6 +4,7 @@ through ``main(argv)`` in-process, except the import-path checks, which need
 a fresh interpreter."""
 
 import ast
+import dataclasses
 import hashlib
 import json
 import os
@@ -352,6 +353,60 @@ class TestUsageErrors:
         assert "smaller than the 5x7 glyph grid" in capsys.readouterr().err
 
 
+#: One failing run for each refusal ``prepare`` can raise: the config fields
+#: (a ``map_file`` value names a file in the test's directory, written from
+#: its text), the flags, and the exit code.
+_PREPARE_REFUSALS = {
+    "map-file-missing": ({"map_file": None}, [], 2),
+    "map-file-not-json": ({"map_file": "{"}, [], 2),
+    "map-file-field-missing": (
+        {"map_file": json.dumps({"width": 2, "height": 2})}, [], 2),
+    "map-file-alpha-outside-band": (
+        {"map_file": json.dumps({"version": 1, "width": 1, "height": 1,
+                                 "alpha_min": 0.02, "alpha_max": 0.18,
+                                 "alpha": [0.5]})}, [], 2),
+    "subject-kind": ({}, ["--subject", "bob"], 3),
+    "subject-strategy": ({}, ["--subject", "eve:foo"], 3),
+    "subject-bias-range": ({}, ["--subject", "eve:fixedp:2"], 3),
+    "subject-bias-number": ({}, ["--subject", "eve:fixedp:x"], 3),
+    "coverage": ({"map_alpha_min": 0.1, "map_alpha_max": 0.12}, [], 3),
+    "operating-point": ({"k": 200}, [], 3),
+    "operating-point-serial": ({"k": 200, "strategy": "serial"}, [], 3),
+    "naive-mu": ({"strategy": "naive", "naive_mu": 20000}, [], 3),
+    "naive-sizing": ({"strategy": "naive", "naive_mu": 1, "p_fp": 1e-12}, [], 3),
+    "pattern-grid": ({"strategy": "pattern", "map_width": 4, "map_height": 4}, [], 3),
+    "pattern-high": ({"strategy": "pattern", "pattern_high_min": 0.179}, [], 3),
+    "pattern-noise": ({"strategy": "pattern", "pattern_noise": 5000}, [], 3),
+    "pattern-menu": ({"strategy": "pattern", "pattern_noise": 12, "pattern_menu": 2},
+                     [], 3),
+}
+
+
+class TestPrepareRefusals:
+    @pytest.mark.parametrize("command", ["identify", "montecarlo"])
+    @pytest.mark.parametrize("row", list(_PREPARE_REFUSALS))
+    def test_refusal_names_a_config_field(self, row, command, tmp_path, capsys):
+        """Each refusal exits with its code before any output, and its
+        message names a ``RunConfig`` field that would fix the run."""
+        doc, flags, code = _PREPARE_REFUSALS[row]
+        if "map_file" in doc:
+            store = tmp_path / "map.json"
+            if doc["map_file"] is not None:
+                store.write_text(doc["map_file"])
+            doc = {**doc, "map_file": str(store)}
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc))
+        argv = [command, "--config", str(path), *flags]
+        if command == "montecarlo":
+            argv += ["--trials", "3"]
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        fields = "|".join(f.name for f in dataclasses.fields(RunConfig))
+        assert captured.err.startswith("error: ")
+        assert re.search(rf"field[s]? .*'({fields})'", captured.err), captured.err
+
+
 class TestEnroll:
     def test_writes_map(self, tmp_path, capsys):
         out = tmp_path / "store"
@@ -538,13 +593,13 @@ _IDENTIFY_PINS = {
         "698b1b36a3618a2c808c5e9aa1974a9c9442fc8c8528c80c4946265d82341320", 1
     ),
     ("naive", "alice"): (
-        "2a8cb4a0034da25b14ef9517d5b771bf38133c67b8d10ce9db82e5618e7097f3", 0
+        "e243451bfb84301e6ebea56e0adb30f5c0e838a2c84abcb95db79ce0d3392d17", 0
     ),
     ("naive", "eve:faircoin"): (
-        "31807f32edef02ab79724dd869e5066167f1a8e2b7eae4dc2e10b658395c816d", 0
+        "10972630122bb2d450b3f885291638b9cc415c21df8bf4e6d2e92fcd596e5991", 0
     ),
     ("naive", "eve:uniformp"): (
-        "d81671e94b6cb821fc19c0570623e39fae5ed83b7a3b4f780f019f87d6a31444", 1
+        "ca903333de6d0863c94b39b24c563f9b365947d168917ddf2882b2a1fcd0f6c1", 1
     ),
     ("naive", "eve:echo"): (
         "cf710f33bc4161a60f786bef2c2bc2977ca529508dae8819b195c2b43a78c0a6", 1
@@ -778,7 +833,7 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize(
         "argv, code",
-        [(["identify", "--strategy", "naive"], 1),
+        [(["identify", "--strategy", "naive"], 0),
          (["montecarlo", "--strategy", "naive", "--trials", "20"], 0)],
         ids=["identify", "montecarlo"],
     )

@@ -869,10 +869,10 @@ _PINNED_DIGESTS = {
         "6635d2c6d0df5361069dda05ef91695650827f4f02afeec2083ea9687dbe1111"
     ),
     ("naive", "eve:uniformp", "point_pair"): (
-        "5edb19f91b70a694f95fdd68323c383d494354965637b7597a1dc89d8f0e46ab"
+        "7d9d5b5a8efcbe8c614164a016b272c1566ccfa79aaaa053950ee4fdea2b195b"
     ),
     ("naive", "eve:uniformp", "uniform_bands"): (
-        "5edb19f91b70a694f95fdd68323c383d494354965637b7597a1dc89d8f0e46ab"
+        "7d9d5b5a8efcbe8c614164a016b272c1566ccfa79aaaa053950ee4fdea2b195b"
     ),
     ("naive", "eve:echo", "point_pair"): (
         "ff4c3f68e3c7dd49fd2b1e32e3beea301ac281f83161716bc1294b0102eaec9a"
@@ -1122,8 +1122,8 @@ def test_martingale_report_matches_pinned_digest():
 # how many draws a session takes does not.  A draw that changes its value
 # but not the generator's end state shows only through what the record
 # holds: ``TrialRecord`` keeps no per-spot naive counts, so a naive count
-# that moves without moving a decision is missed here (test_naive.py pins
-# the one known way for that to happen, NumPy's binomial reflection).
+# that moves without moving a decision is missed here (the identify pins of
+# test_cli.py print every count of one session each).
 _STRUCTURAL_CELLS = (
     [("artifacts", *cell) for cell in _PINNED_CELLS]
     + [("pattern-run", subject, trials) for subject, trials in _PINNED_PATTERN_RUNS]
@@ -1168,16 +1168,16 @@ _STRUCTURAL_DIGESTS = {
         "5841402ca288c536d6f3a33ade19afa9699251c1617a50e3abe4f33027dfa8d9"
     ),
     ('artifacts', 'naive', 'alice', 'point_pair'): (
-        "37e3e21f9f5e800030e896c21e8d4c577245b567e479d5bbeca4009cfc8b8b58"
+        "d918e642606538fc2259eef1551b37391c75c2a2257159467207e04324908ae8"
     ),
     ('artifacts', 'naive', 'alice', 'uniform_bands'): (
-        "37e3e21f9f5e800030e896c21e8d4c577245b567e479d5bbeca4009cfc8b8b58"
+        "d918e642606538fc2259eef1551b37391c75c2a2257159467207e04324908ae8"
     ),
     ('artifacts', 'naive', 'eve:uniformp', 'point_pair'): (
-        "aebdb6ac42cbd93d25f8dc559cd5cae1d826ae150c82eac0ce3994680a5c25aa"
+        "22bd575519c53507581c24b9d042cb8edded79d577dd7276427445349e44b53b"
     ),
     ('artifacts', 'naive', 'eve:uniformp', 'uniform_bands'): (
-        "aebdb6ac42cbd93d25f8dc559cd5cae1d826ae150c82eac0ce3994680a5c25aa"
+        "22bd575519c53507581c24b9d042cb8edded79d577dd7276427445349e44b53b"
     ),
     ('artifacts', 'naive', 'eve:echo', 'point_pair'): (
         "e0900047db96d97584d3c6c546e4c999ee42d8310015a708f61fdfdea5e90e04"

@@ -49,7 +49,28 @@ check                                                  false-failure
                                                        simulated, ±0.00025)
 ``TestEchoLaw::test_first_failing_position``           0.0035 (three G-tests;
                                                        simulated, ±0.00026)
+``TestExitLawSessions::test_first_failing_position``   alice-narrow 0.0031,
+                                                       fixedp-default 0.0024,
+                                                       uniformp-relaxed
+                                                       0.0020 (two G-tests,
+                                                       summed; simulated,
+                                                       ±0.0004)
+``TestExitLawSessions::test_passing_counts``           0.0013, 0.0014, 0.0010
+                                                       (G-test; simulated,
+                                                       ±0.00026)
+``TestExitLawSessions::test_failing_counts``           0.0012, 0.0010, 0.0011
+                                                       (G-test; simulated,
+                                                       ±0.00025)
+``TestExitLawSessions::test_accepts``                  8.9e-4, 9.3e-4, 2.7e-4
+                                                       (two-sided binomtest
+                                                       on 4000 sessions)
 =====================================================  ======================
+
+The :class:`TestExitLawSessions` figures are given in the cell order
+alice-narrow, fixedp-default, uniformp-relaxed.  Those of its G-tests are
+the shares of 20,000 simulated re-draws of the exact law (4,000 sessions
+against 2,000 of the oracle) that each refuses; those of ``test_accepts``
+are the binomial law's mass on the accept counts it refuses.
 """
 
 from __future__ import annotations
@@ -85,10 +106,21 @@ from retinasim import (
     relative_entropy,
     required_nu,
     run_naive,
+    run_session,
+    run_trial,
+    trial_rng,
 )
 
 from retinasim import strategy_naive
-from retinasim.subjects import _echo, open_scope, open_scopes
+from retinasim.cli import main
+from retinasim.subjects import (
+    _binomial_pmf,
+    _echo,
+    _uniform_pmf,
+    open_scope,
+    open_scopes,
+    spot_count_law,
+)
 
 from conftest import g_test_pvalue, make_rng, two_sample_g_pvalue
 
@@ -492,10 +524,11 @@ class _PerRoundUniformP(EveStrategy):
 
 class TestLawLevelDraws:
     """The honest user's per-spot counts, and those of every biased impostor
-    session and of ``echo`` (:class:`TestEchoLaw`), are one vector of
-    binomial draws; an adaptive impostor whose rule declares no law keeps
-    the per-round path.  The counts must follow the exact law, and match the
-    per-round path's counts where both can run.
+    session, are drawn from the session's exit law (:class:`TestExitLaw`),
+    and ``echo``'s are one vector of binomial draws (:class:`TestEchoLaw`);
+    an adaptive impostor whose rule declares no law keeps the per-round
+    path.  The counts must follow the exact law, and match the per-round
+    path's counts where both can run.
 
     Pooling every recorded count of a session is fair: whether spot j is
     reached depends only on the spots before it, so each recorded count has
@@ -523,13 +556,11 @@ class TestLawLevelDraws:
 
     def test_honest_draw_stays_below_numpy_reflection_point(self):
         """NumPy's binomial sampler draws ``n - Bin(n, 1 - p)`` for ``p``
-        above 1/2, so the honest seeing probability at the published
-        ``p_c = 1/2`` (a few ulp below it) crossing 1/2 would change every
-        honest count while keeping the law.  ``TrialRecord`` holds no
-        per-spot counts, so no pinned digest would see that change.  The
-        inverse never overshoots into the small tail, so no threshold's
-        tuned mean is seen with probability above 1/2 (several land on it
-        exactly, where NumPy does not reflect)."""
+        above 1/2.  The honest counts no longer come from it (they are
+        drawn by inversion on their exact law), but the tuned mean still
+        must not overshoot: the inverse never leaves the small tail, so no
+        threshold's tuned mean is seen with probability above 1/2 (several
+        land on it exactly)."""
         assert gk(6, strategy_naive._tuned_mean(6, 0.5)) < 0.5
         for k in range(1, 101):
             assert gk(k, strategy_naive._tuned_mean(k, 0.5)) <= 0.5, k
@@ -598,25 +629,41 @@ class TestLawLevelDraws:
             (s, r) for s in range(result.spots_tested) for r in range(plan.nu)
         ]
 
-    @pytest.mark.parametrize("name, scopes", [
-        ("alice", 1), ("eve:faircoin", 1), ("eve:fixedp:0.3", 1), ("eve:echo", 1),
-        ("eve:uniformp", PUBLISHED["mu"]),
+    @pytest.mark.parametrize("name, opened", [
+        ("alice", 0), ("eve:faircoin", 0), ("eve:fixedp:0.3", 0), ("eve:uniformp", 0),
+        ("eve:echo", 1),
     ])
-    def test_only_a_once_per_scope_bias_opens_a_scope_per_spot(
-        self, name, scopes, default_map, monkeypatch
+    def test_law_subjects_open_no_scope(
+        self, name, opened, default_map, monkeypatch
     ):
-        """A subject that keeps no per-scope state is one law for every
-        spot test; the uniform bias is redrawn for each of the mu spots,
-        all of them in one call."""
-        opened = []
+        """A subject with one count law on every spot is drawn from its exit
+        law and opens no scope; ``echo`` keeps no per-scope state and is
+        one law for every spot test, opened once."""
+        calls = []
         open_scopes = strategy_naive.open_scopes
         monkeypatch.setattr(strategy_naive, "open_scopes",
-                            lambda subject, rng, n: opened.append(
-                                (subject, open_scopes(subject, rng, n))) or opened[-1][1])
-        run_naive(build_subject(name, 6), default_map, _published_plan(),
-                  make_rng(4127))
-        [(subject, law)] = opened
-        assert (1 if law is subject else len(law.p_seen(0.0, None))) == scopes
+                            lambda subject, rng, n: calls.append(
+                                (subject, n, open_scopes(subject, rng, n))) or calls[-1][2])
+        subject = build_subject(name, 6)
+        run_naive(subject, default_map, _published_plan(), make_rng(4127))
+        assert len(calls) == opened
+        assert all(law is subject and n == PUBLISHED["mu"] for _s, n, law in calls)
+
+
+def _per_spot_session(subject, alpha_map, plan, rng):
+    """A session as the runner drew it before its exit law, kept as the
+    oracle of that law: ``choice`` of the mu spots, the mu scopes opened at
+    once (the uniform bias draws its mu biases), one ``binomial`` vector of
+    the mu counts, cut at the first failing spot."""
+    x_star = strategy_naive._tuned_mean(6, plan.p_c)
+    spots = rng.choice(alpha_map.n_spots, size=plan.mu, replace=False)
+    law = open_scopes(subject, rng, plan.mu)
+    counts = rng.binomial(plan.nu, law.p_seen(x_star, alpha_map.alpha[spots]),
+                          size=plan.mu)
+    failed = np.flatnonzero((counts <= plan.n_l) | (counts >= plan.n_r))
+    see_counts = tuple(counts[: failed[0] + 1 if failed.size else plan.mu].tolist())
+    return NaiveResult(accepted=not failed.size, spots_tested=len(see_counts),
+                       see_counts=see_counts, rounds=len(see_counts) * plan.nu)
 
 
 def _per_scope_uniform_session(alpha_map, plan, rng):
@@ -635,8 +682,9 @@ def _per_scope_uniform_session(alpha_map, plan, rng):
 
 class TestScopesOpenedAtOnce:
     """The uniform bias's mu scopes take their biases from one
-    ``random(mu)``: the doubles mu scalar draws give, so its sessions are
-    the per-scope form's, draw for draw."""
+    ``random(mu)``: the doubles mu scalar draws give, so the per-spot
+    oracle's uniform-bias sessions (:func:`_per_spot_session`) are the
+    per-scope form's, draw for draw."""
 
     @pytest.mark.parametrize("offset", [0, 1, 3, 4, 5])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 50, 257])
@@ -654,7 +702,7 @@ class TestScopesOpenedAtOnce:
         plan = _published_plan()
         rng, twin = make_rng(seed), make_rng(seed)
         for _ in range(300):
-            result = run_naive(UniformP(), default_map, plan, rng)
+            result = _per_spot_session(UniformP(), default_map, plan, rng)
             assert result.see_counts == _per_scope_uniform_session(default_map, plan, twin)
             assert repr(rng.bit_generator.state) == repr(twin.bit_generator.state)
 
@@ -667,6 +715,286 @@ class TestScopesOpenedAtOnce:
             assert open_scopes(subject, make_rng(4154), 5) is subject
         with pytest.raises(DomainError, match="unknown subject"):
             open_scopes(object(), make_rng(4155), 5)
+
+
+def _exact_window_mass(pmf, plan) -> Fraction:
+    """The window's mass under the law ``pmf`` (``Fraction``s)."""
+    return sum(pmf[plan.n_l + 1:plan.n_r], Fraction(0))
+
+
+def _exact_binomial(nu: int, p: float) -> list[Fraction]:
+    """Binomial(nu, p) on 0..nu in exact arithmetic, ``p`` the double."""
+    p = Fraction(p)
+    return [math.comb(nu, j) * p**j * (1 - p) ** (nu - j) for j in range(nu + 1)]
+
+
+def _scipy_window_mass(subject, plan) -> float:
+    """A spot's pass probability for ``subject`` (by name) at ``plan``, from
+    SciPy: the window's mass under her count law."""
+    if subject == "eve:uniformp":
+        return (plan.n_r - plan.n_l - 1) / (plan.nu + 1)
+    law = build_subject(subject, 6)
+    p = law.p if isinstance(law, FixedP) else gk(6, strategy_naive._tuned_mean(6, plan.p_c))
+    return stats.binom.cdf(plan.n_r - 1, plan.nu, p) - stats.binom.cdf(plan.n_l, plan.nu, p)
+
+
+def _exits(subject, plan):
+    """The runner's exit law of ``subject`` (by name) at ``plan``."""
+    x_star = strategy_naive._tuned_mean(6, plan.p_c)
+    counts = spot_count_law(build_subject(subject, 6), x_star, plan.nu)
+    return strategy_naive._exit_law(counts, plan.n_l, plan.n_r, plan.mu)
+
+
+class TestExitLaw:
+    """The honest user and every biased impostor pass each spot with one
+    probability w, so their sessions are drawn from the exit law: the first
+    failing spot is truncated-geometric, P(J = j) = w**(j-1) (1 - w), and
+    the session is accepted with probability w**mu.  Its tables are checked
+    here against SciPy and against ``Fraction`` arithmetic; the sessions
+    drawn from them, against the per-spot binomial path
+    (:func:`_per_spot_session`), in :class:`TestExitLawSessions`."""
+
+    @pytest.mark.parametrize("nu", [1, 7, 50, 60, 400])
+    @pytest.mark.parametrize("p", [0.0, 1e-9, 0.3, 0.5, 0.5 - 2**-53, 0.97, 1.0])
+    def test_count_laws_match_scipy_and_fractions(self, nu, p):
+        pmf = np.array(_binomial_pmf(nu, p))
+        np.testing.assert_allclose(pmf, stats.binom.pmf(range(nu + 1), nu, p),
+                                   rtol=1e-11, atol=1e-300)
+        if nu <= 60:
+            exact = [float(m) for m in _exact_binomial(nu, p)]
+            np.testing.assert_allclose(pmf, exact, rtol=1e-12, atol=1e-300)
+        assert _uniform_pmf(nu) == (1 / (nu + 1),) * (nu + 1)
+
+    def test_subjects_and_their_count_laws(self):
+        x_star = strategy_naive._tuned_mean(6, 0.5)
+        assert spot_count_law(AliceSubject(), x_star, 50) == _binomial_pmf(50, gk(6, x_star))
+        assert spot_count_law(AliceSubject(k=7), x_star, 50) == _binomial_pmf(
+            50, gk(7, x_star))
+        assert spot_count_law(FixedP(0.3), x_star, 50) == _binomial_pmf(50, 0.3)
+        assert spot_count_law(UniformP(), x_star, 50) == _uniform_pmf(50)
+        for rule in (build_subject("eve:echo", 6), Adaptive(lambda _ctx: 0.5)):
+            assert spot_count_law(rule, x_star, 50) is None
+        with pytest.raises(DomainError, match="unknown subject"):
+            spot_count_law(object(), x_star, 50)
+
+    @pytest.mark.parametrize("subject, accept, spots", [
+        ("alice", 1 - 1.694273e-4, 49.9958),
+        ("eve:faircoin", 0.999831, 49.9958),
+        ("eve:uniformp", 7.5682e-11, 2.68421),
+        ("eve:fixedp:0.3", 0.12833, 21.6663),
+    ])
+    def test_default_plan_rates(self, subject, accept, spots):
+        """P(accept) = w**mu and E[spots tested] = (1 - w**mu) / (1 - w) as
+        the table draws them (accept iff the uniform is at or above its last
+        entry), against SciPy and against ``Fraction``s."""
+        plan = _published_plan()
+        table, _passing, _failing = _exits(subject, plan)
+        drawn_accept = 1.0 - table[-1]
+        drawn_spots = 1.0 + sum(1.0 - c for c in table[:-1])
+        assert drawn_accept == pytest.approx(accept, rel=1e-4)
+        assert drawn_spots == pytest.approx(spots, rel=1e-5)
+
+        law = build_subject(subject, 6)
+        x_star = strategy_naive._tuned_mean(6, plan.p_c)
+        if subject == "eve:uniformp":
+            w = Fraction(plan.n_r - plan.n_l - 1, plan.nu + 1)
+            exact = [Fraction(1, plan.nu + 1)] * (plan.nu + 1)
+        else:
+            p = law.p if isinstance(law, FixedP) else gk(6, x_star)
+            exact = _exact_binomial(plan.nu, p)
+            w = _exact_window_mass(exact, plan)
+            scipy_w = (stats.binom.cdf(plan.n_r - 1, plan.nu, p)
+                       - stats.binom.cdf(plan.n_l, plan.nu, p))
+            assert float(w) == pytest.approx(scipy_w, rel=1e-12)
+        assert drawn_accept == pytest.approx(float(w**plan.mu), rel=1e-12, abs=1e-15)
+        assert table[-1] == pytest.approx(float(1 - w**plan.mu), rel=1e-12)
+        assert drawn_spots == pytest.approx(float((1 - w**plan.mu) / (1 - w)), rel=1e-12)
+        for j in (1, 2, 10, plan.mu - 1):
+            assert table[j - 1] == pytest.approx(float(1 - w**j), rel=1e-12)
+
+    @pytest.mark.parametrize("nu, failure", [
+        (49, 2.8e-4), (50, 1.69e-4), (51, 1.69e-4), (52, 1.02e-4), (53, 6.1e-5),
+        (54, 1.03e-4),
+    ])
+    def test_honest_failure_by_nu(self, nu, failure):
+        """The exact honest session failure at the default targets, with the
+        window ``acceptance_counts`` gives at each nu: above p_fn = 1e-4 at
+        the sized nu = 50, and not monotone in nu, since the window moves."""
+        n_l, n_r = acceptance_counts(0.5, nu, 1e-10, 50)
+        plan = NaiveTestPlan(nu=nu, mu=50, p_c=0.5, n_l=n_l, n_r=n_r)
+        table = _exits("alice", plan)[0]
+        assert table[-1] == pytest.approx(failure, rel=0.02)
+        p = gk(6, strategy_naive._tuned_mean(6, 0.5))
+        w = _exact_window_mass(_exact_binomial(nu, p), plan)
+        assert table[-1] == pytest.approx(float(1 - w**plan.mu), rel=1e-11)
+        scipy_w = stats.binom.cdf(n_r - 1, nu, p) - stats.binom.cdf(n_l, nu, p)
+        assert table[-1] == pytest.approx(-math.expm1(plan.mu * math.log(scipy_w)),
+                                          rel=1e-9)
+
+    @pytest.mark.parametrize("subject", ["alice", "eve:fixedp:0.3", "eve:uniformp"])
+    def test_count_tables_are_the_law_given_each_side(self, subject):
+        plan = _published_plan()
+        _table, (inside, inside_cdf), (outside, outside_cdf) = _exits(subject, plan)
+        assert inside.tolist() == list(range(plan.n_l + 1, plan.n_r))
+        assert outside.tolist() == [*range(plan.n_l + 1), *range(plan.n_r, plan.nu + 1)]
+        if subject == "eve:uniformp":
+            pmf = np.full(plan.nu + 1, 1 / (plan.nu + 1))
+        else:
+            p = 0.3 if subject != "alice" else gk(6, strategy_naive._tuned_mean(6, 0.5))
+            pmf = stats.binom.pmf(range(plan.nu + 1), plan.nu, p)
+        for values, cdf in ((inside, inside_cdf), (outside, outside_cdf)):
+            expected = np.cumsum(pmf[values]) / pmf[values].sum()
+            np.testing.assert_allclose(cdf, expected, rtol=1e-12)
+            assert cdf[-1] == 1.0
+
+    @pytest.mark.parametrize("subject", ["alice", "eve:faircoin", "eve:fixedp:0.3",
+                                         "eve:uniformp"])
+    def test_record_depends_only_on_the_first_uniform(self, subject, default_map):
+        """Whatever the later uniforms, the first fixes the decision and the
+        pulses spent; they give the counts, each on its side of the window.
+        Such a session draws only uniforms: no ``choice``, no ``binomial``."""
+
+        class Uniforms:
+            def __init__(self, first, rest):
+                self.first, self.rest, self.calls = first, rest, []
+
+            def random(self, size=None):
+                self.calls.append(size)
+                return self.first if size is None else np.full(size, self.rest)
+
+        plan = _published_plan()
+        for first in (0.0, 1e-6, 0.05, 0.5, 0.87, 0.99, 1 - 2**-53):
+            records = set()
+            for rest in (0.0, 0.3, 1 - 2**-53):
+                rng = Uniforms(first, rest)
+                result = run_naive(build_subject(subject, 6), default_map, plan, rng)
+                assert rng.calls == [None, result.spots_tested]
+                records.add((result.accepted, result.spots_tested, result.rounds))
+                counts = result.see_counts
+                assert all(plan.n_l < c < plan.n_r for c in counts[:-1])
+                assert (plan.n_l < counts[-1] < plan.n_r) == result.accepted
+            assert len(records) == 1, (first, records)
+
+    @pytest.mark.parametrize("subject", ["alice", "eve:fixedp:0.3", "eve:uniformp"])
+    def test_first_uniform_picks_the_exit(self, subject):
+        """Trial i's record is the exit its first uniform picks on the
+        truncated-geometric law, computed here from SciPy's window mass."""
+        config = RunConfig(strategy="naive", subject=subject, master_seed=4160)
+        context = prepare(config)
+        plan = context.naive_plan
+        w = _scipy_window_mass(subject, plan)
+        passes = [-math.expm1(j * math.log(w)) for j in range(1, plan.mu + 1)]
+        for i in range(300):
+            u = trial_rng(4160, i).random()
+            passed = sum(c <= u for c in passes)
+            record = run_trial(context, i)
+            assert record.accepted == (passed == plan.mu)
+            assert record.rounds == min(passed + 1, plan.mu) * plan.nu
+
+    @pytest.mark.parametrize("seed", [1, 9, 4161])
+    @pytest.mark.parametrize("subject", ["alice", "eve:faircoin", "eve:fixedp:0.3",
+                                         "eve:uniformp"])
+    def test_identify_prints_trial_zero(self, subject, seed, capsys):
+        config = RunConfig(strategy="naive", subject=subject, master_seed=seed)
+        context = prepare(config)
+        record = run_trial(context, 0)
+        counts = run_session(context, trial_rng(seed, 0)).see_counts
+        code = main(["identify", "--seed", str(seed), "--strategy", "naive",
+                     "--subject", subject])
+        printed = [int(line.split()[2]) for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("spot ")]
+        assert code == (0 if record.accepted else 1)
+        assert printed == list(counts)
+        assert len(printed) * context.naive_plan.nu == record.rounds
+
+    def test_laws_without_a_pass_or_a_fail(self, default_map):
+        """A spot that never passes fails the session at once; one that
+        always passes is never failed.  A side without mass is never read."""
+        plan = _published_plan()
+        for p, count in ((0.0, 0), (1.0, plan.nu)):
+            result = run_naive(FixedP(p), default_map, plan, make_rng(4162))
+            assert result == NaiveResult(False, 1, (count,), plan.nu)
+        empty = NaiveTestPlan(nu=3, mu=4, p_c=0.5, n_l=1, n_r=2)  # no count passes
+        result = run_naive(AliceSubject(), default_map, empty, make_rng(4163))
+        assert not result.accepted and result.spots_tested == 1
+        wide = NaiveTestPlan(nu=50, mu=3, p_c=0.5, n_l=0, n_r=50)
+        table = _exits("eve:fixedp:0.5", wide)[0]
+        assert table == pytest.approx([1 - (1 - 2.0**-49) ** j for j in (1, 2, 3)])
+
+
+#: The cells of :class:`TestExitLawSessions`: a subject and a plan at which
+#: sessions pass and fail alike.
+_SESSION_CELLS = {
+    "alice-narrow": ("alice", dict(nu=50, mu=50, p_c=0.5, n_l=18, n_r=32)),
+    "fixedp-default": ("eve:fixedp:0.3", dict(nu=50, mu=50, p_c=0.5, n_l=9, n_r=42)),
+    "uniformp-relaxed": ("eve:uniformp", dict(nu=50, mu=50, p_c=0.5, n_l=3, n_r=48)),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _drawn_sessions(cell):
+    """4,000 sessions drawn from the exit law and 2,000 from the per-spot
+    binomial path (:func:`_per_spot_session`), on the default map."""
+    name, fields = _SESSION_CELLS[cell]
+    plan = NaiveTestPlan(**fields)
+    alpha_map = generate_synthetic(100, 100, 0.02, 0.18, seed=7)
+    subject = build_subject(name, 6)
+    rng, oracle_rng = make_rng(4164), make_rng(4165)
+    law = [run_naive(subject, alpha_map, plan, rng) for _ in range(4000)]
+    oracle = [_per_spot_session(subject, alpha_map, plan, oracle_rng)
+              for _ in range(2000)]
+    return plan, law, oracle
+
+
+class TestExitLawSessions:
+    """Sessions drawn from the exit law against sessions of the per-spot
+    binomial path, the runner's draws before it, kept as the oracle: the
+    position of the first failing spot (``mu`` for an accepted session),
+    the counts of the spots that pass and of the spot that fails, by
+    two-sample G-test, and the accepts by a binomial tail on the exact
+    w**mu.  The honest user runs at a narrow window, the biased impostors
+    at the default plan and at the relaxed one (p_fp = 1e-3), so that
+    sessions pass and fail alike."""
+
+    @staticmethod
+    def _positions(results, mu):
+        return [mu if r.accepted else r.spots_tested - 1 for r in results]
+
+    @staticmethod
+    def _passing(results):
+        return [c for r in results for c in r.see_counts[: r.spots_tested - (not r.accepted)]]
+
+    @staticmethod
+    def _failing(results):
+        return [r.see_counts[-1] for r in results if not r.accepted]
+
+    @pytest.mark.parametrize("cell", list(_SESSION_CELLS))
+    def test_first_failing_position(self, cell):
+        plan, law, oracle = _drawn_sessions(cell)
+        w = _scipy_window_mass(_SESSION_CELLS[cell][0], plan)
+        exact = np.append(w ** np.arange(plan.mu) * (1 - w), w**plan.mu)
+        positions = self._positions(law, plan.mu)
+        assert g_test_pvalue(positions, exact) > 1e-3
+        assert two_sample_g_pvalue(positions, self._positions(oracle, plan.mu),
+                                   plan.mu + 1) > 1e-3
+
+    @pytest.mark.parametrize("cell", list(_SESSION_CELLS))
+    def test_passing_counts(self, cell):
+        plan, law, oracle = _drawn_sessions(cell)
+        assert two_sample_g_pvalue(self._passing(law), self._passing(oracle),
+                                   plan.nu + 1) > 1e-3
+
+    @pytest.mark.parametrize("cell", list(_SESSION_CELLS))
+    def test_failing_counts(self, cell):
+        plan, law, oracle = _drawn_sessions(cell)
+        assert two_sample_g_pvalue(self._failing(law), self._failing(oracle),
+                                   plan.nu + 1) > 1e-3
+
+    @pytest.mark.parametrize("cell", list(_SESSION_CELLS))
+    def test_accepts(self, cell):
+        plan, law, _oracle = _drawn_sessions(cell)
+        accept = _scipy_window_mass(_SESSION_CELLS[cell][0], plan) ** plan.mu
+        assert stats.binomtest(sum(r.accepted for r in law), len(law), accept).pvalue > 1e-3
 
 
 class TestEchoLaw:

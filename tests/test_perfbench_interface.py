@@ -142,11 +142,22 @@ _RUNNERS = {
 }
 
 
-@pytest.mark.parametrize("strategy", sorted(_RUNNERS))
-def test_montecarlo_reaches_traced_runners_once_per_trial(strategy, monkeypatch):
+#: Each strategy with the fair coin (its id the strategy's name), and naive
+#: with every other subject: those drawn from their exit law, and ``echo``.
+_RUNNER_CASES = [pytest.param(strategy, "eve:faircoin", id=strategy)
+                 for strategy in sorted(_RUNNERS)] + [
+    pytest.param("naive", subject, id=f"naive-{subject}")
+    for subject in ("alice", "eve:fixedp:0.3", "eve:uniformp", "eve:echo")
+]
+
+
+@pytest.mark.parametrize("strategy, subject", _RUNNER_CASES)
+def test_montecarlo_reaches_traced_runners_once_per_trial(strategy, subject,
+                                                          monkeypatch):
     """The tracer's per-layer spans wrap the runners as ``harness`` module
     globals; they see every session only while the strategy table calls
-    them through those globals, the configured runner once per trial."""
+    them through those globals, the configured runner once per trial,
+    whatever path the session takes inside it."""
     calls = dict.fromkeys(_RUNNERS.values(), 0)
 
     def counting(name, fn):
@@ -159,7 +170,7 @@ def test_montecarlo_reaches_traced_runners_once_per_trial(strategy, monkeypatch)
     for name in calls:
         fn = getattr(retinasim.harness, name)
         monkeypatch.setattr(retinasim.harness, name, counting(name, fn))
-    config = RunConfig(strategy=strategy, subject="eve:faircoin", trials=3)
+    config = RunConfig(strategy=strategy, subject=subject, trials=3)
     retinasim.montecarlo(config)
     expected = dict.fromkeys(calls, 0)
     expected[_RUNNERS[strategy]] = config.trials
