@@ -578,7 +578,7 @@ class _Bayes(_Entry):
         the decision disagrees with the final log odds (a self-check)."""
         plan = context.sequential_plan
         log_odds = result.log_odds
-        ln_x, ln_y = math.log(plan.x), math.log(plan.y)
+        ln_x, ln_y = plan._log_thresholds
         if result.outcome is Outcome.ACCEPT:
             violation = not log_odds >= ln_y
         elif result.outcome is Outcome.REJECT:

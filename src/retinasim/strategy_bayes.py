@@ -41,7 +41,6 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from collections.abc import Sequence
 from itertools import accumulate, islice
 from typing import NamedTuple
 
@@ -218,6 +217,11 @@ class SequentialPlan:
         return rounds
 
     @functools.cached_property
+    def _log_thresholds(self) -> tuple[float, float]:
+        """``(ln x, ln y)``, the log odds at which a session rejects and accepts."""
+        return math.log(self.x), math.log(self.y)
+
+    @functools.cached_property
     def _lattice(self) -> tuple[float, float, float] | None:
         """``(right, wrong, error)`` for a symmetric point pair, ``None`` for
         any other plan.  ``right`` and ``wrong`` are the low spot's
@@ -246,7 +250,7 @@ class SequentialPlan:
         largest = max(map(abs, steps))
         if gap > _LATTICE_ULPS * math.ulp(largest):
             return None
-        reach = max(abs(math.log(self.x)), abs(math.log(self.y))) + largest
+        reach = max(map(abs, self._log_thresholds)) + largest
         return rights[0], wrongs[0], gap + _UNIT_ROUNDOFF * (reach + 3.0 * largest)
 
     def exit_law(
@@ -302,9 +306,11 @@ class ExitLaw:
       ``w = wrong[i]``; it has probability ``mass[i]``, and ``cdf`` holds
       the running sums, for sampling by one uniform.  A walk still inside
       at ``max_rounds`` is a timeout atom, one per live state.
-    * ``levels[n]`` is ``(lo, masses)``: the live band after ``n`` rounds,
-      ``masses[j]`` the probability of standing at ``w = lo + j``.  A path
-      to a given atom is sampled backward through these.
+    * ``levels[n]`` is ``(lo, masses, totals)``, the step out of the live
+      band after ``n`` rounds: ``masses[j]`` is the probability of standing
+      at ``w = lo + j`` (0.0 past the band), and ``totals[j]`` that of
+      standing there a round later, before the exits leave.  A traced
+      session samples its path backward through these (:func:`_traced_exit`).
     * The recursion stops once the live mass is below 2**-53, the step of
       one uniform: the law sampled differs from the exact one by less than
       that in total variation, apart from the rounding of the masses.
@@ -322,7 +328,7 @@ class ExitLaw:
     wrong: tuple[int, ...]
     mass: tuple[float, ...]
     cdf: tuple[float, ...]
-    levels: tuple[tuple[int, tuple[float, ...]], ...]
+    levels: tuple[tuple[int, tuple[float, ...], tuple[float, ...]], ...]
     margin: float
     fold_error: float
 
@@ -340,35 +346,6 @@ class ExitLaw:
         stopping floor falls to the last atom."""
         return min(bisect_right(self.cdf, u), len(self.cdf) - 1)
 
-    def path(self, index: int, uniforms: Sequence[float]) -> list[bool]:
-        """Whether each round of a walk that ends at atom ``index`` was
-        answered wrong, sampled backward through the live bands: the state
-        before a live state ``(n, w)`` is ``(n - 1, w)`` after a right
-        answer or ``(n - 1, w - 1)`` after a wrong one, in proportion to
-        their masses times the step's probability.  ``uniforms[n - 1]``
-        decides round ``n``, where it is not forced: an accepting walk's
-        last answer is right and a rejecting one's wrong."""
-        result = self.results[index]
-        n, w = result.rounds, self.wrong[index]
-        wrong = [False] * n
-        if result.outcome is not Outcome.TIMEOUT:
-            n -= 1
-            if result.outcome is Outcome.REJECT:
-                wrong[n] = True
-                w -= 1
-        keep, cross = 1.0 - self.p_wrong, self.p_wrong
-        levels = self.levels
-        while n > 0:
-            lo, masses = levels[n - 1]
-            j = w - lo
-            stay = masses[j] * keep if j < len(masses) else 0.0
-            step = masses[j - 1] * cross if j > 0 else 0.0
-            n -= 1
-            if uniforms[n] * (stay + step) >= stay:
-                wrong[n] = True
-                w -= 1
-        return wrong
-
 
 @functools.lru_cache(maxsize=64)
 def _exit_law(plan: SequentialPlan, p_wrong: float, max_rounds: int) -> ExitLaw | None:
@@ -381,15 +358,17 @@ def _exit_law(plan: SequentialPlan, p_wrong: float, max_rounds: int) -> ExitLaw 
     if lattice is None:
         return None
     right, wrong, error = lattice
-    ln_x, ln_y = math.log(plan.x), math.log(plan.y)
+    ln_x, ln_y = plan._log_thresholds
     keep, cross = 1.0 - p_wrong, p_wrong
     live: tuple[float, ...] = (1.0,)
     lo = 0
-    levels = [(lo, live)]
+    levels = []
     atoms = []  # (mass, outcome, rounds, wrong)
     margin = math.inf
     for n in range(1, max_rounds + 1):
-        band = [x * keep + y * cross for x, y in zip(live + (0.0,), (0.0,) + live)]
+        padded = live + (0.0,)
+        band = [x * keep + y * cross for x, y in zip(padded, (0.0,) + live)]
+        levels.append((lo, padded, tuple(band)))
         hi = lo + len(band) - 1
         # The reachable lattice points nearest each threshold: the band's
         # ends, and the state beside an end that leaves.
@@ -406,7 +385,6 @@ def _exit_law(plan: SequentialPlan, p_wrong: float, max_rounds: int) -> ExitLaw 
             return None
         margin = min(margin, nearest)
         live = tuple(band)
-        levels.append((lo, live))
         if sum(live) < _UNIT_ROUNDOFF:
             break
     else:
@@ -444,8 +422,9 @@ def run_sequential(
       (:meth:`SequentialPlan.exit_law`): a symmetric point pair.  One
       uniform picks the exit, whose final log odds is the lattice value of
       its right and wrong answers.  A traced session then samples its path
-      backward from that exit, and each round's class after it, so the
-      transcript changes the draws after the exit and never the result;
+      backward from that exit, each round's answer and class in one pass,
+      so the transcript changes the draws after the exit and never the
+      result;
     * on any other plan (band distributions, an asymmetric point pair, a
       plan whose lattice check fails), in blocks of rounds
       (:func:`_block_session`), three uniforms a round.
@@ -477,7 +456,7 @@ def _rule_session(
 ) -> SequentialResult:
     """A session interrogated round by round (:func:`interrogate`), one
     answer of the law a round."""
-    ln_x, ln_y = math.log(plan.x), math.log(plan.y)
+    ln_x, ln_y = plan._log_thresholds
     k, i_tilde, p = plan.k, plan.i_tilde, plan.p
     log_odds, rounds, outcome = 0.0, 0, Outcome.TIMEOUT
     transcript: list[Round] = []
@@ -514,7 +493,7 @@ def _block_session(
     the block size, and a transcript changes no draw.  The honest user at
     the plan's threshold sees with the plan's own probabilities, which are
     computed once."""
-    ln_x, ln_y = math.log(plan.x), math.log(plan.y)
+    ln_x, ln_y = plan._log_thresholds
     (a, b), (c, d) = plan.distribution.low_band, plan.distribution.high_band
     k, i_tilde, p = plan.k, plan.i_tilde, plan.p
     own = honest_threshold(law) == k
@@ -549,28 +528,48 @@ def _traced_exit(
     plan: SequentialPlan, law: AnswerLaw, exits: ExitLaw, index: int,
     rng: np.random.Generator,
 ) -> SequentialResult:
-    """The result of exit atom ``index`` with a transcript: ``2 * rounds``
-    uniforms, the first ``rounds`` for the path (:meth:`ExitLaw.path`) and
-    the rest for each round's class, given whether the round was answered
-    right.  The law sees with probability ``s_low`` on the low spot and
-    ``s_high`` on the high one, so a right answer was on the high spot with
-    probability ``s_high / (s_high + 1 - s_low)``, a wrong one with
-    ``(1 - s_high) / (1 - s_high + s_low)``; a high spot's answer is "seen"
-    exactly when it is right."""
+    """The result of exit atom ``index`` with a transcript, sampled
+    backward in one pass from ``2 * rounds`` uniforms: ``uniforms[n]``
+    decides whether round ``n + 1`` was answered wrong, and
+    ``uniforms[rounds + n]`` its class.  The state before ``(n, w)`` is
+    ``(n - 1, w)`` after a right answer, with probability
+    ``masses[j] * (1 - p_wrong) / totals[j]`` (:class:`ExitLaw`), else
+    ``(n - 1, w - 1)``; an accepting walk's last answer is right and a
+    rejecting one's wrong.  The law sees with probability ``s_low`` on the
+    low spot and ``s_high`` on the high one, so a right answer was on the
+    high spot with probability ``s_high / (s_high + 1 - s_low)``, a wrong
+    one with ``(1 - s_high) / (1 - s_high + s_low)``."""
     result = exits.results[index]
-    rounds = result.rounds
+    rounds, outcome = result.rounds, result.outcome
     uniforms = rng.random(2 * rounds).tolist()
     (low, _), (high, _) = plan.distribution.low_band, plan.distribution.high_band
     s_low = law.p_seen(low * plan.i_tilde, low)
     s_high = law.p_seen(high * plan.i_tilde, high)
-    high_given = (s_high / (s_high + 1.0 - s_low), (1.0 - s_high) / (1.0 - s_high + s_low))
-    low_rounds, high_rounds = plan._edge_rounds[low], plan._edge_rounds[high]
-    # From a list: a tuple grown from a generator fragments the heap.
-    transcript = tuple([
-        high_rounds[not wrong] if u < high_given[wrong] else low_rounds[wrong]
-        for wrong, u in zip(exits.path(index, uniforms), uniforms[rounds:])
-    ])
-    return SequentialResult(result.outcome, rounds, result.log_odds, transcript)
+    high_right = s_high / (s_high + 1.0 - s_low)
+    high_wrong = (1.0 - s_high) / (1.0 - s_high + s_low)
+    # A miss is right on the low spot and wrong on the high one.
+    right_low, wrong_low = plan._edge_rounds[low]
+    wrong_high, right_high = plan._edge_rounds[high]
+    transcript = [None] * rounds
+    levels, n, w = exits.levels, rounds, exits.wrong[index]
+    keep = 1.0 - exits.p_wrong
+    if outcome is not Outcome.TIMEOUT:
+        n -= 1
+        if outcome is Outcome.REJECT:
+            w -= 1
+            transcript[n] = wrong_high if uniforms[rounds + n] < high_wrong else wrong_low
+        else:
+            transcript[n] = right_high if uniforms[rounds + n] < high_right else right_low
+    while n:
+        n -= 1
+        lo, masses, totals = levels[n]
+        j = w - lo
+        if uniforms[n] * totals[j] >= masses[j] * keep:
+            w -= 1
+            transcript[n] = wrong_high if uniforms[rounds + n] < high_wrong else wrong_low
+        else:
+            transcript[n] = right_high if uniforms[rounds + n] < high_right else right_low
+    return SequentialResult(outcome, rounds, result.log_odds, tuple(transcript))
 
 
 def stopping_time_bounds(

@@ -70,6 +70,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -618,6 +619,41 @@ class TestExitLawSessions:
             assert (running <= ln_x) == (result.outcome is Outcome.REJECT)
 
 
+def _two_pass_transcript(plan, law, exits, index, rng):
+    """The transcript of a traced exit-law session sampled in two passes,
+    as it once was: the path backward through the live bands' masses, each
+    step's two terms computed afresh, then each round's class in a second
+    pass."""
+    bands = [(lo, masses[:-1]) for lo, masses, _totals in exits.levels]
+    result = exits.results[index]
+    n = rounds = result.rounds
+    w = exits.wrong[index]
+    uniforms = rng.random(2 * rounds).tolist()
+    wrong = [False] * n
+    if result.outcome is not Outcome.TIMEOUT:
+        n -= 1
+        if result.outcome is Outcome.REJECT:
+            wrong[n] = True
+            w -= 1
+    keep, cross = 1.0 - exits.p_wrong, exits.p_wrong
+    while n > 0:
+        lo, masses = bands[n - 1]
+        j = w - lo
+        stay = masses[j] * keep if j < len(masses) else 0.0
+        step = masses[j - 1] * cross if j > 0 else 0.0
+        n -= 1
+        if uniforms[n] * (stay + step) >= stay:
+            wrong[n] = True
+            w -= 1
+    (low, _), (high, _) = plan.distribution.low_band, plan.distribution.high_band
+    s_low = law.p_seen(low * plan.i_tilde, low)
+    s_high = law.p_seen(high * plan.i_tilde, high)
+    high_given = (s_high / (s_high + 1.0 - s_low), (1.0 - s_high) / (1.0 - s_high + s_low))
+    low_rounds, high_rounds = plan._edge_rounds[low], plan._edge_rounds[high]
+    return tuple(high_rounds[not erred] if u < high_given[erred] else low_rounds[erred]
+                 for erred, u in zip(wrong, uniforms[rounds:]))
+
+
 class TestExitLawPath:
     @pytest.mark.parametrize("subject", ["alice", "faircoin", "uniformp", "echo"])
     def test_tracing_never_changes_the_result(self, subject):
@@ -641,6 +677,39 @@ class TestExitLawPath:
         twin.random(draws)
         assert rng.random(4).tolist() == twin.random(4).tolist()
         assert repr(rng.bit_generator.state) == repr(twin.bit_generator.state)
+
+    @pytest.mark.parametrize("subject", list(_LAW_SUBJECTS))
+    def test_traced_session_reads_two_uniforms_a_round(self, subject):
+        """After its untraced draws, one uniform a round for the path and
+        one for the class."""
+        subject = _LAW_SUBJECTS[subject][0]
+        rng, twin = make_rng(4441), make_rng(4441)
+        result = run_sequential(subject, make_plan(), rng)
+        run_sequential(subject, make_plan(), twin, record_transcript=False)
+        twin.random(2 * result.rounds)
+        assert rng.random(4).tolist() == twin.random(4).tolist()
+        assert repr(rng.bit_generator.state) == repr(twin.bit_generator.state)
+
+    @pytest.mark.parametrize("max_rounds", [10_000, 12], ids=["uncapped", "timeouts"])
+    @pytest.mark.parametrize("subject", ["alice", "faircoin", "echo"])
+    def test_one_pass_matches_the_two_pass_sampler(self, subject, max_rounds):
+        """For every atom of the law, the same transcript, entry for entry,
+        as :func:`_two_pass_transcript` from a twin generator, and the same
+        draws."""
+        plan = make_plan(p_fp=1e-3, p_fn=1e-2)
+        law = open_scope(_LAW_SUBJECTS[subject][0], make_rng(4444))
+        exits = plan.exit_law(law.p_wrong(plan.distribution, plan.i_tilde), max_rounds)
+        outcomes = {result.outcome for result in exits.results}
+        assert (Outcome.TIMEOUT in outcomes) == (max_rounds == 12)
+        for index, result in enumerate(exits.results):
+            rng, twin = make_rng(4445 + index), make_rng(4445 + index)
+            traced = retinasim.strategy_bayes._traced_exit(plan, law, exits, index, rng)
+            reference = _two_pass_transcript(plan, law, exits, index, twin)
+            assert traced.transcript == reference
+            assert all(map(operator.is_, traced.transcript, reference))
+            assert (traced.outcome, traced.rounds, traced.log_odds) == (
+                result.outcome, result.rounds, result.log_odds)
+            assert repr(rng.bit_generator.state) == repr(twin.bit_generator.state)
 
     @pytest.mark.parametrize("subject", [Adaptive(lambda _ctx: 0.5)], ids=["rule"])
     def test_other_sessions_walk_round_by_round(self, subject, monkeypatch):
