@@ -41,7 +41,8 @@ draws, one probability per spot, read from her seeing probability on
 every spot of the map, computed once per map, and the first failing spot
 is found in that vector with one array comparison.  An adaptive impostor
 whose rule declares no law is interrogated round by round, one spot at a
-time.
+time, each spot test's scope opened by
+:func:`~retinasim.subjects.open_scope` as every runner opens its scopes.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ import numpy as np
 from .alpha_map import AlphaMap
 from .errors import ConfigError, DomainError, InfeasibleError, _count, _real
 from .photon_stats import DEFAULT_THRESHOLD, _relative_entropy, gk_inverse
-from .subjects import AnswerLaw, SubjectModel, open_scopes, spot_count_law
+from .subjects import SubjectModel, open_scope, spot_count_law
 
 __all__ = [
     "NaiveTestPlan",
@@ -267,10 +268,11 @@ def run_naive(
     A subject whose count law is the same on every spot (the honest user,
     a fixed or a uniform bias: :func:`~retinasim.subjects.spot_count_law`)
     is drawn from the session's exit law (:func:`_exit_session`) and opens
-    no scope.  For any other subject the ``mu`` scopes are opened at once
-    (:func:`~retinasim.subjects.open_scopes`): ``echo`` is one law for
-    every spot and takes one binomial vector over the chosen spots, and a
-    rule answers round by round, its history starting afresh at each spot.
+    no scope.  ``echo`` declares her seeing probability on each spot and
+    takes one binomial vector over the chosen spots.  Only a rule is asked
+    round by round: each spot test opens its own scope
+    (:func:`~retinasim.subjects.open_scope`, so a rule's per-scope
+    ``session`` is honoured), and its history starts afresh at each spot.
     """
     if alpha_map.n_spots < plan.mu:
         raise ConfigError(
@@ -281,12 +283,11 @@ def run_naive(
     if counts is not None:
         return _exit_session(_exit_law(counts, plan.n_l, plan.n_r, plan.mu), plan, rng)
     spot_indices = rng.choice(alpha_map.n_spots, size=plan.mu, replace=False)
-    law = open_scopes(subject, rng, plan.mu)
-    p_seen = _map_seeing(law, alpha_map, x_star)
+    p_seen = _map_seeing(subject, alpha_map, x_star)
     if p_seen is None:
         see_counts = []
         alphas = alpha_map.alpha[spot_indices]
-        for count in _answer_rounds(law, alphas, plan.nu, x_star, rng):
+        for count in _answer_rounds(subject, alphas, plan.nu, x_star, rng):
             see_counts.append(count)
             if not (plan.n_l < count < plan.n_r):
                 break
@@ -363,35 +364,39 @@ def _exit_session(exits, plan: NaiveTestPlan, rng: np.random.Generator) -> Naive
     )
 
 
-#: Per live map, the last law asked of it, the mean it was asked at, and
-#: that law's seeing probability on every spot of the map.  Keyed weakly:
-#: an entry goes with its map, so no run's array outlives it.
+#: Per live map, the last subject asked of it, the mean it was asked at,
+#: and that subject's seeing probability on every spot of the map.  Keyed
+#: weakly: an entry goes with its map, so no run's array outlives it.
 _MAP_SEEING: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _map_seeing(law: AnswerLaw, alpha_map: AlphaMap, x: float) -> np.ndarray | None:
-    """``law.p_seen(x, alpha)`` on every spot of ``alpha_map`` (``None`` for
-    a rule), computed once per law, map and mean: every session of a run
-    asks for the same array and reads its chosen spots from it.
+def _map_seeing(
+    subject: SubjectModel, alpha_map: AlphaMap, x: float
+) -> np.ndarray | None:
+    """``subject.p_seen(x, alpha)`` on every spot of ``alpha_map`` (``None``
+    for a rule), computed once per subject, map and mean: every session of
+    a run asks for the same array and reads its chosen spots from it.
     ``_gk_array`` computes each spot's value as it would alone, so the
-    spots read equal the law's values on the chosen spots bit for bit."""
+    spots read equal the subject's values on the chosen spots bit for bit."""
     entry = _MAP_SEEING.get(alpha_map)
-    if entry is None or entry[0] is not law or entry[1] != x:
-        entry = _MAP_SEEING[alpha_map] = (law, x, law.p_seen(x, alpha_map.alpha))
+    if entry is None or entry[0] is not subject or entry[1] != x:
+        seeing = subject.p_seen(x, alpha_map.alpha)
+        entry = _MAP_SEEING[alpha_map] = (subject, x, seeing)
     return entry[2]
 
 
 def _answer_rounds(
-    law: AnswerLaw,
+    subject: SubjectModel,
     alphas: np.ndarray,
     nu: int,
     x_star: float,
     rng: np.random.Generator,
 ) -> Iterator[int]:
-    """Per-spot "seen" counts answered round by round, one spot's ``nu``
-    rounds at a time, each spot's answers opened afresh, so a caller that
-    stops at a failing spot answers no later round."""
+    """Per-spot "seen" counts of a rule answered round by round, one spot's
+    ``nu`` rounds at a time, each spot test its own scope
+    (:func:`~retinasim.subjects.open_scope`), so a caller that stops at a
+    failing spot opens and answers no later one."""
     for spot_ordinal, alpha in enumerate(alphas.tolist()):
         i_tilde_spot = x_star / alpha
-        answer = law.answers(rng, spot_ordinal)
+        answer = open_scope(subject, rng).answers(rng, spot_ordinal)
         yield sum(answer(alpha, i_tilde_spot) for _ in range(nu))

@@ -21,24 +21,22 @@ A subject model is an :class:`AliceSubject` or an :class:`EveStrategy`, and
 
 Only this module tells the two apart.  :func:`open_scope` gives each
 answering scope (a session, or a spot test of the per-spot protocol) its
-answer law — the :class:`AliceSubject` herself, a :class:`FixedP` bias (a
-:class:`UniformP` impostor opens a fresh one per scope) or an
-:class:`Adaptive` rule — and :func:`open_scopes` the law of several scopes
-asked alike (the uniform bias draws all their biases at once), while
-:func:`spot_count_law` gives the law of a spot test's count where one law
-serves every spot (the honest user, a fixed bias, the uniform bias), for
-a runner that opens no scope; each law answers the runners' questions:
-``p_seen(x, alpha)``, the chance of "seen" on spots of transmissions
-``alpha`` each pulsed to deposit a mean of ``x`` photons on the honest
-retina, ``p_wrong`` per round of class interrogation, and
-``answers(rng, spot_ordinal)``, one call a round.  Every runner draws a
-session from its law when the law gives its probability, and asks
-``answers`` only of a rule, which gives ``None`` for both unless it
-declares its law, as :class:`Echo`, the perfect-detector impostor, does.
+answer law, of one of two kinds.  A **declared law** — the
+:class:`AliceSubject` herself, a :class:`FixedP` bias (a :class:`UniformP`
+impostor opens a fresh one per scope) or :class:`Echo` — gives the
+probabilities every runner draws its sessions from: ``p_seen(x, alpha)``,
+the chance of "seen" on spots of transmissions ``alpha`` each pulsed to
+deposit a mean of ``x`` photons on the honest retina, ``p_wrong`` per
+round of class interrogation, and ``spot_counts``, the law of a spot
+test's count where one law serves every spot (:func:`spot_count_law`, for
+a runner that opens no scope).  A **rule** (an :class:`Adaptive` that
+declares no law) gives ``None`` for each, and is the only law asked round
+by round, through ``answers(rng, spot_ordinal)``, one call a round.
 :func:`honest_threshold` serves the pattern protocol, which opens no scope.
-:func:`interrogate` runs the round primitive every class-based protocol
-shares: a fair coin picks the hidden class, the transmission value is drawn
-from that class's part of the distribution, and the law answers.
+:func:`interrogate` runs a rule through the round primitive every
+class-based protocol shares: a fair coin picks the hidden class, the
+transmission value is drawn from that class's part of the distribution,
+and the rule answers.
 
 Arguments are checked by the rules of :mod:`retinasim.errors`, each once:
 the threshold and the bias when :class:`AliceSubject` and :class:`FixedP`
@@ -74,7 +72,6 @@ __all__ = [
     "alice_response",
     "honest_threshold",
     "open_scope",
-    "open_scopes",
     "spot_count_law",
     "interrogate",
     "class_seeing_means",
@@ -141,22 +138,15 @@ class EveStrategy:
 
     Runners call :meth:`session` once per scope (one identification session,
     or one spot test for the per-spot protocol) for its answer law: the
-    strategy itself, unless it keeps per-scope state, like the once-drawn
-    bias of :class:`UniformP`, which opens a fresh law.  A plain base class,
-    not an ``abc.ABC``: :func:`open_scope` tests it once per scope, and an
-    abstract class's instance check costs about five times the
-    interpreter's own.
+    strategy itself, unless it keeps per-scope state: :class:`UniformP`
+    opens a fresh bias, and a rule may open a rule of its own.  A plain
+    base class, not an ``abc.ABC``: :func:`open_scope` tests it once per
+    scope, and an abstract class's instance check costs about five times
+    the interpreter's own.
     """
 
     def session(self, rng: np.random.Generator) -> AnswerLaw:
         """The answer law of one fresh scope: the strategy itself."""
-        return self
-
-    def scopes(self, rng: np.random.Generator, n: int) -> AnswerLaw:
-        """The answer law of ``n`` fresh scopes asked alike, each about its
-        own spot: the strategy itself.  A strategy that keeps per-scope
-        state gives both this and :meth:`session`, as :class:`UniformP`
-        does."""
         return self
 
     def spot_counts(self, x: float, nu: int) -> tuple[float, ...] | None:
@@ -197,20 +187,6 @@ class FixedP(EveStrategy):
         """Binomial(``nu``, ``p``) on every spot."""
         return _binomial_pmf(nu, self.p)
 
-    def answers(
-        self, rng: np.random.Generator, spot_ordinal: int = 0
-    ) -> Callable[[float, float], bool]:
-        """The scope's ``answer(alpha, i_tilde) -> saw``: Bernoulli(``p``),
-        reading neither ``alpha`` nor her detector's Poisson(``i_tilde``)
-        count, which is still drawn, in its place in the stream."""
-        poisson, random, p = rng.poisson, rng.random, self.p
-
-        def answer_biased(_alpha: float, i_tilde: float) -> bool:
-            poisson(i_tilde)  # her detector count, which no bias reads
-            return random() < p
-
-        return answer_biased
-
 
 @dataclass(frozen=True)
 class UniformP(EveStrategy):
@@ -227,34 +203,10 @@ class UniformP(EveStrategy):
     def session(self, rng: np.random.Generator) -> FixedP:
         return FixedP(float(rng.random()))
 
-    def scopes(self, rng: np.random.Generator, n: int) -> _ScopeBiases:
-        """The ``n`` scopes' biases in one ``rng.random(n)``, the doubles
-        ``n`` sessions would draw one by one."""
-        return _ScopeBiases(rng.random(n))
-
     def spot_counts(self, x: float, nu: int) -> tuple[float, ...]:
         """Uniform on ``0..nu``: a bias drawn afresh for each spot test
         makes its Binomial(``nu``, bias) count uniform."""
         return _uniform_pmf(nu)
-
-
-class _ScopeBiases(EveStrategy):
-    """The law of ``n`` :class:`UniformP` scopes asked alike: ``p_seen`` is
-    the array of their biases, one per scope in order, and each scope errs
-    with probability 1/2 a round.  It answers no round.  No runner asks
-    for it: a per-spot session of the uniform bias is drawn from its spot
-    count law (:func:`spot_count_law`)."""
-
-    __slots__ = ("p",)
-
-    def __init__(self, p: np.ndarray) -> None:
-        self.p = p
-
-    def p_seen(self, x: float, alpha: np.ndarray) -> np.ndarray:
-        return self.p
-
-    def p_wrong(self, distribution: UniformBands, i_tilde: float) -> float:
-        return 0.5
 
 
 @dataclass(frozen=True)
@@ -265,10 +217,12 @@ class Adaptive(EveStrategy):
     "seen"; returning 0.0 or 1.0 makes the strategy deterministic.  The rule
     can consult past answers and photon counts — nothing else exists in the
     context to consult.  Deciding round by round, its law gives no
-    probability: ``p_seen`` and ``p_wrong`` are ``None``, and every runner
-    asks it round by round.  A rule whose rounds are i.i.d. can say so in a
-    subclass that gives them, as :class:`Echo` does; the runners then draw
-    its sessions from that law.
+    probability: ``p_seen`` and ``p_wrong`` are ``None``, and a runner asks
+    it round by round through :meth:`answers`, which no other law has.  A
+    subclass may override :meth:`session` to open a rule of its own per
+    scope; every runner opens each scope through it.  A rule whose rounds
+    are i.i.d. can say so in a subclass that gives their probabilities, as
+    :class:`Echo` does; the runners then draw its sessions from that law.
     """
 
     rule: Callable[[EveContext], float]
@@ -411,19 +365,6 @@ class AliceSubject:
         deposit ``x`` photons through each spot's transmission."""
         return _binomial_pmf(nu, _seeing(self.k, x))
 
-    def answers(
-        self, rng: np.random.Generator, spot_ordinal: int = 0
-    ) -> Callable[[float, float], bool]:
-        """:func:`alice_response` on ``rng``, her threshold checked when she
-        was made and ``alpha`` and ``i_tilde`` not at all: for a caller that
-        has checked them, as :func:`interrogate` does."""
-        k, poisson = self.k, rng.poisson
-
-        def answer(alpha: float, i_tilde: float) -> bool:
-            return int(poisson(alpha * i_tilde)) >= k
-
-        return answer
-
 
 SubjectModel = Union[AliceSubject, EveStrategy]
 
@@ -455,17 +396,6 @@ def open_scope(subject: SubjectModel, rng: np.random.Generator) -> AnswerLaw:
     return subject
 
 
-def open_scopes(subject: SubjectModel, rng: np.random.Generator, n: int) -> AnswerLaw:
-    """The answer law of ``n`` fresh scopes that a runner asks alike, each
-    about its own spot: the subject itself when it keeps no per-scope
-    state, and for the uniform bias the law of ``n`` biases drawn at once
-    (:meth:`UniformP.scopes`).  :func:`open_scope` opens one scope."""
-    if isinstance(subject, EveStrategy):
-        return subject.scopes(rng, n)
-    honest_threshold(subject)  # raises for a subject of neither kind
-    return subject
-
-
 def spot_count_law(
     subject: SubjectModel, x: float, nu: int
 ) -> tuple[float, ...] | None:
@@ -490,7 +420,8 @@ def alice_response(
 
     The count is Poisson with mean ``alpha * i_tilde``; the flash is seen
     when the count reaches ``k``.  Marginally this is a Bernoulli draw with
-    success probability ``prob_see(alpha, i_tilde, k)``.
+    success probability ``prob_see(alpha, i_tilde, k)``.  No runner calls
+    it: it stays for the per-layer probe that times it.
     """
     alpha = _real("transmission coefficient", alpha, "[0, 1]")
     i_tilde = _real("pulse intensity", i_tilde, "[0, inf)")
@@ -499,23 +430,23 @@ def alice_response(
 
 
 def interrogate(
-    law: AnswerLaw,
+    rule: Adaptive,
     distribution: UniformBands,
     i_tilde: float,
     rng: np.random.Generator,
 ) -> Iterator[tuple[SpotClass, float, bool]]:
-    """Endless class interrogation of one scope, yielding
+    """Endless class interrogation of one scope of a rule, yielding
     ``(spot_class, alpha, saw)`` per round.
 
     Each round a fair coin picks the hidden class, ``alpha`` is drawn from
-    that class's band of ``distribution`` (:func:`class_draws`), and ``law``
-    (from :func:`open_scope`) answers a pulse at the common intensity
-    ``i_tilde``.  The caller decides when to stop.  ``i_tilde`` is checked
-    once, on the first round; every ``alpha`` the bands draw already lies
-    in (0, 1].
+    that class's band of ``distribution`` (:func:`class_draws`), and
+    ``rule`` (the law :func:`open_scope` opened) answers a pulse at the
+    common intensity ``i_tilde``.  The caller decides when to stop.
+    ``i_tilde`` is checked once, on the first round; every ``alpha`` the
+    bands draw already lies in (0, 1].
     """
     i_tilde = _real("pulse intensity", i_tilde, "[0, inf)")
-    answer = law.answers(rng)
+    answer = rule.answers(rng)
     for alpha, spot_class in class_draws(distribution, rng):
         yield spot_class, alpha, answer(alpha, i_tilde)
 

@@ -17,6 +17,8 @@ import numpy as np
 from retinasim import DomainError, SequentialPlan, gk
 from retinasim.subjects import SubjectModel, honest_threshold, interrogate, open_scope
 
+from per_round import per_round
+
 
 def _likelihood_ratio(p_see: float, saw: bool, p: float) -> float:
     """Z_A / Z_E for one answer: the honest-user likelihood of the answer
@@ -64,7 +66,8 @@ def martingale_diagnostics(
 
     Walks are run *without* stopping (the martingale property concerns the
     unstopped chain).  For impostor subjects the statistic is R_n itself;
-    for the honest user it is 1/R_n.
+    for the honest user it is 1/R_n.  The rounds are those of the subject's
+    per-round twin (:func:`per_round.per_round`).
     """
     if horizon < 1:
         raise DomainError(f"horizon must be >= 1, got {horizon}")
@@ -72,11 +75,12 @@ def martingale_diagnostics(
         raise DomainError(f"need at least 2 trials, got {n_trials}")
     checkpoints = sorted({1, max(1, horizon // 2), horizon})
     is_eve = honest_threshold(subject) is None
+    twin = per_round(subject)
     sums = {n: 0.0 for n in checkpoints}
     sumsq = {n: 0.0 for n in checkpoints}
     for _trial in range(n_trials):
         ratio = 1.0
-        interrogation = interrogate(open_scope(subject, rng), plan.distribution,
+        interrogation = interrogate(open_scope(twin, rng), plan.distribution,
                                     plan.i_tilde, rng)
         for n, (_cls, alpha, saw) in enumerate(islice(interrogation, horizon), 1):
             ratio *= _likelihood_ratio(gk(plan.k, alpha * plan.i_tilde), saw, plan.p)

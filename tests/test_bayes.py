@@ -68,7 +68,6 @@ The martingale diagnostics walk their own round-by-round loop
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 import operator
 from fractions import Fraction
@@ -83,7 +82,6 @@ from retinasim import (
     ConfigError,
     DomainError,
     Echo,
-    EveStrategy,
     FixedP,
     Outcome,
     PointPair,
@@ -108,10 +106,11 @@ from retinasim import (
 import retinasim.strategy_bayes
 from retinasim.photon_stats import _gk_array
 from retinasim.strategy_bayes import _log_increment
-from retinasim.subjects import _echo, class_seeing_means, interrogate, open_scope
+from retinasim.subjects import class_seeing_means, interrogate, open_scope
 
 from conftest import g_test_pvalue, make_rng, two_sample_g_pvalue
 from martingale import martingale_diagnostics
+from per_round import per_round
 
 Q_STAR, I_STAR = solve_q_intensity(0.05, 0.15, 6)
 POINT_PAIR = PointPair(0.05, 0.15)
@@ -513,14 +512,15 @@ class TestExitLaw:
 
 def _per_round_session(subject, plan, rng, max_rounds=10_000):
     """``(outcome, rounds, first round)`` of a session walked round by
-    round: :func:`interrogate` driven by the subject's own answer law, each
-    increment the scalar :func:`_log_increment` of the scalar ``gk``, the
-    kernel every law-level session ran before it was drawn from its exit
-    law or in blocks; the first round as ``(high class, saw)``."""
+    round: :func:`interrogate` driven by the subject's per-round twin
+    (:func:`per_round.per_round`), each increment the scalar
+    :func:`_log_increment` of the scalar ``gk``, the kernel every law-level
+    session ran before it was drawn from its exit law or in blocks; the
+    first round as ``(high class, saw)``."""
     ln_x, ln_y = math.log(plan.x), math.log(plan.y)
     log_odds, first = 0.0, None
-    interrogation = interrogate(open_scope(subject, rng), plan.distribution,
-                                plan.i_tilde, rng)
+    interrogation = interrogate(open_scope(per_round(subject), rng),
+                                plan.distribution, plan.i_tilde, rng)
     for rounds, (spot_class, alpha, saw) in enumerate(interrogation, 1):
         first = first or (spot_class is SpotClass.HIGH, saw)
         log_odds += _log_increment(gk(plan.k, alpha * plan.i_tilde), saw, plan.p)
@@ -530,25 +530,14 @@ def _per_round_session(subject, plan, rng, max_rounds=10_000):
             return (Outcome.REJECT if log_odds <= ln_x else Outcome.TIMEOUT), rounds, first
 
 
-class _PerRoundUniformP(EveStrategy):
-    """The uniform bias handed over as an Adaptive rule: drawn once per
-    session, as in UniformP, then answered round by round."""
-
-    def session(self, rng):
-        p = float(rng.random())
-        return Adaptive(lambda _ctx: p)
-
-
-#: Each subject whose point-pair sessions are drawn from the exit law, its
-#: per-round twin, and the chance each sees the low and the high spot.
+#: Each subject whose point-pair sessions are drawn from the exit law, and
+#: the chance it sees the low and the high spot.
 _LAW_SUBJECTS = {
-    "alice": (AliceSubject(), AliceSubject(),
-              (gk(6, 0.05 * I_STAR), gk(6, 0.15 * I_STAR))),
-    "faircoin": (FixedP(0.5), Adaptive(lambda _ctx: 0.5), (0.5, 0.5)),
-    "fixedp:0.3": (FixedP(0.3), Adaptive(lambda _ctx: 0.3), (0.3, 0.3)),
-    "uniformp": (UniformP(), _PerRoundUniformP(), (0.5, 0.5)),
-    "echo": (Echo(6), Adaptive(functools.partial(_echo, 6)),
-             (gk(6, I_STAR), gk(6, I_STAR))),
+    "alice": (AliceSubject(), (gk(6, 0.05 * I_STAR), gk(6, 0.15 * I_STAR))),
+    "faircoin": (FixedP(0.5), (0.5, 0.5)),
+    "fixedp:0.3": (FixedP(0.3), (0.3, 0.3)),
+    "uniformp": (UniformP(), (0.5, 0.5)),
+    "echo": (Echo(6), (gk(6, I_STAR), gk(6, I_STAR))),
 }
 
 
@@ -568,12 +557,13 @@ class TestExitLawSessions:
 
     @pytest.fixture(scope="class", params=list(_LAW_SUBJECTS))
     def drawn(self, request):
-        subject, twin, seeing = _LAW_SUBJECTS[request.param]
+        subject, seeing = _LAW_SUBJECTS[request.param]
         plan = make_plan()
         rng = make_rng(4331)
         law = [run_sequential(subject, plan, rng) for _ in range(self.SESSIONS)]
         rng = make_rng(4332)
-        loop = [_per_round_session(twin, plan, rng) for _ in range(self.TWIN_SESSIONS)]
+        loop = [_per_round_session(subject, plan, rng)
+                for _ in range(self.TWIN_SESSIONS)]
         p_wrong = 0.5 * (seeing[0] + 1.0 - seeing[1])
         return plan, law, loop, plan.exit_law(p_wrong), seeing
 
@@ -831,25 +821,21 @@ class TestBlockSessions:
             assert repr(rng.bit_generator.state) == repr(twin.bit_generator.state)
 
 
-#: Each block-drawn subject, its distribution and intensity, the per-round
-#: twin it is tested against, and its chance of "seen" on each class at
-#: the plan's intensity: the class means of ``gk`` for the honest user,
-#: the bias for a biased impostor (the uniform bias's, marginally, 1/2),
-#: and for ``echo``, whose count reads no transmission, gk(6, i_tilde).
+#: Each block-drawn subject, tested against its per-round twin
+#: (:func:`per_round.per_round`), with its distribution and intensity and
+#: its chance of "seen" on each class at the plan's intensity: the class
+#: means of ``gk`` for the honest user, the bias for a biased impostor (the
+#: uniform bias's, marginally, 1/2), and for ``echo``, whose count reads no
+#: transmission, gk(6, i_tilde).
 _BLOCK_LAW_SUBJECTS = {
-    "bands-alice": (BANDS, None, AliceSubject(), AliceSubject(),
-                    class_seeing_means(BANDS, I_STAR, 6)),
-    "bands-faircoin": (BANDS, None, FixedP(0.5), Adaptive(lambda _ctx: 0.5),
-                       (0.5, 0.5)),
-    "bands-fixedp:0.3": (BANDS, None, FixedP(0.3), Adaptive(lambda _ctx: 0.3),
-                         (0.3, 0.3)),
-    "bands-uniformp": (BANDS, None, UniformP(), _PerRoundUniformP(), (0.5, 0.5)),
-    "bands-echo": (BANDS, None, Echo(6), Adaptive(functools.partial(_echo, 6)),
-                   (gk(6, I_STAR), gk(6, I_STAR))),
-    "asymmetric-alice": (POINT_PAIR, 70.0, AliceSubject(), AliceSubject(),
+    "bands-alice": (BANDS, None, AliceSubject(), class_seeing_means(BANDS, I_STAR, 6)),
+    "bands-faircoin": (BANDS, None, FixedP(0.5), (0.5, 0.5)),
+    "bands-fixedp:0.3": (BANDS, None, FixedP(0.3), (0.3, 0.3)),
+    "bands-uniformp": (BANDS, None, UniformP(), (0.5, 0.5)),
+    "bands-echo": (BANDS, None, Echo(6), (gk(6, I_STAR), gk(6, I_STAR))),
+    "asymmetric-alice": (POINT_PAIR, 70.0, AliceSubject(),
                          (gk(6, 0.05 * 70.0), gk(6, 0.15 * 70.0))),
-    "asymmetric-faircoin": (POINT_PAIR, 70.0, FixedP(0.5), Adaptive(lambda _ctx: 0.5),
-                            (0.5, 0.5)),
+    "asymmetric-faircoin": (POINT_PAIR, 70.0, FixedP(0.5), (0.5, 0.5)),
 }
 
 
@@ -872,14 +858,15 @@ class TestBlockSessionLaw:
 
     @pytest.fixture(scope="class", params=list(_BLOCK_LAW_SUBJECTS))
     def drawn(self, request):
-        distribution, i_tilde, subject, twin, seeing = _BLOCK_LAW_SUBJECTS[request.param]
+        distribution, i_tilde, subject, seeing = _BLOCK_LAW_SUBJECTS[request.param]
         samples = []
         for seed, targets in ((4561, (1e-10, 1e-4)), (4563, (0.02, 0.02))):
             plan = make_plan(distribution, *targets, i_tilde=i_tilde)
             rng = make_rng(seed)
             blocks = [run_sequential(subject, plan, rng) for _ in range(self.SESSIONS)]
             rng = make_rng(seed + 1)
-            walks = [_per_round_session(twin, plan, rng) for _ in range(self.TWIN_SESSIONS)]
+            walks = [_per_round_session(subject, plan, rng)
+                     for _ in range(self.TWIN_SESSIONS)]
             samples.append((blocks, walks))
         return samples, seeing
 

@@ -91,7 +91,6 @@ from retinasim import (
     AliceSubject,
     ConfigError,
     DomainError,
-    EveStrategy,
     FixedP,
     InfeasibleError,
     NaiveResult,
@@ -118,11 +117,11 @@ from retinasim.subjects import (
     _echo,
     _uniform_pmf,
     open_scope,
-    open_scopes,
     spot_count_law,
 )
 
 from conftest import g_test_pvalue, make_rng, two_sample_g_pvalue
+from per_round import per_round
 
 # Published working point: 50 spots at 50 pulses each, tuned to a coin-flip
 # seeing probability, with a 1e-10 impostor budget.
@@ -508,27 +507,13 @@ class TestRunNaive:
             run_naive(AliceSubject(), tiny, plan, make_rng(4108))
 
 
-class _PerRoundUniformP(EveStrategy):
-    """The uniform-bias law answered round by round: the bias is drawn once
-    per spot test, as in UniformP, but handed over as an Adaptive rule, so
-    the session's law gives no per-round probability."""
-
-    def session(self, rng):
-        p = float(rng.random())
-        return Adaptive(lambda _ctx: p)
-
-    def scopes(self, rng, n):
-        biases = rng.random(n).tolist()
-        return Adaptive(lambda ctx: biases[ctx.spot_ordinal])
-
-
 class TestLawLevelDraws:
     """The honest user's per-spot counts, and those of every biased impostor
     session, are drawn from the session's exit law (:class:`TestExitLaw`),
     and ``echo``'s are one vector of binomial draws (:class:`TestEchoLaw`);
     an adaptive impostor whose rule declares no law keeps the per-round
-    path.  The counts must follow the exact law, and match the per-round
-    path's counts where both can run.
+    path.  The counts must follow the exact law, and match the counts of
+    the subject's per-round twin (:func:`per_round.per_round`).
 
     Pooling every recorded count of a session is fair: whether spot j is
     reached depends only on the spots before it, so each recorded count has
@@ -598,8 +583,7 @@ class TestLawLevelDraws:
         pmf = stats.binom.pmf(range(plan.nu + 1), plan.nu, 0.5)
         assert g_test_pvalue(counts, pmf) > 1e-3
 
-        twin = self._counts(Adaptive(lambda _ctx: 0.5), default_map,
-                            4122, 60)
+        twin = self._counts(per_round(FixedP(0.5)), default_map, 4122, 60)
         assert g_test_pvalue(self._pooled(twin), pmf) > 1e-3
         assert two_sample_g_pvalue(counts, self._pooled(twin), plan.nu + 1) > 1e-3
 
@@ -609,7 +593,7 @@ class TestLawLevelDraws:
         counts = self._pooled(self._counts(UniformP(), default_map,
                                            4123, 3000))
         assert g_test_pvalue(counts, uniform) > 1e-3
-        twin = self._pooled(self._counts(_PerRoundUniformP(), default_map,
+        twin = self._pooled(self._counts(per_round(UniformP()), default_map,
                                          4124, 1500))
         assert g_test_pvalue(twin, uniform) > 1e-3
         assert two_sample_g_pvalue(counts, twin, nu + 1) > 1e-3
@@ -629,37 +613,60 @@ class TestLawLevelDraws:
             (s, r) for s in range(result.spots_tested) for r in range(plan.nu)
         ]
 
-    @pytest.mark.parametrize("name, opened", [
+    @pytest.mark.parametrize("name, read", [
         ("alice", 0), ("eve:faircoin", 0), ("eve:fixedp:0.3", 0), ("eve:uniformp", 0),
         ("eve:echo", 1),
     ])
     def test_law_subjects_open_no_scope(
-        self, name, opened, default_map, monkeypatch
+        self, name, read, default_map, monkeypatch
     ):
-        """A subject with one count law on every spot is drawn from its exit
-        law and opens no scope; ``echo`` keeps no per-scope state and is
-        one law for every spot test, opened once."""
+        """No subject that declares its law opens a scope.  One with one
+        count law on every spot is drawn from its exit law; ``echo`` reads
+        her seeing probability on the chosen spots from one map-wide array
+        per session."""
         calls = []
-        open_scopes = strategy_naive.open_scopes
-        monkeypatch.setattr(strategy_naive, "open_scopes",
-                            lambda subject, rng, n: calls.append(
-                                (subject, n, open_scopes(subject, rng, n))) or calls[-1][2])
+        map_seeing = strategy_naive._map_seeing
+        monkeypatch.setattr(strategy_naive, "open_scope", None)
+        monkeypatch.setattr(strategy_naive, "_map_seeing",
+                            lambda *args: calls.append(args) or map_seeing(*args))
         subject = build_subject(name, 6)
         run_naive(subject, default_map, _published_plan(), make_rng(4127))
-        assert len(calls) == opened
-        assert all(law is subject and n == PUBLISHED["mu"] for _s, n, law in calls)
+        assert len(calls) == read
+        assert all(law is subject for law, _map, _x in calls)
+
+    def test_rule_opens_each_spot_test_through_its_session(self, default_map):
+        """A rule that opens a rule of its own per scope (``session``, the
+        hook the bayes and serial runners call once per session) is asked
+        through it once per spot tested, and answers with what it opened,
+        never with its base rule."""
+        opened = []
+
+        def spot_rule(seen):
+            return Adaptive(lambda ctx: 1.0 if ctx.round_index < seen else 0.0)
+
+        class PerSpot(Adaptive):
+            def session(self, rng):
+                opened.append(len(opened))
+                return spot_rule(10 if len(opened) < 4 else 0)
+
+        plan = NaiveTestPlan(nu=20, mu=5, p_c=0.5, n_l=0, n_r=20)
+        result = run_naive(PerSpot(lambda _ctx: 1.0), default_map, plan, make_rng(4128))
+        assert result.see_counts == (10, 10, 10, 0)
+        assert not result.accepted and result.spots_tested == len(opened) == 4
 
 
 def _per_spot_session(subject, alpha_map, plan, rng):
     """A session as the runner drew it before its exit law, kept as the
     oracle of that law: ``choice`` of the mu spots, the mu scopes opened at
-    once (the uniform bias draws its mu biases), one ``binomial`` vector of
-    the mu counts, cut at the first failing spot."""
+    once (the uniform bias draws its mu biases in one ``random(mu)``), one
+    ``binomial`` vector of the mu counts, cut at the first failing spot."""
     x_star = strategy_naive._tuned_mean(6, plan.p_c)
     spots = rng.choice(alpha_map.n_spots, size=plan.mu, replace=False)
-    law = open_scopes(subject, rng, plan.mu)
-    counts = rng.binomial(plan.nu, law.p_seen(x_star, alpha_map.alpha[spots]),
-                          size=plan.mu)
+    if isinstance(subject, UniformP):
+        seeing = rng.random(plan.mu)
+    else:
+        seeing = subject.p_seen(x_star, alpha_map.alpha[spots])
+    counts = rng.binomial(plan.nu, seeing, size=plan.mu)
     failed = np.flatnonzero((counts <= plan.n_l) | (counts >= plan.n_r))
     see_counts = tuple(counts[: failed[0] + 1 if failed.size else plan.mu].tolist())
     return NaiveResult(accepted=not failed.size, spots_tested=len(see_counts),
@@ -681,9 +688,9 @@ def _per_scope_uniform_session(alpha_map, plan, rng):
 
 
 class TestScopesOpenedAtOnce:
-    """The uniform bias's mu scopes take their biases from one
-    ``random(mu)``: the doubles mu scalar draws give, so the per-spot
-    oracle's uniform-bias sessions (:func:`_per_spot_session`) are the
+    """The per-spot oracle (:func:`_per_spot_session`) opens the uniform
+    bias's mu scopes at once, their biases from one ``random(mu)``: the
+    doubles mu scalar draws give, so its uniform-bias sessions are the
     per-scope form's, draw for draw."""
 
     @pytest.mark.parametrize("offset", [0, 1, 3, 4, 5])
@@ -705,16 +712,6 @@ class TestScopesOpenedAtOnce:
             result = _per_spot_session(UniformP(), default_map, plan, rng)
             assert result.see_counts == _per_scope_uniform_session(default_map, plan, twin)
             assert repr(rng.bit_generator.state) == repr(twin.bit_generator.state)
-
-    def test_biases_are_the_law_of_their_scopes(self):
-        law = open_scopes(UniformP(), make_rng(4153), 5)
-        biases = law.p_seen(60.0, np.full(5, 0.1))
-        assert biases.tolist() == make_rng(4153).random(5).tolist()
-        assert law.p_wrong(None, 60.0) == 0.5
-        for subject in (AliceSubject(), FixedP(0.3), Adaptive(lambda _ctx: 0.5)):
-            assert open_scopes(subject, make_rng(4154), 5) is subject
-        with pytest.raises(DomainError, match="unknown subject"):
-            open_scopes(object(), make_rng(4155), 5)
 
 
 def _exact_window_mass(pmf, plan) -> Fraction:

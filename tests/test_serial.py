@@ -52,7 +52,6 @@ check                                                      false-failure
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -65,7 +64,6 @@ from retinasim import (
     Adaptive,
     AliceSubject,
     DomainError,
-    EveStrategy,
     FixedP,
     InfeasibleError,
     PointPair,
@@ -80,9 +78,8 @@ from retinasim import (
     solve_w_N,
 )
 
-from retinasim.subjects import _echo
-
 from conftest import g_test_pvalue, make_rng, two_sample_g_pvalue
+from per_round import per_round
 
 # Jointly solved symmetric operating point for the (0.05, 0.15) pair at the
 # default perception threshold; pinned in the photon-statistics tests.
@@ -384,16 +381,6 @@ class TestRunSerial:
             )
 
 
-class _PerRoundUniformP(EveStrategy):
-    """The uniform-bias law answered round by round: the bias is drawn once
-    per session, as in UniformP, but handed over as an Adaptive rule, so the
-    session's law gives no per-round probability."""
-
-    def session(self, rng):
-        p = float(rng.random())
-        return Adaptive(lambda _ctx: p)
-
-
 def _philox_counter(rng) -> int:
     words = rng.bit_generator.state["state"]["counter"]
     return sum(int(word) << (64 * i) for i, word in enumerate(words))
@@ -445,21 +432,20 @@ class TestLawLevelDraws:
         assert g_test_pvalue(counts, stats.binom.pmf(range(n + 1), n, q_bar)) > 1e-3
 
     @pytest.mark.parametrize(
-        "strategy,twin",
-        [(FixedP(0.5), Adaptive(lambda _ctx: 0.5)), (UniformP(), _PerRoundUniformP()),
-         (build_subject("eve:echo", 6), Adaptive(functools.partial(_echo, 6)))],
+        "strategy", [FixedP(0.5), UniformP(), build_subject("eve:echo", 6)],
         ids=["faircoin", "uniformp", "echo"],
     )
-    def test_biased_impostor_count_is_fair_binomial(self, strategy, twin, default_map):
+    def test_biased_impostor_count_is_fair_binomial(self, strategy, default_map):
         """A biased impostor's count, and ``echo``'s, whose answers read only
-        her own detector count, are Bin(N, 1/2); each twin is the same law
-        without a declared probability, answered round by round."""
+        her own detector count, are Bin(N, 1/2); each per-round twin
+        (:func:`per_round.per_round`) is the same law without a declared
+        probability, answered round by round."""
         n = self.PLAN.n_rounds
         counts = self._wrong_counts(strategy, default_map, 4261, 4000)
         assert g_test_pvalue(counts, stats.binom.pmf(range(n + 1), n, 0.5)) > 1e-3
-        per_round = self._wrong_counts(twin, default_map, 4262, 1500)
-        assert g_test_pvalue(per_round, stats.binom.pmf(range(n + 1), n, 0.5)) > 1e-3
-        assert two_sample_g_pvalue(counts, per_round, n + 1) > 1e-3
+        twin = self._wrong_counts(per_round(strategy), default_map, 4262, 1500)
+        assert g_test_pvalue(twin, stats.binom.pmf(range(n + 1), n, 0.5)) > 1e-3
+        assert two_sample_g_pvalue(counts, twin, n + 1) > 1e-3
 
     @pytest.mark.parametrize("distribution", [
         POINT_PAIR, UniformBands((0.02, 0.05), (0.15, 0.18)),

@@ -29,8 +29,10 @@ each class's count mean and variance)              approximation,
 
 import dataclasses
 import functools
+import json
 import math
 import pickle
+import sys
 from itertools import islice
 
 import numpy as np
@@ -50,12 +52,16 @@ from retinasim import (
     alice_response,
     build_subject,
     gk,
+    montecarlo,
     parse_eve_strategy,
     prepare,
     prob_see,
     run_session,
+    run_trial,
     trial_rng,
 )
+from retinasim.cli import main
+from retinasim.harness import STRATEGIES
 
 from retinasim.photon_stats import _gk_array
 from retinasim.subjects import _echo, class_seeing_means, interrogate, open_scope
@@ -442,3 +448,58 @@ class TestEcho:
         echo = pickle.loads(pickle.dumps(Echo(7)))
         assert type(echo) is Echo and echo.k == 7
         assert echo.rule(EveContext(0, 7)) == 1.0 and echo.rule(EveContext(0, 6)) == 0.0
+
+
+class _AskedRoundByRound(AssertionError):
+    """A subject was asked for one round's answer."""
+
+
+def _ask_round_by_round(*_args, **_kwargs):
+    raise _AskedRoundByRound
+
+
+_LAW_SUBJECT_NAMES = ("alice", "eve:faircoin", "eve:fixedp:0.3", "eve:uniformp",
+                      "eve:echo")
+_TRAFFIC_PLANS = {
+    "point-pair": {},
+    "bands": {"distribution": "uniform_bands"},
+    "asymmetric": {"i_tilde": 70.0},
+}
+_TRAFFIC_CELLS = [
+    (strategy, subject, plan)
+    for strategy in STRATEGIES
+    for plan in _TRAFFIC_PLANS
+    if plan != "asymmetric" or strategy in ("bayes", "serial")
+    for subject in _LAW_SUBJECT_NAMES
+]
+
+
+@pytest.mark.parametrize("strategy, subject, plan", _TRAFFIC_CELLS,
+                         ids=["-".join(cell) for cell in _TRAFFIC_CELLS])
+def test_only_a_rule_is_asked_round_by_round(strategy, subject, plan, tmp_path,
+                                             monkeypatch):
+    """Every subject that declares its law runs ``montecarlo`` trials,
+    traced and untraced, and an ``identify`` session, with every per-round
+    entry point raising: ``Adaptive.answers``, the only one a subject has,
+    and ``interrogate`` wherever it is bound.  A rule, the positive
+    control, reaches them in every strategy that asks its subject."""
+    monkeypatch.setattr(Adaptive, "answers", _ask_round_by_round)
+    for name, module in list(sys.modules.items()):
+        bound = name.startswith("retinasim") and getattr(module, "interrogate", None)
+        if bound is interrogate:
+            monkeypatch.setattr(module, "interrogate", _ask_round_by_round)
+    fields = dict(strategy=strategy, subject=subject, map_width=40, map_height=40,
+                  trials=6, walk_trace_limit=3, master_seed=4620, **_TRAFFIC_PLANS[plan])
+    stats, _records = montecarlo(RunConfig(**fields))
+    assert stats.n_trials == 6
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(fields))
+    assert main(["identify", "--config", str(path)]) in (0, 1)
+    if not STRATEGIES[strategy].asks_subject:
+        return
+    context = prepare(RunConfig(**fields))
+    rule = dataclasses.replace(context, subject=Adaptive(lambda _ctx: 0.5))
+    with pytest.raises(_AskedRoundByRound):
+        run_trial(rule, 0)
+    with pytest.raises(_AskedRoundByRound):
+        main(["identify", "--config", str(path), "--subject", "interactive"])
