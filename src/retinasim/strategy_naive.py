@@ -33,16 +33,15 @@ accepted with probability w**mu.  One uniform picks J by inversion on that
 law, which fixes the decision and the pulses spent, and J more give the
 counts by inversion on the count law given the window (the spots that
 pass) and given outside it (the one that fails); no spot is chosen, since
-no spot's transmission reaches such a count.  ``echo``, who sees when her
-own detector counts k of the pulse's x*/alpha_s photons, passes each spot
-with its own probability: after the spots are sampled (``rng.choice``),
-her counts are one vector of Binomial(nu, P(Poisson(x*/alpha_s) >= k))
-draws, one probability per spot, read from her seeing probability on
-every spot of the map, computed once per map, and the first failing spot
-is found in that vector with one array comparison.  An adaptive impostor
-whose rule declares no law is interrogated round by round, one spot at a
-time, each spot test's scope opened by
-:func:`~retinasim.subjects.open_scope` as every runner opens its scopes.
+no spot's transmission reaches such a count.  Any other subject is asked
+spot by spot, after the spots are sampled (``rng.choice``), up to the first
+failing one: each spot test opens its own scope
+(:func:`~retinasim.subjects.open_scope`) and asks the law it opened.  A law
+that declares its seeing probability (``echo``, who sees when her own
+detector counts k of the pulse's x*/alpha_s photons, or a bias) gives the
+count as one Binomial(nu, p) draw, p read from that law's seeing
+probability on every spot of the map, computed once per law and map.  A
+rule is answered round by round, its history starting afresh each spot.
 """
 
 from __future__ import annotations
@@ -52,14 +51,13 @@ import math
 import weakref
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from .alpha_map import AlphaMap
 from .errors import ConfigError, DomainError, InfeasibleError, _count, _real
 from .photon_stats import DEFAULT_THRESHOLD, _relative_entropy, gk_inverse
-from .subjects import SubjectModel, open_scope, spot_count_law
+from .subjects import AnswerLaw, SubjectModel, open_scope, spot_count_law
 
 __all__ = [
     "NaiveTestPlan",
@@ -268,11 +266,12 @@ def run_naive(
     A subject whose count law is the same on every spot (the honest user,
     a fixed or a uniform bias: :func:`~retinasim.subjects.spot_count_law`)
     is drawn from the session's exit law (:func:`_exit_session`) and opens
-    no scope.  ``echo`` declares her seeing probability on each spot and
-    takes one binomial vector over the chosen spots.  Only a rule is asked
-    round by round: each spot test opens its own scope
-    (:func:`~retinasim.subjects.open_scope`, so a rule's per-scope
-    ``session`` is honoured), and its history starts afresh at each spot.
+    no scope.  Any other subject opens each spot test's scope in turn
+    (:func:`~retinasim.subjects.open_scope`, so a per-scope ``session`` is
+    honoured) and that law is asked, up to the first failing spot: a law
+    that gives ``p_seen`` (``echo``, or a bias) takes one binomial draw for
+    the spot, and a rule is asked round by round, its history starting
+    afresh at each spot.
     """
     if alpha_map.n_spots < plan.mu:
         raise ConfigError(
@@ -282,19 +281,20 @@ def run_naive(
     counts = spot_count_law(subject, x_star, plan.nu)
     if counts is not None:
         return _exit_session(_exit_law(counts, plan.n_l, plan.n_r, plan.mu), plan, rng)
-    spot_indices = rng.choice(alpha_map.n_spots, size=plan.mu, replace=False)
-    p_seen = _map_seeing(subject, alpha_map, x_star)
-    if p_seen is None:
-        see_counts = []
-        alphas = alpha_map.alpha[spot_indices]
-        for count in _answer_rounds(subject, alphas, plan.nu, x_star, rng):
-            see_counts.append(count)
-            if not (plan.n_l < count < plan.n_r):
-                break
-    else:
-        counts = rng.binomial(plan.nu, p_seen[spot_indices], size=plan.mu)
-        failed = np.flatnonzero((counts <= plan.n_l) | (counts >= plan.n_r))
-        see_counts = counts[: failed[0] + 1 if failed.size else plan.mu].tolist()
+    see_counts = []
+    spots = rng.choice(alpha_map.n_spots, size=plan.mu, replace=False).tolist()
+    for spot_ordinal, spot in enumerate(spots):
+        law = open_scope(subject, rng)
+        seeing = _map_seeing(law, alpha_map, x_star)
+        if seeing is None:  # a rule, asked round by round
+            alpha = float(alpha_map.alpha[spot])
+            answer = law.answers(rng, spot_ordinal)
+            count = sum(answer(alpha, x_star / alpha) for _ in range(plan.nu))
+        else:
+            count = int(rng.binomial(plan.nu, seeing[spot]))
+        see_counts.append(count)
+        if not plan.n_l < count < plan.n_r:
+            break
     return NaiveResult(
         accepted=plan.n_l < see_counts[-1] < plan.n_r,
         spots_tested=len(see_counts),
@@ -364,39 +364,23 @@ def _exit_session(exits, plan: NaiveTestPlan, rng: np.random.Generator) -> Naive
     )
 
 
-#: Per live map, the last subject asked of it, the mean it was asked at,
-#: and that subject's seeing probability on every spot of the map.  Keyed
-#: weakly: an entry goes with its map, so no run's array outlives it.
+#: Per live map, the last law asked of it, the mean it was asked at, and
+#: that law's seeing probability on every spot of the map.  Keyed weakly:
+#: an entry goes with its map, so no run's array outlives it.
 _MAP_SEEING: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _map_seeing(
-    subject: SubjectModel, alpha_map: AlphaMap, x: float
-) -> np.ndarray | None:
-    """``subject.p_seen(x, alpha)`` on every spot of ``alpha_map`` (``None``
-    for a rule), computed once per subject, map and mean: every session of
-    a run asks for the same array and reads its chosen spots from it.
+def _map_seeing(law: AnswerLaw, alpha_map: AlphaMap, x: float) -> np.ndarray | None:
+    """``law.p_seen(x, alpha)`` on every spot of ``alpha_map``: ``None`` for
+    a rule, and a bias's one probability on every spot.  Computed once per
+    law, map and mean: every spot test of a law that is its own scope's law
+    (``echo``) asks for the same array and reads its spot from it.
     ``_gk_array`` computes each spot's value as it would alone, so the
-    spots read equal the subject's values on the chosen spots bit for bit."""
+    spot read equals the law's value on that spot bit for bit."""
     entry = _MAP_SEEING.get(alpha_map)
-    if entry is None or entry[0] is not subject or entry[1] != x:
-        seeing = subject.p_seen(x, alpha_map.alpha)
-        entry = _MAP_SEEING[alpha_map] = (subject, x, seeing)
+    if entry is None or entry[0] is not law or entry[1] != x:
+        seeing = law.p_seen(x, alpha_map.alpha)
+        if seeing is not None:
+            seeing = np.broadcast_to(seeing, alpha_map.alpha.shape)
+        entry = _MAP_SEEING[alpha_map] = (law, x, seeing)
     return entry[2]
-
-
-def _answer_rounds(
-    subject: SubjectModel,
-    alphas: np.ndarray,
-    nu: int,
-    x_star: float,
-    rng: np.random.Generator,
-) -> Iterator[int]:
-    """Per-spot "seen" counts of a rule answered round by round, one spot's
-    ``nu`` rounds at a time, each spot test its own scope
-    (:func:`~retinasim.subjects.open_scope`), so a caller that stops at a
-    failing spot opens and answers no later one."""
-    for spot_ordinal, alpha in enumerate(alphas.tolist()):
-        i_tilde_spot = x_star / alpha
-        answer = open_scope(subject, rng).answers(rng, spot_ordinal)
-        yield sum(answer(alpha, i_tilde_spot) for _ in range(nu))

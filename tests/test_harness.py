@@ -1050,7 +1050,7 @@ _KERNEL_DIGESTS = {
         "56aa9bd202fbe17d71f1c317b05d850431dc83eabba8c34dc965c10aa7b8278c"
     ),
     ("naive", "eve:echo", "point_pair", False): (
-        "11ad4d7ec5bd70f40358f05b109dfbb978d60155fb0400f45a71e7fa3eaa3809"
+        "53488d3a1d0f5a764ad165a382fb7d44f79b2e098aa7f2f961d9371bf37c7370"
     ),
     "martingale": (
         "b3cac7fa22be5787a389aa8f8bac9f624ca90346843c52e67b0d652cac6adbe7"
@@ -1180,10 +1180,10 @@ _STRUCTURAL_DIGESTS = {
         "22bd575519c53507581c24b9d042cb8edded79d577dd7276427445349e44b53b"
     ),
     ('artifacts', 'naive', 'eve:echo', 'point_pair'): (
-        "e0900047db96d97584d3c6c546e4c999ee42d8310015a708f61fdfdea5e90e04"
+        "9549cc1eb38f46a2b634b9510c99501871f5cba5727da0a3c1b189ff6f50b272"
     ),
     ('artifacts', 'naive', 'eve:echo', 'uniform_bands'): (
-        "e0900047db96d97584d3c6c546e4c999ee42d8310015a708f61fdfdea5e90e04"
+        "9549cc1eb38f46a2b634b9510c99501871f5cba5727da0a3c1b189ff6f50b272"
     ),
     ('artifacts', 'pattern', 'alice', 'point_pair'): (
         "db8c4e19313ca49c278312436d9650eb38d4fd3921e4cd82f3edf1c70d1c2839"
@@ -1273,7 +1273,7 @@ _STRUCTURAL_DIGESTS = {
         "c48d6c91abe692a947c4a4613b4f0aace66e47c42d9641ca82fd0e97b4225c0d"
     ),
     ('kernel', 'naive', 'eve:echo', 'point_pair', False): (
-        "d7e23008e4ef79e5dca148911e32b6f0ed6a3405735b0fddd1676d097289f572"
+        "ca6c7354c73d56c96788c1030986b77e83807dfe42a2355cb3a4614476d880be"
     ),
     ('martingale',): (
         "cf8a6dc005fd32dc9b3f103392c6e692b74a9ec97e0065626eb99ac98d83ee31"

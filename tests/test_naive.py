@@ -510,9 +510,9 @@ class TestRunNaive:
 class TestLawLevelDraws:
     """The honest user's per-spot counts, and those of every biased impostor
     session, are drawn from the session's exit law (:class:`TestExitLaw`),
-    and ``echo``'s are one vector of binomial draws (:class:`TestEchoLaw`);
-    an adaptive impostor whose rule declares no law keeps the per-round
-    path.  The counts must follow the exact law, and match the counts of
+    and ``echo``'s are one binomial draw per spot tested
+    (:class:`TestEchoLaw`); an adaptive impostor whose rule declares no law
+    keeps the per-round path.  The counts must follow the exact law, and match the counts of
     the subject's per-round twin (:func:`per_round.per_round`).
 
     Pooling every recorded count of a session is fair: whether spot j is
@@ -620,17 +620,28 @@ class TestLawLevelDraws:
     def test_law_subjects_open_no_scope(
         self, name, read, default_map, monkeypatch
     ):
-        """No subject that declares its law opens a scope.  One with one
-        count law on every spot is drawn from its exit law; ``echo`` reads
-        her seeing probability on the chosen spots from one map-wide array
-        per session."""
-        calls = []
-        map_seeing = strategy_naive._map_seeing
-        monkeypatch.setattr(strategy_naive, "open_scope", None)
+        """No subject that declares its law draws for a scope.  One with one
+        count law on every spot is drawn from its exit law and opens none;
+        ``echo`` opens a scope for each spot tested (one on the default
+        map, where she fails her first spot), gets herself back without a
+        draw, and reads her seeing probability on the spot from one
+        map-wide array."""
+        opened, calls = [], []
+        open_law, map_seeing = strategy_naive.open_scope, strategy_naive._map_seeing
+
+        def recorded_open(subject, rng):
+            state = repr(rng.bit_generator.state)
+            law = open_law(subject, rng)
+            opened.append((law, repr(rng.bit_generator.state) == state))
+            return law
+
+        monkeypatch.setattr(strategy_naive, "open_scope", recorded_open)
         monkeypatch.setattr(strategy_naive, "_map_seeing",
                             lambda *args: calls.append(args) or map_seeing(*args))
         subject = build_subject(name, 6)
         run_naive(subject, default_map, _published_plan(), make_rng(4127))
+        assert [(law is subject, undrawn)
+                for law, undrawn in opened] == [(True, True)] * read
         assert len(calls) == read
         assert all(law is subject for law, _map, _x in calls)
 
@@ -1069,11 +1080,11 @@ class TestEchoLaw:
         assert g_test_pvalue(twin_positions, position) > 1e-3
         assert two_sample_g_pvalue(law_positions, twin_positions, plan.mu + 1) > 1e-3
 
-    def test_counts_take_one_binomial_vector(self):
-        """Her law path: the spots' ``choice``, then one ``binomial`` of
-        size mu, whose probabilities are her seeing probability on each
-        chosen spot; the session records its counts up to the first
-        failing one."""
+    def test_counts_take_one_binomial_per_spot_tested(self):
+        """Her law path: the spots' ``choice``, then one scalar ``binomial``
+        per spot tested, up to the first failing one, whose probability is
+        her seeing probability on that spot read from the map-wide array;
+        the session records those draws as its counts."""
         alpha_map = generate_synthetic(40, 40, 0.5, 1.0, seed=4131)
         plan = _published_plan()
         calls = []
@@ -1091,13 +1102,24 @@ class TestEchoLaw:
 
                 return recorded
 
+        echo = build_subject("eve:echo", 6)
+        x_star = strategy_naive._tuned_mean(6, plan.p_c)
+        tested = []
         for seed in range(4132, 4142):
             calls.clear()
-            result = run_naive(build_subject("eve:echo", 6), alpha_map, plan,
-                               Recording(make_rng(seed)))
-            (choice, _, spots), (binomial, (_nu, p), counts) = calls
-            assert (choice, binomial) == ("choice", "binomial")
-            x_star = strategy_naive._tuned_mean(6, plan.p_c)
-            np.testing.assert_allclose(p, stats.poisson.sf(5, x_star / alpha_map.alpha[spots]),
-                                       rtol=1e-13)
-            assert result.see_counts == tuple(counts[:result.spots_tested].tolist())
+            result = run_naive(echo, alpha_map, plan, Recording(make_rng(seed)))
+            (choice, _, spots), *binomials = calls
+            assert choice == "choice"
+            names = [name for name, _, _ in binomials]
+            assert names == ["binomial"] * result.spots_tested
+            spots = spots[:result.spots_tested]
+            seeing = strategy_naive._map_seeing(echo, alpha_map, x_star)
+            p = [p for _, (_nu, p), _ in binomials]
+            assert all(nu == plan.nu for _, (nu, _p), _ in binomials)
+            assert all(np.ndim(one) == 0 for one in p)
+            assert p == seeing[spots].tolist()
+            np.testing.assert_allclose(
+                p, stats.poisson.sf(5, x_star / alpha_map.alpha[spots]), rtol=1e-13)
+            assert result.see_counts == tuple(int(count) for _, _, count in binomials)
+            tested.append(result.spots_tested)
+        assert max(tested) > 1

@@ -195,6 +195,31 @@ def test_no_strategy_module_imports_another():
     assert found == []
 
 
+#: What a subject's answer law gives (``subjects.open_scope``).
+_LAW_READS = {"p_seen", "p_wrong", "spot_counts", "answers"}
+
+
+def test_no_runner_asks_its_subject_for_a_law():
+    """A runner asks only a law that ``open_scope`` returned, or goes
+    through ``spot_count_law``: no ``strategy_*`` module reads ``p_seen``,
+    ``p_wrong``, ``spot_counts`` or ``answers`` from a ``subject``, bare
+    or as an attribute (``context.subject``)."""
+    found = []
+    for module in MODULES:
+        if not module.__name__.startswith("retinasim.strategy_"):
+            continue
+        tree = ast.parse(Path(module.__file__).read_text())
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Attribute) and node.attr in _LAW_READS):
+                continue
+            owner = node.value
+            if (isinstance(owner, ast.Name) and owner.id == "subject") or (
+                isinstance(owner, ast.Attribute) and owner.attr == "subject"
+            ):
+                found.append(f"{module.__name__}:{node.lineno}")
+    assert found == []
+
+
 def test_cli_sizes_no_plan_itself():
     """``solve`` prints the plans of ``harness.STRATEGIES``: the command line
     neither imports nor calls the solvers that size a serial or naive plan."""

@@ -24,6 +24,9 @@ sigma, 20 configurations of 2,500 answers)         5.2e-3 of it is the
 ``test_photon_view_is_poissonian`` (4 sigma on     2.5e-4 (normal
 each class's count mean and variance)              approximation,
                                                    6.3e-5 a check)
+``test_a_plain_strategy_is_asked_through_its_      2.0e-3 (G-test at
+session`` (first-spot counts of 2,000 naive        p > 1e-3, chi-square
+sessions against Bin(nu, 0.3), in two cells)       approximation)
 =================================================  ======================
 """
 
@@ -44,6 +47,7 @@ from retinasim import (
     DomainError,
     Echo,
     EveContext,
+    EveStrategy,
     FixedP,
     RunConfig,
     SpotClass,
@@ -66,7 +70,7 @@ from retinasim.harness import STRATEGIES
 from retinasim.photon_stats import _gk_array
 from retinasim.subjects import _echo, class_seeing_means, interrogate, open_scope
 
-from conftest import make_rng
+from conftest import g_test_pvalue, make_rng
 
 
 def test_eve_context_is_the_whole_information_set():
@@ -503,3 +507,59 @@ def test_only_a_rule_is_asked_round_by_round(strategy, subject, plan, tmp_path,
         run_trial(rule, 0)
     with pytest.raises(_AskedRoundByRound):
         main(["identify", "--config", str(path), "--subject", "interactive"])
+
+
+class _OpensRule(EveStrategy):
+    """A plain strategy whose every scope opens a fresh fair rule; it keeps,
+    per scope opened, the spot ordinal of each round its rule was asked."""
+
+    def __init__(self):
+        self.scopes = []
+
+    def session(self, rng):
+        rounds = []
+        self.scopes.append(rounds)
+        return Adaptive(lambda ctx: rounds.append(ctx.spot_ordinal) or 0.5)
+
+
+class _OpensBias(EveStrategy):
+    """A plain strategy whose every scope opens the bias 0.3."""
+
+    def session(self, rng):
+        return FixedP(0.3)
+
+
+@pytest.mark.parametrize("distribution", ["point_pair", "uniform_bands"])
+@pytest.mark.parametrize("strategy", ["naive", "serial", "bayes"])
+def test_a_plain_strategy_is_asked_through_its_session(strategy, distribution):
+    """An :class:`EveStrategy` that declares no law of its own runs under
+    every runner that asks its subject, each asking the law its
+    ``session`` opens.  Naive opens one scope per spot tested and asks an
+    opened rule the spot's ``nu`` rounds; bayes and serial open one scope
+    a session and ask it every round.  An opened bias gives naive's spot
+    counts the law Bin(nu, 0.3): the first spot's count of each session is
+    one draw of it."""
+    context = prepare(RunConfig(strategy=strategy, distribution=distribution,
+                                map_width=40, map_height=40))
+    opens_rule = _OpensRule()
+    rule_context = dataclasses.replace(context, subject=opens_rule)
+    for seed in range(4640, 4643):
+        opens_rule.scopes.clear()
+        result = run_session(rule_context, make_rng(seed))
+        if strategy == "naive":
+            nu = context.naive_plan.nu
+            assert opens_rule.scopes == [[spot] * nu
+                                         for spot in range(result.spots_tested)]
+        else:
+            assert opens_rule.scopes == [[0] * result.rounds]
+    bias_context = dataclasses.replace(context, subject=_OpensBias())
+    rng = make_rng(4643 if distribution == "point_pair" else 4644)
+    sessions = 2000 if strategy == "naive" else 20
+    results = [run_session(bias_context, rng) for _ in range(sessions)]
+    assert all(result.rounds > 0 for result in results)
+    if strategy == "naive":
+        from scipy import stats
+
+        nu = context.naive_plan.nu
+        first = [result.see_counts[0] for result in results]
+        assert g_test_pvalue(first, stats.binom.pmf(range(nu + 1), nu, 0.3)) > 1e-3
