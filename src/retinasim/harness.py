@@ -21,6 +21,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -115,7 +116,7 @@ def _words(n: int) -> list[int]:
     return words
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=8, typed=True)
 def _key_block(master_seed: int, block: int) -> np.ndarray:
     """Read-only ``(_KEY_BLOCK, 2)`` uint64 Philox keys of the trial indices
     ``block * _KEY_BLOCK`` onwards: row *r* is
@@ -357,18 +358,24 @@ class RunConfig:
         return UniformBands(self.low_band, self.high_band)
 
     def to_dict(self) -> dict:
-        doc = dataclasses.asdict(self)
+        """The fields as a shallow dict, in field order, each band a list:
+        every value but the bands is already immutable, so nothing is
+        deep-copied."""
+        doc = {name: getattr(self, name) for name in _CONFIG_FIELDS}
         doc["low_band"] = list(self.low_band)
         doc["high_band"] = list(self.high_band)
         return doc
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(doc) - known)
+        unknown = sorted(set(doc).difference(_CONFIG_FIELDS))
         if unknown:
             raise ConfigError(f"unknown config field(s): {', '.join(unknown)}")
         return cls(**doc)
+
+
+#: The field names of :class:`RunConfig`, in declaration order.
+_CONFIG_FIELDS = tuple(field.name for field in dataclasses.fields(RunConfig))
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -407,7 +414,8 @@ class TrialRecord:
 @dataclass(frozen=True)
 class RunContext:
     """Immutable shared inputs for all trials of one run: the map, the
-    solved plan, and the subject template.  Safe to share across workers.
+    solved plan, and the subject template.  Safe to share across workers;
+    :func:`prepare` shares the map and plan with other runs of the process.
     ``i_tilde`` is the common pulse intensity of a bayes or serial run, and
     ``None`` for the others: a naive plan sets its own pulses, and a
     pattern run carries its intensity, with everything else its questions
@@ -424,19 +432,78 @@ class RunContext:
     pattern_plan: PatternPlan | None = None
 
 
+#: Most synthetic maps :func:`_synthetic_map` keeps, and most plans
+#: :func:`_cached_plan` keeps.  A map holds 8 bytes a spot (80 kB at the
+#: default 100 x 100); a plan is a few hundred bytes, apart from the map a
+#: pattern plan holds.
+_MAPS_KEPT = 4
+_PLANS_KEPT = 32
+
+
 def _resolve_map(config: RunConfig) -> AlphaMap:
+    """The run's map: ``map_file`` read anew on every call, so that an edit
+    to the file is seen, or the synthetic map of ``map_width`` ..
+    ``map_seed``, shared from :func:`_synthetic_map`."""
     if config.map_file is not None:
         try:
             return load(config.map_file)
         except MapFormatError as exc:
             raise MapFormatError(f"{exc}; change field 'map_file'") from exc
-    return generate_synthetic(
-        config.map_width,
-        config.map_height,
-        config.map_alpha_min,
-        config.map_alpha_max,
-        config.map_seed,
-    )
+    return _synthetic_map(config.map_width, config.map_height, config.map_alpha_min,
+                          config.map_alpha_max, config.map_seed)
+
+
+@functools.lru_cache(maxsize=_MAPS_KEPT, typed=True)
+def _synthetic_map(width: int, height: int, alpha_min: float, alpha_max: float,
+                   seed: int) -> AlphaMap:
+    """:func:`~retinasim.alpha_map.generate_synthetic`, once per set of its
+    five inputs: every run on those inputs shares one immutable map, and
+    with it the pattern class index cached per map object.  Making a map
+    empties :func:`_cached_plan`, so that every cached plan is on a map this
+    cache still holds and no evicted map is kept alive by a plan."""
+    _cached_plan.cache_clear()
+    return generate_synthetic(width, height, alpha_min, alpha_max, seed)
+
+
+#: The :class:`RunConfig` fields that no entry's ``plan`` reads: a session's
+#: seed and subject, the run's size and round cap, and where it writes.
+_UNPLANNED_FIELDS = frozenset(
+    {"master_seed", "trials", "out_dir", "walk_trace_limit", "subject", "max_rounds"})
+_PLANNED_FIELDS = tuple(name for name in _CONFIG_FIELDS
+                        if name not in _UNPLANNED_FIELDS)
+
+
+class _PlanKey:
+    """A config as a key of :func:`_cached_plan`: equal to another, and
+    hashed, by the values of :data:`_PLANNED_FIELDS` and the sign of each
+    float field among them, since ``-0.0 == 0.0`` but a plan may print the
+    two apart (the band edges a plan reads are positive).  It carries its
+    config, for the plan to read on a miss."""
+
+    __slots__ = ("config", "_values", "_hash")
+
+    def __init__(self, config: RunConfig) -> None:
+        values = tuple([getattr(config, name) for name in _PLANNED_FIELDS])
+        signs = tuple([math.copysign(1.0, v) for v in values if type(v) is float])
+        self.config = config
+        self._values = values, signs
+        self._hash = hash(self._values)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _PlanKey) and self._values == other._values
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
+@functools.lru_cache(maxsize=_PLANS_KEPT, typed=True)
+def _cached_plan(alpha_map: AlphaMap, key: _PlanKey) -> MappingProxyType:
+    """The strategy entry's plan for ``key.config`` on a synthetic map,
+    made once per map and :class:`_PlanKey`.  Plans are immutable, so runs
+    that differ only in unplanned fields share one; a refusal is raised
+    anew on every call, never cached."""
+    config = key.config
+    return MappingProxyType(STRATEGIES[config.strategy].plan(config, alpha_map))
 
 
 def _operating_point(config: RunConfig, alpha_map: AlphaMap) -> tuple[float, float]:
@@ -460,7 +527,7 @@ def _operating_point(config: RunConfig, alpha_map: AlphaMap) -> tuple[float, flo
     i_tilde = config.i_tilde
     if i_tilde is None:
         try:
-            i_tilde = _symmetric_intensity(*inner_edges(distribution), config.k)
+            _q, i_tilde = solve_q_intensity(*inner_edges(distribution), config.k)
         except InfeasibleError as exc:
             names = ", ".join(map(repr, _DISTRIBUTION_FIELDS[config.distribution]))
             raise InfeasibleError(
@@ -468,16 +535,6 @@ def _operating_point(config: RunConfig, alpha_map: AlphaMap) -> tuple[float, flo
                 f"which skips this search"
             ) from exc
     return design_wrong_probability(distribution, i_tilde, config.k), i_tilde
-
-
-@functools.lru_cache(maxsize=64, typed=True)
-def _symmetric_intensity(low: float, high: float, k: int) -> float:
-    """The pulse intensity of :func:`solve_q_intensity` on the inner edges
-    ``(low, high)`` at threshold ``k``, solved once per ``(low, high, k)``:
-    runs of one distribution and threshold share it.  A refusal is raised
-    anew each call, never cached; ``typed`` keeps a ``True`` threshold from
-    reading the entry of ``1``."""
-    return solve_q_intensity(low, high, k)[1]
 
 
 #: Transcript rows ``identify`` prints for a bayes session; the rest are counted.
@@ -658,9 +715,23 @@ STRATEGIES: dict[str, _Entry] = {
 def prepare(config: RunConfig) -> RunContext:
     """Resolve the map, run the strategy's checks, solve its plan once, and
     freeze the shared inputs.  All per-trial randomness comes later, from
-    :func:`trial_rng`."""
+    :func:`trial_rng`.
+
+    Set-up is cached per process.  A synthetic map is made once per set of
+    its five fields (``map_width`` .. ``map_seed``), and the 4 most recently
+    used maps are kept.  The plan on such a map is made once per map and
+    set of the config fields that some entry's ``plan`` reads: every field
+    but ``master_seed``, ``trials``, ``out_dir``, ``walk_trace_limit``,
+    ``subject`` and ``max_rounds``.  The 32 most recently used plans are
+    kept, and a new map drops them all.  A ``map_file`` is read, and its
+    plan made, on every call, and a refusal is raised anew on every call.
+    Maps and plans are immutable, so a cached one gives the same draws and
+    records as a new one."""
     alpha_map = _resolve_map(config)
-    plan = STRATEGIES[config.strategy].plan(config, alpha_map)
+    if config.map_file is None:
+        plan = _cached_plan(alpha_map, _PlanKey(config))
+    else:
+        plan = STRATEGIES[config.strategy].plan(config, alpha_map)
     try:
         subject = build_subject(config.subject, config.k)
     except ConfigError as exc:
@@ -879,7 +950,10 @@ def montecarlo(config: RunConfig) -> tuple[TrialStats, list[TrialRecord]]:
     over the index range gives the same records, each depending only on
     ``(config, trial_index)``, but its drift statistics agree only to
     rounding unless merged in trial order (see :func:`merge_records`).
-    Writes artifacts when ``config.out_dir`` is set.
+    Writes artifacts when ``config.out_dir`` is set.  Set-up goes through
+    :func:`prepare`, so calls in one process that share a synthetic map and
+    the planned fields (any ``master_seed``, ``trials``, ``subject``, ...)
+    share one map and one plan, within its bounds of 4 maps and 32 plans.
     """
     context = prepare(config)
     records = [run_trial(context, i) for i in range(config.trials)]

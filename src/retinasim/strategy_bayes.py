@@ -347,11 +347,12 @@ class ExitLaw:
         return min(bisect_right(self.cdf, u), len(self.cdf) - 1)
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=64, typed=True)
 def _exit_law(plan: SequentialPlan, p_wrong: float, max_rounds: int) -> ExitLaw | None:
     """:meth:`SequentialPlan.exit_law`, cached per argument triple as
     :func:`~retinasim.subjects.class_seeing_means` is: a run asks for the
-    same law every session."""
+    same law every session.  ``typed`` keeps a ``True`` round cap from
+    reading the entry of ``1`` instead of being refused."""
     p_wrong = _real("wrong-answer probability", p_wrong, "(0, 1)")
     max_rounds = _count("round cap", max_rounds, 1)
     lattice = plan._lattice

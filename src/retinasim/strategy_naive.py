@@ -303,7 +303,7 @@ def run_naive(
     )
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=16, typed=True)
 def _exit_law(
     counts: tuple[float, ...], n_l: int, n_r: int, mu: int
 ) -> tuple[tuple[float, ...], tuple[np.ndarray, np.ndarray],
@@ -366,7 +366,8 @@ def _exit_session(exits, plan: NaiveTestPlan, rng: np.random.Generator) -> Naive
 
 #: Per live map, the last law asked of it, the mean it was asked at, and
 #: that law's seeing probability on every spot of the map.  Keyed weakly:
-#: an entry goes with its map, so no run's array outlives it.
+#: an entry goes with its map, which runs that share it through
+#: ``harness.prepare``'s bounded map cache share too.
 _MAP_SEEING: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 

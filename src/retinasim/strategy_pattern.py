@@ -143,7 +143,7 @@ def _require_library(library: object) -> None:
             f"library must be a GlyphLibrary, got {type(library).__name__}")
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=1, typed=True)
 def glyph_library() -> GlyphLibrary:
     """Load and validate the packaged glyph library (built once)."""
     with resources.files("retinasim.data").joinpath("glyphs_5x7.json").open() as fh:
@@ -255,7 +255,7 @@ def _class_index(alpha_map: AlphaMap, low_max, high_min) -> _ClassBlockIndex:
                                _real("high_min", high_min, "(-inf, inf)"))
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=4, typed=True)
 def _cached_class_index(
     alpha_map: AlphaMap, low_max: float, high_min: float
 ) -> _ClassBlockIndex:
@@ -462,7 +462,8 @@ def build_challenge(
     are then dealt round-robin across all blocks, each block's in a uniform
     random order.  Construction is deterministic given the generator state;
     the map's class index is built on the first call for a map and reused,
-    and building it draws nothing.
+    and building it draws nothing.  Every refusal is made before the first
+    draw; the placement itself is :func:`_place`.
     """
     _require_library(library)
     row = library.rows.get(glyph_id)
@@ -477,13 +478,30 @@ def build_challenge(
             f"no high-transmission spots available in glyph cell "
             f"{divmod(int(empty[0]), GLYPH_GRID[1])} for {library.ids[row]!r}", "high"
         )
-    pattern = index.high.draw(cells, rng)
+    _require_noise(index, n_noise)
+    i_tilde = _real("pulse intensity", i_tilde, "[0, inf)")
+    return _place(index, library, row, n_noise, i_tilde, rng)
 
+
+def _place(
+    index: _ClassBlockIndex,
+    library: GlyphLibrary,
+    row: int,
+    n_noise: int,
+    i_tilde: float,
+    rng: np.random.Generator,
+) -> PatternChallenge:
+    """The challenge of :func:`build_challenge` for the glyph in ``row``,
+    on arguments it or a :class:`PatternPlan` has checked: every glyph cell
+    holds a high spot and the block grid ``n_noise`` low ones, so this only
+    draws.  One ``integers`` call draws the pattern spots, then one
+    ``permutation`` the noise."""
+    cells = library.cells[row]
+    pattern = index.high.draw(cells, rng)
     # Spread noise round-robin over every block so the combined illuminated
     # set can embed many glyphs, not just the hidden one.  One shuffle of
     # all low spots, grouped again by block with a stable sort, leaves each
     # block's spots in a uniform order, independently across blocks.
-    _require_noise(index, n_noise)
     shuffled = rng.permutation(index.low.size)
     shuffled = shuffled[np.argsort(index.low_block[shuffled], kind="stable")]
     noise = shuffled[index.deal[:n_noise]]
@@ -688,7 +706,9 @@ def run_pattern_test(
     can do no better than a uniform pick, so her session is drawn from that
     law (see :func:`_impostor_session`).  Accept iff every answer names the
     hidden glyph.  The plan has made every refusal a question could meet,
-    so only the glyph pool and the subject are checked here.
+    so only the glyph pool and the subject are checked here, and each
+    challenge is placed from the plan's class index by :func:`_place`, the
+    helper :func:`build_challenge` calls after its own checks.
     """
     library = glyph_library()
     pool = library.ids
@@ -705,11 +725,11 @@ def run_pattern_test(
         return _impostor_session(len(pool), m, plan.n_entries, rng)
 
     alpha_map = plan.alpha_map
+    index = _cached_class_index(alpha_map, plan.low_max, plan.high_min)
+    rows = library.rows
     for correct in range(m):
-        gid = pool[int(rng.integers(len(pool)))]
-        challenge = build_challenge(alpha_map, library, gid, plan.n_noise, rng,
-                                    i_tilde=plan.i_tilde, low_max=plan.low_max,
-                                    high_min=plan.high_min)
+        row = rows[pool[int(rng.integers(len(pool)))]]
+        challenge = _place(index, library, row, plan.n_noise, plan.i_tilde, rng)
         menu = candidate_menu(challenge, library, plan.n_entries, rng)
         perceived = simulate_perception(challenge, alpha_map, k, rng)
         if recognize(perceived, challenge, plan.rule):

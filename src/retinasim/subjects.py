@@ -301,14 +301,14 @@ class Echo(Adaptive):
         return 0.5
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=64, typed=True)
 def _seeing(k: int, x: float) -> float:
     """``gk(k, x)``, once per ``(k, x)``: a per-spot run asks for the same
     tuned mean every session."""
     return gk(k, x)
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=16, typed=True)
 def _binomial_pmf(nu: int, p: float) -> tuple[float, ...]:
     """The probabilities of Binomial(``nu``, ``p``) on ``0..nu``, each from
     its logarithm, so that no factor overflows or underflows before the
@@ -326,7 +326,7 @@ def _binomial_pmf(nu: int, p: float) -> tuple[float, ...]:
     )
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=16, typed=True)
 def _uniform_pmf(nu: int) -> tuple[float, ...]:
     """The uniform law on ``0..nu``, once per ``nu``."""
     return (1.0 / (nu + 1),) * (nu + 1)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from retinasim import generate_synthetic
+from retinasim import generate_synthetic, harness, strategy_pattern
 
 
 def make_rng(seed: int = 0) -> np.random.Generator:
@@ -19,6 +19,16 @@ def rng():
 def default_map():
     """Canonical 100x100 synthetic map shared by read-only tests."""
     return generate_synthetic(100, 100, 0.02, 0.18, seed=7)
+
+
+@pytest.fixture
+def cold_setup():
+    """Empty the per-process set-up caches (synthetic maps, plans, pattern
+    class indices), so that a test counting set-up work starts from a first
+    run, whatever ran before it."""
+    for cache in (harness._synthetic_map, harness._cached_plan,
+                  strategy_pattern._cached_class_index):
+        cache.cache_clear()
 
 
 def _merged_bins(expected: np.ndarray, least: float = 5.0) -> list[slice]:

@@ -509,6 +509,15 @@ class TestExitLaw:
         with pytest.raises(DomainError):
             make_plan(BANDS).exit_law(p_wrong, cap)
 
+    def test_true_cap_is_refused_after_a_cap_of_one(self):
+        """The law is cached by type as well as value: a ``True`` round cap
+        does not read the entry a cap of 1 made, and is refused as it is on
+        a cold cache."""
+        plan = make_plan()
+        assert plan.exit_law(0.25, 1) is not None
+        with pytest.raises(DomainError, match="round cap must be an integer, got True"):
+            plan.exit_law(0.25, True)
+
 
 def _per_round_session(subject, plan, rng, max_rounds=10_000):
     """``(outcome, rounds, first round)`` of a session walked round by

@@ -46,11 +46,14 @@ check                                                  false-failure
 """
 
 import dataclasses
+import gc
 import hashlib
 import json
 import math
 import pickle
 import statistics
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,6 +79,7 @@ from retinasim import (
     TrialStats,
     UniformP,
     build_subject,
+    generate_synthetic,
     load_config,
     merge_records,
     montecarlo,
@@ -88,6 +92,7 @@ from retinasim import (
     trial_rng,
     write_artifacts,
 )
+from retinasim import harness
 from retinasim.harness import _KEY_BLOCK, _key_block
 
 #: Seeds and trial indices where ``SeedSequence``'s entropy words change in
@@ -413,6 +418,164 @@ class TestPrepare:
     def test_eve_subject_from_config(self):
         context = prepare(RunConfig(subject="eve:fixedp:0.25"))
         assert context.subject == FixedP(0.25)
+
+
+#: Per strategy, config changes that each set one field its plan reads; the
+#: changes that each set one map field; and one that sets every unplanned
+#: field but ``out_dir``.
+_PLANNED_VARIANTS = {
+    "bayes": [{"p_fp": 1e-8}, {"p_fn": 1e-3}, {"k": 5}, {"i_tilde": 62.4},
+              {"alpha_low": 0.06}, {"low_band": (0.02, 0.06)}],
+    "serial": [{"p_fp": 1e-8}, {"p_fn": 1e-3}, {"k": 5}, {"i_tilde": 62.4},
+               {"alpha_high": 0.14}, {"high_band": (0.14, 0.18)}],
+    "naive": [{"p_fp": 1e-8}, {"p_fn": 1e-3}, {"k": 5}, {"naive_mu": 40},
+              {"naive_p_c": 0.4}],
+    "pattern": [{"k": 5}, {"pattern_questions": 4}, {"pattern_menu": 20},
+                {"pattern_noise": 60}, {"pattern_miss_limit": 3},
+                {"pattern_noise_limit": 3}, {"pattern_i_tilde": 60.0},
+                {"pattern_low_max": 0.03}, {"pattern_high_min": 0.17}],
+}
+_MAP_VARIANTS = [{"map_width": 101}, {"map_height": 99}, {"map_alpha_min": 0.019},
+                 {"map_alpha_max": 0.181}, {"map_seed": 8}]
+_UNPLANNED_VARIANT = {"master_seed": 5, "trials": 7, "walk_trace_limit": 3,
+                      "subject": "eve:echo", "max_rounds": 300}
+
+
+def _artifacts(config) -> dict[str, bytes]:
+    """Each file of the run's ``out_dir`` by name, as bytes."""
+    return {path.name: path.read_bytes() for path in sorted(Path(config.out_dir).iterdir())}
+
+
+class TestSetupCaches:
+    """``prepare`` shares one synthetic map per set of map fields and one
+    plan per map and set of planned fields, within a process.  Each test
+    that counts or compares set-up work starts from cleared caches
+    (``cold_setup``), so that its result does not depend on test order."""
+
+    @pytest.mark.parametrize("distribution", ["point_pair", "uniform_bands"])
+    @pytest.mark.parametrize("strategy", list(_PLANNED_VARIANTS))
+    def test_warm_runs_match_cold_runs(self, strategy, distribution, cold_setup,
+                                       tmp_path):
+        """A run after runs that differ from it in one keyed field gives the
+        records and artifacts it gives on cleared caches: no run reads
+        another's map or plan."""
+        base = RunConfig(strategy=strategy, distribution=distribution, trials=12,
+                         master_seed=4603)
+        changes = [{}, _UNPLANNED_VARIANT, *_PLANNED_VARIANTS[strategy], *_MAP_VARIANTS]
+        configs = [dataclasses.replace(base, out_dir=str(tmp_path / str(n)), **change)
+                   for n, change in enumerate(changes)]
+        cold = []
+        for config in configs:
+            harness._synthetic_map.cache_clear()
+            harness._cached_plan.cache_clear()
+            cold.append((montecarlo(config)[1], _artifacts(config)))
+        for n, (config, (records, artifacts)) in enumerate(zip(configs, cold)):
+            assert montecarlo(config)[1] == records, config
+            assert _artifacts(config) == artifacts, config
+            if n == 1:  # the unplanned change reads the default's plan
+                assert harness._cached_plan.cache_info().hits == 1
+
+    def test_runs_share_a_map_per_map_fields(self, cold_setup):
+        config = RunConfig(strategy="pattern")
+        context = prepare(config)
+        again = prepare(dataclasses.replace(config, strategy="bayes", **_UNPLANNED_VARIANT))
+        assert again.alpha_map is context.alpha_map
+        for change in _MAP_VARIANTS:
+            varied = dataclasses.replace(config, **change)
+            alpha_map = prepare(varied).alpha_map
+            assert alpha_map is not context.alpha_map
+            expected = generate_synthetic(varied.map_width, varied.map_height,
+                                          varied.map_alpha_min, varied.map_alpha_max,
+                                          varied.map_seed)
+            assert (alpha_map.width, alpha_map.height) == (expected.width, expected.height)
+            assert np.array_equal(alpha_map.alpha, expected.alpha)
+
+    @pytest.mark.parametrize("strategy", list(_PLANNED_VARIANTS))
+    def test_runs_share_a_plan_across_unplanned_fields(self, strategy, cold_setup,
+                                                       tmp_path):
+        config = RunConfig(strategy=strategy)
+        unplanned = dataclasses.replace(config, out_dir=str(tmp_path), **_UNPLANNED_VARIANT)
+        field = {"bayes": "sequential_plan", "serial": "serial_plan",
+                 "naive": "naive_plan", "pattern": "pattern_plan"}[strategy]
+        plan = getattr(prepare(config), field)
+        assert getattr(prepare(unplanned), field) is plan
+        assert harness._cached_plan.cache_info().misses == 1
+
+    def test_signed_zero_keys_apart(self, cold_setup):
+        """-0.0 == 0.0, but the pattern plan line prints the two apart."""
+        config = RunConfig(strategy="pattern", pattern_i_tilde=0.0)
+        assert math.copysign(1.0, prepare(config).pattern_plan.i_tilde) == 1.0
+        negative = prepare(dataclasses.replace(config, pattern_i_tilde=-0.0))
+        assert math.copysign(1.0, negative.pattern_plan.i_tilde) == -1.0
+
+    @pytest.mark.parametrize("strategy", list(_PLANNED_VARIANTS))
+    def test_map_file_is_read_on_every_call(self, strategy, cold_setup, tmp_path):
+        """An edit to the map file between two calls is seen by the map and
+        by the plan made on it."""
+        path = tmp_path / "map.json"
+        first, second = (generate_synthetic(100, 100, 0.02, 0.18, seed)
+                         for seed in (31, 32))
+        config = RunConfig(strategy=strategy, map_file=str(path))
+        for alpha_map in (first, second, first):
+            save(alpha_map, path)
+            context = prepare(config)
+            assert np.array_equal(context.alpha_map.alpha, alpha_map.alpha)
+            if strategy == "pattern":
+                assert context.pattern_plan.alpha_map is context.alpha_map
+
+    @pytest.mark.parametrize("change, error, match", [
+        ({"strategy": "naive", "map_width": 5, "map_height": 5}, ConfigError,
+         "field 'naive_mu' is 50 but the map has only 25 spots"),
+        ({"strategy": "pattern", "map_width": 4, "map_height": 4}, PlacementError,
+         "smaller than the 5x7 glyph grid"),
+        ({"strategy": "bayes", "map_alpha_min": 0.06}, ConfigError,
+         "change fields 'alpha_low' and 'alpha_high'"),
+        ({"strategy": "serial", "subject": "eve:nonesuch"}, ConfigError,
+         "change field 'subject'"),
+    ])
+    def test_refusal_is_raised_on_every_call(self, change, error, match, cold_setup):
+        config = RunConfig(**change)
+        for _ in range(3):
+            with pytest.raises(error, match=match):
+                prepare(config)
+
+    @pytest.mark.parametrize("distribution", ["point_pair", "uniform_bands"])
+    @pytest.mark.parametrize("strategy", list(_PLANNED_VARIANTS))
+    def test_no_plan_reads_an_unplanned_field(self, strategy, distribution):
+        """The plan cache is keyed by every field but the unplanned ones, so
+        no entry's ``plan`` may read those: here it reads a proxy that
+        raises on them."""
+        assert harness._UNPLANNED_FIELDS == set(_UNPLANNED_VARIANT) | {"out_dir"}
+        config = RunConfig(strategy=strategy, distribution=distribution)
+
+        class Planned:
+            def __getattr__(self, name):
+                if name in harness._UNPLANNED_FIELDS:
+                    raise AssertionError(f"plan read field {name!r}")
+                return getattr(config, name)
+
+        alpha_map = harness._resolve_map(config)
+        entry = harness.STRATEGIES[strategy]
+        assert entry.plan(Planned(), alpha_map) == entry.plan(config, alpha_map)
+
+    def test_caches_stay_bounded(self, cold_setup):
+        """However many maps and plans a process asks for, each cache holds
+        at most its bound, and a map the map cache drops is freed: no plan
+        keeps it alive."""
+        maps, plans = harness._synthetic_map, harness._cached_plan
+        assert maps.cache_parameters() == {"maxsize": harness._MAPS_KEPT, "typed": True}
+        assert plans.cache_parameters() == {"maxsize": harness._PLANS_KEPT, "typed": True}
+        small = RunConfig(map_width=10, map_height=10)
+        first = weakref.ref(prepare(small).alpha_map)
+        for p_fn in np.linspace(1e-4, 1e-2, harness._PLANS_KEPT + 3):
+            prepare(dataclasses.replace(small, p_fn=float(p_fn)))
+        assert plans.cache_info().currsize == harness._PLANS_KEPT
+        for seed in range(harness._MAPS_KEPT + 3):
+            prepare(dataclasses.replace(small, map_seed=100 + seed))
+            assert maps.cache_info().currsize <= harness._MAPS_KEPT
+            assert plans.cache_info().currsize <= harness._PLANS_KEPT
+        gc.collect()
+        assert first() is None
 
 
 class TestRunTrial:

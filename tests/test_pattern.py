@@ -408,8 +408,9 @@ class TestClassIndexBuiltOncePerMap:
     is built once per map object, however many questions draw from it."""
 
     @pytest.fixture
-    def built(self, monkeypatch):
-        """The maps of every ``_ClassBlockIndex`` built during the test."""
+    def built(self, monkeypatch, cold_setup):
+        """The maps of every ``_ClassBlockIndex`` built during the test,
+        from cleared set-up caches."""
         maps = []
         original = strategy_pattern._ClassBlockIndex
 

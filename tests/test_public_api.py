@@ -79,6 +79,67 @@ def test_no_module_imports_warnings():
     assert found == []
 
 
+def _cache_makers(tree: ast.Module) -> list[tuple[ast.expr, str]]:
+    """Every reference to ``functools.lru_cache`` or ``functools.cache``, as
+    an attribute of ``functools`` or by a name imported from it, with the
+    name it refers to."""
+    makers = {"lru_cache", "cache"}
+    imported = {a.asname or a.name: a.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "functools"
+                for a in node.names if a.name in makers}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in imported:
+            found.append((node, imported[node.id]))
+        elif (isinstance(node, ast.Attribute) and node.attr in makers
+              and isinstance(node.value, ast.Name) and node.value.id == "functools"):
+            found.append((node, node.attr))
+    return found
+
+
+def _is_bound(module, node: ast.expr | None) -> bool:
+    """Whether a ``maxsize`` argument is a positive integer: a literal, or a
+    module constant named by it."""
+    if isinstance(node, ast.Constant):
+        value = node.value
+    elif isinstance(node, ast.Name):
+        value = getattr(module, node.id, None)
+    else:
+        return False
+    return type(value) is int and value >= 1
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_every_cache_is_bounded_and_typed(module):
+    """Every ``lru_cache`` is made with a finite ``maxsize`` and
+    ``typed=True``.  An unbounded cache grows with every distinct argument;
+    an untyped one lets a ``True`` argument read the entry of ``1`` and skip
+    the refusal it meets on a cold cache.  ``functools.cache`` and a bare
+    ``@lru_cache`` (128 entries, untyped) are refused."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    bad = []
+    for maker, name in _cache_makers(tree):
+        call = calls.get(id(maker))
+        args = call.args if call else []
+        keywords = {k.arg: k.value for k in call.keywords} if call else {}
+        maxsize = args[0] if args else keywords.get("maxsize")
+        typed = args[1] if len(args) > 1 else keywords.get("typed")
+        if not (name == "lru_cache" and _is_bound(module, maxsize)
+                and isinstance(typed, ast.Constant) and typed.value is True):
+            bad.append(f"{module.__name__}:{maker.lineno}")
+    assert bad == []
+
+
+def test_the_cache_check_sees_every_cache():
+    """The check above finds each cache a module makes, in either spelling."""
+    found = sum(len(_cache_makers(ast.parse(Path(m.__file__).read_text())))
+                for m in MODULES)
+    made = sum(hasattr(obj, "cache_parameters") and obj.__module__ == m.__name__
+               for m in MODULES for obj in vars(m).values())
+    assert found == made > 0
+
+
 def _is_strings(node: ast.expr) -> bool:
     """A string literal, or a tuple, list or set of string literals."""
     if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
