@@ -14,8 +14,13 @@ A run settles on its map once: a :class:`PatternPlan` makes every refusal a
 question could meet (its arguments, the glyphs' placement, the noise supply
 and the menu each glyph's challenge can fill) when it is made, and
 ``run_pattern_test`` only draws.  An impostor's session is drawn from her
-law: each question draws its glyph and her menu position, right iff it is
-0, and builds no challenge or menu.
+law: one uniform picks her count of right answers from its exact
+truncated-geometric table, and no glyph, challenge or menu is drawn.
+
+Every draw reads ``rng.random()`` alone: bounded integers by Lemire's
+multiply-shift (:func:`_below`), orders as the argsort of uniforms
+(:func:`_shuffled`), and a percept as uniforms below each spot's seeing
+probability, so no record depends on NumPy's other samplers.
 
 Geometry: the map is partitioned into a 5x7 grid of rectangular cell blocks,
 one block per glyph cell.  A glyph is *embedded* by lighting one spot inside
@@ -29,6 +34,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,7 +55,7 @@ from .errors import (
     _count,
     _real,
 )
-from .photon_stats import _relative_entropy, gk
+from .photon_stats import _gk_array, _relative_entropy, gk
 from .subjects import SubjectModel, honest_threshold
 
 __all__ = [
@@ -90,6 +96,49 @@ DEFAULT_NOISE_SPOTS = 75
 #: Pulse intensities ``optimize_intensity`` scans, and its grid step.
 INTENSITY_SCAN = (40.0, 120.0)
 INTENSITY_STEP = 0.1
+#: A bounded draw reads the top 32 bits of a uniform's 53 (see ``_below``).
+_WORD = 2**32
+
+
+def _below(bounds, rng: np.random.Generator):
+    """Uniform integers below ``bounds``, each bound at least 1: an int for
+    an int bound, or an ``int64`` array for a ``uint64`` array of them, one
+    ``rng.random()`` uniform a draw.  Lemire's multiply-shift ("Fast random
+    integer generation in an interval", ACM TOMACS 29(1), 2019): the top 32
+    bits ``x`` of a uniform's 53 give ``(x * s) >> 32`` below bound ``s``,
+    and a draw whose low word ``x * s mod 2**32`` falls in the slice below
+    ``2**32 mod s`` is made again, which leaves each value below ``s``
+    exactly ``2**32 // s`` of the ``x`` that are kept.  ``x * s`` stays
+    below 2**64 for every bound up to 2**32, more spots than a map of
+    32 GiB of transmissions holds, so no product overflows; a slice holds
+    under ``s / 2**32`` of the ``x``.  An array's rejected draws are made
+    again together, in their order, from one further ``random`` call."""
+    if isinstance(bounds, int):
+        while True:
+            product = int(rng.random() * _WORD) * bounds
+            if product % _WORD >= _WORD % bounds:
+                return product >> 32
+    product = (rng.random(bounds.size) * _WORD).astype(np.uint64) * bounds
+    low = product & (_WORD - 1)
+    draws = (product >> 32).view(np.int64)
+    again = low < bounds  # the rejected slice lies below each bound
+    if np.count_nonzero(again):
+        again[again] = low[again] < _WORD % bounds[again]
+        if np.count_nonzero(again):
+            draws[again] = _below(bounds[again], rng)
+    return draws
+
+
+def _shuffled(n: int, rng: np.random.Generator) -> np.ndarray:
+    """A uniform permutation of ``range(n)``: the order that sorts ``n``
+    uniforms from one ``rng.random(n)`` call, all drawn again while two of
+    them are equal, so every order is equally likely."""
+    while True:
+        uniforms = rng.random(n)
+        order = uniforms.argsort()
+        ranked = uniforms[order]
+        if not np.count_nonzero(ranked[1:] == ranked[:-1]):
+            return order
 
 
 @dataclass(frozen=True)
@@ -123,6 +172,7 @@ class GlyphLibrary(Mapping[str, Glyph]):
             for cx, cy in self._glyphs[gid].pixels:
                 self.incidence[row, cx * GLYPH_GRID[1] + cy] = True
         self.incidence.setflags(write=False)
+        self._incidence_bytes = self.incidence.tobytes()
         self.cells = tuple(map(np.flatnonzero, self.incidence))
         for keys in self.cells:
             keys.setflags(write=False)
@@ -200,30 +250,36 @@ class BlockGrid:
 
 class _CellGroups:
     """Items grouped by glyph cell: cell ``c`` holds
-    ``items[starts[c]:starts[c] + counts[c]]``, in the order given."""
+    ``items[starts[c]:starts[c] + counts[c]]``, in the order given.
+    ``counts`` is ``uint64``, the bounds :func:`_below` takes."""
 
     def __init__(self, items: np.ndarray, keys: np.ndarray):
         inside = keys >= 0
         keys = keys[inside]
         self.items = items[inside][np.argsort(keys, kind="stable")]
-        self.counts = np.bincount(keys, minlength=_N_CELLS)
-        self.starts = np.cumsum(self.counts) - self.counts
+        counts = np.bincount(keys, minlength=_N_CELLS)
+        self.starts = np.cumsum(counts) - counts
+        self.counts = counts.astype(np.uint64)
 
     def draw(self, cells: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """One item uniformly from each of the (non-empty) ``cells``.  The
-        single array call draws exactly what one scalar ``rng.integers``
-        per cell, in order, would."""
-        return self.items[self.starts[cells] + rng.integers(self.counts[cells])]
+        """One item uniformly from each of the (non-empty) ``cells``, in
+        order: one :func:`_below` call over the cells' counts, so one
+        ``rng.random(cells.size)`` (and a further call for any draw it
+        rejects)."""
+        return self.items[self.starts[cells] + _below(self.counts[cells], rng)]
 
 
 class _ClassBlockIndex:
     """The map's high-transmission spots grouped by glyph cell, and its
-    low-transmission spots inside the block grid in one array, grouped by
-    block in deal order.  With the low spots go each one's deal-order block
-    (``low_block``, ``uint8``), its glyph-cell key (``low_keys``) and the
-    deal: the positions of a block-grouped array in the order noise is
-    dealt from them, round by round (a block's first spot, then its
-    second, ...), blocks in deal order within a round."""
+    low-transmission spots inside the block grid in one array, ``low``,
+    grouped by block in deal order, with each one's glyph-cell key
+    (``low_keys``).  Noise is dealt round by round (a block's first spot,
+    then its second, ...), blocks in deal order within a round; the deal
+    is a partial Fisher-Yates shuffle of each block.  Deal step ``i`` puts
+    the block's spot at position ``deal[i]`` of ``low`` in play: it swaps
+    that position with one of the block's ``choices[i]`` (``uint64``)
+    positions from it on, those not yet dealt, and deals what lands there.
+    ``rounds`` lists the steps at which each round ends."""
 
     def __init__(
         self, alpha_map: AlphaMap, grid: BlockGrid, low_max: float, high_min: float
@@ -238,15 +294,15 @@ class _ClassBlockIndex:
         low = np.flatnonzero(alpha_map.alpha <= low_max)
         keys = grid.cell_keys(low)
         low, keys = low[keys >= 0], keys[keys >= 0]
-        block = _DEAL_BLOCK[keys].astype(np.uint8)
-        by_block = np.argsort(block, kind="stable")
+        by_block = np.argsort(_DEAL_BLOCK[keys], kind="stable")
         self.low = low[by_block]
         self.low_keys = keys[by_block]
-        self.low_block = block[by_block]
-        counts = np.bincount(self.low_block, minlength=_N_CELLS)
-        starts = np.cumsum(counts) - counts
-        rank = np.arange(self.low.size) - starts[self.low_block]
-        self.deal = np.lexsort((self.low_block, rank))
+        block = _DEAL_BLOCK[self.low_keys]
+        counts = np.bincount(block, minlength=_N_CELLS)
+        rank = np.arange(self.low.size) - (np.cumsum(counts) - counts)[block]
+        self.deal = np.lexsort((block, rank))
+        self.choices = (counts[block] - rank)[self.deal].astype(np.uint64)
+        self.rounds = np.cumsum(np.bincount(rank)).tolist()
 
 
 def _class_index(alpha_map: AlphaMap, low_max, high_min) -> _ClassBlockIndex:
@@ -494,24 +550,50 @@ def _place(
     """The challenge of :func:`build_challenge` for the glyph in ``row``,
     on arguments it or a :class:`PatternPlan` has checked: every glyph cell
     holds a high spot and the block grid ``n_noise`` low ones, so this only
-    draws.  One ``integers`` call draws the pattern spots, then one
-    ``permutation`` the noise."""
+    draws.  One :func:`_below` call draws a high spot in each glyph cell,
+    then one the noise: the first ``n_noise`` steps of the class index's
+    deal, each a Fisher-Yates step within its block, so a block's dealt
+    spots are the first ones of a uniform order of its low spots,
+    independently across blocks."""
     cells = library.cells[row]
     pattern = index.high.draw(cells, rng)
     # Spread noise round-robin over every block so the combined illuminated
-    # set can embed many glyphs, not just the hidden one.  One shuffle of
-    # all low spots, grouped again by block with a stable sort, leaves each
-    # block's spots in a uniform order, independently across blocks.
-    shuffled = rng.permutation(index.low.size)
-    shuffled = shuffled[np.argsort(index.low_block[shuffled], kind="stable")]
-    noise = shuffled[index.deal[:n_noise]]
+    # set can embed many glyphs, not just the hidden one.  A round swaps at
+    # most once in each block, so its swaps are one array assignment.
+    dealt = index.deal[:n_noise]
+    swaps = dealt + _below(index.choices[:n_noise], rng)
+    low = index.low.copy()
+    start = 0
+    for end in index.rounds:
+        if start >= n_noise:
+            break
+        here, there = dealt[start:end], swaps[start:end]
+        low[here], low[there] = low[there], low[here]
+        start = end
     return PatternChallenge(
-        spots=np.concatenate((pattern, index.low[noise])),
-        cell_keys=np.concatenate((cells, index.low_keys[noise])),
+        spots=np.concatenate((pattern, low[dealt])),
+        cell_keys=np.concatenate((cells, index.low_keys[dealt])),
         n_pattern=cells.size,
         i_tilde=i_tilde,
         hidden_glyph=library.ids[row],
     )
+
+
+@lru_cache(maxsize=64, typed=True)
+def _menu_cells(keys: bytes, incidence: bytes) -> tuple[_CellGroups, np.ndarray]:
+    """The positions of a challenge's spots grouped by glyph cell, for a
+    challenge whose ``cell_keys`` have the bytes ``keys``, and the rows of
+    the library whose ``incidence`` has the bytes ``incidence`` that embed
+    in its illuminated set.  Both depend on the keys alone, and every
+    challenge of one glyph on a plan has the same keys, so a run asks for
+    one entry per glyph; both are read-only."""
+    cell_keys = np.frombuffer(keys, dtype=np.intp)
+    groups = _CellGroups(np.arange(cell_keys.size), cell_keys)
+    incidence = np.frombuffer(incidence, dtype=bool).reshape(-1, _N_CELLS)
+    rows = np.flatnonzero(_embeddable(incidence, groups.counts == 0))
+    for array in (groups.items, groups.starts, groups.counts, rows):
+        array.setflags(write=False)
+    return groups, rows
 
 
 def candidate_menu(
@@ -524,7 +606,13 @@ def candidate_menu(
 
     Every entry is a genuine embedding — a subset of the illuminated set
     forming that glyph, one spot per glyph cell — and exactly one entry, the
-    first, is the hidden pattern.  ``order`` shuffles the entries.
+    first, is the hidden pattern.  The distractors are the first
+    ``n_entries - 1`` of a uniform order of the embeddable glyphs
+    (:func:`_shuffled`), then one :func:`_below` call draws an illuminated
+    spot in each of their cells, and ``order``, a second uniform order,
+    shuffles the entries.  The challenge's spots by cell and the embeddable
+    glyphs are read from a cache keyed by the bytes of its cell keys and of
+    the library's incidence.
     """
     n_entries = _count("menu size", n_entries, 2)
     _require_library(library)
@@ -533,22 +621,31 @@ def candidate_menu(
     if hidden_row is None:
         raise DomainError(f"hidden glyph {hidden!r} is not in the library")
     n_pattern = challenge.n_pattern
-    illuminated = _CellGroups(np.arange(challenge.spots.size), challenge.cell_keys)
-    embeddable = _embeddable(library.incidence, illuminated.counts == 0)
-    embeddable[hidden_row] = False
-    candidates = np.flatnonzero(embeddable)
+    illuminated, embeddable = _menu_cells(challenge.cell_keys.tobytes(),
+                                          library._incidence_bytes)
+    candidates = embeddable[embeddable != hidden_row]
     _require_menu(candidates.size + 1, n_entries)
-    picked = rng.choice(candidates.size, size=n_entries - 1, replace=False)
-    rows = candidates[picked].tolist()
-    cells = [library.cells[row] for row in rows]
-    drawn = illuminated.draw(np.concatenate(cells), rng)
-    order = rng.permutation(n_entries)
+    rows = candidates[_shuffled(candidates.size, rng)[:n_entries - 1]]
+    entry, cells = library.incidence[rows].nonzero()
+    drawn = illuminated.draw(cells, rng)
+    order = _shuffled(n_entries, rng)
     return Menu(
-        glyph_ids=(hidden, *(library.ids[row] for row in rows)),
+        glyph_ids=(hidden, *map(library.ids.__getitem__, rows.tolist())),
         order=order,
-        entry=np.repeat(np.arange(n_entries), [n_pattern, *map(len, cells)]),
+        entry=np.concatenate((np.zeros(n_pattern, dtype=np.intp), entry + 1)),
         at=np.concatenate((np.arange(n_pattern), drawn)),
     )
+
+
+@lru_cache(maxsize=4, typed=True)
+def _seeing(alpha_map: AlphaMap, i_tilde: float, k: int) -> np.ndarray:
+    """P(Poisson(alpha * i_tilde) >= k) at every spot of the map, read-only:
+    ``_gk_array``, which gives each spot the value it gets alone.  Built on
+    the first percept at this intensity and threshold on the map, whose
+    object (immutable, hashed by identity) keys the entry with them."""
+    seeing = _gk_array(k, alpha_map.alpha * i_tilde)
+    seeing.setflags(write=False)
+    return seeing
 
 
 def simulate_perception(
@@ -559,12 +656,15 @@ def simulate_perception(
 ) -> np.ndarray:
     """The honest user's percept, aligned with ``challenge.spots``: each
     illuminated spot fires independently when its Poisson photon count
-    (mean ``alpha * i_tilde``) reaches ``k``."""
+    (mean ``alpha * i_tilde``) reaches ``k``, which is drawn as one
+    ``rng.random(n)`` uniform a spot, firing below that spot's probability
+    of it (:func:`_seeing`, the map's probabilities at this intensity and
+    threshold, computed once and cached)."""
     k = _count("threshold K", k, 1)
     spots = challenge.spots
     if spots.min() < 0 or spots.max() >= alpha_map.n_spots:
         raise DomainError("challenge references spots outside the map")
-    return rng.poisson(alpha_map.alpha[spots] * challenge.i_tilde) >= k
+    return rng.random(spots.size) < _seeing(alpha_map, challenge.i_tilde, k)[spots]
 
 
 def recognize(
@@ -708,7 +808,8 @@ def run_pattern_test(
     hidden glyph.  The plan has made every refusal a question could meet,
     so only the glyph pool and the subject are checked here, and each
     challenge is placed from the plan's class index by :func:`_place`, the
-    helper :func:`build_challenge` calls after its own checks.
+    helper :func:`build_challenge` calls after its own checks.  The glyph
+    and the uniform pick are :func:`_below` draws.
     """
     library = glyph_library()
     pool = library.ids
@@ -722,13 +823,13 @@ def run_pattern_test(
     m = plan.n_questions
     k = honest_threshold(subject)
     if k is None:
-        return _impostor_session(len(pool), m, plan.n_entries, rng)
+        return _impostor_session(m, plan.n_entries, rng)
 
     alpha_map = plan.alpha_map
     index = _cached_class_index(alpha_map, plan.low_max, plan.high_min)
     rows = library.rows
     for correct in range(m):
-        row = rows[pool[int(rng.integers(len(pool)))]]
+        row = rows[pool[_below(len(pool), rng)]]
         challenge = _place(index, library, row, plan.n_noise, plan.i_tilde, rng)
         menu = candidate_menu(challenge, library, plan.n_entries, rng)
         perceived = simulate_perception(challenge, alpha_map, k, rng)
@@ -737,23 +838,30 @@ def run_pattern_test(
             overlap = np.bincount(menu.entry, weights=perceived[menu.at])
             pick = menu.order[np.argmax(overlap[menu.order])]
         else:
-            pick = menu.order[int(rng.integers(plan.n_entries))]
+            pick = menu.order[_below(plan.n_entries, rng)]
         if pick != 0:
             return PatternResult(accepted=False, questions=m, correct=correct)
     return PatternResult(accepted=True, questions=m, correct=m)
 
 
-def _impostor_session(
-    n_glyphs: int, m: int, n_entries: int, rng: np.random.Generator
-) -> PatternResult:
+@lru_cache(maxsize=16, typed=True)
+def _impostor_tails(n_entries: int, m: int) -> tuple[float, ...]:
+    """The tail of an impostor's count C of right answers in a session of
+    ``m`` questions, menus of ``n_entries``, ascending: P(C >= c) =
+    (1/n_entries)**c for c = m, m - 1, ..., 1, each the exact rational
+    rounded once.  So P(C = c) is (1/M)**c * (1 - 1/M) for c < m and
+    (1/M)**m for c = m, the truncated geometric."""
+    return tuple(float(Fraction(1, n_entries) ** c) for c in range(m, 0, -1))
+
+
+def _impostor_session(m: int, n_entries: int, rng: np.random.Generator) -> PatternResult:
     """An impostor's session of ``m`` questions, drawn from its exact law.
     Her pick is uniform over the menu and the hidden glyph's menu position
-    is a uniform permutation entry, so whatever the challenge she answers
-    right with probability exactly 1/n_entries.  A question therefore draws
-    ``integers(n_glyphs)`` (the glyph), then ``integers(n_entries)``, and is
-    answered right iff that draw is 0; no challenge or menu is built."""
-    for correct in range(m):
-        rng.integers(n_glyphs)
-        if rng.integers(n_entries):
-            return PatternResult(accepted=False, questions=m, correct=correct)
-    return PatternResult(accepted=True, questions=m, correct=m)
+    is a uniform permutation entry, so whatever the glyph and challenge she
+    answers each question right with probability exactly 1/n_entries, and
+    her session ends at her first wrong answer.  One uniform ``u`` gives
+    her count of right answers by inversion: the number of the tails of
+    :func:`_impostor_tails` above ``u``.  No glyph, challenge or menu is
+    drawn."""
+    correct = m - bisect_right(_impostor_tails(n_entries, m), rng.random())
+    return PatternResult(accepted=correct == m, questions=m, correct=correct)

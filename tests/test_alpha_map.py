@@ -44,7 +44,7 @@ from retinasim import (
 )
 
 from retinasim.alpha_map import class_draws
-from retinasim.strategy_pattern import BlockGrid, _ClassBlockIndex
+from retinasim.strategy_pattern import _DEAL_BLOCK, BlockGrid, _ClassBlockIndex
 
 from conftest import make_rng
 
@@ -146,7 +146,7 @@ def test_index_holds_each_classed_spot_with_its_cell():
     assert dict(zip(index.low.tolist(), index.low_keys.tolist())) == classed(
         lambda a: a <= 0.04)
     assert index.low.size == len(set(index.low.tolist()))
-    assert (np.diff(index.low_block.astype(int)) >= 0).all()
+    assert (np.diff(_DEAL_BLOCK[index.low_keys]) >= 0).all()
 
 
 def test_classify_threshold_validation(default_map):

@@ -1044,10 +1044,10 @@ _PINNED_DIGESTS = {
         "ff4c3f68e3c7dd49fd2b1e32e3beea301ac281f83161716bc1294b0102eaec9a"
     ),
     ("pattern", "alice", "point_pair"): (
-        "31424cf0fac0a684a6a76513168bf276bbcae5d50fb99013bad645cb7462f1f3"
+        "d78adfece0c3124115161536977ac88aaa611f4fd888c82a48d6506a8825dd67"
     ),
     ("pattern", "alice", "uniform_bands"): (
-        "31424cf0fac0a684a6a76513168bf276bbcae5d50fb99013bad645cb7462f1f3"
+        "d78adfece0c3124115161536977ac88aaa611f4fd888c82a48d6506a8825dd67"
     ),
     ("pattern", "eve:uniformp", "point_pair"): (
         "37e69b2d93a8b7e2347e25249ae59b1ff6adcf6214a147aaa22eb004951c41cb"
@@ -1106,7 +1106,7 @@ def test_artifacts_match_pinned_digests(strategy, subject, distribution, tmp_pat
 # and some impostor ones a second.
 _PINNED_PATTERN_RUNS = {
     ("alice", 40): (
-        "a755d3474b0ae238a54057f3f37537760b865a6aa8fbe21a7f8ac4104a13c75e"
+        "dbcaaaa9efbdf5d5610f5ced80298bc8cf841bbaea4004f4c9e3b6210456f61f"
     ),
     ("eve:faircoin", 200): (
         "3a7ba088572ddda1eb3243339b9915ad1384d984eba6e38984044d1966eef8ee"
@@ -1349,28 +1349,28 @@ _STRUCTURAL_DIGESTS = {
         "9549cc1eb38f46a2b634b9510c99501871f5cba5727da0a3c1b189ff6f50b272"
     ),
     ('artifacts', 'pattern', 'alice', 'point_pair'): (
-        "db8c4e19313ca49c278312436d9650eb38d4fd3921e4cd82f3edf1c70d1c2839"
+        "f162a8e9260e5c909005572357e42c0bbacc001835beedace092ad46d8859841"
     ),
     ('artifacts', 'pattern', 'alice', 'uniform_bands'): (
-        "db8c4e19313ca49c278312436d9650eb38d4fd3921e4cd82f3edf1c70d1c2839"
+        "f162a8e9260e5c909005572357e42c0bbacc001835beedace092ad46d8859841"
     ),
     ('artifacts', 'pattern', 'eve:uniformp', 'point_pair'): (
-        "f97fbee1e9150b4a3cd9c3bd75d570b9956e106a709d5461ebe0cf98d9adae67"
+        "ae13e0df0fa79d1bfb61b827a38a546c002b139979833a66ece5395070691d8d"
     ),
     ('artifacts', 'pattern', 'eve:uniformp', 'uniform_bands'): (
-        "f97fbee1e9150b4a3cd9c3bd75d570b9956e106a709d5461ebe0cf98d9adae67"
+        "ae13e0df0fa79d1bfb61b827a38a546c002b139979833a66ece5395070691d8d"
     ),
     ('artifacts', 'pattern', 'eve:echo', 'point_pair'): (
-        "f97fbee1e9150b4a3cd9c3bd75d570b9956e106a709d5461ebe0cf98d9adae67"
+        "ae13e0df0fa79d1bfb61b827a38a546c002b139979833a66ece5395070691d8d"
     ),
     ('artifacts', 'pattern', 'eve:echo', 'uniform_bands'): (
-        "f97fbee1e9150b4a3cd9c3bd75d570b9956e106a709d5461ebe0cf98d9adae67"
+        "ae13e0df0fa79d1bfb61b827a38a546c002b139979833a66ece5395070691d8d"
     ),
     ('pattern-run', 'alice', 40): (
-        "2844b9f452ba8537fc8064dee13f89e82c348518c0130e2d2f3a6fcf47a5b64f"
+        "0c36ca46952d375504c0c898c2f8da6ff25a3d8a40cc2294c2aec00b6f4c6715"
     ),
     ('pattern-run', 'eve:faircoin', 200): (
-        "b6cb9d8cc2a13ccaef5c00eb8f6bdb3c7417b3b717a6003e06cc93d0a642f085"
+        "e5b9f92f556c850b7e2f9d35a978274fe85f8d809dc46b1a65f75fe5203e03aa"
     ),
     ('kernel', 'bayes', 'alice', 'point_pair', False): (
         "9eba97bc21c0b97f44a7f0720131d2ad5f1b08623569303ba95f93c9b2be95cd"

@@ -1,10 +1,11 @@
 """Tests for the pattern-challenge identification strategy.
 
 Covers glyph library integrity, challenge placement, menu soundness, the
-laws of the challenge and menu draws, the generator calls a question makes,
-the honest-user perception model, the exact impostor law, the refusals a
-run's plan makes, the honest-failure Chernoff bound with its intensity
-optimizer, and full session runs.
+laws of the challenge and menu draws against exact rates and against the
+NumPy samplers they replaced, the bounded draws and shuffles every draw
+reads from ``random()`` alone, the honest-user perception model, the exact
+impostor law, the refusals a run's plan makes, the honest-failure Chernoff
+bound with its intensity optimizer, and full session runs.
 
 Seeded statistical checks and the probability that each fails although the
 code implements its law (a re-draw of the records passes or fails them by
@@ -26,6 +27,10 @@ check                                              false-failure probability
                                                    binomial tests at 1e-4
                                                    against a true bound)
 ``TestDrawLaws`` (two G-tests)                     at most 1e-6 each
+``TestLawsMatchTheEarlierSamplers``                at most 1e-6 each (two-
+                                                   sample G-tests: placement
+                                                   2, menu 3, percept 2;
+                                                   7e-6 in all)
 ``TestImpostorLaw`` (two G-tests)                  at most 1e-6 each (right
                                                    answers against the law
                                                    and the question loop)
@@ -35,6 +40,7 @@ check                                              false-failure probability
 """
 
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -563,14 +569,42 @@ class TestCandidateMenu:
             candidate_menu(orphan, lib, 5, rng)
 
 
-def _loop_challenge(alpha_map, library, glyph_id, n_noise, rng):
-    """``build_challenge`` at the default class edges and intensity as loops
-    over spots and blocks, one scalar draw per glyph cell and the deal
-    written out: the reference the array version must match draw for draw.
-    The low spots are listed block by block in row-major block order,
-    ascending within a block; one permutation of that list, read in order,
-    gives each block the order its spots are dealt in."""
-    grid = BlockGrid.for_map(alpha_map)
+def _bounded(bounds, rng):
+    """Uniform integers below each of ``bounds``, as scalar arithmetic on
+    Python ints: the reference ``strategy_pattern._below`` must match draw
+    for draw.  Each draw reads one ``random()``, whose 53 bits are
+    ``int(u * 2**53)``; Lemire's multiply-shift keeps their top 32 bits
+    ``x``, gives ``(x * s) >> 32`` and rejects a low word below
+    ``2**32 % s``.  Every bound draws once, in order, then the rejected ones
+    again, in order, until none is rejected."""
+    draws = [None] * len(bounds)
+    todo = list(range(len(bounds)))
+    while todo:
+        again = []
+        for i in todo:
+            product = (int(rng.random() * 2**53) >> 21) * int(bounds[i])
+            if product % 2**32 < 2**32 % int(bounds[i]):
+                again.append(i)
+            else:
+                draws[i] = product >> 32
+        todo = again
+    return draws
+
+
+def _order(n, rng):
+    """A uniform order of ``range(n)``, by sorting ``n`` uniforms drawn one
+    by one, drawn again while two are equal: the reference
+    ``strategy_pattern._shuffled`` must match draw for draw."""
+    while True:
+        uniforms = [rng.random() for _ in range(n)]
+        if len(set(uniforms)) == n:
+            return sorted(range(n), key=uniforms.__getitem__)
+
+
+@functools.lru_cache(maxsize=4)
+def _classed_blocks(alpha_map, grid):
+    """The map's high and low spots inside the block grid, by block, each
+    block's ascending, and the blocks in row-major order."""
     cols, rows = GLYPH_GRID
     high, low = {}, {}
     for spot in range(alpha_map.n_spots):
@@ -581,11 +615,85 @@ def _loop_challenge(alpha_map, library, glyph_id, n_noise, rng):
             high.setdefault(cell, []).append(spot)
         elif alpha_map.alpha[spot] <= 0.04:
             low.setdefault(cell, []).append(spot)
+    return high, low, [(cx, cy) for cy in range(rows) for cx in range(cols)]
+
+
+def _loop_challenge(alpha_map, library, glyph_id, n_noise, rng):
+    """``build_challenge`` at the default class edges and intensity as loops
+    over spots and blocks, one scalar draw per glyph cell and per dealt
+    noise spot, and the deal written out: the reference the array version
+    must match draw for draw.  The noise is dealt round by round, blocks in
+    row-major order, each deal a Fisher-Yates step over the block's
+    ascending low spots that are not dealt yet."""
+    grid = BlockGrid.for_map(alpha_map)
+    high, low, blocks = _classed_blocks(alpha_map, grid)
+    cells = sorted(library[glyph_id].pixels)
+    pattern = [high[cell][i]
+               for cell, i in zip(cells, _bounded([len(high[cell]) for cell in cells], rng))]
+    steps = [(block, depth)
+             for depth in range(max(map(len, low.values()), default=0))
+             for block in blocks
+             if depth < len(low.get(block, []))][:n_noise]
+    picks = _bounded([len(low[block]) - depth for block, depth in steps], rng)
+    left = {block: list(spots) for block, spots in low.items()}
+    noise = []
+    for (block, depth), pick in zip(steps, picks):
+        spots = left[block]
+        spots[depth], spots[depth + pick] = spots[depth + pick], spots[depth]
+        noise.append(spots[depth])
+    return challenge_of(pattern + noise, len(pattern), grid, hidden=glyph_id)
+
+
+def _menu_candidates(challenge, grid, library):
+    """The challenge's spot positions by block, and the library glyphs but
+    the hidden one that embed in them, in sorted order."""
+    by_block: dict = {}
+    for position, spot in enumerate(challenge.spots.tolist()):
+        cell = cell_of(grid, spot)
+        if cell is not None:
+            by_block.setdefault(cell, []).append(position)
+    candidates = [
+        gid
+        for gid in sorted(library)
+        if gid != challenge.hidden_glyph
+        and all(cell in by_block for cell in library[gid].pixels)
+    ]
+    return by_block, candidates
+
+
+def _loop_menu(challenge, grid, library, n_entries, rng):
+    """``candidate_menu`` as a loop over spots and glyph cells, one scalar
+    draw per uniform, the spots placed on ``grid``: the reference the array
+    version must match draw for draw.  Gives the menu as lists: glyph ids,
+    order, and each drawn spot's entry and position in the challenge."""
+    by_block, candidates = _menu_candidates(challenge, grid, library)
+    if len(candidates) + 1 < n_entries:
+        raise MenuError(
+            f"only {len(candidates) + 1} glyphs embeddable in the illuminated "
+            f"set; {n_entries} requested"
+        )
+    picked = [candidates[i] for i in _order(len(candidates), rng)[:n_entries - 1]]
+    cells = [(number, cell) for number, gid in enumerate(picked, start=1)
+             for cell in sorted(library[gid].pixels)]
+    spots = _bounded([len(by_block[cell]) for _number, cell in cells], rng)
+    entry = [0] * challenge.n_pattern + [number for number, _cell in cells]
+    at = list(range(challenge.n_pattern)) + [
+        by_block[cell][i] for (_number, cell), i in zip(cells, spots)]
+    order = _order(n_entries, rng)
+    return [challenge.hidden_glyph, *picked], order, entry, at
+
+
+def _head_challenge(alpha_map, library, glyph_id, n_noise, rng):
+    """``build_challenge`` as the earlier NumPy samplers drew it: one
+    ``integers`` per glyph cell, then one ``permutation`` of every low spot
+    of the grid, listed block by block, read in order to give each block
+    its deal order.  The reference of the placement law."""
+    grid = BlockGrid.for_map(alpha_map)
+    high, low, blocks = _classed_blocks(alpha_map, grid)
     pattern = [
         high[cell][rng.integers(len(high[cell]))]
         for cell in sorted(library[glyph_id].pixels)
     ]
-    blocks = [(cx, cy) for cy in range(rows) for cx in range(cols)]
     lows = [spot for block in blocks for spot in low.get(block, [])]
     dealt_from = {block: [] for block in blocks}
     for position in rng.permutation(len(lows)).tolist():
@@ -599,27 +707,12 @@ def _loop_challenge(alpha_map, library, glyph_id, n_noise, rng):
     return challenge_of(pattern + noise[:n_noise], len(pattern), grid, hidden=glyph_id)
 
 
-def _loop_menu(challenge, grid, library, n_entries, rng):
-    """``candidate_menu`` as a loop over spots, one generator call per glyph
-    cell, the spots placed on ``grid``: the reference the array version must
-    match draw for draw.  Gives the menu as lists: glyph ids, order, and
-    each drawn spot's entry and position in the challenge."""
-    by_block: dict = {}
-    for position, spot in enumerate(challenge.spots.tolist()):
-        cell = cell_of(grid, spot)
-        if cell is not None:
-            by_block.setdefault(cell, []).append(position)
-    candidates = [
-        gid
-        for gid in sorted(library)
-        if gid != challenge.hidden_glyph
-        and all(cell in by_block for cell in library[gid].pixels)
-    ]
-    if len(candidates) + 1 < n_entries:
-        raise MenuError(
-            f"only {len(candidates) + 1} glyphs embeddable in the illuminated "
-            f"set; {n_entries} requested"
-        )
+def _head_menu(challenge, grid, library, n_entries, rng):
+    """``candidate_menu`` as the earlier NumPy samplers drew it: ``choice``
+    of the distractors, one ``integers`` per distractor cell, then a
+    ``permutation`` for the order, as the lists ``_loop_menu`` gives.  The
+    reference of the menu law."""
+    by_block, candidates = _menu_candidates(challenge, grid, library)
     picked = rng.choice(len(candidates), size=n_entries - 1, replace=False)
     glyph_ids = [challenge.hidden_glyph]
     entry = [0] * challenge.n_pattern
@@ -692,49 +785,298 @@ class TestDrawLaws:
         assert result.pvalue > 1e-6
 
 
-class _LoggedGenerator:
-    """A generator that logs the name of each method called on it."""
+def _block_rank(grid, alpha_map, spot):
+    """``spot``'s place among the ascending low spots of its block."""
+    _high, low, _blocks = _classed_blocks(alpha_map, grid)
+    return low[cell_of(grid, spot)].index(spot)
+
+
+class TestLawsMatchTheEarlierSamplers:
+    """Placement, menu and percept against the NumPy samplers they replace
+    (``integers``, ``permutation``, ``choice``, ``poisson``), each by
+    two-sample G-tests whose false-failure probability is at most 1e-6."""
+
+    def test_placement(self, default_map):
+        # the high spot of the glyph's first cell, and the first two noise
+        # spots dealt from block (0, 0): the first one's rank in the block,
+        # and whether the second's rank is above it
+        lib = glyph_library()
+        grid = BlockGrid.for_map(default_map)
+        high, low, _blocks = _classed_blocks(default_map, grid)
+        first_cell = sorted(lib["2"].pixels)[0]
+        width = len(low[(0, 0)])
+        builds = 2000
+
+        def categories(challenge):
+            noise = challenge.spots[challenge.n_pattern:].tolist()
+            first, second = (_block_rank(grid, default_map, noise[i]) for i in (0, 35))
+            assert cell_of(grid, noise[0]) == cell_of(grid, noise[35]) == (0, 0)
+            return (high[first_cell].index(int(challenge.spots[0])),
+                    2 * first + (second > first))
+
+        rng, head_rng = make_rng(4491), make_rng(4492)
+        drawn = [categories(build_challenge(default_map, lib, "2", 75, rng))
+                 for _ in range(builds)]
+        head = [categories(_head_challenge(default_map, lib, "2", 75, head_rng))
+                for _ in range(builds)]
+        for column, size in ((0, len(high[first_cell])), (1, 2 * width)):
+            assert two_sample_g_pvalue([d[column] for d in drawn],
+                                       [h[column] for h in head], size) > 1e-6
+
+    def test_menu(self, default_map):
+        # the first distractor, the hidden entry's place in the menu order,
+        # and the spot drawn in the first distractor's first cell (its cell
+        # key and its rank among the challenge's spots in that cell)
+        lib = glyph_library()
+        grid = BlockGrid.for_map(default_map)
+        challenge = build_challenge(default_map, lib, "2", 75, make_rng(4493))
+        keys = challenge.cell_keys.tolist()
+        n_entries, menus = 18, 2000
+
+        def categories(glyph_ids, order, entry, at):
+            spot = at[entry.index(1)]
+            rank = [p for p, key in enumerate(keys) if key == keys[spot]].index(spot)
+            return lib.rows[glyph_ids[1]], order.index(0), keys[spot] * 8 + rank
+
+        rng, head_rng = make_rng(4494), make_rng(4495)
+        drawn = [categories(*menu_lists(candidate_menu(challenge, lib, n_entries, rng)))
+                 for _ in range(menus)]
+        head = [categories(*_head_menu(challenge, grid, lib, n_entries, head_rng))
+                for _ in range(menus)]
+        assert max(d[2] % 8 for d in drawn + head) < 8
+        for column, size in ((0, len(lib)), (1, n_entries), (2, 8 * 35)):
+            assert two_sample_g_pvalue([d[column] for d in drawn],
+                                       [h[column] for h in head], size) > 1e-6
+
+    def test_percept(self, default_map):
+        # the pattern spots missed and the noise spots seen, against
+        # Poisson(alpha * i_tilde) counts reaching k
+        challenge = build_challenge(default_map, glyph_library(), "2", 75, make_rng(4496))
+        means = default_map.alpha[challenge.spots] * challenge.i_tilde
+        n, percepts = challenge.n_pattern, 4000
+
+        def categories(fired):
+            return n - int(fired[:n].sum()), int(fired[n:].sum())
+
+        rng, head_rng = make_rng(4497), make_rng(4498)
+        drawn = [categories(simulate_perception(challenge, default_map, 6, rng))
+                 for _ in range(percepts)]
+        head = [categories(head_rng.poisson(means) >= 6) for _ in range(percepts)]
+        for column, size in ((0, n + 1), (1, 76)):
+            assert two_sample_g_pvalue([d[column] for d in drawn],
+                                       [h[column] for h in head], size) > 1e-6
+
+
+class _RandomOnly:
+    """A generator that forwards only ``random`` and ``bit_generator``, and
+    logs the size of each ``random`` call (``None`` for one uniform); any
+    other method raises."""
 
     def __init__(self, rng):
         self._rng = rng
         self.calls = []
 
+    @property
+    def bit_generator(self):
+        return self._rng.bit_generator
+
+    def random(self, size=None):
+        self.calls.append(size)
+        return self._rng.random(size)
+
     def __getattr__(self, name):
-        method = getattr(self._rng, name)
-
-        def logged(*args, **kwargs):
-            self.calls.append(name)
-            return method(*args, **kwargs)
-
-        return logged
+        raise AssertionError(f"a pattern draw called Generator.{name}")
 
 
-#: One honest question's draws before its answer, as README's ``pattern``
-#: bullet lists them: the glyph, a high spot per glyph cell, the noise
-#: shuffle, the distractors, a spot per distractor cell, the menu order.
-_QUESTION_CALLS = ["integers", "integers", "permutation", "choice", "integers",
-                   "permutation"]
+class _Scripted:
+    """A stream whose ``random`` calls return the given values in turn: a
+    float for one uniform, an array for ``random(n)``, each taking its next
+    values from ``uniforms``.  ``calls`` logs the sizes."""
+
+    def __init__(self, uniforms):
+        self._uniforms = list(uniforms)
+        self.calls = []
+
+    def random(self, size=None):
+        self.calls.append(size)
+        n = 1 if size is None else size
+        taken, self._uniforms = self._uniforms[:n], self._uniforms[n:]
+        assert len(taken) == n, "the script ran out of uniforms"
+        return taken[0] if size is None else np.array(taken, dtype=float)
+
+
+#: The sizes of an honest question's ``random`` calls on the default map
+#: (``None`` for one uniform), as README's ``pattern`` bullet lists them:
+#: the glyph, a high spot in each of glyph "2"'s 25 cells, 75 noise deals,
+#: an order of the 44 other glyphs, a spot in each distractor cell (their
+#: count is read off the call), the menu order and a uniform per
+#: illuminated spot.
+_QUESTION_CALLS = [None, 25, 75, 44, "cells", 40, 100]
 
 
 @pytest.mark.parametrize(
     "subject,i_tilde,rule,calls",
     [
         # at these limits every percept is recognized
-        (AliceSubject(k=6), 72.0, RecognitionRule(26, 76), _QUESTION_CALLS + ["poisson"]),
-        # at zero intensity nothing fires and the pattern is not recognized
-        (AliceSubject(k=6), 0.0, RecognitionRule(5, 5),
-         _QUESTION_CALLS + ["poisson", "integers"]),
-        # an impostor's question draws its glyph and her menu position only
-        (FixedP(0.5), 72.0, RecognitionRule(5, 5), ["integers", "integers"]),
+        (AliceSubject(k=6), 72.0, RecognitionRule(26, 76), _QUESTION_CALLS),
+        # at zero intensity nothing fires: the pick is one bounded draw
+        (AliceSubject(k=6), 0.0, RecognitionRule(5, 5), _QUESTION_CALLS + [None]),
+        # an impostor's session is one uniform
+        (FixedP(0.5), 72.0, RecognitionRule(5, 5), [None]),
     ],
     ids=["honest-recognized", "honest-not-recognized", "impostor"],
 )
 def test_question_makes_the_documented_generator_calls(
     default_map, subject, i_tilde, rule, calls
 ):
-    rng = _LoggedGenerator(make_rng(4456))
-    run_pattern_test(subject, PatternPlan(default_map, 1, 40, rule, i_tilde=i_tilde), rng)
+    rng = _RandomOnly(make_rng(4456))
+    plan = PatternPlan(default_map, 1, 40, rule, i_tilde=i_tilde)
+    run_pattern_test(subject, plan, rng, glyph_ids=["2"])
+    if "cells" in calls:
+        cells = rng.calls[calls.index("cells")]
+        assert 39 * 20 <= cells <= 39 * 30
+        calls = [cells if size == "cells" else size for size in calls]
     assert rng.calls == calls
+
+
+class TestRandomOnly:
+    """Every pattern draw reads ``random()`` alone: run on a generator that
+    has no other method, each call draws the uniforms README's ``pattern``
+    bullet lists, one ``random`` call each."""
+
+    @pytest.mark.parametrize("subject", [FixedP(0.5), UniformP(), FixedP(0.1)],
+                             ids=["faircoin", "uniformp", "fixedp"])
+    def test_impostor_session_reads_one_uniform(self, default_map, subject):
+        plan = PatternPlan(default_map, 6, 40, RecognitionRule(5, 5))
+        for seed in range(4458, 4468):
+            rng = _RandomOnly(make_rng(seed))
+            run_pattern_test(subject, plan, rng)
+            assert rng.calls == [None]
+
+    def test_public_calls(self, default_map):
+        lib = glyph_library()
+        rng = _RandomOnly(make_rng(4457))
+        challenge = build_challenge(default_map, lib, "S", 40, rng)
+        candidate_menu(challenge, lib, 18, rng)
+        simulate_perception(challenge, default_map, 6, rng)
+        cells = lib["S"].size
+        assert rng.calls[:2] == [cells, 40]
+        assert rng.calls[2] >= 17 and rng.calls[4:] == [18, cells + 40]
+
+    @pytest.mark.parametrize("subject", ["alice", "eve:faircoin", "eve:uniformp",
+                                         "eve:fixedp:0.3", "eve:echo"])
+    def test_montecarlo_run(self, subject, monkeypatch):
+        import retinasim.harness
+
+        streams = []
+        original = retinasim.harness.trial_rng
+
+        def random_only(master_seed, trial_index):
+            streams.append(_RandomOnly(original(master_seed, trial_index)))
+            return streams[-1]
+
+        monkeypatch.setattr(retinasim.harness, "trial_rng", random_only)
+        config = RunConfig(strategy="pattern", subject=subject, trials=8,
+                           master_seed=4466)
+        _stats, records = montecarlo(config)
+        assert len(streams) == len(records) == 8
+        assert all(stream.calls for stream in streams)
+        if subject != "alice":
+            assert all(stream.calls == [None] for stream in streams)
+
+
+class TestBoundedDraws:
+    """``_below`` (Lemire's multiply-shift on the top 32 bits of a uniform)
+    and ``_shuffled`` (the argsort of uniforms), checked exactly."""
+
+    @staticmethod
+    def _uniform(x):
+        """The ``random()`` value whose top 32 bits are ``x``."""
+        return x / 2**32
+
+    @pytest.mark.parametrize("bound", [*range(1, 65), 100, 1_000, 2**11 + 1, 45_001])
+    def test_multiply_shift_map_enumerated(self, bound):
+        # The x in [0, 2**32) that give value v are those from
+        # ceil(v * 2**32 / s) on; their low words rise in steps of s from
+        # below s, so at most the first lies in the rejected slice below
+        # 2**32 % s.  Count every value's kept x exactly, then steer the
+        # helper to the edges of each preimage and into the slice.
+        word, t = 2**32, 2**32 % bound
+        first = [-(-v * word // bound) for v in range(bound + 1)]
+        for v in range(bound):
+            rejected = first[v] * bound % word < t
+            assert first[v + 1] - first[v] - rejected == word // bound
+        values = range(bound) if bound <= 64 else [0, 1, bound // 2, bound - 1]
+        for v in values:
+            kept = first[v] + (first[v] * bound % word < t)
+            edges = [kept, first[v + 1] - 1]
+            for x in edges:
+                assert strategy_pattern._below(bound, _Scripted([self._uniform(x)])) == v
+            stream = _Scripted([self._uniform(x) for x in edges])
+            draws = strategy_pattern._below(np.full(2, bound, dtype=np.uint64), stream)
+            assert draws.dtype == np.int64 and draws.tolist() == [v, v]
+            if kept != first[v]:  # the slice's one x is drawn again
+                stream = _Scripted([self._uniform(first[v]), self._uniform(kept)])
+                assert strategy_pattern._below(bound, stream) == v
+                assert stream.calls == [None, None]
+
+    def test_rejected_draws_are_made_again_in_order(self):
+        # x = 0 lies in the slice of every bound that is not a power of two
+        bounds = np.array([3, 4, 5, 7], dtype=np.uint64)
+        steered = [0.0, 0.0, 0.75, 0.0, 0.5, 0.0, 0.5]
+        stream = _Scripted(steered)
+        draws = strategy_pattern._below(bounds, stream)
+        # first pass: 3 and 7 rejected, 4 -> 0, 5 -> 3 (0.75); second pass:
+        # 3 -> 1 (0.5), 7 rejected again; third pass: 7 -> 3 (0.5)
+        assert stream.calls == [4, 2, 1]
+        assert draws.tolist() == [1, 0, 3, 3]
+        assert draws.tolist() == _bounded(bounds.tolist(), _Scripted(steered))
+
+    @pytest.mark.parametrize("bits", [11, 20, 31, 32])
+    def test_large_bounds_do_not_overflow(self, bits):
+        # a product of 32 bits by a bound above 2**11 no longer fits the 53
+        # bits of a uniform; it must still fit 64, up to bounds of 2**32
+        bounds = np.random.default_rng(bits).integers(2**bits // 2, 2**bits, 4000,
+                                                      endpoint=True).astype(np.uint64)
+        bounds[:3] = [2**bits, 2**bits - 1, 2**bits // 2 + 1]
+        draws = strategy_pattern._below(bounds, make_rng(4471 + bits))
+        assert draws.tolist() == _bounded(bounds.tolist(), make_rng(4471 + bits))
+        assert ((draws >= 0) & (draws < bounds.astype(np.int64))).all()
+
+    def test_cell_bounds_above_2_11_on_a_large_map(self):
+        # every spot of this map is high, 70 x 40 = 2,800 a block
+        dense = generate_synthetic(350, 280, 0.16, 0.18, seed=12)
+        index = strategy_pattern._class_index(dense, 0.04, 0.16)
+        assert index.high.counts.min() == 2800 > 2**11
+        lib = glyph_library()
+        for seed in range(4472, 4476):
+            rng, loop_rng = make_rng(seed), make_rng(seed)
+            challenge = build_challenge(dense, lib, "2", 0, rng)
+            assert challenge == _loop_challenge(dense, lib, "2", 0, loop_rng)
+            assert generator_state(rng) == generator_state(loop_rng)
+
+    def test_a_tie_is_drawn_again(self):
+        stream = _Scripted([0.5, 0.25, 0.5, 0.75] + [0.5, 0.25, 0.125, 0.75])
+        order = strategy_pattern._shuffled(4, stream)
+        assert stream.calls == [4, 4]
+        assert order.tolist() == [2, 1, 0, 3]
+
+    def test_a_tie_in_a_menu_is_drawn_again(self, default_map):
+        # a menu order whose first uniforms tie is drawn again from fresh
+        # ones; the menu equals the one the loop draws on the same stream
+        lib = glyph_library()
+        challenge = build_challenge(default_map, lib, "2", 75, make_rng(4477))
+        logged = _RandomOnly(make_rng(4479))
+        menu = candidate_menu(challenge, lib, 18, logged)
+        script = make_rng(4479).random(sum(logged.calls[:2])).tolist()
+        script += [0.5] * 18 + make_rng(4480).random(18).tolist()
+        stream = _Scripted(script)
+        tied = candidate_menu(challenge, lib, 18, stream)
+        assert stream.calls == logged.calls[:2] + [18, 18]
+        assert tied.glyph_ids == menu.glyph_ids
+        assert tied.order.tolist() == np.argsort(script[-18:]).tolist()
+        grid = BlockGrid.for_map(default_map)
+        assert menu_lists(tied) == _loop_menu(challenge, grid, lib, 18, _Scripted(script))
 
 
 # ---------------------------------------------------------------------------
@@ -1235,45 +1577,6 @@ def _law_impostor_session(alpha_map, m, n_entries, rng, **kwargs):
     return run_pattern_test(FixedP(0.5), plan, rng)
 
 
-class _Steered:
-    """A generator under which an impostor answers every question right and
-    her glyphs come from a stream of their own, so a session by the law and
-    one by the loop ask the same glyphs, question for question.  Either
-    session's scalar ``integers`` calls alternate glyph and answer; a right
-    answer is 0 for the law, and for the loop the place of entry 0 in the
-    menu order, the last permutation drawn.  Given ``answers``, it answers
-    those menu positions in turn instead.  ``glyphs`` counts the glyph
-    draws."""
-
-    def __init__(self, seed, answers=None):
-        self._rng = make_rng(seed)
-        self._glyph_rng = make_rng(seed + 10_000)
-        self._answers = answers
-        self._order = None
-        self._answering = False
-        self.glyphs = 0
-
-    def integers(self, high, *args, **kwargs):
-        if np.ndim(high):  # a spot in each of several cells
-            return self._rng.integers(high, *args, **kwargs)
-        self._answering = not self._answering
-        if self._answering:
-            self.glyphs += 1
-            return self._glyph_rng.integers(high)
-        if self._answers is not None:
-            answer = self._answers.pop(0)
-            assert 0 <= answer < high
-            return answer
-        return 0 if self._order is None else int(np.flatnonzero(self._order == 0)[0])
-
-    def permutation(self, n):
-        self._order = self._rng.permutation(n)
-        return self._order
-
-    def choice(self, *args, **kwargs):
-        return self._rng.choice(*args, **kwargs)
-
-
 def _outcome(session, *args, **kwargs):
     """A session's result or its refusal's type and message."""
     try:
@@ -1313,10 +1616,10 @@ def _question_refusal(alpha_map, glyph, n_noise, n_entries):
 
 
 class TestImpostorLaw:
-    """``run_pattern_test`` draws an impostor's session from its law: two
-    ``integers`` calls a question, right iff the menu position is 0.  The
-    checks below compare it with that law exactly, by enumeration, and with
-    the question loop it replaced, by G-test."""
+    """``run_pattern_test`` draws an impostor's session from its law: one
+    uniform, inverted on the exact truncated-geometric table.  The checks
+    below compare it with that law exactly, over the table's edges, and
+    with the question loop it replaced, by G-test."""
 
     @staticmethod
     def _law_pmf(n_entries, m):
@@ -1324,21 +1627,34 @@ class TestImpostorLaw:
         right = Fraction(1, n_entries)
         return [right**c * (1 - right) for c in range(m)] + [right**m]
 
-    @pytest.mark.parametrize("n_entries,m", [(2, 6), (3, 4), (4, 3)])
+    @pytest.mark.parametrize("n_entries,m", [(2, 6), (3, 4), (4, 3), (18, 8), (40, 6)])
     def test_enumerated_law_is_the_truncated_geometric(self, default_map, n_entries, m):
-        # every sequence of menu positions, each of probability (1/M)**m;
-        # the session reads only up to its first wrong answer
-        counts = [0] * (m + 1)
-        for positions in np.ndindex(*(n_entries,) * m):
-            rng = _Steered(4460, answers=list(positions))
-            result = _law_impostor_session(default_map, m, n_entries, rng)
-            assert result.rounds == rng.glyphs
+        # C >= c iff the uniform lies below the table's tail (1/M)**c,
+        # rounded once; a uniform is a multiple of 2**-53, so P(C >= c) is
+        # that tail rounded up to the next multiple, within 2**-53 of it
+        tails = strategy_pattern._impostor_tails(n_entries, m)[::-1]
+        exact = [Fraction(1, n_entries) ** c for c in range(1, m + 1)]
+        assert [Fraction(t) for t in tails] == [Fraction(float(e)) for e in exact]
+
+        def session(u):
+            stream = _Scripted([u])
+            result = _law_impostor_session(default_map, m, n_entries, stream)
+            assert stream.calls == [None]
             assert result.accepted == (result.correct == m)
-            counts[result.correct] += 1
-        pmf = [Fraction(count, n_entries**m) for count in counts]
-        assert pmf == self._law_pmf(n_entries, m)
-        assert pmf[m] == false_positive_rate(n_entries, m)
-        assert sum(self._law_pmf(n_entries, m)) == 1
+            assert result.rounds == min(result.correct + 1, m)
+            return result.correct
+
+        assert session(0.0) == m and session(np.nextafter(1.0, 0.0)) == 0
+        for c, tail in enumerate(tails, start=1):
+            assert session(np.nextafter(tail, 0.0)) >= c > session(tail)
+        grid = [Fraction(math.ceil(Fraction(t) * 2**53), 2**53) for t in (1.0, *tails, 0.0)]
+        pmf = [above - below for above, below in zip(grid, grid[1:])]
+        assert sum(pmf) == 1
+        law = self._law_pmf(n_entries, m)
+        # each edge is within 2**-53 (the grid) + 2**-54 (the rounding)
+        assert all(abs(got - want) <= Fraction(3, 2**53) for got, want in zip(pmf, law))
+        assert abs(pmf[m] - false_positive_rate(n_entries, m)) <= Fraction(3, 2**54)
+        assert sum(law) == 1
 
     def test_correct_count_g_test_against_the_law(self, default_map):
         rng = make_rng(4461)
@@ -1406,14 +1722,14 @@ class TestImpostorLaw:
         # one, with its type and message, before any draw
         alpha_map = _PARITY_MAPS[name]()
         for seed in range(4480, 4484):
-            law_rng = _Steered(seed)
+            law_rng = _RandomOnly(make_rng(seed))
             law = _outcome(_law_impostor_session, alpha_map, 6, n_entries, law_rng,
                            **kwargs)
             loop = _outcome(_loop_impostor_session, alpha_map, 6, n_entries,
-                            _Steered(seed), **kwargs)
+                            make_rng(seed), **kwargs)
             assert law == loop
             assert isinstance(law, tuple)
-            assert law_rng.glyphs == 0
+            assert law_rng.calls == []
 
 
 class TestPlanRefusals:
@@ -1481,7 +1797,7 @@ def _question_log_digest(alpha_map, n_entries, seed, questions=300):
     rng = make_rng(seed)
     digest = hashlib.sha256()
     for _ in range(questions):
-        gid = pool[int(rng.integers(len(pool)))]
+        gid = pool[strategy_pattern._below(len(pool), rng)]
         ch = build_challenge(alpha_map, lib, gid, 75, rng)
         menu = shown(ch, candidate_menu(ch, lib, n_entries, rng))
         perceived = simulate_perception(ch, alpha_map, 6, rng)
@@ -1489,7 +1805,7 @@ def _question_log_digest(alpha_map, n_entries, seed, questions=300):
         if recognize(perceived, ch, rule):
             answer = max(menu, key=lambda entry: len(entry[1] & seen))
         else:
-            answer = menu[int(rng.integers(len(menu)))]
+            answer = menu[strategy_pattern._below(len(menu), rng)]
         record = [
             ch.hidden_glyph,
             ch.spots.tolist(),
@@ -1506,13 +1822,13 @@ def _question_log_digest(alpha_map, n_entries, seed, questions=300):
 # and with it every pattern record.
 _PINNED_QUESTION_LOGS = {
     "default-menu40": (
-        "cbc840a88495c0f29013527d66efbe33d83e8c86a782a28e21f65b42ceca41a2"
+        "da7d2d544faa73f128a7e3bac0b01651a543818cb024f7980a5c2b3674caa76f"
     ),
     "default-menu18": (
-        "bd554882202de6aae4d351120a6da1b5787eff1cc52df128d98e4832c4c3e1d9"
+        "a7b45288915da739e697f5ee1840a65029f129b5b75ff053f7cab8d3f03d04ea"
     ),
     "103x97-menu40": (
-        "9b4574073b3b0ff52d7f2d95c5f4d3d4c2eb8b84198ad25445b0c071b9651bc1"
+        "a528e769fe181323a758b9f7dc700fa9baa461fe1f3ecadc0a862cfb7b7f0674"
     ),
 }
 

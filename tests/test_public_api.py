@@ -8,6 +8,7 @@ import pkgutil
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import retinasim
@@ -279,6 +280,51 @@ def test_no_runner_asks_its_subject_for_a_law():
             ):
                 found.append(f"{module.__name__}:{node.lineno}")
     assert found == []
+
+
+#: A NumPy ``Generator``'s public methods but ``random``.
+_SAMPLERS = {name for name in dir(np.random.Generator)
+             if not name.startswith("_")} - {"random", "bit_generator"}
+
+
+def _sampler_reads(tree: ast.Module) -> list[int]:
+    """The lines of ``tree`` where a draw could read a sampler other than
+    ``random()``: a parameter annotated as a ``Generator`` under a name
+    other than ``rng``, an attribute of ``rng`` but ``random``, and a call
+    of any other ``Generator`` method by name."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            if "Generator" in _named(node.annotation) and node.arg != "rng":
+                found.append(node.lineno)
+        elif isinstance(node, ast.Attribute):
+            if (isinstance(node.value, ast.Name) and node.value.id == "rng"
+                    and node.attr != "random"):
+                found.append(node.lineno)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in _SAMPLERS):
+            found.append(node.lineno)
+    return found
+
+
+def test_no_pattern_draw_reads_a_sampler():
+    """Every pattern record is drawn from ``rng.random()`` alone, so no
+    pattern record depends on a NumPy sampler that NEP 19 leaves free to
+    change: in ``strategy_pattern``, a generator arrives as ``rng``, and
+    nothing reads ``rng`` but its ``random`` method or calls any other
+    ``Generator`` method."""
+    module = importlib.import_module("retinasim.strategy_pattern")
+    assert _sampler_reads(ast.parse(Path(module.__file__).read_text())) == []
+
+
+@pytest.mark.parametrize("source", [
+    "def f(rng: np.random.Generator):\n    return rng.integers(3)\n",
+    "def f(rng):\n    draw = rng.poisson\n",
+    "def f(gen: np.random.Generator):\n    return gen.random()\n",
+    "def f(self):\n    return self.rng.permutation(4)\n",
+])
+def test_the_sampler_check_sees_each_kind_of_read(source):
+    assert _sampler_reads(ast.parse(source)) != []
 
 
 def test_cli_sizes_no_plan_itself():
